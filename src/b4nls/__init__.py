@@ -10,9 +10,7 @@ from .spectral import (
     DampingProfile,
     ManifoldSpec,
     SpectralField,
-    apply_bilaplacian,
     apply_dispersion,
-    apply_laplacian,
     apply_smoothing,
     band_project,
     basis_field,
@@ -24,7 +22,6 @@ from .spectral import (
     l2_norm,
     load_field,
     make_damping_profile,
-    make_sphere_arith,
     make_torus,
     multiply_profile,
     normalize_sobolev,

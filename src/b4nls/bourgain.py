@@ -30,9 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ManifoldSpec, plateau_bump, sobolev_weights
-
-TWO_PI = 2.0 * math.pi
+from .regions import TWO_PI
+from .spectral import (
+    ManifoldSpec,
+    box_mask,
+    nonlinear_term,
+    plateau_bump,
+    sobolev_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,9 @@ def random_spacetime_field(
     sl = np.zeros(M_t, dtype=bool)
     sl[: time_band + 1] = True
     sl[-time_band:] = True
-    keep1 = np.abs(spec.k1d) <= space_band
-    kmask = keep1 if spec.d == 1 else np.logical_and.outer(keep1, keep1)
     shape = (int(np.sum(sl)),) + spec.shape
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spectrum[sl] = block * kmask
+    spectrum[sl] = block * box_mask(spec, space_band)
     vals = np.fft.ifft(spectrum, axis=0) * M_t
     vals = taper.reshape((-1,) + (1,) * spec.d) * vals
     return SpaceTimeField(spec, T_w, vals, taper)
@@ -184,26 +187,11 @@ def l2hs_norm(f: SpaceTimeField, s: float) -> float:
     return math.sqrt(float(np.sum(ws * np.abs(f.values) ** 2)) * dt)
 
 
-def schrodinger_residual_norm(f: SpaceTimeField, s: float) -> float:
-    """|| (i d/dt + Lap^2 - beta Lap) u ||_{L^2_t H^s_x} via the interaction
-    frame: equals || d/dt profile ||, the time-spectral derivative."""
-    g = interaction_frame(f)
-    F = _time_transform(g.values, g.T_w)
-    tau = g.tau_lattice.reshape((-1,) + (1,) * g.spec.d)
-    ws = sobolev_weights(g.spec, s)
-    dtau = TWO_PI / g.T_w
-    return math.sqrt(float(np.sum(tau**2 * ws * np.abs(F) ** 2)) * dtau)
-
-
 def cubic_product(f: SpaceTimeField) -> SpaceTimeField:
-    """|u|^2 u evaluated pointwise on the space-time collocation grid."""
-    spec = f.spec
-    axes = tuple(range(1, spec.d + 1))
-    scale = spec.n_modes / TWO_PI ** (spec.d / 2.0)
-    vals = np.fft.ifftn(np.fft.ifftshift(f.values, axes=axes), axes=axes) * scale
-    cubic = (np.abs(vals) ** 2) * vals
-    coeffs = np.fft.fftshift(np.fft.fftn(cubic, axes=axes), axes=axes) / scale
-    return SpaceTimeField(spec, f.T_w, coeffs, f.taper)
+    """|u|^2 u evaluated pointwise on the space-time collocation grid.
+
+    Unmasked: the product keeps its full spectrum up to grid aliasing."""
+    return SpaceTimeField(f.spec, f.T_w, nonlinear_term(f.spec, f.values, 1), f.taper)
 
 
 def time_sobolev_norm_quadrature(

@@ -9,6 +9,9 @@ seed in the config, so a fixed config produces byte-identical CSV output.
     b4nls run <config> [--output DIR]
     b4nls validate <config>
     b4nls describe <experiment>
+
+Exit status is 0 on success, 2 for a bad config or input, and 1 when a
+solver fails (blow-up, stalled CG, failed contraction).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .spectral import (
     zero_field,
 )
 from .dynamics import (
+    BlowUpError,
     EvolutionTrace,
     SolverConfig,
     audit_dissipation,
@@ -46,7 +50,14 @@ from .dynamics import (
     mass,
     save_trace,
 )
-from .hum import ControlProblem, solve_linear_control, solve_nonlinear_control
+from .hum import (
+    ContractionFailure,
+    ControlProblem,
+    ControlStagnationError,
+    solve_linear_control,
+    solve_nonlinear_control,
+)
+from .linalg import IterationError
 from .observability import gramian_sweep
 from .gcc import torus_gcc_time
 from .resonance import counting_sweep
@@ -139,9 +150,11 @@ def _build_datum(cfg, spec, rng) -> SpectralField:
 
 
 def _build_solver(cfg) -> SolverConfig:
+    scheme = _get(cfg, "solver", "scheme", str, "etdrk4")
+    if scheme != "etdrk4":
+        raise ConfigError(f"unknown [solver] scheme {scheme!r}; only etdrk4 is available")
     return SolverConfig(
         dt=_get(cfg, "solver", "dt", float, 1e-3),
-        scheme=_get(cfg, "solver", "scheme", str, "etdrk4"),
         k_nl=_get(cfg, "solver", "k_nl", int, 1),
         record_stride=_get(cfg, "solver", "record_stride", int, 1),
     )
@@ -392,7 +405,7 @@ _DESCRIPTIONS = {
 }
 
 _KEYS = {
-    "simulate": "[manifold] d,N,beta  [solver] dt,scheme,k_nl  [run] T,datum,...",
+    "simulate": "[manifold] d,N,beta  [solver] dt,k_nl,record_stride  [run] T,datum,...",
     "stabilize": "[manifold] + [region] type,lo,hi/...,smoothing_width + [solver] + [run] T",
     "control-linear": "[manifold] + [region] + [run] T,datum_band + [control] cg_tol,control_band,verify_dt",
     "control-nonlinear": "as control-linear plus [control] fixedpoint_tol, datum_norm small",
@@ -490,6 +503,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (BlowUpError, ControlStagnationError, ContractionFailure, IterationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,8 +8,7 @@ Three flows share one exponential integrator:
 
 with g = +1 the defocusing default. The generator is treated exactly in
 Fourier (fourth-order exponential time differencing, ETDRK4), which is the
-only practical choice given the |k|^4 stiffness; a Strang splitting is kept
-as a low-order alternative for the undamped flow.
+only practical choice given the |k|^4 stiffness.
 
 The damped equation is integrated through the bounded reformulation
 v = J u, J = 1 - i a (1-Lap)^{-2} a: the stiff part of the v-equation is
@@ -42,8 +41,9 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     coeffs_to_grid,
-    grid_to_coeffs,
     load_field,
+    nonlinear_term,
+    profile_product,
     save_field,
     smoothing_multiplier,
     sobolev_weights,
@@ -64,7 +64,6 @@ class SolverConfig:
     """
 
     dt: float = 1e-3
-    scheme: str = "etdrk4"
     k_nl: int = 1
     nonlinear_sign: float = 1.0
     include_nonlinearity: bool = True
@@ -76,8 +75,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("etdrk4", "strang"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.k_nl < 1:
             raise ValueError("k_nl must be >= 1")
         if not 0.0 < self.inner_tol <= 1e-6:
@@ -220,8 +217,6 @@ def evolve_nonlinear(
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     spec = u0.spec
-    if spec.kind != "torus":
-        raise ValueError("time evolution runs on torus specs only")
     n_steps, dt = _resolve_steps(T, cfg.dt)
 
     mask = spec.dealias_mask
@@ -230,17 +225,11 @@ def evolve_nonlinear(
     if use_nl:
         c = np.where(mask, c, 0.0)
 
-    grid_scale = spec.n_modes / (2.0 * math.pi) ** (spec.d / 2.0)
-    sign = cfg.nonlinear_sign
-    p = cfg.k_nl
-
     def nonlin(cc: np.ndarray, t: float) -> np.ndarray:
         out = 0.0
         if use_nl:
-            vals = np.fft.ifftn(np.fft.ifftshift(cc)) * grid_scale
-            f = (np.abs(vals) ** (2 * p)) * vals
-            fc = np.fft.fftshift(np.fft.fftn(f)) / grid_scale
-            out = 1j * sign * np.where(mask, fc, 0.0)
+            fc = nonlinear_term(spec, cc, cfg.k_nl)
+            out = 1j * cfg.nonlinear_sign * np.where(mask, fc, 0.0)
         if forcing is not None:
             h = np.asarray(forcing(t), dtype=complex)
             if use_nl:
@@ -250,11 +239,8 @@ def evolve_nonlinear(
             return np.zeros_like(cc)
         return out
 
-    if cfg.scheme == "etdrk4":
-        tab = _Etdrk4Tableau(1j * spec.dispersion, dt)
-        stepper = lambda cc, t: tab.step(cc, t, dt, nonlin)
-    else:
-        stepper = _strang_stepper(spec, dt, cfg, forcing)
+    tab = _Etdrk4Tableau(1j * spec.dispersion, dt)
+    stepper = lambda cc, t: tab.step(cc, t, dt, nonlin)
 
     trace = _march(
         spec, c, dt, n_steps, cfg, stepper,
@@ -264,29 +250,6 @@ def evolve_nonlinear(
         controls = np.stack([np.asarray(forcing(t)) for t in trace.times])
         trace = replace(trace, controls=controls)
     return trace
-
-
-def _strang_stepper(spec: ManifoldSpec, dt: float, cfg: SolverConfig, forcing):
-    half = np.exp(1j * (dt / 2.0) * spec.dispersion)
-    mask = spec.dealias_mask
-    grid_scale = spec.n_modes / (2.0 * math.pi) ** (spec.d / 2.0)
-    p = cfg.k_nl
-    sign = cfg.nonlinear_sign
-
-    def step(c: np.ndarray, t: float) -> np.ndarray:
-        c = half * c
-        if cfg.include_nonlinearity:
-            vals = np.fft.ifftn(np.fft.ifftshift(c)) * grid_scale
-            vals = vals * np.exp(1j * sign * dt * np.abs(vals) ** (2 * p))
-            c = np.where(mask, np.fft.fftshift(np.fft.fftn(vals)) / grid_scale, 0.0)
-        if forcing is not None:
-            h = np.asarray(forcing(t + dt / 2.0), dtype=complex)
-            if cfg.include_nonlinearity:
-                h = np.where(mask, h, 0.0)
-            c = c - 1j * dt * h
-        return half * c
-
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +267,13 @@ class _DampingOperator:
         self.mask = spec.dealias_mask
         self.tol = cfg.inner_tol
         self.max_iter = cfg.inner_max_iter
-        self.grid_scale = spec.n_modes / (2.0 * math.pi) ** (spec.d / 2.0)
         self.constant = profile.is_constant
         if self.constant:
             a0 = float(profile.values.flat[0])
             self.diag = a0 * a0 * self.s2
 
     def _mult_a(self, c: np.ndarray) -> np.ndarray:
-        vals = np.fft.ifftn(np.fft.ifftshift(c)) * self.grid_scale
-        return np.fft.fftshift(np.fft.fftn(self.a * vals)) / self.grid_scale
+        return profile_product(self.spec, self.a, c)
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         if self.constant:
@@ -358,16 +319,11 @@ def evolve_damped(
     i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u + u = - a (1-Lap)^{-2} (a u_t)
 
     The recorded flux column holds ||(1-Lap)^{-1}(a u_t)||^2 per time, so
-    audit_dissipation can check the energy identity by quadrature. Only the
-    etdrk4 scheme supports the damping term.
+    audit_dissipation can check the energy identity by quadrature.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
-    if cfg.scheme != "etdrk4":
-        raise ValueError("the damped flow requires the etdrk4 scheme")
     spec = u0.spec
-    if spec.kind != "torus":
-        raise ValueError("time evolution runs on torus specs only")
     if profile.spec != spec:
         raise ValueError("damping profile lives on a different spec")
     n_steps, dt = _resolve_steps(T, cfg.dt)
@@ -375,17 +331,12 @@ def evolve_damped(
     mask = spec.dealias_mask
     damp = _DampingOperator(spec, profile, cfg)
     mult = spec.dispersion + 1.0  # |k|^4 + beta |k|^2 + 1
-    grid_scale = spec.n_modes / (2.0 * math.pi) ** (spec.d / 2.0)
-    sign = cfg.nonlinear_sign
-    p = cfg.k_nl
-    use_nl = cfg.include_nonlinearity
 
     def f_ball(cc: np.ndarray) -> np.ndarray:
-        if not use_nl:
+        if not cfg.include_nonlinearity:
             return np.zeros_like(cc)
-        vals = np.fft.ifftn(np.fft.ifftshift(cc)) * grid_scale
-        f = (np.abs(vals) ** (2 * p)) * vals
-        return sign * np.where(mask, np.fft.fftshift(np.fft.fftn(f)) / grid_scale, 0.0)
+        fc = nonlinear_term(spec, cc, cfg.k_nl)
+        return cfg.nonlinear_sign * np.where(mask, fc, 0.0)
 
     inner_counts: list[int] = []
 

@@ -40,16 +40,17 @@ import numpy as np
 
 from .linalg import cg_hermitian
 from .dynamics import SolverConfig, evolve_nonlinear
+from .regions import TWO_PI
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
     SpectralField,
+    box_mask,
+    nonlinear_term,
     smoothing_multiplier,
     sobolev_norm,
     sobolev_weights,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 class ControlStagnationError(RuntimeError):
@@ -260,10 +261,7 @@ def _transported_rhs(prob: ControlProblem) -> np.ndarray:
 def _band_indices(prob: ControlProblem) -> np.ndarray | None:
     if prob.control_band is None:
         return None
-    spec = prob.spec
-    keep1 = np.abs(spec.k1d) <= prob.control_band
-    mask = keep1 if spec.d == 1 else np.logical_and.outer(keep1, keep1)
-    return np.flatnonzero(mask.ravel())
+    return np.flatnonzero(box_mask(prob.spec, prob.control_band).ravel())
 
 
 def _solve_hum_system(
@@ -402,13 +400,9 @@ def _nonlinear_correction(
     )
 
     # J_w = int_0^T e^{-irL} |w|^{2k} w dr over the trace grid
-    mask = spec.dealias_mask
-    scale = spec.n_modes / TWO_PI ** (spec.d / 2.0)
-    f_samples = np.empty_like(w_trace.states)
-    for i in range(w_trace.n_records):
-        vals = np.fft.ifftn(np.fft.ifftshift(w_trace.states[i])) * scale
-        f = (np.abs(vals) ** (2 * prob.k_nl)) * vals
-        f_samples[i] = np.where(mask, np.fft.fftshift(np.fft.fftn(f)) / scale, 0.0)
+    f_samples = np.where(
+        spec.dealias_mask, nonlinear_term(spec, w_trace.states, prob.k_nl), 0.0
+    )
     phases = np.exp(
         -1j * w_trace.times.reshape((-1,) + (1,) * spec.d) * X
     )

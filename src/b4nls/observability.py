@@ -26,12 +26,12 @@ from .regions import Region
 from .spectral import (
     ManifoldSpec,
     band_mode_mask,
+    box_mask,
+    coeffs_to_grid,
     make_damping_profile,
-    smoothing_multiplier,
+    profile_product,
     sobolev_weights,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,9 @@ class GramianReport:
 class BandGramian:
     """G restricted to a mode band, with matrix-free and dense routes.
 
-    weight_mode "multiplier": the weight is pointwise multiplication by the
-    profile values (the smoothed indicator). weight_mode "sandwich": the
-    weight operator is phi (1-Lap)^{-2} (phi .), matching the control
-    operator of the duality method, for cross-module consistency checks.
+    The weight is pointwise multiplication by weight_values, the grid
+    samples of the smoothed indicator m; G is the trapezoid quadrature of
+    int_0^T e^{-itL} m e^{itL} dt with step quad_dt.
     """
 
     def __init__(
@@ -62,15 +61,11 @@ class BandGramian:
         T: float,
         quad_dt: float = 1e-3,
         band_idx: np.ndarray | None = None,
-        weight_mode: str = "multiplier",
     ):
         if T < 0.0:
             raise ValueError("T must be >= 0")
-        if weight_mode not in ("multiplier", "sandwich"):
-            raise ValueError(f"unknown weight mode {weight_mode!r}")
         self.spec = spec
         self.T = T
-        self.weight_mode = weight_mode
         self.weight_values = np.asarray(weight_values, dtype=float)
         if band_idx is None:
             band_idx = np.arange(spec.n_modes)
@@ -78,25 +73,10 @@ class BandGramian:
         self.n_nodes = max(1, int(round(T / quad_dt))) if T > 0.0 else 0
         self.dt = T / self.n_nodes if self.n_nodes else 0.0
         self.X = spec.dispersion.ravel()
-        self.s2 = smoothing_multiplier(spec, 2)
 
     @property
     def band_dim(self) -> int:
         return len(self.band_idx)
-
-    def _weight_apply_grid(self, batch: np.ndarray) -> np.ndarray:
-        """Apply the weight operator to a (nodes,)+lattice batch of coeffs."""
-        spec = self.spec
-        axes = tuple(range(1, spec.d + 1))
-        vals = np.fft.ifftn(np.fft.ifftshift(batch, axes=axes), axes=axes)
-        vals *= self.weight_values
-        out = np.fft.fftshift(np.fft.fftn(vals, axes=axes), axes=axes)
-        if self.weight_mode == "sandwich":
-            out *= self.s2
-            vals = np.fft.ifftn(np.fft.ifftshift(out, axes=axes), axes=axes)
-            vals *= self.weight_values
-            out = np.fft.fftshift(np.fft.fftn(vals, axes=axes), axes=axes)
-        return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free G restricted to the band: trapezoid over the nodes."""
@@ -110,19 +90,14 @@ class BandGramian:
         weights[0] = weights[-1] = 0.5 * self.dt
         phases = np.exp(1j * times[:, None] * self.X[None, :])
         batch = (phases * full[None, :]).reshape((-1,) + spec.shape)
-        out = self._weight_apply_grid(batch).reshape(len(times), -1)
+        out = profile_product(spec, self.weight_values, batch).reshape(len(times), -1)
         out = np.conj(phases) * out
         acc = np.tensordot(weights, out, axes=(0, 0))
         return acc[self.band_idx]
 
     def dense(self) -> np.ndarray:
         """Dense band matrix from the closed trapezoid form (oracle route)."""
-        spec = self.spec
-        if self.weight_mode == "multiplier":
-            W = multiplication_matrix(spec, self.weight_values)
-        else:
-            M = multiplication_matrix(spec, self.weight_values)
-            W = (M * self.s2.ravel()[None, :]) @ M
+        W = multiplication_matrix(self.spec, self.weight_values)
         Wb = W[np.ix_(self.band_idx, self.band_idx)]
         if self.n_nodes == 0:
             return np.zeros_like(Wb)
@@ -234,10 +209,8 @@ def strichartz_ratio(
     w = sobolev_weights(spec, sob_index).ravel()
     times = np.linspace(0.0, 1.0, time_points)
     phases = np.exp(1j * times[:, None] * spec.dispersion.ravel()[None, :])
-    axes = tuple(range(1, spec.d + 1))
     cell = spec.cell_volume
-    keep1 = np.abs(spec.k1d) <= band
-    mask = keep1 if spec.d == 1 else np.logical_and.outer(keep1, keep1)
+    mask = box_mask(spec, band)
 
     if data_fields is None:
         draws = (
@@ -257,9 +230,7 @@ def strichartz_ratio(
         if denom == 0.0:
             continue
         batch = (phases * c.ravel()[None, :]).reshape((-1,) + spec.shape)
-        vals = np.fft.ifftn(np.fft.ifftshift(batch, axes=axes), axes=axes) * (
-            spec.n_modes / TWO_PI ** (spec.d / 2.0)
-        )
+        vals = coeffs_to_grid(spec, batch)
         flat = np.abs(vals).reshape(len(times), -1)
         if math.isinf(q):
             space = flat.max(axis=1)

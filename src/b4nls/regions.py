@@ -97,7 +97,7 @@ def min_feature_size(region: Region) -> float:
     if isinstance(region, RegionUnion):
         if not region.parts:
             return 0.0
-        return max(min_feature_size(p) for p in region.parts)
+        return min(min_feature_size(p) for p in region.parts)
     raise TypeError(f"unknown region {region!r}")
 
 

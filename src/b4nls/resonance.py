@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint
-
 US_SCAN_LIMIT = 10**6
 FACTOR_LIMIT = 10**18
 
@@ -126,6 +124,8 @@ def _r2_scan(n: int) -> int:
 def _r2_factor(n: int) -> int:
     """r2(n) from the prime factorization: 0 unless every prime 3 mod 4
     has even exponent, otherwise 4 * prod (e_p + 1) over primes 1 mod 4."""
+    from sympy import factorint  # deferred: importing sympy dominates CLI start-up
+
     if n == 0:
         return 1
     prod = 4

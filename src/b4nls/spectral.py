@@ -35,41 +35,29 @@ from .regions import (
     validate_region,
 )
 
-KIND_CODES = {"torus": 0, "sphere-arith": 1}
-KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
-
 SNAPSHOT_MAGIC = b"B4NLS1"
+SNAPSHOT_TORUS = 0  # the only manifold kind byte a snapshot may carry
 
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """Discretized spectral description of the manifold.
+    """Discretized spectral description of the flat torus T^d.
 
-    kind 'torus': d in {1, 2}, N even >= 8 modes per dimension.
-    kind 'sphere-arith': d = 5, exact eigenvalue arithmetic only (no grid
-    simulation); N is kept as a degree cutoff for bookkeeping.
+    d in {1, 2}; N even >= 8 modes per dimension; beta >= 0 weighs the
+    second-order part of the dispersion |k|^4 + beta |k|^2.
     """
 
-    kind: str
     d: int
     N: int
     beta: float
 
     def __post_init__(self):
-        if self.kind not in KIND_CODES:
-            raise ValueError(f"unknown manifold kind {self.kind!r}")
         if not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError("beta must be finite and >= 0")
-        if self.kind == "torus":
-            if self.d not in (1, 2):
-                raise ValueError("torus simulation supports d = 1 or 2")
-            if self.N % 2 != 0 or self.N < 8:
-                raise ValueError("N must be even and >= 8")
-        else:
-            if self.d != 5:
-                raise ValueError("sphere-arith is the d = 5 eigenvalue model")
-            if self.N < 1:
-                raise ValueError("degree cutoff must be >= 1")
+        if self.d not in (1, 2):
+            raise ValueError("torus simulation supports d = 1 or 2")
+        if self.N % 2 != 0 or self.N < 8:
+            raise ValueError("N must be even and >= 8")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,11 +98,7 @@ class ManifoldSpec:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: modes with every |k_i| <= N/3 are kept."""
-        cut = self.N // 3
-        keep = np.abs(self.k1d) <= cut
-        if self.d == 1:
-            return keep
-        return np.logical_and.outer(keep, keep)
+        return box_mask(self, self.N // 3)
 
     def grid_points(self) -> np.ndarray:
         """Collocation points, shape (N,)*d + (d,)."""
@@ -124,11 +108,7 @@ class ManifoldSpec:
 
 
 def make_torus(d: int, N: int, beta: float) -> ManifoldSpec:
-    return ManifoldSpec(kind="torus", d=d, N=N, beta=beta)
-
-
-def make_sphere_arith(beta: float, degree_cutoff: int = 8) -> ManifoldSpec:
-    return ManifoldSpec(kind="sphere-arith", d=5, N=degree_cutoff, beta=beta)
+    return ManifoldSpec(d=d, N=N, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -194,41 +174,73 @@ def random_field(
     im = rng.standard_normal(spec.shape)
     c = (re + 1j * im) * (1.0 + spec.k_sq) ** (-decay / 2.0)
     if band is not None:
-        keep1 = np.abs(spec.k1d) <= band
-        mask = keep1 if spec.d == 1 else np.logical_and.outer(keep1, keep1)
-        c = np.where(mask, c, 0.0)
+        c = np.where(box_mask(spec, band), c, 0.0)
     return SpectralField(spec, c)
 
 
 # ---------------------------------------------------------------------------
-# grid <-> spectral transforms
+# the spectral kernel: every grid operation of the package
 # ---------------------------------------------------------------------------
+#
+# Each function acts on the trailing d axes, so a leading batch axis (time
+# slices, quadrature nodes, trajectory records) passes through one FFT call.
+
+def box_mask(spec: ManifoldSpec, band: int) -> np.ndarray:
+    """Modes with every |k_i| <= band."""
+    keep = np.abs(spec.k1d) <= band
+    return keep if spec.d == 1 else np.logical_and.outer(keep, keep)
+
+
+# Passing s with axes spares numpy a per-call np.take on the shape, which
+# costs more than a small FFT.
+
+def _unscaled_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
+    axes = tuple(range(-spec.d, 0))
+    shifted = np.fft.ifftshift(coeffs, axes=axes)
+    return np.fft.ifftn(shifted, s=spec.shape, axes=axes)
+
+
+def _unscaled_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
+    axes = tuple(range(-spec.d, 0))
+    return np.fft.fftshift(np.fft.fftn(values, s=spec.shape, axes=axes), axes=axes)
+
+
+def coeffs_to_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Values on the collocation grid x_j = 2pi j / N of lattice coefficients."""
+    return _unscaled_grid(spec, coeffs) * (spec.n_modes / TWO_PI ** (spec.d / 2.0))
+
+
+def grid_to_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
+    """Lattice coefficients of grid values; inverse of coeffs_to_grid."""
+    return _unscaled_coeffs(spec, values) * (TWO_PI ** (spec.d / 2.0) / spec.n_modes)
+
+
+def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients of |u|^{2k} u, evaluated pointwise on the grid.
+
+    No dealiasing mask is applied; the flows apply spec.dealias_mask
+    themselves, while the space-time product probes need the full product.
+    """
+    u = coeffs_to_grid(spec, coeffs)
+    return grid_to_coeffs(spec, (np.abs(u) ** (2 * k)) * u)
+
+
+def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of a(x) u for grid values a. The transform scale and its
+    inverse cancel around the product, so neither is applied."""
+    return _unscaled_coeffs(spec, a * _unscaled_grid(spec, coeffs))
+
 
 def to_grid(u: SpectralField) -> np.ndarray:
     """Values on the collocation grid x_j = 2pi j / N (complex array)."""
-    spec = u.spec
-    cf = np.fft.ifftshift(u.coeffs)
-    return np.fft.ifftn(cf) * (spec.n_modes / TWO_PI ** (spec.d / 2.0))
+    return coeffs_to_grid(u.spec, u.coeffs)
 
 
 def field_from_grid(spec: ManifoldSpec, values: np.ndarray) -> SpectralField:
     v = np.asarray(values, dtype=complex)
     if v.shape != spec.shape:
         raise ValueError("grid values have wrong shape")
-    cf = np.fft.fftn(v) * (TWO_PI ** (spec.d / 2.0) / spec.n_modes)
-    return SpectralField(spec, np.fft.fftshift(cf))
-
-
-def grid_to_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
-    """Raw-array version of field_from_grid (hot paths avoid the dataclass)."""
-    cf = np.fft.fftn(values) * (TWO_PI ** (spec.d / 2.0) / spec.n_modes)
-    return np.fft.fftshift(cf)
-
-
-def coeffs_to_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(np.fft.ifftshift(coeffs)) * (
-        spec.n_modes / TWO_PI ** (spec.d / 2.0)
-    )
+    return SpectralField(spec, grid_to_coeffs(spec, v))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +278,6 @@ def apply_multiplier(u: SpectralField, m: np.ndarray) -> SpectralField:
     return SpectralField(u.spec, m * u.coeffs)
 
 
-def apply_laplacian(u: SpectralField) -> SpectralField:
-    return apply_multiplier(u, -u.spec.k_sq)
-
-
-def apply_bilaplacian(u: SpectralField) -> SpectralField:
-    return apply_multiplier(u, u.spec.k_sq**2)
-
-
 def apply_dispersion(u: SpectralField) -> SpectralField:
     """The generator Lap^2 - beta*Lap, multiplier |k|^4 + beta |k|^2."""
     return apply_multiplier(u, u.spec.dispersion)
@@ -297,12 +301,6 @@ def propagate_free(u: SpectralField, t: float) -> SpectralField:
     """Exact free flow: c_k -> exp(i t (|k|^4 + beta |k|^2)) c_k. Unitary."""
     phase = np.exp(1j * t * u.spec.dispersion)
     return SpectralField(u.spec, phase * u.coeffs)
-
-
-def free_phases(spec: ManifoldSpec, times: np.ndarray) -> np.ndarray:
-    """exp(i t X_k) for a batch of times; shape (len(times),) + lattice."""
-    t = np.asarray(times, dtype=float)
-    return np.exp(1j * t.reshape(t.shape + (1,) * spec.d) * spec.dispersion)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +432,7 @@ def constant_profile(spec: ManifoldSpec, value: float) -> DampingProfile:
 
 def multiply_profile(u: SpectralField, a: DampingProfile) -> SpectralField:
     """Pointwise multiplication by a(x), performed on the grid."""
-    return field_from_grid(u.spec, a.values * to_grid(u))
+    return SpectralField(u.spec, profile_product(u.spec, a.values, u.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +443,7 @@ def save_field(u: SpectralField, path) -> None:
     """Binary snapshot: magic, kind u8, d u8, N u32, beta f64, coeffs c128."""
     spec = u.spec
     header = SNAPSHOT_MAGIC + struct.pack(
-        "<BBId", KIND_CODES[spec.kind], spec.d, spec.N, spec.beta
+        "<BBId", SNAPSHOT_TORUS, spec.d, spec.N, spec.beta
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -458,9 +456,9 @@ def load_field(path) -> SpectralField:
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
         kind_code, d, N, beta = struct.unpack("<BBId", fh.read(14))
-        if kind_code not in KIND_NAMES:
+        if kind_code != SNAPSHOT_TORUS:
             raise ValueError(f"bad manifold kind byte {kind_code}")
-        spec = ManifoldSpec(kind=KIND_NAMES[kind_code], d=d, N=N, beta=beta)
+        spec = ManifoldSpec(d=d, N=N, beta=beta)
         raw = fh.read(16 * spec.n_modes)
         if len(raw) != 16 * spec.n_modes:
             raise ValueError("truncated snapshot")

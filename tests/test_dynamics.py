@@ -84,25 +84,6 @@ def test_etdrk4_order_at_least_3_5():
     assert min(order1, order2) >= 3.5
 
 
-def test_strang_scheme_converges_to_reference():
-    # single modes are exact under the splitting, so use multimode data
-    # against a fine exponential-integrator reference; the error constant
-    # oscillates with the step (phase beats), so assert the 16x-span gain
-    spec = b.make_torus(1, 32, 1.0)
-    u0 = smooth_datum(spec, 42, decay=3.0, band=4, h2=3.0)
-    ref = b.evolve_nonlinear(
-        u0, 0.5, b.SolverConfig(dt=5e-5, record_stride=10**9)
-    ).states[-1]
-    errs = []
-    for dt in (4e-3, 2.5e-4):
-        tr = b.evolve_nonlinear(
-            u0, 0.5, b.SolverConfig(dt=dt, scheme="strang", record_stride=10**9)
-        )
-        errs.append(float(np.linalg.norm(tr.states[-1] - ref)))
-    assert errs[1] <= 1e-6
-    assert errs[0] / errs[1] >= 100.0  # ~2nd order over a 16x step range
-
-
 # ---------------------------------------------------------------------------
 # conservation
 # ---------------------------------------------------------------------------
@@ -201,15 +182,6 @@ def test_strip_damping_monotone_energy():
     assert trace.inner_iterations.max() <= 30
     res = trace.inner_iterations
     assert res.min() >= 0
-
-
-def test_damped_rejects_strang():
-    spec = b.make_torus(1, 32, 1.0)
-    u0 = smooth_datum(spec, 6)
-    with pytest.raises(ValueError, match="etdrk4"):
-        b.evolve_damped(
-            u0, b.constant_profile(spec, 1.0), 0.1, b.SolverConfig(scheme="strang")
-        )
 
 
 # ---------------------------------------------------------------------------

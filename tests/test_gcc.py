@@ -213,3 +213,14 @@ def test_farey_directions_contain_adversaries():
     s2 = 1.0 / math.sqrt(2.0)
     has = lambda v: any(abs(a - v[0]) < 1e-12 and abs(bb - v[1]) < 1e-12 for a, bb in dirs)
     assert has((1.0, 0.0)) and has((0.0, 1.0)) and has((s2, s2)) and has((s2, -s2))
+
+
+def test_union_scan_resolves_thin_part():
+    # the scan step must follow the thinnest part: the wide strip alone would
+    # let the scan step over the 0.02-wide one
+    thin = b.Strip(1.0, 1.02, 1)
+    union = b.RegionUnion((b.Strip(0.0, 3.0, 0), thin))
+    t_union = b.first_hit_time(torus_query((4.0, 0.0), (0.0, 1.0), union, t_max=10.0))
+    t_thin = b.first_hit_time(torus_query((4.0, 0.0), (0.0, 1.0), thin, t_max=10.0))
+    assert t_thin == pytest.approx(1.0, abs=1e-5)
+    assert t_union == pytest.approx(t_thin, abs=1e-5)

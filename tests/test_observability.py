@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import b4nls as b
-from b4nls.hum import HumOperator
 from b4nls.observability import BandGramian, admissible_pair
 from b4nls.spectral import band_mode_mask
 
@@ -120,19 +119,6 @@ def test_monotone_in_region():
     m_in = b.band_gramian_min_eig(spec, inner, 1.0, 0.25, smoothing_width=width)
     m_out = b.band_gramian_min_eig(spec, outer, 1.0, 0.25, smoothing_width=width)
     assert m_in.min_eig <= m_out.min_eig + 1e-12
-
-
-def test_gramian_consistent_with_hum_quadratic_form():
-    spec = b.make_torus(1, 64, 1.0)
-    phi = b.make_damping_profile(spec, STRIP)
-    g = BandGramian(spec, phi.values, 1.0, quad_dt=1e-3, weight_mode="sandwich")
-    op = HumOperator(spec, phi, 1.0, quadrature=1e-3)
-    rng = np.random.default_rng(4)
-    for _ in range(3):
-        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        qf = g.quadratic_form(v)
-        qf2 = float(np.real(np.vdot(v, op.matrix @ v)))
-        assert qf == pytest.approx(qf2, rel=1e-8)
 
 
 def test_gramian_sweep_reports():

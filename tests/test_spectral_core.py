@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from b4nls.spectral import (
     band_cutoff,
     band_mode_mask,
     coeffs_to_grid,
+    grid_to_coeffs,
     mode_coefficient,
+    nonlinear_term,
+    profile_product,
     smoothing_multiplier,
 )
 
@@ -233,6 +237,15 @@ def test_region_too_small_for_width():
         b.make_damping_profile(spec, b.Strip(0.0, 0.3), 0.2)
 
 
+def test_union_gated_by_thinnest_part():
+    # at the default width (5 cells, ~0.98) the 0.3-wide part would get no
+    # plateau, so the union must be rejected like the part alone
+    spec = b.make_torus(2, 32, 1.0)
+    union = b.RegionUnion((b.Strip(0.0, 3.0, 0), b.Strip(1.0, 1.3, 1)))
+    with pytest.raises(ValueError, match="too small"):
+        b.make_damping_profile(spec, union)
+
+
 def test_union_profile_smooth_max():
     spec = b.make_torus(2, 32, 1.0)
     region = b.RegionUnion((b.Strip(0.0, 1.0, 0), b.Strip(0.0, 1.0, 1)))
@@ -266,6 +279,17 @@ def test_snapshot_header_layout(tmp_path):
     assert len(raw) == 6 + 1 + 1 + 4 + 8 + 16 * 8
 
 
+def test_snapshot_rejects_other_kind_byte(tmp_path):
+    spec = b.make_torus(1, 8, 0.5)
+    path = tmp_path / "f.b4f"
+    b.save_field(b.basis_field(spec, 1), path)
+    raw = bytearray(path.read_bytes())
+    raw[6] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="kind byte 1"):
+        b.load_field(path)
+
+
 def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "junk.b4f"
     path.write_bytes(b"NOTB4N" + b"\0" * 64)
@@ -295,8 +319,40 @@ def test_smoothing_multiplier_values():
     assert np.allclose(m, 1.0 / (1.0 + k**2))
 
 
-def test_sphere_arith_spec():
-    spec = b.make_sphere_arith(0.5)
-    assert spec.kind == "sphere-arith" and spec.d == 5
-    with pytest.raises(ValueError):
-        b.ManifoldSpec(kind="sphere-arith", d=2, N=8, beta=0.5)
+# ---------------------------------------------------------------------------
+# the spectral kernel
+# ---------------------------------------------------------------------------
+
+def test_kernel_ops_pass_a_batch_axis_through():
+    spec = b.make_torus(2, 16, 1.0)
+    rng = np.random.default_rng(10)
+    batch = rng.standard_normal((3,) + spec.shape) + 1j * rng.standard_normal((3,) + spec.shape)
+    a = rng.uniform(0.0, 1.0, spec.shape)
+    grid = coeffs_to_grid(spec, batch)
+    back = grid_to_coeffs(spec, grid)
+    cubic = nonlinear_term(spec, batch, 1)
+    weighted = profile_product(spec, a, batch)
+    for i in range(3):
+        u = b.field_from_coeffs(spec, batch[i])
+        vals = b.to_grid(u)
+        assert np.abs(grid[i] - vals).max() <= 1e-13
+        assert np.abs(back[i] - batch[i]).max() <= 1e-13
+        ref = b.field_from_grid(spec, np.abs(vals) ** 2 * vals).coeffs
+        assert np.abs(cubic[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = b.field_from_grid(spec, a * vals).coeffs
+        assert np.abs(weighted[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_grid_operations_live_only_in_the_kernel():
+    # the time-axis ifft/fftshift(axes=0) of bourgain and the forward fftn of
+    # hum.multiplication_matrix stay where they are; the patterns miss them
+    src = Path(b.__file__).parent
+    two_pi_defs = 0
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        two_pi_defs += text.count("TWO_PI =")
+        if path.name == "spectral.py":
+            continue
+        for pattern in ("ifftn(", "ifftshift(", "logical_and.outer"):
+            assert pattern not in text, f"{path.name} writes out {pattern}"
+    assert two_pi_defs == 1
