@@ -149,6 +149,24 @@ def _build_datum(cfg, spec, rng) -> SpectralField:
     raise ConfigError(f"unknown datum kind {kind!r}")
 
 
+def _check_control_band(cfg):
+    """The dual datum lives on the control band, so the datum must too."""
+    band = _get(cfg, "control", "control_band", int, None)
+    if band is None:
+        return
+    if band < 0:
+        raise ConfigError(f"[control] control_band must be >= 0, got {band}")
+    kind = _get(cfg, "run", "datum", str, "random")
+    if kind == "random":
+        datum_band = _get(cfg, "run", "datum_band", int, None)
+        if datum_band is None or datum_band > band:
+            raise ConfigError(
+                f"[run] datum_band must be set and <= [control] control_band = {band}"
+            )
+    if kind == "plane-wave" and abs(_get(cfg, "run", "datum_mode", int, 1)) > band:
+        raise ConfigError(f"[run] datum_mode lies outside [control] control_band = {band}")
+
+
 def _build_solver(cfg) -> SolverConfig:
     scheme = _get(cfg, "solver", "scheme", str, "etdrk4")
     if scheme != "etdrk4":
@@ -169,14 +187,12 @@ def _write_csv(path, header, rows):
 
 
 def _control_trace(spec, times, samples, k_nl) -> EvolutionTrace:
-    masses = [mass(spec, c) for c in samples]
-    energies = [energy(spec, c, k_nl, include_potential=False) for c in samples]
     return EvolutionTrace(
         spec=spec,
         times=np.asarray(times),
         states=np.asarray(samples),
-        masses=np.asarray(masses),
-        energies=np.asarray(energies),
+        masses=mass(spec, samples),
+        energies=energy(spec, samples, k_nl, include_potential=False),
         fluxes=np.zeros(len(times)),
         damped=False,
         k_nl=k_nl,
@@ -436,6 +452,8 @@ def validate_config(path) -> dict:
             region = _build_region(cfg, spec.d)
             width = _get(cfg, "region", "smoothing_width", float, None)
             make_damping_profile(spec, region, width)
+        if kind in ("control-linear", "control-nonlinear"):
+            _check_control_band(cfg)
     if kind == "gcc-check":
         _build_region(cfg, _get(cfg, "manifold", "d", int, 2))
     if kind == "resonance-sweep":
@@ -457,7 +475,17 @@ def run_config(path, output=None) -> str:
     if not os.access(outdir, os.W_OK):
         raise ConfigError(f"output directory {outdir} is not writable")
     rng = np.random.default_rng(info["seed"])
-    artifacts = _RUNNERS[info["kind"]](cfg, outdir, rng)
+    try:
+        artifacts = _RUNNERS[info["kind"]](cfg, outdir, rng)
+    except Exception as exc:
+        _write_manifest(path, outdir, info, t0, [], f"{type(exc).__name__}: {exc}")
+        raise
+    _write_manifest(path, outdir, info, t0, artifacts)
+    return outdir
+
+
+def _write_manifest(path, outdir, info, t0, artifacts, error=None):
+    """manifest.txt: what ran, on what, how long, and how it ended."""
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
@@ -468,10 +496,13 @@ def run_config(path, output=None) -> str:
         fh.write(f"b4nls_version: {__version__}\n")
         fh.write(f"numpy_version: {np.__version__}\n")
         fh.write(f"wall_time_s: {time.time() - t0:.3f}\n")
+        if error is None:
+            fh.write("status: ok\n")
+        else:
+            fh.write(f"status: failed\nerror: {error}\n")
         fh.write("artifacts:\n")
         for a in artifacts:
             fh.write(f"  - {a}\n")
-    return outdir
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,8 +110,16 @@ class EvolutionTrace:
 # energy ledger
 # ---------------------------------------------------------------------------
 
-def mass(spec: ManifoldSpec, coeffs: np.ndarray) -> float:
-    return float(np.sum(np.abs(coeffs) ** 2))
+# Both ledger functions take one field or a stack of them along a leading
+# axis, and return a float or one value per field.
+
+def _lattice_sum(spec: ManifoldSpec, x: np.ndarray) -> float | np.ndarray:
+    total = np.sum(x, axis=tuple(range(-spec.d, 0)))
+    return float(total) if total.ndim == 0 else total
+
+
+def mass(spec: ManifoldSpec, coeffs: np.ndarray) -> float | np.ndarray:
+    return _lattice_sum(spec, np.abs(coeffs) ** 2)
 
 
 def energy(
@@ -120,18 +128,17 @@ def energy(
     k_nl: int,
     include_mass_term: bool = False,
     include_potential: bool = True,
-) -> float:
+) -> float | np.ndarray:
     """E = 1/2 int |Lap u|^2 + beta/2 int |grad u|^2 (+ 1/2 int |u|^2)
     + 1/(2k+2) int |u|^{2k+2}, with the grid quadrature for the potential."""
     p2 = np.abs(coeffs) ** 2
-    quad = 0.5 * np.sum((spec.k_sq**2 + spec.beta * spec.k_sq) * p2)
+    total = 0.5 * _lattice_sum(spec, (spec.k_sq**2 + spec.beta * spec.k_sq) * p2)
     if include_mass_term:
-        quad += 0.5 * np.sum(p2)
-    total = float(quad)
+        total += 0.5 * _lattice_sum(spec, p2)
     if include_potential:
         vals = coeffs_to_grid(spec, coeffs)
-        total += float(
-            np.sum(np.abs(vals) ** (2 * k_nl + 2)) * spec.cell_volume
+        total += (
+            _lattice_sum(spec, np.abs(vals) ** (2 * k_nl + 2)) * spec.cell_volume
         ) / (2 * k_nl + 2)
     return total
 
@@ -180,14 +187,17 @@ class _Etdrk4Tableau:
         self.f2 = dt * (p2 - 2.0 * p3)
         self.f3 = dt * (4.0 * p3 - p2)
 
-    def step(self, u: np.ndarray, t: float, dt: float, nonlin) -> np.ndarray:
+    def step(self, u: np.ndarray, t: float, t_next: float, nonlin) -> np.ndarray:
+        """One step from t to t_next; the end time is the caller's, so that
+        it equals the next step's start exactly."""
+        t_mid = 0.5 * (t + t_next)
         n0 = nonlin(u, t)
         a = self.E2 * u + self.Q * n0
-        na = nonlin(a, t + dt / 2.0)
+        na = nonlin(a, t_mid)
         b = self.E2 * u + self.Q * na
-        nb = nonlin(b, t + dt / 2.0)
+        nb = nonlin(b, t_mid)
         c = self.E2 * a + self.Q * (2.0 * nb - n0)
-        nc = nonlin(c, t + dt)
+        nc = nonlin(c, t_next)
         return self.E * u + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
 
 
@@ -240,16 +250,12 @@ def evolve_nonlinear(
         return out
 
     tab = _Etdrk4Tableau(1j * spec.dispersion, dt)
-    stepper = lambda cc, t: tab.step(cc, t, dt, nonlin)
+    stepper = lambda cc, t, t_next: tab.step(cc, t, t_next, nonlin)
 
-    trace = _march(
+    return _march(
         spec, c, dt, n_steps, cfg, stepper,
-        damped=False, include_mass_term=False,
+        damped=False, include_mass_term=False, forcing=forcing,
     )
-    if forcing is not None:
-        controls = np.stack([np.asarray(forcing(t)) for t in trace.times])
-        trace = replace(trace, controls=controls)
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +352,7 @@ def evolve_damped(
         return -mult * damp.apply(w) + 1j * f_ball(w)
 
     tab = _Etdrk4Tableau(1j * mult, dt)
-    stepper = lambda vv, t: tab.step(vv, t, dt, nonlin)
+    stepper = lambda vv, t, t_next: tab.step(vv, t, t_next, nonlin)
 
     c0 = np.where(mask, u0.coeffs.astype(complex), 0.0)
     v0 = c0 - 1j * damp.apply(c0)  # v = J u
@@ -367,6 +373,12 @@ def evolve_damped(
 # shared marching loop
 # ---------------------------------------------------------------------------
 
+# Lattice entries per block of records in the ledger: small fields share one
+# grid transform, and the ledger's grid temporaries stay the size of one
+# 64 x 64 field however many records a run keeps.
+_LEDGER_BLOCK_ENTRIES = 4096
+
+
 def _march(
     spec: ManifoldSpec,
     state0: np.ndarray,
@@ -378,7 +390,16 @@ def _march(
     include_mass_term: bool,
     recover=None,
     inner_counts: list[int] | None = None,
+    forcing=None,
 ) -> EvolutionTrace:
+    """Step n_steps times and record every cfg.record_stride steps.
+
+    The forcing is recorded right after the step that ends at a record
+    time, which is the last time that step asked it for, so a forcing that
+    keeps its last value is not evaluated again. The ledger is computed
+    after the loop over blocks of stacked records; only the blow-up guard
+    runs per record.
+    """
     h2w = sobolev_weights(spec, 2.0)
 
     def h2_norm(cc: np.ndarray) -> float:
@@ -390,17 +411,17 @@ def _march(
     else:
         u0c, flux0 = recover(state0)
     states = [u0c]
-    masses = [mass(spec, u0c)]
-    energies = [energy(spec, u0c, cfg.k_nl, include_mass_term, cfg.include_nonlinearity)]
     fluxes = [flux0]
+    controls = [] if forcing is None else [np.asarray(forcing(0.0))]
     # zero initial data (forced runs) falls back to an absolute unit scale
     guard = cfg.blowup_factor * max(h2_norm(u0c), 1.0 if h2_norm(u0c) == 0.0 else 0.0)
 
     state = state0
     t = 0.0
     for step in range(1, n_steps + 1):
-        state = stepper(state, t)
-        t = step * dt
+        t_next = step * dt
+        state = stepper(state, t, t_next)
+        t = t_next
         if step % cfg.record_stride == 0 or step == n_steps:
             if recover is None:
                 uc, fl = state, 0.0
@@ -408,24 +429,29 @@ def _march(
                 uc, fl = recover(state)
             times.append(t)
             states.append(uc)
-            masses.append(mass(spec, uc))
-            energies.append(
-                energy(spec, uc, cfg.k_nl, include_mass_term, cfg.include_nonlinearity)
-            )
             fluxes.append(fl)
+            if forcing is not None:
+                controls.append(np.asarray(forcing(t)))
             if h2_norm(uc) > guard:
                 raise BlowUpError(f"H^2 norm exceeded guard at t = {t:.6g}")
 
+    states = np.asarray(states)
+    block = max(1, _LEDGER_BLOCK_ENTRIES // spec.n_modes)
+    blocks = [states[i:i + block] for i in range(0, len(states), block)]
     return EvolutionTrace(
         spec=spec,
         times=np.asarray(times),
-        states=np.asarray(states),
-        masses=np.asarray(masses),
-        energies=np.asarray(energies),
+        states=states,
+        masses=np.concatenate([mass(spec, c) for c in blocks]),
+        energies=np.concatenate([
+            energy(spec, c, cfg.k_nl, include_mass_term, cfg.include_nonlinearity)
+            for c in blocks
+        ]),
         fluxes=np.asarray(fluxes),
         damped=damped,
         k_nl=cfg.k_nl,
         inner_iterations=np.asarray(inner_counts) if inner_counts is not None else None,
+        controls=np.stack(controls) if controls else None,
     )
 
 

@@ -7,8 +7,7 @@ at time T reduces to the Hermitian positive system
     Lambda v0 = -i (u0 - e^{-iTL} u_target),
     Lambda    = int_0^T e^{-itL} A e^{itL} dt.
 
-On the truncated lattice Lambda has a closed form: with M the matrix of
-multiplication by phi and S^2 the smoothing multiplier, A = M S^2 M and
+On the truncated lattice Lambda has a closed form
 
     Lambda[l, k] = A[l, k] * E(X_k - X_l),   E(w) = int_0^T e^{iwt} dt,
 
@@ -16,6 +15,16 @@ a Hadamard product of positive matrices, so Lambda stays positive
 semidefinite exactly. E can also be evaluated as the trapezoid sum over a
 uniform time grid (closed geometric form), which is what the observability
 Gramians use; both quadratures are available here for cross-checks.
+
+The dual datum lives on a support S: the modes of the control band, or
+every mode without one. Nothing reads a column of Lambda or A outside S, so
+the operator assembles only A[:, S], one batched grid product phi, then
+(1-Lap)^{-2}, then phi over the basis vectors of S, and Lambda[:, S]. CG
+runs on the block Lambda[S, S], the closed-form certificate applies
+Lambda[:, S] to v0[S], and the control forcing applies A[:, S] to
+e^{itX_S} v0[S]. A banded operator thus holds n |S| entries instead of n^2.
+The dense multiplication matrix of phi stays as the test oracle and as the
+dense route of the observability Gramian.
 
 The system is solved by plain conjugate gradients in L^2; the H^{-2} -> H^2
 character of the continuum operator appears as conditioning and is reported
@@ -47,6 +56,7 @@ from .spectral import (
     SpectralField,
     box_mask,
     nonlinear_term,
+    profile_product,
     smoothing_multiplier,
     sobolev_norm,
     sobolev_weights,
@@ -71,9 +81,9 @@ class ContractionFailure(RuntimeError):
 class ControlProblem:
     """Steering problem data and tolerances.
 
-    control_band restricts the dual datum (hence the synthesized control's
-    oscillation rates) to modes with max_i |k_i| <= control_band; the datum
-    itself must live inside the band. This keeps the certification forward
+    control_band (>= 0) restricts the dual datum (hence the synthesized
+    control's oscillation rates) to modes with max_i |k_i| <= control_band;
+    the datum itself must live inside the band. This keeps the certification forward
     solve able to resolve the control's phases at a finite step size; the
     out-of-band leak of the control operator enters the certified residual
     honestly.
@@ -102,6 +112,8 @@ class ControlProblem:
             raise ValueError("problem pieces live on different specs")
         if self.u_target is not None and self.u_target.spec != self.spec:
             raise ValueError("target lives on a different spec")
+        if self.control_band is not None and self.control_band < 0:
+            raise ValueError("control band must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,14 +169,19 @@ def multiplication_matrix(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
 
 
 def time_average_kernel(
-    X: np.ndarray, T: float, quadrature: float | None
+    X: np.ndarray,
+    T: float,
+    quadrature: float | None,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """E[l,k] = average over [0,T] of exp(i t (X_k - X_l)), times T.
 
+    Rows run over X, columns over X[cols] (all of X when cols is None).
     quadrature None gives the exact integral; a float dt gives the closed
     form of the composite trapezoid sum on that grid.
     """
-    omega = X[None, :] - X[:, None]
+    Xc = X if cols is None else X[cols]
+    omega = Xc[None, :] - X[:, None]
     if quadrature is None:
         # T * exp(i w T / 2) * sinc(w T / 2pi)
         return T * np.exp(0.5j * omega * T) * np.sinc(omega * T / TWO_PI)
@@ -183,7 +200,14 @@ def time_average_kernel(
 
 
 class HumOperator:
-    """Dense realization of Lambda for one (phi, T) pair."""
+    """Lambda for one (phi, T) pair, assembled on the columns of the support.
+
+    support holds the flat lattice indices S that a dual datum may occupy:
+    the modes with every |k_i| <= band, or all modes when band is None. The
+    operator keeps A = A[:, S] and matrix = Lambda[:, S], both of shape
+    (n_modes, |S|), and block = Lambda[S, S], the Hermitian matrix CG
+    solves with. Vectors on S are given in support order.
+    """
 
     def __init__(
         self,
@@ -191,23 +215,35 @@ class HumOperator:
         phi: DampingProfile,
         T: float,
         quadrature: float | None = None,
+        band: int | None = None,
     ):
         self.spec = spec
         self.phi = phi
         self.T = T
         self.quadrature = quadrature
-        M = multiplication_matrix(spec, phi.values)
-        s2 = smoothing_multiplier(spec, 2).ravel()
-        self.A = (M * s2[None, :]) @ M  # phi (1-Lap)^{-2} phi
+        keep = np.ones(spec.shape, dtype=bool) if band is None else box_mask(spec, band)
+        self.support = np.flatnonzero(keep)
+        m = len(self.support)
+        basis = np.zeros((m, spec.n_modes), dtype=complex)
+        basis[np.arange(m), self.support] = 1.0
+        basis = basis.reshape((m,) + spec.shape)
+        s2 = smoothing_multiplier(spec, 2)
+        cols = profile_product(
+            spec, phi.values, s2 * profile_product(spec, phi.values, basis)
+        )
+        self.A = cols.reshape(m, spec.n_modes).T  # phi (1-Lap)^{-2} phi, columns S
         X = spec.dispersion.ravel()
-        self.matrix = self.A * time_average_kernel(X, T, quadrature)
+        self.matrix = self.A * time_average_kernel(X, T, quadrature, self.support)
+        # without a band the block is the whole matrix, not a copy of it
+        self.block = self.matrix if band is None else self.matrix[self.support]
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.matrix @ coeffs.ravel()).reshape(self.spec.shape)
+        """Lambda c for lattice coefficients c supported on S."""
+        return (self.matrix @ coeffs.ravel()[self.support]).reshape(self.spec.shape)
 
-    def control_weight(self, coeffs: np.ndarray) -> np.ndarray:
-        """A w = phi (1-Lap)^{-2} (phi w) as a dense apply."""
-        return (self.A @ coeffs.ravel()).reshape(self.spec.shape)
+    def control_weight(self, w: np.ndarray) -> np.ndarray:
+        """A w = phi (1-Lap)^{-2} (phi w) for w given on S, as lattice coeffs."""
+        return (self.A @ w).reshape(self.spec.shape)
 
 
 def apply_lambda(
@@ -222,11 +258,25 @@ def apply_lambda(
 
 
 def control_forcing(op: HumOperator, v0: np.ndarray):
-    """Closure t -> coefficients of A e^{itL} v0, exact at any stage time."""
-    X = op.spec.dispersion
+    """Closure t -> coefficients of A e^{itL} v0, exact at any stage time.
+
+    Only v0 on the support S is read: h(t) = A[:, S] (e^{itX_S} v0[S]). The
+    closure keeps the last (t, value) pair, so a time asked for again in a
+    row costs nothing; an ETDRK4 step asks for t + dt/2 twice and ends at
+    the next step's start. The arrays it returns are read-only, because a
+    repeated time hands out the same array.
+    """
+    X = op.spec.dispersion.ravel()[op.support]
+    v = v0.ravel()[op.support]
+    last_t, last_h = None, None
 
     def h(t: float) -> np.ndarray:
-        return op.control_weight(np.exp(1j * t * X) * v0)
+        nonlocal last_t, last_h
+        if t != last_t:
+            last_h = op.control_weight(np.exp(1j * t * X) * v)
+            last_h.flags.writeable = False
+            last_t = t
+        return last_h
 
     return h
 
@@ -258,38 +308,24 @@ def _transported_rhs(prob: ControlProblem) -> np.ndarray:
     return -1j * rhs
 
 
-def _band_indices(prob: ControlProblem) -> np.ndarray | None:
-    if prob.control_band is None:
-        return None
-    return np.flatnonzero(box_mask(prob.spec, prob.control_band).ravel())
-
-
 def _solve_hum_system(
     prob: ControlProblem, op: HumOperator, rhs: np.ndarray
 ) -> tuple[np.ndarray, int, float]:
-    """CG on Lambda (possibly band-restricted) for one right-hand side."""
-    band = _band_indices(prob)
-    flat = rhs.ravel()
-    if band is None:
-        x, iters, relres = cg_hermitian(
-            lambda z: op.matrix @ z, flat, tol=prob.cg_tol, max_iter=prob.cg_max_iter
-        )
-        v0 = x
-    else:
-        out = np.linalg.norm(np.delete(flat, band))
-        if out > 1e-12 * max(np.linalg.norm(flat), 1.0):
-            raise ValueError("datum has content outside the control band")
-        sub = op.matrix[np.ix_(band, band)]
-        x, iters, relres = cg_hermitian(
-            lambda z: sub @ z, flat[band], tol=prob.cg_tol, max_iter=prob.cg_max_iter
-        )
-        v0 = np.zeros_like(flat)
-        v0[band] = x
+    """CG on the block Lambda[S, S] for one right-hand side. Only rhs on S
+    is read, which makes the solve the Galerkin projection onto S."""
+    x, iters, relres = cg_hermitian(
+        lambda z: op.block @ z,
+        rhs.ravel()[op.support],
+        tol=prob.cg_tol,
+        max_iter=prob.cg_max_iter,
+    )
     if relres > 100.0 * prob.cg_tol:
         raise ControlStagnationError(
             f"CG stalled at relative residual {relres:.3e} after {iters} iterations; "
             "the control region may not be observable (GCC violated?)"
         )
+    v0 = np.zeros(prob.spec.n_modes, dtype=complex)
+    v0[op.support] = x
     return v0.reshape(prob.spec.shape), iters, relres
 
 
@@ -332,9 +368,12 @@ def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
     """HUM synthesis for the linear equation: CG on Lambda v0 = rhs, then a
     forward solve of the controlled equation to certify the terminal state."""
     spec = prob.spec
-    op = HumOperator(spec, prob.phi, prob.T, prob.quadrature)
+    op = HumOperator(spec, prob.phi, prob.T, prob.quadrature, prob.control_band)
     rhs = _transported_rhs(prob)
-    if np.linalg.norm(rhs) == 0.0:
+    rhs_norm = np.linalg.norm(rhs)
+    if np.linalg.norm(np.delete(rhs.ravel(), op.support)) > 1e-12 * max(rhs_norm, 1.0):
+        raise ValueError("datum has content outside the control band")
+    if rhs_norm == 0.0:
         z = np.zeros(spec.shape, dtype=complex)
         return ControlCertificate(
             kind="linear",
@@ -387,16 +426,12 @@ def _nonlinear_correction(
         return np.zeros(spec.shape, dtype=complex)
 
     chi0 = np.exp(-1j * prob.T * X) * np.conj(phi0)
-
-    def g(t: float) -> np.ndarray:
-        return op.control_weight(np.exp(1j * t * X) * chi0)
-
     cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl, include_nonlinearity=True)
     w_trace = evolve_nonlinear(
         SpectralField(spec, np.zeros(spec.shape, dtype=complex)),
         prob.T,
         cfg,
-        forcing=g,
+        forcing=control_forcing(op, chi0),
     )
 
     # J_w = int_0^T e^{-irL} |w|^{2k} w dr over the trace grid
@@ -428,7 +463,7 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
             f"{prob.smallness_delta:.3e}"
         )
     spec = prob.spec
-    op = HumOperator(spec, prob.phi, prob.T, prob.quadrature)
+    op = HumOperator(spec, prob.phi, prob.T, prob.quadrature, prob.control_band)
     hm2 = sobolev_weights(spec, -2.0)
 
     def hm2_norm(c: np.ndarray) -> float:
@@ -444,18 +479,9 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
     cg_res: list[float] = []
     u0c = prob.u0.coeffs.astype(complex)
 
-    band = _band_indices(prob)
-
-    def in_band(c: np.ndarray) -> np.ndarray:
-        if band is None:
-            return c
-        flat = np.zeros(spec.n_modes, dtype=complex)
-        flat[band] = c.ravel()[band]
-        return flat.reshape(spec.shape)
-
     for _ in range(prob.fixedpoint_max_iter):
         k_phi = _nonlinear_correction(prob, op, phi0)
-        phi_new, iters, relres = s_inverse(in_band(u0c - k_phi))
+        phi_new, iters, relres = s_inverse(u0c - k_phi)
         cg_iters.append(iters)
         cg_res.append(relres)
         diff = hm2_norm(phi_new - phi0)
@@ -495,7 +521,7 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
 def verify_certificate(prob: ControlProblem, cert: ControlCertificate) -> float:
     """Recompute the terminal residual of a certificate by a fresh forward
     solve; must reproduce the stored value."""
-    op = HumOperator(prob.spec, prob.phi, prob.T, prob.quadrature)
+    op = HumOperator(prob.spec, prob.phi, prob.T, prob.quadrature, prob.control_band)
     if cert.kind == "nonlinear":
         return _verify_integrator(prob, op, cert.dual_datum, nonlinear=True)
     return _verify_closed_form(prob, op, cert.dual_datum)

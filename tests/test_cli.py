@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import b4nls
 from b4nls.cli import main
 
@@ -36,6 +38,45 @@ def test_solver_failure_exits_1_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: contraction ratio")
     assert "Traceback" not in err
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "status: failed" in manifest
+    assert any(line.startswith("error: ContractionFailure: contraction ratio")
+               for line in manifest)
+
+
+CONTROL_LINEAR = (
+    "[experiment]\nkind = control-linear\nseed = 0\n"
+    "[manifold]\nd = 1\nN = 32\n"
+    "[region]\ntype = strip\nlo = 1.0\nhi = 3.0\n"
+    "[control]\nverify_dt = 1e-3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "control_band,run",
+    [
+        (-1, "datum_band = 3"),
+        (0, "datum_band = 3"),
+        (2, "datum_band = 3"),
+        (3, ""),  # an unbanded random datum
+        (3, "datum = plane-wave\ndatum_mode = 4"),
+    ],
+)
+def test_validate_rejects_a_datum_outside_the_control_band(
+    tmp_path, capsys, control_band, run
+):
+    text = CONTROL_LINEAR + f"control_band = {control_band}\n[run]\n{run}\n"
+    assert main(["validate", write_config(tmp_path, text)]) == 2
+    assert "control_band" in capsys.readouterr().err
+
+
+def test_banded_control_runs_and_manifest_says_ok(tmp_path):
+    text = CONTROL_LINEAR + "control_band = 3\n[run]\ndatum_band = 3\n"
+    path = write_config(tmp_path, text)
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "status: ok" in manifest
 
 
 def test_cli_import_leaves_sympy_unloaded():

@@ -266,3 +266,15 @@ def test_energy_ledger_definition():
     pot = float(np.sum(np.abs(vals) ** 4) * spec.cell_volume) / 4.0
     assert e == pytest.approx(quad + pot, rel=1e-12)
     assert mass(spec, c) == pytest.approx(float(np.sum(np.abs(c) ** 2)), rel=1e-14)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
+def test_ledger_takes_a_batch_of_records(d, N):
+    # a stack of records gives the per-record values of the single-field call
+    spec = b.make_torus(d, N, 1.0)
+    stack = np.stack([smooth_datum(spec, s).coeffs for s in range(3)])
+    for include_mass_term in (False, True):
+        batch = energy(spec, stack, 1, include_mass_term)
+        single = [energy(spec, c, 1, include_mass_term) for c in stack]
+        assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
+    assert np.allclose(mass(spec, stack), [mass(spec, c) for c in stack], rtol=1e-14, atol=0.0)

@@ -11,7 +11,7 @@ from b4nls.hum import (
     multiplication_matrix,
     time_average_kernel,
 )
-from b4nls.spectral import smoothing_multiplier, sobolev_norm, sobolev_weights
+from b4nls.spectral import box_mask, smoothing_multiplier, sobolev_norm, sobolev_weights
 
 PI = math.pi
 
@@ -49,6 +49,26 @@ def test_time_average_kernel_exact_limit():
     fine = time_average_kernel(X, T, 1e-6)
     assert np.abs(exact - fine).max() <= 1e-8
     assert np.allclose(np.diag(exact), T)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
+def test_banded_operator_is_the_full_operators_support_columns(d, N):
+    spec = b.make_torus(d, N, 1.0)
+    phi = strip_phi(spec, 0.6)
+    full = HumOperator(spec, phi, 0.8)
+    # the batched grid assembly of A against the dense oracle M S^2 M
+    M = multiplication_matrix(spec, phi.values)
+    dense = (M * smoothing_multiplier(spec, 2).ravel()[None, :]) @ M
+    assert np.abs(full.A - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert full.matrix.shape == full.block.shape == (spec.n_modes, spec.n_modes)
+    banded = HumOperator(spec, phi, 0.8, band=3)
+    S = banded.support
+    assert len(S) == 7**d
+    assert np.array_equal(S, np.flatnonzero(box_mask(spec, 3)))
+    for part in ("A", "matrix"):
+        ref = getattr(full, part)[:, S]
+        assert np.abs(getattr(banded, part) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(banded.block, banded.matrix[S])
 
 
 def test_multiplication_matrix_matches_grid_product():
@@ -311,11 +331,58 @@ def test_backward_conjugate_trick_linear_oracle():
 def test_control_forcing_is_weight_of_free_flow():
     spec = b.make_torus(1, 32, 1.0)
     phi = strip_phi(spec)
-    op = HumOperator(spec, phi, 1.0)
-    v0 = rand_field(spec, 18).coeffs
-    h = control_forcing(op, v0)
     t = 0.37
-    vt = b.propagate_free(b.field_from_coeffs(spec, v0), t)
-    expect = b.apply_smoothing(b.multiply_profile(vt, phi), 2)
-    expect = b.multiply_profile(expect, phi).coeffs
-    assert np.abs(h(t) - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)
+    for band in (None, 5):  # every mode, and a banded support
+        op = HumOperator(spec, phi, 1.0, band=band)
+        v0 = rand_field(spec, 18, band=band).coeffs
+        h = control_forcing(op, v0)
+        vt = b.propagate_free(b.field_from_coeffs(spec, v0), t)
+        expect = b.apply_smoothing(b.multiply_profile(vt, phi), 2)
+        expect = b.multiply_profile(expect, phi).coeffs
+        assert np.abs(h(t) - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)
+        assert h(t) is h(t)  # a repeated time is served from the cache
+
+
+def test_certifying_run_evaluates_the_forcing_once_per_distinct_time(monkeypatch):
+    # an ETDRK4 step asks for t, t + dt/2 twice and t + dt, which is the next
+    # step's t; the records are the step ends the march has just asked for
+    spec = b.make_torus(1, 32, 1.0)
+    op = HumOperator(spec, strip_phi(spec), 1.0, band=5)
+    calls = []
+    weight = HumOperator.control_weight
+    monkeypatch.setattr(
+        HumOperator, "control_weight", lambda self, w: calls.append(1) or weight(self, w)
+    )
+    u0 = rand_field(spec, 19, band=5)
+    cfg = b.SolverConfig(dt=1e-3, include_nonlinearity=False, record_stride=10)
+    trace = b.evolve_nonlinear(u0, 0.2, cfg, forcing=control_forcing(op, u0.coeffs))
+    n_steps = 200
+    assert trace.n_records == 21
+    assert len(calls) <= 2 * n_steps + trace.n_records + 1
+
+
+def test_banded_control_certifies_at_d2n64():
+    # the operator keeps 49 of 4096 columns: two n x n matrices would take
+    # 268 MB each at this size
+    spec = b.make_torus(2, 64, 1.0)
+    phi = b.make_damping_profile(spec, b.Strip(1.0, 3.0))
+    assert HumOperator(spec, phi, 1.0, band=3).matrix.shape == (4096, 49)
+    u0 = b.normalize_sobolev(rand_field(spec, 20, decay=4.0, band=3), 2.0, 1.0)
+    prob = b.ControlProblem(
+        spec=spec, u0=u0, T=1.0, phi=phi, control_band=3, verify_dt=1e-3
+    )
+    cert = b.solve_linear_control(prob)
+    assert cert.cg_residuals[0] <= prob.cg_tol
+    assert np.count_nonzero(cert.dual_datum) == 49
+    # the ETDRK4 run reproduces the closed-form terminal miss
+    assert cert.integrator_residual == pytest.approx(cert.terminal_residual, rel=1e-3)
+
+
+def test_control_band_must_hold_the_datum():
+    spec = b.make_torus(1, 32, 1.0)
+    u0 = rand_field(spec, 21, band=5)
+    with pytest.raises(ValueError, match="control band"):
+        b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=-1)
+    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
+    with pytest.raises(ValueError, match="outside the control band"):
+        b.solve_linear_control(prob)

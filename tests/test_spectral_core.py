@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -345,14 +346,31 @@ def test_kernel_ops_pass_a_batch_axis_through():
 
 def test_grid_operations_live_only_in_the_kernel():
     # the time-axis ifft/fftshift(axes=0) of bourgain and the forward fftn of
-    # hum.multiplication_matrix stay where they are; the patterns miss them
+    # the dense multiplication matrix stay where they are; the patterns miss
+    # them. That matrix is the oracle of the grid products: HUM assembles its
+    # operator through the kernel, and only BandGramian.dense builds it.
     src = Path(b.__file__).parent
     two_pi_defs = 0
+    dense_calls = 0
+    dense_callers = []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         two_pi_defs += text.count("TWO_PI =")
+        dense_calls += text.count("multiplication_matrix(") - text.count(
+            "def multiplication_matrix("
+        )
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                dense_callers += [
+                    f"{path.stem}.{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "multiplication_matrix"
+                ]
         if path.name == "spectral.py":
             continue
         for pattern in ("ifftn(", "ifftshift(", "logical_and.outer"):
             assert pattern not in text, f"{path.name} writes out {pattern}"
     assert two_pi_defs == 1
+    assert dense_calls == 1
+    assert dense_callers == ["observability.dense"]
