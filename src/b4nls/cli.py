@@ -203,11 +203,13 @@ def _control_trace(spec, times, samples, k_nl) -> EvolutionTrace:
 # experiment bodies: each returns a list of artifact names it wrote
 # ---------------------------------------------------------------------------
 
+_DEFAULT_T = {"simulate": 1.0, "stabilize": 20.0}  # [run] T when not given
+
 def _run_simulate(cfg, outdir, rng):
     spec = _build_spec(cfg)
     solver = _build_solver(cfg)
     u0 = _build_datum(cfg, spec, rng)
-    T = _get(cfg, "run", "T", float, 1.0)
+    T = _get(cfg, "run", "T", float, _DEFAULT_T["simulate"])
     trace = evolve_nonlinear(u0, T, solver)
     stride = _get(cfg, "run", "snapshot_stride", int, max(1, trace.n_records // 10))
     save_trace(trace, outdir, snapshot_stride=stride)
@@ -225,7 +227,7 @@ def _run_stabilize(cfg, outdir, rng):
     spec = _build_spec(cfg)
     solver = _build_solver(cfg)
     u0 = _build_datum(cfg, spec, rng)
-    T = _get(cfg, "run", "T", float, 20.0)
+    T = _get(cfg, "run", "T", float, _DEFAULT_T["stabilize"])
     region = _build_region(cfg, spec.d)
     width = _get(cfg, "region", "smoothing_width", float, None)
     profile = make_damping_profile(spec, region, width)
@@ -446,14 +448,21 @@ def validate_config(path) -> dict:
         spec = _build_spec(cfg)
         if kind in ("simulate", "stabilize", "control-linear", "control-nonlinear"):
             _build_solver(cfg)
-            _build_datum(cfg, spec, rng)
-        if kind in ("stabilize", "control-linear", "control-nonlinear",
-                    "observability-sweep"):
+            u0 = _build_datum(cfg, spec, rng)
+        if kind in ("simulate", "stabilize"):
+            T = _get(cfg, "run", "T", float, _DEFAULT_T[kind])
+            if not T > 0.0:
+                raise ConfigError(f"[run] T must be positive, got {T}")
+        if kind in ("stabilize", "observability-sweep"):
             region = _build_region(cfg, spec.d)
             width = _get(cfg, "region", "smoothing_width", float, None)
             make_damping_profile(spec, region, width)
         if kind in ("control-linear", "control-nonlinear"):
             _check_control_band(cfg)
+            try:
+                _control_problem(cfg, spec, u0, rng)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     if kind == "gcc-check":
         _build_region(cfg, _get(cfg, "manifold", "d", int, 2))
     if kind == "resonance-sweep":

@@ -40,7 +40,7 @@ from .spectral import (
     DampingProfile,
     ManifoldSpec,
     SpectralField,
-    coeffs_to_grid,
+    _grid_modulus,
     load_field,
     nonlinear_term,
     profile_product,
@@ -136,9 +136,9 @@ def energy(
     if include_mass_term:
         total += 0.5 * _lattice_sum(spec, p2)
     if include_potential:
-        vals = coeffs_to_grid(spec, coeffs)
+        modulus = _grid_modulus(spec, coeffs)
         total += (
-            _lattice_sum(spec, np.abs(vals) ** (2 * k_nl + 2)) * spec.cell_volume
+            _lattice_sum(spec, modulus ** (2 * k_nl + 2)) * spec.cell_volume
         ) / (2 * k_nl + 2)
     return total
 
@@ -294,9 +294,14 @@ class _DampingOperator:
         return float(np.sum(self.s1**2 * np.abs(w) ** 2))
 
     def solve_j(self, v: np.ndarray, x0: np.ndarray | None = None):
-        """Solve (1 - i D) w = v; returns (w, iterations)."""
+        """Solve (1 - i D) w = v from the start x0; returns (w, iterations, D w).
+
+        D w is the one the residual check applies, handed out so that a
+        caller does not apply D to w again.
+        """
         if self.constant:
-            return v / (1.0 - 1j * self.diag), 0
+            w = v / (1.0 - 1j * self.diag)
+            return w, 0, self.diag * w
 
         def normal_op(x: np.ndarray) -> np.ndarray:
             return x + self.apply(self.apply(x))
@@ -305,13 +310,14 @@ class _DampingOperator:
         w, it, relres = cg_hermitian(
             normal_op, rhs, tol=self.tol, max_iter=self.max_iter, x0=x0
         )
-        res = float(np.linalg.norm((w - 1j * self.apply(w)) - v))
+        dw = self.apply(w)
+        res = float(np.linalg.norm((w - 1j * dw) - v))
         scale = float(np.linalg.norm(v))
         if scale > 0.0 and res > 10.0 * self.tol * scale:
             raise IterationError(
                 f"damping solve stalled: residual {res / scale:.3e} after {it} iterations"
             )
-        return w, it
+        return w, it, dw
 
 
 def evolve_damped(
@@ -345,11 +351,17 @@ def evolve_damped(
         return cfg.nonlinear_sign * np.where(mask, fc, 0.0)
 
     inner_counts: list[int] = []
+    w_minus_v = None  # of the last stage solve
 
     def nonlin(vv: np.ndarray, t: float) -> np.ndarray:
-        w, it = damp.solve_j(vv)
+        nonlocal w_minus_v
+        # w - v = i D w is smooth and moves little from one stage to the
+        # next, so the last stage's difference starts the solve
+        x0 = None if w_minus_v is None else vv + w_minus_v
+        w, it, dw = damp.solve_j(vv, x0)
+        w_minus_v = w - vv
         inner_counts.append(it)
-        return -mult * damp.apply(w) + 1j * f_ball(w)
+        return -mult * dw + 1j * f_ball(w)
 
     tab = _Etdrk4Tableau(1j * mult, dt)
     stepper = lambda vv, t, t_next: tab.step(vv, t, t_next, nonlin)
@@ -358,7 +370,7 @@ def evolve_damped(
     v0 = c0 - 1j * damp.apply(c0)  # v = J u
 
     def recover(vv: np.ndarray):
-        u, _ = damp.solve_j(vv)
+        u = damp.solve_j(vv)[0]
         ut = 1j * (damp.solve_j(mult * u + f_ball(u))[0])
         return u, damp.flux(ut)
 

@@ -106,7 +106,7 @@ class ControlProblem:
     solve_dt: float = 1e-3
 
     def __post_init__(self):
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError("control horizon must be positive")
         if self.phi.spec != self.spec or self.u0.spec != self.spec:
             raise ValueError("problem pieces live on different specs")
@@ -312,13 +312,15 @@ def _solve_hum_system(
     prob: ControlProblem, op: HumOperator, rhs: np.ndarray
 ) -> tuple[np.ndarray, int, float]:
     """CG on the block Lambda[S, S] for one right-hand side. Only rhs on S
-    is read, which makes the solve the Galerkin projection onto S."""
-    x, iters, relres = cg_hermitian(
-        lambda z: op.block @ z,
-        rhs.ravel()[op.support],
-        tol=prob.cg_tol,
-        max_iter=prob.cg_max_iter,
+    is read, which makes the solve the Galerkin projection onto S. The
+    reported residual is the true ||b - Lambda[S, S] x|| / ||b||, not CG's
+    recursive estimate."""
+    b = rhs.ravel()[op.support]
+    x, iters, _ = cg_hermitian(
+        lambda z: op.block @ z, b, tol=prob.cg_tol, max_iter=prob.cg_max_iter
     )
+    bnorm = float(np.linalg.norm(b))
+    relres = float(np.linalg.norm(b - op.block @ x)) / bnorm if bnorm > 0.0 else 0.0
     if relres > 100.0 * prob.cg_tol:
         raise ControlStagnationError(
             f"CG stalled at relative residual {relres:.3e} after {iters} iterations; "

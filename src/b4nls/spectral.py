@@ -6,6 +6,16 @@ frequency lattice {-N/2, ..., N/2-1}^d in ascending ("lattice") order.
 With this normalization Parseval is exact: the L^2 norm of a field equals
 the Euclidean norm of its coefficient array.
 
+Lattice order and FFT order differ by a cyclic shift of N/2 along each axis
+(N is even). The inverse FFT of the lattice array as stored therefore gives
+(-1)^{j_1+...+j_d} u(x_j) instead of u(x_j), and the forward FFT of
+(-1)^{j_1+...+j_d} g(x_j) gives the lattice-ordered coefficients of g. In a
+product with a grid function, a(x) u, and in the phase-covariant map
+u -> |u|^{2k} u, the sign goes in with u and comes out with the result, so
+those kernels (profile_product, nonlinear_term) and the modulus quadrature of
+the energy skip the fftshift/ifftshift copies. The shifted pair
+coeffs_to_grid / grid_to_coeffs remains for grid values that a caller sees.
+
 Everything downstream (time integrators, control operators, Gramians,
 space-time norms) is built from the Fourier multipliers defined here:
 
@@ -192,43 +202,69 @@ def box_mask(spec: ManifoldSpec, band: int) -> np.ndarray:
 
 
 # Passing s with axes spares numpy a per-call np.take on the shape, which
-# costs more than a small FFT.
+# costs more than a small FFT. Only the user-facing pair below reorders the
+# lattice; the products after it skip the shift (see the module docstring).
 
-def _unscaled_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-spec.d, 0))
-    shifted = np.fft.ifftshift(coeffs, axes=axes)
-    return np.fft.ifftn(shifted, s=spec.shape, axes=axes)
+def _axes(spec: ManifoldSpec) -> tuple[int, ...]:
+    return tuple(range(-spec.d, 0))
 
 
-def _unscaled_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-spec.d, 0))
-    return np.fft.fftshift(np.fft.fftn(values, s=spec.shape, axes=axes), axes=axes)
+def _grid_scale(spec: ManifoldSpec) -> float:
+    """Grid values per unit of the inverse FFT: N^d / (2pi)^{d/2}."""
+    return spec.n_modes / TWO_PI ** (spec.d / 2.0)
 
 
 def coeffs_to_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
     """Values on the collocation grid x_j = 2pi j / N of lattice coefficients."""
-    return _unscaled_grid(spec, coeffs) * (spec.n_modes / TWO_PI ** (spec.d / 2.0))
+    axes = _axes(spec)
+    shifted = np.fft.ifftshift(coeffs, axes=axes)
+    return np.fft.ifftn(shifted, s=spec.shape, axes=axes) * _grid_scale(spec)
 
 
 def grid_to_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     """Lattice coefficients of grid values; inverse of coeffs_to_grid."""
-    return _unscaled_coeffs(spec, values) * (TWO_PI ** (spec.d / 2.0) / spec.n_modes)
+    axes = _axes(spec)
+    return np.fft.fftshift(np.fft.fftn(values, s=spec.shape, axes=axes), axes=axes) * (
+        TWO_PI ** (spec.d / 2.0) / spec.n_modes
+    )
+
+
+def _signed_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """(-1)^{j_1+...+j_d} u(x_j) / scale: the inverse FFT of the lattice
+    array as it is stored, with neither the shift nor the scale."""
+    return np.fft.ifftn(coeffs, s=spec.shape, axes=_axes(spec))
+
+
+def _signed_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
+    """Lattice coefficients, times the scale, of (-1)^{j_1+...+j_d} values."""
+    return np.fft.fftn(values, s=spec.shape, axes=_axes(spec))
+
+
+def _grid_modulus(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """|u(x_j)| on the collocation grid, for quadratures that see only the
+    modulus; the sign of the unshifted transform drops out."""
+    return np.abs(_signed_grid(spec, coeffs)) * _grid_scale(spec)
 
 
 def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
     """Coefficients of |u|^{2k} u, evaluated pointwise on the grid.
 
+    With v the signed, unscaled grid values and s the transform scale, the
+    result is s^{2k} times the lattice coefficients of |v|^{2k} v: the signs
+    cancel (|v| = |u| / s) and so do the scales.
+
     No dealiasing mask is applied; the flows apply spec.dealias_mask
     themselves, while the space-time product probes need the full product.
     """
-    u = coeffs_to_grid(spec, coeffs)
-    return grid_to_coeffs(spec, (np.abs(u) ** (2 * k)) * u)
+    v = _signed_grid(spec, coeffs)
+    return _signed_coeffs(spec, (np.abs(v) ** (2 * k)) * v) * _grid_scale(spec) ** (2 * k)
 
 
 def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of a(x) u for grid values a. The transform scale and its
-    inverse cancel around the product, so neither is applied."""
-    return _unscaled_coeffs(spec, a * _unscaled_grid(spec, coeffs))
+    inverse cancel around the product, and so do the signs, so neither the
+    scale nor the shift is applied."""
+    return _signed_coeffs(spec, a * _signed_grid(spec, coeffs))
 
 
 def to_grid(u: SpectralField) -> np.ndarray:

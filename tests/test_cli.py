@@ -79,6 +79,22 @@ def test_banded_control_runs_and_manifest_says_ok(tmp_path):
     assert "status: ok" in manifest
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        CONTROL_LINEAR + "[run]\nT = 0\n",
+        "[experiment]\nkind = stabilize\n[manifold]\nd = 1\nN = 32\n[run]\nT = 0\n",
+    ],
+    ids=["control-linear", "stabilize"],
+)
+def test_a_nonpositive_horizon_fails_validation_before_the_run(tmp_path, capsys, text):
+    path = write_config(tmp_path, text)
+    assert main(["validate", path]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_sympy_unloaded():
     src = os.path.dirname(b4nls.__path__[0])
     code = (

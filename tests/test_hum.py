@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import b4nls as b
+from b4nls import hum
 from b4nls.hum import (
     HumOperator,
     backward_forced_initial,
@@ -227,6 +229,33 @@ def test_cg_stagnation_reports_observability():
     )
     with pytest.raises(b.ControlStagnationError, match="observable"):
         b.solve_linear_control(prob)
+
+
+def test_cg_gate_reads_the_true_residual(monkeypatch):
+    # cg_hermitian reports its recursive estimate; the HUM gate and the
+    # certificate use ||b - Lambda[S, S] x|| / ||b||, computed afresh
+    spec = b.make_torus(1, 32, 1.0)
+    u0 = b.normalize_sobolev(rand_field(spec, 11, decay=2.0), 2.0, 1.0)
+    prob = b.ControlProblem(
+        spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12, cg_max_iter=3
+    )
+    op = HumOperator(spec, prob.phi, prob.T)
+    rhs = hum._transported_rhs(prob)
+    with pytest.raises(b.ControlStagnationError, match="observable"):
+        hum._solve_hum_system(prob, op, rhs)
+    cg = hum.cg_hermitian
+    monkeypatch.setattr(
+        hum, "cg_hermitian", lambda *args, **kw: cg(*args, **kw)[:2] + (0.0,)
+    )
+    with pytest.raises(b.ControlStagnationError, match="observable"):
+        hum._solve_hum_system(prob, op, rhs)
+
+    monkeypatch.undo()
+    cert = b.solve_linear_control(dataclasses.replace(prob, cg_max_iter=600))
+    bs = rhs.ravel()[op.support]
+    true = np.linalg.norm(bs - op.block @ cert.dual_datum.ravel()[op.support])
+    assert cert.cg_residuals[0] == pytest.approx(true / np.linalg.norm(bs), rel=1e-12)
+    assert cert.cg_residuals[0] <= prob.cg_tol
 
 
 def test_grid_refinement_stability():

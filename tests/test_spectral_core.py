@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import b4nls as b
+from b4nls.dynamics import energy
 from b4nls.spectral import (
     band_cutoff,
     band_mode_mask,
@@ -344,6 +345,43 @@ def test_kernel_ops_pass_a_batch_axis_through():
         assert np.abs(weighted[i] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("d,N", [(1, 8), (1, 32), (2, 8), (2, 32)])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_shift_free_products_match_the_shifted_route(d, N, k, batch):
+    # the products skip fftshift/ifftshift because the sign (-1)^{sum j} of
+    # the unshifted transform cancels; the oracle goes through the grid
+    # values that a caller sees
+    spec = b.make_torus(d, N, 1.0)
+    rng = np.random.default_rng(100 * d + N + k)
+    shape = batch + spec.shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = rng.uniform(0.0, 1.0, spec.shape)
+    u = coeffs_to_grid(spec, c)
+
+    def rel(x, ref):
+        return np.abs(x - ref).max() / np.abs(ref).max()
+
+    assert rel(profile_product(spec, a, c), grid_to_coeffs(spec, a * u)) <= 1e-13
+    ref = grid_to_coeffs(spec, np.abs(u) ** (2 * k) * u)
+    assert rel(nonlinear_term(spec, c, k), ref) <= 1e-13
+    kinetic = 0.5 * np.sum(spec.dispersion * np.abs(c) ** 2, axis=tuple(range(-d, 0)))
+    potential = np.sum(np.abs(u) ** (2 * k + 2), axis=tuple(range(-d, 0)))
+    expect = kinetic + potential * spec.cell_volume / (2 * k + 2)
+    assert rel(np.asarray(energy(spec, c, k)), expect) <= 1e-13
+
+
+def _functions_calling(tree, names):
+    """Names of the top-level functions of a module that call any of names."""
+    return {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in names
+    }
+
+
 def test_grid_operations_live_only_in_the_kernel():
     # the time-axis ifft/fftshift(axes=0) of bourgain and the forward fftn of
     # the dense multiplication matrix stay where they are; the patterns miss
@@ -367,7 +405,12 @@ def test_grid_operations_live_only_in_the_kernel():
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "multiplication_matrix"
                 ]
+        # the benchmark traces FFTs through the numpy.fft module attributes
+        assert "from numpy.fft import" not in text, path.name
         if path.name == "spectral.py":
+            # only the user-facing transform pair reorders the lattice
+            shifters = _functions_calling(ast.parse(text), {"fftshift", "ifftshift"})
+            assert shifters == {"coeffs_to_grid", "grid_to_coeffs"}
             continue
         for pattern in ("ifftn(", "ifftshift(", "logical_and.outer"):
             assert pattern not in text, f"{path.name} writes out {pattern}"
