@@ -59,8 +59,8 @@ from .hum import (
 )
 from .linalg import IterationError
 from .observability import gramian_sweep
-from .gcc import torus_gcc_time
-from .resonance import counting_sweep
+from .gcc import check_torus_scan, torus_gcc_time
+from .resonance import ResonanceError, _check_beta, counting_sweep
 from .bourgain import duhamel_gain_probe, trilinear_constant_probe
 
 EXPERIMENTS = (
@@ -320,25 +320,36 @@ def _run_observability(cfg, outdir, rng):
     reports = gramian_sweep(spec, region, T, j_values, quad_dt, width)
     _write_csv(
         os.path.join(outdir, "gramian.csv"),
-        ["h", "band_dim", "T", "min_eig", "max_eig", "iters"],
-        [[r.h, r.band_dim, r.T, r.min_eig, r.max_eig, r.lanczos_iterations]
-         for r in reports],
+        ["h", "band_dim", "T", "min_eig", "max_eig"],
+        [[r.h, r.band_dim, r.T, r.min_eig, r.max_eig] for r in reports],
     )
     return ["gramian.csv"]
 
 
-def _run_gcc(cfg, outdir, rng):
-    spec_d = _get(cfg, "manifold", "d", int, 2)
-    region = _build_region(cfg, spec_d)
-    scan = torus_gcc_time(
-        region,
-        spec_d,
+def _gcc_args(cfg) -> dict:
+    """torus_gcc_time's arguments from [manifold], [region] and [gcc],
+    checked so that a bad scan fails before the run."""
+    d = _get(cfg, "manifold", "d", int, 2)
+    args = dict(
+        region=_build_region(cfg, d),
+        d=d,
         t_max=_get(cfg, "gcc", "t_max", float, 50.0),
         starts_per_dim=_get(cfg, "gcc", "starts_per_dim", int, 8),
         farey_max_den=_get(cfg, "gcc", "farey_max_den", int, 6),
         n_angles=_get(cfg, "gcc", "n_angles", int, 32),
         eps_t=_get(cfg, "gcc", "eps_t", float, 1e-4),
     )
+    try:
+        check_torus_scan(
+            args["region"], d, args["t_max"], args["eps_t"], args["starts_per_dim"]
+        )
+    except ValueError as exc:
+        raise ConfigError(f"gcc-check: {exc}") from exc
+    return args
+
+
+def _run_gcc(cfg, outdir, rng):
+    scan = torus_gcc_time(**_gcc_args(cfg))
     rows = []
     for rec in scan.records:
         rows.append([
@@ -464,11 +475,15 @@ def validate_config(path) -> dict:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
     if kind == "gcc-check":
-        _build_region(cfg, _get(cfg, "manifold", "d", int, 2))
+        _gcc_args(cfg)
     if kind == "resonance-sweep":
         K_max = _get(cfg, "sweep", "K_max", int, 1024)
         if K_max < 1 or K_max & (K_max - 1) != 0:
             raise ConfigError("K_max must be a power of two")
+        try:
+            _check_beta(_get(cfg, "sweep", "beta_p", int, 0), _get(cfg, "sweep", "beta_q", int, 1))
+        except ResonanceError as exc:
+            raise ConfigError(f"[sweep] beta_p/beta_q: {exc}") from exc
     return {"kind": kind, "seed": seed}
 
 

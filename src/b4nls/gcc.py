@@ -11,6 +11,13 @@ counterexample up to the region-boundary resolution, while a reported T0
 is certified only on the sampled family. On tori the adversarial
 geodesics are the closed ones with rational slope, so direction sampling
 is built from Farey fractions with a uniform angular grid on top.
+
+First entry is located by a coarse scan in time followed by bisection to
+eps_t. `torus_gcc_time` runs that scan for the whole start x direction
+family at once in numpy (`regions.contains_points`); `first_hit_time` runs
+it for one geodesic with the scalar `regions.contains`. The two make the
+same float operations, so the scalar route is the test oracle of the array
+route, hit time for hit time.
 """
 
 from __future__ import annotations
@@ -20,7 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import Region, TWO_PI, contains, min_feature_size, validate_region
+from .regions import (
+    Region,
+    TWO_PI,
+    contains,
+    contains_points,
+    min_feature_size,
+    validate_region,
+)
 
 
 @dataclass(frozen=True)
@@ -108,14 +122,14 @@ def _inside(q: GeodesicQuery, t: float) -> bool:
     return math.acos(cosang) < cap.radius
 
 
-def _default_scan_dt(q: GeodesicQuery) -> float:
-    if q.manifold == "torus":
-        feature = min_feature_size(q.region)
+def _default_scan_dt(region, eps_t: float) -> float:
+    if isinstance(region, SphereCap):
+        feature = 2.0 * region.radius
     else:
-        feature = 2.0 * q.region.radius
+        feature = min_feature_size(region)
     # an incursion across the smallest feature lasts at least feature/speed;
     # a quarter of that cannot step over it
-    return max(min(feature / 4.0, 0.05), q.eps_t)
+    return max(min(feature / 4.0, 0.05), eps_t)
 
 
 def first_hit_time(q: GeodesicQuery) -> float | None:
@@ -123,7 +137,7 @@ def first_hit_time(q: GeodesicQuery) -> float | None:
     located by a coarse scan and bisection to eps_t; None if it misses."""
     if _inside(q, 0.0):
         return 0.0
-    dt = q.scan_dt if q.scan_dt is not None else _default_scan_dt(q)
+    dt = q.scan_dt if q.scan_dt is not None else _default_scan_dt(q.region, q.eps_t)
     n = int(math.ceil(q.t_max / dt))
     lo = 0.0
     hit = None
@@ -189,6 +203,72 @@ def farey_directions(max_den: int) -> list[tuple[float, float]]:
     return sorted(dirs)
 
 
+_SCAN_BLOCK = 32  # scan times per array step: a few MB for 6,592 geodesics
+
+
+def _scan_hit_times(
+    region: Region,
+    starts: np.ndarray,
+    directions: np.ndarray,
+    t_max: float,
+    eps_t: float,
+    dt: float,
+) -> np.ndarray:
+    """`first_hit_time` of every geodesic (rows of starts, unit directions)
+    at once, NaN where it misses: the same scan times and the same
+    bisection, run in lockstep over the geodesics still unresolved."""
+    n_geo = len(starts)
+    hit = np.full(n_geo, np.nan)
+    at_start = contains_points(region, (starts + 0.0 * directions) % TWO_PI)
+    hit[at_start] = 0.0
+    lo = np.zeros(n_geo)
+    hi = np.full(n_geo, np.nan)
+    todo = np.flatnonzero(~at_start)
+    n = int(math.ceil(t_max / dt))
+    t_prev = 0.0
+    for j0 in range(1, n + 1, _SCAN_BLOCK):
+        if todo.size == 0:
+            break
+        t = np.minimum(np.arange(j0, min(j0 + _SCAN_BLOCK, n + 1)) * dt, t_max)
+        points = starts[todo, None, :] + t[None, :, None] * directions[todo, None, :]
+        ins = contains_points(region, points % TWO_PI)
+        got = ins.any(axis=1)
+        first = ins.argmax(axis=1)[got]
+        rows = todo[got]
+        hi[rows] = t[first]
+        lo[rows] = np.where(first > 0, t[first - 1], t_prev)
+        todo = todo[~got]
+        t_prev = t[-1]
+    rows = np.flatnonzero(~np.isnan(hi))
+    lo, hi = lo[rows], hi[rows]
+    active = np.flatnonzero(hi - lo > eps_t)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        r = rows[active]
+        ins = contains_points(region, (starts[r] + mid[:, None] * directions[r]) % TWO_PI)
+        hi[active] = np.where(ins, mid, hi[active])
+        lo[active] = np.where(ins, lo[active], mid)
+        active = active[hi[active] - lo[active] > eps_t]
+    hit[rows] = 0.5 * (lo + hi)
+    return hit
+
+
+def check_torus_scan(
+    region: Region, d: int, t_max: float, eps_t: float, starts_per_dim: int
+) -> None:
+    """Raise ValueError unless `torus_gcc_time` can scan these arguments;
+    an empty family would report the condition as holding."""
+    if d not in (1, 2):
+        raise ValueError("torus scans support d = 1 or 2")
+    validate_region(region, d)
+    if not t_max > 0.0:
+        raise ValueError("t_max must be positive")
+    if not eps_t > 0.0:
+        raise ValueError("eps_t must be positive")
+    if starts_per_dim < 1:
+        raise ValueError("starts_per_dim must be >= 1")
+
+
 def torus_gcc_time(
     region: Region,
     d: int,
@@ -199,12 +279,17 @@ def torus_gcc_time(
     eps_t: float = 1e-4,
     scan_dt: float | None = None,
 ) -> GccScan:
-    """Sampled control time on T^d (d = 1 or 2)."""
-    validate_region(region, d)
+    """Sampled control time on T^d (d = 1 or 2).
+
+    Geodesics run start by start, each over every direction; the scan stops
+    after the first start with a miss, and the witness is the last direction
+    that missed from it. Hit times equal `first_hit_time` of each geodesic.
+    """
+    check_torus_scan(region, d, t_max, eps_t, starts_per_dim)
     if d == 1:
         directions = [(1.0,), (-1.0,)]
         starts = [(x,) for x in np.linspace(0.0, TWO_PI, starts_per_dim, endpoint=False)]
-    elif d == 2:
+    else:
         directions = list(farey_directions(farey_max_den))
         directions += [
             (math.cos(a), math.sin(a))
@@ -212,29 +297,45 @@ def torus_gcc_time(
         ]
         axis = np.linspace(0.0, TWO_PI, starts_per_dim, endpoint=False)
         starts = [(x, y) for x in axis for y in axis]
-    else:
-        raise ValueError("torus scans support d = 1 or 2")
 
-    records = []
-    worst = 0.0
-    witness = None
-    for s in starts:
-        for v in directions:
-            q = GeodesicQuery(
-                manifold="torus", start=s, direction=v, region=region,
-                t_max=t_max, eps_t=eps_t, scan_dt=scan_dt,
-            )
-            t = first_hit_time(q)
-            records.append(GeodesicRecord(start=s, direction=q.direction, hit_time=t))
-            if t is None:
-                witness = q
-            else:
-                worst = max(worst, t)
-        if witness is not None:
-            break
-    if witness is not None:
-        return GccScan(t0=None, witness=witness, records=tuple(records))
-    return GccScan(t0=worst, witness=witness, records=tuple(records))
+    # normalized as GeodesicQuery normalizes them, one vector at a time
+    units = [tuple(np.asarray(v, dtype=float) / float(np.linalg.norm(v))) for v in directions]
+    n_dir = len(units)
+    dt = scan_dt if scan_dt is not None else _default_scan_dt(region, eps_t)
+    start_arr = np.asarray(starts, dtype=float).reshape(-1, d)
+    unit_arr = np.asarray(units)
+    # starts in chunks of 1, 2, 4, ...: a failing family stops soon after
+    # its first miss, as a start-by-start scan would
+    hits = np.empty((0, n_dir))
+    while len(hits) < len(starts) and not np.isnan(hits).any():
+        chunk = start_arr[len(hits):2 * len(hits) + 1]
+        h = _scan_hit_times(
+            region,
+            np.repeat(chunk, n_dir, axis=0),
+            np.tile(unit_arr, (len(chunk), 1)),
+            t_max, eps_t, dt,
+        )
+        hits = np.vstack([hits, h.reshape(-1, n_dir)])
+    missed = np.isnan(hits)
+    failing = np.flatnonzero(missed.any(axis=1))
+    n_run = failing[0] + 1 if failing.size else len(starts)
+    records = tuple(
+        GeodesicRecord(
+            start=starts[i], direction=units[j],
+            hit_time=None if missed[i, j] else float(hits[i, j]),
+        )
+        for i in range(n_run)
+        for j in range(n_dir)
+    )
+    if failing.size:
+        i = failing[0]
+        witness = GeodesicQuery(
+            manifold="torus", start=starts[i],
+            direction=directions[np.flatnonzero(missed[i])[-1]], region=region,
+            t_max=t_max, eps_t=eps_t, scan_dt=scan_dt,
+        )
+        return GccScan(t0=None, witness=witness, records=records)
+    return GccScan(t0=float(hits.max(initial=0.0)), witness=None, records=records)
 
 
 def sphere_gcc_time(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -84,6 +86,33 @@ def inside_depth(region: Region, point: tuple[float, ...]) -> float:
 
 def contains(region: Region, point: tuple[float, ...]) -> bool:
     return inside_depth(region, point) > 0.0
+
+
+def contains_points(region: Region, points: np.ndarray) -> np.ndarray:
+    """`contains` over an array of points of shape (..., d).
+
+    Each test makes the float operations of `inside_depth` in the same
+    order, so the two agree bit for bit; the square is np.float_power,
+    which calls the C pow as Python's ** does (x * x can differ from it in
+    the last place).
+    """
+    if isinstance(region, FullRegion):
+        return np.ones(points.shape[:-1], dtype=bool)
+    if isinstance(region, Strip):
+        t = (points[..., region.axis] - region.lo) % TWO_PI
+        return (t > 0.0) & (t < strip_width(region))
+    if isinstance(region, Ball):
+        sq = 0.0
+        for i, c in enumerate(region.center):
+            d = np.abs(points[..., i] % TWO_PI - _wrap(c))
+            sq = sq + np.float_power(np.minimum(d, TWO_PI - d), 2.0)
+        return region.radius - np.sqrt(sq) > 0.0
+    if isinstance(region, RegionUnion):
+        out = np.zeros(points.shape[:-1], dtype=bool)
+        for p in region.parts:
+            out |= contains_points(p, points)
+        return out
+    raise TypeError(f"unknown region {region!r}")
 
 
 def min_feature_size(region: Region) -> float:

@@ -1,0 +1,70 @@
+import math
+
+import numpy as np
+import pytest
+
+import b4nls as b
+from b4nls.bourgain import (
+    SpaceTimeField,
+    hb_hs_norm,
+    l2hs_norm,
+    random_spacetime_field,
+    tapered_free_solution,
+    time_sobolev_norm_quadrature,
+    xsb_norm,
+)
+from b4nls.spectral import box_mask, sobolev_weights
+
+TWO_PI = 2.0 * math.pi
+
+
+def band_limited(spec, rng, band):
+    noise = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    return np.where(box_mask(spec, band), noise, 0.0)
+
+
+def hs_norm(spec, coeffs, s):
+    return math.sqrt(float(np.sum(sobolev_weights(spec, s) * np.abs(coeffs) ** 2)))
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
+def test_xsb_at_b_zero_is_l2hs(d, N):
+    # the interaction frame is unitary slice by slice and <tau>^0 = 1
+    spec = b.make_torus(d, N, 1.0)
+    f = random_spacetime_field(spec, np.random.default_rng(3), TWO_PI, 64, 4, 8)
+    for s in (0.0, 2.0):
+        assert xsb_norm(f, s, 0.0) == pytest.approx(l2hs_norm(f, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("s,bb", [(2.0, 0.6), (0.0, 0.3), (1.0, 0.9)])
+def test_tapered_free_solution_norm_factorizes(d, N, s, bb):
+    # || psi e^{itL} v0 ||_{X^{s,b}} = || psi ||_{H^b} || v0 ||_{H^s}: exactly
+    # for the window's own H^b of the taper, and to the window discretization
+    # (0.33% at b = 0.6) for the H^b(R) norm by oversampled quadrature
+    spec = b.make_torus(d, N, 1.0)
+    v0 = band_limited(spec, np.random.default_rng(1), 3)
+    g = tapered_free_solution(v0, spec, TWO_PI, 128)
+    lhs = xsb_norm(g, s, bb)
+    one = np.zeros((128,) + spec.shape)
+    one[(slice(None),) + (0,) * d] = g.taper  # the taper on the zero mode
+    window_hb = hb_hs_norm(SpaceTimeField(spec, TWO_PI, one, g.taper), 0.0, bb)
+    assert lhs == pytest.approx(window_hb * hs_norm(spec, v0, s), rel=1e-12)
+    line_hb = time_sobolev_norm_quadrature(g.taper, TWO_PI, bb)
+    assert lhs == pytest.approx(line_hb * hs_norm(spec, v0, s), rel=5e-3)
+
+
+def test_xsb_needs_a_tapered_field():
+    spec = b.make_torus(1, 16, 1.0)
+    f = random_spacetime_field(spec, np.random.default_rng(0), TWO_PI, 32, 2, 4)
+    bare = SpaceTimeField(spec, TWO_PI, f.values, None)
+    with pytest.raises(ValueError, match="tapered"):
+        xsb_norm(bare, 1.0, 0.5)
+    assert hb_hs_norm(bare, 1.0, 0.5) > 0.0  # the plain norm takes any field
+
+
+@pytest.mark.parametrize("time_band", [0, -1, 16, 40])
+def test_random_field_rejects_a_time_band_out_of_range(time_band):
+    spec = b.make_torus(1, 16, 1.0)
+    with pytest.raises(ValueError, match="time band"):
+        random_spacetime_field(spec, np.random.default_rng(0), TWO_PI, 32, 2, time_band)

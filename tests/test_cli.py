@@ -102,3 +102,29 @@ def test_cli_import_leaves_sympy_unloaded():
         "assert 'sympy' not in sys.modules, 'sympy imported eagerly'"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+GCC_CHECK = "[experiment]\nkind = gcc-check\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (GCC_CHECK + "[manifold]\nd = 3\n", "d = 1 or 2"),
+        (GCC_CHECK + "[gcc]\neps_t = 0\n", "eps_t must be positive"),
+        (GCC_CHECK + "[gcc]\nt_max = -1\n", "t_max must be positive"),
+        (GCC_CHECK + "[gcc]\nstarts_per_dim = 0\n", "starts_per_dim"),
+        (GCC_CHECK + "[manifold]\nd = 1\n[region]\ntype = two-strips\n",
+         "strip axis 1 out of range"),
+        ("[experiment]\nkind = resonance-sweep\n[sweep]\nK_max = 8\n"
+         "beta_p = 2\nbeta_q = 4\n", "lowest terms"),
+    ],
+    ids=["gcc-d3", "gcc-eps_t", "gcc-t_max", "gcc-starts", "gcc-region", "resonance-beta"],
+)
+def test_validate_catches_what_the_survey_run_rejects(tmp_path, capsys, text, message):
+    path = write_config(tmp_path, text)
+    assert main(["validate", path]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

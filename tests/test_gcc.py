@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import b4nls as b
-from b4nls.gcc import GeodesicQuery, farey_directions
+from b4nls.gcc import GeodesicQuery, _default_scan_dt, _scan_hit_times, farey_directions
+from b4nls.regions import contains, contains_points
 
 PI = math.pi
 
@@ -224,3 +226,112 @@ def test_union_scan_resolves_thin_part():
     t_thin = b.first_hit_time(torus_query((4.0, 0.0), (0.0, 1.0), thin, t_max=10.0))
     assert t_thin == pytest.approx(1.0, abs=1e-5)
     assert t_union == pytest.approx(t_thin, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the array scan against the scalar oracle
+# ---------------------------------------------------------------------------
+
+def test_scan_records_are_the_scalar_hit_times():
+    # every record of the family scan, misses included, is first_hit_time of
+    # its geodesic; the family stops at the first start with a miss
+    # starts with x in {0, pi/2} lie in the strip; x = pi is the first to miss
+    region = b.RegionUnion((b.Strip(-0.5, 1.7, 0), b.Ball((4.0, 4.0), 0.5)))
+    scan = b.torus_gcc_time(region, 2, t_max=12.0, starts_per_dim=4, farey_max_den=3,
+                            n_angles=6, eps_t=1e-6)
+    n_dir = len(farey_directions(3)) + 6
+    assert not scan.holds_on_sample
+    assert len(scan.records) == 9 * n_dir
+    last_start = scan.records[-n_dir:]
+    missed = [r for r in last_start if r.hit_time is None]
+    assert missed and all(r.hit_time is not None for r in scan.records[:-n_dir])
+    assert scan.witness.start == missed[-1].start
+    assert scan.witness.direction == missed[-1].direction
+    for rec in scan.records:
+        q = torus_query(rec.start, rec.direction, region, t_max=12.0, eps_t=1e-6)
+        assert b.first_hit_time(q) == rec.hit_time
+
+
+def test_scan_rejects_a_nonpositive_horizon_tolerance_or_sample():
+    region = b.Strip(PI / 2, 3 * PI / 2, 0)
+    with pytest.raises(ValueError, match="t_max"):
+        b.torus_gcc_time(region, 2, t_max=0.0)
+    with pytest.raises(ValueError, match="eps_t"):
+        b.torus_gcc_time(region, 2, t_max=5.0, eps_t=0.0)
+    # an empty family would report the condition as holding
+    with pytest.raises(ValueError, match="starts_per_dim"):
+        b.torus_gcc_time(region, 2, t_max=5.0, starts_per_dim=0)
+
+
+def test_array_membership_equals_contains_on_the_boundary():
+    # points on ball circles and at strip edges, where depth is a few ulp:
+    # squaring by x * x instead of Python's ** flips 3 of the ball points
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        c = tuple(rng.uniform(0.0, 2 * PI, 2))
+        r = rng.uniform(0.1, 2.0)
+        th = rng.uniform(0.0, 2 * PI, 2000)
+        pts = np.stack([c[0] + r * np.cos(th), c[1] + r * np.sin(th)], -1) % (2 * PI)
+        lo = float(rng.uniform(-7.0, 7.0))
+        union = b.RegionUnion((b.Ball(c, r), b.Strip(lo, lo + 1.0, 1)))
+        pts[:4, 1] = [np.nextafter(y, y + s) for y in (lo, lo + 1.0) for s in (-1.0, 1.0)]
+        for region in (b.Ball(c, r), b.Ball(c[:1], r), union):
+            d = len(region.center) if isinstance(region, b.Ball) else 2
+            got = contains_points(region, pts[:, :d])
+            assert got.tolist() == [contains(region, tuple(p)) for p in pts[:, :d]]
+
+
+def _strips(d):
+    return st.builds(
+        lambda lo, width, axis: b.Strip(lo, lo + width, axis),
+        st.floats(-7.0, 7.0), st.floats(0.01, 6.2), st.integers(0, d - 1),
+    )
+
+
+def _balls(d):
+    return st.builds(
+        b.Ball,
+        st.tuples(*[st.floats(0.0, 2 * PI)] * d), st.floats(0.05, 2.0),
+    )
+
+
+@st.composite
+def _scan_cases(draw):
+    d = draw(st.integers(1, 2))
+    part = st.one_of(_strips(d), _balls(d))
+    region = draw(st.one_of(
+        part, st.builds(lambda ps: b.RegionUnion(tuple(ps)), st.lists(part, min_size=1, max_size=3))
+    ))
+    coord = st.floats(-10.0, 10.0)
+    geodesics = draw(st.lists(
+        st.tuples(st.tuples(*[coord] * d), st.tuples(*[st.floats(-1.0, 1.0)] * d))
+        .filter(lambda g: math.hypot(*g[1]) > 0.1),
+        min_size=1, max_size=6,
+    ))
+    t_max = draw(st.floats(0.5, 20.0))
+    eps_t = draw(st.floats(1e-7, 1e-2))
+    scan_dt = draw(st.one_of(st.none(), st.floats(0.01, 0.5)))
+    return region, geodesics, t_max, eps_t, scan_dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_cases())
+def test_array_scan_equals_the_scalar_scan(case):
+    region, geodesics, t_max, eps_t, scan_dt = case
+    queries = [
+        torus_query(s, v, region, t_max=t_max, eps_t=eps_t, scan_dt=scan_dt)
+        for s, v in geodesics
+    ]
+    dt = scan_dt if scan_dt is not None else _default_scan_dt(region, eps_t)
+    hits = _scan_hit_times(
+        region,
+        np.array([q.start for q in queries]),
+        np.array([q.direction for q in queries]),
+        t_max, eps_t, dt,
+    )
+    for q, h in zip(queries, hits):
+        expected = b.first_hit_time(q)
+        if expected is None:
+            assert np.isnan(h)
+        else:
+            assert h == expected

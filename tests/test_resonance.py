@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from b4nls import resonance as rz
 
@@ -136,3 +137,42 @@ def test_counting_sweep_small():
 def test_counting_sweep_requires_power_of_two():
     with pytest.raises(rz.ResonanceError):
         rz.counting_sweep(24, 0, 1)
+
+
+def _sweep_from_tables(K_max, p, q):
+    """counting_sweep's rows and max counts read off build_table: the max
+    count and the first maximal bucket in the table's order."""
+    rows, counts = [], []
+    K = 1
+    while K <= K_max:
+        table = rz.build_table(K, K, p, q)
+        tau, pairs = max(table.buckets.items(), key=lambda kv: len(kv[1]))
+        rows.append((K, tau.numerator, tau.denominator, len(pairs)))
+        counts.append(table.max_count)
+        K *= 2
+    return tuple(rows), tuple(counts)
+
+
+def test_counting_sweep_keeps_exact_keys_past_int64():
+    # q 2 A^2 + |p| 2 A reaches 2^63 at K = 8 (A = 15 * 19), so int64 keys
+    # would wrap; the sweep must fall back to exact integers
+    p, q, K_max = 1, 10**15 + 1, 8
+    a_top = (2 * K_max - 1) * (2 * K_max + 3)
+    assert q * 2 * a_top**2 + abs(p) * 2 * a_top >= 2**63
+    sweep = rz.counting_sweep(K_max, p, q)
+    assert (sweep.rows, sweep.max_counts) == _sweep_from_tables(K_max, p, q)
+
+
+@st.composite
+def _betas(draw):
+    q = draw(st.one_of(st.integers(1, 60), st.integers(10**14, 10**17)))
+    p = draw(st.integers(-60, 60).filter(lambda p: math.gcd(p, q) == 1))
+    return p, q
+
+
+@settings(max_examples=40, deadline=None)
+@given(_betas(), st.sampled_from([1, 2, 4, 8, 16, 32]))
+def test_counting_sweep_equals_the_table_oracle(beta, K_max):
+    p, q = beta
+    sweep = rz.counting_sweep(K_max, p, q)
+    assert (sweep.rows, sweep.max_counts) == _sweep_from_tables(K_max, p, q)
