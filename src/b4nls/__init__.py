@@ -50,7 +50,6 @@ from .hum import (
     ControlProblem,
     ControlStagnationError,
     ContractionFailure,
-    apply_lambda,
     solve_linear_control,
     solve_nonlinear_control,
     verify_certificate,

@@ -241,6 +241,12 @@ class GainProbeResult:
     skipped: int
 
 
+def check_gain_exponents(b: float, b_prime: float) -> None:
+    """Raise ValueError outside the range of the gain estimate."""
+    if not (0.0 < b_prime < 0.5 < b and b + b_prime <= 1.0):
+        raise ValueError("need 0 < b' < 1/2 < b and b + b' <= 1")
+
+
 def duhamel_gain_probe(
     b: float,
     b_prime: float,
@@ -255,8 +261,7 @@ def duhamel_gain_probe(
     Valid parameter range 0 < b' < 1/2 < b, b + b' <= 1. Zero signals are
     skipped (0/0 guard).
     """
-    if not (0.0 < b_prime < 0.5 < b and b + b_prime <= 1.0):
-        raise ValueError("need 0 < b' < 1/2 < b and b + b' <= 1")
+    check_gain_exponents(b, b_prime)
     if max(T_values) > 1.0:
         raise ValueError("the gain estimate is for T <= 1")
     if rng is None:

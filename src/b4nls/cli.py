@@ -11,7 +11,8 @@ seed in the config, so a fixed config produces byte-identical CSV output.
     b4nls describe <experiment>
 
 Exit status is 0 on success, 2 for a bad config or input, and 1 when a
-solver fails (blow-up, stalled CG, failed contraction).
+solver fails (blow-up, stalled CG, failed contraction). `validate` is `run`
+without the solve, so bad input fails before an output directory exists.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import __version__
 from .regions import Ball, FullRegion, RegionUnion, Strip
 from .spectral import (
     SpectralField,
+    band_mode_mask,
     basis_field,
     make_damping_profile,
     make_torus,
@@ -61,7 +63,7 @@ from .linalg import IterationError
 from .observability import gramian_sweep
 from .gcc import check_torus_scan, torus_gcc_time
 from .resonance import ResonanceError, _check_beta, counting_sweep
-from .bourgain import duhamel_gain_probe, trilinear_constant_probe
+from .bourgain import check_gain_exponents, duhamel_gain_probe, trilinear_constant_probe
 
 EXPERIMENTS = (
     "simulate",
@@ -120,15 +122,18 @@ def _build_region(cfg, d):
         return Strip(lo, hi, axis)
     if kind == "ball":
         r = _get(cfg, "region", "radius", float, required=True)
-        cx = _get(cfg, "region", "center_x", float, math.pi)
-        cy = _get(cfg, "region", "center_y", float, math.pi)
-        center = (cx,) if d == 1 else (cx, cy)
+        center = tuple(_get(cfg, "region", f"center_{a}", float, math.pi) for a in "xyz"[:d])
         return Ball(center, r)
     if kind == "two-strips":
         lo = _get(cfg, "region", "lo", float, 0.0)
         hi = _get(cfg, "region", "hi", float, 1.0)
         return RegionUnion((Strip(lo, hi, 0), Strip(lo, hi, 1)))
     raise ConfigError(f"unknown region type {kind!r}")
+
+
+def _build_profile(cfg, spec):
+    region = _build_region(cfg, spec.d)
+    return make_damping_profile(spec, region, _get(cfg, "region", "smoothing_width", float, None))
 
 
 def _build_datum(cfg, spec, rng) -> SpectralField:
@@ -139,32 +144,13 @@ def _build_datum(cfg, spec, rng) -> SpectralField:
     if kind == "plane-wave":
         mode = _get(cfg, "run", "datum_mode", int, 1)
         amp = _get(cfg, "run", "datum_amplitude", float, 1.0)
-        k = mode if spec.d == 1 else (mode,) * spec.d
-        return basis_field(spec, k, amp)
+        return basis_field(spec, (mode,) * spec.d, amp)
     if kind == "random":
         decay = _get(cfg, "run", "datum_decay", float, 4.0)
         band = _get(cfg, "run", "datum_band", int, None)
         u = random_field(spec, rng, decay=decay, band=band)
         return normalize_sobolev(u, 2.0, norm)
     raise ConfigError(f"unknown datum kind {kind!r}")
-
-
-def _check_control_band(cfg):
-    """The dual datum lives on the control band, so the datum must too."""
-    band = _get(cfg, "control", "control_band", int, None)
-    if band is None:
-        return
-    if band < 0:
-        raise ConfigError(f"[control] control_band must be >= 0, got {band}")
-    kind = _get(cfg, "run", "datum", str, "random")
-    if kind == "random":
-        datum_band = _get(cfg, "run", "datum_band", int, None)
-        if datum_band is None or datum_band > band:
-            raise ConfigError(
-                f"[run] datum_band must be set and <= [control] control_band = {band}"
-            )
-    if kind == "plane-wave" and abs(_get(cfg, "run", "datum_mode", int, 1)) > band:
-        raise ConfigError(f"[run] datum_mode lies outside [control] control_band = {band}")
 
 
 def _build_solver(cfg) -> SolverConfig:
@@ -178,6 +164,20 @@ def _build_solver(cfg) -> SolverConfig:
     )
 
 
+def _flow(cfg, rng, T_default):
+    """The datum, solver, horizon and snapshot stride of a flow run."""
+    spec = _build_spec(cfg)
+    solver = _build_solver(cfg)
+    u0 = _build_datum(cfg, spec, rng)
+    T = _get(cfg, "run", "T", float, T_default)
+    if not T > 0.0:
+        raise ConfigError(f"[run] T must be positive, got {T}")
+    stride = _get(cfg, "run", "snapshot_stride", int, None)  # None: a tenth of the records
+    if stride is not None and stride < 1:
+        raise ConfigError(f"[run] snapshot_stride must be >= 1, got {stride}")
+    return u0, solver, T, stride
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -186,240 +186,264 @@ def _write_csv(path, header, rows):
             w.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
-def _control_trace(spec, times, samples, k_nl) -> EvolutionTrace:
-    return EvolutionTrace(
-        spec=spec,
-        times=np.asarray(times),
-        states=np.asarray(samples),
-        masses=mass(spec, samples),
-        energies=energy(spec, samples, k_nl, include_potential=False),
-        fluxes=np.zeros(len(times)),
-        damped=False,
-        k_nl=k_nl,
-    )
-
-
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns a list of artifact names it wrote
+# experiment builders: each parses and checks its whole config, draws the
+# datum, and returns run(outdir), which does the rest and returns the names
+# of the artifacts it wrote. The solvers are looked up as module globals at
+# run time.
 # ---------------------------------------------------------------------------
 
-_DEFAULT_T = {"simulate": 1.0, "stabilize": 20.0}  # [run] T when not given
+def _simulate(cfg, rng):
+    u0, solver, T, stride = _flow(cfg, rng, 1.0)
 
-def _run_simulate(cfg, outdir, rng):
+    def run(outdir):
+        trace = evolve_nonlinear(u0, T, solver)
+        save_trace(trace, outdir, snapshot_stride=stride or max(1, trace.n_records // 10))
+        dm = abs(trace.masses[-1] - trace.masses[0]) / max(trace.masses[0], 1e-300)
+        de = abs(trace.energies[-1] - trace.energies[0]) / max(abs(trace.energies[0]), 1e-300)
+        _write_csv(
+            os.path.join(outdir, "summary.csv"),
+            ["T", "mass_drift", "energy_drift"],
+            [[float(T), float(dm), float(de)]],
+        )
+        return ["ledger.csv", "summary.csv"]
+
+    return run
+
+
+def _stabilize(cfg, rng):
+    u0, solver, T, stride = _flow(cfg, rng, 20.0)
+    profile = _build_profile(cfg, u0.spec)
+
+    def run(outdir):
+        trace = evolve_damped(u0, profile, T, solver)
+        save_trace(trace, outdir, snapshot_stride=stride or max(1, trace.n_records // 10))
+        aud = audit_dissipation(trace)
+        fit = fit_decay_rate(trace.times, trace.energies)
+        _write_csv(
+            os.path.join(outdir, "decay_summary.csv"),
+            ["gamma", "r_squared", "E0", "ET", "audit_lhs", "audit_rhs", "audit_mismatch"],
+            [[fit.gamma, fit.r_squared, float(trace.energies[0]), float(trace.energies[-1]),
+              aud.lhs, aud.rhs, aud.mismatch]],
+        )
+        return ["ledger.csv", "decay_summary.csv"]
+
+    return run
+
+
+def _control_problem(cfg, rng) -> ControlProblem:
+    """The datum, checked against the control band (the dual datum lives on
+    the band, so the datum must too), and the problem it poses."""
     spec = _build_spec(cfg)
     solver = _build_solver(cfg)
     u0 = _build_datum(cfg, spec, rng)
-    T = _get(cfg, "run", "T", float, _DEFAULT_T["simulate"])
-    trace = evolve_nonlinear(u0, T, solver)
-    stride = _get(cfg, "run", "snapshot_stride", int, max(1, trace.n_records // 10))
-    save_trace(trace, outdir, snapshot_stride=stride)
-    dm = abs(trace.masses[-1] - trace.masses[0]) / max(trace.masses[0], 1e-300)
-    de = abs(trace.energies[-1] - trace.energies[0]) / max(abs(trace.energies[0]), 1e-300)
-    _write_csv(
-        os.path.join(outdir, "summary.csv"),
-        ["T", "mass_drift", "energy_drift"],
-        [[float(T), float(dm), float(de)]],
-    )
-    return ["ledger.csv", "summary.csv"]
-
-
-def _run_stabilize(cfg, outdir, rng):
-    spec = _build_spec(cfg)
-    solver = _build_solver(cfg)
-    u0 = _build_datum(cfg, spec, rng)
-    T = _get(cfg, "run", "T", float, _DEFAULT_T["stabilize"])
-    region = _build_region(cfg, spec.d)
-    width = _get(cfg, "region", "smoothing_width", float, None)
-    profile = make_damping_profile(spec, region, width)
-    trace = evolve_damped(u0, profile, T, solver)
-    stride = _get(cfg, "run", "snapshot_stride", int, max(1, trace.n_records // 10))
-    save_trace(trace, outdir, snapshot_stride=stride)
-    aud = audit_dissipation(trace)
-    fit = fit_decay_rate(trace.times, trace.energies)
-    _write_csv(
-        os.path.join(outdir, "decay_summary.csv"),
-        ["gamma", "r_squared", "E0", "ET", "audit_lhs", "audit_rhs", "audit_mismatch"],
-        [[fit.gamma, fit.r_squared, float(trace.energies[0]), float(trace.energies[-1]),
-          aud.lhs, aud.rhs, aud.mismatch]],
-    )
-    return ["ledger.csv", "decay_summary.csv"]
-
-
-def _control_problem(cfg, spec, u0, rng):
-    region = _build_region(cfg, spec.d)
-    width = _get(cfg, "region", "smoothing_width", float, None)
-    phi = make_damping_profile(spec, region, width)
+    band = _get(cfg, "control", "control_band", int, None)
+    kind = _get(cfg, "run", "datum", str, "random")
+    if band is not None and band < 0:
+        raise ConfigError(f"[control] control_band must be >= 0, got {band}")
+    datum_band = _get(cfg, "run", "datum_band", int, None)
+    if band is not None and kind == "random" and (datum_band is None or datum_band > band):
+        raise ConfigError(f"[run] datum_band must be set and <= [control] control_band = {band}")
+    if band is not None and kind == "plane-wave" and abs(_get(cfg, "run", "datum_mode", int, 1)) > band:
+        raise ConfigError(f"[run] datum_mode lies outside [control] control_band = {band}")
     return ControlProblem(
         spec=spec,
         u0=u0,
         T=_get(cfg, "run", "T", float, 1.0),
-        phi=phi,
-        k_nl=_get(cfg, "solver", "k_nl", int, 1),
+        phi=_build_profile(cfg, spec),
+        k_nl=solver.k_nl,
         cg_tol=_get(cfg, "control", "cg_tol", float, 1e-9),
         cg_max_iter=_get(cfg, "control", "cg_max_iter", int, 600),
         fixedpoint_tol=_get(cfg, "control", "fixedpoint_tol", float, 1e-8),
-        control_band=_get(cfg, "control", "control_band", int, None),
+        control_band=band,
         verify_dt=_get(cfg, "control", "verify_dt", float, 1e-4),
         solve_dt=_get(cfg, "control", "solve_dt", float, 1e-3),
     )
 
 
-def _run_control_linear(cfg, outdir, rng):
-    spec = _build_spec(cfg)
-    u0 = _build_datum(cfg, spec, rng)
-    prob = _control_problem(cfg, spec, u0, rng)
-    cert = solve_linear_control(prob)
+def _save_control(outdir, prob, cert, certificate_rows, summary_header, summary_row):
+    """certificate.csv, summary.csv and the control samples as a trace."""
+    spec, samples = prob.spec, np.asarray(cert.control_samples)
     _write_csv(
         os.path.join(outdir, "certificate.csv"),
         ["iteration", "residual", "contraction_ratio"],
-        [[int(cert.cg_iterations[0]), cert.terminal_residual, 0.0]],
+        certificate_rows,
     )
-    ctrace = _control_trace(spec, cert.control_times, cert.control_samples, prob.k_nl)
+    ctrace = EvolutionTrace(
+        spec=spec, times=np.asarray(cert.control_times), states=samples,
+        masses=mass(spec, samples),
+        energies=energy(spec, samples, prob.k_nl, include_potential=False),
+        fluxes=np.zeros(len(samples)), damped=False, k_nl=prob.k_nl,
+    )
     save_trace(ctrace, os.path.join(outdir, "control"), snapshot_stride=25)
-    _write_csv(
-        os.path.join(outdir, "summary.csv"),
-        ["terminal_residual", "relative_residual", "integrator_residual", "cg_iterations"],
-        [[cert.terminal_residual, cert.relative_residual,
-          float(cert.integrator_residual), int(cert.cg_iterations[0])]],
-    )
+    _write_csv(os.path.join(outdir, "summary.csv"), summary_header, [summary_row])
     return ["certificate.csv", "summary.csv", "control/ledger.csv"]
 
 
-def _run_control_nonlinear(cfg, outdir, rng):
-    spec = _build_spec(cfg)
-    u0 = _build_datum(cfg, spec, rng)
-    prob = _control_problem(cfg, spec, u0, rng)
-    cert = solve_nonlinear_control(prob)
-    rows = []
-    for i, diff in enumerate(cert.fixedpoint_diffs):
-        ratio = cert.contraction_ratios[i - 1] if i >= 1 else 0.0
-        rows.append([i, float(diff), float(ratio)])
-    _write_csv(
-        os.path.join(outdir, "certificate.csv"),
-        ["iteration", "residual", "contraction_ratio"],
-        rows,
-    )
-    ctrace = _control_trace(spec, cert.control_times, cert.control_samples, prob.k_nl)
-    save_trace(ctrace, os.path.join(outdir, "control"), snapshot_stride=25)
-    _write_csv(
-        os.path.join(outdir, "summary.csv"),
-        ["terminal_residual", "relative_residual", "iterations"],
-        [[cert.terminal_residual, cert.relative_residual, len(cert.fixedpoint_diffs)]],
-    )
-    return ["certificate.csv", "summary.csv", "control/ledger.csv"]
+def _control_linear(cfg, rng):
+    prob = _control_problem(cfg, rng)
 
-
-def _run_observability(cfg, outdir, rng):
-    spec = _build_spec(cfg)
-    region = _build_region(cfg, spec.d)
-    width = _get(cfg, "region", "smoothing_width", float, None)
-    T = _get(cfg, "run", "T", float, 1.0)
-    j_raw = _get(cfg, "sweep", "j_values", str, "2,3,4,5,6")
-    j_values = [int(x) for x in j_raw.split(",")]
-    quad_dt = _get(cfg, "sweep", "quad_dt", float, 1e-3)
-    reports = gramian_sweep(spec, region, T, j_values, quad_dt, width)
-    _write_csv(
-        os.path.join(outdir, "gramian.csv"),
-        ["h", "band_dim", "T", "min_eig", "max_eig"],
-        [[r.h, r.band_dim, r.T, r.min_eig, r.max_eig] for r in reports],
-    )
-    return ["gramian.csv"]
-
-
-def _gcc_args(cfg) -> dict:
-    """torus_gcc_time's arguments from [manifold], [region] and [gcc],
-    checked so that a bad scan fails before the run."""
-    d = _get(cfg, "manifold", "d", int, 2)
-    args = dict(
-        region=_build_region(cfg, d),
-        d=d,
-        t_max=_get(cfg, "gcc", "t_max", float, 50.0),
-        starts_per_dim=_get(cfg, "gcc", "starts_per_dim", int, 8),
-        farey_max_den=_get(cfg, "gcc", "farey_max_den", int, 6),
-        n_angles=_get(cfg, "gcc", "n_angles", int, 32),
-        eps_t=_get(cfg, "gcc", "eps_t", float, 1e-4),
-    )
-    try:
-        check_torus_scan(
-            args["region"], d, args["t_max"], args["eps_t"], args["starts_per_dim"]
+    def run(outdir):
+        cert = solve_linear_control(prob)
+        return _save_control(
+            outdir, prob, cert,
+            [[int(cert.cg_iterations[0]), cert.terminal_residual, 0.0]],
+            ["terminal_residual", "relative_residual", "integrator_residual", "cg_iterations"],
+            [cert.terminal_residual, cert.relative_residual,
+             float(cert.integrator_residual), int(cert.cg_iterations[0])],
         )
+
+    return run
+
+
+def _control_nonlinear(cfg, rng):
+    prob = _control_problem(cfg, rng)
+
+    def run(outdir):
+        cert = solve_nonlinear_control(prob)
+        rows = [
+            [i, float(diff), float(cert.contraction_ratios[i - 1]) if i >= 1 else 0.0]
+            for i, diff in enumerate(cert.fixedpoint_diffs)
+        ]
+        return _save_control(
+            outdir, prob, cert, rows,
+            ["terminal_residual", "relative_residual", "iterations"],
+            [cert.terminal_residual, cert.relative_residual, len(cert.fixedpoint_diffs)],
+        )
+
+    return run
+
+
+def _observability(cfg, rng):
+    spec = _build_spec(cfg)
+    profile = _build_profile(cfg, spec)
+    T = _get(cfg, "run", "T", float, 1.0)
+    if not T >= 0.0:
+        raise ConfigError(f"[run] T must be >= 0, got {T}")
+    j_values = _get(cfg, "sweep", "j_values", lambda raw: [int(x) for x in raw.split(",")],
+                    [2, 3, 4, 5, 6])
+    quad_dt = _get(cfg, "sweep", "quad_dt", float, 1e-3)
+    if not quad_dt > 0.0:
+        raise ConfigError(f"[sweep] quad_dt must be positive, got {quad_dt}")
+    for j in j_values:
+        if not band_mode_mask(spec, 2.0 ** (-j)).any():
+            raise ConfigError(f"[sweep] j = {j}: no lattice mode falls in the h = 2^-{j} band")
+
+    def run(outdir):
+        reports = gramian_sweep(spec, profile.region, T, j_values, quad_dt, profile.smoothing_width)
+        _write_csv(
+            os.path.join(outdir, "gramian.csv"),
+            ["h", "band_dim", "T", "min_eig", "max_eig"],
+            [[r.h, r.band_dim, r.T, r.min_eig, r.max_eig] for r in reports],
+        )
+        return ["gramian.csv"]
+
+    return run
+
+
+def _gcc_check(cfg, rng):
+    d = _get(cfg, "manifold", "d", int, 2)
+    region = _build_region(cfg, d)
+    t_max = _get(cfg, "gcc", "t_max", float, 50.0)
+    eps_t = _get(cfg, "gcc", "eps_t", float, 1e-4)
+    starts = _get(cfg, "gcc", "starts_per_dim", int, 8)
+    farey = _get(cfg, "gcc", "farey_max_den", int, 6)
+    n_angles = _get(cfg, "gcc", "n_angles", int, 32)
+    try:
+        check_torus_scan(region, d, t_max, eps_t, starts, n_angles)
     except ValueError as exc:
         raise ConfigError(f"gcc-check: {exc}") from exc
-    return args
+
+    def run(outdir):
+        scan = torus_gcc_time(region, d, t_max, starts, farey, n_angles, eps_t)
+        rows = [
+            [" ".join(repr(float(x)) for x in rec.start),
+             " ".join(repr(float(x)) for x in rec.direction),
+             repr(float(rec.hit_time)) if rec.hit_time is not None else "miss"]
+            for rec in scan.records
+        ]
+        _write_csv(os.path.join(outdir, "geodesics.csv"), ["x0", "theta", "hit_time"], rows)
+        with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+            if scan.holds_on_sample:
+                fh.write(f"gcc holds on the sampled family\nT0 = {scan.t0!r}\n")
+            else:
+                w = scan.witness
+                fh.write(
+                    "gcc fails: witness geodesic\n"
+                    f"start = {w.start!r}\ndirection = {w.direction!r}\n"
+                    f"t_max = {w.t_max!r}\n"
+                )
+        return ["geodesics.csv", "summary.txt"]
+
+    return run
 
 
-def _run_gcc(cfg, outdir, rng):
-    scan = torus_gcc_time(**_gcc_args(cfg))
-    rows = []
-    for rec in scan.records:
-        rows.append([
-            " ".join(repr(float(x)) for x in rec.start),
-            " ".join(repr(float(x)) for x in rec.direction),
-            repr(float(rec.hit_time)) if rec.hit_time is not None else "miss",
-        ])
-    _write_csv(os.path.join(outdir, "geodesics.csv"), ["x0", "theta", "hit_time"], rows)
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        if scan.holds_on_sample:
-            fh.write(f"gcc holds on the sampled family\nT0 = {scan.t0!r}\n")
-        else:
-            w = scan.witness
-            fh.write(
-                "gcc fails: witness geodesic\n"
-                f"start = {w.start!r}\ndirection = {w.direction!r}\n"
-                f"t_max = {w.t_max!r}\n"
-            )
-    return ["geodesics.csv", "summary.txt"]
-
-
-def _run_resonance(cfg, outdir, rng):
+def _resonance(cfg, rng):
     K_max = _get(cfg, "sweep", "K_max", int, 1024)
     p = _get(cfg, "sweep", "beta_p", int, 0)
     q = _get(cfg, "sweep", "beta_q", int, 1)
-    sweep = counting_sweep(K_max, p, q)
-    _write_csv(
-        os.path.join(outdir, "resonance.csv"),
-        ["K", "tau_numerator", "tau_denominator", "count"],
-        [list(row) for row in sweep.rows],
-    )
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        fh.write(f"beta = {p}/{q}\n")
-        fh.write(f"dyadic_K = {list(sweep.dyadic_K)!r}\n")
-        fh.write(f"max_counts = {list(sweep.max_counts)!r}\n")
-        fh.write(f"growth_exponent = {sweep.growth_exponent!r}\n")
-    return ["resonance.csv", "summary.txt"]
+    if K_max < 1 or K_max & (K_max - 1) != 0:
+        raise ConfigError("K_max must be a power of two")
+    try:
+        _check_beta(p, q)
+    except ResonanceError as exc:
+        raise ConfigError(f"[sweep] beta_p/beta_q: {exc}") from exc
+
+    def run(outdir):
+        sweep = counting_sweep(K_max, p, q)
+        _write_csv(
+            os.path.join(outdir, "resonance.csv"),
+            ["K", "tau_numerator", "tau_denominator", "count"],
+            [list(row) for row in sweep.rows],
+        )
+        with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+            fh.write(f"beta = {p}/{q}\n")
+            fh.write(f"dyadic_K = {list(sweep.dyadic_K)!r}\n")
+            fh.write(f"max_counts = {list(sweep.max_counts)!r}\n")
+            fh.write(f"growth_exponent = {sweep.growth_exponent!r}\n")
+        return ["resonance.csv", "summary.txt"]
+
+    return run
 
 
-def _run_bourgain(cfg, outdir, rng):
+def _bourgain(cfg, rng):
     spec = _build_spec(cfg)
     b = _get(cfg, "sweep", "b", float, 0.55)
     bp = _get(cfg, "sweep", "b_prime", float, 0.45)
     samples = _get(cfg, "sweep", "samples", int, 20)
-    gain = duhamel_gain_probe(b, bp, n_samples=samples, rng=rng)
     s = _get(cfg, "sweep", "s", float, 2.0)
-    tri_bp = min(bp, 0.49)
-    tri = trilinear_constant_probe(
-        spec, s, tri_bp, max(4, samples // 4), rng,
-        M_t=_get(cfg, "sweep", "M_t", int, 128),
-        space_band=_get(cfg, "sweep", "space_band", int, None),
-        time_band=_get(cfg, "sweep", "time_band", int, 8),
-    )
-    rows = [["gain_T_" + repr(float(T)), r] for T, r in zip(gain.T_values, gain.max_ratios)]
-    rows.append(["gain_fitted_exponent", gain.fitted_exponent])
-    rows.append(["gain_target_exponent", 1.0 - b - bp])
-    rows.append(["trilinear_max_ratio", tri.max_ratio])
-    _write_csv(os.path.join(outdir, "probe.csv"), ["name", "value"], rows)
-    return ["probe.csv"]
+    M_t = _get(cfg, "sweep", "M_t", int, 128)
+    space_band = _get(cfg, "sweep", "space_band", int, None)
+    time_band = _get(cfg, "sweep", "time_band", int, 8)
+    check_gain_exponents(b, bp)
+    if samples < 1 or M_t < 8 or M_t % 2 or not 0 < time_band < M_t // 2:
+        raise ConfigError("[sweep] need samples >= 1, M_t even >= 8 and 0 < time_band < M_t / 2")
+
+    def run(outdir):
+        gain = duhamel_gain_probe(b, bp, n_samples=samples, rng=rng)
+        tri = trilinear_constant_probe(
+            spec, s, min(bp, 0.49), max(4, samples // 4), rng,
+            M_t=M_t, space_band=space_band, time_band=time_band,
+        )
+        rows = [["gain_T_" + repr(float(T)), r] for T, r in zip(gain.T_values, gain.max_ratios)]
+        rows.append(["gain_fitted_exponent", gain.fitted_exponent])
+        rows.append(["gain_target_exponent", 1.0 - b - bp])
+        rows.append(["trilinear_max_ratio", tri.max_ratio])
+        _write_csv(os.path.join(outdir, "probe.csv"), ["name", "value"], rows)
+        return ["probe.csv"]
+
+    return run
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "stabilize": _run_stabilize,
-    "control-linear": _run_control_linear,
-    "control-nonlinear": _run_control_nonlinear,
-    "observability-sweep": _run_observability,
-    "gcc-check": _run_gcc,
-    "resonance-sweep": _run_resonance,
-    "bourgain-probe": _run_bourgain,
+_BUILDERS = {
+    "simulate": _simulate,
+    "stabilize": _stabilize,
+    "control-linear": _control_linear,
+    "control-nonlinear": _control_nonlinear,
+    "observability-sweep": _observability,
+    "gcc-check": _gcc_check,
+    "resonance-sweep": _resonance,
+    "bourgain-probe": _bourgain,
 }
 
 _DESCRIPTIONS = {
@@ -433,74 +457,51 @@ _DESCRIPTIONS = {
     "bourgain-probe": "time-integration gain and cubic bound probes; probe.csv",
 }
 
+_REGION_KEYS = "[region] type,lo,hi,axis/radius,center_x,center_y,center_z,smoothing_width"
 _KEYS = {
-    "simulate": "[manifold] d,N,beta  [solver] dt,k_nl,record_stride  [run] T,datum,...",
-    "stabilize": "[manifold] + [region] type,lo,hi/...,smoothing_width + [solver] + [run] T",
+    "simulate": "[manifold] d,N,beta  [solver] dt,k_nl,record_stride  [run] T,datum,...,snapshot_stride",
+    "stabilize": f"[manifold] + {_REGION_KEYS} + [solver] + [run] T,snapshot_stride",
     "control-linear": "[manifold] + [region] + [run] T,datum_band + [control] cg_tol,control_band,verify_dt",
     "control-nonlinear": "as control-linear plus [control] fixedpoint_tol, datum_norm small",
     "observability-sweep": "[manifold] + [region] + [run] T + [sweep] j_values,quad_dt",
-    "gcc-check": "[manifold] d + [region] + [gcc] t_max,eps_t,starts_per_dim,farey_max_den,n_angles",
+    "gcc-check": f"[manifold] d + {_REGION_KEYS} + [gcc] t_max,eps_t,starts_per_dim,farey_max_den,n_angles",
     "resonance-sweep": "[sweep] K_max,beta_p,beta_q",
     "bourgain-probe": "[manifold] + [sweep] b,b_prime,s,samples,M_t,space_band,time_band",
 }
 
 
 def validate_config(path) -> dict:
-    """Parse and construct everything an experiment needs, without running."""
+    """Parse and check the whole config and draw its datum: everything of a
+    run but the solve. Returns the kind, the seed, the [experiment] output
+    directory (None when unset) and run(outdir), the rest of the run; run
+    draws what remains of the seeded stream, so it is called once."""
     cfg = _load_config(path)
     kind = _get(cfg, "experiment", "kind", str, required=True)
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}; choose from {EXPERIMENTS}")
     seed = _get(cfg, "experiment", "seed", int, 0)
-    rng = np.random.default_rng(seed)
-    # construct the pieces so precondition violations surface here
-    if kind in ("simulate", "stabilize", "control-linear", "control-nonlinear",
-                "observability-sweep", "bourgain-probe"):
-        spec = _build_spec(cfg)
-        if kind in ("simulate", "stabilize", "control-linear", "control-nonlinear"):
-            _build_solver(cfg)
-            u0 = _build_datum(cfg, spec, rng)
-        if kind in ("simulate", "stabilize"):
-            T = _get(cfg, "run", "T", float, _DEFAULT_T[kind])
-            if not T > 0.0:
-                raise ConfigError(f"[run] T must be positive, got {T}")
-        if kind in ("stabilize", "observability-sweep"):
-            region = _build_region(cfg, spec.d)
-            width = _get(cfg, "region", "smoothing_width", float, None)
-            make_damping_profile(spec, region, width)
-        if kind in ("control-linear", "control-nonlinear"):
-            _check_control_band(cfg)
-            try:
-                _control_problem(cfg, spec, u0, rng)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-    if kind == "gcc-check":
-        _gcc_args(cfg)
-    if kind == "resonance-sweep":
-        K_max = _get(cfg, "sweep", "K_max", int, 1024)
-        if K_max < 1 or K_max & (K_max - 1) != 0:
-            raise ConfigError("K_max must be a power of two")
-        try:
-            _check_beta(_get(cfg, "sweep", "beta_p", int, 0), _get(cfg, "sweep", "beta_q", int, 1))
-        except ResonanceError as exc:
-            raise ConfigError(f"[sweep] beta_p/beta_q: {exc}") from exc
-    return {"kind": kind, "seed": seed}
+    try:
+        run = _BUILDERS[kind](cfg, np.random.default_rng(seed))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    output = _get(cfg, "experiment", "output", str, None)
+    return {"kind": kind, "seed": seed, "output": output, "run": run}
 
 
 def run_config(path, output=None) -> str:
     """Validate, run, and write artifacts; returns the output directory."""
     t0 = time.time()
     info = validate_config(path)
-    cfg = _load_config(path)
-    outdir = output or _get(cfg, "experiment", "output", str, None)
+    outdir = output or info["output"]
     if outdir is None:
         raise ConfigError("no output directory (set [experiment] output or --output)")
     os.makedirs(outdir, exist_ok=True)
     if not os.access(outdir, os.W_OK):
         raise ConfigError(f"output directory {outdir} is not writable")
-    rng = np.random.default_rng(info["seed"])
     try:
-        artifacts = _RUNNERS[info["kind"]](cfg, outdir, rng)
+        artifacts = info["run"](outdir)
     except Exception as exc:
         _write_manifest(path, outdir, info, t0, [], f"{type(exc).__name__}: {exc}")
         raise

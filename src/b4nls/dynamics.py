@@ -2,11 +2,11 @@
 
 Three flows share one exponential integrator:
 
-  free / forced / nonlinear   i u_t + (Lap^2 - beta Lap) u + g |u|^{2k} u = h
+  free / forced / nonlinear   i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u = h
   damped feedback             i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u + u
                                   = - a(x) (1 - Lap)^{-2} (a(x) u_t)
 
-with g = +1 the defocusing default. The generator is treated exactly in
+with the defocusing sign throughout. The generator is treated exactly in
 Fourier (fourth-order exponential time differencing, ETDRK4), which is the
 only practical choice given the |k|^4 stiffness.
 
@@ -59,13 +59,11 @@ class SolverConfig:
     """Integrator parameters.
 
     k_nl is the nonlinearity strength index: the potential term is
-    |u|^{2 k_nl} u (power alpha = 2 k_nl + 1). nonlinear_sign = +1 keeps the
-    defocusing convention; flip to -1 for the focusing variant.
+    |u|^{2 k_nl} u (power alpha = 2 k_nl + 1), with the defocusing sign.
     """
 
     dt: float = 1e-3
     k_nl: int = 1
-    nonlinear_sign: float = 1.0
     include_nonlinearity: bool = True
     inner_tol: float = 1e-12
     inner_max_iter: int = 400
@@ -216,7 +214,7 @@ def evolve_nonlinear(
     cfg: SolverConfig,
     forcing=None,
 ) -> EvolutionTrace:
-    """Integrate i u_t + (Lap^2 - beta Lap) u + g |u|^{2k} u = h.
+    """Integrate i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u = h.
 
     forcing, if given, is a callable t -> coefficient array (lattice order)
     evaluated at the integrator stage times. Without forcing the flow
@@ -239,7 +237,7 @@ def evolve_nonlinear(
         out = 0.0
         if use_nl:
             fc = nonlinear_term(spec, cc, cfg.k_nl)
-            out = 1j * cfg.nonlinear_sign * np.where(mask, fc, 0.0)
+            out = 1j * np.where(mask, fc, 0.0)
         if forcing is not None:
             h = np.asarray(forcing(t), dtype=complex)
             if use_nl:
@@ -348,7 +346,7 @@ def evolve_damped(
         if not cfg.include_nonlinearity:
             return np.zeros_like(cc)
         fc = nonlinear_term(spec, cc, cfg.k_nl)
-        return cfg.nonlinear_sign * np.where(mask, fc, 0.0)
+        return np.where(mask, fc, 0.0)
 
     inner_counts: list[int] = []
     w_minus_v = None  # of the last stage solve

@@ -74,10 +74,7 @@ class GeodesicQuery:
     def __post_init__(self):
         if self.manifold not in ("torus", "sphere2"):
             raise ValueError(f"unknown manifold {self.manifold!r}")
-        if self.eps_t <= 0.0:
-            raise ValueError("eps_t must be positive")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        _check_horizon(self.t_max, self.eps_t)
         d = np.asarray(self.direction, dtype=float)
         if self.manifold == "torus":
             n = float(np.linalg.norm(d))
@@ -99,6 +96,17 @@ class GeodesicQuery:
             object.__setattr__(self, "direction", tuple(d / nd))
             if not isinstance(self.region, SphereCap):
                 raise ValueError("sphere2 queries take a SphereCap region")
+
+
+def _check_horizon(t_max: float, eps_t: float) -> None:
+    """The bisection stops once hi - lo <= eps_t. Below t_max, adjacent
+    floats lie at most ulp(t_max) apart, so a smaller eps_t never stops."""
+    if not t_max > 0.0:
+        raise ValueError("t_max must be positive")
+    if not eps_t > 0.0:
+        raise ValueError("eps_t must be positive")
+    if eps_t < math.ulp(t_max):
+        raise ValueError(f"eps_t = {eps_t!r} is below ulp(t_max) = {math.ulp(t_max)!r}")
 
 
 def _torus_point(q: GeodesicQuery, t: float) -> tuple:
@@ -254,19 +262,18 @@ def _scan_hit_times(
 
 
 def check_torus_scan(
-    region: Region, d: int, t_max: float, eps_t: float, starts_per_dim: int
+    region: Region, d: int, t_max: float, eps_t: float, starts_per_dim: int, n_angles: int = 0
 ) -> None:
     """Raise ValueError unless `torus_gcc_time` can scan these arguments;
     an empty family would report the condition as holding."""
     if d not in (1, 2):
         raise ValueError("torus scans support d = 1 or 2")
     validate_region(region, d)
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
-    if not eps_t > 0.0:
-        raise ValueError("eps_t must be positive")
+    _check_horizon(t_max, eps_t)
     if starts_per_dim < 1:
         raise ValueError("starts_per_dim must be >= 1")
+    if n_angles < 0:
+        raise ValueError("n_angles must be >= 0")
 
 
 def torus_gcc_time(
@@ -285,7 +292,7 @@ def torus_gcc_time(
     after the first start with a miss, and the witness is the last direction
     that missed from it. Hit times equal `first_hit_time` of each geodesic.
     """
-    check_torus_scan(region, d, t_max, eps_t, starts_per_dim)
+    check_torus_scan(region, d, t_max, eps_t, starts_per_dim, n_angles)
     if d == 1:
         directions = [(1.0,), (-1.0,)]
         starts = [(x,) for x in np.linspace(0.0, TWO_PI, starts_per_dim, endpoint=False)]

@@ -12,9 +12,9 @@ On the truncated lattice Lambda has a closed form
     Lambda[l, k] = A[l, k] * E(X_k - X_l),   E(w) = int_0^T e^{iwt} dt,
 
 a Hadamard product of positive matrices, so Lambda stays positive
-semidefinite exactly. E can also be evaluated as the trapezoid sum over a
-uniform time grid (closed geometric form), which is what the observability
-Gramians use; both quadratures are available here for cross-checks.
+semidefinite exactly. The operator uses the exact time integral; the
+closed geometric form of the trapezoid sum over a uniform time grid is what
+the observability Gramians use (`time_average_kernel` gives both).
 
 The dual datum lives on a support S: the modes of the control band, or
 every mode without one. Nothing reads a column of Lambda or A outside S, so
@@ -63,6 +63,10 @@ from .spectral import (
 )
 
 
+# entries of A[:, S] and of Lambda[:, S] a ControlProblem may need (64 MiB each)
+MAX_OPERATOR_ENTRIES = 2**22
+
+
 class ControlStagnationError(RuntimeError):
     """CG failed to converge: practical loss of observability."""
 
@@ -86,7 +90,8 @@ class ControlProblem:
     the datum itself must live inside the band. This keeps the certification forward
     solve able to resolve the control's phases at a finite step size; the
     out-of-band leak of the control operator enters the certified residual
-    honestly.
+    honestly. A problem whose operator would exceed MAX_OPERATOR_ENTRIES
+    (n_modes x |S|) is refused before anything is assembled.
     """
 
     spec: ManifoldSpec
@@ -100,7 +105,6 @@ class ControlProblem:
     fixedpoint_tol: float = 1e-8
     fixedpoint_max_iter: int = 12
     smallness_delta: float = 0.1
-    quadrature: float | None = None  # None = exact time integral, float = trapezoid dt
     control_band: int | None = None
     verify_dt: float = 1e-4
     solve_dt: float = 1e-3
@@ -114,6 +118,13 @@ class ControlProblem:
             raise ValueError("target lives on a different spec")
         if self.control_band is not None and self.control_band < 0:
             raise ValueError("control band must be >= 0")
+        n = self.spec.n_modes
+        m = n if self.control_band is None else int(box_mask(self.spec, self.control_band).sum())
+        if n * m > MAX_OPERATOR_ENTRIES:
+            raise ValueError(
+                f"the HUM operator needs {2 * 16 * n * m} bytes for A and Lambda ({n} x {m} "
+                f"complex each), above the cap of {MAX_OPERATOR_ENTRIES} entries; narrow the band"
+            )
 
 
 @dataclass(frozen=True)
@@ -154,18 +165,8 @@ def multiplication_matrix(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     paths agree to roundoff.
     """
     vhat = np.fft.fftn(values) / spec.n_modes  # coefficient of e^{i m x}
-    n = spec.n_modes
-    if spec.d == 1:
-        idx = np.arange(n)
-        diff = (idx[:, None] - idx[None, :]) % spec.N
-        return vhat[diff]
-    ix = np.arange(spec.N)
-    lx, ly = np.meshgrid(ix, ix, indexing="ij")
-    lf = lx.ravel()
-    lg = ly.ravel()
-    dx = (lf[:, None] - lf[None, :]) % spec.N
-    dy = (lg[:, None] - lg[None, :]) % spec.N
-    return vhat[dx, dy]
+    idx = np.indices(spec.shape).reshape(spec.d, -1)
+    return vhat[tuple((idx[:, :, None] - idx[:, None, :]) % spec.N)]
 
 
 def time_average_kernel(
@@ -214,13 +215,11 @@ class HumOperator:
         spec: ManifoldSpec,
         phi: DampingProfile,
         T: float,
-        quadrature: float | None = None,
         band: int | None = None,
     ):
         self.spec = spec
         self.phi = phi
         self.T = T
-        self.quadrature = quadrature
         keep = np.ones(spec.shape, dtype=bool) if band is None else box_mask(spec, band)
         self.support = np.flatnonzero(keep)
         m = len(self.support)
@@ -233,7 +232,7 @@ class HumOperator:
         )
         self.A = cols.reshape(m, spec.n_modes).T  # phi (1-Lap)^{-2} phi, columns S
         X = spec.dispersion.ravel()
-        self.matrix = self.A * time_average_kernel(X, T, quadrature, self.support)
+        self.matrix = self.A * time_average_kernel(X, T, None, self.support)
         # without a band the block is the whole matrix, not a copy of it
         self.block = self.matrix if band is None else self.matrix[self.support]
 
@@ -244,17 +243,6 @@ class HumOperator:
     def control_weight(self, w: np.ndarray) -> np.ndarray:
         """A w = phi (1-Lap)^{-2} (phi w) for w given on S, as lattice coeffs."""
         return (self.A @ w).reshape(self.spec.shape)
-
-
-def apply_lambda(
-    v0: SpectralField,
-    T: float,
-    phi: DampingProfile,
-    quadrature: float | None = None,
-) -> SpectralField:
-    """Lambda v0 = int_0^T e^{-itL} phi (1-Lap)^{-2} (phi e^{itL} v0) dt."""
-    op = HumOperator(v0.spec, phi, T, quadrature)
-    return SpectralField(v0.spec, op.apply(v0.coeffs))
 
 
 def control_forcing(op: HumOperator, v0: np.ndarray):
@@ -370,7 +358,7 @@ def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
     """HUM synthesis for the linear equation: CG on Lambda v0 = rhs, then a
     forward solve of the controlled equation to certify the terminal state."""
     spec = prob.spec
-    op = HumOperator(spec, prob.phi, prob.T, prob.quadrature, prob.control_band)
+    op = HumOperator(spec, prob.phi, prob.T, band=prob.control_band)
     rhs = _transported_rhs(prob)
     rhs_norm = np.linalg.norm(rhs)
     if np.linalg.norm(np.delete(rhs.ravel(), op.support)) > 1e-12 * max(rhs_norm, 1.0):
@@ -465,7 +453,7 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
             f"{prob.smallness_delta:.3e}"
         )
     spec = prob.spec
-    op = HumOperator(spec, prob.phi, prob.T, prob.quadrature, prob.control_band)
+    op = HumOperator(spec, prob.phi, prob.T, band=prob.control_band)
     hm2 = sobolev_weights(spec, -2.0)
 
     def hm2_norm(c: np.ndarray) -> float:
@@ -523,7 +511,7 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
 def verify_certificate(prob: ControlProblem, cert: ControlCertificate) -> float:
     """Recompute the terminal residual of a certificate by a fresh forward
     solve; must reproduce the stored value."""
-    op = HumOperator(prob.spec, prob.phi, prob.T, prob.quadrature, prob.control_band)
+    op = HumOperator(prob.spec, prob.phi, prob.T, band=prob.control_band)
     if cert.kind == "nonlinear":
         return _verify_integrator(prob, op, cert.dual_datum, nonlinear=True)
     return _verify_closed_form(prob, op, cert.dual_datum)

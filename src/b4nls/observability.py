@@ -108,9 +108,6 @@ class BandGramian:
         E = time_average_kernel(Xb, self.T, self.dt)
         return Wb * E
 
-    def quadratic_form(self, vec: np.ndarray) -> float:
-        return float(np.real(np.vdot(vec, self.apply(vec))))
-
 
 def band_gramian_min_eig(
     spec: ManifoldSpec,

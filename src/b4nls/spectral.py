@@ -1,4 +1,4 @@
-"""Spectral fields and operator algebra on flat tori T^d.
+"""Spectral fields and operator algebra on flat tori T^d, d = 1, 2 or 3.
 
 Fields live on [0, 2pi)^d and are stored as coefficients against the
 orthonormal exponential basis e_k(x) = exp(i k.x) / (2pi)^{d/2}, with the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,8 +53,9 @@ SNAPSHOT_TORUS = 0  # the only manifold kind byte a snapshot may carry
 class ManifoldSpec:
     """Discretized spectral description of the flat torus T^d.
 
-    d in {1, 2}; N even >= 8 modes per dimension; beta >= 0 weighs the
-    second-order part of the dispersion |k|^4 + beta |k|^2.
+    d in {1, 2, 3}; N even >= 8 modes per dimension; beta >= 0 weighs the
+    second-order part of the dispersion |k|^4 + beta |k|^2. Every lattice
+    quantity is one broadcast over the d axes, so no code path depends on d.
     """
 
     d: int
@@ -64,8 +65,8 @@ class ManifoldSpec:
     def __post_init__(self):
         if not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError("beta must be finite and >= 0")
-        if self.d not in (1, 2):
-            raise ValueError("torus simulation supports d = 1 or 2")
+        if self.d not in (1, 2, 3):
+            raise ValueError("torus simulation supports d = 1, 2 or 3")
         if self.N % 2 != 0 or self.N < 8:
             raise ValueError("N must be even and >= 8")
 
@@ -93,12 +94,13 @@ class ManifoldSpec:
 
     @cached_property
     def k_sq(self) -> np.ndarray:
-        """|k|^2 on the full lattice, shaped (N,)*d."""
-        k = self.k1d.astype(float)
-        if self.d == 1:
-            return k**2
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return kx**2 + ky**2
+        """|k|^2 on the full lattice, shaped (N,)*d: a sum of open meshes."""
+        return sum(np.ix_(*[self.k1d.astype(float) ** 2] * self.d))
+
+    @cached_property
+    def k_box(self) -> np.ndarray:
+        """max_i |k_i| on the full lattice, the norm the mode bands cut by."""
+        return reduce(np.maximum, np.ix_(*[np.abs(self.k1d)] * self.d))
 
     @cached_property
     def dispersion(self) -> np.ndarray:
@@ -197,8 +199,7 @@ def random_field(
 
 def box_mask(spec: ManifoldSpec, band: int) -> np.ndarray:
     """Modes with every |k_i| <= band."""
-    keep = np.abs(spec.k1d) <= band
-    return keep if spec.d == 1 else np.logical_and.outer(keep, keep)
+    return spec.k_box <= band
 
 
 # Passing s with axes spares numpy a per-call np.take on the shape, which

@@ -128,3 +128,125 @@ def test_validate_catches_what_the_survey_run_rejects(tmp_path, capsys, text, me
     assert main(["run", path, "--output", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# every kind through main(["run", ...]) on a tiny config
+# ---------------------------------------------------------------------------
+
+# kind -> (config body, the artifacts its manifest lists, in order)
+TINY = {
+    "simulate": ("[manifold]\nd = 1\nN = 16\n[run]\nT = 0.01\n",
+                 ["ledger.csv", "summary.csv"]),
+    "stabilize": ("[manifold]\nd = 1\nN = 32\n[solver]\nrecord_stride = 5\n[run]\nT = 0.02\n",
+                  ["ledger.csv", "decay_summary.csv"]),
+    "control-linear": (
+        "[manifold]\nd = 1\nN = 32\n[region]\nlo = 1.0\nhi = 3.0\n"
+        "[run]\nT = 0.5\ndatum_band = 2\n[control]\ncontrol_band = 2\nverify_dt = 1e-3\n",
+        ["certificate.csv", "summary.csv", "control/ledger.csv"]),
+    "control-nonlinear": (
+        "[manifold]\nd = 1\nN = 32\n[run]\nT = 0.5\ndatum_norm = 0.005\ndatum_band = 3\n"
+        "[control]\ncg_tol = 1e-10\nverify_dt = 1e-3\n",
+        ["certificate.csv", "summary.csv", "control/ledger.csv"]),
+    "observability-sweep": ("[manifold]\nd = 1\nN = 32\n[run]\nT = 0.5\n[sweep]\nj_values = 2,3\n",
+                            ["gramian.csv"]),
+    "gcc-check": ("[manifold]\nd = 2\n[region]\ntype = two-strips\n"
+                  "[gcc]\nstarts_per_dim = 2\nfarey_max_den = 2\nn_angles = 4\nt_max = 20\n",
+                  ["geodesics.csv", "summary.txt"]),
+    "resonance-sweep": ("[sweep]\nK_max = 8\n", ["resonance.csv", "summary.txt"]),
+    "bourgain-probe": ("[manifold]\nd = 1\nN = 16\n[sweep]\nsamples = 6\nM_t = 32\ntime_band = 4\n",
+                       ["probe.csv"]),
+}
+
+
+def _tree(root):
+    """Relative path (with /) -> bytes of every file under root."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_every_kind_runs_and_reruns_byte_identically(tmp_path, kind):
+    body, artifacts = TINY[kind]
+    path = write_config(tmp_path, f"[experiment]\nkind = {kind}\nseed = 3\n{body}")
+    assert main(["validate", path]) == 0
+    trees = []
+    for out in ("a", "b"):
+        assert main(["run", path, "--output", str(tmp_path / out)]) == 0
+        trees.append(_tree(tmp_path / out))
+    snapshots = {name for name in trees[0] if name.rsplit("/", 1)[-1].startswith("state_")}
+    assert set(trees[0]) - snapshots == set(artifacts) | {"manifest.txt"}
+    assert bool(snapshots) == (kind not in ("observability-sweep", "gcc-check",
+                                            "resonance-sweep", "bourgain-probe"))
+    manifest = trees[0]["manifest.txt"].decode().splitlines()
+    assert "status: ok" in manifest
+    assert [line[4:] for line in manifest if line.startswith("  - ")] == artifacts
+    del trees[0]["manifest.txt"], trees[1]["manifest.txt"]
+    assert trees[0] == trees[1]
+
+
+# ---------------------------------------------------------------------------
+# configs that used to pass validate and then fail (or hang) at run
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[experiment]\nkind = observability-sweep\n[manifold]\nd = 1\nN = 32\n"
+         "[sweep]\nj_values = 2\nquad_dt = 0\n", "quad_dt must be positive"),
+        ("[experiment]\nkind = observability-sweep\n[manifold]\nd = 1\nN = 32\n"
+         "[run]\nT = -1\n[sweep]\nj_values = 2\n", "T must be >= 0"),
+        ("[experiment]\nkind = bourgain-probe\n[manifold]\nd = 1\nN = 16\n[sweep]\nb = 0.3\n",
+         "b' < 1/2 < b"),
+        ("[experiment]\nkind = simulate\n[manifold]\nd = 1\nN = 16\n"
+         "[run]\nT = 0.01\nsnapshot_stride = 0\n", "snapshot_stride must be >= 1"),
+        (GCC_CHECK + "[manifold]\nd = 1\n[region]\nlo = 1.0\nhi = 1.5\n"
+         "[gcc]\nt_max = 40\neps_t = 1e-16\n", "below ulp(t_max)"),
+        (GCC_CHECK + "[gcc]\nn_angles = -1\n", "n_angles must be >= 0"),
+    ],
+    ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-eps_t-ulp",
+         "gcc-n_angles"],
+)
+def test_validate_catches_what_used_to_fail_at_run(tmp_path, capsys, text, message):
+    path = write_config(tmp_path, text)
+    assert main(["validate", path]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_refuses_a_hum_operator_above_the_cap(tmp_path, capsys):
+    # unbanded at d2N64: A and Lambda would be 4096 x 4096 complex each
+    path = write_config(
+        tmp_path,
+        "[experiment]\nkind = control-linear\n[manifold]\nd = 2\nN = 64\n"
+        "[region]\nlo = 1.0\nhi = 3.0\n",
+    )
+    assert main(["validate", path]) == 2
+    assert f"{2 * 16 * 4096 * 4096} bytes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# T^3 through the CLI
+# ---------------------------------------------------------------------------
+
+D3 = "[manifold]\nd = 3\nN = 16\n"
+D3_STRIP = "[region]\nlo = 0.5\nhi = 3.5\nsmoothing_width = 0.8\n"
+
+
+@pytest.mark.parametrize(
+    "kind,body",
+    [
+        ("simulate", D3 + "[run]\nT = 0.01\n"),
+        ("stabilize", D3 + D3_STRIP + "[solver]\nrecord_stride = 5\n[run]\nT = 0.02\n"),
+        ("control-linear", D3 + D3_STRIP + "[run]\nT = 0.2\ndatum_band = 2\n"
+         "[control]\ncontrol_band = 2\nverify_dt = 1e-3\n"),
+    ],
+    ids=["simulate", "stabilize", "control-linear"],
+)
+def test_d3_runs_through_the_cli(tmp_path, kind, body):
+    path = write_config(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n{body}")
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
+    assert "status: ok" in (tmp_path / "out" / "manifest.txt").read_text().splitlines()

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import b4nls as b
-from b4nls.gcc import GeodesicQuery, _default_scan_dt, _scan_hit_times, farey_directions
+from b4nls.gcc import (
+    GeodesicQuery,
+    _default_scan_dt,
+    _scan_hit_times,
+    check_torus_scan,
+    farey_directions,
+)
 from b4nls.regions import contains, contains_points
 
 PI = math.pi
@@ -335,3 +341,24 @@ def test_array_scan_equals_the_scalar_scan(case):
             assert np.isnan(h)
         else:
             assert h == expected
+
+
+def test_scan_refuses_a_tolerance_below_the_float_spacing():
+    # below ulp(t_max) the bisection interval cannot shrink to eps_t; the
+    # scan itself would spin, so only the checks are called here
+    region = b.Strip(1.0, 1.5, 0)
+    with pytest.raises(ValueError, match="ulp"):
+        check_torus_scan(region, 1, 40.0, 1e-16, 1)
+    with pytest.raises(ValueError, match="ulp"):
+        torus_query((0.0,), (1.0,), region, t_max=40.0, eps_t=1e-16)
+    check_torus_scan(region, 1, 40.0, math.ulp(40.0), 1)
+
+
+def test_scan_at_the_float_spacing_returns():
+    region = b.Strip(1.0, 1.5, 0)
+    eps = math.ulp(40.0)
+    scan = b.torus_gcc_time(region, 1, t_max=40.0, starts_per_dim=1, eps_t=eps)
+    assert scan.holds_on_sample
+    assert scan.t0 == pytest.approx(2 * PI - 1.5, abs=1e-12)
+    q = torus_query((0.0,), (-1.0,), region, t_max=40.0, eps_t=eps)
+    assert b.first_hit_time(q) == scan.records[1].hit_time == scan.t0

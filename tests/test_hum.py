@@ -88,18 +88,19 @@ def test_lambda_full_weight_closed_form():
     spec = b.make_torus(1, 64, 1.0)
     phi1 = b.constant_profile(spec, 1.0)
     T = 1.3
-    e1 = b.apply_lambda(b.basis_field(spec, 1), T, phi1)
-    assert e1.coeffs[33] == pytest.approx(T / 4.0, abs=1e-12)
+    op = HumOperator(spec, phi1, T)
+    e1 = op.apply(b.basis_field(spec, 1).coeffs)
+    assert e1[33] == pytest.approx(T / 4.0, abs=1e-12)
     v = rand_field(spec, 1)
-    lv = b.apply_lambda(v, T, phi1)
+    lv = op.apply(v.coeffs)
     expect = T * smoothing_multiplier(spec, 2) * v.coeffs
-    assert np.abs(lv.coeffs - expect).max() <= 1e-10
+    assert np.abs(lv - expect).max() <= 1e-10
 
 
 def test_lambda_zero_input():
     spec = b.make_torus(1, 32, 1.0)
-    out = b.apply_lambda(b.zero_field(spec), 1.0, strip_phi(spec))
-    assert b.l2_norm(out) == 0.0
+    out = HumOperator(spec, strip_phi(spec), 1.0).apply(b.zero_field(spec).coeffs)
+    assert np.linalg.norm(out) == 0.0
 
 
 def test_lambda_self_adjoint_nonnegative():
@@ -141,9 +142,11 @@ def test_control_cost_reciprocity():
     spec = b.make_torus(1, 32, 1.0)
     phi = strip_phi(spec)
     T, dt = 1.0, 1e-3
-    op = HumOperator(spec, phi, T, quadrature=dt)
+    op = HumOperator(spec, phi, T)
+    X = spec.dispersion.ravel()
     v0 = rand_field(spec, 5).coeffs
-    lhs = float(np.real(np.vdot(v0.ravel(), op.matrix @ v0.ravel())))
+    lam = op.A * time_average_kernel(X, T, dt)  # the trapezoid rule on the same grid
+    lhs = float(np.real(np.vdot(v0.ravel(), lam @ v0.ravel())))
     n = round(T / dt)
     ts = np.linspace(0.0, T, n + 1)
     wts = np.full(n + 1, dt)
@@ -415,3 +418,26 @@ def test_control_band_must_hold_the_datum():
     prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
     with pytest.raises(ValueError, match="outside the control band"):
         b.solve_linear_control(prob)
+
+
+@pytest.mark.parametrize(
+    "d,N,band,admitted",
+    [
+        (2, 32, None, True),  # 2^20 entries, the largest unbanded test config
+        (2, 64, 3, True),  # 4096 x 49
+        (3, 16, 2, True),  # 4096 x 125
+        (2, 64, None, False),  # 4096 x 4096: 268 MB for each matrix
+        (3, 16, None, False),
+    ],
+)
+def test_control_problem_refuses_an_operator_above_the_cap(d, N, band, admitted):
+    spec = b.make_torus(d, N, 1.0)
+    phi = b.constant_profile(spec, 1.0)  # nothing is assembled either way
+    kw = dict(spec=spec, u0=b.zero_field(spec), T=1.0, phi=phi, control_band=band)
+    if admitted:
+        b.ControlProblem(**kw)
+        return
+    n = spec.n_modes
+    with pytest.raises(ValueError, match=f"{2 * 16 * n * n} bytes"):
+        b.ControlProblem(**kw)
+    assert n * n > hum.MAX_OPERATOR_ENTRIES

@@ -52,7 +52,9 @@ def test_make_torus_rejects_small_and_negative():
     with pytest.raises(ValueError):
         b.make_torus(1, 64, -0.5)
     with pytest.raises(ValueError):
-        b.make_torus(3, 64, 1.0)
+        b.make_torus(4, 16, 1.0)
+    with pytest.raises(ValueError):
+        b.make_torus(0, 16, 1.0)
 
 
 # ---------------------------------------------------------------------------
