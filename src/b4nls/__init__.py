@@ -1,7 +1,8 @@
 """b4nls: spectral laboratory for the fourth-order nonlinear Schrodinger
 equation on flat tori — damped stabilization runs, exact control synthesis
-through the observability Gramian, geodesic control-condition checks,
-dispersive space-time norms, and the sphere eigenvalue resonance arithmetic.
+through the observability Gramian, band observability floors, geodesic
+control-condition scans on T^1 and T^2, X^{s,b} space-time probes, and the
+exact resonance counts of the S^5 quartic spectrum.
 """
 
 __version__ = "0.1.0"
@@ -10,16 +11,8 @@ from .spectral import (
     DampingProfile,
     ManifoldSpec,
     SpectralField,
-    apply_dispersion,
-    apply_smoothing,
-    band_project,
     basis_field,
     constant_profile,
-    field_from_coeffs,
-    field_from_grid,
-    gradient_energy,
-    l2_inner,
-    l2_norm,
     load_field,
     make_damping_profile,
     make_torus,
@@ -29,7 +22,6 @@ from .spectral import (
     random_field,
     save_field,
     sobolev_norm,
-    to_grid,
     zero_field,
 )
 from .regions import Ball, FullRegion, RegionUnion, Strip
@@ -59,14 +51,11 @@ from .observability import (
     GramianReport,
     band_gramian_min_eig,
     gramian_sweep,
-    strichartz_ratio,
 )
 from .gcc import (
     GccScan,
     GeodesicQuery,
-    SphereCap,
     first_hit_time,
-    sphere_gcc_time,
     torus_gcc_time,
 )
 from .bourgain import (

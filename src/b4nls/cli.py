@@ -82,23 +82,32 @@ class ConfigError(ValueError):
 
 
 def _get(cfg, section, key, cast, default=None, required=False):
+    """The value of [section] key cast by cast; a float must be finite."""
     try:
         raw = cfg.get(section, key)
     except (configparser.NoSectionError, configparser.NoOptionError):
         if required:
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
+    except configparser.Error as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
     if raw.strip() == "":
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"bad value for [{section}] {key}: {raw.strip()!r} is not finite")
+    return value
 
 
 def _load_config(path):
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config {path}")
     return cfg

@@ -1,10 +1,10 @@
-"""Geometric control condition checker.
+"""Geometric control condition checker on flat tori.
 
-Unit-speed geodesics are straight lines on flat tori and great circles on
-the round two-sphere. For a region to control the flow, every geodesic must
-enter it before some uniform time T0; the checker measures first entry
-times over a sampled family of geodesics and either reports the sampled
-supremum or a witness geodesic that never enters within the time cap.
+Unit-speed geodesics of T^d are straight lines mod 2pi. For a region to
+control the flow, every geodesic must enter it before some uniform time T0;
+the checker measures first entry times over a sampled family of geodesics
+and either reports the sampled supremum or a witness geodesic that never
+enters within the time cap.
 
 The semantics are deliberately one-sided: a witness is a genuine
 counterexample up to the region-boundary resolution, while a reported T0
@@ -38,64 +38,25 @@ from .regions import (
 
 
 @dataclass(frozen=True)
-class SphereCap:
-    """Open geodesic cap on S^2: points within angle `radius` of `center`."""
-
-    center: tuple[float, float, float]
-    radius: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        n = float(np.linalg.norm(c))
-        if n == 0.0:
-            raise ValueError("cap center must be a nonzero vector")
-        object.__setattr__(self, "center", tuple(c / n))
-        if not 0.0 < self.radius < math.pi:
-            raise ValueError("cap radius must lie in (0, pi)")
-
-
-@dataclass(frozen=True)
 class GeodesicQuery:
-    """One geodesic and one target region.
+    """One torus geodesic and one target region; the direction is
+    normalized to unit Euclidean speed."""
 
-    manifold "torus": start/direction are d-vectors, the direction is
-    normalized to unit Euclidean speed. manifold "sphere2": start is a
-    point on S^2 and direction a tangent vector at it (orthonormalized).
-    """
-
-    manifold: str  # "torus" | "sphere2"
     start: tuple
     direction: tuple
-    region: object  # Region (torus) or SphereCap (sphere2)
+    region: Region
     t_max: float = 50.0
     eps_t: float = 1e-6
     scan_dt: float | None = None
 
     def __post_init__(self):
-        if self.manifold not in ("torus", "sphere2"):
-            raise ValueError(f"unknown manifold {self.manifold!r}")
         _check_horizon(self.t_max, self.eps_t)
         d = np.asarray(self.direction, dtype=float)
-        if self.manifold == "torus":
-            n = float(np.linalg.norm(d))
-            if n == 0.0:
-                raise ValueError("direction must be nonzero")
-            object.__setattr__(self, "direction", tuple(d / n))
-            validate_region(self.region, len(self.start))
-        else:
-            x = np.asarray(self.start, dtype=float)
-            nx = float(np.linalg.norm(x))
-            if nx == 0.0:
-                raise ValueError("sphere start must be a nonzero vector")
-            x = x / nx
-            d = d - np.dot(d, x) * x  # project to the tangent plane
-            nd = float(np.linalg.norm(d))
-            if nd < 1e-12:
-                raise ValueError("direction is parallel to the start point")
-            object.__setattr__(self, "start", tuple(x))
-            object.__setattr__(self, "direction", tuple(d / nd))
-            if not isinstance(self.region, SphereCap):
-                raise ValueError("sphere2 queries take a SphereCap region")
+        n = float(np.linalg.norm(d))
+        if n == 0.0:
+            raise ValueError("direction must be nonzero")
+        object.__setattr__(self, "direction", tuple(d / n))
+        validate_region(self.region, len(self.start))
 
 
 def _check_horizon(t_max: float, eps_t: float) -> None:
@@ -109,35 +70,15 @@ def _check_horizon(t_max: float, eps_t: float) -> None:
         raise ValueError(f"eps_t = {eps_t!r} is below ulp(t_max) = {math.ulp(t_max)!r}")
 
 
-def _torus_point(q: GeodesicQuery, t: float) -> tuple:
-    return tuple(
-        (s + t * v) % TWO_PI for s, v in zip(q.start, q.direction)
-    )
-
-
-def _sphere_point(q: GeodesicQuery, t: float) -> np.ndarray:
-    x = np.asarray(q.start)
-    w = np.asarray(q.direction)
-    return math.cos(t) * x + math.sin(t) * w
-
-
 def _inside(q: GeodesicQuery, t: float) -> bool:
-    if q.manifold == "torus":
-        return contains(q.region, _torus_point(q, t))
-    cap: SphereCap = q.region
-    p = _sphere_point(q, t)
-    cosang = float(np.clip(np.dot(p, np.asarray(cap.center)), -1.0, 1.0))
-    return math.acos(cosang) < cap.radius
+    point = tuple((s + t * v) % TWO_PI for s, v in zip(q.start, q.direction))
+    return contains(q.region, point)
 
 
-def _default_scan_dt(region, eps_t: float) -> float:
-    if isinstance(region, SphereCap):
-        feature = 2.0 * region.radius
-    else:
-        feature = min_feature_size(region)
+def _default_scan_dt(region: Region, eps_t: float) -> float:
     # an incursion across the smallest feature lasts at least feature/speed;
     # a quarter of that cannot step over it
-    return max(min(feature / 4.0, 0.05), eps_t)
+    return max(min(min_feature_size(region) / 4.0, 0.05), eps_t)
 
 
 def first_hit_time(q: GeodesicQuery) -> float | None:
@@ -337,53 +278,10 @@ def torus_gcc_time(
     if failing.size:
         i = failing[0]
         witness = GeodesicQuery(
-            manifold="torus", start=starts[i],
+            start=starts[i],
             direction=directions[np.flatnonzero(missed[i])[-1]], region=region,
             t_max=t_max, eps_t=eps_t, scan_dt=scan_dt,
         )
         return GccScan(t0=None, witness=witness, records=records)
     return GccScan(t0=float(hits.max(initial=0.0)), witness=None, records=records)
 
-
-def sphere_gcc_time(
-    cap: SphereCap,
-    t_max: float = 2.0 * math.pi,
-    n_starts: int = 24,
-    n_directions: int = 12,
-    eps_t: float = 1e-4,
-) -> GccScan:
-    """Sampled control time on S^2 for a cap region.
-
-    Great circles are 2pi-periodic, so any miss within one period is a
-    true miss.
-    """
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    records = []
-    worst = 0.0
-    witness = None
-    for i in range(n_starts):
-        z = 1.0 - 2.0 * (i + 0.5) / n_starts
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        th = golden * i
-        x = np.array([r * math.cos(th), r * math.sin(th), z])
-        # tangent frame at x
-        a = np.array([1.0, 0.0, 0.0]) if abs(x[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(x, a)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(x, e1)
-        for j in range(n_directions):
-            ang = math.pi * j / n_directions
-            v = math.cos(ang) * e1 + math.sin(ang) * e2
-            q = GeodesicQuery(
-                manifold="sphere2", start=tuple(x), direction=tuple(v),
-                region=cap, t_max=t_max, eps_t=eps_t,
-            )
-            t = first_hit_time(q)
-            records.append(
-                GeodesicRecord(start=tuple(x), direction=q.direction, hit_time=t)
-            )
-            if t is None:
-                witness = q
-                return GccScan(t0=None, witness=witness, records=tuple(records))
-            worst = max(worst, t)
-    return GccScan(t0=worst, witness=None, records=tuple(records))

@@ -118,6 +118,12 @@ class ControlProblem:
             raise ValueError("target lives on a different spec")
         if self.control_band is not None and self.control_band < 0:
             raise ValueError("control band must be >= 0")
+        if not (self.verify_dt > 0.0 and self.solve_dt > 0.0):
+            raise ValueError("verify_dt and solve_dt must be positive")
+        if not 0.0 < self.cg_tol < 1.0:
+            raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
+        if not (self.fixedpoint_tol > 0.0 and self.cg_max_iter >= 1):
+            raise ValueError("fixedpoint_tol must be positive and cg_max_iter >= 1")
         n = self.spec.n_modes
         m = n if self.control_band is None else int(box_mask(self.spec, self.control_band).sum())
         if n * m > MAX_OPERATOR_ENTRIES:

@@ -1,4 +1,4 @@
-"""Frequency-localized observability Gramians and dispersive-constant probes.
+"""Frequency-localized observability Gramians.
 
 The observability of a region omega over [0, T] is measured through the
 Gramian G = int_0^T e^{-itL} m e^{itL} dt with m the smoothed indicator of
@@ -18,7 +18,6 @@ together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,8 @@ from .regions import Region
 from .spectral import (
     ManifoldSpec,
     band_mode_mask,
-    box_mask,
-    coeffs_to_grid,
     make_damping_profile,
     profile_product,
-    sobolev_weights,
 )
 
 
@@ -167,78 +163,3 @@ def gramian_sweep(
         for j in j_values
     ]
 
-
-# ---------------------------------------------------------------------------
-# space-time (Strichartz-type) constant probe
-# ---------------------------------------------------------------------------
-
-def admissible_pair(p: float, q: float, d: int) -> bool:
-    """Admissibility 2/p + d/q <= d/2, p,q >= 2, excluding (2, inf)."""
-    if p < 2.0 or q < 2.0:
-        return False
-    if p == 2.0 and math.isinf(q):
-        return False
-    qinv = 0.0 if math.isinf(q) else 1.0 / q
-    pinv = 0.0 if math.isinf(p) else 1.0 / p
-    return 2.0 * pinv + d * qinv <= d / 2.0 + 1e-12
-
-
-def strichartz_ratio(
-    spec: ManifoldSpec,
-    p: float,
-    q: float,
-    n_samples: int,
-    rng: np.random.Generator,
-    band: int = 4,
-    time_points: int = 1001,
-    data_fields: list | None = None,
-) -> float:
-    """Largest observed || e^{itL} u0 ||_{L^p([0,1], L^q)} / || u0 ||_{H^g},
-    g = d/2 - d/q - 4/p + 3/p, over random band-limited data.
-
-    Space norms use collocation quadrature; the time L^p integral uses the
-    trapezoid rule, so the band must stay low enough for the phase
-    differences to be resolved by the time grid. data_fields, if given,
-    replaces the random draw with explicit coefficient arrays (used for
-    resolution-stability checks on identical data).
-    """
-    if not admissible_pair(p, q, spec.d):
-        raise ValueError(f"(p, q) = ({p}, {q}) is not admissible for d = {spec.d}")
-    gamma = spec.d / 2.0 - (0.0 if math.isinf(q) else spec.d / q) - 4.0 / p
-    sob_index = gamma + 3.0 / p
-    w = sobolev_weights(spec, sob_index).ravel()
-    times = np.linspace(0.0, 1.0, time_points)
-    phases = np.exp(1j * times[:, None] * spec.dispersion.ravel()[None, :])
-    cell = spec.cell_volume
-    mask = box_mask(spec, band)
-
-    if data_fields is None:
-        draws = (
-            np.where(
-                mask,
-                rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape),
-                0.0,
-            )
-            for _ in range(n_samples)
-        )
-    else:
-        draws = (np.asarray(c, dtype=complex) for c in data_fields)
-
-    best = 0.0
-    for c in draws:
-        denom = math.sqrt(float(np.sum(w * np.abs(c.ravel()) ** 2)))
-        if denom == 0.0:
-            continue
-        batch = (phases * c.ravel()[None, :]).reshape((-1,) + spec.shape)
-        vals = coeffs_to_grid(spec, batch)
-        flat = np.abs(vals).reshape(len(times), -1)
-        if math.isinf(q):
-            space = flat.max(axis=1)
-        else:
-            space = (np.sum(flat**q, axis=1) * cell) ** (1.0 / q)
-        if math.isinf(p):
-            tnorm = float(space.max())
-        else:
-            tnorm = float(np.trapezoid(space**p, times) ** (1.0 / p))
-        best = max(best, tnorm / denom)
-    return best

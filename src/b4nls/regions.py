@@ -134,13 +134,13 @@ def validate_region(region: Region, d: int) -> None:
     if isinstance(region, Strip):
         if not 0 <= region.axis < d:
             raise ValueError(f"strip axis {region.axis} out of range for d={d}")
-        if strip_width(region) <= 0.0:
-            raise ValueError("strip is empty (hi == lo mod 2pi)")
+        if not strip_width(region) > 0.0:
+            raise ValueError(f"strip ({region.lo}, {region.hi}) is empty or not finite")
     elif isinstance(region, Ball):
         if len(region.center) != d:
             raise ValueError("ball center dimension mismatch")
-        if region.radius <= 0.0:
-            raise ValueError("ball is empty (radius <= 0)")
+        if not region.radius > 0.0:
+            raise ValueError(f"ball radius must be positive, got {region.radius}")
     elif isinstance(region, RegionUnion):
         if not region.parts:
             raise ValueError("empty region union")

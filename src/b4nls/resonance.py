@@ -4,12 +4,16 @@ On the five-sphere the relevant phases are lam_k^4 = [k(k+4)]^2 + beta
 k(k+4) with beta = p/q rational. Interactions are governed by how many
 index pairs (k, l) in a dyadic box share the same phase sum
 
-    tau = lam_k^4 + lam_l^4,
+    tau = lam_k^4 + lam_l^4.
 
-and the count reduces to representations of an integer as a sum of two
-squares: with A = k(k+4), B = l(l+4),
+The counts come from exact integer keys: with A = k(k+4), B = l(l+4), the
+pair (k, l) has q tau = q(A^2 + B^2) + p(A + B), so pairs share a phase sum
+exactly when they share that integer. Why the counts grow slowly is the
+sum-of-two-squares identity
 
-    4 q^2 tau + 2 p^2 = (2qA + p)^2 + (2qB + p)^2.
+    4 q^2 tau + 2 p^2 = (2qA + p)^2 + (2qB + p)^2,
+
+which bounds a bucket by the representations r2(n) of one integer n.
 
 Everything in this module is exact integer / rational arithmetic; the only
 floating point is the growth-exponent fit in the dyadic sweep summary.
@@ -22,9 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-US_SCAN_LIMIT = 10**6
-FACTOR_LIMIT = 10**18
 
 
 class ResonanceError(ValueError):
@@ -45,11 +46,6 @@ def lambda4(k: int, p: int, q: int) -> Fraction:
     _check_beta(p, q)
     a = k * (k + 4)
     return Fraction(a * a) + Fraction(p, q) * a
-
-
-def phase_period(tau: Fraction) -> float:
-    """2 pi n for tau = m/n in lowest terms: a common period of e^{it tau}."""
-    return 2.0 * math.pi * tau.denominator
 
 
 def enumerate_pairs(
@@ -102,104 +98,8 @@ def build_table(K: int, L: int, p: int, q: int) -> ResonanceTable:
 
 
 # ---------------------------------------------------------------------------
-# sums of two squares
+# the dyadic sweep
 # ---------------------------------------------------------------------------
-
-def _r2_scan(n: int) -> int:
-    """Ordered representations n = x^2 + y^2 over Z^2, by direct scan."""
-    if n == 0:
-        return 1
-    count = 0
-    x = 0
-    while x * x <= n:
-        y2 = n - x * x
-        y = math.isqrt(y2)
-        if y * y == y2:
-            if x == 0 or y == 0:
-                count += 2  # (0, +-y) or (+-x, 0)
-            else:
-                count += 4
-        x += 1
-    return count
-
-
-def _r2_factor(n: int) -> int:
-    """r2(n) from the prime factorization: 0 unless every prime 3 mod 4
-    has even exponent, otherwise 4 * prod (e_p + 1) over primes 1 mod 4."""
-    from sympy import factorint  # deferred: importing sympy dominates CLI start-up
-
-    if n == 0:
-        return 1
-    prod = 4
-    for prime, e in factorint(n).items():
-        r = prime % 4
-        if r == 3 and e % 2 == 1:
-            return 0
-        if r == 1:
-            prod *= e + 1
-    return prod
-
-
-def two_squares_count(n: int) -> int:
-    """r2(n), computed by scan and/or factorization and cross-checked."""
-    if n < 0:
-        raise ResonanceError("n must be >= 0")
-    if n > FACTOR_LIMIT:
-        raise ResonanceError(f"n = {n} exceeds the factorization guard")
-    if n <= US_SCAN_LIMIT:
-        s = _r2_scan(n)
-        f = _r2_factor(n)
-        if s != f:
-            raise AssertionError(f"r2 routes disagree at n = {n}: scan {s}, factor {f}")
-        return s
-    return _r2_factor(n)
-
-
-# ---------------------------------------------------------------------------
-# the reduction route and the dyadic sweep
-# ---------------------------------------------------------------------------
-
-def _invert_cluster(a: int) -> int | None:
-    """k with k(k+4) = a, if one exists (k = sqrt(a+4) - 2 exactly)."""
-    r = math.isqrt(a + 4)
-    if r * r != a + 4:
-        return None
-    k = r - 2
-    return k if k >= 1 else None
-
-
-def reduction_count(K: int, L: int, tau: Fraction, p: int, q: int) -> int:
-    """Count of the same dyadic resonance set through the two-squares
-    reduction: scan admissible x = 2qA + p with A = k(k+4), k in [K, 2K),
-    and invert the partner from y = sqrt(4 q^2 tau + 2 p^2 - x^2)."""
-    if K > L:
-        raise ResonanceError("dyadic ranges must satisfy K <= L")
-    _check_beta(p, q)
-    tau = Fraction(tau)
-    n_frac = 4 * q * q * tau + 2 * p * p
-    if n_frac.denominator != 1:
-        return 0
-    n = n_frac.numerator
-    if n < 0:
-        return 0
-    count = 0
-    twoq = 2 * q
-    for k in range(K, 2 * K):
-        x = twoq * k * (k + 4) + p
-        y2 = n - x * x
-        if y2 < 0:
-            continue
-        y = math.isqrt(y2)
-        if y * y != y2:
-            continue
-        if y < p or (y - p) % twoq != 0:
-            continue
-        b = (y - p) // twoq
-        l = _invert_cluster(b)
-        if l is not None and L <= l < 2 * L:
-            count += 1
-    return count
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -141,10 +141,6 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
 
-def field_from_coeffs(spec: ManifoldSpec, coeffs: np.ndarray) -> SpectralField:
-    return SpectralField(spec, coeffs)
-
-
 def zero_field(spec: ManifoldSpec) -> SpectralField:
     return SpectralField(spec, np.zeros(spec.shape, dtype=complex))
 
@@ -166,10 +162,6 @@ def basis_field(spec: ManifoldSpec, k, amplitude: complex = 1.0) -> SpectralFiel
     c = np.zeros(spec.shape, dtype=complex)
     c[_mode_index(spec, k)] = amplitude
     return SpectralField(spec, c)
-
-
-def mode_coefficient(u: SpectralField, k) -> complex:
-    return complex(u.coeffs[_mode_index(u.spec, k)])
 
 
 def random_field(
@@ -268,29 +260,9 @@ def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np
     return _signed_coeffs(spec, a * _signed_grid(spec, coeffs))
 
 
-def to_grid(u: SpectralField) -> np.ndarray:
-    """Values on the collocation grid x_j = 2pi j / N (complex array)."""
-    return coeffs_to_grid(u.spec, u.coeffs)
-
-
-def field_from_grid(spec: ManifoldSpec, values: np.ndarray) -> SpectralField:
-    v = np.asarray(values, dtype=complex)
-    if v.shape != spec.shape:
-        raise ValueError("grid values have wrong shape")
-    return SpectralField(spec, grid_to_coeffs(spec, v))
-
-
 # ---------------------------------------------------------------------------
 # norms and multipliers
 # ---------------------------------------------------------------------------
-
-def l2_norm(u: SpectralField) -> float:
-    return float(np.linalg.norm(u.coeffs))
-
-
-def l2_inner(u: SpectralField, v: SpectralField) -> complex:
-    return complex(np.vdot(v.coeffs, u.coeffs))  # <u, v> = sum u conj(v)
-
 
 def sobolev_weights(spec: ManifoldSpec, s: float) -> np.ndarray:
     return (1.0 + spec.k_sq) ** s
@@ -311,27 +283,9 @@ def normalize_sobolev(u: SpectralField, s: float, value: float = 1.0) -> Spectra
     return SpectralField(u.spec, u.coeffs * (value / n))
 
 
-def apply_multiplier(u: SpectralField, m: np.ndarray) -> SpectralField:
-    return SpectralField(u.spec, m * u.coeffs)
-
-
-def apply_dispersion(u: SpectralField) -> SpectralField:
-    """The generator Lap^2 - beta*Lap, multiplier |k|^4 + beta |k|^2."""
-    return apply_multiplier(u, u.spec.dispersion)
-
-
 def smoothing_multiplier(spec: ManifoldSpec, m: int = 2) -> np.ndarray:
-    return (1.0 + spec.k_sq) ** (-float(m))
-
-
-def apply_smoothing(u: SpectralField, m: int = 2) -> SpectralField:
     """(1 - Lap)^{-m}, the regularizing factor of the damping feedback."""
-    return apply_multiplier(u, smoothing_multiplier(u.spec, m))
-
-
-def gradient_energy(u: SpectralField) -> float:
-    """Integral of |grad u|^2 = sum |k|^2 |c_k|^2."""
-    return float(np.sum(u.spec.k_sq * np.abs(u.coeffs) ** 2))
+    return (1.0 + spec.k_sq) ** (-float(m))
 
 
 def propagate_free(u: SpectralField, t: float) -> SpectralField:
@@ -373,13 +327,6 @@ def plateau_bump(s, lo: float, flat_lo: float, flat_hi: float, hi: float) -> np.
 def band_cutoff(s) -> np.ndarray:
     """The projector profile kappa: support [1/2, 5/2], equal to 1 on [1, 2]."""
     return plateau_bump(s, 0.5, 1.0, 2.0, 2.5)
-
-
-def band_project(u: SpectralField, h: float) -> SpectralField:
-    """Frequency-band projector kappa(h^2 |k|^2) (semiclassical annulus)."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    return apply_multiplier(u, band_cutoff(h * h * u.spec.k_sq))
 
 
 def band_mode_mask(spec: ManifoldSpec, h: float) -> np.ndarray:
@@ -446,8 +393,8 @@ def make_damping_profile(
     validate_region(region, spec.d)
     if smoothing_width is None:
         smoothing_width = 5.0 * TWO_PI / spec.N
-    if smoothing_width <= 0.0:
-        raise ValueError("smoothing width must be positive")
+    if not smoothing_width > 0.0:
+        raise ValueError(f"smoothing width must be positive, got {smoothing_width}")
     feature = min_feature_size(region)
     if not isinstance(region, FullRegion) and feature <= 2.0 * smoothing_width:
         raise ValueError(

@@ -1,8 +1,13 @@
+import configparser
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import b4nls
 from b4nls.cli import main
@@ -190,6 +195,14 @@ def test_every_kind_runs_and_reruns_byte_identically(tmp_path, kind):
 # configs that used to pass validate and then fail (or hang) at run
 # ---------------------------------------------------------------------------
 
+SIMULATE = "[experiment]\nkind = simulate\n[manifold]\nd = 1\nN = 16\n"
+STABILIZE = "[experiment]\nkind = stabilize\n[manifold]\nd = 1\nN = 32\n[run]\nT = 0.02\n"
+SWEEP = ("[experiment]\nkind = observability-sweep\n[manifold]\nd = 1\nN = 32\n"
+         "[sweep]\nj_values = 2\n")
+BANDED = ("[experiment]\nkind = control-linear\n[manifold]\nd = 1\nN = 32\n"
+          "[region]\nlo = 1.0\nhi = 3.0\n[run]\ndatum_band = 3\n[control]\ncontrol_band = 3\n")
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -204,9 +217,33 @@ def test_every_kind_runs_and_reruns_byte_identically(tmp_path, kind):
         (GCC_CHECK + "[manifold]\nd = 1\n[region]\nlo = 1.0\nhi = 1.5\n"
          "[gcc]\nt_max = 40\neps_t = 1e-16\n", "below ulp(t_max)"),
         (GCC_CHECK + "[gcc]\nn_angles = -1\n", "n_angles must be >= 0"),
+        # an infinite horizon was an OverflowError traceback at run
+        (SIMULATE + "[run]\nT = inf\n", "[run] T: 'inf' is not finite"),
+        (SWEEP + "[run]\nT = inf\n", "[run] T: 'inf' is not finite"),
+        # NaN steps failed at run after the output directory existed
+        (SIMULATE + "[run]\nT = 0.01\n[solver]\ndt = nan\n", "[solver] dt: 'nan' is not finite"),
+        (BANDED + "verify_dt = nan\n", "[control] verify_dt: 'nan' is not finite"),
+        (BANDED + "verify_dt = -1\n", "verify_dt and solve_dt must be positive"),
+        (BANDED + "solve_dt = 0\n", "verify_dt and solve_dt must be positive"),
+        # a negative tolerance ran 600 CG iterations and exited 1
+        (BANDED + "cg_tol = -1\n", "cg_tol must lie in (0, 1)"),
+        # no CG iteration ran and the message blamed GCC; a nonpositive
+        # fixed-point tolerance was reported as a too-large datum
+        (BANDED + "cg_max_iter = 0\n", "cg_max_iter >= 1"),
+        (BANDED + "fixedpoint_tol = -1\n", "fixedpoint_tol must be positive"),
+        # NaN region data gave an all-zero damping profile and exit 0
+        (STABILIZE + "[region]\nsmoothing_width = nan\n",
+         "[region] smoothing_width: 'nan' is not finite"),
+        (STABILIZE + "[region]\nlo = nan\n", "[region] lo: 'nan' is not finite"),
+        # configparser errors were tracebacks at validate
+        (SIMULATE + "[run]\nT = 1\nT = 2\n", "already exists"),
+        (SIMULATE + "[run]\nT = 5%\n", "'%' must be followed by"),
     ],
     ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-eps_t-ulp",
-         "gcc-n_angles"],
+         "gcc-n_angles", "simulate-T-inf", "sweep-T-inf", "solver-dt-nan", "verify_dt-nan",
+         "verify_dt-negative", "solve_dt-zero", "cg_tol-negative", "cg_max_iter-zero",
+         "fixedpoint_tol-negative", "smoothing_width-nan", "lo-nan", "duplicate-key",
+         "bad-interpolation"],
 )
 def test_validate_catches_what_used_to_fail_at_run(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
@@ -250,3 +287,59 @@ def test_d3_runs_through_the_cli(tmp_path, kind, body):
     path = write_config(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n{body}")
     assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
     assert "status: ok" in (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs
+# ---------------------------------------------------------------------------
+
+# kind -> the float keys its TINY config reads (resonance-sweep reads none,
+# so its integer keys stand in); N and d are never drawn, since a large
+# lattice is allocated at validate
+FUZZ_KEYS = {
+    "simulate": ["manifold.beta", "solver.dt", "run.T", "run.datum_norm", "run.datum_decay"],
+    "stabilize": ["manifold.beta", "solver.dt", "run.T", "run.datum_norm", "run.datum_decay",
+                  "region.lo", "region.hi", "region.smoothing_width"],
+    "control-linear": ["manifold.beta", "solver.dt", "run.T", "run.datum_norm",
+                       "run.datum_decay", "region.lo", "region.hi", "region.smoothing_width",
+                       "control.cg_tol", "control.fixedpoint_tol", "control.verify_dt",
+                       "control.solve_dt"],
+    "observability-sweep": ["manifold.beta", "run.T", "region.lo", "region.hi",
+                            "region.smoothing_width", "sweep.quad_dt"],
+    "gcc-check": ["region.lo", "region.hi", "gcc.t_max", "gcc.eps_t"],
+    "resonance-sweep": ["sweep.K_max", "sweep.beta_p", "sweep.beta_q"],
+    "bourgain-probe": ["manifold.beta", "sweep.b", "sweep.b_prime", "sweep.s"],
+}
+FUZZ_KEYS["control-nonlinear"] = FUZZ_KEYS["control-linear"]
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    kind = draw(st.sampled_from(sorted(TINY)))
+    key = draw(st.sampled_from(FUZZ_KEYS[kind]))
+    value = draw(st.sampled_from(NON_FINITE + ("-1", "0", "x", "")))
+    return kind, key, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_configs())
+def test_validate_of_a_fuzzed_config_exits_0_or_2(case):
+    kind, key, value = case
+    cfg = configparser.ConfigParser()
+    cfg.read_string(f"[experiment]\nkind = {kind}\nseed = 3\n{TINY[kind][0]}")
+    section, option = key.split(".")
+    if not cfg.has_section(section):
+        cfg.add_section(section)
+    cfg.set(section, option, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            cfg.write(fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", path])
+    assert code in (0, 2)
+    if value in NON_FINITE:
+        assert code == 2
+        assert f"[{section}] {option}" in err.getvalue()

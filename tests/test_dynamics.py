@@ -15,7 +15,7 @@ from b4nls.dynamics import (
     save_trace,
 )
 from b4nls.linalg import cg_hermitian
-from b4nls.spectral import mode_coefficient
+from b4nls.spectral import _mode_index, coeffs_to_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,7 +45,7 @@ def test_zero_mode_oracle():
     u0 = b.basis_field(spec, 0, amp)
     trace = b.evolve_nonlinear(u0, 1.0, b.SolverConfig(dt=1e-3))
     expected = amp * np.exp(1j * plane_wave_phase_rate(spec, 0, amp))
-    got = mode_coefficient(trace.state(-1), 0)
+    got = complex(trace.states[-1][_mode_index(spec, 0)])
     assert abs(got) == pytest.approx(amp, rel=1e-12)  # modulus exact
     assert abs(got - expected) <= 1e-10
 
@@ -56,7 +56,7 @@ def test_plane_wave_oracle():
     u0 = b.basis_field(spec, m, amp)
     trace = b.evolve_nonlinear(u0, 1.0, b.SolverConfig(dt=1e-3))
     expected = amp * np.exp(1j * plane_wave_phase_rate(spec, m, amp))
-    err = abs(mode_coefficient(trace.state(-1), m) - expected) / abs(amp)
+    err = abs(complex(trace.states[-1][_mode_index(spec, m)]) - expected) / abs(amp)
     assert err <= 1e-6
 
 
@@ -78,7 +78,7 @@ def test_etdrk4_order_at_least_3_5():
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
         tr = b.evolve_nonlinear(u0, 1.0, b.SolverConfig(dt=dt, record_stride=10**9))
-        errs.append(abs(mode_coefficient(tr.state(-1), m) - expected))
+        errs.append(abs(complex(tr.states[-1][_mode_index(spec, m)]) - expected))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
     assert min(order1, order2) >= 3.5
@@ -128,7 +128,7 @@ def test_damping_off_matches_undamped_with_mass_phase():
     a0 = b.constant_profile(spec, 0.0)
     cfg = b.SolverConfig(dt=1e-3)
     dtrace = b.evolve_damped(u0, a0, 0.2, cfg)
-    masked = b.field_from_coeffs(
+    masked = b.SpectralField(
         spec, np.where(spec.dealias_mask, u0.coeffs, 0.0)
     )
     utrace = b.evolve_nonlinear(masked, 0.2, cfg)
@@ -284,7 +284,7 @@ def test_energy_ledger_definition():
     c = np.where(spec.dealias_mask, u0.coeffs, 0.0)
     e = energy(spec, c, k_nl=1)
     quad = 0.5 * float(np.sum((spec.k_sq**2 + spec.k_sq) * np.abs(c) ** 2))
-    vals = b.to_grid(b.field_from_coeffs(spec, c))
+    vals = coeffs_to_grid(spec, c)
     pot = float(np.sum(np.abs(vals) ** 4) * spec.cell_volume) / 4.0
     assert e == pytest.approx(quad + pot, rel=1e-12)
     assert mass(spec, c) == pytest.approx(float(np.sum(np.abs(c) ** 2)), rel=1e-14)

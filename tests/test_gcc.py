@@ -18,9 +18,7 @@ PI = math.pi
 
 
 def torus_query(start, direction, region, **kw):
-    return GeodesicQuery(
-        manifold="torus", start=start, direction=direction, region=region, **kw
-    )
+    return GeodesicQuery(start=start, direction=direction, region=region, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -55,49 +53,6 @@ def test_oblique_strip_hit_time():
     )
     t = b.first_hit_time(q)
     assert t == pytest.approx((PI / 2) / math.cos(th), abs=1e-6)
-
-
-def test_sphere_equator_misses_polar_cap():
-    cap = b.SphereCap((0.0, 0.0, 1.0), 0.5)
-    q = GeodesicQuery(
-        manifold="sphere2",
-        start=(1.0, 0.0, 0.0),
-        direction=(0.0, 1.0, 0.0),
-        region=cap,
-        t_max=2 * PI,
-    )
-    assert b.first_hit_time(q) is None
-
-
-def test_sphere_hit_against_trig_oracle():
-    # distance from a great circle point p(t) to the cap center c is
-    # acos(R cos(t - t0)) with R = sqrt(<x,c>^2 + <w,c>^2); first entry
-    # solves acos(R cos(t-t0)) = radius
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        w = rng.standard_normal(3)
-        w -= np.dot(w, x) * x
-        w /= np.linalg.norm(w)
-        c = rng.standard_normal(3)
-        c /= np.linalg.norm(c)
-        radius = rng.uniform(0.2, 1.2)
-        cap = b.SphereCap(tuple(c), radius)
-        q = GeodesicQuery(
-            manifold="sphere2", start=tuple(x), direction=tuple(w),
-            region=cap, t_max=2 * PI, eps_t=1e-8,
-        )
-        t = b.first_hit_time(q)
-        R = math.hypot(float(np.dot(x, c)), float(np.dot(w, c)))
-        closest = math.acos(min(R, 1.0))
-        if closest >= radius:  # circle never enters the open cap
-            assert t is None
-        else:
-            assert t is not None
-            p = math.cos(t) * x + math.sin(t) * w
-            ang = math.acos(float(np.clip(np.dot(p, c), -1, 1)))
-            assert ang == pytest.approx(radius, abs=1e-6) or t == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +101,6 @@ def test_horizontal_line_avoids_center_ball():
     assert b.first_hit_time(q) is None
 
 
-def test_sphere_cap_scan_holds():
-    cap = b.SphereCap((0.0, 0.0, 1.0), 2.0)  # giant cap: every circle enters
-    scan = b.sphere_gcc_time(cap, n_starts=12, n_directions=6)
-    assert scan.holds_on_sample
-    assert scan.t0 < 2 * PI
-
-
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -176,41 +124,12 @@ def test_translation_equivariance():
     assert abs(t1 - t2) <= 1e-12
 
 
-def test_sphere_rotation_invariance():
-    rng = np.random.default_rng(1)
-    x = np.array([1.0, 0.0, 0.0])
-    w = np.array([0.0, 0.0, 1.0])
-    c = np.array([0.0, math.sin(1.0), math.cos(1.0)])
-    cap_r = 1.2  # closest approach of the circle is 1.0, so it enters
-    q = GeodesicQuery(
-        manifold="sphere2", start=tuple(x), direction=tuple(w),
-        region=b.SphereCap(tuple(c), cap_r), t_max=2 * PI, eps_t=1e-7,
-    )
-    t0 = b.first_hit_time(q)
-    for _ in range(5):
-        A = rng.standard_normal((3, 3))
-        Q, _ = np.linalg.qr(A)
-        if np.linalg.det(Q) < 0:
-            Q[:, 0] = -Q[:, 0]
-        qr = GeodesicQuery(
-            manifold="sphere2", start=tuple(Q @ x), direction=tuple(Q @ w),
-            region=b.SphereCap(tuple(Q @ c), cap_r), t_max=2 * PI, eps_t=1e-7,
-        )
-        tr = b.first_hit_time(qr)
-        assert abs(tr - t0) <= 1e-10
-
-
 def test_direction_normalization_and_validation():
     region = b.Strip(PI / 2, 3 * PI / 2, 0)
     q = torus_query((0.0,), (2.0,), region)
     assert q.direction == (1.0,)
     with pytest.raises(ValueError):
         torus_query((0.0,), (0.0,), region)
-    with pytest.raises(ValueError):
-        GeodesicQuery(
-            manifold="sphere2", start=(1.0, 0.0, 0.0), direction=(1.0, 0.0, 0.0),
-            region=b.SphereCap((0.0, 0.0, 1.0), 0.5),
-        )
 
 
 def test_farey_directions_contain_adversaries():

@@ -26,11 +26,6 @@ def test_lambda4_rejects_bad_input():
         rz.lambda4(1, 1, 0)
 
 
-def test_phase_period():
-    assert rz.phase_period(Fraction(50)) == pytest.approx(2 * math.pi)
-    assert rz.phase_period(Fraction(55, 2)) == pytest.approx(4 * math.pi)
-
-
 # ---------------------------------------------------------------------------
 # dyadic enumeration
 # ---------------------------------------------------------------------------
@@ -73,58 +68,25 @@ def test_monotone_embedding_in_dyadic_ranges():
         assert set(pairs) <= set(wide)
 
 
-# ---------------------------------------------------------------------------
-# sums of two squares
-# ---------------------------------------------------------------------------
-
-def test_r2_small_values():
-    assert rz.two_squares_count(0) == 1
-    assert rz.two_squares_count(50) == 12
-    assert rz.two_squares_count(3) == 0
-    assert rz.two_squares_count(1) == 4
-    assert rz.two_squares_count(25) == 12
-
-
-def test_r2_rejects_negative_and_huge():
-    with pytest.raises(rz.ResonanceError):
-        rz.two_squares_count(-1)
-    with pytest.raises(rz.ResonanceError):
-        rz.two_squares_count(10**19)
-
-
-def test_r2_scan_equals_factorization_sweep():
-    for n in range(0, 20000):
-        assert rz._r2_scan(n) == rz._r2_factor(n)
-
-
-def test_r2_multiplicativity_spot_checks():
-    # r2(mn)/4 is multiplicative for coprime m, n
-    pairs = [(5, 13), (9, 25), (4, 49), (13, 17), (8, 9)]
-    for m, n in pairs:
-        assert math.gcd(m, n) == 1
-        lhs = rz.two_squares_count(m * n) // 4
-        rhs = (rz.two_squares_count(m) // 4) * (rz.two_squares_count(n) // 4)
-        assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# reduction route and sweeps
-# ---------------------------------------------------------------------------
-
-def test_reduction_route_equals_enumeration_small():
+def test_table_buckets_equal_enumeration_small():
+    # every bucket of the integer-key table is the brute-force enumeration of
+    # its phase sum, pair for pair and in order; each pair satisfies the
+    # sum-of-two-squares identity of the module docstring
     for p, q in [(0, 1), (1, 2)]:
         K = 1
-        while K <= 64:
-            table = rz.build_table(K, K, p, q)
-            for tau, pairs in table.buckets.items():
-                assert rz.reduction_count(K, K, tau, p, q) == len(pairs)
+        while K <= 16:
+            for tau, pairs in rz.build_table(K, K, p, q).buckets.items():
+                assert pairs == rz.enumerate_pairs(K, K, tau, p, q)
+                n = 4 * q * q * tau + 2 * p * p
+                for k, l in pairs:
+                    x, y = 2 * q * k * (k + 4) + p, 2 * q * l * (l + 4) + p
+                    assert n == x * x + y * y
             K *= 2
 
 
-def test_reduction_route_rejects_impossible_tau():
-    assert rz.reduction_count(1, 1, Fraction(51), 0, 1) == 0
-    assert rz.reduction_count(1, 1, Fraction(1, 3), 1, 2) == 0
-
+# ---------------------------------------------------------------------------
+# sweeps
+# ---------------------------------------------------------------------------
 
 def test_counting_sweep_small():
     sweep = rz.counting_sweep(8, 0, 1)
