@@ -87,13 +87,12 @@ class SpaceTimeField:
         return (TWO_PI / self.T_w) * np.arange(-(m // 2), m // 2)
 
 
-def make_taper(T_w: float, M_t: int, edge_fraction: float = 0.25) -> np.ndarray:
-    """Smooth plateau window on [0, T_w], exactly zero at both end samples
-    (the support is inset by two grid steps)."""
-    if not 0.0 < edge_fraction < 0.5:
-        raise ValueError("edge fraction must lie in (0, 1/2)")
+def make_taper(T_w: float, M_t: int) -> np.ndarray:
+    """Smooth plateau window on [0, T_w], rising and falling over a quarter
+    of the window each, exactly zero at both end samples (the support is
+    inset by two grid steps)."""
     t = T_w * np.arange(M_t) / M_t
-    e = edge_fraction * T_w
+    e = 0.25 * T_w
     margin = 2.0 * T_w / M_t
     if e <= margin:
         raise ValueError("window too short for the taper edges")
@@ -105,11 +104,9 @@ def tapered_free_solution(
     spec: ManifoldSpec,
     T_w: float,
     M_t: int,
-    taper: np.ndarray | None = None,
 ) -> SpaceTimeField:
     """psi(t) e^{itL} v0 on the window grid."""
-    if taper is None:
-        taper = make_taper(T_w, M_t)
+    taper = make_taper(T_w, M_t)
     t = T_w * np.arange(M_t) / M_t
     phases = np.exp(1j * t.reshape((-1,) + (1,) * spec.d) * spec.dispersion)
     vals = taper.reshape((-1,) + (1,) * spec.d) * phases * v0_coeffs
@@ -123,11 +120,9 @@ def random_spacetime_field(
     M_t: int,
     space_band: int,
     time_band: int,
-    taper: np.ndarray | None = None,
 ) -> SpaceTimeField:
     """Tapered random field, band-limited in both space and time frequency."""
-    if taper is None:
-        taper = make_taper(T_w, M_t)
+    taper = make_taper(T_w, M_t)
     if not 0 < time_band < M_t // 2:
         raise ValueError("time band out of range")
     spectrum = np.zeros((M_t,) + spec.shape, dtype=complex)
@@ -194,13 +189,12 @@ def cubic_product(f: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(f.spec, f.T_w, nonlinear_term(f.spec, f.values, 1), f.taper)
 
 
-def time_sobolev_norm_quadrature(
-    taper: np.ndarray, T_w: float, b: float, oversample: int = 8, pad: int = 4
-) -> float:
-    """H^b(R) norm of the taper by direct quadrature on an oversampled,
-    padded grid; the independent oracle for the free-solution identity."""
+def time_sobolev_norm_quadrature(taper: np.ndarray, T_w: float, b: float) -> float:
+    """H^b(R) norm of the taper by direct quadrature on an 8x oversampled
+    grid padded to 4 windows; the independent oracle for the free-solution
+    identity."""
+    oversample, pad = 8, 4
     m = len(taper) * oversample
-    t_fine = T_w * np.arange(len(taper) * oversample) / m
     # resample by trigonometric interpolation of the smooth taper
     spec_c = np.fft.fft(taper)
     half = len(taper) // 2
@@ -233,12 +227,9 @@ def _h_norm_line(samples: np.ndarray, dt: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class GainProbeResult:
-    b: float
-    b_prime: float
     T_values: tuple[float, ...]
     max_ratios: tuple[float, ...]
     fitted_exponent: float
-    skipped: int
 
 
 def check_gain_exponents(b: float, b_prime: float) -> None:
@@ -250,27 +241,21 @@ def check_gain_exponents(b: float, b_prime: float) -> None:
 def duhamel_gain_probe(
     b: float,
     b_prime: float,
-    T_values=(1.0, 0.5, 0.25),
-    n_samples: int = 24,
-    rng: np.random.Generator | None = None,
-    grid_points: int = 8192,
+    n_samples: int,
+    rng: np.random.Generator,
 ) -> GainProbeResult:
     """Measured gain || Psi(t/T) int_0^t f || _{H^b} / || f ||_{H^{-b'}}
-    over scalar test signals, swept in T to expose the T^{1-b-b'} scaling.
+    over scalar test signals on 8192 points of [-4, 4), swept over the
+    window lengths T = 1, 1/2, 1/4 (the estimate is for T <= 1) to expose
+    the T^{1-b-b'} scaling.
 
     Valid parameter range 0 < b' < 1/2 < b, b + b' <= 1. Zero signals are
     skipped (0/0 guard).
     """
     check_gain_exponents(b, b_prime)
-    if max(T_values) > 1.0:
-        raise ValueError("the gain estimate is for T <= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    half_window = 4.0
-    n = grid_points
-    t = np.linspace(-half_window, half_window, n, endpoint=False)
+    T_values = (1.0, 0.5, 0.25)
+    t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
     dt = t[1] - t[0]
-    skipped = 0
     max_ratios = []
     for T in T_values:
         psi = plateau_bump(t / T, -2.0, -1.0, 1.0, 2.0)
@@ -288,7 +273,6 @@ def duhamel_gain_probe(
                 f = chi * sum(a * np.exp(1j * wi * t) for a, wi in zip(amps, w))
             denom = _h_norm_line(f, dt, -b_prime)
             if denom == 0.0:
-                skipped += 1
                 continue
             prim = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * dt)])
             i0 = np.searchsorted(t, 0.0)
@@ -300,17 +284,8 @@ def duhamel_gain_probe(
     ys = np.log(np.asarray(max_ratios))
     slope = float(np.polyfit(xs, ys, 1)[0])
     return GainProbeResult(
-        b=b, b_prime=b_prime, T_values=tuple(T_values),
-        max_ratios=tuple(max_ratios), fitted_exponent=slope, skipped=skipped,
+        T_values=T_values, max_ratios=tuple(max_ratios), fitted_exponent=slope
     )
-
-
-@dataclass(frozen=True)
-class TrilinearProbeResult:
-    s: float
-    b_prime: float
-    n_samples: int
-    max_ratio: float
 
 
 def trilinear_constant_probe(
@@ -319,25 +294,22 @@ def trilinear_constant_probe(
     b_prime: float,
     n_samples: int,
     rng: np.random.Generator,
-    T_w: float = TWO_PI,
     M_t: int = 128,
     space_band: int | None = None,
     time_band: int = 8,
-) -> TrilinearProbeResult:
+) -> float:
     """Largest observed ||  |u|^2 u ||_{X^{s,-b'}} / ||u||^3_{X^{s,b'}} over
-    random tapered band-limited fields."""
+    random tapered band-limited fields on the window [0, 2pi]."""
     if not 0.0 < b_prime < 0.5:
         raise ValueError("need 0 < b' < 1/2")
     if space_band is None:
         space_band = spec.N // 8
     best = 0.0
     for _ in range(n_samples):
-        u = random_spacetime_field(spec, rng, T_w, M_t, space_band, time_band)
+        u = random_spacetime_field(spec, rng, TWO_PI, M_t, space_band, time_band)
         nu = xsb_norm(u, s, b_prime)
         if nu == 0.0:
             continue
         cu = cubic_product(u)
         best = max(best, xsb_norm(cu, s, -b_prime) / nu**3)
-    return TrilinearProbeResult(
-        s=s, b_prime=b_prime, n_samples=n_samples, max_ratio=best
-    )
+    return best

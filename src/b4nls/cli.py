@@ -21,6 +21,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -82,7 +83,9 @@ class ConfigError(ValueError):
 
 
 def _get(cfg, section, key, cast, default=None, required=False):
-    """The value of [section] key cast by cast; a float must be finite."""
+    """The value of [section] key cast by cast; a float must be finite.
+    Call it only where the value is used: the call marks the key as read."""
+    cfg.read_keys.add((section, cfg.optionxform(key)))
     try:
         raw = cfg.get(section, key)
     except (configparser.NoSectionError, configparser.NoOptionError):
@@ -104,6 +107,7 @@ def _get(cfg, section, key, cast, default=None, required=False):
 
 def _load_config(path):
     cfg = configparser.ConfigParser()
+    cfg.read_keys = set()  # the (section, key) pairs _get reads; validate_config refuses the rest
     try:
         read = cfg.read(path)
     except configparser.Error as exc:
@@ -147,7 +151,6 @@ def _build_profile(cfg, spec):
 
 def _build_datum(cfg, spec, rng) -> SpectralField:
     kind = _get(cfg, "run", "datum", str, "random")
-    norm = _get(cfg, "run", "datum_norm", float, 1.0)
     if kind == "zero":
         return zero_field(spec)
     if kind == "plane-wave":
@@ -158,14 +161,11 @@ def _build_datum(cfg, spec, rng) -> SpectralField:
         decay = _get(cfg, "run", "datum_decay", float, 4.0)
         band = _get(cfg, "run", "datum_band", int, None)
         u = random_field(spec, rng, decay=decay, band=band)
-        return normalize_sobolev(u, 2.0, norm)
+        return normalize_sobolev(u, 2.0, _get(cfg, "run", "datum_norm", float, 1.0))
     raise ConfigError(f"unknown datum kind {kind!r}")
 
 
 def _build_solver(cfg) -> SolverConfig:
-    scheme = _get(cfg, "solver", "scheme", str, "etdrk4")
-    if scheme != "etdrk4":
-        raise ConfigError(f"unknown [solver] scheme {scheme!r}; only etdrk4 is available")
     return SolverConfig(
         dt=_get(cfg, "solver", "dt", float, 1e-3),
         k_nl=_get(cfg, "solver", "k_nl", int, 1),
@@ -222,6 +222,11 @@ def _simulate(cfg, rng):
 
 def _stabilize(cfg, rng):
     u0, solver, T, stride = _flow(cfg, rng, 20.0)
+    if not np.any(u0.coeffs[u0.spec.dealias_mask]):
+        raise ConfigError(
+            "[run] the datum has no mode in the dealiasing ball (every |k_i| <= "
+            f"{u0.spec.N // 3}), so the damped flow stays zero and has no decay to fit"
+        )
     profile = _build_profile(cfg, u0.spec)
 
     def run(outdir):
@@ -240,19 +245,21 @@ def _stabilize(cfg, rng):
     return run
 
 
-def _control_problem(cfg, rng) -> ControlProblem:
+def _control_problem(cfg, rng, nonlinear) -> ControlProblem:
     """The datum, checked against the control band (the dual datum lives on
-    the band, so the datum must too), and the problem it poses."""
+    the band, so the datum must too), and the problem it poses. The
+    fixed-point keys are read for the nonlinear problem only; the linear
+    synthesis never uses them."""
     spec = _build_spec(cfg)
-    solver = _build_solver(cfg)
     u0 = _build_datum(cfg, spec, rng)
     band = _get(cfg, "control", "control_band", int, None)
     kind = _get(cfg, "run", "datum", str, "random")
     if band is not None and band < 0:
         raise ConfigError(f"[control] control_band must be >= 0, got {band}")
-    datum_band = _get(cfg, "run", "datum_band", int, None)
-    if band is not None and kind == "random" and (datum_band is None or datum_band > band):
-        raise ConfigError(f"[run] datum_band must be set and <= [control] control_band = {band}")
+    if band is not None and kind == "random":
+        datum_band = _get(cfg, "run", "datum_band", int, None)
+        if datum_band is None or datum_band > band:
+            raise ConfigError(f"[run] datum_band must be set and <= [control] control_band = {band}")
     if band is not None and kind == "plane-wave" and abs(_get(cfg, "run", "datum_mode", int, 1)) > band:
         raise ConfigError(f"[run] datum_mode lies outside [control] control_band = {band}")
     return ControlProblem(
@@ -260,13 +267,15 @@ def _control_problem(cfg, rng) -> ControlProblem:
         u0=u0,
         T=_get(cfg, "run", "T", float, 1.0),
         phi=_build_profile(cfg, spec),
-        k_nl=solver.k_nl,
+        k_nl=_get(cfg, "solver", "k_nl", int, 1),
         cg_tol=_get(cfg, "control", "cg_tol", float, 1e-9),
         cg_max_iter=_get(cfg, "control", "cg_max_iter", int, 600),
-        fixedpoint_tol=_get(cfg, "control", "fixedpoint_tol", float, 1e-8),
+        fixedpoint_tol=(_get(cfg, "control", "fixedpoint_tol", float, 1e-8) if nonlinear
+                        else ControlProblem.fixedpoint_tol),
         control_band=band,
         verify_dt=_get(cfg, "control", "verify_dt", float, 1e-4),
-        solve_dt=_get(cfg, "control", "solve_dt", float, 1e-3),
+        solve_dt=(_get(cfg, "control", "solve_dt", float, 1e-3) if nonlinear
+                  else ControlProblem.solve_dt),
     )
 
 
@@ -290,7 +299,7 @@ def _save_control(outdir, prob, cert, certificate_rows, summary_header, summary_
 
 
 def _control_linear(cfg, rng):
-    prob = _control_problem(cfg, rng)
+    prob = _control_problem(cfg, rng, nonlinear=False)
 
     def run(outdir):
         cert = solve_linear_control(prob)
@@ -306,7 +315,7 @@ def _control_linear(cfg, rng):
 
 
 def _control_nonlinear(cfg, rng):
-    prob = _control_problem(cfg, rng)
+    prob = _control_problem(cfg, rng, nonlinear=True)
 
     def run(outdir):
         cert = solve_nonlinear_control(prob)
@@ -329,13 +338,18 @@ def _observability(cfg, rng):
     T = _get(cfg, "run", "T", float, 1.0)
     if not T >= 0.0:
         raise ConfigError(f"[run] T must be >= 0, got {T}")
-    j_values = _get(cfg, "sweep", "j_values", lambda raw: [int(x) for x in raw.split(",")],
-                    [2, 3, 4, 5, 6])
+
+    def resolved(j):
+        return band_mode_mask(spec, 2.0 ** (-j)).any()
+
+    j_values = _get(cfg, "sweep", "j_values", lambda raw: [int(x) for x in raw.split(",")])
+    if j_values is None:  # every scale from h = 1/4 down that the lattice resolves
+        j_values = list(itertools.takewhile(resolved, itertools.count(2)))
     quad_dt = _get(cfg, "sweep", "quad_dt", float, 1e-3)
     if not quad_dt > 0.0:
         raise ConfigError(f"[sweep] quad_dt must be positive, got {quad_dt}")
     for j in j_values:
-        if not band_mode_mask(spec, 2.0 ** (-j)).any():
+        if not resolved(j):
             raise ConfigError(f"[sweep] j = {j}: no lattice mode falls in the h = 2^-{j} band")
 
     def run(outdir):
@@ -379,7 +393,8 @@ def _gcc_check(cfg, rng):
                 w = scan.witness
                 fh.write(
                     "gcc fails: witness geodesic\n"
-                    f"start = {w.start!r}\ndirection = {w.direction!r}\n"
+                    f"start = {tuple(float(x) for x in w.start)!r}\n"
+                    f"direction = {tuple(float(x) for x in w.direction)!r}\n"
                     f"t_max = {w.t_max!r}\n"
                 )
         return ["geodesics.csv", "summary.txt"]
@@ -430,14 +445,14 @@ def _bourgain(cfg, rng):
 
     def run(outdir):
         gain = duhamel_gain_probe(b, bp, n_samples=samples, rng=rng)
-        tri = trilinear_constant_probe(
+        tri_max_ratio = trilinear_constant_probe(
             spec, s, min(bp, 0.49), max(4, samples // 4), rng,
             M_t=M_t, space_band=space_band, time_band=time_band,
         )
         rows = [["gain_T_" + repr(float(T)), r] for T, r in zip(gain.T_values, gain.max_ratios)]
         rows.append(["gain_fitted_exponent", gain.fitted_exponent])
         rows.append(["gain_target_exponent", 1.0 - b - bp])
-        rows.append(["trilinear_max_ratio", tri.max_ratio])
+        rows.append(["trilinear_max_ratio", tri_max_ratio])
         _write_csv(os.path.join(outdir, "probe.csv"), ["name", "value"], rows)
         return ["probe.csv"]
 
@@ -466,24 +481,35 @@ _DESCRIPTIONS = {
     "bourgain-probe": "time-integration gain and cubic bound probes; probe.csv",
 }
 
-_REGION_KEYS = "[region] type,lo,hi,axis/radius,center_x,center_y,center_z,smoothing_width"
+_DATUM = "datum,datum_norm,datum_decay,datum_band,datum_mode,datum_amplitude"
+_REGION = {"region": "type,lo,hi,axis,radius,center_x,center_y,center_z,smoothing_width"}
+_FLOW = {"manifold": "d,N,beta", "solver": "dt,k_nl,record_stride",
+         "run": f"T,snapshot_stride,{_DATUM}"}
+_CONTROL = {"manifold": "d,N,beta", **_REGION, "solver": "k_nl", "run": f"T,{_DATUM}",
+            "control": "control_band,cg_tol,cg_max_iter,verify_dt"}
+# kind -> section -> the keys its builder may read
 _KEYS = {
-    "simulate": "[manifold] d,N,beta  [solver] dt,k_nl,record_stride  [run] T,datum,...,snapshot_stride",
-    "stabilize": f"[manifold] + {_REGION_KEYS} + [solver] + [run] T,snapshot_stride",
-    "control-linear": "[manifold] + [region] + [run] T,datum_band + [control] cg_tol,control_band,verify_dt",
-    "control-nonlinear": "as control-linear plus [control] fixedpoint_tol, datum_norm small",
-    "observability-sweep": "[manifold] + [region] + [run] T + [sweep] j_values,quad_dt",
-    "gcc-check": f"[manifold] d + {_REGION_KEYS} + [gcc] t_max,eps_t,starts_per_dim,farey_max_den,n_angles",
-    "resonance-sweep": "[sweep] K_max,beta_p,beta_q",
-    "bourgain-probe": "[manifold] + [sweep] b,b_prime,s,samples,M_t,space_band,time_band",
+    "simulate": _FLOW,
+    "stabilize": {**_FLOW, **_REGION},
+    "control-linear": _CONTROL,
+    "control-nonlinear": {**_CONTROL, "control": _CONTROL["control"] + ",fixedpoint_tol,solve_dt"},
+    "observability-sweep": {"manifold": "d,N,beta", **_REGION, "run": "T",
+                            "sweep": "j_values,quad_dt"},
+    "gcc-check": {"manifold": "d", "region": "type,lo,hi,axis,radius,center_x,center_y",
+                  "gcc": "t_max,eps_t,starts_per_dim,farey_max_den,n_angles"},
+    "resonance-sweep": {"sweep": "K_max,beta_p,beta_q"},
+    "bourgain-probe": {"manifold": "d,N,beta",
+                       "sweep": "b,b_prime,s,samples,M_t,space_band,time_band"},
 }
 
 
 def validate_config(path) -> dict:
     """Parse and check the whole config and draw its datum: everything of a
-    run but the solve. Returns the kind, the seed, the [experiment] output
-    directory (None when unset) and run(outdir), the rest of the run; run
-    draws what remains of the seeded stream, so it is called once."""
+    run but the solve. A key that the run does not read is refused, so a
+    misspelt or misplaced key cannot fall back to its default unnoticed.
+    Returns the kind, the seed, the [experiment] output directory (None when
+    unset) and run(outdir), the rest of the run; run draws what remains of
+    the seeded stream, so it is called once."""
     cfg = _load_config(path)
     kind = _get(cfg, "experiment", "kind", str, required=True)
     if kind not in EXPERIMENTS:
@@ -496,6 +522,15 @@ def validate_config(path) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     output = _get(cfg, "experiment", "output", str, None)
+    shared = set(cfg.defaults())
+    unread = [
+        f"[{section}] {key} is not a key of {kind}"
+        for section in cfg.sections()
+        for key in cfg.options(section)
+        if key not in shared and (section, key) not in cfg.read_keys
+    ]
+    if unread:
+        raise ConfigError("; ".join(unread))
     return {"kind": kind, "seed": seed, "output": output, "run": run}
 
 
@@ -560,7 +595,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "describe":
             print(f"{args.experiment}: {_DESCRIPTIONS[args.experiment]}")
-            print(f"keys: {_KEYS[args.experiment]}")
+            print("keys:")
+            for section, keys in {"experiment": "kind,seed,output", **_KEYS[args.experiment]}.items():
+                print(f"  [{section}] {keys}")
             return 0
         outdir = run_config(args.config, args.output)
         print(f"wrote {outdir}")

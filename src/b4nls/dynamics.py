@@ -50,6 +50,15 @@ from .spectral import (
 )
 
 
+# A run stops with BlowUpError once a recorded H^2 norm exceeds this
+# multiple of the initial one (of 1 for zero initial data).
+BLOWUP_FACTOR = 1e6
+
+# Relative tolerance and iteration cap of the damping solve J w = v.
+INNER_TOL = 1e-12
+INNER_MAX_ITER = 400
+
+
 class BlowUpError(RuntimeError):
     """H^2 norm exceeded the blow-up guard during evolution."""
 
@@ -65,18 +74,13 @@ class SolverConfig:
     dt: float = 1e-3
     k_nl: int = 1
     include_nonlinearity: bool = True
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 400
     record_stride: int = 1
-    blowup_factor: float = 1e6
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.k_nl < 1:
             raise ValueError("k_nl must be >= 1")
-        if not 0.0 < self.inner_tol <= 1e-6:
-            raise ValueError("inner tolerance must lie in (0, 1e-6]")
         if self.record_stride < 1:
             raise ValueError("record stride must be >= 1")
 
@@ -94,7 +98,6 @@ class EvolutionTrace:
     damped: bool
     k_nl: int
     inner_iterations: np.ndarray | None = None
-    controls: np.ndarray | None = None
 
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.spec, self.states[i])
@@ -252,7 +255,7 @@ def evolve_nonlinear(
 
     return _march(
         spec, c, dt, n_steps, cfg, stepper,
-        damped=False, include_mass_term=False, forcing=forcing,
+        damped=False, include_mass_term=False,
     )
 
 
@@ -263,14 +266,12 @@ def evolve_nonlinear(
 class _DampingOperator:
     """D = a (1-Lap)^{-2} (a .) restricted to the dealiasing ball."""
 
-    def __init__(self, spec: ManifoldSpec, profile: DampingProfile, cfg: SolverConfig):
+    def __init__(self, spec: ManifoldSpec, profile: DampingProfile):
         self.spec = spec
         self.a = profile.values
         self.s2 = smoothing_multiplier(spec, 2)
         self.s1 = smoothing_multiplier(spec, 1)
         self.mask = spec.dealias_mask
-        self.tol = cfg.inner_tol
-        self.max_iter = cfg.inner_max_iter
         self.constant = profile.is_constant
         if self.constant:
             a0 = float(profile.values.flat[0])
@@ -292,7 +293,8 @@ class _DampingOperator:
         return float(np.sum(self.s1**2 * np.abs(w) ** 2))
 
     def solve_j(self, v: np.ndarray, x0: np.ndarray | None = None):
-        """Solve (1 - i D) w = v from the start x0; returns (w, iterations, D w).
+        """Solve (1 - i D) w = v from the start x0 to INNER_TOL; returns
+        (w, iterations, D w).
 
         D w is the one the residual check applies, handed out so that a
         caller does not apply D to w again.
@@ -306,12 +308,12 @@ class _DampingOperator:
 
         rhs = v + 1j * self.apply(v)
         w, it, relres = cg_hermitian(
-            normal_op, rhs, tol=self.tol, max_iter=self.max_iter, x0=x0
+            normal_op, rhs, tol=INNER_TOL, max_iter=INNER_MAX_ITER, x0=x0
         )
         dw = self.apply(w)
         res = float(np.linalg.norm((w - 1j * dw) - v))
         scale = float(np.linalg.norm(v))
-        if scale > 0.0 and res > 10.0 * self.tol * scale:
+        if scale > 0.0 and res > 10.0 * INNER_TOL * scale:
             raise IterationError(
                 f"damping solve stalled: residual {res / scale:.3e} after {it} iterations"
             )
@@ -339,7 +341,7 @@ def evolve_damped(
     n_steps, dt = _resolve_steps(T, cfg.dt)
 
     mask = spec.dealias_mask
-    damp = _DampingOperator(spec, profile, cfg)
+    damp = _DampingOperator(spec, profile)
     mult = spec.dispersion + 1.0  # |k|^4 + beta |k|^2 + 1
 
     def f_ball(cc: np.ndarray) -> np.ndarray:
@@ -400,15 +402,11 @@ def _march(
     include_mass_term: bool,
     recover=None,
     inner_counts: list[int] | None = None,
-    forcing=None,
 ) -> EvolutionTrace:
     """Step n_steps times and record every cfg.record_stride steps.
 
-    The forcing is recorded right after the step that ends at a record
-    time, which is the last time that step asked it for, so a forcing that
-    keeps its last value is not evaluated again. The ledger is computed
-    after the loop over blocks of stacked records; only the blow-up guard
-    runs per record.
+    The ledger is computed after the loop over blocks of stacked records;
+    only the blow-up guard (BLOWUP_FACTOR) runs per record.
     """
     h2w = sobolev_weights(spec, 2.0)
 
@@ -422,9 +420,8 @@ def _march(
         u0c, flux0 = recover(state0)
     states = [u0c]
     fluxes = [flux0]
-    controls = [] if forcing is None else [np.asarray(forcing(0.0))]
     # zero initial data (forced runs) falls back to an absolute unit scale
-    guard = cfg.blowup_factor * max(h2_norm(u0c), 1.0 if h2_norm(u0c) == 0.0 else 0.0)
+    guard = BLOWUP_FACTOR * max(h2_norm(u0c), 1.0 if h2_norm(u0c) == 0.0 else 0.0)
 
     state = state0
     t = 0.0
@@ -440,8 +437,6 @@ def _march(
             times.append(t)
             states.append(uc)
             fluxes.append(fl)
-            if forcing is not None:
-                controls.append(np.asarray(forcing(t)))
             if h2_norm(uc) > guard:
                 raise BlowUpError(f"H^2 norm exceeded guard at t = {t:.6g}")
 
@@ -461,7 +456,6 @@ def _march(
         damped=damped,
         k_nl=cfg.k_nl,
         inner_iterations=np.asarray(inner_counts) if inner_counts is not None else None,
-        controls=np.stack(controls) if controls else None,
     )
 
 

@@ -225,7 +225,6 @@ def torus_gcc_time(
     farey_max_den: int = 6,
     n_angles: int = 32,
     eps_t: float = 1e-4,
-    scan_dt: float | None = None,
 ) -> GccScan:
     """Sampled control time on T^d (d = 1 or 2).
 
@@ -249,7 +248,7 @@ def torus_gcc_time(
     # normalized as GeodesicQuery normalizes them, one vector at a time
     units = [tuple(np.asarray(v, dtype=float) / float(np.linalg.norm(v))) for v in directions]
     n_dir = len(units)
-    dt = scan_dt if scan_dt is not None else _default_scan_dt(region, eps_t)
+    dt = _default_scan_dt(region, eps_t)
     start_arr = np.asarray(starts, dtype=float).reshape(-1, d)
     unit_arr = np.asarray(units)
     # starts in chunks of 1, 2, 4, ...: a failing family stops soon after
@@ -280,7 +279,7 @@ def torus_gcc_time(
         witness = GeodesicQuery(
             start=starts[i],
             direction=directions[np.flatnonzero(missed[i])[-1]], region=region,
-            t_max=t_max, eps_t=eps_t, scan_dt=scan_dt,
+            t_max=t_max, eps_t=eps_t,
         )
         return GccScan(t0=None, witness=witness, records=records)
     return GccScan(t0=float(hits.max(initial=0.0)), witness=None, records=records)

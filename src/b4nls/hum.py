@@ -66,6 +66,11 @@ from .spectral import (
 # entries of A[:, S] and of Lambda[:, S] a ControlProblem may need (64 MiB each)
 MAX_OPERATOR_ENTRIES = 2**22
 
+# The nonlinear control takes data with ||u0||_{H^2} up to SMALLNESS_DELTA
+# and runs at most FIXEDPOINT_MAX_ITER fixed-point updates.
+SMALLNESS_DELTA = 0.1
+FIXEDPOINT_MAX_ITER = 12
+
 
 class ControlStagnationError(RuntimeError):
     """CG failed to converge: practical loss of observability."""
@@ -103,8 +108,6 @@ class ControlProblem:
     cg_tol: float = 1e-9
     cg_max_iter: int = 600
     fixedpoint_tol: float = 1e-8
-    fixedpoint_max_iter: int = 12
-    smallness_delta: float = 0.1
     control_band: int | None = None
     verify_dt: float = 1e-4
     solve_dt: float = 1e-3
@@ -120,6 +123,8 @@ class ControlProblem:
             raise ValueError("control band must be >= 0")
         if not (self.verify_dt > 0.0 and self.solve_dt > 0.0):
             raise ValueError("verify_dt and solve_dt must be positive")
+        if self.k_nl < 1:
+            raise ValueError("k_nl must be >= 1")
         if not 0.0 < self.cg_tol < 1.0:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if not (self.fixedpoint_tol > 0.0 and self.cg_max_iter >= 1):
@@ -353,9 +358,8 @@ def _verify_closed_form(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -
     return _h2_miss(prob, uT)
 
 
-def _control_samples(prob: ControlProblem, op: HumOperator, v0: np.ndarray,
-                     sample_count: int = 101):
-    ts = np.linspace(0.0, prob.T, sample_count)
+def _control_samples(prob: ControlProblem, op: HumOperator, v0: np.ndarray):
+    ts = np.linspace(0.0, prob.T, 101)
     h = control_forcing(op, v0)
     return ts, np.stack([h(t) for t in ts])
 
@@ -446,17 +450,17 @@ def _nonlinear_correction(
 def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
     """Local steering of the defocusing nonlinear flow to the zero state.
 
-    Requires ||u0||_{H^2} below the smallness threshold; the measured
+    Requires ||u0||_{H^2} <= SMALLNESS_DELTA; the measured
     contraction ratios are the real guard and a ratio >= 1 raises
     ContractionFailure carrying the value.
     """
     if prob.u_target is not None and np.linalg.norm(prob.u_target.coeffs) > 0.0:
         raise ValueError("nonlinear control steers to the zero state")
     u0_h2 = sobolev_norm(prob.u0, 2.0)
-    if u0_h2 > prob.smallness_delta:
+    if u0_h2 > SMALLNESS_DELTA:
         raise ValueError(
             f"datum H^2 norm {u0_h2:.3e} exceeds the smallness threshold "
-            f"{prob.smallness_delta:.3e}"
+            f"{SMALLNESS_DELTA:.3e}"
         )
     spec = prob.spec
     op = HumOperator(spec, prob.phi, prob.T, band=prob.control_band)
@@ -475,7 +479,7 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
     cg_res: list[float] = []
     u0c = prob.u0.coeffs.astype(complex)
 
-    for _ in range(prob.fixedpoint_max_iter):
+    for _ in range(FIXEDPOINT_MAX_ITER):
         k_phi = _nonlinear_correction(prob, op, phi0)
         phi_new, iters, relres = s_inverse(u0c - k_phi)
         cg_iters.append(iters)
@@ -494,7 +498,7 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
             break
     else:
         raise ControlStagnationError(
-            f"fixed point not reached in {prob.fixedpoint_max_iter} iterations "
+            f"fixed point not reached in {FIXEDPOINT_MAX_ITER} iterations "
             f"(last update {diffs[-1]:.3e})"
         )
 

@@ -58,37 +58,28 @@ def cg_hermitian(
     return x, it, float(np.sqrt(rs) / bnorm)
 
 
-def lanczos_extreme(
-    apply_op,
-    dim: int,
-    seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-):
+def lanczos_extreme(apply_op, dim: int):
     """Extreme eigenvalues of a Hermitian operator on C^dim.
 
-    Lanczos with full reorthogonalization; iterates until the residual
-    bounds of both extreme Ritz values fall below tol (absolute, scaled
-    by the largest Ritz value) or the Krylov space is exhausted, which at
-    these problem sizes amounts to an exact tridiagonalization.
+    Lanczos with full reorthogonalization from a seeded random start;
+    iterates until the residual bounds of both extreme Ritz values fall
+    below 1e-8 (absolute, scaled by the largest Ritz value) or the Krylov
+    space is exhausted, which at these problem sizes amounts to an exact
+    tridiagonalization.
 
     Returns (min_eig, max_eig, iterations).
     """
     if dim < 1:
         raise ValueError("empty space")
-    if max_iter is None:
-        max_iter = dim
-    max_iter = min(max_iter, dim)
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
 
-    Q = np.zeros((dim, max_iter), dtype=complex)
+    Q = np.zeros((dim, dim), dtype=complex)
     alphas: list[float] = []
     betas: list[float] = []
     Q[:, 0] = v
-    for m in range(max_iter):
+    for m in range(dim):
         w = apply_op(Q[:, m])
         a = float(np.real(np.vdot(Q[:, m], w)))
         alphas.append(a)
@@ -99,8 +90,7 @@ def lanczos_extreme(
         for _ in range(2):
             w = w - Q[:, : m + 1] @ (Q[:, : m + 1].conj().T @ w)
         bnorm = float(np.linalg.norm(w))
-        if m + 1 < max_iter:
-            betas.append(bnorm)
+        betas.append(bnorm)
         T = _tridiag(alphas, betas[:m])
         evals, evecs = np.linalg.eigh(T)
         scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
@@ -108,10 +98,9 @@ def lanczos_extreme(
         res_hi = bnorm * abs(evecs[-1, -1])
         if m + 1 == dim or bnorm < 1e-14 * scale:
             return float(evals[0]), float(evals[-1]), m + 1
-        if m >= 1 and max(res_lo, res_hi) <= tol * scale:
+        if m >= 1 and max(res_lo, res_hi) <= 1e-8 * scale:
             return float(evals[0]), float(evals[-1]), m + 1
         Q[:, m + 1] = w / bnorm
-    return float(evals[0]), float(evals[-1]), max_iter
 
 
 def _tridiag(alphas, betas) -> np.ndarray:

@@ -112,15 +112,13 @@ def band_gramian_min_eig(
     h: float,
     quad_dt: float = 1e-3,
     smoothing_width: float | None = None,
-    lanczos_tol: float = 1e-8,
-    seed: int = 0,
     cross_check: bool = False,
 ) -> GramianReport:
     """Smallest Gramian eigenvalue on the band kappa(h^2 |k|^2) > 0.
 
     Both extremes come from eigvalsh of the dense closed-form band matrix.
-    cross_check additionally runs Lanczos (seed, lanczos_tol) on the
-    matrix-free trapezoid apply and insists the extremes agree.
+    cross_check additionally runs `lanczos_extreme` on the matrix-free
+    trapezoid apply and insists the extremes agree.
     """
     mask = band_mode_mask(spec, h)
     band_idx = np.flatnonzero(mask.ravel())
@@ -136,7 +134,7 @@ def band_gramian_min_eig(
     evals = np.linalg.eigvalsh(g.dense())
     lo, hi = float(evals[0]), float(evals[-1])
     if cross_check:
-        lo_l, hi_l, _ = lanczos_extreme(g.apply, g.band_dim, seed=seed, tol=lanczos_tol)
+        lo_l, hi_l, _ = lanczos_extreme(g.apply, g.band_dim)
         tol = 1e-6 * max(1.0, abs(hi))
         if abs(lo_l - lo) > tol or abs(hi_l - hi) > tol:
             raise AssertionError(

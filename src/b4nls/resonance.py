@@ -71,10 +71,6 @@ def enumerate_pairs(
 class ResonanceTable:
     """Phase-sum buckets of one dyadic box, exact."""
 
-    p: int
-    q: int
-    K: int
-    L: int
     buckets: dict  # Fraction tau -> list[(k, l)]
     max_count: int
 
@@ -94,7 +90,7 @@ def build_table(K: int, L: int, p: int, q: int) -> ResonanceTable:
             buckets.setdefault(m, []).append((K + i, L + j))
     out = {Fraction(m, q): v for m, v in buckets.items()}
     mx = max(len(v) for v in out.values())
-    return ResonanceTable(p=p, q=q, K=K, L=L, buckets=out, max_count=mx)
+    return ResonanceTable(buckets=out, max_count=mx)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +99,6 @@ def build_table(K: int, L: int, p: int, q: int) -> ResonanceTable:
 
 @dataclass(frozen=True)
 class SweepResult:
-    p: int
-    q: int
     dyadic_K: tuple[int, ...]
     max_counts: tuple[int, ...]
     growth_exponent: float
@@ -162,6 +156,5 @@ def counting_sweep(K_max: int, p: int, q: int) -> SweepResult:
     else:
         slope = 0.0
     return SweepResult(
-        p=p, q=q, dyadic_K=tuple(ks), max_counts=tuple(counts),
-        growth_exponent=slope, rows=tuple(rows),
+        dyadic_K=tuple(ks), max_counts=tuple(counts), growth_exponent=slope, rows=tuple(rows)
     )

@@ -1,7 +1,9 @@
+import ast
 import configparser
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import b4nls
-from b4nls.cli import main
+from b4nls import cli
+from b4nls.cli import EXPERIMENTS, main
 
 
 def write_config(tmp_path, text):
@@ -201,6 +204,8 @@ SWEEP = ("[experiment]\nkind = observability-sweep\n[manifold]\nd = 1\nN = 32\n"
          "[sweep]\nj_values = 2\n")
 BANDED = ("[experiment]\nkind = control-linear\n[manifold]\nd = 1\nN = 32\n"
           "[region]\nlo = 1.0\nhi = 3.0\n[run]\ndatum_band = 3\n[control]\ncontrol_band = 3\n")
+# the fixed-point keys are keys of control-nonlinear only
+NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
 
 
 @pytest.mark.parametrize(
@@ -224,13 +229,13 @@ BANDED = ("[experiment]\nkind = control-linear\n[manifold]\nd = 1\nN = 32\n"
         (SIMULATE + "[run]\nT = 0.01\n[solver]\ndt = nan\n", "[solver] dt: 'nan' is not finite"),
         (BANDED + "verify_dt = nan\n", "[control] verify_dt: 'nan' is not finite"),
         (BANDED + "verify_dt = -1\n", "verify_dt and solve_dt must be positive"),
-        (BANDED + "solve_dt = 0\n", "verify_dt and solve_dt must be positive"),
+        (NONLINEAR + "solve_dt = 0\n", "verify_dt and solve_dt must be positive"),
         # a negative tolerance ran 600 CG iterations and exited 1
         (BANDED + "cg_tol = -1\n", "cg_tol must lie in (0, 1)"),
         # no CG iteration ran and the message blamed GCC; a nonpositive
         # fixed-point tolerance was reported as a too-large datum
         (BANDED + "cg_max_iter = 0\n", "cg_max_iter >= 1"),
-        (BANDED + "fixedpoint_tol = -1\n", "fixedpoint_tol must be positive"),
+        (NONLINEAR + "fixedpoint_tol = -1\n", "fixedpoint_tol must be positive"),
         # NaN region data gave an all-zero damping profile and exit 0
         (STABILIZE + "[region]\nsmoothing_width = nan\n",
          "[region] smoothing_width: 'nan' is not finite"),
@@ -238,12 +243,25 @@ BANDED = ("[experiment]\nkind = control-linear\n[manifold]\nd = 1\nN = 32\n"
         # configparser errors were tracebacks at validate
         (SIMULATE + "[run]\nT = 1\nT = 2\n", "already exists"),
         (SIMULATE + "[run]\nT = 5%\n", "'%' must be followed by"),
+        # a datum with no mode in the dealiasing ball wrote a ledger and
+        # snapshots, then failed the decay fit on zero energies
+        (STABILIZE + "datum = zero\n", "no mode in the dealiasing ball"),
+        (STABILIZE + "datum = plane-wave\ndatum_mode = 11\n", "no mode in the dealiasing ball"),
+        # keys the run does not read were ignored: a misspelt band ran unbanded
+        (BANDED.replace("control_band", "contol_band"),
+         "[control] contol_band is not a key of control-linear"),
+        (BANDED + "[solver]\ndt = 1e-3\n", "[solver] dt is not a key of control-linear"),
+        # the control kinds read [solver] k_nl alone; ControlProblem checks it
+        (BANDED + "[solver]\nk_nl = 0\n", "k_nl must be >= 1"),
+        (SIMULATE + "[run]\nT = 0.01\ndatum = plane-wave\ndatum_norm = 2\n",
+         "[run] datum_norm is not a key of simulate"),
     ],
     ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-eps_t-ulp",
          "gcc-n_angles", "simulate-T-inf", "sweep-T-inf", "solver-dt-nan", "verify_dt-nan",
          "verify_dt-negative", "solve_dt-zero", "cg_tol-negative", "cg_max_iter-zero",
          "fixedpoint_tol-negative", "smoothing_width-nan", "lo-nan", "duplicate-key",
-         "bad-interpolation"],
+         "bad-interpolation", "stabilize-zero-datum", "stabilize-datum-outside-ball",
+         "misspelt-key", "control-solver-dt", "control-k_nl-zero", "plane-wave-datum_norm"],
 )
 def test_validate_catches_what_used_to_fail_at_run(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
@@ -252,6 +270,45 @@ def test_validate_catches_what_used_to_fail_at_run(tmp_path, capsys, text, messa
     assert main(["run", path, "--output", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_a_config_of_defaults_validates(tmp_path, kind):
+    assert main(["validate", write_config(tmp_path, f"[experiment]\nkind = {kind}\n")]) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_describe_lists_every_key_the_builder_reads(tmp_path, capsys, monkeypatch, kind):
+    loaded, original = [], cli._load_config
+
+    def load(path):
+        loaded.append(original(path))
+        return loaded[-1]
+
+    path = write_config(tmp_path, f"[experiment]\nkind = {kind}\nseed = 3\n{TINY[kind][0]}")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_load_config", load)
+        assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["describe", kind]) == 0
+    described = {
+        (section, key.lower())
+        for section, keys in re.findall(r"^\s*\[(\w+)\] (\S+)$", capsys.readouterr().out, re.M)
+        for key in keys.split(",")
+    }
+    assert sorted(loaded[0].read_keys - described) == []
+
+
+def test_gcc_witness_is_written_as_plain_floats(tmp_path):
+    path = write_config(tmp_path, GCC_CHECK + "[gcc]\nt_max = 20\n")
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert lines[0] == "gcc fails: witness geodesic"
+    assert lines[1] == "start = (0.0, 0.0)"
+    name, value = lines[2].split(" = ")
+    direction = ast.literal_eval(value)
+    assert name == "direction"
+    assert all(type(x) is float for x in direction) and direction[1] == 1.0
 
 
 def test_validate_refuses_a_hum_operator_above_the_cap(tmp_path, capsys):
@@ -300,17 +357,17 @@ FUZZ_KEYS = {
     "simulate": ["manifold.beta", "solver.dt", "run.T", "run.datum_norm", "run.datum_decay"],
     "stabilize": ["manifold.beta", "solver.dt", "run.T", "run.datum_norm", "run.datum_decay",
                   "region.lo", "region.hi", "region.smoothing_width"],
-    "control-linear": ["manifold.beta", "solver.dt", "run.T", "run.datum_norm",
-                       "run.datum_decay", "region.lo", "region.hi", "region.smoothing_width",
-                       "control.cg_tol", "control.fixedpoint_tol", "control.verify_dt",
-                       "control.solve_dt"],
+    "control-linear": ["manifold.beta", "run.T", "run.datum_norm", "run.datum_decay",
+                       "region.lo", "region.hi", "region.smoothing_width", "control.cg_tol",
+                       "control.verify_dt"],
     "observability-sweep": ["manifold.beta", "run.T", "region.lo", "region.hi",
                             "region.smoothing_width", "sweep.quad_dt"],
     "gcc-check": ["region.lo", "region.hi", "gcc.t_max", "gcc.eps_t"],
     "resonance-sweep": ["sweep.K_max", "sweep.beta_p", "sweep.beta_q"],
     "bourgain-probe": ["manifold.beta", "sweep.b", "sweep.b_prime", "sweep.s"],
 }
-FUZZ_KEYS["control-nonlinear"] = FUZZ_KEYS["control-linear"]
+FUZZ_KEYS["control-nonlinear"] = FUZZ_KEYS["control-linear"] + ["control.fixedpoint_tol",
+                                                                 "control.solve_dt"]
 NON_FINITE = ("nan", "inf", "-inf")
 
 

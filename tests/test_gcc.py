@@ -244,7 +244,8 @@ def _scan_cases(draw):
 def test_array_scan_equals_the_scalar_scan(case):
     region, geodesics, t_max, eps_t, scan_dt = case
     queries = [
-        torus_query(s, v, region, t_max=t_max, eps_t=eps_t, scan_dt=scan_dt)
+        GeodesicQuery(start=s, direction=v, region=region, t_max=t_max, eps_t=eps_t,
+                      scan_dt=scan_dt)
         for s, v in geodesics
     ]
     dt = scan_dt if scan_dt is not None else _default_scan_dt(region, eps_t)

@@ -326,7 +326,7 @@ def test_nonlinear_control_tiny_datum_matches_linear():
     phi = strip_phi(spec)
     prob = b.ControlProblem(
         spec=spec, u0=u0, T=1.0, phi=phi, cg_tol=1e-12, fixedpoint_tol=1e-14,
-        verify_dt=1e-4, fixedpoint_max_iter=6,
+        verify_dt=1e-4,
     )
     nl = b.solve_nonlinear_control(prob)
     lin = b.solve_linear_control(prob)

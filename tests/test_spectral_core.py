@@ -1,9 +1,13 @@
 import ast
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import b4nls as b
 from b4nls.dynamics import energy
@@ -88,12 +92,25 @@ def test_sobolev_two_modes():
     assert b.sobolev_norm(u, 1.0) == pytest.approx(math.sqrt(6.0), rel=1e-14)
 
 
-def test_parseval_grid_quadrature():
-    spec = b.make_torus(2, 16, 1.0)
-    u = rand_field(spec, 1)
-    vals = coeffs_to_grid(spec, u.coeffs)
-    quad = float(np.sum(np.abs(vals) ** 2) * spec.cell_volume)
-    assert quad == pytest.approx(np.linalg.norm(u.coeffs) ** 2, rel=1e-12)
+@st.composite
+def _fields(draw, entry=st.complex_numbers(allow_nan=False, allow_infinity=False)):
+    """A field on a drawn lattice, d in {1, 2, 3} and even N <= 16, with
+    hypothesis-drawn coefficients."""
+    d = draw(st.integers(1, 3))
+    N = draw(st.sampled_from([8, 10, 12, 14, 16]))
+    beta = draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
+    coeffs = draw(arrays(np.complex128, (N,) * d, elements=entry, fill=entry))
+    return b.SpectralField(b.make_torus(d, N, beta), coeffs)
+
+
+# squares of the entries stay clear of overflow and of the subnormal range
+@settings(max_examples=60, deadline=None)
+@given(_fields(st.just(0j) | st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100)))
+def test_parseval_grid_quadrature(u):
+    vals = coeffs_to_grid(u.spec, u.coeffs)
+    quad = float(np.sum(np.abs(vals) ** 2) * u.spec.cell_volume)
+    norm_sq = float(np.linalg.norm(u.coeffs) ** 2)
+    assert abs(quad - norm_sq) <= 1e-12 * norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +297,15 @@ def test_union_profile_smooth_max():
 # snapshots
 # ---------------------------------------------------------------------------
 
-def test_snapshot_roundtrip(tmp_path):
-    spec = b.make_torus(2, 16, 0.75)
-    u = rand_field(spec, 8)
-    path = tmp_path / "field.b4f"
-    b.save_field(u, path)
-    v = b.load_field(path)
-    assert v.spec == spec
-    assert np.array_equal(v.coeffs, u.coeffs)
+@settings(max_examples=60, deadline=None)
+@given(_fields())
+def test_snapshot_roundtrip(u):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.b4f")
+        b.save_field(u, path)
+        v = b.load_field(path)
+    assert v.spec == u.spec
+    assert v.coeffs.tobytes() == u.coeffs.tobytes()  # bit for bit, -0.0 included
 
 
 def test_snapshot_header_layout(tmp_path):
