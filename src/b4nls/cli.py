@@ -63,19 +63,8 @@ from .hum import (
 from .linalg import IterationError
 from .observability import gramian_sweep
 from .gcc import check_torus_scan, torus_gcc_time
-from .resonance import ResonanceError, _check_beta, counting_sweep
+from .resonance import check_sweep, counting_sweep
 from .bourgain import check_gain_exponents, duhamel_gain_probe, trilinear_constant_probe
-
-EXPERIMENTS = (
-    "simulate",
-    "stabilize",
-    "control-linear",
-    "control-nonlinear",
-    "observability-sweep",
-    "gcc-check",
-    "resonance-sweep",
-    "bourgain-probe",
-)
 
 
 class ConfigError(ValueError):
@@ -246,25 +235,14 @@ def _stabilize(cfg, rng):
 
 
 def _control_problem(cfg, rng, nonlinear) -> ControlProblem:
-    """The datum, checked against the control band (the dual datum lives on
-    the band, so the datum must too), and the problem it poses. The
-    fixed-point keys are read for the nonlinear problem only; the linear
-    synthesis never uses them."""
+    """The datum and the problem it poses. ControlProblem checks its own
+    inputs, the datum against the control band included, so this builder
+    only reads keys. The fixed-point keys are read for the nonlinear
+    problem only; the linear synthesis never uses them."""
     spec = _build_spec(cfg)
-    u0 = _build_datum(cfg, spec, rng)
-    band = _get(cfg, "control", "control_band", int, None)
-    kind = _get(cfg, "run", "datum", str, "random")
-    if band is not None and band < 0:
-        raise ConfigError(f"[control] control_band must be >= 0, got {band}")
-    if band is not None and kind == "random":
-        datum_band = _get(cfg, "run", "datum_band", int, None)
-        if datum_band is None or datum_band > band:
-            raise ConfigError(f"[run] datum_band must be set and <= [control] control_band = {band}")
-    if band is not None and kind == "plane-wave" and abs(_get(cfg, "run", "datum_mode", int, 1)) > band:
-        raise ConfigError(f"[run] datum_mode lies outside [control] control_band = {band}")
     return ControlProblem(
         spec=spec,
-        u0=u0,
+        u0=_build_datum(cfg, spec, rng),
         T=_get(cfg, "run", "T", float, 1.0),
         phi=_build_profile(cfg, spec),
         k_nl=_get(cfg, "solver", "k_nl", int, 1),
@@ -272,7 +250,7 @@ def _control_problem(cfg, rng, nonlinear) -> ControlProblem:
         cg_max_iter=_get(cfg, "control", "cg_max_iter", int, 600),
         fixedpoint_tol=(_get(cfg, "control", "fixedpoint_tol", float, 1e-8) if nonlinear
                         else ControlProblem.fixedpoint_tol),
-        control_band=band,
+        control_band=_get(cfg, "control", "control_band", int, None),
         verify_dt=_get(cfg, "control", "verify_dt", float, 1e-4),
         solve_dt=(_get(cfg, "control", "solve_dt", float, 1e-3) if nonlinear
                   else ControlProblem.solve_dt),
@@ -406,12 +384,7 @@ def _resonance(cfg, rng):
     K_max = _get(cfg, "sweep", "K_max", int, 1024)
     p = _get(cfg, "sweep", "beta_p", int, 0)
     q = _get(cfg, "sweep", "beta_q", int, 1)
-    if K_max < 1 or K_max & (K_max - 1) != 0:
-        raise ConfigError("K_max must be a power of two")
-    try:
-        _check_beta(p, q)
-    except ResonanceError as exc:
-        raise ConfigError(f"[sweep] beta_p/beta_q: {exc}") from exc
+    check_sweep(K_max, p, q)
 
     def run(outdir):
         sweep = counting_sweep(K_max, p, q)
@@ -469,6 +442,7 @@ _BUILDERS = {
     "resonance-sweep": _resonance,
     "bourgain-probe": _bourgain,
 }
+EXPERIMENTS = tuple(_BUILDERS)
 
 _DESCRIPTIONS = {
     "simulate": "free/nonlinear evolution; ledger.csv + snapshots + summary.csv",

@@ -124,15 +124,20 @@ def _max_bucket(K: int, p: int, q: int) -> tuple[int, int]:
     return int(top), int(keys[first[counts == top].min()])
 
 
+def check_sweep(K_max: int, p: int, q: int) -> None:
+    """Raise ResonanceError unless `counting_sweep` can run these arguments."""
+    if K_max < 1 or K_max & (K_max - 1) != 0:
+        raise ResonanceError(f"K_max must be a power of two, got {K_max}")
+    _check_beta(p, q)
+
+
 def counting_sweep(K_max: int, p: int, q: int) -> SweepResult:
     """Max resonance multiplicity per dyadic block K = 1, 2, ..., K_max and
     the fitted growth exponent of max count against K.
 
     Equal to reading `build_table(K, K, p, q)` for the max count and its
     first maximal bucket, which stays as the test oracle."""
-    if K_max < 1 or K_max & (K_max - 1) != 0:
-        raise ResonanceError("K_max must be a power of two")
-    _check_beta(p, q)
+    check_sweep(K_max, p, q)
     ks = []
     counts = []
     rows = []

@@ -109,6 +109,15 @@ def test_blowup_guard_trips(monkeypatch):
         b.evolve_nonlinear(u0, 5.0, cfg, forcing=lambda t: h)
 
 
+def test_blowup_guard_trips_on_a_non_finite_state():
+    # the first step overflows to inf and NaN, and NaN > guard is False:
+    # the guard must refuse any norm that is not <= it
+    spec = b.make_torus(1, 16, 1.0)
+    u0 = smooth_datum(spec, 3, h2=1e6)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(b.BlowUpError):
+        b.evolve_nonlinear(u0, 0.01, b.SolverConfig(dt=1e-3))
+
+
 # ---------------------------------------------------------------------------
 # damped flow
 # ---------------------------------------------------------------------------

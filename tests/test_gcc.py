@@ -221,6 +221,27 @@ def _balls(d):
 
 
 @st.composite
+def _membership_cases(draw):
+    d = draw(st.integers(1, 2))
+    # lo and hi drawn apart, so lo > hi (a strip that wraps through 0) is common
+    strip = st.builds(b.Strip, st.floats(-7.0, 7.0), st.floats(-7.0, 7.0), st.integers(0, d - 1))
+    part = st.one_of(strip, _balls(d))
+    region = draw(st.one_of(
+        part, st.builds(lambda ps: b.RegionUnion(tuple(ps)), st.lists(part, min_size=1, max_size=3))
+    ))
+    coords = st.floats(-20.0, 20.0)  # mostly outside [0, 2pi)
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=20))
+    return region, np.array(points, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_membership_cases())
+def test_array_membership_equals_contains(case):
+    region, pts = case
+    assert contains_points(region, pts).tolist() == [contains(region, tuple(p)) for p in pts]
+
+
+@st.composite
 def _scan_cases(draw):
     d = draw(st.integers(1, 2))
     part = st.one_of(_strips(d), _balls(d))
