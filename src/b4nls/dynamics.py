@@ -11,10 +11,12 @@ Fourier (fourth-order exponential time differencing, ETDRK4), which is the
 only practical choice given the |k|^4 stiffness.
 
 The damped equation is integrated through the bounded reformulation
-v = J u, J = 1 - i a (1-Lap)^{-2} a: the stiff part of the v-equation is
-the diagonal multiplier i(|k|^4 + beta |k|^2 + 1) and the remainder is a
-zero-order operator evaluated through an inner conjugate-gradient solve of
-J w = v (normal equations 1 + D^2, condition number <= 1 + max(a)^4).
+v = J u, J = 1 - i D, D = a (1-Lap)^{-2} a: the stiff part of the
+v-equation is the diagonal multiplier i(|k|^4 + beta |k|^2 + 1) and the
+remainder is a zero-order operator evaluated through an inner solve of
+J w = v. D is compact with fast eigenvalue decay, so the solve deflates a
+Ritz basis of D's leading eigenvectors, built once per run, and iterates on
+the remainder, which contracts by about the first eigenvalue left out.
 
 The semidiscrete system keeps the state inside the 2/3-rule dealiasing
 ball and evaluates |u|^{2k} u pointwise on the grid; with that convention
@@ -35,7 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IterationError, cg_hermitian
+from .linalg import IterationError, ritz_pairs
+
+# Nothing here calls cg_hermitian; the name stays because the benchmark's
+# traced run wraps b4nls.dynamics.cg_hermitian (bench/layers.py).
+from .linalg import cg_hermitian  # noqa: F401
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
@@ -54,9 +60,19 @@ from .spectral import (
 # multiple of the initial one (of 1 for zero initial data).
 BLOWUP_FACTOR = 1e6
 
-# Relative tolerance and iteration cap of the damping solve J w = v.
+# Relative tolerance and update cap of the damping solve J w = v.
 INNER_TOL = 1e-12
 INNER_MAX_ITER = 400
+
+# Ritz basis of D that preconditions the damping solve: at most RITZ_RANK
+# vectors from RITZ_STEPS applies of D to a random block (the range
+# finder's and two power steps), RITZ_BATCH fields per apply. On the
+# default strip at d2N32 the remainder contracts by 6.7e-4 per update
+# (5.3e-4 with D's exact eigenvectors), and a warm solve averages 1.5
+# updates; with one power step fewer, 8.2e-4 and 1.8 updates.
+RITZ_RANK = 48
+RITZ_STEPS = 3
+RITZ_BATCH = 8
 
 
 class BlowUpError(RuntimeError):
@@ -97,6 +113,8 @@ class EvolutionTrace:
     fluxes: np.ndarray  # damping flux ||(1-Lap)^{-1}(a u_t)||^2, 0 if undamped
     damped: bool
     k_nl: int
+    # preconditioned updates of each damping solve of a stage or record
+    # state; None for an undamped run, all 0 for a constant profile
     inner_iterations: np.ndarray | None = None
 
     def state(self, i: int) -> SpectralField:
@@ -264,7 +282,14 @@ def evolve_nonlinear(
 # ---------------------------------------------------------------------------
 
 class _DampingOperator:
-    """D = a (1-Lap)^{-2} (a .) restricted to the dealiasing ball."""
+    """D = a (1-Lap)^{-2} (a .) restricted to the dealiasing ball, and the
+    solve of J w = (1 - i D) w = v.
+
+    A constant profile makes D diagonal. Otherwise D's leading Ritz pairs
+    (V, theta) on the ball are built once; they give the preconditioner
+    P = 1 + V^H [(1 - i theta)^{-1} - 1] V, which inverts J on the span of
+    V, and I - P J is about i D on the complement.
+    """
 
     def __init__(self, spec: ManifoldSpec, profile: DampingProfile):
         self.spec = spec
@@ -276,6 +301,18 @@ class _DampingOperator:
         if self.constant:
             a0 = float(profile.values.flat[0])
             self.diag = a0 * a0 * self.s2
+            return
+        self.ball = np.flatnonzero(self.mask)
+        n = len(self.ball)
+        if n <= RITZ_RANK:  # the unit vectors span the ball: exact pairs
+            start, steps = np.eye(n, dtype=complex), 0
+        else:
+            rng = np.random.default_rng(0)
+            start = rng.standard_normal((RITZ_RANK, n)) + 1j * rng.standard_normal((RITZ_RANK, n))
+            steps = RITZ_STEPS
+        self.V, theta = ritz_pairs(self._apply_rows, start, steps)
+        self.Vh = self.V.conj().T
+        self.shift = 1.0 / (1.0 - 1j * theta) - 1.0
 
     def _mult_a(self, c: np.ndarray) -> np.ndarray:
         return profile_product(self.spec, self.a, c)
@@ -287,37 +324,59 @@ class _DampingOperator:
         w = self.s2 * w
         return np.where(self.mask, self._mult_a(w), 0.0)
 
+    def _apply_rows(self, x: np.ndarray) -> np.ndarray:
+        """D on each row of x, a stack of ball coefficient vectors."""
+        out = np.empty_like(x)
+        fields = np.zeros((RITZ_BATCH, self.spec.n_modes), dtype=complex)
+        for i in range(0, len(x), RITZ_BATCH):
+            rows = x[i:i + RITZ_BATCH]
+            f = fields[:len(rows)]
+            f[:, self.ball] = rows
+            d = self.apply(f.reshape((len(rows),) + self.spec.shape))
+            out[i:i + len(rows)] = d.reshape(len(rows), -1)[:, self.ball]
+        return out
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        """P r, which moves only the ball coefficients of r."""
+        out = r.copy()
+        flat = out.reshape(-1)
+        flat[self.ball] += self.Vh @ (self.shift * (self.V @ flat[self.ball]))
+        return out
+
     def flux(self, c: np.ndarray) -> float:
         """|| (1-Lap)^{-1} (a c) ||^2 for c in the ball."""
         w = self._mult_a(c)
         return float(np.sum(self.s1**2 * np.abs(w) ** 2))
 
     def solve_j(self, v: np.ndarray, x0: np.ndarray | None = None):
-        """Solve (1 - i D) w = v from the start x0 to INNER_TOL; returns
-        (w, iterations, D w).
+        """Solve (1 - i D) w = v to INNER_TOL; returns (w, updates, D w).
 
-        D w is the one the residual check applies, handed out so that a
+        Richardson on the true residual, preconditioned by P: from x0, or
+        from P v when x0 is None, each pass applies D to w, returns once
+        ||v - J w|| <= INNER_TOL ||v||, and else adds P of the residual.
+        The returned D w is that last check's apply, handed out so that a
         caller does not apply D to w again.
         """
         if self.constant:
             w = v / (1.0 - 1j * self.diag)
             return w, 0, self.diag * w
 
-        def normal_op(x: np.ndarray) -> np.ndarray:
-            return x + self.apply(self.apply(x))
-
-        rhs = v + 1j * self.apply(v)
-        w, it, relres = cg_hermitian(
-            normal_op, rhs, tol=INNER_TOL, max_iter=INNER_MAX_ITER, x0=x0
-        )
-        dw = self.apply(w)
-        res = float(np.linalg.norm((w - 1j * dw) - v))
         scale = float(np.linalg.norm(v))
+        w = self._precondition(v) if x0 is None else x0
+        updates = 0
+        while True:
+            dw = self.apply(w)
+            r = v - (w - 1j * dw)
+            res = float(np.linalg.norm(r))
+            if res <= INNER_TOL * scale or updates == INNER_MAX_ITER:
+                break
+            w = w + self._precondition(r)
+            updates += 1
         if scale > 0.0 and res > 10.0 * INNER_TOL * scale:
             raise IterationError(
-                f"damping solve stalled: residual {res / scale:.3e} after {it} iterations"
+                f"damping solve stalled: residual {res / scale:.3e} after {updates} updates"
             )
-        return w, it, dw
+        return w, updates, dw
 
 
 def evolve_damped(
@@ -351,16 +410,23 @@ def evolve_damped(
         return np.where(mask, fc, 0.0)
 
     inner_counts: list[int] = []
-    w_minus_v = None  # of the last stage solve
+    last = None  # (v, w, D w) of the last solve of a stage or record state
+
+    def solve(vv: np.ndarray):
+        nonlocal last
+        # a record's state is the next step's first stage: solved once
+        if last is not None and last[0] is vv:
+            return last[1], last[2]
+        # w - v = i D w is smooth and moves little from one solve to the
+        # next, so the last solve's difference starts this one
+        x0 = None if last is None else vv + (last[1] - last[0])
+        w, it, dw = damp.solve_j(vv, x0)
+        last = (vv, w, dw)
+        inner_counts.append(it)
+        return w, dw
 
     def nonlin(vv: np.ndarray, t: float) -> np.ndarray:
-        nonlocal w_minus_v
-        # w - v = i D w is smooth and moves little from one stage to the
-        # next, so the last stage's difference starts the solve
-        x0 = None if w_minus_v is None else vv + w_minus_v
-        w, it, dw = damp.solve_j(vv, x0)
-        w_minus_v = w - vv
-        inner_counts.append(it)
+        w, dw = solve(vv)
         return -mult * dw + 1j * f_ball(w)
 
     tab = _Etdrk4Tableau(1j * mult, dt)
@@ -370,7 +436,7 @@ def evolve_damped(
     v0 = c0 - 1j * damp.apply(c0)  # v = J u
 
     def recover(vv: np.ndarray):
-        u = damp.solve_j(vv)[0]
+        u = solve(vv)[0]
         ut = 1j * (damp.solve_j(mult * u + f_ball(u))[0])
         return u, damp.flux(ut)
 

@@ -1,8 +1,9 @@
 """Matrix-free iterative kernels shared by the solvers.
 
 Conjugate gradients for Hermitian positive (semi)definite operators on
-complex coefficient vectors, and a Lanczos tridiagonalization with full
-reorthogonalization for extreme eigenvalues of small spectral operators.
+complex coefficient vectors, a Lanczos tridiagonalization with full
+reorthogonalization for extreme eigenvalues of small spectral operators,
+and subspace iteration for the leading Ritz pairs of a Hermitian operator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ def cg_hermitian(
     b: np.ndarray,
     tol: float,
     max_iter: int,
-    x0: np.ndarray | None = None,
 ):
     """Solve A x = b for Hermitian positive definite A, matrix-free.
 
@@ -32,12 +32,8 @@ def cg_hermitian(
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0.astype(complex).copy()
-        r = b - apply_op(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     p = r.copy()
     rs = float(np.real(np.vdot(r, r)))
     it = 0
@@ -56,6 +52,36 @@ def cg_hermitian(
         rs = rs_new
         it += 1
     return x, it, float(np.sqrt(rs) / bnorm)
+
+
+def ritz_pairs(apply_rows, start: np.ndarray, power_steps: int):
+    """Ritz pairs of a Hermitian operator A by subspace iteration.
+
+    The rows of start span the first subspace. Each of power_steps steps
+    maps the rows through apply_rows (a stack of vectors to A of each) and
+    orthonormalizes them again; Rayleigh-Ritz on the last span gives
+    (V, theta) with V V^H = 1 and V A V^H = diag(theta), so V x holds the
+    coordinates of x on the basis. Only eigh is called: each orthonormal
+    basis comes from the Gram matrix (Halko, Martinsson & Tropp, SIAM Rev.
+    53 (2011), Alg. 4.4).
+    """
+    y = _orthonormal_rows(start)
+    for _ in range(power_steps):
+        y = _orthonormal_rows(apply_rows(y))
+    theta, z = np.linalg.eigh(y.conj() @ apply_rows(y).T)
+    return (z.T @ y).conj(), theta
+
+
+def _orthonormal_rows(y: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning those of y, from eigh of the Gram matrix,
+    twice, since one pass loses orthogonality as cond(y)^2. Directions
+    below 1e-7 of the largest singular value are dropped, so the rows
+    may be fewer than y's."""
+    for _ in range(2):
+        s, u = np.linalg.eigh(y.conj() @ y.T)
+        keep = s > 1e-14 * s[-1]
+        y = (u[:, keep] / np.sqrt(s[keep])).T @ y
+    return y
 
 
 def lanczos_extreme(apply_op, dim: int):

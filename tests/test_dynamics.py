@@ -15,7 +15,7 @@ from b4nls.dynamics import (
     mass,
     save_trace,
 )
-from b4nls.linalg import cg_hermitian
+from b4nls.linalg import cg_hermitian, ritz_pairs
 from b4nls.spectral import _mode_index, coeffs_to_grid
 
 TWO_PI = 2.0 * math.pi
@@ -183,9 +183,11 @@ def test_strip_damping_monotone_energy():
     assert trace.inner_iterations.max() <= 30
     res = trace.inner_iterations
     assert res.min() >= 0
-    # each stage solve starts from the last stage's w - v; cold starts
-    # average 4.5 iterations here
-    assert res.mean() <= 4.0
+    # the 43 ball modes are fewer than RITZ_RANK, so P inverts J: the one
+    # cold solve takes no update and each warm one a single update
+    # (measured mean 0.9995); the margin admits a second update on one
+    # solve in ten
+    assert res.mean() <= 1.1
 
 
 def test_damping_solve_from_a_start_meets_its_residual_bound():
@@ -204,6 +206,95 @@ def test_damping_solve_from_a_start_meets_its_residual_bound():
     res = np.linalg.norm((w - 1j * op.apply(w)) - v)
     assert res <= 10.0 * dynamics.INNER_TOL * np.linalg.norm(v)
     assert np.array_equal(dw, op.apply(w))
+
+
+def _cross(d):
+    if d == 1:
+        return b.RegionUnion((b.Strip(0.0, 1.0), b.Strip(math.pi, math.pi + 1.0)))
+    return b.RegionUnion((b.Strip(0.0, 1.0, 0), b.Strip(0.0, 1.0, 1)))
+
+
+@pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("region", ["strip", "cross", "ball"])
+def test_damping_solve_matches_a_dense_solve_on_the_ball(d, N, region):
+    # d1N32 has 21 ball modes, at most RITZ_RANK, so the basis spans the
+    # ball; d2N16 has 121, so the solve iterates on the remainder
+    spec = b.make_torus(d, N, 1.0)
+    shape = {
+        "strip": b.Strip(math.pi / 2, 3 * math.pi / 2),
+        "cross": _cross(d),
+        "ball": b.Ball((math.pi,) * d, 2.8),
+    }[region]
+    op = _DampingOperator(spec, b.make_damping_profile(spec, shape, 0.4))
+    ball = np.flatnonzero(spec.dealias_mask)
+    cols = []
+    for j in ball:
+        e = np.zeros(spec.n_modes, dtype=complex)
+        e[j] = 1.0
+        cols.append(op.apply(e.reshape(spec.shape)).reshape(-1)[ball])
+    J = np.eye(len(ball)) - 1j * np.array(cols).T
+    rng = np.random.default_rng(8)
+
+    def ball_field():
+        z = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        return np.where(spec.dealias_mask, z, 0.0)
+
+    v = ball_field()
+    exact = np.zeros(spec.n_modes, dtype=complex)
+    exact[ball] = np.linalg.solve(J, v.reshape(-1)[ball])
+    exact = exact.reshape(spec.shape)
+    for x0 in (None, ball_field()):
+        w, updates, dw = op.solve_j(v, x0)
+        assert np.linalg.norm(w - exact) <= 1e-11 * np.linalg.norm(exact)
+        assert np.array_equal(dw, op.apply(w))
+        if x0 is None and len(ball) <= dynamics.RITZ_RANK:
+            assert updates == 0
+
+
+@pytest.mark.parametrize("rank", [60, 5])
+def test_ritz_pairs_match_eigh(rank):
+    # a Hermitian matrix with eigenvalues 2^-j on `rank` random directions;
+    # at rank 5 the power steps leave 5 of the 12 rows, the rest dropped
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60)))
+    lam = np.where(np.arange(60) < rank, 2.0 ** -np.arange(60.0), 0.0)
+    A = (q * lam) @ q.conj().T
+    start = rng.standard_normal((12, 60)) + 1j * rng.standard_normal((12, 60))
+    V, theta = ritz_pairs(lambda rows: rows @ A.T, start, 3)
+    top = min(rank, 12)
+    assert V.shape == (top, 60)
+    assert np.abs(V @ V.conj().T - np.eye(top)).max() <= 1e-12
+    assert np.abs(V @ A @ V.conj().T - np.diag(theta)).max() <= 1e-12
+    # the leading pairs converge first: the top 4 to roundoff
+    assert np.allclose(np.sort(theta)[::-1][:4], lam[:4], rtol=0, atol=1e-12)
+
+
+def test_a_warm_damping_solve_takes_few_applies(monkeypatch):
+    # the bench's stabilize shape: d2N32, default strip, dt 1e-3, stride 10
+    spec = b.make_torus(2, 32, 1.0)
+    prof = b.make_damping_profile(spec, b.Strip(math.pi / 2, 3 * math.pi / 2))
+    applies, warm = [0], []
+    apply, solve_j = _DampingOperator.apply, _DampingOperator.solve_j
+
+    def counted_apply(self, c):
+        applies[0] += 1
+        return apply(self, c)
+
+    def counted_solve(self, v, x0=None):
+        before = applies[0]
+        out = solve_j(self, v, x0)
+        if x0 is not None:
+            warm.append(applies[0] - before)
+        return out
+
+    monkeypatch.setattr(_DampingOperator, "apply", counted_apply)
+    monkeypatch.setattr(_DampingOperator, "solve_j", counted_solve)
+    b.evolve_damped(smooth_datum(spec, 3), prof, 0.02, b.SolverConfig(dt=1e-3, record_stride=10))
+    # records at steps 0, 10 and 20: the first starts cold, and the first
+    # stage after each of the first two reuses its solve, so 78 stage
+    # solves and 2 record solves start warm
+    assert len(warm) == 80
+    assert np.mean(warm) <= 3.5  # measured 2.5; normal-equations CG took 11
 
 
 # ---------------------------------------------------------------------------
