@@ -331,7 +331,7 @@ def _observability(cfg, rng):
             raise ConfigError(f"[sweep] j = {j}: no lattice mode falls in the h = 2^-{j} band")
 
     def run(outdir):
-        reports = gramian_sweep(spec, profile.region, T, j_values, quad_dt, profile.smoothing_width)
+        reports = gramian_sweep(profile, T, j_values, quad_dt)
         _write_csv(
             os.path.join(outdir, "gramian.csv"),
             ["h", "band_dim", "T", "min_eig", "max_eig"],

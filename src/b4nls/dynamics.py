@@ -25,7 +25,8 @@ mass, energy and the damping-flux identity
     E(t) - E(0) = - int_0^t || (1-Lap)^{-1} ( a u_t ) ||_{L^2}^2
 
 are exact properties of the ODE system, so the recorded ledgers audit the
-time integrator itself.
+time integrator itself. For u_t in the ball the flux is D's quadratic form
+<u_t, D u_t>, so a record reads it off the D w of its u_t solve.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     _grid_modulus,
+    kernel_rows,
     load_field,
     nonlinear_term,
-    profile_product,
+    sandwich,
     save_field,
     smoothing_multiplier,
     sobolev_weights,
@@ -66,13 +68,12 @@ INNER_MAX_ITER = 400
 
 # Ritz basis of D that preconditions the damping solve: at most RITZ_RANK
 # vectors from RITZ_STEPS applies of D to a random block (the range
-# finder's and two power steps), RITZ_BATCH fields per apply. On the
-# default strip at d2N32 the remainder contracts by 6.7e-4 per update
-# (5.3e-4 with D's exact eigenvectors), and a warm solve averages 1.5
-# updates; with one power step fewer, 8.2e-4 and 1.8 updates.
+# finder's and two power steps). On the default strip at d2N32 the
+# remainder contracts by 6.7e-4 per update (5.3e-4 with D's exact
+# eigenvectors), and a warm solve averages 1.5 updates; with one power
+# step fewer, 8.2e-4 and 1.8 updates.
 RITZ_RANK = 48
 RITZ_STEPS = 3
-RITZ_BATCH = 8
 
 
 class BlowUpError(RuntimeError):
@@ -288,14 +289,14 @@ class _DampingOperator:
     A constant profile makes D diagonal. Otherwise D's leading Ritz pairs
     (V, theta) on the ball are built once; they give the preconditioner
     P = 1 + V^H [(1 - i theta)^{-1} - 1] V, which inverts J on the span of
-    V, and I - P J is about i D on the complement.
+    V, and I - P J is about i D on the complement. When the ball has at
+    most RITZ_RANK modes the pairs are exact and P = J^{-1}.
     """
 
     def __init__(self, spec: ManifoldSpec, profile: DampingProfile):
         self.spec = spec
         self.a = profile.values
         self.s2 = smoothing_multiplier(spec, 2)
-        self.s1 = smoothing_multiplier(spec, 1)
         self.mask = spec.dealias_mask
         self.constant = profile.is_constant
         if self.constant:
@@ -304,37 +305,23 @@ class _DampingOperator:
             return
         self.ball = np.flatnonzero(self.mask)
         n = len(self.ball)
-        if n <= RITZ_RANK:  # the unit vectors span the ball: exact pairs
+        self.exact = n <= RITZ_RANK
+        if self.exact:  # the unit vectors span the ball: exact pairs
             start, steps = np.eye(n, dtype=complex), 0
         else:
             rng = np.random.default_rng(0)
             start = rng.standard_normal((RITZ_RANK, n)) + 1j * rng.standard_normal((RITZ_RANK, n))
             steps = RITZ_STEPS
-        self.V, theta = ritz_pairs(self._apply_rows, start, steps)
+        self.V, theta = ritz_pairs(
+            lambda x: kernel_rows(spec, self.apply, x, self.ball, self.ball), start, steps
+        )
         self.Vh = self.V.conj().T
         self.shift = 1.0 / (1.0 - 1j * theta) - 1.0
-
-    def _mult_a(self, c: np.ndarray) -> np.ndarray:
-        return profile_product(self.spec, self.a, c)
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         if self.constant:
             return self.diag * c
-        w = self._mult_a(c)
-        w = self.s2 * w
-        return np.where(self.mask, self._mult_a(w), 0.0)
-
-    def _apply_rows(self, x: np.ndarray) -> np.ndarray:
-        """D on each row of x, a stack of ball coefficient vectors."""
-        out = np.empty_like(x)
-        fields = np.zeros((RITZ_BATCH, self.spec.n_modes), dtype=complex)
-        for i in range(0, len(x), RITZ_BATCH):
-            rows = x[i:i + RITZ_BATCH]
-            f = fields[:len(rows)]
-            f[:, self.ball] = rows
-            d = self.apply(f.reshape((len(rows),) + self.spec.shape))
-            out[i:i + len(rows)] = d.reshape(len(rows), -1)[:, self.ball]
-        return out
+        return np.where(self.mask, sandwich(self.spec, self.a, self.s2, c), 0.0)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """P r, which moves only the ball coefficients of r."""
@@ -343,26 +330,21 @@ class _DampingOperator:
         flat[self.ball] += self.Vh @ (self.shift * (self.V @ flat[self.ball]))
         return out
 
-    def flux(self, c: np.ndarray) -> float:
-        """|| (1-Lap)^{-1} (a c) ||^2 for c in the ball."""
-        w = self._mult_a(c)
-        return float(np.sum(self.s1**2 * np.abs(w) ** 2))
-
     def solve_j(self, v: np.ndarray, x0: np.ndarray | None = None):
         """Solve (1 - i D) w = v to INNER_TOL; returns (w, updates, D w).
 
         Richardson on the true residual, preconditioned by P: from x0, or
-        from P v when x0 is None, each pass applies D to w, returns once
-        ||v - J w|| <= INNER_TOL ||v||, and else adds P of the residual.
-        The returned D w is that last check's apply, handed out so that a
-        caller does not apply D to w again.
+        from P v when x0 is None or P = J^{-1}, each pass applies D to w,
+        returns once ||v - J w|| <= INNER_TOL ||v||, and else adds P of the
+        residual. The returned D w is that last check's apply, handed out
+        so that a caller does not apply D to w again.
         """
         if self.constant:
             w = v / (1.0 - 1j * self.diag)
             return w, 0, self.diag * w
 
         scale = float(np.linalg.norm(v))
-        w = self._precondition(v) if x0 is None else x0
+        w = self._precondition(v) if x0 is None or self.exact else x0
         updates = 0
         while True:
             dw = self.apply(w)
@@ -436,9 +418,11 @@ def evolve_damped(
     v0 = c0 - 1j * damp.apply(c0)  # v = J u
 
     def recover(vv: np.ndarray):
+        # u_t = i w for the solve below, so the flux ||(1-Lap)^{-1}(a u_t)||^2
+        # is D's quadratic form <u_t, D u_t> = <w, D w>
         u = solve(vv)[0]
-        ut = 1j * (damp.solve_j(mult * u + f_ball(u))[0])
-        return u, damp.flux(ut)
+        w, _, dw = damp.solve_j(mult * u + f_ball(u))
+        return u, float(np.real(np.vdot(w, dw)))
 
     return _march(
         spec, v0, dt, n_steps, cfg, stepper,

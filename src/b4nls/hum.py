@@ -18,13 +18,14 @@ the observability Gramians use (`time_average_kernel` gives both).
 
 The dual datum lives on a support S: the modes of the control band, or
 every mode without one. Nothing reads a column of Lambda or A outside S, so
-the operator assembles only A[:, S], one batched grid product phi, then
-(1-Lap)^{-2}, then phi over the basis vectors of S, and Lambda[:, S]. CG
-runs on the block Lambda[S, S], the closed-form certificate applies
-Lambda[:, S] to v0[S], and the control forcing applies A[:, S] to
-e^{itX_S} v0[S]. A banded operator thus holds n |S| entries instead of n^2.
-The dense multiplication matrix of phi stays as the test oracle and as the
-dense route of the observability Gramian.
+the operator assembles only A[:, S], the spectral kernel's control weight
+(`sandwich` with (1-Lap)^{-2}) on the basis vectors of S through the block
+builder `kernel_rows`, and Lambda[:, S]. CG runs on the block
+Lambda[S, S], the closed-form certificate applies Lambda[:, S] to v0[S],
+and the control forcing applies A[:, S] to e^{itX_S} v0[S]. A banded
+operator thus holds n |S| entries instead of n^2. The dense multiplication
+matrix of phi is the test oracle of the grid products; no run path builds
+it.
 
 The system is solved by plain conjugate gradients in L^2; the H^{-2} -> H^2
 character of the continuum operator appears as conditioning and is reported
@@ -59,8 +60,9 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     box_mask,
+    kernel_rows,
     nonlinear_term,
-    profile_product,
+    sandwich,
     smoothing_multiplier,
     sobolev_norm,
     sobolev_weights,
@@ -182,7 +184,8 @@ class ControlCertificate:
 # ---------------------------------------------------------------------------
 
 def multiplication_matrix(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
-    """Dense matrix of grid multiplication by a real profile, e_k basis.
+    """Dense matrix of grid multiplication by a real profile, e_k basis:
+    the test oracle of the grid products and of `kernel_rows`.
 
     Entries are the circularly wrapped Fourier coefficients of the profile,
     identical to the aliased grid product, so the dense and matrix-free
@@ -246,15 +249,11 @@ class HumOperator:
         self.T = T
         keep = np.ones(spec.shape, dtype=bool) if band is None else box_mask(spec, band)
         self.support = np.flatnonzero(keep)
-        m = len(self.support)
-        basis = np.zeros((m, spec.n_modes), dtype=complex)
-        basis[np.arange(m), self.support] = 1.0
-        basis = basis.reshape((m,) + spec.shape)
         s2 = smoothing_multiplier(spec, 2)
-        cols = profile_product(
-            spec, phi.values, s2 * profile_product(spec, phi.values, basis)
-        )
-        self.A = cols.reshape(m, spec.n_modes).T  # phi (1-Lap)^{-2} phi, columns S
+        self.A = kernel_rows(  # phi (1-Lap)^{-2} phi, columns S
+            spec, lambda f: sandwich(spec, phi.values, s2, f),
+            np.eye(len(self.support), dtype=complex), self.support, np.arange(spec.n_modes),
+        ).T
         X = spec.dispersion.ravel()
         self.matrix = self.A * time_average_kernel(X, T, None, self.support)
         # without a band the block is the whole matrix, not a copy of it

@@ -7,13 +7,12 @@ annulus cutoff kappa(h^2 |k|^2) is active. Its smallest eigenvalue is the
 band observability constant; a floor uniform over h = 2^{-j} is the
 numerical shadow of the frequency-cutoff observability inequality.
 
-Two independent routes compute the same object. The primary route
-assembles the dense band matrix from the closed geometric form of the
-time average (`BandGramian.dense`) and reads both extreme eigenvalues from
-`np.linalg.eigvalsh`. The oracle route is a matrix-free trapezoid
-quadrature (`BandGramian.apply`) driven through Lanczos with full
-reorthogonalization; `cross_check=True` runs it and the tests hold the two
-together.
+The band matrix is assembled from the closed geometric form of the time
+average (`BandGramian.dense`): the weight's band block comes from the
+spectral kernel's block builder, and both extreme eigenvalues come from
+`np.linalg.eigvalsh`. A matrix-free trapezoid quadrature
+(`BandGramian.apply`) is the independent route; the tests drive it through
+Lanczos with full reorthogonalization and hold the two together.
 """
 
 from __future__ import annotations
@@ -22,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lanczos_extreme
-from .hum import multiplication_matrix, time_average_kernel
-from .regions import Region
+# Nothing here calls lanczos_extreme; the name stays because the benchmark's
+# traced run wraps b4nls.observability.lanczos_extreme (bench/layers.py).
+from .linalg import lanczos_extreme  # noqa: F401
+from .hum import time_average_kernel
 from .spectral import (
+    DampingProfile,
     ManifoldSpec,
     band_mode_mask,
-    make_damping_profile,
+    kernel_rows,
     profile_product,
 )
 
@@ -38,7 +39,6 @@ class GramianReport:
     h: float
     band_dim: int
     T: float
-    region: Region | str
     min_eig: float
     max_eig: float
     quadrature_nodes: int
@@ -57,16 +57,14 @@ class BandGramian:
         spec: ManifoldSpec,
         weight_values: np.ndarray,
         T: float,
-        quad_dt: float = 1e-3,
-        band_idx: np.ndarray | None = None,
+        quad_dt: float,
+        band_idx: np.ndarray,
     ):
         if T < 0.0:
             raise ValueError("T must be >= 0")
         self.spec = spec
         self.T = T
         self.weight_values = np.asarray(weight_values, dtype=float)
-        if band_idx is None:
-            band_idx = np.arange(spec.n_modes)
         self.band_idx = np.asarray(band_idx, dtype=int)
         self.n_nodes = max(1, int(round(T / quad_dt))) if T > 0.0 else 0
         self.dt = T / self.n_nodes if self.n_nodes else 0.0
@@ -95,69 +93,50 @@ class BandGramian:
         return acc[self.band_idx]
 
     def dense(self) -> np.ndarray:
-        """Dense band matrix from the closed trapezoid form (primary route)."""
-        W = multiplication_matrix(self.spec, self.weight_values)
-        Wb = W[np.ix_(self.band_idx, self.band_idx)]
+        """Dense band matrix from the closed trapezoid form."""
+        b = self.band_dim
         if self.n_nodes == 0:
-            return np.zeros_like(Wb)
-        Xb = self.X[self.band_idx]
-        E = time_average_kernel(Xb, self.T, self.dt)
-        return Wb * E
+            return np.zeros((b, b), dtype=complex)
+        spec, idx = self.spec, self.band_idx
+        Wb = kernel_rows(
+            spec, lambda f: profile_product(spec, self.weight_values, f),
+            np.eye(b, dtype=complex), idx, idx,
+        ).T
+        return Wb * time_average_kernel(self.X[idx], self.T, self.dt)
 
 
 def band_gramian_min_eig(
-    spec: ManifoldSpec,
-    region: Region,
+    profile: DampingProfile,
     T: float,
     h: float,
     quad_dt: float = 1e-3,
-    smoothing_width: float | None = None,
-    cross_check: bool = False,
 ) -> GramianReport:
-    """Smallest Gramian eigenvalue on the band kappa(h^2 |k|^2) > 0.
+    """Smallest Gramian eigenvalue on the band kappa(h^2 |k|^2) > 0, for the
+    weight of a damping profile.
 
     Both extremes come from eigvalsh of the dense closed-form band matrix.
-    cross_check additionally runs `lanczos_extreme` on the matrix-free
-    trapezoid apply and insists the extremes agree.
     """
-    mask = band_mode_mask(spec, h)
-    band_idx = np.flatnonzero(mask.ravel())
+    spec = profile.spec
+    band_idx = np.flatnonzero(band_mode_mask(spec, h).ravel())
     if len(band_idx) == 0:
         raise ValueError(f"no lattice mode falls in the h = {h:g} band")
-    profile = make_damping_profile(spec, region, smoothing_width)
     g = BandGramian(spec, profile.values, T, quad_dt, band_idx)
     if T == 0.0:
         return GramianReport(
-            h=h, band_dim=g.band_dim, T=T, region=region,
-            min_eig=0.0, max_eig=0.0, quadrature_nodes=0,
+            h=h, band_dim=g.band_dim, T=T, min_eig=0.0, max_eig=0.0, quadrature_nodes=0,
         )
     evals = np.linalg.eigvalsh(g.dense())
-    lo, hi = float(evals[0]), float(evals[-1])
-    if cross_check:
-        lo_l, hi_l, _ = lanczos_extreme(g.apply, g.band_dim)
-        tol = 1e-6 * max(1.0, abs(hi))
-        if abs(lo_l - lo) > tol or abs(hi_l - hi) > tol:
-            raise AssertionError(
-                f"Lanczos/dense disagreement: {lo_l:.3e}/{lo:.3e}, "
-                f"{hi_l:.3e}/{hi:.3e}"
-            )
     return GramianReport(
-        h=h, band_dim=g.band_dim, T=T, region=region,
-        min_eig=lo, max_eig=hi, quadrature_nodes=g.n_nodes + 1,
+        h=h, band_dim=g.band_dim, T=T,
+        min_eig=float(evals[0]), max_eig=float(evals[-1]), quadrature_nodes=g.n_nodes + 1,
     )
 
 
 def gramian_sweep(
-    spec: ManifoldSpec,
-    region: Region,
+    profile: DampingProfile,
     T: float,
     j_values,
     quad_dt: float = 1e-3,
-    smoothing_width: float | None = None,
 ) -> list[GramianReport]:
     """Gramian floors across the semiclassical scales h = 2^{-j}."""
-    return [
-        band_gramian_min_eig(spec, region, T, 2.0 ** (-j), quad_dt, smoothing_width)
-        for j in j_values
-    ]
-
+    return [band_gramian_min_eig(profile, T, 2.0 ** (-j), quad_dt) for j in j_values]

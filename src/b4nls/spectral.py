@@ -16,6 +16,12 @@ those kernels (profile_product, nonlinear_term) and the modulus quadrature of
 the energy skip the fftshift/ifftshift copies. The shifted pair
 coeffs_to_grid / grid_to_coeffs remains for grid values that a caller sees.
 
+The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
+the damping operator and the HUM operator both apply it. Dense blocks of a
+kernel, M[rows, cols], come from one builder, kernel_rows, which applies
+the kernel to KERNEL_BATCH fields per call; the damping operator's Ritz
+basis, the HUM operator and the band Gramian are built through it.
+
 Everything downstream (time integrators, control operators, Gramians,
 space-time norms) is built from the Fourier multipliers defined here:
 
@@ -260,6 +266,40 @@ def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np
     return _signed_coeffs(spec, a * _signed_grid(spec, coeffs))
 
 
+def sandwich(spec: ManifoldSpec, a: np.ndarray, m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of a m (a u): the grid product by a, the lattice
+    multiplier m, the grid product by a again. With m = (1-Lap)^{-2} this is
+    the control weight, the damping operator D and the HUM weight A alike."""
+    return profile_product(spec, a, m * profile_product(spec, a, coeffs))
+
+
+# Fields per kernel call of kernel_rows: the transform temporaries stay the
+# size of KERNEL_BATCH fields however many rows a block has.
+KERNEL_BATCH = 8
+
+
+def kernel_rows(
+    spec: ManifoldSpec, kernel, x: np.ndarray, cols: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The kernel applied to each row of x, read on the flat lattice indices
+    rows.
+
+    A row of x holds a field's coefficients on the flat indices cols (zero
+    elsewhere); kernel maps a stack of lattice fields to a stack. Row i of
+    the result is (M x_i)[rows] for the matrix M of the kernel, so x the
+    identity gives M[rows, cols]^T.
+    """
+    out = np.empty((len(x), len(rows)), dtype=complex)
+    fields = np.zeros((KERNEL_BATCH, spec.n_modes), dtype=complex)
+    for i in range(0, len(x), KERNEL_BATCH):
+        chunk = x[i:i + KERNEL_BATCH]
+        f = fields[:len(chunk)]
+        f[:, cols] = chunk
+        y = kernel(f.reshape((len(chunk),) + spec.shape))
+        out[i:i + len(chunk)] = y.reshape(len(chunk), -1)[:, rows]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # norms and multipliers
 # ---------------------------------------------------------------------------
@@ -346,8 +386,6 @@ class DampingProfile:
 
     spec: ManifoldSpec
     values: np.ndarray
-    region: Region
-    smoothing_width: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -403,15 +441,13 @@ def make_damping_profile(
         )
     pts = spec.grid_points()
     values = _region_profile(region, pts, smoothing_width)
-    return DampingProfile(spec, values, region, smoothing_width)
+    return DampingProfile(spec, values)
 
 
 def constant_profile(spec: ManifoldSpec, value: float) -> DampingProfile:
     if value < 0.0:
         raise ValueError("damping value must be >= 0")
-    return DampingProfile(
-        spec, np.full(spec.shape, float(value)), FullRegion(), math.inf
-    )
+    return DampingProfile(spec, np.full(spec.shape, float(value)))
 
 
 def multiply_profile(u: SpectralField, a: DampingProfile) -> SpectralField:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import b4nls as b
+from b4nls.linalg import lanczos_extreme
 from b4nls.observability import BandGramian
 from b4nls.spectral import band_mode_mask
 
@@ -13,27 +14,46 @@ TWO_PI = 2.0 * PI
 STRIP = b.Strip(PI / 2, 3 * PI / 2)
 
 
+def strip_profile(spec):
+    return b.make_damping_profile(spec, STRIP)
+
+
+def band_gramian(profile, h):
+    """The T = 1 Gramian of a profile on the h band, for the Lanczos route:
+    the matrix-free trapezoid apply against eigvalsh of the dense matrix,
+    whose eigenvalues lie in [0, 1]."""
+    idx = np.flatnonzero(band_mode_mask(profile.spec, h))
+    return BandGramian(profile.spec, profile.values, 1.0, 1e-3, idx)
+
+
 # ---------------------------------------------------------------------------
 # Gramian basics
 # ---------------------------------------------------------------------------
 
 def test_full_region_gramian_is_T_identity():
     spec = b.make_torus(1, 64, 1.0)
-    rep = b.band_gramian_min_eig(spec, b.FullRegion(), 1.0, 0.25, cross_check=True)
+    full = b.make_damping_profile(spec, b.FullRegion())
+    rep = b.band_gramian_min_eig(full, 1.0, 0.25)
     assert rep.min_eig == pytest.approx(1.0, abs=1e-10)
     assert rep.max_eig == pytest.approx(1.0, abs=1e-10)
+    g = band_gramian(full, 0.25)
+    lo, hi, _ = lanczos_extreme(g.apply, g.band_dim)
+    evals = np.linalg.eigvalsh(g.dense())
+    assert lo == pytest.approx(evals[0], abs=1e-6) and hi == pytest.approx(evals[-1], abs=1e-6)
 
 
 def test_gramian_zero_horizon():
     spec = b.make_torus(1, 64, 1.0)
-    rep = b.band_gramian_min_eig(spec, STRIP, 0.0, 0.25)
+    rep = b.band_gramian_min_eig(strip_profile(spec), 0.0, 0.25)
     assert rep.min_eig == 0.0 and rep.max_eig == 0.0
 
 
 def test_gramian_empty_band_rejected():
     spec = b.make_torus(1, 16, 1.0)
+    # the default width of 5 cells is too wide for the strip at N = 16
+    profile = b.make_damping_profile(spec, STRIP, 0.5)
     with pytest.raises(ValueError, match="band"):
-        b.band_gramian_min_eig(spec, STRIP, 1.0, 1e-4)
+        b.band_gramian_min_eig(profile, 1.0, 1e-4)
 
 
 def test_gramian_hermitian_and_bounded_by_T():
@@ -99,13 +119,17 @@ def test_single_pair_matches_quadrature_oracle():
 def test_lanczos_matches_dense_across_bands():
     spec = b.make_torus(1, 128, 1.0)
     for j in (2, 3, 4):
-        b.band_gramian_min_eig(spec, STRIP, 1.0, 2.0 ** (-j), cross_check=True)
+        g = band_gramian(strip_profile(spec), 2.0 ** (-j))
+        lo, hi, _ = lanczos_extreme(g.apply, g.band_dim)
+        evals = np.linalg.eigvalsh(g.dense())
+        assert lo == pytest.approx(evals[0], abs=1e-6)
+        assert hi == pytest.approx(evals[-1], abs=1e-6)
 
 
 def test_monotone_in_horizon():
     spec = b.make_torus(1, 64, 1.0)
     mins = [
-        b.band_gramian_min_eig(spec, STRIP, T, 0.25, quad_dt=1e-3).min_eig
+        b.band_gramian_min_eig(strip_profile(spec), T, 0.25, quad_dt=1e-3).min_eig
         for T in (0.5, 1.0, 2.0)
     ]
     assert mins[0] <= mins[1] + 1e-12 and mins[1] <= mins[2] + 1e-12
@@ -116,14 +140,14 @@ def test_monotone_in_region():
     inner = b.Strip(PI / 2 + 0.3, 3 * PI / 2 - 0.3)
     outer = b.Strip(PI / 2, 3 * PI / 2)
     width = 0.15
-    m_in = b.band_gramian_min_eig(spec, inner, 1.0, 0.25, smoothing_width=width)
-    m_out = b.band_gramian_min_eig(spec, outer, 1.0, 0.25, smoothing_width=width)
+    m_in = b.band_gramian_min_eig(b.make_damping_profile(spec, inner, width), 1.0, 0.25)
+    m_out = b.band_gramian_min_eig(b.make_damping_profile(spec, outer, width), 1.0, 0.25)
     assert m_in.min_eig <= m_out.min_eig + 1e-12
 
 
 def test_gramian_sweep_reports():
     spec = b.make_torus(1, 128, 1.0)
-    reports = b.gramian_sweep(spec, STRIP, 1.0, [2, 3])
+    reports = b.gramian_sweep(strip_profile(spec), 1.0, [2, 3])
     assert [r.h for r in reports] == [0.25, 0.125]
     assert all(r.min_eig > 0.0 for r in reports)
     assert all(r.quadrature_nodes == 1001 for r in reports)

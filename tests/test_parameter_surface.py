@@ -19,8 +19,6 @@ TEST_KNOBS = {
     "cli.main.argv": "test_cli.py::test_describe_lists_every_key_the_builder_reads",
     "hum.ControlProblem.u_target": "test_hum.py::test_linear_control_nonzero_target",
     "gcc.GeodesicQuery.scan_dt": "test_gcc.py::test_array_scan_equals_the_scalar_scan",
-    "observability.band_gramian_min_eig.cross_check":
-        "test_observability.py::test_lanczos_matches_dense_across_bands",
 }
 
 

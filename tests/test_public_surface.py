@@ -31,6 +31,8 @@ ORACLES = {
     "coeffs_to_grid": "test_spectral_core.py::test_shift_free_products_match_the_shifted_route",
     "grid_to_coeffs": "test_spectral_core.py::test_shift_free_products_match_the_shifted_route",
     "first_hit_time": "test_gcc.py::test_scan_records_are_the_scalar_hit_times",
+    "lanczos_extreme": "test_observability.py::test_lanczos_matches_dense_across_bands",
+    "multiplication_matrix": "test_spectral_core.py::test_kernel_rows_match_the_dense_oracle",
 }
 
 

@@ -11,14 +11,18 @@ from hypothesis.extra.numpy import arrays
 
 import b4nls as b
 from b4nls.dynamics import energy
+from b4nls.hum import multiplication_matrix
 from b4nls.spectral import (
+    KERNEL_BATCH,
     band_cutoff,
     band_mode_mask,
     _mode_index,
     coeffs_to_grid,
     grid_to_coeffs,
+    kernel_rows,
     nonlinear_term,
     profile_product,
+    sandwich,
     smoothing_multiplier,
 )
 
@@ -408,6 +412,33 @@ def test_shift_free_products_match_the_shifted_route(d, N, k, batch):
     assert rel(np.asarray(energy(spec, c, k)), expect) <= 1e-13
 
 
+@pytest.mark.parametrize("d, N", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("kernel", ["product", "sandwich"])
+def test_kernel_rows_match_the_dense_oracle(d, N, kernel):
+    # cols is the dealiasing ball (21, 121 and 125 modes, no multiple of
+    # KERNEL_BATCH), rows a random third of the lattice, so rows != cols
+    spec = b.make_torus(d, N, 1.0)
+    rng = np.random.default_rng(d)
+    w = rng.uniform(0.0, 1.0, spec.shape)
+    s2 = smoothing_multiplier(spec, 2)
+    M = multiplication_matrix(spec, w)
+    apply, dense = {
+        "product": (lambda f: profile_product(spec, w, f), M),
+        "sandwich": (lambda f: sandwich(spec, w, s2, f), (M * s2.ravel()) @ M),
+    }[kernel]
+    cols = np.flatnonzero(spec.dealias_mask)
+    assert len(cols) % KERNEL_BATCH != 0
+    rows = np.sort(rng.choice(spec.n_modes, spec.n_modes // 3, replace=False))
+    block = dense[rows][:, cols]
+    scale = np.abs(block).max()
+    eye = kernel_rows(spec, apply, np.eye(len(cols), dtype=complex), cols, rows)
+    assert np.abs(eye - block.T).max() <= 1e-13 * scale
+    # a non-identity x, as the Ritz build passes: row i is block @ x_i
+    x = rng.standard_normal((13, len(cols))) + 1j * rng.standard_normal((13, len(cols)))
+    out = kernel_rows(spec, apply, x, cols, rows)
+    assert np.abs(out - x @ block.T).max() <= 1e-13 * scale * np.abs(x).sum(axis=1).max()
+
+
 def _functions_calling(tree, names):
     """Names of the top-level functions of a module that call any of names."""
     return {
@@ -422,8 +453,8 @@ def _functions_calling(tree, names):
 def test_grid_operations_live_only_in_the_kernel():
     # the time-axis ifft/fftshift(axes=0) of bourgain and the forward fftn of
     # the dense multiplication matrix stay where they are; the patterns miss
-    # them. That matrix is the oracle of the grid products: HUM assembles its
-    # operator through the kernel, and only BandGramian.dense builds it.
+    # them. That matrix is the test oracle of the grid products and of the
+    # block builder: nothing in the package calls it.
     src = Path(b.__file__).parent
     two_pi_defs = 0
     dense_calls = 0
@@ -452,5 +483,5 @@ def test_grid_operations_live_only_in_the_kernel():
         for pattern in ("ifftn(", "ifftshift(", "logical_and.outer"):
             assert pattern not in text, f"{path.name} writes out {pattern}"
     assert two_pi_defs == 1
-    assert dense_calls == 1
-    assert dense_callers == ["observability.dense"]
+    assert dense_calls == 0
+    assert dense_callers == []
