@@ -258,7 +258,7 @@ def duhamel_gain_probe(
     dt = t[1] - t[0]
     max_ratios = []
     for T in T_values:
-        psi = plateau_bump(t / T, -2.0, -1.0, 1.0, 2.0)
+        # one bump is both the signal cutoff and the window Psi(t/T)
         chi = plateau_bump(t / T, -2.0, -1.0, 1.0, 2.0)
         best = 0.0
         freqs = [0.5 / T, 1.0 / T, 2.0 / T, 4.0 / T, 8.0 / T]
@@ -277,7 +277,7 @@ def duhamel_gain_probe(
             prim = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * dt)])
             i0 = np.searchsorted(t, 0.0)
             prim = prim - prim[i0]
-            F = psi * prim
+            F = chi * prim
             best = max(best, _h_norm_line(F, dt, b) / denom)
         max_ratios.append(best)
     xs = np.log(np.asarray(T_values))

@@ -269,7 +269,7 @@ def _save_control(outdir, prob, cert, certificate_rows, summary_header, summary_
         spec=spec, times=np.asarray(cert.control_times), states=samples,
         masses=mass(spec, samples),
         energies=energy(spec, samples, prob.k_nl, include_potential=False),
-        fluxes=np.zeros(len(samples)), damped=False, k_nl=prob.k_nl,
+        fluxes=np.zeros(len(samples)), damped=False,
     )
     save_trace(ctrace, os.path.join(outdir, "control"), snapshot_stride=25)
     _write_csv(os.path.join(outdir, "summary.csv"), summary_header, [summary_row])

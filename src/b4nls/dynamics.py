@@ -113,7 +113,6 @@ class EvolutionTrace:
     energies: np.ndarray
     fluxes: np.ndarray  # damping flux ||(1-Lap)^{-1}(a u_t)||^2, 0 if undamped
     damped: bool
-    k_nl: int
     # preconditioned updates of each damping solve of a stage or record
     # state; None for an undamped run, all 0 for a constant profile
     inner_iterations: np.ndarray | None = None
@@ -272,10 +271,7 @@ def evolve_nonlinear(
     tab = _Etdrk4Tableau(1j * spec.dispersion, dt)
     stepper = lambda cc, t, t_next: tab.step(cc, t, t_next, nonlin)
 
-    return _march(
-        spec, c, dt, n_steps, cfg, stepper,
-        damped=False, include_mass_term=False,
-    )
+    return _march(spec, c, dt, n_steps, cfg, stepper)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +420,8 @@ def evolve_damped(
         w, _, dw = damp.solve_j(mult * u + f_ball(u))
         return u, float(np.real(np.vdot(w, dw)))
 
-    return _march(
-        spec, v0, dt, n_steps, cfg, stepper,
-        damped=True, include_mass_term=True,
-        recover=recover, inner_counts=inner_counts,
-    )
+    recover.inner_counts = inner_counts
+    return _march(spec, v0, dt, n_steps, cfg, stepper, recover)
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +441,24 @@ def _march(
     n_steps: int,
     cfg: SolverConfig,
     stepper,
-    damped: bool,
-    include_mass_term: bool,
     recover=None,
-    inner_counts: list[int] | None = None,
 ) -> EvolutionTrace:
     """Step n_steps times and record every cfg.record_stride steps.
 
-    The ledger is computed after the loop over blocks of stacked records;
-    only the blow-up guard (BLOWUP_FACTOR) runs per record.
+    A damped run passes recover, which maps a marched state to the recorded
+    field and its damping flux and carries the update counts of the damping
+    solves as recover.inner_counts; its ledger adds the mass term. The ledger
+    is computed after the loop over blocks of stacked records; only the
+    blow-up guard (BLOWUP_FACTOR) runs per record.
     """
+    damped = recover is not None
     h2w = sobolev_weights(spec, 2.0)
 
     def h2_norm(cc: np.ndarray) -> float:
         return math.sqrt(float(np.sum(h2w * np.abs(cc) ** 2)))
 
     times = [0.0]
-    if recover is None:
-        u0c, flux0 = state0, 0.0
-    else:
-        u0c, flux0 = recover(state0)
+    u0c, flux0 = recover(state0) if damped else (state0, 0.0)
     states = [u0c]
     fluxes = [flux0]
     # zero initial data (forced runs) falls back to an absolute unit scale
@@ -480,10 +471,7 @@ def _march(
         state = stepper(state, t, t_next)
         t = t_next
         if step % cfg.record_stride == 0 or step == n_steps:
-            if recover is None:
-                uc, fl = state, 0.0
-            else:
-                uc, fl = recover(state)
+            uc, fl = recover(state) if damped else (state, 0.0)
             times.append(t)
             states.append(uc)
             fluxes.append(fl)
@@ -499,13 +487,12 @@ def _march(
         states=states,
         masses=np.concatenate([mass(spec, c) for c in blocks]),
         energies=np.concatenate([
-            energy(spec, c, cfg.k_nl, include_mass_term, cfg.include_nonlinearity)
+            energy(spec, c, cfg.k_nl, damped, cfg.include_nonlinearity)
             for c in blocks
         ]),
         fluxes=np.asarray(fluxes),
         damped=damped,
-        k_nl=cfg.k_nl,
-        inner_iterations=np.asarray(inner_counts) if inner_counts is not None else None,
+        inner_iterations=np.asarray(recover.inner_counts) if damped else None,
     )
 
 

@@ -12,9 +12,13 @@ On the truncated lattice Lambda has a closed form
     Lambda[l, k] = A[l, k] * E(X_k - X_l),   E(w) = int_0^T e^{iwt} dt,
 
 a Hadamard product of positive matrices, so Lambda stays positive
-semidefinite exactly. The operator uses the exact time integral; the
-closed geometric form of the trapezoid sum over a uniform time grid is what
-the observability Gramians use (`time_average_kernel` gives both).
+semidefinite exactly. The operator uses the exact time integral and the
+observability Gramians the trapezoid sum on a uniform grid; both are one
+closed form, E(w) = e^{iwT/2} sin(wT/2) / h(w) with h = w/2 or
+h = tan(w dt/2)/dt, which `time_average_kernel` computes with its result as
+the only complex array. A time integral over samples (the backward initial
+value, the nonlinear correction, the matrix-free Gramian) is the one
+sampled duality integral `backward_forced_initial`.
 
 The dual datum lives on a support S: the modes of the control band, or
 every mode without one. Nothing reads a column of Lambda or A outside S, so
@@ -54,7 +58,6 @@ import numpy as np
 
 from .linalg import cg_hermitian
 from .dynamics import SolverConfig, evolve_nonlinear
-from .regions import TWO_PI
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
@@ -202,29 +205,35 @@ def time_average_kernel(
     quadrature: float | None,
     cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """E[l,k] = average over [0,T] of exp(i t (X_k - X_l)), times T.
+    """E[l,k] = int_0^T exp(i t w) dt with w = X_k - X_l, by one rule.
 
     Rows run over X, columns over X[cols] (all of X when cols is None).
-    quadrature None gives the exact integral; a float dt gives the closed
-    form of the composite trapezoid sum on that grid.
+    quadrature None gives the exact integral; a float dt gives the
+    composite trapezoid sum on the n = round(T / dt) nodes of step T / n.
+    Both rules are one closed form,
+
+        E(w) = e^{iwT/2} sin(wT/2) / h(w),   E = T where h = 0,
+
+    with h = w/2 for the exact rule and h = tan(w dt/2)/dt for the
+    trapezoid sum, whose geometric series is dt e^{inθ/2} sin(nθ/2)
+    cot(θ/2) at θ = w dt. The result is the only complex array of its size
+    that the call holds.
     """
     Xc = X if cols is None else X[cols]
-    omega = Xc[None, :] - X[:, None]
+    h = Xc[None, :] - X[:, None]  # w, until it becomes h
+    E = np.empty(h.shape, dtype=complex)
+    np.multiply(h, 0.5 * T, out=E.imag)  # wT/2
     if quadrature is None:
-        # T * exp(i w T / 2) * sinc(w T / 2pi)
-        return T * np.exp(0.5j * omega * T) * np.sinc(omega * T / TWO_PI)
-    n = max(1, int(round(T / quadrature)))
-    dt = T / n
-    theta = omega * dt
-    z = np.exp(1j * theta)
-    # S = sum_{j=0}^{n} e^{i j theta} = (e^{i(n+1)theta} - 1) / (e^{i theta} - 1)
-    num = np.exp(1j * (n + 1) * theta) - 1.0
-    den = z - 1.0
-    small = np.abs(den) < 1e-12
-    den_safe = np.where(small, 1.0, den)
-    series = np.where(small, float(n + 1), num / den_safe)
-    trap = dt * (series - 0.5 * (1.0 + np.exp(1j * omega * T)))
-    return trap
+        h *= 0.5
+    else:
+        dt = T / max(1, round(T / quadrature))
+        h *= 0.5 * dt
+        np.tan(h, out=h)
+        h /= dt
+    np.cos(E.imag, out=E.real)
+    np.sin(E.imag, out=E.imag)
+    E *= np.divide(E.imag, h, out=np.full_like(h, T), where=h != 0.0)
+    return E
 
 
 class HumOperator:
@@ -254,8 +263,8 @@ class HumOperator:
             spec, lambda f: sandwich(spec, phi.values, s2, f),
             np.eye(len(self.support), dtype=complex), self.support, np.arange(spec.n_modes),
         ).T
-        X = spec.dispersion.ravel()
-        self.matrix = self.A * time_average_kernel(X, T, None, self.support)
+        self.matrix = time_average_kernel(spec.dispersion.ravel(), T, None, self.support)
+        self.matrix *= self.A
         # without a band the block is the whole matrix, not a copy of it
         self.block = self.matrix if band is None else self.matrix[self.support]
 
@@ -428,17 +437,14 @@ def _nonlinear_correction(
         forcing=control_forcing(op, chi0),
     )
 
-    # J_w = int_0^T e^{-irL} |w|^{2k} w dr over the trace grid
+    # J_w = int_0^T e^{-irL} |w|^{2k} w dr over the trace grid is the
+    # sampled duality integral: i J_w = backward_forced_initial(f), so
+    # v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w)
     f_samples = np.where(
         spec.dealias_mask, nonlinear_term(spec, w_trace.states, prob.k_nl), 0.0
     )
-    phases = np.exp(
-        -1j * w_trace.times.reshape((-1,) + (1,) * spec.d) * X
-    )
-    j_w = np.trapezoid(phases * f_samples, w_trace.times, axis=0)
-
-    # v(0) = -i conj(e^{iTL} J_w)
-    return -1j * np.conj(np.exp(1j * prob.T * X) * j_w)
+    i_j_w = backward_forced_initial(spec, w_trace.times, f_samples)
+    return np.conj(np.exp(1j * prob.T * X) * i_j_w)
 
 
 def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:

@@ -7,12 +7,15 @@ annulus cutoff kappa(h^2 |k|^2) is active. Its smallest eigenvalue is the
 band observability constant; a floor uniform over h = 2^{-j} is the
 numerical shadow of the frequency-cutoff observability inequality.
 
-The band matrix is assembled from the closed geometric form of the time
-average (`BandGramian.dense`): the weight's band block comes from the
-spectral kernel's block builder, and both extreme eigenvalues come from
-`np.linalg.eigvalsh`. A matrix-free trapezoid quadrature
-(`BandGramian.apply`) is the independent route; the tests drive it through
-Lanczos with full reorthogonalization and hold the two together.
+The band matrix (`BandGramian.dense`) is the closed form of the trapezoid
+time average, `hum.time_average_kernel` (one formula with HUM's exact
+integral), multiplied in place by the weight's band block from the spectral
+kernel's block builder; both extreme eigenvalues come from
+`np.linalg.eigvalsh`. At T = 0 it is the zero matrix. The matrix-free route
+(`BandGramian.apply`) is the independent one: it samples m e^{itL} v on the
+nodes and integrates them with the one sampled duality integral,
+`hum.backward_forced_initial`; the tests drive it through Lanczos with full
+reorthogonalization and hold the two together.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 # Nothing here calls lanczos_extreme; the name stays because the benchmark's
 # traced run wraps b4nls.observability.lanczos_extreme (bench/layers.py).
 from .linalg import lanczos_extreme  # noqa: F401
-from .hum import time_average_kernel
+from .hum import backward_forced_initial, time_average_kernel
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
@@ -41,15 +44,15 @@ class GramianReport:
     T: float
     min_eig: float
     max_eig: float
-    quadrature_nodes: int
 
 
 class BandGramian:
     """G restricted to a mode band, with matrix-free and dense routes.
 
     The weight is pointwise multiplication by weight_values, the grid
-    samples of the smoothed indicator m; G is the trapezoid quadrature of
-    int_0^T e^{-itL} m e^{itL} dt with step quad_dt.
+    samples of the smoothed indicator m; G is the trapezoid rule of
+    int_0^T e^{-itL} m e^{itL} dt on the n = round(T / quad_dt) steps of
+    times.
     """
 
     def __init__(
@@ -66,8 +69,10 @@ class BandGramian:
         self.T = T
         self.weight_values = np.asarray(weight_values, dtype=float)
         self.band_idx = np.asarray(band_idx, dtype=int)
-        self.n_nodes = max(1, int(round(T / quad_dt))) if T > 0.0 else 0
-        self.dt = T / self.n_nodes if self.n_nodes else 0.0
+        n = max(1, round(T / quad_dt))
+        self.times = np.linspace(0.0, T, n + 1)
+        # at T = 0 every rule is the zero matrix, and the exact one needs no step
+        self.dt = T / n if T > 0.0 else None
         self.X = spec.dispersion.ravel()
 
     @property
@@ -75,34 +80,27 @@ class BandGramian:
         return len(self.band_idx)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free G restricted to the band: trapezoid over the nodes
-        (the oracle route)."""
-        if self.n_nodes == 0:
-            return np.zeros_like(vec)
+        """Matrix-free G restricted to the band (the oracle route): the
+        sampled duality integral of m e^{itL} v over the nodes,
+        G v = -i backward_forced_initial(m e^{itL} v)."""
         spec = self.spec
         full = np.zeros(spec.n_modes, dtype=complex)
         full[self.band_idx] = vec
-        times = self.dt * np.arange(self.n_nodes + 1)
-        weights = np.full(self.n_nodes + 1, self.dt)
-        weights[0] = weights[-1] = 0.5 * self.dt
-        phases = np.exp(1j * times[:, None] * self.X[None, :])
+        phases = np.exp(1j * self.times[:, None] * self.X[None, :])
         batch = (phases * full[None, :]).reshape((-1,) + spec.shape)
-        out = profile_product(spec, self.weight_values, batch).reshape(len(times), -1)
-        out = np.conj(phases) * out
-        acc = np.tensordot(weights, out, axes=(0, 0))
-        return acc[self.band_idx]
+        samples = profile_product(spec, self.weight_values, batch)
+        return -1j * backward_forced_initial(spec, self.times, samples).ravel()[self.band_idx]
 
     def dense(self) -> np.ndarray:
-        """Dense band matrix from the closed trapezoid form."""
-        b = self.band_dim
-        if self.n_nodes == 0:
-            return np.zeros((b, b), dtype=complex)
+        """Dense band matrix: the closed-form time kernel, multiplied in
+        place by the weight's band block."""
         spec, idx = self.spec, self.band_idx
-        Wb = kernel_rows(
+        G = time_average_kernel(self.X[idx], self.T, self.dt)
+        G *= kernel_rows(
             spec, lambda f: profile_product(spec, self.weight_values, f),
-            np.eye(b, dtype=complex), idx, idx,
+            np.eye(self.band_dim, dtype=complex), idx, idx,
         ).T
-        return Wb * time_average_kernel(self.X[idx], self.T, self.dt)
+        return G
 
 
 def band_gramian_min_eig(
@@ -121,14 +119,9 @@ def band_gramian_min_eig(
     if len(band_idx) == 0:
         raise ValueError(f"no lattice mode falls in the h = {h:g} band")
     g = BandGramian(spec, profile.values, T, quad_dt, band_idx)
-    if T == 0.0:
-        return GramianReport(
-            h=h, band_dim=g.band_dim, T=T, min_eig=0.0, max_eig=0.0, quadrature_nodes=0,
-        )
     evals = np.linalg.eigvalsh(g.dense())
     return GramianReport(
-        h=h, band_dim=g.band_dim, T=T,
-        min_eig=float(evals[0]), max_eig=float(evals[-1]), quadrature_nodes=g.n_nodes + 1,
+        h=h, band_dim=g.band_dim, T=T, min_eig=float(evals[0]), max_eig=float(evals[-1]),
     )
 
 

@@ -1,6 +1,7 @@
 import ast
 import configparser
 import contextlib
+import csv
 import io
 import os
 import re
@@ -193,6 +194,19 @@ def test_every_kind_runs_and_reruns_byte_identically(tmp_path, kind):
     assert [line[4:] for line in manifest if line.startswith("  - ")] == artifacts
     del trees[0]["manifest.txt"], trees[1]["manifest.txt"]
     assert trees[0] == trees[1]
+
+
+def test_a_zero_horizon_sweep_writes_unsigned_zero_floors(tmp_path):
+    # G is the zero matrix at T = 0, and its eigenvalues are written as 0.0
+    path = write_config(
+        tmp_path,
+        "[experiment]\nkind = observability-sweep\n[manifold]\nd = 2\nN = 32\n[run]\nT = 0\n",
+    )
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "gramian.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["h"] for r in rows] == ["0.25", "0.125", "0.0625"]
+    assert all(r["min_eig"] == r["max_eig"] == "0.0" for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,30 @@ def test_time_average_kernel_exact_limit():
     fine = time_average_kernel(X, T, 1e-6)
     assert np.abs(exact - fine).max() <= 1e-8
     assert np.allclose(np.diag(exact), T)
+
+
+@pytest.mark.parametrize("T", [0.7, 1.0, 2.3])
+def test_exact_time_kernel_is_the_sinc_form(T):
+    # frequencies w = X_k - X_l of both signs, up to 1.05e6
+    X = np.array([0.0, 2.0, 17.0, 123.0, 5.5e3, 7.0e4, 1.05e6])
+    w = X[None, :] - X[:, None]
+    sinc_form = T * np.exp(0.5j * w * T) * np.sinc(w * T / (2.0 * PI))
+    assert np.abs(time_average_kernel(X, T, None) - sinc_form).max() <= 1e-15 * T
+
+
+@pytest.mark.parametrize("quadrature", [None, 1e-3], ids=["exact", "trapezoid"])
+def test_time_kernel_holds_one_complex_array(quadrature):
+    # b = 1,000 frequencies: the call's traced peak stays below three times
+    # its result, so the temporaries beside it are real
+    X = b.make_torus(1, 1000, 1.0).dispersion
+    tracemalloc.start()
+    try:
+        E = time_average_kernel(X, 1.0, quadrature)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert E.shape == (1000, 1000)
+    assert peak <= 3.0 * E.nbytes
 
 
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])

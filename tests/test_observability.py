@@ -150,4 +150,3 @@ def test_gramian_sweep_reports():
     reports = b.gramian_sweep(strip_profile(spec), 1.0, [2, 3])
     assert [r.h for r in reports] == [0.25, 0.125]
     assert all(r.min_eig > 0.0 for r in reports)
-    assert all(r.quadrature_nodes == 1001 for r in reports)

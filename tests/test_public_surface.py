@@ -21,7 +21,6 @@ ORACLES = {
     "tapered_free_solution": "test_bourgain.py::test_tapered_free_solution_norm_factorizes",
     "time_sobolev_norm_quadrature": "test_bourgain.py::test_tapered_free_solution_norm_factorizes",
     "l2hs_norm": "test_bourgain.py::test_xsb_at_b_zero_is_l2hs",
-    "backward_forced_initial": "test_hum.py::test_duality_identity_random_forcing",
     "verify_certificate": "test_hum.py::test_certificate_reverify",
     "load_ledger": "test_dynamics.py::test_trace_persistence_roundtrip",
     "load_trace_states": "test_dynamics.py::test_trace_persistence_roundtrip",

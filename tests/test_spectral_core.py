@@ -450,6 +450,28 @@ def _functions_calling(tree, names):
     }
 
 
+def test_the_sampled_duality_integral_lives_in_one_function():
+    # a time integral over samples is hum.backward_forced_initial; the
+    # dissipation audit's integral of the scalar flux is the one other
+    src = Path(b.__file__).parent
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}"
+            elif isinstance(child, ast.Call) and "trapezoid" in (
+                getattr(child.func, "attr", None), getattr(child.func, "id", None)
+            ):
+                callers.append(owner)
+            visit(child, name)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(callers) == ["dynamics.audit_dissipation", "hum.backward_forced_initial"]
+
+
 def test_grid_operations_live_only_in_the_kernel():
     # the time-axis ifft/fftshift(axes=0) of bourgain and the forward fftn of
     # the dense multiplication matrix stay where they are; the patterns miss
