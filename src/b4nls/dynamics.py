@@ -32,6 +32,7 @@ time integrator itself. For u_t in the ball the flux is D's quadratic form
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -203,21 +204,21 @@ class _Etdrk4Tableau:
         self.Q = (dt / 2.0) * _phi(1, z / 2.0)
         p1, p2, p3 = _phi(1, z), _phi(2, z), _phi(3, z)
         self.f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-        self.f2 = dt * (p2 - 2.0 * p3)
+        self.f2 = 2.0 * (dt * (p2 - 2.0 * p3))  # weighs both middle stages
         self.f3 = dt * (4.0 * p3 - p2)
 
-    def step(self, u: np.ndarray, t: float, t_next: float, nonlin) -> np.ndarray:
-        """One step from t to t_next; the end time is the caller's, so that
-        it equals the next step's start exactly."""
-        t_mid = 0.5 * (t + t_next)
-        n0 = nonlin(u, t)
-        a = self.E2 * u + self.Q * n0
-        na = nonlin(a, t_mid)
-        b = self.E2 * u + self.Q * na
-        nb = nonlin(b, t_mid)
+    def step(self, u: np.ndarray, nonlin, g) -> np.ndarray:
+        """One step. nonlin maps a stage state and forcing to its term; g
+        holds the forcing at the step's start, midpoint and end, or Nones."""
+        e2u = self.E2 * u
+        n0 = nonlin(u, g[0])
+        a = e2u + self.Q * n0
+        na = nonlin(a, g[1])
+        b = e2u + self.Q * na
+        nb = nonlin(b, g[1])
         c = self.E2 * a + self.Q * (2.0 * nb - n0)
-        nc = nonlin(c, t_next)
-        return self.E * u + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
+        nc = nonlin(c, g[2])
+        return self.E * u + self.f1 * n0 + self.f2 * (na + nb) + self.f3 * nc
 
 
 def _resolve_steps(T: float, dt: float) -> tuple[int, float]:
@@ -229,6 +230,11 @@ def _resolve_steps(T: float, dt: float) -> tuple[int, float]:
 # undamped / forced flow
 # ---------------------------------------------------------------------------
 
+# Lattice entries per block of forcing samples: a forced run asks for the
+# forcing once per block of steps, in a block of this size however long.
+_FORCING_BLOCK_ENTRIES = 32768
+
+
 def evolve_nonlinear(
     u0: SpectralField,
     T: float,
@@ -237,11 +243,12 @@ def evolve_nonlinear(
 ) -> EvolutionTrace:
     """Integrate i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u = h.
 
-    forcing, if given, is a callable t -> coefficient array (lattice order)
-    evaluated at the integrator stage times. Without forcing the flow
-    conserves mass and energy up to the integrator error, which the ledger
-    records. States are kept in the dealiasing ball whenever the nonlinear
-    term is active.
+    forcing, if given, maps an array of times to the stack of h's lattice
+    coefficients at those times; a run asks once per block of steps, for
+    each stage time of the block once. Without forcing the flow conserves
+    mass and energy up to the integrator error, which the ledger records.
+    States are kept in the dealiasing ball whenever the nonlinear term is
+    active.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -254,23 +261,32 @@ def evolve_nonlinear(
     if use_nl:
         c = np.where(mask, c, 0.0)
 
-    def nonlin(cc: np.ndarray, t: float) -> np.ndarray:
-        out = 0.0
+    def nonlin(cc: np.ndarray, g) -> np.ndarray:
         if use_nl:
-            fc = nonlinear_term(spec, cc, cfg.k_nl)
-            out = 1j * np.where(mask, fc, 0.0)
-        if forcing is not None:
-            h = np.asarray(forcing(t), dtype=complex)
-            if use_nl:
-                h = np.where(mask, h, 0.0)
-            out = out - 1j * h
-        if forcing is None and not use_nl:
-            return np.zeros_like(cc)
+            out = 1j * np.where(mask, nonlinear_term(spec, cc, cfg.k_nl), 0.0)
+        else:
+            out = np.zeros_like(cc)
+        if g is not None:
+            out += g
         return out
 
-    tab = _Etdrk4Tableau(1j * spec.dispersion, dt)
-    stepper = lambda cc, t, t_next: tab.step(cc, t, t_next, nonlin)
+    def stage_forcing():
+        """-i h at each step's start, midpoint and end. A block of steps asks
+        once for its midpoints and ends, the first block for t = 0 too, and
+        starts at the last block's end: each stage time is asked for once."""
+        block = max(1, (_FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
+        ends = []
+        for s0 in range(0, n_steps, block):
+            t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
+            g = -1j * forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[min(s0, 1):]]))
+            g = np.where(mask, g, 0.0) if use_nl else g
+            ends = ends[-1:] + list(g[len(t) - 1:])
+            for i in range(len(t) - 1):
+                yield ends[i], g[i], ends[i + 1]
 
+    tab = _Etdrk4Tableau(1j * spec.dispersion, dt)
+    stages = itertools.repeat((None,) * 3) if forcing is None else stage_forcing()
+    stepper = lambda cc: tab.step(cc, nonlin, next(stages))
     return _march(spec, c, dt, n_steps, cfg, stepper)
 
 
@@ -403,12 +419,12 @@ def evolve_damped(
         inner_counts.append(it)
         return w, dw
 
-    def nonlin(vv: np.ndarray, t: float) -> np.ndarray:
+    def nonlin(vv: np.ndarray, g) -> np.ndarray:
         w, dw = solve(vv)
         return -mult * dw + 1j * f_ball(w)
 
     tab = _Etdrk4Tableau(1j * mult, dt)
-    stepper = lambda vv, t, t_next: tab.step(vv, t, t_next, nonlin)
+    stepper = lambda vv: tab.step(vv, nonlin, (None,) * 3)
 
     c0 = np.where(mask, u0.coeffs.astype(complex), 0.0)
     v0 = c0 - 1j * damp.apply(c0)  # v = J u
@@ -465,11 +481,9 @@ def _march(
     guard = BLOWUP_FACTOR * max(h2_norm(u0c), 1.0 if h2_norm(u0c) == 0.0 else 0.0)
 
     state = state0
-    t = 0.0
     for step in range(1, n_steps + 1):
-        t_next = step * dt
-        state = stepper(state, t, t_next)
-        t = t_next
+        state = stepper(state)
+        t = step * dt
         if step % cfg.record_stride == 0 or step == n_steps:
             uc, fl = recover(state) if damped else (state, 0.0)
             times.append(t)

@@ -222,11 +222,17 @@ def time_average_kernel(
     Xc = X if cols is None else X[cols]
     h = Xc[None, :] - X[:, None]  # w, until it becomes h
     E = np.empty(h.shape, dtype=complex)
+    if quadrature is not None:
+        # the trapezoid sum sees w only modulo 2pi/dt, and so does the closed
+        # form: reduced, wT/2 and w dt/2 keep their digits near aliasing
+        dt = T / max(1, round(T / quadrature))
+        period = 2.0 * math.pi / dt
+        np.round(np.divide(h, period, out=E.real), out=E.real)
+        h -= np.multiply(E.real, period, out=E.real)
     np.multiply(h, 0.5 * T, out=E.imag)  # wT/2
     if quadrature is None:
         h *= 0.5
     else:
-        dt = T / max(1, round(T / quadrature))
         h *= 0.5 * dt
         np.tan(h, out=h)
         h /= dt
@@ -273,32 +279,22 @@ class HumOperator:
         return (self.matrix @ coeffs.ravel()[self.support]).reshape(self.spec.shape)
 
     def control_weight(self, w: np.ndarray) -> np.ndarray:
-        """A w = phi (1-Lap)^{-2} (phi w) for w given on S, as lattice coeffs."""
-        return (self.A @ w).reshape(self.spec.shape)
+        """A w = phi (1-Lap)^{-2} (phi w) for a stack of w given on S, as a
+        stack of lattice coeffs."""
+        return (w @ self.A.T).reshape(w.shape[:-1] + self.spec.shape)
 
 
 def control_forcing(op: HumOperator, v0: np.ndarray):
-    """Closure t -> coefficients of A e^{itL} v0, exact at any stage time.
+    """Map ts -> coefficients of A e^{itL} v0 at each time of the array ts,
+    a (len(ts),) + lattice stack, exact at any stage time.
 
-    Only v0 on the support S is read: h(t) = A[:, S] (e^{itX_S} v0[S]). The
-    closure keeps the last (t, value) pair, so a time asked for again in a
-    row costs nothing; an ETDRK4 step asks for t + dt/2 twice and ends at
-    the next step's start. The arrays it returns are read-only, because a
-    repeated time hands out the same array.
+    Only v0 on the support S is read: h(t) = A[:, S] (e^{itX_S} v0[S]), one
+    exp of the |ts| x |S| phase block and one product through
+    control_weight for all the times.
     """
     X = op.spec.dispersion.ravel()[op.support]
     v = v0.ravel()[op.support]
-    last_t, last_h = None, None
-
-    def h(t: float) -> np.ndarray:
-        nonlocal last_t, last_h
-        if t != last_t:
-            last_h = op.control_weight(np.exp(1j * t * X) * v)
-            last_h.flags.writeable = False
-            last_t = t
-        return last_h
-
-    return h
+    return lambda ts: op.control_weight(np.exp(1j * np.asarray(ts)[:, None] * X) * v)
 
 
 def backward_forced_initial(
@@ -360,14 +356,13 @@ def _h2_miss(prob: ControlProblem, uT: np.ndarray) -> float:
 def _verify_integrator(prob: ControlProblem, op: HumOperator, v0: np.ndarray,
                        nonlinear: bool) -> float:
     """Terminal miss measured by an ETDRK4 run driven by the control."""
-    h = control_forcing(op, v0)
     cfg = SolverConfig(
         dt=prob.verify_dt,
         k_nl=prob.k_nl,
         include_nonlinearity=nonlinear,
         record_stride=10**9,  # only endpoints matter here
     )
-    trace = evolve_nonlinear(prob.u0, prob.T, cfg, forcing=h)
+    trace = evolve_nonlinear(prob.u0, prob.T, cfg, forcing=control_forcing(op, v0))
     return _h2_miss(prob, trace.states[-1])
 
 
@@ -381,8 +376,7 @@ def _verify_closed_form(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -
 
 def _control_samples(prob: ControlProblem, op: HumOperator, v0: np.ndarray):
     ts = np.linspace(0.0, prob.T, 101)
-    h = control_forcing(op, v0)
-    return ts, np.stack([h(t) for t in ts])
+    return ts, control_forcing(op, v0)(ts)
 
 
 def solve_linear_control(prob: ControlProblem) -> ControlCertificate:

@@ -193,7 +193,7 @@ def random_field(
 # ---------------------------------------------------------------------------
 #
 # Each function acts on the trailing d axes, so a leading batch axis (time
-# slices, quadrature nodes, trajectory records) passes through one FFT call.
+# slices, quadrature nodes, trajectory records) shares each FFT call.
 
 def box_mask(spec: ManifoldSpec, band: int) -> np.ndarray:
     """Modes with every |k_i| <= band."""
@@ -230,13 +230,15 @@ def grid_to_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
 
 def _signed_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
     """(-1)^{j_1+...+j_d} u(x_j) / scale: the inverse FFT of the lattice
-    array as it is stored, with neither the shift nor the scale."""
-    return np.fft.ifftn(coeffs, s=spec.shape, axes=_axes(spec))
+    array as it is stored, with neither the shift nor the scale. Both hot
+    transforms go one axis at a time, last axis first, as fftn does inside:
+    the same values bit for bit, without fftn's per-call overhead."""
+    return reduce(lambda x, axis: np.fft.ifft(x, axis=axis), _axes(spec)[::-1], coeffs)
 
 
 def _signed_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     """Lattice coefficients, times the scale, of (-1)^{j_1+...+j_d} values."""
-    return np.fft.fftn(values, s=spec.shape, axes=_axes(spec))
+    return reduce(lambda x, axis: np.fft.fft(x, axis=axis), _axes(spec)[::-1], values)
 
 
 def _grid_modulus(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:

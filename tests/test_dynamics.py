@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -105,8 +108,9 @@ def test_blowup_guard_trips(monkeypatch):
     u0 = b.basis_field(spec, 0, 1e-3)
     h = b.basis_field(spec, 0, 1.0).coeffs
     cfg = b.SolverConfig(dt=1e-2)
+    forcing = lambda ts: np.broadcast_to(h, ts.shape + h.shape)  # h at every time
     with pytest.raises(b.BlowUpError):
-        b.evolve_nonlinear(u0, 5.0, cfg, forcing=lambda t: h)
+        b.evolve_nonlinear(u0, 5.0, cfg, forcing=forcing)
 
 
 def test_blowup_guard_trips_on_a_non_finite_state():
@@ -311,6 +315,22 @@ def test_a_damping_solve_takes_one_apply_when_the_basis_spans_the_ball(monkeypat
     b.evolve_damped(smooth_datum(spec, 5), prof, 0.02, b.SolverConfig(dt=1e-3, record_stride=10))
     assert sum(is_warm for _, is_warm in solves) == 80
     assert [n for n, _ in solves] == [1] * len(solves)
+
+
+def test_blas_runs_on_the_thread_count_the_tests_pin():
+    # tests/conftest.py sets the count before numpy loads its BLAS; the
+    # OpenBLAS that numpy bundles reports the count it took
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        pytest.skip("BLAS threads were set outside the tests")
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    libs = glob.glob(os.path.join(libdir, "*openblas*"))
+    if not libs:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    lib = ctypes.CDLL(libs[0])
+    get = [getattr(lib, s) for s in ("scipy_openblas_get_num_threads64_",
+                                     "openblas_get_num_threads") if hasattr(lib, s)][0]
+    get.argtypes, get.restype = [], ctypes.c_int
+    assert get() == 1
 
 
 @pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import b4nls as b
-from b4nls import hum
+from b4nls import dynamics, hum
 from b4nls.hum import (
     HumOperator,
     backward_forced_initial,
@@ -377,6 +377,27 @@ def test_nonlinear_control_converges_small_datum():
     assert cert.terminal_residual <= 1e-7
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_trapezoid_time_kernel_near_aliasing(m):
+    # w = 2 pi m / dt + delta, where sin(wT/2) and tan(w dt/2) are both
+    # small; the oracle is the node sum in long double
+    T = 2.3
+    n = round(T / 7e-4)
+    dt = T / n
+    t = np.arange(n + 1, dtype=np.longdouble) * (np.longdouble(T) / n)
+    wts = np.full(n + 1, np.longdouble(T) / n)
+    wts[[0, -1]] /= 2
+    for delta in (1e-9, 1e-7, 1e-5, 1e-3, 0.1, 3.0):
+        w = 2.0 * PI * m / dt + delta
+        E = time_average_kernel(np.array([0.0, w]), T, 7e-4)[0, 1]
+        phase = np.longdouble(w) * t
+        oracle = complex(np.sum(wts * np.cos(phase)), np.sum(wts * np.sin(phase)))
+        assert abs(E - oracle) <= 1e-10 * T
+
+
 def test_backward_conjugate_trick_linear_oracle():
     # backward free flow via the conjugation trick equals the direct
     # backward propagator
@@ -393,34 +414,64 @@ def test_backward_conjugate_trick_linear_oracle():
 def test_control_forcing_is_weight_of_free_flow():
     spec = b.make_torus(1, 32, 1.0)
     phi = strip_phi(spec)
-    t = 0.37
+    ts = np.array([0.0, 0.37, 0.81])
     for band in (None, 5):  # every mode, and a banded support
         op = HumOperator(spec, phi, 1.0, band=band)
         v0 = rand_field(spec, 18, band=band).coeffs
-        h = control_forcing(op, v0)
-        vt = b.propagate_free(b.SpectralField(spec, v0), t)
-        expect = smoothing_multiplier(spec, 2) * b.multiply_profile(vt, phi).coeffs
-        expect = b.multiply_profile(b.SpectralField(spec, expect), phi).coeffs
-        assert np.abs(h(t) - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)
-        assert h(t) is h(t)  # a repeated time is served from the cache
+        h = control_forcing(op, v0)(ts)
+        assert h.shape == (len(ts),) + spec.shape
+        for t, ht in zip(ts, h):
+            vt = b.propagate_free(b.SpectralField(spec, v0), t)
+            expect = smoothing_multiplier(spec, 2) * b.multiply_profile(vt, phi).coeffs
+            expect = b.multiply_profile(b.SpectralField(spec, expect), phi).coeffs
+            assert np.abs(ht - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)
 
 
 def test_certifying_run_evaluates_the_forcing_once_per_distinct_time(monkeypatch):
-    # an ETDRK4 step asks for t, t + dt/2 twice and t + dt, which is the next
-    # step's t; the records are the step ends the march has just asked for
+    # a step's stages sit at t, t + dt/2 (twice) and t + dt, the next step's
+    # t: the march asks for each of the 2n + 1 distinct times once, in one
+    # forcing call per block of steps (default blocks, then blocks of 30)
     spec = b.make_torus(1, 32, 1.0)
     op = HumOperator(spec, strip_phi(spec), 1.0, band=5)
-    calls = []
     weight = HumOperator.control_weight
-    monkeypatch.setattr(
-        HumOperator, "control_weight", lambda self, w: calls.append(1) or weight(self, w)
-    )
     u0 = rand_field(spec, 19, band=5)
+    h = control_forcing(op, u0.coeffs)
     cfg = b.SolverConfig(dt=1e-3, include_nonlinearity=False, record_stride=10)
-    trace = b.evolve_nonlinear(u0, 0.2, cfg, forcing=control_forcing(op, u0.coeffs))
     n_steps = 200
-    assert trace.n_records == 21
-    assert len(calls) <= 2 * n_steps + trace.n_records + 1
+    ends = np.arange(n_steps + 1) * (0.2 / n_steps)
+    stage_times = np.sort(np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])]))
+    for steps in (None, 30):
+        if steps is not None:
+            monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * spec.n_modes)
+        calls, asked = [], []
+        monkeypatch.setattr(
+            HumOperator, "control_weight", lambda self, w: calls.append(len(w)) or weight(self, w)
+        )
+        trace = b.evolve_nonlinear(u0, 0.2, cfg, forcing=lambda ts: asked.append(ts) or h(ts))
+        block = max(1, (dynamics._FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
+        assert trace.n_records == 21
+        assert len(calls) == len(asked) == math.ceil(n_steps / block)
+        asked = np.concatenate(asked)
+        assert len(asked) == sum(calls) == 2 * n_steps + 1
+        assert np.array_equal(np.sort(asked), stage_times)
+
+
+def test_forced_march_does_not_depend_on_the_forcing_block(monkeypatch):
+    # d2N32, band 3, 50 steps: blocks of 7 steps, which do not divide the
+    # run, and one block for the whole run against the default blocks
+    spec = b.make_torus(2, 32, 1.0)
+    op = HumOperator(spec, b.make_damping_profile(spec, b.Strip(1.0, 3.0)), 0.05, band=3)
+    u0 = b.normalize_sobolev(rand_field(spec, 21, decay=4.0, band=3), 2.0, 1.0)
+    h = control_forcing(op, rand_field(spec, 22, band=3).coeffs)
+    cfg = b.SolverConfig(dt=1e-3)
+    default = b.evolve_nonlinear(u0, 0.05, cfg, forcing=h).states[-1]
+    for steps, n_calls in ((7, 8), (50, 1)):
+        monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * spec.n_modes)
+        calls = []
+        trace = b.evolve_nonlinear(u0, 0.05, cfg, forcing=lambda ts: calls.append(1) or h(ts))
+        assert len(calls) == n_calls
+        err = np.linalg.norm(trace.states[-1] - default)
+        assert err <= 1e-13 * np.linalg.norm(default)
 
 
 def test_banded_control_certifies_at_d2n64():

@@ -14,6 +14,8 @@ from b4nls.dynamics import energy
 from b4nls.hum import multiplication_matrix
 from b4nls.spectral import (
     KERNEL_BATCH,
+    _signed_coeffs,
+    _signed_grid,
     band_cutoff,
     band_mode_mask,
     _mode_index,
@@ -346,6 +348,17 @@ def test_grid_roundtrip():
     u = rand_field(spec, 9)
     v = grid_to_coeffs(spec, coeffs_to_grid(spec, u.coeffs))
     assert np.abs(v - u.coeffs).max() <= 1e-13
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["field", "stack"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_per_axis_transforms_equal_fftn_bit_for_bit(d, batch):
+    spec = b.make_torus(d, 16 if d < 3 else 8, 1.0)
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal(batch + spec.shape) + 1j * rng.standard_normal(batch + spec.shape)
+    axes = tuple(range(-d, 0))
+    assert np.array_equal(_signed_grid(spec, x), np.fft.ifftn(x, axes=axes))
+    assert np.array_equal(_signed_coeffs(spec, x), np.fft.fftn(x, axes=axes))
 
 
 def test_basis_field_point_values():
