@@ -16,7 +16,10 @@ the second form of the definition, the weighted transform of the profile
 e^{-itL} u(t).
 
 Fields must be tapered: the window taper has to vanish at both window ends
-so the periodic time transform sees a smooth periodic signal.
+so the periodic time transform sees a smooth periodic signal. Every H^b time
+norm is one kernel, `_hb_norm`, summed in FFT order (a sum needs no
+fftshift): the space-time norms pass it the spatial Sobolev weight, the
+scalar gain probe a unit weight.
 
 The module also carries two measured-constant probes: the window-averaged
 time-integration gain (the T^{1-b-b'} smoothing of the Duhamel integral on
@@ -81,11 +84,6 @@ class SpaceTimeField:
     def times(self) -> np.ndarray:
         return self.T_w * np.arange(self.M_t) / self.M_t
 
-    @property
-    def tau_lattice(self) -> np.ndarray:
-        m = self.M_t
-        return (TWO_PI / self.T_w) * np.arange(-(m // 2), m // 2)
-
 
 def make_taper(T_w: float, M_t: int) -> np.ndarray:
     """Smooth plateau window on [0, T_w], rising and falling over a quarter
@@ -141,13 +139,15 @@ def random_spacetime_field(
 # transforms and norms
 # ---------------------------------------------------------------------------
 
-def _time_transform(values: np.ndarray, T_w: float) -> np.ndarray:
-    """Coefficients against e^{-i tau_m t} (lattice order in m), normalized
-    so that sum_m |.|^2 dtau = int |.|^2 dt on the window."""
-    m = values.shape[0]
-    F = np.fft.ifft(values, axis=0) * m  # sum_j v_j e^{+2pi i jm/M}
-    F = np.fft.fftshift(F, axes=0)
-    return F * (T_w / m) / math.sqrt(TWO_PI)
+def _hb_norm(samples: np.ndarray, dt: float, b: float, weight: float | np.ndarray) -> float:
+    """(sum_tau (1 + tau^2)^b weight |F(tau)|^2 dtau)^{1/2} over the time
+    frequencies of samples at step dt along axis 0, in FFT order, with
+    F(tau) = (2 pi)^{-1/2} sum_j f(t_j) e^{i tau t_j} dt (Parseval at b = 0)."""
+    n = samples.shape[0]
+    F = np.fft.ifft(samples, axis=0) * n * dt / math.sqrt(TWO_PI)
+    tau = (TWO_PI * np.fft.fftfreq(n, d=dt)).reshape((-1,) + (1,) * (samples.ndim - 1))
+    dtau = TWO_PI / (n * dt)
+    return math.sqrt(float(np.sum((1.0 + tau**2) ** b * weight * np.abs(F) ** 2)) * dtau)
 
 
 def interaction_frame(f: SpaceTimeField) -> SpaceTimeField:
@@ -159,12 +159,7 @@ def interaction_frame(f: SpaceTimeField) -> SpaceTimeField:
 
 def hb_hs_norm(f: SpaceTimeField, s: float, b: float) -> float:
     """Plain H^b_t H^s_x norm of the sampled field (no dispersion weight)."""
-    F = _time_transform(f.values, f.T_w)
-    tau = f.tau_lattice.reshape((-1,) + (1,) * f.spec.d)
-    wt = (1.0 + tau**2) ** b
-    ws = sobolev_weights(f.spec, s)
-    dtau = TWO_PI / f.T_w
-    return math.sqrt(float(np.sum(wt * ws * np.abs(F) ** 2)) * dtau)
+    return _hb_norm(f.values, f.T_w / f.M_t, b, sobolev_weights(f.spec, s))
 
 
 def xsb_norm(f: SpaceTimeField, s: float, b: float) -> float:
@@ -216,15 +211,6 @@ def time_sobolev_norm_quadrature(taper: np.ndarray, T_w: float, b: float) -> flo
 # the time-integration gain probe (scalar signals)
 # ---------------------------------------------------------------------------
 
-def _h_norm_line(samples: np.ndarray, dt: float, b: float) -> float:
-    """H^b(R) norm of a compactly supported sampled signal via FFT."""
-    n = len(samples)
-    F = np.fft.ifft(samples) * n * dt / math.sqrt(TWO_PI)
-    tau = TWO_PI * np.fft.fftfreq(n, d=dt)
-    dtau = TWO_PI / (n * dt)
-    return math.sqrt(float(np.sum((1.0 + tau**2) ** b * np.abs(F) ** 2) * dtau))
-
-
 @dataclass(frozen=True)
 class GainProbeResult:
     T_values: tuple[float, ...]
@@ -271,18 +257,16 @@ def duhamel_gain_probe(
                 w = rng.uniform(0.25 / T, 12.0 / T, size=3)
                 amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
                 f = chi * sum(a * np.exp(1j * wi * t) for a, wi in zip(amps, w))
-            denom = _h_norm_line(f, dt, -b_prime)
+            denom = _hb_norm(f, dt, -b_prime, 1.0)
             if denom == 0.0:
                 continue
             prim = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * dt)])
             i0 = np.searchsorted(t, 0.0)
             prim = prim - prim[i0]
             F = chi * prim
-            best = max(best, _h_norm_line(F, dt, b) / denom)
+            best = max(best, _hb_norm(F, dt, b, 1.0) / denom)
         max_ratios.append(best)
-    xs = np.log(np.asarray(T_values))
-    ys = np.log(np.asarray(max_ratios))
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = float(np.polyfit(np.log(T_values), np.log(max_ratios), 1)[0])
     return GainProbeResult(
         T_values=T_values, max_ratios=tuple(max_ratios), fitted_exponent=slope
     )

@@ -61,7 +61,7 @@ from .hum import (
     solve_nonlinear_control,
 )
 from .linalg import IterationError
-from .observability import gramian_sweep
+from .observability import band_indices, gramian_sweep
 from .gcc import check_torus_scan, torus_gcc_time
 from .resonance import check_sweep, counting_sweep
 from .bourgain import check_gain_exponents, duhamel_gain_probe, trilinear_constant_probe
@@ -316,19 +316,16 @@ def _observability(cfg, rng):
     T = _get(cfg, "run", "T", float, 1.0)
     if not T >= 0.0:
         raise ConfigError(f"[run] T must be >= 0, got {T}")
-
-    def resolved(j):
-        return band_mode_mask(spec, 2.0 ** (-j)).any()
-
     j_values = _get(cfg, "sweep", "j_values", lambda raw: [int(x) for x in raw.split(",")])
     if j_values is None:  # every scale from h = 1/4 down that the lattice resolves
-        j_values = list(itertools.takewhile(resolved, itertools.count(2)))
+        j_values = list(itertools.takewhile(
+            lambda j: band_mode_mask(spec, 2.0 ** (-j)).any(), itertools.count(2)
+        ))
     quad_dt = _get(cfg, "sweep", "quad_dt", float, 1e-3)
     if not quad_dt > 0.0:
         raise ConfigError(f"[sweep] quad_dt must be positive, got {quad_dt}")
     for j in j_values:
-        if not resolved(j):
-            raise ConfigError(f"[sweep] j = {j}: no lattice mode falls in the h = 2^-{j} band")
+        band_indices(spec, 2.0 ** (-j))  # a ValueError here is a ConfigError
 
     def run(outdir):
         reports = gramian_sweep(profile, T, j_values, quad_dt)
@@ -415,6 +412,8 @@ def _bourgain(cfg, rng):
     check_gain_exponents(b, bp)
     if samples < 1 or M_t < 8 or M_t % 2 or not 0 < time_band < M_t // 2:
         raise ConfigError("[sweep] need samples >= 1, M_t even >= 8 and 0 < time_band < M_t / 2")
+    if space_band is not None and space_band < 0:
+        raise ConfigError(f"[sweep] space_band must be >= 0, got {space_band}")
 
     def run(outdir):
         gain = duhamel_gain_probe(b, bp, n_samples=samples, rng=rng)
@@ -515,7 +514,10 @@ def run_config(path, output=None) -> str:
     outdir = output or info["output"]
     if outdir is None:
         raise ConfigError("no output directory (set [experiment] output or --output)")
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {outdir}: {exc}") from exc
     if not os.access(outdir, os.W_OK):
         raise ConfigError(f"output directory {outdir} is not writable")
     try:

@@ -8,7 +8,9 @@ Three flows share one exponential integrator:
 
 with the defocusing sign throughout. The generator is treated exactly in
 Fourier (fourth-order exponential time differencing, ETDRK4), which is the
-only practical choice given the |k|^4 stiffness.
+only practical choice given the |k|^4 stiffness; `_phi` gives its phi_1..3
+(Kassam & Trefethen, SISC 26 (2005)). Every horizon, the time kernel's and
+the band Gramian's included, is cut into the steps of `step_grid`.
 
 The damped equation is integrated through the bounded reformulation
 v = J u, J = 1 - i D, D = a (1-Lap)^{-2} a: the stiff part of the
@@ -167,30 +169,25 @@ def energy(
 # ETDRK4 coefficient functions
 # ---------------------------------------------------------------------------
 
-def _phi(n: int, z: np.ndarray) -> np.ndarray:
-    """phi_n(z) with a series branch near 0; stable for imaginary z."""
+def _phi(z: np.ndarray) -> np.ndarray:
+    """phi_1, phi_2, phi_3 at z, stacked, phi_n(z) = sum_{j>=0} z^j / (j + n)!.
+    Below |z| = 0.25, phi_3's series and phi_n = z phi_{n+1} + 1/n!; at or
+    above, phi_1 = (e^z - 1)/z and phi_{n+1} = (phi_n - 1/n!)/z. Neither
+    branch divides by a small z, so imaginary z are safe."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
     small = np.abs(z) < 0.25
-    zs = z[small]
-    # phi_n(z) = sum_{j>=0} z^j / (j + n)!
-    acc = np.zeros_like(zs)
-    term = np.ones_like(zs) / math.factorial(n)
-    acc += term
-    for j in range(1, 18):
-        term = term * zs / (j + n)
-        acc += term
-    out[small] = acc
-    zb = z[~small]
-    ez = np.exp(zb)
-    if n == 1:
-        out[~small] = (ez - 1.0) / zb
-    elif n == 2:
-        out[~small] = (ez - 1.0 - zb) / zb**2
-    elif n == 3:
-        out[~small] = (ez - 1.0 - zb - zb**2 / 2.0) / zb**3
-    else:
-        raise ValueError("phi order not supported")
+    big = ~small
+    zs, zb = z[small], z[big]
+    out = np.empty((3,) + z.shape, dtype=complex)
+    series = np.zeros_like(zs)
+    for j in range(17, -1, -1):  # Horner's rule on sum_j z^j / (j + 3)!
+        series = series * zs + 1.0 / math.factorial(j + 3)
+    out[2, small] = series
+    out[1, small] = zs * series + 0.5
+    out[0, small] = zs * out[1, small] + 1.0
+    out[0, big] = (np.exp(zb) - 1.0) / zb
+    out[1, big] = (out[0, big] - 1.0) / zb
+    out[2, big] = (out[1, big] - 0.5) / zb
     return out
 
 
@@ -201,8 +198,8 @@ class _Etdrk4Tableau:
         z = dt * lin
         self.E = np.exp(z)
         self.E2 = np.exp(z / 2.0)
-        self.Q = (dt / 2.0) * _phi(1, z / 2.0)
-        p1, p2, p3 = _phi(1, z), _phi(2, z), _phi(3, z)
+        self.Q = (dt / 2.0) * _phi(z / 2.0)[0]
+        p1, p2, p3 = _phi(z)
         self.f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
         self.f2 = 2.0 * (dt * (p2 - 2.0 * p3))  # weighs both middle stages
         self.f3 = dt * (4.0 * p3 - p2)
@@ -221,7 +218,8 @@ class _Etdrk4Tableau:
         return self.E * u + self.f1 * n0 + self.f2 * (na + nb) + self.f3 * nc
 
 
-def _resolve_steps(T: float, dt: float) -> tuple[int, float]:
+def step_grid(T: float, dt: float) -> tuple[int, float]:
+    """The n = max(1, round(T / dt)) steps of a horizon and their length T / n."""
     n = max(1, int(round(T / dt)))
     return n, T / n
 
@@ -253,7 +251,7 @@ def evolve_nonlinear(
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     spec = u0.spec
-    n_steps, dt = _resolve_steps(T, cfg.dt)
+    n_steps, dt = step_grid(T, cfg.dt)
 
     mask = spec.dealias_mask
     use_nl = cfg.include_nonlinearity
@@ -391,7 +389,7 @@ def evolve_damped(
     spec = u0.spec
     if profile.spec != spec:
         raise ValueError("damping profile lives on a different spec")
-    n_steps, dt = _resolve_steps(T, cfg.dt)
+    n_steps, dt = step_grid(T, cfg.dt)
 
     mask = spec.dealias_mask
     damp = _DampingOperator(spec, profile)
@@ -549,16 +547,15 @@ def fit_decay_rate(times, energies) -> DecayFit:
     if np.any(e <= 0.0):
         raise ValueError("energies must be positive for a log fit")
     y = np.log(e)
-    A = np.vstack([t, np.ones_like(t)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit = A @ coef
+    slope, intercept = np.polyfit(t, y, 1)
+    fit = slope * t + intercept
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot <= 1e-28:
         r2 = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return DecayFit(gamma=-0.5 * float(coef[0]), r_squared=r2)
+    return DecayFit(gamma=-0.5 * float(slope), r_squared=r2)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import cg_hermitian
-from .dynamics import SolverConfig, evolve_nonlinear
+from .dynamics import SolverConfig, evolve_nonlinear, step_grid
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
@@ -209,7 +209,7 @@ def time_average_kernel(
 
     Rows run over X, columns over X[cols] (all of X when cols is None).
     quadrature None gives the exact integral; a float dt gives the
-    composite trapezoid sum on the n = round(T / dt) nodes of step T / n.
+    composite trapezoid sum on the steps of `step_grid(T, dt)`.
     Both rules are one closed form,
 
         E(w) = e^{iwT/2} sin(wT/2) / h(w),   E = T where h = 0,
@@ -225,7 +225,7 @@ def time_average_kernel(
     if quadrature is not None:
         # the trapezoid sum sees w only modulo 2pi/dt, and so does the closed
         # form: reduced, wT/2 and w dt/2 keep their digits near aliasing
-        dt = T / max(1, round(T / quadrature))
+        dt = step_grid(T, quadrature)[1]
         period = 2.0 * math.pi / dt
         np.round(np.divide(h, period, out=E.real), out=E.real)
         h -= np.multiply(E.real, period, out=E.real)

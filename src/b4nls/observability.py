@@ -8,12 +8,13 @@ band observability constant; a floor uniform over h = 2^{-j} is the
 numerical shadow of the frequency-cutoff observability inequality.
 
 The band matrix (`BandGramian.dense`) is the closed form of the trapezoid
-time average, `hum.time_average_kernel` (one formula with HUM's exact
-integral), multiplied in place by the weight's band block from the spectral
-kernel's block builder; both extreme eigenvalues come from
-`np.linalg.eigvalsh`. At T = 0 it is the zero matrix. The matrix-free route
-(`BandGramian.apply`) is the independent one: it samples m e^{itL} v on the
-nodes and integrates them with the one sampled duality integral,
+time average on the `dynamics.step_grid` steps, `hum.time_average_kernel`
+(one formula with HUM's exact integral), multiplied in place by the weight's
+band block from the spectral kernel's block builder; both extreme
+eigenvalues come from `np.linalg.eigvalsh`. At T = 0 it is the zero matrix;
+a band of more than MAX_BAND_ENTRIES entries is refused. The matrix-free
+route (`BandGramian.apply`) is the independent one: it samples m e^{itL} v
+on the nodes and integrates them with the one sampled duality integral,
 `hum.backward_forced_initial`; the tests drive it through Lanczos with full
 reorthogonalization and hold the two together.
 """
@@ -27,6 +28,7 @@ import numpy as np
 # Nothing here calls lanczos_extreme; the name stays because the benchmark's
 # traced run wraps b4nls.observability.lanczos_extreme (bench/layers.py).
 from .linalg import lanczos_extreme  # noqa: F401
+from .dynamics import step_grid
 from .hum import backward_forced_initial, time_average_kernel
 from .spectral import (
     DampingProfile,
@@ -35,6 +37,12 @@ from .spectral import (
     kernel_rows,
     profile_product,
 )
+
+
+# entries (band_dim^2) of the dense band Gramian a sweep may build: a band
+# peaks at 49 B per entry (d2N64, j = 4 and 5: the time kernel, the weight
+# block and eigvalsh's copy), so 2^24 entries (4,096 modes) stay below 0.9 GB.
+MAX_BAND_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,7 @@ class BandGramian:
 
     The weight is pointwise multiplication by weight_values, the grid
     samples of the smoothed indicator m; G is the trapezoid rule of
-    int_0^T e^{-itL} m e^{itL} dt on the n = round(T / quad_dt) steps of
-    times.
+    int_0^T e^{-itL} m e^{itL} dt on the steps of `step_grid(T, quad_dt)`.
     """
 
     def __init__(
@@ -69,10 +76,10 @@ class BandGramian:
         self.T = T
         self.weight_values = np.asarray(weight_values, dtype=float)
         self.band_idx = np.asarray(band_idx, dtype=int)
-        n = max(1, round(T / quad_dt))
+        n, dt = step_grid(T, quad_dt)
         self.times = np.linspace(0.0, T, n + 1)
         # at T = 0 every rule is the zero matrix, and the exact one needs no step
-        self.dt = T / n if T > 0.0 else None
+        self.dt = dt if T > 0.0 else None
         self.X = spec.dispersion.ravel()
 
     @property
@@ -103,6 +110,17 @@ class BandGramian:
         return G
 
 
+def band_indices(spec: ManifoldSpec, h: float) -> np.ndarray:
+    """Flat lattice indices of the band kappa(h^2 |k|^2) > 0; ValueError when
+    no mode falls in it or its dense Gramian passes MAX_BAND_ENTRIES."""
+    idx = np.flatnonzero(band_mode_mask(spec, h).ravel())
+    if len(idx) == 0:
+        raise ValueError(f"no lattice mode falls in the h = {h:g} band")
+    if len(idx) ** 2 > MAX_BAND_ENTRIES:
+        raise ValueError(f"the h = {h:g} band has {len(idx)} modes, over {MAX_BAND_ENTRIES} entries")
+    return idx
+
+
 def band_gramian_min_eig(
     profile: DampingProfile,
     T: float,
@@ -114,11 +132,7 @@ def band_gramian_min_eig(
 
     Both extremes come from eigvalsh of the dense closed-form band matrix.
     """
-    spec = profile.spec
-    band_idx = np.flatnonzero(band_mode_mask(spec, h).ravel())
-    if len(band_idx) == 0:
-        raise ValueError(f"no lattice mode falls in the h = {h:g} band")
-    g = BandGramian(spec, profile.values, T, quad_dt, band_idx)
+    g = BandGramian(profile.spec, profile.values, T, quad_dt, band_indices(profile.spec, h))
     evals = np.linalg.eigvalsh(g.dense())
     return GramianReport(
         h=h, band_dim=g.band_dim, T=T, min_eig=float(evals[0]), max_eig=float(evals[-1]),

@@ -28,6 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 
+# keys of the last block (K_max^2) a sweep may count: `_max_bucket` peaks at
+# 49 B per int64 key and 206 B per exact key (K = 1024, 2048), so 2^22 keys
+# (K_max = 2048) stay below 0.9 GB.
+MAX_SWEEP_KEYS = 2**22
+
+
 class ResonanceError(ValueError):
     pass
 
@@ -128,6 +134,11 @@ def check_sweep(K_max: int, p: int, q: int) -> None:
     """Raise ResonanceError unless `counting_sweep` can run these arguments."""
     if K_max < 1 or K_max & (K_max - 1) != 0:
         raise ResonanceError(f"K_max must be a power of two, got {K_max}")
+    if K_max * K_max > MAX_SWEEP_KEYS:
+        raise ResonanceError(
+            f"K_max = {K_max}: the last block has {K_max * K_max} phase-sum keys, "
+            f"more than the {MAX_SWEEP_KEYS} a sweep may count in memory"
+        )
     _check_beta(p, q)
 
 
@@ -149,17 +160,7 @@ def counting_sweep(K_max: int, p: int, q: int) -> SweepResult:
         counts.append(count)
         rows.append((K, tau.numerator, tau.denominator, count))
         K *= 2
-    if len(ks) > 1:
-        xs = [math.log(float(k)) for k in ks]
-        ys = [math.log(float(c)) for c in counts]
-        n = len(xs)
-        sx, sy = sum(xs), sum(ys)
-        sxx = sum(x * x for x in xs)
-        sxy = sum(x * y for x, y in zip(xs, ys))
-        denom = n * sxx - sx * sx
-        slope = 0.0 if denom == 0.0 else (n * sxy - sx * sy) / denom
-    else:
-        slope = 0.0
+    slope = float(np.polyfit(np.log(ks), np.log(counts), 1)[0]) if len(ks) > 1 else 0.0
     return SweepResult(
         dyadic_K=tuple(ks), max_counts=tuple(counts), growth_exponent=slope, rows=tuple(rows)
     )

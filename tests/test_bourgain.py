@@ -1,11 +1,14 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 import b4nls as b
+from b4nls.cli import main
 from b4nls.bourgain import (
     SpaceTimeField,
+    _hb_norm,
     hb_hs_norm,
     l2hs_norm,
     random_spacetime_field,
@@ -68,3 +71,33 @@ def test_random_field_rejects_a_time_band_out_of_range(time_band):
     spec = b.make_torus(1, 16, 1.0)
     with pytest.raises(ValueError, match="time band"):
         random_spacetime_field(spec, np.random.default_rng(0), TWO_PI, 32, 2, time_band)
+
+
+@pytest.mark.parametrize("bb", [0, 1, 2])
+def test_hb_norm_of_a_gaussian_is_its_closed_form(bb):
+    # f = exp(-t^2 / (2 sigma^2)) on the gain probe's grid: ||f||^2 = sigma
+    # sqrt(pi), ||f'||^2 = sqrt(pi) / (2 sigma), ||f''||^2 = 3 sqrt(pi) /
+    # (4 sigma^3), and (1 + tau^2)^b expands into them. The same samples on
+    # one mode of a field give its H^b L^2 norm.
+    sigma, rp = 0.5, math.sqrt(math.pi)
+    exact = [sigma * rp, sigma * rp + rp / (2 * sigma),
+             sigma * rp + rp / sigma + 3 * rp / (4 * sigma**3)][bb]
+    t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
+    f = np.exp(-(t**2) / (2 * sigma**2))
+    assert _hb_norm(f, t[1] - t[0], bb, 1.0) ** 2 == pytest.approx(exact, rel=1e-14, abs=0)
+    spec = b.make_torus(1, 8, 1.0)
+    values = np.zeros((len(t),) + spec.shape)
+    values[:, 0] = f
+    field = SpaceTimeField(spec, 8.0, values, None)
+    assert hb_hs_norm(field, 0.0, bb) ** 2 == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+def test_probe_outputs_of_the_bench_config_are_pinned(tmp_path):
+    # bench/configs/bourgain-probe.ini at seed 0: d1N32, every sweep default
+    path = tmp_path / "probe.ini"
+    path.write_text("[experiment]\nkind = bourgain-probe\nseed = 0\n[manifold]\nd = 1\nN = 32\n")
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "probe.csv", newline="") as fh:
+        values = {row["name"]: float(row["value"]) for row in csv.DictReader(fh)}
+    assert values["gain_fitted_exponent"] == pytest.approx(0.13356836717034523, rel=1e-8)
+    assert values["trilinear_max_ratio"] == pytest.approx(1.3982438625183091e-05, rel=1e-8)

@@ -16,6 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 import b4nls
 from b4nls import cli
 from b4nls.cli import EXPERIMENTS, main
+from b4nls.observability import MAX_BAND_ENTRIES
+from b4nls.resonance import MAX_SWEEP_KEYS
+from b4nls.spectral import band_mode_mask
 
 
 def write_config(tmp_path, text):
@@ -270,13 +273,17 @@ NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
         (BANDED + "[solver]\nk_nl = 0\n", "k_nl must be >= 1"),
         (SIMULATE + "[run]\nT = 0.01\ndatum = plane-wave\ndatum_norm = 2\n",
          "[run] datum_norm is not a key of simulate"),
+        # a negative band gave empty fields and wrote trilinear_max_ratio 0.0
+        ("[experiment]\nkind = bourgain-probe\n[manifold]\nd = 1\nN = 16\n"
+         "[sweep]\nspace_band = -1\n", "space_band must be >= 0"),
     ],
     ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-eps_t-ulp",
          "gcc-n_angles", "simulate-T-inf", "sweep-T-inf", "solver-dt-nan", "verify_dt-nan",
          "verify_dt-negative", "solve_dt-zero", "cg_tol-negative", "cg_max_iter-zero",
          "fixedpoint_tol-negative", "smoothing_width-nan", "lo-nan", "duplicate-key",
          "bad-interpolation", "stabilize-zero-datum", "stabilize-datum-outside-ball",
-         "misspelt-key", "control-solver-dt", "control-k_nl-zero", "plane-wave-datum_norm"],
+         "misspelt-key", "control-solver-dt", "control-k_nl-zero", "plane-wave-datum_norm",
+         "bourgain-space_band-negative"],
 )
 def test_validate_catches_what_used_to_fail_at_run(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
@@ -335,6 +342,46 @@ def test_validate_refuses_a_hum_operator_above_the_cap(tmp_path, capsys):
     )
     assert main(["validate", path]) == 2
     assert f"{2 * 16 * 4096 * 4096} bytes" in capsys.readouterr().err
+
+
+def test_run_onto_a_file_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    path = write_config(tmp_path, f"[experiment]\nkind = simulate\n{TINY['simulate'][0]}")
+    monkeypatch.setattr(cli, "evolve_nonlinear", lambda *a: pytest.fail("the solve ran"))
+    assert main(["run", path, "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot make output directory")
+    assert "Traceback" not in err
+    assert target.read_text() == "not a directory\n"
+
+
+def _band_dim(d, N, j):
+    return int(band_mode_mask(b4nls.make_torus(d, N, 1.0), 2.0 ** (-j)).sum())
+
+
+def test_validate_caps_the_band_gramian(tmp_path, capsys):
+    # the default j = 2..5 at d3N32 reaches bands of 7,634 and 26,596 modes;
+    # d2N64 up to j = 5 (2,487 modes) is the largest sweep on record
+    assert _band_dim(3, 32, 3) ** 2 > MAX_BAND_ENTRIES >= _band_dim(2, 64, 5) ** 2
+    sweep = "[experiment]\nkind = observability-sweep\n[manifold]\nd = {}\nN = {}\n"
+    path = write_config(tmp_path, sweep.format(3, 32))
+    assert main(["validate", path]) == 2
+    assert f"the h = 0.125 band has {_band_dim(3, 32, 3)} modes" in capsys.readouterr().err
+    path = write_config(tmp_path, sweep.format(2, 64) + "[sweep]\nj_values = 2,3,4,5\n")
+    assert main(["validate", path]) == 0
+
+
+@pytest.mark.parametrize("K_max,code", [(512, 0), (2048, 0), (4096, 2), (65536, 2)])
+def test_validate_caps_the_resonance_sweep(tmp_path, capsys, K_max, code):
+    # the last block holds K_max^2 keys; the bench runs K_max = 512
+    assert (K_max**2 <= MAX_SWEEP_KEYS) == (code == 0)
+    path = write_config(tmp_path, f"[experiment]\nkind = resonance-sweep\n[sweep]\nK_max = {K_max}\n")
+    assert main(["validate", path]) == code
+    if code:
+        assert f"K_max = {K_max}: the last block has {K_max**2} phase-sum keys" in (
+            capsys.readouterr().err
+        )
 
 
 # ---------------------------------------------------------------------------

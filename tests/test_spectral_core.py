@@ -486,10 +486,11 @@ def test_the_sampled_duality_integral_lives_in_one_function():
 
 
 def test_grid_operations_live_only_in_the_kernel():
-    # the time-axis ifft/fftshift(axes=0) of bourgain and the forward fftn of
-    # the dense multiplication matrix stay where they are; the patterns miss
-    # them. That matrix is the test oracle of the grid products and of the
-    # block builder: nothing in the package calls it.
+    # bourgain's time-axis ifft and the forward fftn of the dense
+    # multiplication matrix stay where they are; the patterns miss them. That
+    # matrix is the test oracle of the grid products and of the block
+    # builder: nothing in the package calls it. Only the kernel's transform
+    # pair reorders the lattice: a sum over frequencies needs no fftshift.
     src = Path(b.__file__).parent
     two_pi_defs = 0
     dense_calls = 0
@@ -515,8 +516,30 @@ def test_grid_operations_live_only_in_the_kernel():
             shifters = _functions_calling(ast.parse(text), {"fftshift", "ifftshift"})
             assert shifters == {"coeffs_to_grid", "grid_to_coeffs"}
             continue
-        for pattern in ("ifftn(", "ifftshift(", "logical_and.outer"):
+        for pattern in ("ifftn(", "fftshift(", "logical_and.outer"):
             assert pattern not in text, f"{path.name} writes out {pattern}"
     assert two_pi_defs == 1
     assert dense_calls == 0
     assert dense_callers == []
+
+
+def test_each_numerical_rule_has_one_owner():
+    # the step grid n = max(1, round(T / dt)) is dynamics.step_grid, and a
+    # straight-line fit is np.polyfit: no other round of a quotient, no lstsq
+    src = Path(b.__file__).parent
+    rounders = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "lstsq" not in text, path.name
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                rounders += [
+                    f"{path.stem}.{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and "round" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    and node.args
+                    and isinstance(node.args[0], ast.BinOp)
+                    and isinstance(node.args[0].op, ast.Div)
+                ]
+    assert rounders == ["dynamics.step_grid"]
