@@ -37,6 +37,7 @@ from .regions import TWO_PI
 from .spectral import (
     ManifoldSpec,
     box_mask,
+    free_phase,
     nonlinear_term,
     plateau_bump,
     sobolev_weights,
@@ -59,8 +60,7 @@ class SpaceTimeField:
         if v.ndim != self.spec.d + 1 or v.shape[1:] != self.spec.shape:
             raise ValueError("values must be (M_t,) + lattice shaped")
         m = v.shape[0]
-        if m < 8 or m % 2 != 0:
-            raise ValueError("M_t must be even and >= 8")
+        check_probe_inputs(1, m, None, None)
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("non-finite sample")
         if self.taper is not None:
@@ -89,11 +89,10 @@ def make_taper(T_w: float, M_t: int) -> np.ndarray:
     """Smooth plateau window on [0, T_w], rising and falling over a quarter
     of the window each, exactly zero at both end samples (the support is
     inset by two grid steps)."""
+    check_probe_inputs(1, M_t, None, None)
     t = T_w * np.arange(M_t) / M_t
     e = 0.25 * T_w
     margin = 2.0 * T_w / M_t
-    if e <= margin:
-        raise ValueError("window too short for the taper edges")
     return plateau_bump(t, margin, e, T_w - e, T_w - margin)
 
 
@@ -120,9 +119,8 @@ def random_spacetime_field(
     time_band: int,
 ) -> SpaceTimeField:
     """Tapered random field, band-limited in both space and time frequency."""
+    check_probe_inputs(1, M_t, space_band, time_band)
     taper = make_taper(T_w, M_t)
-    if not 0 < time_band < M_t // 2:
-        raise ValueError("time band out of range")
     spectrum = np.zeros((M_t,) + spec.shape, dtype=complex)
     sl = np.zeros(M_t, dtype=bool)
     sl[: time_band + 1] = True
@@ -152,8 +150,7 @@ def _hb_norm(samples: np.ndarray, dt: float, b: float, weight: float | np.ndarra
 
 def interaction_frame(f: SpaceTimeField) -> SpaceTimeField:
     """The profile e^{-itL} u(t): each slice demodulated by the free flow."""
-    t = f.times
-    phases = np.exp(-1j * t.reshape((-1,) + (1,) * f.spec.d) * f.spec.dispersion)
+    phases = free_phase(-f.times, f.spec.dispersion)
     return SpaceTimeField(f.spec, f.T_w, phases * f.values, f.taper)
 
 
@@ -218,6 +215,23 @@ class GainProbeResult:
     fitted_exponent: float
 
 
+def check_probe_inputs(n_samples: int, M_t: int | None, space_band: int | None,
+                       time_band: int | None) -> None:
+    """Raise ValueError unless a probe can draw n_samples >= 1 signals on a
+    window of M_t times, even and > 8 (the taper's edges need more than 8),
+    with 0 < time_band < M_t / 2 and space_band >= 0. A None argument is not
+    checked: the gain probe has no window, a field no bands, and a None
+    space_band is the probe's default."""
+    if n_samples < 1:
+        raise ValueError(f"need samples >= 1, got {n_samples}")
+    if M_t is not None and (M_t % 2 or M_t <= 8):
+        raise ValueError(f"M_t must be even and > 8 for the taper, got {M_t}")
+    if time_band is not None and not 0 < time_band < M_t // 2:
+        raise ValueError(f"time band out of range: need 0 < time_band < {M_t // 2}, got {time_band}")
+    if space_band is not None and space_band < 0:
+        raise ValueError(f"space_band must be >= 0, got {space_band}")
+
+
 def check_gain_exponents(b: float, b_prime: float) -> None:
     """Raise ValueError outside the range of the gain estimate."""
     if not (0.0 < b_prime < 0.5 < b and b + b_prime <= 1.0):
@@ -239,6 +253,7 @@ def duhamel_gain_probe(
     skipped (0/0 guard).
     """
     check_gain_exponents(b, b_prime)
+    check_probe_inputs(n_samples, None, None, None)
     T_values = (1.0, 0.5, 0.25)
     t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
     dt = t[1] - t[0]
@@ -288,6 +303,7 @@ def trilinear_constant_probe(
         raise ValueError("need 0 < b' < 1/2")
     if space_band is None:
         space_band = spec.N // 8
+    check_probe_inputs(n_samples, M_t, space_band, time_band)
     best = 0.0
     for _ in range(n_samples):
         u = random_spacetime_field(spec, rng, TWO_PI, M_t, space_band, time_band)

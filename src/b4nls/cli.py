@@ -61,10 +61,11 @@ from .hum import (
     solve_nonlinear_control,
 )
 from .linalg import IterationError
-from .observability import band_indices, gramian_sweep
+from .observability import check_gramian_sweep, gramian_sweep
 from .gcc import check_torus_scan, torus_gcc_time
 from .resonance import check_sweep, counting_sweep
-from .bourgain import check_gain_exponents, duhamel_gain_probe, trilinear_constant_probe
+from .bourgain import check_gain_exponents, check_probe_inputs
+from .bourgain import duhamel_gain_probe, trilinear_constant_probe
 
 
 class ConfigError(ValueError):
@@ -314,18 +315,13 @@ def _observability(cfg, rng):
     spec = _build_spec(cfg)
     profile = _build_profile(cfg, spec)
     T = _get(cfg, "run", "T", float, 1.0)
-    if not T >= 0.0:
-        raise ConfigError(f"[run] T must be >= 0, got {T}")
     j_values = _get(cfg, "sweep", "j_values", lambda raw: [int(x) for x in raw.split(",")])
     if j_values is None:  # every scale from h = 1/4 down that the lattice resolves
         j_values = list(itertools.takewhile(
             lambda j: band_mode_mask(spec, 2.0 ** (-j)).any(), itertools.count(2)
         ))
     quad_dt = _get(cfg, "sweep", "quad_dt", float, 1e-3)
-    if not quad_dt > 0.0:
-        raise ConfigError(f"[sweep] quad_dt must be positive, got {quad_dt}")
-    for j in j_values:
-        band_indices(spec, 2.0 ** (-j))  # a ValueError here is a ConfigError
+    check_gramian_sweep(spec, T, [2.0 ** (-j) for j in j_values], quad_dt)
 
     def run(outdir):
         reports = gramian_sweep(profile, T, j_values, quad_dt)
@@ -347,10 +343,7 @@ def _gcc_check(cfg, rng):
     starts = _get(cfg, "gcc", "starts_per_dim", int, 8)
     farey = _get(cfg, "gcc", "farey_max_den", int, 6)
     n_angles = _get(cfg, "gcc", "n_angles", int, 32)
-    try:
-        check_torus_scan(region, d, t_max, eps_t, starts, n_angles)
-    except ValueError as exc:
-        raise ConfigError(f"gcc-check: {exc}") from exc
+    check_torus_scan(region, d, t_max, eps_t, starts, n_angles)
 
     def run(outdir):
         scan = torus_gcc_time(region, d, t_max, starts, farey, n_angles, eps_t)
@@ -410,10 +403,7 @@ def _bourgain(cfg, rng):
     space_band = _get(cfg, "sweep", "space_band", int, None)
     time_band = _get(cfg, "sweep", "time_band", int, 8)
     check_gain_exponents(b, bp)
-    if samples < 1 or M_t < 8 or M_t % 2 or not 0 < time_band < M_t // 2:
-        raise ConfigError("[sweep] need samples >= 1, M_t even >= 8 and 0 < time_band < M_t / 2")
-    if space_band is not None and space_band < 0:
-        raise ConfigError(f"[sweep] space_band must be >= 0, got {space_band}")
+    check_probe_inputs(samples, M_t, space_band, time_band)
 
     def run(outdir):
         gain = duhamel_gain_probe(b, bp, n_samples=samples, rng=rng)

@@ -51,13 +51,13 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     _grid_modulus,
+    hs_norm,
     kernel_rows,
     load_field,
     nonlinear_term,
     sandwich,
     save_field,
     smoothing_multiplier,
-    sobolev_weights,
 )
 
 
@@ -154,7 +154,7 @@ def energy(
     """E = 1/2 int |Lap u|^2 + beta/2 int |grad u|^2 (+ 1/2 int |u|^2)
     + 1/(2k+2) int |u|^{2k+2}, with the grid quadrature for the potential."""
     p2 = np.abs(coeffs) ** 2
-    total = 0.5 * _lattice_sum(spec, (spec.k_sq**2 + spec.beta * spec.k_sq) * p2)
+    total = 0.5 * _lattice_sum(spec, spec.dispersion * p2)
     if include_mass_term:
         total += 0.5 * _lattice_sum(spec, p2)
     if include_potential:
@@ -466,17 +466,12 @@ def _march(
     blow-up guard (BLOWUP_FACTOR) runs per record.
     """
     damped = recover is not None
-    h2w = sobolev_weights(spec, 2.0)
-
-    def h2_norm(cc: np.ndarray) -> float:
-        return math.sqrt(float(np.sum(h2w * np.abs(cc) ** 2)))
-
     times = [0.0]
     u0c, flux0 = recover(state0) if damped else (state0, 0.0)
     states = [u0c]
     fluxes = [flux0]
     # zero initial data (forced runs) falls back to an absolute unit scale
-    guard = BLOWUP_FACTOR * max(h2_norm(u0c), 1.0 if h2_norm(u0c) == 0.0 else 0.0)
+    guard = BLOWUP_FACTOR * (hs_norm(spec, u0c, 2.0) or 1.0)
 
     state = state0
     for step in range(1, n_steps + 1):
@@ -487,7 +482,7 @@ def _march(
             times.append(t)
             states.append(uc)
             fluxes.append(fl)
-            if not h2_norm(uc) <= guard:  # NaN or inf fails the test too
+            if not hs_norm(spec, uc, 2.0) <= guard:  # NaN or inf fails the test too
                 raise BlowUpError(f"H^2 norm exceeded guard at t = {t:.6g}")
 
     states = np.asarray(states)

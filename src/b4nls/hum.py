@@ -16,9 +16,10 @@ semidefinite exactly. The operator uses the exact time integral and the
 observability Gramians the trapezoid sum on a uniform grid; both are one
 closed form, E(w) = e^{iwT/2} sin(wT/2) / h(w) with h = w/2 or
 h = tan(w dt/2)/dt, which `time_average_kernel` computes with its result as
-the only complex array. A time integral over samples (the backward initial
-value, the nonlinear correction, the matrix-free Gramian) is the one
-sampled duality integral `backward_forced_initial`.
+the only complex array, and the zero matrix at T = 0. A time integral over
+samples (the backward initial value, the nonlinear correction, the
+matrix-free Gramian) is the one sampled duality integral
+`backward_forced_initial`.
 
 The dual datum lives on a support S: the modes of the control band, or
 every mode without one. Nothing reads a column of Lambda or A outside S, so
@@ -33,7 +34,8 @@ it.
 
 The system is solved by plain conjugate gradients in L^2; the H^{-2} -> H^2
 character of the continuum operator appears as conditioning and is reported
-through the iteration count, not hidden behind a preconditioner.
+through the iteration count, not hidden behind a preconditioner. That count
+and the last fixed-point update sit at CG's noise floor (ControlCertificate).
 
 The nonlinear local control iterates the contraction
 
@@ -63,12 +65,13 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     box_mask,
+    free_phase,
+    hs_norm,
     kernel_rows,
     nonlinear_term,
     sandwich,
     smoothing_multiplier,
     sobolev_norm,
-    sobolev_weights,
 )
 
 
@@ -167,6 +170,10 @@ class ControlCertificate:
     solve. integrator_residual (linear only) reports the same miss measured
     by a finite-step ETDRK4 run, which carries that scheme's own quadrature
     error on the control's oscillations and is therefore pinned separately.
+
+    At CG's noise floor, cg_iterations reproduces only to +-2 under roundoff
+    (Lambda scaled by 1 + 2^-52 moved it by 1-2 on 7 of 16 bench seeds), and
+    the nonlinear last fixed-point update, about 1e-11, is that floor itself.
     """
 
     kind: str  # "linear" | "nonlinear"
@@ -209,8 +216,8 @@ def time_average_kernel(
 
     Rows run over X, columns over X[cols] (all of X when cols is None).
     quadrature None gives the exact integral; a float dt gives the
-    composite trapezoid sum on the steps of `step_grid(T, dt)`.
-    Both rules are one closed form,
+    composite trapezoid sum on the steps of `step_grid(T, dt)`; at T = 0,
+    which has no step, both are the zero matrix. Both are one closed form,
 
         E(w) = e^{iwT/2} sin(wT/2) / h(w),   E = T where h = 0,
 
@@ -219,6 +226,8 @@ def time_average_kernel(
     cot(θ/2) at θ = w dt. The result is the only complex array of its size
     that the call holds.
     """
+    if T == 0.0:
+        quadrature = None
     Xc = X if cols is None else X[cols]
     h = Xc[None, :] - X[:, None]  # w, until it becomes h
     E = np.empty(h.shape, dtype=complex)
@@ -260,8 +269,6 @@ class HumOperator:
         band: int | None = None,
     ):
         self.spec = spec
-        self.phi = phi
-        self.T = T
         keep = np.ones(spec.shape, dtype=bool) if band is None else box_mask(spec, band)
         self.support = np.flatnonzero(keep)
         s2 = smoothing_multiplier(spec, 2)
@@ -286,15 +293,13 @@ class HumOperator:
 
 def control_forcing(op: HumOperator, v0: np.ndarray):
     """Map ts -> coefficients of A e^{itL} v0 at each time of the array ts,
-    a (len(ts),) + lattice stack, exact at any stage time.
-
-    Only v0 on the support S is read: h(t) = A[:, S] (e^{itX_S} v0[S]), one
-    exp of the |ts| x |S| phase block and one product through
-    control_weight for all the times.
+    a (len(ts),) + lattice stack, exact at any stage time. Only v0 on the
+    support S is read: h(t) = A[:, S] (e^{itX_S} v0[S]), one |ts| x |S|
+    phase block and one product through control_weight for all the times.
     """
     X = op.spec.dispersion.ravel()[op.support]
     v = v0.ravel()[op.support]
-    return lambda ts: op.control_weight(np.exp(1j * np.asarray(ts)[:, None] * X) * v)
+    return lambda ts: op.control_weight(free_phase(ts, X) * v)
 
 
 def backward_forced_initial(
@@ -304,10 +309,7 @@ def backward_forced_initial(
 
     u(0) = i int_0^T e^{-isL} h(s) ds, by trapezoid over the given samples.
     """
-    phases = np.exp(
-        -1j * np.asarray(times).reshape((-1,) + (1,) * spec.d) * spec.dispersion
-    )
-    integrand = phases * forcing_samples
+    integrand = free_phase(-np.asarray(times), spec.dispersion) * forcing_samples
     return 1j * np.trapezoid(integrand, np.asarray(times), axis=0)
 
 
@@ -320,7 +322,7 @@ def _transported_rhs(prob: ControlProblem) -> np.ndarray:
     transported difference to rest."""
     rhs = prob.u0.coeffs.astype(complex)
     if prob.u_target is not None:
-        rhs = rhs - np.exp(-1j * prob.T * prob.spec.dispersion) * prob.u_target.coeffs
+        rhs = rhs - free_phase(-prob.T, prob.spec.dispersion) * prob.u_target.coeffs
     return -1j * rhs
 
 
@@ -348,9 +350,7 @@ def _solve_hum_system(
 
 
 def _h2_miss(prob: ControlProblem, uT: np.ndarray) -> float:
-    target = np.zeros_like(uT) if prob.u_target is None else prob.u_target.coeffs
-    w = sobolev_weights(prob.spec, 2.0)
-    return math.sqrt(float(np.sum(w * np.abs(uT - target) ** 2)))
+    return hs_norm(prob.spec, uT if prob.u_target is None else uT - prob.u_target.coeffs, 2.0)
 
 
 def _verify_integrator(prob: ControlProblem, op: HumOperator, v0: np.ndarray,
@@ -369,14 +369,20 @@ def _verify_integrator(prob: ControlProblem, op: HumOperator, v0: np.ndarray,
 def _verify_closed_form(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -> float:
     """Exact terminal state of the controlled linear lattice system,
     u(T) = e^{iTL} (u0 - i Lambda v0), assembled fresh from the operator."""
-    X = prob.spec.dispersion
-    uT = np.exp(1j * prob.T * X) * (prob.u0.coeffs - 1j * op.apply(v0))
+    uT = free_phase(prob.T, prob.spec.dispersion) * (prob.u0.coeffs - 1j * op.apply(v0))
     return _h2_miss(prob, uT)
 
 
-def _control_samples(prob: ControlProblem, op: HumOperator, v0: np.ndarray):
+def _certificate(prob: ControlProblem, op: HumOperator, kind: str, dual: np.ndarray,
+                 residual: float, **fields) -> ControlCertificate:
+    """The certificate of a dual datum with its terminal miss, relative to
+    ||u0||_{H^2}, and its control sampled at 101 times."""
     ts = np.linspace(0.0, prob.T, 101)
-    return ts, control_forcing(op, v0)(ts)
+    return ControlCertificate(
+        kind=kind, dual_datum=dual, terminal_residual=residual,
+        relative_residual=residual / max(sobolev_norm(prob.u0, 2.0), 1e-300),
+        control_times=ts, control_samples=control_forcing(op, dual)(ts), **fields,
+    )
 
 
 def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
@@ -384,20 +390,10 @@ def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
     forward solve of the controlled equation to certify the terminal state."""
     op = HumOperator(prob.spec, prob.phi, prob.T, band=prob.control_band)
     v0, iters, relres = _solve_hum_system(prob, op, _transported_rhs(prob))
-    residual = _verify_closed_form(prob, op, v0)
-    integ = _verify_integrator(prob, op, v0, nonlinear=False)
-    ts, samples = _control_samples(prob, op, v0)
-    scale = sobolev_norm(prob.u0, 2.0)
-    return ControlCertificate(
-        kind="linear",
-        dual_datum=v0,
-        terminal_residual=residual,
-        relative_residual=residual / max(scale, 1e-300),
-        cg_iterations=(iters,),
-        cg_residuals=(relres,),
-        integrator_residual=integ,
-        control_times=ts,
-        control_samples=samples,
+    return _certificate(
+        prob, op, "linear", v0, _verify_closed_form(prob, op, v0),
+        cg_iterations=(iters,), cg_residuals=(relres,),
+        integrator_residual=_verify_integrator(prob, op, v0, nonlinear=False),
     )
 
 
@@ -422,7 +418,7 @@ def _nonlinear_correction(
     if np.linalg.norm(phi0) == 0.0:
         return np.zeros(spec.shape, dtype=complex)
 
-    chi0 = np.exp(-1j * prob.T * X) * np.conj(phi0)
+    chi0 = free_phase(-prob.T, X) * np.conj(phi0)
     cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl, include_nonlinearity=True)
     w_trace = evolve_nonlinear(
         SpectralField(spec, np.zeros(spec.shape, dtype=complex)),
@@ -438,7 +434,7 @@ def _nonlinear_correction(
         spec.dealias_mask, nonlinear_term(spec, w_trace.states, prob.k_nl), 0.0
     )
     i_j_w = backward_forced_initial(spec, w_trace.times, f_samples)
-    return np.conj(np.exp(1j * prob.T * X) * i_j_w)
+    return np.conj(free_phase(prob.T, X) * i_j_w)
 
 
 def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
@@ -454,14 +450,6 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
         raise ValueError("nonlinear control steers to the zero state")
     spec = prob.spec
     op = HumOperator(spec, prob.phi, prob.T, band=prob.control_band)
-    hm2 = sobolev_weights(spec, -2.0)
-
-    def hm2_norm(c: np.ndarray) -> float:
-        return math.sqrt(float(np.sum(hm2 * np.abs(c) ** 2)))
-
-    def s_inverse(y: np.ndarray):
-        return _solve_hum_system(prob, op, -1j * y)
-
     phi0 = np.zeros(spec.shape, dtype=complex)
     diffs: list[float] = []
     ratios: list[float] = []
@@ -471,17 +459,14 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
 
     for _ in range(FIXEDPOINT_MAX_ITER):
         k_phi = _nonlinear_correction(prob, op, phi0)
-        phi_new, iters, relres = s_inverse(u0c - k_phi)
+        phi_new, iters, relres = _solve_hum_system(prob, op, -1j * (u0c - k_phi))
         cg_iters.append(iters)
         cg_res.append(relres)
-        diff = hm2_norm(phi_new - phi0)
-        if diffs:
-            denom = diffs[-1]
-            if denom > 0.0:
-                ratio = diff / denom
-                ratios.append(ratio)
-                if ratio >= 1.0:
-                    raise ContractionFailure(ratio)
+        diff = hs_norm(spec, phi_new - phi0, -2.0)
+        if diffs and diffs[-1] > 0.0:
+            ratios.append(diff / diffs[-1])
+            if ratios[-1] >= 1.0:
+                raise ContractionFailure(ratios[-1])
         diffs.append(diff)
         phi0 = phi_new
         if diff <= prob.fixedpoint_tol:
@@ -492,19 +477,10 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
             f"(last update {diffs[-1]:.3e})"
         )
 
-    residual = _verify_integrator(prob, op, phi0, nonlinear=True)
-    ts, samples = _control_samples(prob, op, phi0)
-    return ControlCertificate(
-        kind="nonlinear",
-        dual_datum=phi0,
-        terminal_residual=residual,
-        relative_residual=residual / max(sobolev_norm(prob.u0, 2.0), 1e-300),
-        cg_iterations=tuple(cg_iters),
-        cg_residuals=tuple(cg_res),
-        fixedpoint_diffs=tuple(diffs),
-        contraction_ratios=tuple(ratios),
-        control_times=ts,
-        control_samples=samples,
+    return _certificate(
+        prob, op, "nonlinear", phi0, _verify_integrator(prob, op, phi0, nonlinear=True),
+        cg_iterations=tuple(cg_iters), cg_residuals=tuple(cg_res),
+        fixedpoint_diffs=tuple(diffs), contraction_ratios=tuple(ratios),
     )
 
 

@@ -11,8 +11,9 @@ The band matrix (`BandGramian.dense`) is the closed form of the trapezoid
 time average on the `dynamics.step_grid` steps, `hum.time_average_kernel`
 (one formula with HUM's exact integral), multiplied in place by the weight's
 band block from the spectral kernel's block builder; both extreme
-eigenvalues come from `np.linalg.eigvalsh`. At T = 0 it is the zero matrix;
-a band of more than MAX_BAND_ENTRIES entries is refused. The matrix-free
+eigenvalues come from `np.linalg.eigvalsh`. At T = 0 the time kernel is
+the zero matrix. `check_gramian_sweep` owns a sweep's input rules (T >= 0,
+quad_dt > 0, bands of 1 to sqrt(MAX_BAND_ENTRIES) modes). The matrix-free
 route (`BandGramian.apply`) is the independent one: it samples m e^{itL} v
 on the nodes and integrates them with the one sampled duality integral,
 `hum.backward_forced_initial`; the tests drive it through Lanczos with full
@@ -34,6 +35,7 @@ from .spectral import (
     DampingProfile,
     ManifoldSpec,
     band_mode_mask,
+    free_phase,
     kernel_rows,
     profile_product,
 )
@@ -70,16 +72,12 @@ class BandGramian:
         quad_dt: float,
         band_idx: np.ndarray,
     ):
-        if T < 0.0:
-            raise ValueError("T must be >= 0")
         self.spec = spec
         self.T = T
+        self.quad_dt = quad_dt
         self.weight_values = np.asarray(weight_values, dtype=float)
         self.band_idx = np.asarray(band_idx, dtype=int)
-        n, dt = step_grid(T, quad_dt)
-        self.times = np.linspace(0.0, T, n + 1)
-        # at T = 0 every rule is the zero matrix, and the exact one needs no step
-        self.dt = dt if T > 0.0 else None
+        self.times = np.linspace(0.0, T, step_grid(T, quad_dt)[0] + 1)
         self.X = spec.dispersion.ravel()
 
     @property
@@ -93,8 +91,7 @@ class BandGramian:
         spec = self.spec
         full = np.zeros(spec.n_modes, dtype=complex)
         full[self.band_idx] = vec
-        phases = np.exp(1j * self.times[:, None] * self.X[None, :])
-        batch = (phases * full[None, :]).reshape((-1,) + spec.shape)
+        batch = (free_phase(self.times, self.X) * full).reshape((-1,) + spec.shape)
         samples = profile_product(spec, self.weight_values, batch)
         return -1j * backward_forced_initial(spec, self.times, samples).ravel()[self.band_idx]
 
@@ -102,7 +99,7 @@ class BandGramian:
         """Dense band matrix: the closed-form time kernel, multiplied in
         place by the weight's band block."""
         spec, idx = self.spec, self.band_idx
-        G = time_average_kernel(self.X[idx], self.T, self.dt)
+        G = time_average_kernel(self.X[idx], self.T, self.quad_dt)
         G *= kernel_rows(
             spec, lambda f: profile_product(spec, self.weight_values, f),
             np.eye(self.band_dim, dtype=complex), idx, idx,
@@ -110,15 +107,21 @@ class BandGramian:
         return G
 
 
-def band_indices(spec: ManifoldSpec, h: float) -> np.ndarray:
-    """Flat lattice indices of the band kappa(h^2 |k|^2) > 0; ValueError when
-    no mode falls in it or its dense Gramian passes MAX_BAND_ENTRIES."""
-    idx = np.flatnonzero(band_mode_mask(spec, h).ravel())
-    if len(idx) == 0:
-        raise ValueError(f"no lattice mode falls in the h = {h:g} band")
-    if len(idx) ** 2 > MAX_BAND_ENTRIES:
-        raise ValueError(f"the h = {h:g} band has {len(idx)} modes, over {MAX_BAND_ENTRIES} entries")
-    return idx
+def check_gramian_sweep(spec: ManifoldSpec, T: float, h_values, quad_dt: float) -> list:
+    """The flat lattice indices of the band kappa(h^2 |k|^2) > 0 of each h;
+    ValueError unless T >= 0, quad_dt > 0 and each band has a mode and a
+    dense Gramian of at most MAX_BAND_ENTRIES entries."""
+    if not T >= 0.0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    if not quad_dt > 0.0:
+        raise ValueError(f"quad_dt must be positive, got {quad_dt}")
+    bands = [np.flatnonzero(band_mode_mask(spec, h).ravel()) for h in h_values]
+    for h, idx in zip(h_values, bands):
+        if len(idx) == 0:
+            raise ValueError(f"no lattice mode falls in the h = {h:g} band")
+        if len(idx) ** 2 > MAX_BAND_ENTRIES:
+            raise ValueError(f"the h = {h:g} band has {len(idx)} modes, over {MAX_BAND_ENTRIES} entries")
+    return bands
 
 
 def band_gramian_min_eig(
@@ -132,7 +135,8 @@ def band_gramian_min_eig(
 
     Both extremes come from eigvalsh of the dense closed-form band matrix.
     """
-    g = BandGramian(profile.spec, profile.values, T, quad_dt, band_indices(profile.spec, h))
+    idx, = check_gramian_sweep(profile.spec, T, [h], quad_dt)
+    g = BandGramian(profile.spec, profile.values, T, quad_dt, idx)
     evals = np.linalg.eigvalsh(g.dense())
     return GramianReport(
         h=h, band_dim=g.band_dim, T=T, min_eig=float(evals[0]), max_eig=float(evals[-1]),
@@ -145,5 +149,7 @@ def gramian_sweep(
     j_values,
     quad_dt: float = 1e-3,
 ) -> list[GramianReport]:
-    """Gramian floors across the semiclassical scales h = 2^{-j}."""
-    return [band_gramian_min_eig(profile, T, 2.0 ** (-j), quad_dt) for j in j_values]
+    """Gramian floors across the scales h = 2^{-j}, every band checked first."""
+    h_values = [2.0 ** (-j) for j in j_values]
+    check_gramian_sweep(profile.spec, T, h_values, quad_dt)
+    return [band_gramian_min_eig(profile, T, h, quad_dt) for h in h_values]

@@ -22,6 +22,10 @@ kernel, M[rows, cols], come from one builder, kernel_rows, which applies
 the kernel to KERNEL_BATCH fields per call; the damping operator's Ritz
 basis, the HUM operator and the band Gramian are built through it.
 
+Every H^s norm of coefficients is hs_norm, and every free phase e^{itX}
+over a dispersion array X is free_phase, except in the oracles
+propagate_free and bourgain.tapered_free_solution.
+
 Everything downstream (time integrators, control operators, Gramians,
 space-time norms) is built from the Fourier multipliers defined here:
 
@@ -182,7 +186,7 @@ def random_field(
     """
     re = rng.standard_normal(spec.shape)
     im = rng.standard_normal(spec.shape)
-    c = (re + 1j * im) * (1.0 + spec.k_sq) ** (-decay / 2.0)
+    c = (re + 1j * im) * sobolev_weights(spec, -decay / 2.0)
     if band is not None:
         c = np.where(box_mask(spec, band), c, 0.0)
     return SpectralField(spec, c)
@@ -310,12 +314,16 @@ def sobolev_weights(spec: ManifoldSpec, s: float) -> np.ndarray:
     return (1.0 + spec.k_sq) ** s
 
 
+def hs_norm(spec: ManifoldSpec, coeffs: np.ndarray, s: float) -> float:
+    """H^s norm (sum_k (1+|k|^2)^s |c_k|^2)^{1/2}; NaN stays NaN (no SpectralField)."""
+    return math.sqrt(float(np.sum(sobolev_weights(spec, s) * np.abs(coeffs) ** 2)))
+
+
 def sobolev_norm(u: SpectralField, s: float) -> float:
-    """H^s norm ( sum_k (1+|k|^2)^s |c_k|^2 )^{1/2}; s = 0 is Parseval."""
+    """The H^s norm of a field."""
     if not math.isfinite(s):
         raise ValueError("s must be finite")
-    w = sobolev_weights(u.spec, s)
-    return float(math.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
+    return hs_norm(u.spec, u.coeffs, s)
 
 
 def normalize_sobolev(u: SpectralField, s: float, value: float = 1.0) -> SpectralField:
@@ -327,7 +335,15 @@ def normalize_sobolev(u: SpectralField, s: float, value: float = 1.0) -> Spectra
 
 def smoothing_multiplier(spec: ManifoldSpec, m: int = 2) -> np.ndarray:
     """(1 - Lap)^{-m}, the regularizing factor of the damping feedback."""
-    return (1.0 + spec.k_sq) ** (-float(m))
+    return sobolev_weights(spec, -float(m))
+
+
+def free_phase(t, X: np.ndarray) -> np.ndarray:
+    """e^{itX} over a dispersion array X, shaped as X for a scalar time t and
+    (len(t),) + X.shape for an array of times; exp runs in place."""
+    t = np.asarray(t)
+    phase = 1j * t.reshape(t.shape + (1,) * X.ndim) * X
+    return np.exp(phase, out=phase)
 
 
 def propagate_free(u: SpectralField, t: float) -> SpectralField:

@@ -9,11 +9,13 @@ from b4nls.cli import main
 from b4nls.bourgain import (
     SpaceTimeField,
     _hb_norm,
+    duhamel_gain_probe,
     hb_hs_norm,
     l2hs_norm,
     random_spacetime_field,
     tapered_free_solution,
     time_sobolev_norm_quadrature,
+    trilinear_constant_probe,
     xsb_norm,
 )
 from b4nls.spectral import box_mask, sobolev_weights
@@ -101,3 +103,27 @@ def test_probe_outputs_of_the_bench_config_are_pinned(tmp_path):
         values = {row["name"]: float(row["value"]) for row in csv.DictReader(fh)}
     assert values["gain_fitted_exponent"] == pytest.approx(0.13356836717034523, rel=1e-8)
     assert values["trilinear_max_ratio"] == pytest.approx(1.3982438625183091e-05, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [({"space_band": -1}, "space_band must be >= 0"),
+     ({"n_samples": 0}, "samples >= 1"),
+     ({"M_t": 8}, "M_t must be even and > 8"),
+     ({"M_t": 33}, "M_t must be even and > 8"),
+     ({"time_band": 64}, "time band out of range")],
+)
+def test_trilinear_probe_refuses_inputs_it_cannot_run(kwargs, message):
+    # a negative band or no sample returned 0.0, with no field drawn
+    args = {"n_samples": 4, "M_t": 128, "space_band": None, "time_band": 8, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        trilinear_constant_probe(
+            b.make_torus(1, 32, 1.0), 2.0, 0.45, args.pop("n_samples"),
+            np.random.default_rng(0), **args,
+        )
+
+
+def test_gain_probe_refuses_zero_samples():
+    # it fitted a line through log 0
+    with pytest.raises(ValueError, match="samples >= 1"):
+        duhamel_gain_probe(0.55, 0.45, 0, np.random.default_rng(0))

@@ -276,6 +276,9 @@ NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
         # a negative band gave empty fields and wrote trilinear_max_ratio 0.0
         ("[experiment]\nkind = bourgain-probe\n[manifold]\nd = 1\nN = 16\n"
          "[sweep]\nspace_band = -1\n", "space_band must be >= 0"),
+        # the taper's edges need more than 8 samples: M_t = 8 failed at run
+        ("[experiment]\nkind = bourgain-probe\n[manifold]\nd = 1\nN = 16\n"
+         "[sweep]\nM_t = 8\ntime_band = 2\n", "M_t must be even and > 8"),
     ],
     ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-eps_t-ulp",
          "gcc-n_angles", "simulate-T-inf", "sweep-T-inf", "solver-dt-nan", "verify_dt-nan",
@@ -283,7 +286,7 @@ NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
          "fixedpoint_tol-negative", "smoothing_width-nan", "lo-nan", "duplicate-key",
          "bad-interpolation", "stabilize-zero-datum", "stabilize-datum-outside-ball",
          "misspelt-key", "control-solver-dt", "control-k_nl-zero", "plane-wave-datum_norm",
-         "bourgain-space_band-negative"],
+         "bourgain-space_band-negative", "bourgain-M_t-8"],
 )
 def test_validate_catches_what_used_to_fail_at_run(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)

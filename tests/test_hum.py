@@ -64,6 +64,13 @@ def test_exact_time_kernel_is_the_sinc_form(T):
 
 
 @pytest.mark.parametrize("quadrature", [None, 1e-3], ids=["exact", "trapezoid"])
+def test_time_average_kernel_is_zero_at_zero_horizon(quadrature):
+    # the trapezoid rule's step T / n is 0 at T = 0; it divided by it
+    E = time_average_kernel(np.arange(3.0), 0.0, quadrature)
+    assert E.shape == (3, 3) and not E.any()
+
+
+@pytest.mark.parametrize("quadrature", [None, 1e-3], ids=["exact", "trapezoid"])
 def test_time_kernel_holds_one_complex_array(quadrature):
     # b = 1,000 frequencies: the call's traced peak stays below three times
     # its result, so the temporaries beside it are real

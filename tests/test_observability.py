@@ -150,3 +150,18 @@ def test_gramian_sweep_reports():
     reports = b.gramian_sweep(strip_profile(spec), 1.0, [2, 3])
     assert [r.h for r in reports] == [0.25, 0.125]
     assert all(r.min_eig > 0.0 for r in reports)
+
+
+@pytest.mark.parametrize("T,quad_dt", [(1.0, -1e-3), (1.0, 0.0), (-1.0, 1e-3)])
+def test_gramian_refuses_a_bad_horizon_or_step(T, quad_dt):
+    # a negative step used to run one trapezoid step of length T
+    spec = b.make_torus(1, 64, 1.0)
+    with pytest.raises(ValueError, match="T must be >= 0|quad_dt must be positive"):
+        b.band_gramian_min_eig(strip_profile(spec), T, 0.25, quad_dt=quad_dt)
+
+
+def test_gramian_sweep_checks_every_band_before_the_first(monkeypatch):
+    spec = b.make_torus(1, 64, 1.0)
+    monkeypatch.setattr(BandGramian, "dense", lambda self: pytest.fail("a band was built"))
+    with pytest.raises(ValueError, match="no lattice mode falls in the h = 1.81899e-12 band"):
+        b.gramian_sweep(strip_profile(spec), 1.0, [2, 3, 39])

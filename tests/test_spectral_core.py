@@ -18,9 +18,12 @@ from b4nls.spectral import (
     _signed_grid,
     band_cutoff,
     band_mode_mask,
+    box_mask,
     _mode_index,
     coeffs_to_grid,
+    free_phase,
     grid_to_coeffs,
+    hs_norm,
     kernel_rows,
     nonlinear_term,
     profile_product,
@@ -96,6 +99,20 @@ def test_sobolev_two_modes():
         spec, b.basis_field(spec, 0).coeffs + b.basis_field(spec, 2).coeffs
     )
     assert b.sobolev_norm(u, 1.0) == pytest.approx(math.sqrt(6.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [-2.0, 0.0, 2.0])
+def test_coefficient_norm_is_the_field_norm_and_keeps_nan(s):
+    spec = b.make_torus(2, 16, 1.0)
+    u = rand_field(spec, 7)
+    assert hs_norm(spec, u.coeffs, s) == b.sobolev_norm(u, s)
+    # a NaN or inf state reaches the flows' blow-up guard as a norm, not as
+    # the ValueError of a SpectralField
+    bad = u.coeffs.copy()
+    bad[3, 4] = np.nan
+    assert math.isnan(hs_norm(spec, bad, s))
+    bad[3, 4] = np.inf
+    assert hs_norm(spec, bad, s) == math.inf
 
 
 @st.composite
@@ -192,6 +209,24 @@ def test_propagate_group_law():
     a = b.propagate_free(b.propagate_free(u, 0.3), 0.45)
     c = b.propagate_free(u, 0.75)
     assert np.abs(a.coeffs - c.coeffs).max() <= 1e-12 * np.linalg.norm(u.coeffs)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
+def test_free_phase_is_the_free_group(d, N):
+    # against the oracle propagate_free, bit for bit, at a scalar time, a
+    # stack of times (forward and backward) and the flat values of a support
+    spec = b.make_torus(d, N, 1.0)
+    u = rand_field(spec, 8)
+    X = spec.dispersion
+    assert np.array_equal(free_phase(0.37, X) * u.coeffs, b.propagate_free(u, 0.37).coeffs)
+    ts = np.array([0.0, 0.2, -0.45, 1.3])
+    stack = free_phase(ts, X)
+    assert stack.shape == (len(ts),) + spec.shape
+    for t, phase in zip(ts, stack):
+        assert np.array_equal(phase * u.coeffs, b.propagate_free(u, t).coeffs)
+    support = np.flatnonzero(box_mask(spec, 3))
+    flat = free_phase(ts, X.ravel()[support])
+    assert np.array_equal(flat, stack.reshape(len(ts), -1)[:, support])
 
 
 # ---------------------------------------------------------------------------
@@ -523,23 +558,62 @@ def test_grid_operations_live_only_in_the_kernel():
     assert dense_callers == []
 
 
+def _takes_a_phase(nodes):
+    """A function that calls np.exp and writes an imaginary literal."""
+    return any(
+        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp"
+        for node in nodes
+    ) and any(isinstance(node, ast.Constant) and isinstance(node.value, complex) for node in nodes)
+
+
+def _is_weighted_square_sum(node):
+    """A product with np.abs(...) ** 2 as a factor."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(
+            isinstance(f, ast.BinOp) and isinstance(f.op, ast.Pow)
+            and getattr(getattr(f.left, "func", None), "attr", None) == "abs"
+            for f in (node.left, node.right)
+        )
+    )
+
+
 def test_each_numerical_rule_has_one_owner():
     # the step grid n = max(1, round(T / dt)) is dynamics.step_grid, and a
-    # straight-line fit is np.polyfit: no other round of a quotient, no lstsq
+    # straight-line fit is np.polyfit: no other round of a quotient, no lstsq.
+    # The free phase e^{itX} is spectral.free_phase: the oracles
+    # propagate_free and tapered_free_solution keep their own, and the gain
+    # probe's e^{iwt} is a scalar test signal, not a lattice phase. The
+    # Sobolev-weighted square sum is spectral.hs_norm, and the oracle
+    # l2hs_norm keeps its own.
     src = Path(b.__file__).parent
-    rounders = []
+    rounders, phases, sobolev_sums = [], set(), set()
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         assert "lstsq" not in text, path.name
         for fn in ast.walk(ast.parse(text)):
             if isinstance(fn, ast.FunctionDef):
+                name = f"{path.stem}.{fn.name}"
+                nodes = list(ast.walk(fn))
                 rounders += [
-                    f"{path.stem}.{fn.name}"
-                    for node in ast.walk(fn)
+                    name
+                    for node in nodes
                     if isinstance(node, ast.Call)
                     and "round" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
                     and node.args
                     and isinstance(node.args[0], ast.BinOp)
                     and isinstance(node.args[0].op, ast.Div)
                 ]
+                if _takes_a_phase(nodes):
+                    phases.add(name)
+                if any(map(_is_weighted_square_sum, nodes)) and any(
+                    getattr(node, "id", None) == "sobolev_weights" for node in nodes
+                ):
+                    sobolev_sums.add(name)
     assert rounders == ["dynamics.step_grid"]
+    assert sorted(phases) == [
+        "bourgain.duhamel_gain_probe", "bourgain.tapered_free_solution",
+        "spectral.free_phase", "spectral.propagate_free",
+    ]
+    assert sorted(sobolev_sums) == ["bourgain.l2hs_norm", "spectral.hs_norm"]
