@@ -46,6 +46,7 @@ from .dynamics import (
     EvolutionTrace,
     SolverConfig,
     audit_dissipation,
+    check_horizon,
     energy,
     evolve_damped,
     evolve_nonlinear,
@@ -169,8 +170,7 @@ def _flow(cfg, rng, T_default):
     solver = _build_solver(cfg)
     u0 = _build_datum(cfg, spec, rng)
     T = _get(cfg, "run", "T", float, T_default)
-    if not T > 0.0:
-        raise ConfigError(f"[run] T must be positive, got {T}")
+    check_horizon(T)
     stride = _get(cfg, "run", "snapshot_stride", int, None)  # None: a tenth of the records
     if stride is not None and stride < 1:
         raise ConfigError(f"[run] snapshot_stride must be >= 1, got {stride}")

@@ -65,10 +65,10 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     box_mask,
+    dealiased_nonlinear_term,
     free_phase,
     hs_norm,
     kernel_rows,
-    nonlinear_term,
     sandwich,
     smoothing_multiplier,
     sobolev_norm,
@@ -144,19 +144,18 @@ class ControlProblem:
         if not (self.fixedpoint_tol > 0.0 and self.cg_max_iter >= 1):
             raise ValueError("fixedpoint_tol must be positive and cg_max_iter >= 1")
         n = self.spec.n_modes
-        keep = None if band is None else box_mask(self.spec, band)
-        m = n if keep is None else int(keep.sum())
+        support = dual_support(self.spec, band)
+        m = len(support)
         if n * m > MAX_OPERATOR_ENTRIES:
             raise ValueError(
                 f"the HUM operator needs {2 * 16 * n * m} bytes for A and Lambda ({n} x {m} "
                 f"complex each), above the cap of {MAX_OPERATOR_ENTRIES} entries; narrow the band"
             )
-        if keep is not None:
-            rhs = _transported_rhs(self)
-            if np.linalg.norm(rhs[~keep]) > 1e-12 * max(np.linalg.norm(rhs), 1.0):
-                raise ValueError(
-                    f"the datum has content outside the control band (control_band = {band})"
-                )
+        rhs = _transported_rhs(self)
+        if np.linalg.norm(np.delete(rhs, support)) > 1e-12 * max(np.linalg.norm(rhs), 1.0):
+            raise ValueError(
+                f"the datum has content outside the control band (control_band = {band})"
+            )
 
 
 @dataclass(frozen=True)
@@ -192,6 +191,14 @@ class ControlCertificate:
 # ---------------------------------------------------------------------------
 # the duality operator
 # ---------------------------------------------------------------------------
+
+def dual_support(spec: ManifoldSpec, band: int | None) -> np.ndarray:
+    """The flat lattice indices S a dual datum may occupy: the modes with
+    every |k_i| <= band, or every mode when band is None."""
+    if band is None:
+        return np.arange(spec.n_modes)
+    return np.flatnonzero(box_mask(spec, band))
+
 
 def multiplication_matrix(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     """Dense matrix of grid multiplication by a real profile, e_k basis:
@@ -254,11 +261,11 @@ def time_average_kernel(
 class HumOperator:
     """Lambda for one (phi, T) pair, assembled on the columns of the support.
 
-    support holds the flat lattice indices S that a dual datum may occupy:
-    the modes with every |k_i| <= band, or all modes when band is None. The
-    operator keeps A = A[:, S] and matrix = Lambda[:, S], both of shape
-    (n_modes, |S|), and block = Lambda[S, S], the Hermitian matrix CG
-    solves with. Vectors on S are given in support order.
+    support holds the flat lattice indices S that a dual datum may occupy,
+    dual_support(spec, band). The operator keeps A = A[:, S] and matrix =
+    Lambda[:, S], both of shape (n_modes, |S|), and block = Lambda[S, S],
+    the Hermitian matrix CG solves with. Vectors on S are given in support
+    order.
     """
 
     def __init__(
@@ -269,11 +276,10 @@ class HumOperator:
         band: int | None = None,
     ):
         self.spec = spec
-        keep = np.ones(spec.shape, dtype=bool) if band is None else box_mask(spec, band)
-        self.support = np.flatnonzero(keep)
+        self.support = dual_support(spec, band)
         s2 = smoothing_multiplier(spec, 2)
         self.A = kernel_rows(  # phi (1-Lap)^{-2} phi, columns S
-            spec, lambda f: sandwich(spec, phi.values, s2, f),
+            spec, lambda f: sandwich(spec, phi.compact, s2, f),
             np.eye(len(self.support), dtype=complex), self.support, np.arange(spec.n_modes),
         ).T
         self.matrix = time_average_kernel(spec.dispersion.ravel(), T, None, self.support)
@@ -430,9 +436,7 @@ def _nonlinear_correction(
     # J_w = int_0^T e^{-irL} |w|^{2k} w dr over the trace grid is the
     # sampled duality integral: i J_w = backward_forced_initial(f), so
     # v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w)
-    f_samples = np.where(
-        spec.dealias_mask, nonlinear_term(spec, w_trace.states, prob.k_nl), 0.0
-    )
+    f_samples = dealiased_nonlinear_term(spec, w_trace.states, prob.k_nl)
     i_j_w = backward_forced_initial(spec, w_trace.times, f_samples)
     return np.conj(free_phase(prob.T, X) * i_j_w)
 

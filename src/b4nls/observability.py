@@ -136,7 +136,7 @@ def band_gramian_min_eig(
     Both extremes come from eigvalsh of the dense closed-form band matrix.
     """
     idx, = check_gramian_sweep(profile.spec, T, [h], quad_dt)
-    g = BandGramian(profile.spec, profile.values, T, quad_dt, idx)
+    g = BandGramian(profile.spec, profile.compact, T, quad_dt, idx)
     evals = np.linalg.eigvalsh(g.dense())
     return GramianReport(
         h=h, band_dim=g.band_dim, T=T, min_eig=float(evals[0]), max_eig=float(evals[-1]),

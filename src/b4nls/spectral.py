@@ -16,6 +16,17 @@ those kernels (profile_product, nonlinear_term) and the modulus quadrature of
 the energy skip the fftshift/ifftshift copies. The shifted pair
 coeffs_to_grid / grid_to_coeffs remains for grid values that a caller sees.
 
+A product transforms only the lines it reads and writes. A profile
+product transforms along the axes its profile varies on, no others: grid
+multiplication by a(x) commutes with the transforms along an axis where a
+is constant, so a strip across one axis costs one axis pass each way and a
+constant profile none. DampingProfile.compact is the profile with every
+constant axis cut to length 1, and profile_product reads the axes from its
+array's shape. The dealiased cubic term, dealiased_nonlinear_term, takes
+coefficients inside the 2/3-rule box: its inverse passes skip the lines that
+are zero outside the box, and its forward passes compute only the lines the
+box keeps.
+
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
 the damping operator and the HUM operator both apply it. Dense blocks of a
 kernel, M[rows, cols], come from one builder, kernel_rows, which applies
@@ -232,17 +243,27 @@ def grid_to_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     )
 
 
+def _ifft_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The inverse FFT along axes. The hot transforms go one axis at a time,
+    last axis first, as fftn does inside: the same values bit for bit,
+    without fftn's per-call overhead."""
+    return reduce(lambda x, axis: np.fft.ifft(x, axis=axis), axes[::-1], x)
+
+
+def _fft_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The forward FFT along axes, one axis at a time, last axis first."""
+    return reduce(lambda x, axis: np.fft.fft(x, axis=axis), axes[::-1], x)
+
+
 def _signed_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
     """(-1)^{j_1+...+j_d} u(x_j) / scale: the inverse FFT of the lattice
-    array as it is stored, with neither the shift nor the scale. Both hot
-    transforms go one axis at a time, last axis first, as fftn does inside:
-    the same values bit for bit, without fftn's per-call overhead."""
-    return reduce(lambda x, axis: np.fft.ifft(x, axis=axis), _axes(spec)[::-1], coeffs)
+    array as it is stored, with neither the shift nor the scale."""
+    return _ifft_axes(coeffs, _axes(spec))
 
 
 def _signed_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     """Lattice coefficients, times the scale, of (-1)^{j_1+...+j_d} values."""
-    return reduce(lambda x, axis: np.fft.fft(x, axis=axis), _axes(spec)[::-1], values)
+    return _fft_axes(values, _axes(spec))
 
 
 def _grid_modulus(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -265,11 +286,44 @@ def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray
     return _signed_coeffs(spec, (np.abs(v) ** (2 * k)) * v) * _grid_scale(spec) ** (2 * k)
 
 
+def dealiased_nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
+    """nonlinear_term masked to spec.dealias_mask, bit for bit, for coeffs
+    that vanish outside the mask, as the flows' states do.
+
+    The mask is the box of lattice indices N/2 - N/3 ... N/2 + N/3 on each
+    axis, a slice of the stored array. Before an inverse pass, the axes it
+    has yet to transform still hold zeros outside the box, so it transforms
+    only the lines inside; each forward pass is cut to the box along its
+    axis, so the next pass computes only the lines the mask keeps.
+    """
+    box = slice(spec.N // 2 - spec.N // 3, spec.N // 2 + spec.N // 3 + 1)
+    v = coeffs
+    for done, axis in enumerate(_axes(spec)[::-1]):
+        boxed = spec.d - 1 - done  # the leading axes, not yet transformed
+        if boxed:
+            lines = (Ellipsis,) + (box,) * boxed + (slice(None),) * (done + 1)
+            out = np.zeros(v.shape, dtype=complex)
+            out[lines] = np.fft.ifft(v[lines], axis=axis)
+            v = out
+        else:
+            v = np.fft.ifft(v, axis=axis)
+    w = (np.abs(v) ** (2 * k)) * v
+    for axis in _axes(spec)[::-1]:
+        w = np.fft.fft(w, axis=axis)[(Ellipsis, box) + (slice(None),) * (-1 - axis)]
+    out = np.zeros(coeffs.shape, dtype=complex)
+    out[(Ellipsis,) + (box,) * spec.d] = w * _grid_scale(spec) ** (2 * k)
+    return out
+
+
 def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of a(x) u for grid values a. The transform scale and its
-    inverse cancel around the product, and so do the signs, so neither the
-    scale nor the shift is applied."""
-    return _signed_coeffs(spec, a * _signed_grid(spec, coeffs))
+    """Coefficients of a(x) u for grid values a, shaped (N,)*d or in the
+    compact form of DampingProfile.compact. The product transforms only the
+    axes along which a has more than one value: along the others it
+    commutes with the transform pair. The transform scale and its inverse
+    cancel around the product, and so do the signs, so neither the scale
+    nor the shift is applied."""
+    axes = tuple(axis for axis in _axes(spec) if a.shape[axis] > 1)
+    return _fft_axes(a * _ifft_axes(coeffs, axes), axes)
 
 
 def sandwich(spec: ManifoldSpec, a: np.ndarray, m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -415,9 +469,23 @@ class DampingProfile:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @cached_property
+    def compact(self) -> np.ndarray:
+        """The values as an open mesh: every axis along which they are
+        exactly equal is cut to length 1, so a strip across axis 0 at d = 2
+        is (N, 1), a constant profile (1, 1), a ball (N, N). Grid products
+        broadcast it and transform only its long axes (profile_product)."""
+        v = self.values
+        for axis in range(v.ndim):
+            first = v.take([0], axis=axis)
+            if np.array_equal(v, np.broadcast_to(first, v.shape)):
+                v = first
+        v.flags.writeable = False
+        return v
+
     @property
     def is_constant(self) -> bool:
-        return bool(np.ptp(self.values) == 0.0)
+        return self.compact.size == 1
 
 
 def _region_profile(region: Region, pts: np.ndarray, width: float) -> np.ndarray:

@@ -271,6 +271,45 @@ def test_damping_solve_matches_a_dense_solve_on_the_ball(d, N, region):
             assert updates == 0
 
 
+@pytest.mark.parametrize("region,calls", [("strip", 4), ("ball", 8)])
+def test_a_damping_apply_transforms_only_the_axes_its_profile_varies_on(monkeypatch, region, calls):
+    # d2N32: the strip depends on x_1 alone, so each of D's two profile
+    # products is one axis pass each way; the ball keeps both axes
+    spec = b.make_torus(2, 32, 1.0)
+    shape = {"strip": b.Strip(math.pi / 2, 3 * math.pi / 2), "ball": b.Ball((math.pi,) * 2, 2.8)}
+    op = _DampingOperator(spec, b.make_damping_profile(spec, shape[region], 0.4))
+    count = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(*args, _f=getattr(np.fft, name), **kwargs):
+            count.append(1)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    op.apply(smooth_datum(spec, 1).coeffs)
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+def test_the_flows_refuse_a_horizon_that_is_not_positive(T):
+    # one rule, dynamics.check_horizon: NaN used to reach step_grid and die
+    # there converting NaN to an integer
+    spec = b.make_torus(1, 16, 1.0)
+    u = smooth_datum(spec, 2)
+    cfg = b.SolverConfig(dt=1e-3)
+    prof = b.make_damping_profile(spec, b.Strip(math.pi / 2, 3 * math.pi / 2), 0.6)
+    with pytest.raises(ValueError, match="horizon T must be positive"):
+        b.evolve_nonlinear(u, T, cfg)
+    with pytest.raises(ValueError, match="horizon T must be positive"):
+        b.evolve_damped(u, prof, T, cfg)
+    with pytest.raises(ValueError, match="horizon T must be positive"):
+        dynamics.check_horizon(T)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_a_solver_config_refuses_a_step_that_is_not_positive(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        b.SolverConfig(dt=dt)
+
+
 @pytest.mark.parametrize("rank", [60, 5])
 def test_ritz_pairs_match_eigh(rank):
     # a Hermitian matrix with eigenvalues 2^-j on `rank` random directions;

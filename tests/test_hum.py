@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ def test_time_kernel_holds_one_complex_array(quadrature):
         tracemalloc.stop()
     assert E.shape == (1000, 1000)
     assert peak <= 3.0 * E.nbytes
+
+
+def test_the_dual_support_has_one_owner():
+    # the problem's operator cap and datum check and the operator's columns
+    # all read hum.dual_support: box_mask is called once in hum.py
+    spec = b.make_torus(2, 16, 1.0)
+    assert np.array_equal(hum.dual_support(spec, None), np.arange(spec.n_modes))
+    assert np.array_equal(hum.dual_support(spec, 3), np.flatnonzero(box_mask(spec, 3)))
+    phi = strip_phi(spec, 0.6)
+    for band in (None, 3):
+        op = HumOperator(spec, phi, 0.5, band=band)
+        assert np.array_equal(op.support, hum.dual_support(spec, band))
+    source = Path(hum.__file__).read_text()
+    assert source.count("box_mask(") == 1
 
 
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])

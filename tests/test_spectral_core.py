@@ -21,6 +21,7 @@ from b4nls.spectral import (
     box_mask,
     _mode_index,
     coeffs_to_grid,
+    dealiased_nonlinear_term,
     free_phase,
     grid_to_coeffs,
     hs_norm,
@@ -485,6 +486,63 @@ def test_kernel_rows_match_the_dense_oracle(d, N, kernel):
     x = rng.standard_normal((13, len(cols))) + 1j * rng.standard_normal((13, len(cols)))
     out = kernel_rows(spec, apply, x, cols, rows)
     assert np.abs(out - x @ block.T).max() <= 1e-13 * scale * np.abs(x).sum(axis=1).max()
+
+
+def _profile_cases():
+    """(d, region, compact shape) for strips on each axis, a ball, a union
+    of two crossing strips and the full region, at d = 1, 2, 3."""
+    cases = []
+    for d in (1, 2, 3):
+        for axis in range(d):
+            cases.append((d, b.Strip(1.0, 3.0, axis), tuple(-1 if i == axis else 1 for i in range(d))))
+        cases.append((d, b.Ball((PI,) * d, 1.5), (-1,) * d))
+        cases.append((d, b.FullRegion(), (1,) * d))
+        if d > 1:  # the union varies on axes 0 and 1 only
+            union = b.RegionUnion((b.Strip(1.0, 3.0, 0), b.Strip(1.0, 3.0, 1)))
+            cases.append((d, union, (-1, -1) + (1,) * (d - 2)))
+    return cases
+
+
+@pytest.mark.parametrize("d,region,shape", _profile_cases())
+def test_a_compact_profile_transforms_only_the_axes_it_varies_on(d, region, shape):
+    # -1 marks a full axis: the compact form keeps an axis iff the values
+    # vary along it, and its product is the full-grid product and the
+    # dense oracle's to roundoff
+    N = {1: 32, 2: 16, 3: 8}[d]
+    spec = b.make_torus(d, N, 1.0)
+    prof = b.make_damping_profile(spec, region, None if isinstance(region, b.FullRegion) else 0.6)
+    assert prof.compact.shape == tuple(N if n < 0 else n for n in shape)
+    assert np.array_equal(np.broadcast_to(prof.compact, spec.shape), prof.values)
+    assert prof.is_constant == isinstance(region, b.FullRegion)
+    rng = np.random.default_rng(d)
+    c = rng.standard_normal((3,) + spec.shape) + 1j * rng.standard_normal((3,) + spec.shape)
+    dense = c.reshape(3, -1) @ multiplication_matrix(spec, prof.values).T
+    compact = profile_product(spec, prof.compact, c)
+    scale = np.abs(dense).max()
+    assert np.abs(compact - profile_product(spec, prof.values, c)).max() <= 1e-13 * scale
+    assert np.abs(compact.reshape(3, -1) - dense).max() <= 1e-13 * scale
+
+
+@st.composite
+def _ball_coeffs(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    N = draw(st.sampled_from([n for n in range(8, 65, 2) if d < 3 or n <= 16]))
+    spec = b.make_torus(d, N, 1.0)
+    batch = draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    c = scale * (rng.standard_normal(batch + spec.shape) + 1j * rng.standard_normal(batch + spec.shape))
+    return spec, np.where(spec.dealias_mask, c, 0.0), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ball_coeffs())
+def test_the_dealiased_kernel_is_the_masked_cubic_term_bit_for_bit(case):
+    # the pruned passes transform each kept line as the full ones do, so
+    # the flows may call it in place of the masked product
+    spec, c, k = case
+    expect = np.where(spec.dealias_mask, nonlinear_term(spec, c, k), 0.0)
+    assert np.array_equal(dealiased_nonlinear_term(spec, c, k), expect)
 
 
 def _functions_calling(tree, names):
