@@ -339,14 +339,13 @@ def _gcc_check(cfg, rng):
     d = _get(cfg, "manifold", "d", int, 2)
     region = _build_region(cfg, d)
     t_max = _get(cfg, "gcc", "t_max", float, 50.0)
-    eps_t = _get(cfg, "gcc", "eps_t", float, 1e-4)
     starts = _get(cfg, "gcc", "starts_per_dim", int, 8)
     farey = _get(cfg, "gcc", "farey_max_den", int, 6)
     n_angles = _get(cfg, "gcc", "n_angles", int, 32)
-    check_torus_scan(region, d, t_max, eps_t, starts, n_angles)
+    check_torus_scan(region, d, t_max, starts, n_angles)
 
     def run(outdir):
-        scan = torus_gcc_time(region, d, t_max, starts, farey, n_angles, eps_t)
+        scan = torus_gcc_time(region, d, t_max, starts, farey, n_angles)
         rows = [
             [" ".join(repr(float(x)) for x in rec.start),
              " ".join(repr(float(x)) for x in rec.direction),
@@ -356,7 +355,12 @@ def _gcc_check(cfg, rng):
         _write_csv(os.path.join(outdir, "geodesics.csv"), ["x0", "theta", "hit_time"], rows)
         with open(os.path.join(outdir, "summary.txt"), "w") as fh:
             if scan.holds_on_sample:
-                fh.write(f"gcc holds on the sampled family\nT0 = {scan.t0!r}\n")
+                fh.write(
+                    "gcc holds on the sampled family\n"
+                    f"T0 = {scan.t0!r}\n"
+                    "T0 is the largest exact hit time over the sampled family:"
+                    " a lower bound on the control time\n"
+                )
             else:
                 w = scan.witness
                 fh.write(
@@ -439,7 +443,7 @@ _DESCRIPTIONS = {
     "control-linear": "HUM synthesis for the linear flow; certificate.csv + control trace",
     "control-nonlinear": "local nonlinear control fixed point; certificate.csv + control trace",
     "observability-sweep": "band Gramian minimum eigenvalues over h = 2^-j; gramian.csv",
-    "gcc-check": "geodesic first-entry scan; geodesics.csv + summary.txt",
+    "gcc-check": "exact geodesic first-entry times on a sampled family; geodesics.csv + summary.txt",
     "resonance-sweep": "dyadic resonance counting; resonance.csv + summary.txt",
     "bourgain-probe": "time-integration gain and cubic bound probes; probe.csv",
 }
@@ -459,7 +463,7 @@ _KEYS = {
     "observability-sweep": {"manifold": "d,N,beta", **_REGION, "run": "T",
                             "sweep": "j_values,quad_dt"},
     "gcc-check": {"manifold": "d", "region": "type,lo,hi,axis,radius,center_x,center_y",
-                  "gcc": "t_max,eps_t,starts_per_dim,farey_max_den,n_angles"},
+                  "gcc": "t_max,starts_per_dim,farey_max_den,n_angles"},
     "resonance-sweep": {"sweep": "K_max,beta_p,beta_q"},
     "bourgain-probe": {"manifold": "d,N,beta",
                        "sweep": "b,b_prime,s,samples,M_t,space_band,time_band"},

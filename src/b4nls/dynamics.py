@@ -97,8 +97,8 @@ class SolverConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0.0:  # NaN fails the test too
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:  # NaN fails the test too
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.k_nl < 1:
             raise ValueError("k_nl must be >= 1")
         if self.record_stride < 1:
@@ -219,9 +219,9 @@ class _Etdrk4Tableau:
 
 
 def check_horizon(T: float) -> None:
-    """The flows' horizon rule: ValueError unless T > 0 (NaN fails it)."""
-    if not T > 0.0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+    """The flows' horizon rule: ValueError unless 0 < T < inf (NaN fails it)."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
 
 
 def step_grid(T: float, dt: float) -> tuple[int, float]:

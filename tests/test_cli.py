@@ -124,7 +124,8 @@ GCC_CHECK = "[experiment]\nkind = gcc-check\n"
     "text,message",
     [
         (GCC_CHECK + "[manifold]\nd = 3\n", "d = 1 or 2"),
-        (GCC_CHECK + "[gcc]\neps_t = 0\n", "eps_t must be positive"),
+        # the hits are exact, so no run reads a bisection tolerance
+        (GCC_CHECK + "[gcc]\neps_t = 1e-4\n", "[gcc] eps_t is not a key of gcc-check"),
         (GCC_CHECK + "[gcc]\nt_max = -1\n", "t_max must be positive"),
         (GCC_CHECK + "[gcc]\nstarts_per_dim = 0\n", "starts_per_dim"),
         (GCC_CHECK + "[manifold]\nd = 1\n[region]\ntype = two-strips\n",
@@ -237,8 +238,6 @@ NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
          "b' < 1/2 < b"),
         ("[experiment]\nkind = simulate\n[manifold]\nd = 1\nN = 16\n"
          "[run]\nT = 0.01\nsnapshot_stride = 0\n", "snapshot_stride must be >= 1"),
-        (GCC_CHECK + "[manifold]\nd = 1\n[region]\nlo = 1.0\nhi = 1.5\n"
-         "[gcc]\nt_max = 40\neps_t = 1e-16\n", "below ulp(t_max)"),
         (GCC_CHECK + "[gcc]\nn_angles = -1\n", "n_angles must be >= 0"),
         # an infinite horizon was an OverflowError traceback at run
         (SIMULATE + "[run]\nT = inf\n", "[run] T: 'inf' is not finite"),
@@ -280,8 +279,8 @@ NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
         ("[experiment]\nkind = bourgain-probe\n[manifold]\nd = 1\nN = 16\n"
          "[sweep]\nM_t = 8\ntime_band = 2\n", "M_t must be even and > 8"),
     ],
-    ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-eps_t-ulp",
-         "gcc-n_angles", "simulate-T-inf", "sweep-T-inf", "solver-dt-nan", "verify_dt-nan",
+    ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-n_angles",
+         "simulate-T-inf", "sweep-T-inf", "solver-dt-nan", "verify_dt-nan",
          "verify_dt-negative", "solve_dt-zero", "cg_tol-negative", "cg_max_iter-zero",
          "fixedpoint_tol-negative", "smoothing_width-nan", "lo-nan", "duplicate-key",
          "bad-interpolation", "stabilize-zero-datum", "stabilize-datum-outside-ball",
@@ -334,6 +333,19 @@ def test_gcc_witness_is_written_as_plain_floats(tmp_path):
     direction = ast.literal_eval(value)
     assert name == "direction"
     assert all(type(x) is float for x in direction) and direction[1] == 1.0
+
+
+def test_gcc_summary_states_t0_as_a_sampled_lower_bound(tmp_path):
+    # the T0 line stays "T0 = <repr>" for readers that split on " = "; the
+    # line after it says what T0 is and has no " = " of its own
+    body, _ = TINY["gcc-check"]
+    path = write_config(tmp_path, GCC_CHECK + body)
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert lines[0] == "gcc holds on the sampled family"
+    name, value = lines[1].split(" = ")
+    assert name == "T0" and float(value) > 0.0
+    assert " = " not in lines[2] and "lower bound" in lines[2]
 
 
 def test_validate_refuses_a_hum_operator_above_the_cap(tmp_path, capsys):
@@ -427,7 +439,7 @@ FUZZ_KEYS = {
                        "control.verify_dt"],
     "observability-sweep": ["manifold.beta", "run.T", "region.lo", "region.hi",
                             "region.smoothing_width", "sweep.quad_dt"],
-    "gcc-check": ["region.lo", "region.hi", "gcc.t_max", "gcc.eps_t"],
+    "gcc-check": ["region.lo", "region.hi", "gcc.t_max"],
     "resonance-sweep": ["sweep.K_max", "sweep.beta_p", "sweep.beta_q"],
     "bourgain-probe": ["manifold.beta", "sweep.b", "sweep.b_prime", "sweep.s"],
 }

@@ -288,10 +288,10 @@ def test_a_damping_apply_transforms_only_the_axes_its_profile_varies_on(monkeypa
     assert len(count) == calls
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
 def test_the_flows_refuse_a_horizon_that_is_not_positive(T):
-    # one rule, dynamics.check_horizon: NaN used to reach step_grid and die
-    # there converting NaN to an integer
+    # one rule, dynamics.check_horizon: NaN and inf used to reach step_grid
+    # and die there converting them to an integer
     spec = b.make_torus(1, 16, 1.0)
     u = smooth_datum(spec, 2)
     cfg = b.SolverConfig(dt=1e-3)
@@ -304,7 +304,7 @@ def test_the_flows_refuse_a_horizon_that_is_not_positive(T):
         dynamics.check_horizon(T)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
 def test_a_solver_config_refuses_a_step_that_is_not_positive(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         b.SolverConfig(dt=dt)

@@ -18,7 +18,6 @@ SRC = TESTS.parent / "src" / "b4nls"
 TEST_KNOBS = {
     "cli.main.argv": "test_cli.py::test_describe_lists_every_key_the_builder_reads",
     "hum.ControlProblem.u_target": "test_hum.py::test_linear_control_nonzero_target",
-    "gcc.GeodesicQuery.scan_dt": "test_gcc.py::test_array_scan_equals_the_scalar_scan",
 }
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "b4nls"
 
-# name -> "file::test" that uses it as an independent route
+# name -> "file::test" (or test helper) that uses it as an independent route
 ORACLES = {
     "enumerate_pairs": "test_resonance.py::test_table_buckets_equal_enumeration_small",
     "build_table": "test_resonance.py::test_table_buckets_equal_enumeration_small",
@@ -29,7 +29,8 @@ ORACLES = {
     "multiply_profile": "test_hum.py::test_multiplication_matrix_matches_grid_product",
     "coeffs_to_grid": "test_spectral_core.py::test_shift_free_products_match_the_shifted_route",
     "grid_to_coeffs": "test_spectral_core.py::test_shift_free_products_match_the_shifted_route",
-    "first_hit_time": "test_gcc.py::test_scan_records_are_the_scalar_hit_times",
+    "first_hit_time": "test_gcc.py::test_first_hit_time_passes_the_sampling_oracle",
+    "contains": "test_gcc.py::assert_first_hit",
     "lanczos_extreme": "test_observability.py::test_lanczos_matches_dense_across_bands",
     "multiplication_matrix": "test_spectral_core.py::test_kernel_rows_match_the_dense_oracle",
 }
