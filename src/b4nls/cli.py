@@ -47,6 +47,7 @@ from .dynamics import (
     SolverConfig,
     audit_dissipation,
     check_horizon,
+    damping_layout,
     energy,
     evolve_damped,
     evolve_nonlinear,
@@ -63,7 +64,7 @@ from .hum import (
 )
 from .linalg import IterationError
 from .observability import check_gramian_sweep, gramian_sweep
-from .gcc import check_torus_scan, torus_gcc_time
+from .gcc import check_torus_scan, closing_length, torus_gcc_time
 from .resonance import check_sweep, counting_sweep
 from .bourgain import check_gain_exponents, check_probe_inputs
 from .bourgain import duhamel_gain_probe, trilinear_constant_probe
@@ -218,6 +219,7 @@ def _stabilize(cfg, rng):
             f"{u0.spec.N // 3}), so the damped flow stays zero and has no decay to fit"
         )
     profile = _build_profile(cfg, u0.spec)
+    damping_layout(profile)  # refuses blocks above the cap
 
     def run(outdir):
         trace = evolve_damped(u0, profile, T, solver)
@@ -363,11 +365,15 @@ def _gcc_check(cfg, rng):
                 )
             else:
                 w = scan.witness
+                period = closing_length(w.direction, farey)
                 fh.write(
                     "gcc fails: witness geodesic\n"
                     f"start = {tuple(float(x) for x in w.start)!r}\n"
                     f"direction = {tuple(float(x) for x in w.direction)!r}\n"
                     f"t_max = {w.t_max!r}\n"
+                    + (f"the witness closes after length {period!r} <= t_max, so it misses"
+                       " the region for all time\n" if period is not None and period <= w.t_max
+                       else "the witness misses the region up to t_max\n")
                 )
         return ["geodesics.csv", "summary.txt"]
 

@@ -15,10 +15,11 @@ the band Gramian's included, is cut into the steps of `step_grid`.
 The damped equation is integrated through the bounded reformulation
 v = J u, J = 1 - i D, D = a (1-Lap)^{-2} a: the stiff part of the
 v-equation is the diagonal multiplier i(|k|^4 + beta |k|^2 + 1) and the
-remainder is a zero-order operator evaluated through an inner solve of
-J w = v. D is compact with fast eigenvalue decay, so the solve deflates a
-Ritz basis of D's leading eigenvectors, built once per run, and iterates on
-the remainder, which contracts by about the first eigenvalue left out.
+remainder is a zero-order operator evaluated through a solve of J w = v.
+Along an axis where the profile a is constant, D is diagonal in that axis's
+wavenumber, so on the dealiasing box D splits into one block per
+wavenumber of those axes; J is inverted block by block, once per run, and
+each solve is one batched product with the inverses.
 
 The semidiscrete system keeps the state inside the 2/3-rule dealiasing
 ball and evaluates |u|^{2k} u pointwise on the grid; with that convention
@@ -41,8 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IterationError, ritz_pairs
-
 # Nothing here calls cg_hermitian; the name stays because the benchmark's
 # traced run wraps b4nls.dynamics.cg_hermitian (bench/layers.py).
 from .linalg import cg_hermitian  # noqa: F401
@@ -51,6 +50,7 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     _grid_modulus,
+    dealias_box,
     dealiased_nonlinear_term,
     hs_norm,
     kernel_rows,
@@ -65,18 +65,11 @@ from .spectral import (
 # multiple of the initial one (of 1 for zero initial data).
 BLOWUP_FACTOR = 1e6
 
-# Relative tolerance and update cap of the damping solve J w = v.
-INNER_TOL = 1e-12
-INNER_MAX_ITER = 400
-
-# Ritz basis of D that preconditions the damping solve: at most RITZ_RANK
-# vectors from RITZ_STEPS applies of D to a random block (the range
-# finder's and two power steps). On the default strip at d2N32 the
-# remainder contracts by 6.7e-4 per update (5.3e-4 with D's exact
-# eigenvectors), and a warm solve averages 1.5 updates; with one power
-# step fewer, 8.2e-4 and 1.8 updates.
-RITZ_RANK = 48
-RITZ_STEPS = 3
+# Entries of the damping operator's blocks (64 MiB of complex), the cap of
+# hum.MAX_OPERATOR_ENTRIES. A d2N64 ball, one block of 43^2 modes, is near
+# it: 2.2 s to build and about 4 ms per step on a 2-core Xeon VM, and the
+# cost grows as the square of the block size.
+MAX_BLOCK_ENTRIES = 2**22
 
 
 class BlowUpError(RuntimeError):
@@ -116,9 +109,6 @@ class EvolutionTrace:
     energies: np.ndarray
     fluxes: np.ndarray  # damping flux ||(1-Lap)^{-1}(a u_t)||^2, 0 if undamped
     damped: bool
-    # preconditioned updates of each damping solve of a stage or record
-    # state; None for an undamped run, all 0 for a constant profile
-    inner_iterations: np.ndarray | None = None
 
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.spec, self.states[i])
@@ -297,87 +287,75 @@ def evolve_nonlinear(
 # damped flow
 # ---------------------------------------------------------------------------
 
+def damping_layout(profile: DampingProfile) -> tuple[int, list[int]]:
+    """(m, axes): the side m = 2 floor(N/3) + 1 of the 2/3-rule box and the
+    axes along which the profile varies, v of them. D's blocks hold
+    m^(d+v) entries; ValueError above MAX_BLOCK_ENTRIES. Only the shape of
+    the compact profile is read."""
+    spec = profile.spec
+    box = dealias_box(spec)
+    m = box.stop - box.start
+    axes = [axis for axis in range(spec.d) if profile.compact.shape[axis] > 1]
+    entries = m ** (spec.d + len(axes))
+    if entries > MAX_BLOCK_ENTRIES:
+        raise ValueError(
+            f"the damping operator's blocks need {entries} entries ({16 * entries} bytes), "
+            f"above the cap of {MAX_BLOCK_ENTRIES}; use a profile constant along more "
+            "axes, or a smaller N"
+        )
+    return m, axes
+
+
 class _DampingOperator:
-    """D = a (1-Lap)^{-2} (a .) restricted to the dealiasing ball, and the
-    solve of J w = (1 - i D) w = v.
+    """D = a (1-Lap)^{-2} (a .) on the dealiasing box, block by block, and
+    the solve of J w = (1 - i D) w = v.
+
+    The box is reordered as (constant axes, varying axes) of the profile
+    and reshaped to m^(d-v) blocks of m^v modes: D maps no block into
+    another. Field j, 1 on every box mode whose varying-axis index is j,
+    gives column j of every block in one apply, so the blocks take m^v
+    applies of D; J is then inverted once per block. A constant profile
+    has v = 0: blocks of one mode, a diagonal D.
 
     An apply is two profile products on the compact profile, each one
     transform pass per axis the profile varies on and one back: 4 one-axis
     passes for the default strip at any d, against 4d for a ball.
-
-    A constant profile makes D diagonal. Otherwise D's leading Ritz pairs
-    (V, theta) on the ball are built once; they give the preconditioner
-    P = 1 + V^H [(1 - i theta)^{-1} - 1] V, which inverts J on the span of
-    V, and I - P J is about i D on the complement. When the ball has at
-    most RITZ_RANK modes the pairs are exact and P = J^{-1}.
     """
 
     def __init__(self, spec: ManifoldSpec, profile: DampingProfile):
         self.spec = spec
         self.a = profile.compact
         self.s2 = smoothing_multiplier(spec, 2)
-        self.mask = spec.dealias_mask
-        self.constant = profile.is_constant
-        if self.constant:
-            a0 = float(profile.values.flat[0])
-            self.diag = a0 * a0 * self.s2
-            return
-        self.ball = np.flatnonzero(self.mask)
-        n = len(self.ball)
-        self.exact = n <= RITZ_RANK
-        if self.exact:  # the unit vectors span the ball: exact pairs
-            start, steps = np.eye(n, dtype=complex), 0
-        else:
-            rng = np.random.default_rng(0)
-            start = rng.standard_normal((RITZ_RANK, n)) + 1j * rng.standard_normal((RITZ_RANK, n))
-            steps = RITZ_STEPS
-        self.V, theta = ritz_pairs(
-            lambda x: kernel_rows(spec, self.apply, x, self.ball, self.ball), start, steps
-        )
-        self.Vh = self.V.conj().T
-        self.shift = 1.0 / (1.0 - 1j * theta) - 1.0
+        m, varying = damping_layout(profile)
+        order = [axis for axis in range(spec.d) if axis not in varying] + varying
+        flat = np.arange(spec.n_modes).reshape(spec.shape)[(dealias_box(spec),) * spec.d]
+        self.idx = flat.transpose(order).reshape(-1)  # box modes, block by block
+        size = m ** len(varying)
+        fields = np.arange(len(self.idx)) % size == np.arange(size)[:, None]
+        cols = kernel_rows(spec, self.apply, fields, self.idx, self.idx)
+        d_blocks = cols.reshape(size, -1, size).transpose(1, 2, 0)
+        self.j = np.eye(size) - 1j * d_blocks
+        self.j_inv = np.linalg.inv(self.j)
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        if self.constant:
-            return self.diag * c
-        return np.where(self.mask, sandwich(self.spec, self.a, self.s2, c), 0.0)
+        return sandwich(self.spec, self.a, self.s2, c)
 
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """P r, which moves only the ball coefficients of r."""
-        out = r.copy()
-        flat = out.reshape(-1)
-        flat[self.ball] += self.Vh @ (self.shift * (self.V @ flat[self.ball]))
+    def _blockwise(self, blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The block matrices applied to the box part of c, zero elsewhere."""
+        x = c.reshape(-1)[self.idx].reshape(len(blocks), -1, 1)
+        out = np.zeros(c.shape, dtype=complex)
+        out.reshape(-1)[self.idx] = (blocks @ x).reshape(-1)
         return out
 
-    def solve_j(self, v: np.ndarray, x0: np.ndarray | None = None):
-        """Solve (1 - i D) w = v to INNER_TOL; returns (w, updates, D w).
+    def times_j(self, u: np.ndarray) -> np.ndarray:
+        """J u for u in the box."""
+        return self._blockwise(self.j, u)
 
-        Richardson on the true residual, preconditioned by P: from x0, or
-        from P v when x0 is None or P = J^{-1}, each pass applies D to w,
-        returns once ||v - J w|| <= INNER_TOL ||v||, and else adds P of the
-        residual. The returned D w is that last check's apply, handed out
-        so that a caller does not apply D to w again.
-        """
-        if self.constant:
-            w = v / (1.0 - 1j * self.diag)
-            return w, 0, self.diag * w
-
-        scale = float(np.linalg.norm(v))
-        w = self._precondition(v) if x0 is None or self.exact else x0
-        updates = 0
-        while True:
-            dw = self.apply(w)
-            r = v - (w - 1j * dw)
-            res = float(np.linalg.norm(r))
-            if res <= INNER_TOL * scale or updates == INNER_MAX_ITER:
-                break
-            w = w + self._precondition(r)
-            updates += 1
-        if scale > 0.0 and res > 10.0 * INNER_TOL * scale:
-            raise IterationError(
-                f"damping solve stalled: residual {res / scale:.3e} after {updates} updates"
-            )
-        return w, updates, dw
+    def solve_j(self, v: np.ndarray):
+        """(w, D w) for J w = v, v in the box: w = J^{-1} v by blocks, and
+        D w = i (v - w) from J w = v, with no apply of D."""
+        w = self._blockwise(self.j_inv, v)
+        return w, 1j * (v - w)
 
 
 def evolve_damped(
@@ -408,40 +386,23 @@ def evolve_damped(
             return np.zeros_like(cc)
         return dealiased_nonlinear_term(spec, cc, cfg.k_nl)
 
-    inner_counts: list[int] = []
-    last = None  # (v, w, D w) of the last solve of a stage or record state
-
-    def solve(vv: np.ndarray):
-        nonlocal last
-        # a record's state is the next step's first stage: solved once
-        if last is not None and last[0] is vv:
-            return last[1], last[2]
-        # w - v = i D w is smooth and moves little from one solve to the
-        # next, so the last solve's difference starts this one
-        x0 = None if last is None else vv + (last[1] - last[0])
-        w, it, dw = damp.solve_j(vv, x0)
-        last = (vv, w, dw)
-        inner_counts.append(it)
-        return w, dw
-
     def nonlin(vv: np.ndarray, g) -> np.ndarray:
-        w, dw = solve(vv)
+        w, dw = damp.solve_j(vv)
         return -mult * dw + 1j * f_ball(w)
 
     tab = _Etdrk4Tableau(1j * mult, dt)
     stepper = lambda vv: tab.step(vv, nonlin, (None,) * 3)
 
     c0 = np.where(mask, u0.coeffs.astype(complex), 0.0)
-    v0 = c0 - 1j * damp.apply(c0)  # v = J u
+    v0 = damp.times_j(c0)  # v = J u
 
     def recover(vv: np.ndarray):
         # u_t = i w for the solve below, so the flux ||(1-Lap)^{-1}(a u_t)||^2
         # is D's quadratic form <u_t, D u_t> = <w, D w>
-        u = solve(vv)[0]
-        w, _, dw = damp.solve_j(mult * u + f_ball(u))
+        u = damp.solve_j(vv)[0]
+        w, dw = damp.solve_j(mult * u + f_ball(u))
         return u, float(np.real(np.vdot(w, dw)))
 
-    recover.inner_counts = inner_counts
     return _march(spec, v0, dt, n_steps, cfg, stepper, recover)
 
 
@@ -467,8 +428,7 @@ def _march(
     """Step n_steps times and record every cfg.record_stride steps.
 
     A damped run passes recover, which maps a marched state to the recorded
-    field and its damping flux and carries the update counts of the damping
-    solves as recover.inner_counts; its ledger adds the mass term. The ledger
+    field and its damping flux; its ledger adds the mass term. The ledger
     is computed after the loop over blocks of stacked records; only the
     blow-up guard (BLOWUP_FACTOR) runs per record.
     """
@@ -506,7 +466,6 @@ def _march(
         ]),
         fluxes=np.asarray(fluxes),
         damped=damped,
-        inner_iterations=np.asarray(recover.inner_counts) if damped else None,
     )
 
 

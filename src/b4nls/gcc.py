@@ -16,7 +16,8 @@ hit time here is exact to roundoff, with no time step or tolerance:
 `torus_gcc_time` computes these over the whole start x direction family at
 once; `first_hit_time` is the same closed form for one geodesic.
 
-A witness is a geodesic that genuinely misses the region up to t_max. A
+A witness is a geodesic that genuinely misses the region up to t_max; a
+closed one (`closing_length`) no longer than t_max misses it forever. A
 reported T0 is the exact supremum of the hit times over the sampled family,
 so it is a lower bound on the control time, not the control time itself. On
 tori the adversarial geodesics are the closed ones with rational slope, so
@@ -179,6 +180,22 @@ def farey_directions(max_den: int) -> list[tuple[float, float]]:
                 dirs.add((round(v[0], 15), round(v[1], 15)))
                 dirs.add((round(v[1], 15), round(v[0], 15)))
     return sorted(dirs)
+
+
+def closing_length(direction, max_den: int) -> float | None:
+    """2 pi |n| for the primitive integer vector n parallel to a direction
+    (to 1e-12), among those with entries of at most max(max_den, 1) in
+    size; None if there is none. The geodesic closes after this length, so
+    one that misses the region for that long misses it for all time. The
+    Farey and axis directions of a scan with farey_max_den = max_den all
+    have one."""
+    u = np.asarray(direction, dtype=float)
+    r = u / np.abs(u).max()
+    for s in range(1, max(max_den, 1) + 1):
+        n = np.round(s * r)
+        if np.abs(s * r - n).max() <= 1e-12:
+            return TWO_PI * float(np.linalg.norm(n))
+    return None
 
 
 def check_torus_scan(

@@ -110,6 +110,8 @@ def validate_region(region: Region, d: int) -> None:
     elif isinstance(region, Ball):
         if len(region.center) != d:
             raise ValueError("ball center dimension mismatch")
+        if not all(math.isfinite(c) for c in region.center):
+            raise ValueError(f"ball center must be finite, got {region.center}")
         if not region.radius > 0.0:
             raise ValueError(f"ball radius must be positive, got {region.radius}")
     elif isinstance(region, RegionUnion):

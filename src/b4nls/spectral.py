@@ -30,8 +30,8 @@ box keeps.
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
 the damping operator and the HUM operator both apply it. Dense blocks of a
 kernel, M[rows, cols], come from one builder, kernel_rows, which applies
-the kernel to KERNEL_BATCH fields per call; the damping operator's Ritz
-basis, the HUM operator and the band Gramian are built through it.
+the kernel to KERNEL_BATCH fields per call; the damping operator's
+blocks, the HUM operator and the band Gramian are built through it.
 
 Every H^s norm of coefficients is hs_norm, and every free phase e^{itX}
 over a dispersion array X is free_phase, except in the oracles
@@ -286,17 +286,23 @@ def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray
     return _signed_coeffs(spec, (np.abs(v) ** (2 * k)) * v) * _grid_scale(spec) ** (2 * k)
 
 
+def dealias_box(spec: ManifoldSpec) -> slice:
+    """The lattice indices N/2 - N/3 ... N/2 + N/3 that spec.dealias_mask
+    keeps along each axis, 2 floor(N/3) + 1 of them."""
+    return slice(spec.N // 2 - spec.N // 3, spec.N // 2 + spec.N // 3 + 1)
+
+
 def dealiased_nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
     """nonlinear_term masked to spec.dealias_mask, bit for bit, for coeffs
     that vanish outside the mask, as the flows' states do.
 
-    The mask is the box of lattice indices N/2 - N/3 ... N/2 + N/3 on each
-    axis, a slice of the stored array. Before an inverse pass, the axes it
-    has yet to transform still hold zeros outside the box, so it transforms
-    only the lines inside; each forward pass is cut to the box along its
-    axis, so the next pass computes only the lines the mask keeps.
+    The mask is the box dealias_box on each axis, a slice of the stored
+    array. Before an inverse pass, the axes it has yet to transform still
+    hold zeros outside the box, so it transforms only the lines inside;
+    each forward pass is cut to the box along its axis, so the next pass
+    computes only the lines the mask keeps.
     """
-    box = slice(spec.N // 2 - spec.N // 3, spec.N // 2 + spec.N // 3 + 1)
+    box = dealias_box(spec)
     v = coeffs
     for done, axis in enumerate(_axes(spec)[::-1]):
         boxed = spec.d - 1 - done  # the leading axes, not yet transformed
@@ -482,10 +488,6 @@ class DampingProfile:
                 v = first
         v.flags.writeable = False
         return v
-
-    @property
-    def is_constant(self) -> bool:
-        return self.compact.size == 1
 
 
 def _region_profile(region: Region, pts: np.ndarray, width: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import configparser
 import contextlib
 import csv
 import io
+import math
 import os
 import re
 import subprocess
@@ -333,6 +334,22 @@ def test_gcc_witness_is_written_as_plain_floats(tmp_path):
     direction = ast.literal_eval(value)
     assert name == "direction"
     assert all(type(x) is float for x in direction) and direction[1] == 1.0
+    # the witness runs along axis 1, n = (0, 1): it closes after 2 pi <= 20,
+    # so its miss holds for all time
+    assert lines[3] == "t_max = 20.0"
+    assert lines[4] == (
+        f"the witness closes after length {2 * math.pi!r} <= t_max, so it misses"
+        " the region for all time"
+    )
+    # at t_max = 5 the last direction to miss from (0, 0) is the sampled
+    # angle 19 pi / 32, which closes on no small integer vector
+    path = write_config(tmp_path, GCC_CHECK + "[gcc]\nt_max = 5\n")
+    assert main(["run", path, "--output", str(tmp_path / "short")]) == 0
+    lines = (tmp_path / "short" / "summary.txt").read_text().splitlines()
+    assert lines[0] == "gcc fails: witness geodesic"
+    assert ast.literal_eval(lines[2].split(" = ")[1])[0] == pytest.approx(math.cos(19 * math.pi / 32))
+    assert lines[4] == "the witness misses the region up to t_max"
+    assert len(lines) == 5
 
 
 def test_gcc_summary_states_t0_as_a_sampled_lower_bound(tmp_path):
@@ -346,6 +363,24 @@ def test_gcc_summary_states_t0_as_a_sampled_lower_bound(tmp_path):
     name, value = lines[1].split(" = ")
     assert name == "T0" and float(value) > 0.0
     assert " = " not in lines[2] and "lower bound" in lines[2]
+
+
+@pytest.mark.parametrize("d, N, code", [(3, 18, 2), (2, 64, 0)])
+def test_validate_refuses_damping_blocks_above_the_cap(tmp_path, capsys, d, N, code):
+    # a ball varies on every axis: one block of m^d modes, m = 2 floor(N/3) + 1,
+    # so m^(2d) entries, 13^6 at d3N18 and 43^4 at d2N64 against the 2^22 cap
+    path = write_config(
+        tmp_path,
+        f"[experiment]\nkind = stabilize\n[manifold]\nd = {d}\nN = {N}\n"
+        "[region]\ntype = ball\nradius = 2.5\n",
+    )
+    assert main(["validate", path]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"blocks need {13 ** 6} entries" in err
+        assert "use a profile constant along more axes, or a smaller N" in err
+    else:
+        assert err == ""
 
 
 def test_validate_refuses_a_hum_operator_above_the_cap(tmp_path, capsys):

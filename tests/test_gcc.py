@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import b4nls as b
-from b4nls.gcc import GeodesicQuery, check_torus_scan, farey_directions
+from b4nls.gcc import GeodesicQuery, check_torus_scan, closing_length, farey_directions
 from b4nls.regions import contains, inside_depth
 
 PI = math.pi
+TWO_PI = 2.0 * math.pi
 
 
 def torus_query(start, direction, region, **kw):
@@ -128,6 +129,16 @@ def test_direction_normalization_and_validation():
         torus_query((0.0,), (0.0,), region)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_ball_with_a_non_finite_center_is_refused(bad):
+    # a NaN center used to pass: the scan reported a witness and the
+    # damping profile came out all zero
+    with pytest.raises(ValueError, match="ball center must be finite"):
+        b.torus_gcc_time(b.Ball((bad, 1.0), 0.5), 2, 10.0)
+    with pytest.raises(ValueError, match="ball center must be finite"):
+        b.make_damping_profile(b.make_torus(1, 32, 1.0), b.Ball((bad,), 0.5), 0.1)
+
+
 def test_farey_directions_contain_adversaries():
     dirs = farey_directions(4)
     arr = np.array(dirs)
@@ -136,6 +147,10 @@ def test_farey_directions_contain_adversaries():
     s2 = 1.0 / math.sqrt(2.0)
     has = lambda v: any(abs(a - v[0]) < 1e-12 and abs(bb - v[1]) < 1e-12 for a, bb in dirs)
     assert has((1.0, 0.0)) and has((0.0, 1.0)) and has((s2, s2)) and has((s2, -s2))
+    # each closes on its primitive integer vector (q, p)
+    assert all(closing_length(v, 4) is not None for v in dirs)
+    assert closing_length((s2, -s2), 4) == pytest.approx(TWO_PI * math.sqrt(2.0), rel=1e-15)
+    assert closing_length((math.cos(0.3), math.sin(0.3)), 4) is None
 
 
 def test_union_scan_resolves_thin_part():

@@ -513,7 +513,7 @@ def test_a_compact_profile_transforms_only_the_axes_it_varies_on(d, region, shap
     prof = b.make_damping_profile(spec, region, None if isinstance(region, b.FullRegion) else 0.6)
     assert prof.compact.shape == tuple(N if n < 0 else n for n in shape)
     assert np.array_equal(np.broadcast_to(prof.compact, spec.shape), prof.values)
-    assert prof.is_constant == isinstance(region, b.FullRegion)
+    assert (prof.compact.size == 1) == isinstance(region, b.FullRegion)
     rng = np.random.default_rng(d)
     c = rng.standard_normal((3,) + spec.shape) + 1j * rng.standard_normal((3,) + spec.shape)
     dense = c.reshape(3, -1) @ multiplication_matrix(spec, prof.values).T
