@@ -153,7 +153,11 @@ def _build_datum(cfg, spec, rng) -> SpectralField:
         decay = _get(cfg, "run", "datum_decay", float, 4.0)
         band = _get(cfg, "run", "datum_band", int, None)
         u = random_field(spec, rng, decay=decay, band=band)
-        return normalize_sobolev(u, 2.0, _get(cfg, "run", "datum_norm", float, 1.0))
+        norm = _get(cfg, "run", "datum_norm", float, 1.0)
+        try:
+            return normalize_sobolev(u, 2.0, norm)
+        except ValueError as exc:
+            raise ConfigError(f"cannot scale the datum to [run] datum_norm = {norm}: {exc}") from exc
     raise ConfigError(f"unknown datum kind {kind!r}")
 
 

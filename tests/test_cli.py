@@ -297,6 +297,21 @@ def test_validate_catches_what_used_to_fail_at_run(tmp_path, capsys, text, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["simulate", "stabilize", "control-linear", "control-nonlinear"])
+def test_a_negative_datum_norm_fails_validation(tmp_path, capsys, kind):
+    # a negative norm ran and wrote the datum scaled to norm +1, sign flipped
+    cfg = configparser.ConfigParser()
+    cfg.read_string(f"[experiment]\nkind = {kind}\nseed = 3\n{TINY[kind][0]}")
+    cfg.set("run", "datum_norm", "-1")
+    path = tmp_path / "run.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    assert main(["validate", str(path)]) == 2
+    assert "[run] datum_norm = -1.0: a norm must be >= 0" in capsys.readouterr().err
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", EXPERIMENTS)
 def test_a_config_of_defaults_validates(tmp_path, kind):
     assert main(["validate", write_config(tmp_path, f"[experiment]\nkind = {kind}\n")]) == 0

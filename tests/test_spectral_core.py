@@ -13,6 +13,7 @@ import b4nls as b
 from b4nls.dynamics import energy
 from b4nls.hum import multiplication_matrix
 from b4nls.spectral import (
+    DENSE_TERM_WORK,
     KERNEL_BATCH,
     _signed_coeffs,
     _signed_grid,
@@ -30,6 +31,7 @@ from b4nls.spectral import (
     profile_product,
     sandwich,
     smoothing_multiplier,
+    sobolev_weights,
 )
 
 PI = math.pi
@@ -114,6 +116,36 @@ def test_coefficient_norm_is_the_field_norm_and_keeps_nan(s):
     assert math.isnan(hs_norm(spec, bad, s))
     bad[3, 4] = np.inf
     assert hs_norm(spec, bad, s) == math.inf
+
+
+def test_sobolev_weights_are_cached_read_only_and_norms_unchanged():
+    # the weights are computed once per (spec, s); the norm is the sum it
+    # was when hs_norm computed them on every call, bit for bit
+    for d, N in [(1, 32), (2, 16), (3, 8)]:
+        spec = b.make_torus(d, N, 1.0)
+        for s in (-2.0, 0.5, 2.0):
+            w = sobolev_weights(spec, s)
+            assert sobolev_weights(spec, s) is w
+            with pytest.raises(ValueError, match="read-only"):
+                w[(0,) * d] = 0.0
+            u = rand_field(spec, d)
+            expect = math.sqrt(float(np.sum((1.0 + spec.k_sq) ** s * np.abs(u.coeffs) ** 2)))
+            assert hs_norm(spec, u.coeffs, s) == expect
+
+
+def test_normalize_sobolev_refuses_a_negative_norm():
+    # a negative value scaled the field by a negative factor: its norm was
+    # |value| and its sign flipped; zero gives the zero field
+    u = rand_field(b.make_torus(1, 32, 1.0), 0)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        b.normalize_sobolev(u, 2.0, -1.0)
+    assert not np.any(b.normalize_sobolev(u, 2.0, 0.0).coeffs)
+
+
+def test_random_field_refuses_a_negative_band():
+    # it drew the zero field, which the CLI then failed to normalize
+    with pytest.raises(ValueError, match="band must be >= 0"):
+        b.random_field(b.make_torus(1, 32, 1.0), np.random.default_rng(0), band=-1)
 
 
 @st.composite
@@ -535,14 +567,80 @@ def _ball_coeffs(draw):
     return spec, np.where(spec.dealias_mask, c, 0.0), draw(st.sampled_from([1, 2]))
 
 
+def _dense(spec, c):
+    """Whether dealiased_nonlinear_term takes its dense route on c."""
+    return c.size * spec.n_modes <= DENSE_TERM_WORK
+
+
 @settings(max_examples=80, deadline=None)
-@given(_ball_coeffs())
+@given(_ball_coeffs().filter(lambda case: not _dense(*case[:2])))
 def test_the_dealiased_kernel_is_the_masked_cubic_term_bit_for_bit(case):
     # the pruned passes transform each kept line as the full ones do, so
     # the flows may call it in place of the masked product
     spec, c, k = case
     expect = np.where(spec.dealias_mask, nonlinear_term(spec, c, k), 0.0)
     assert np.array_equal(dealiased_nonlinear_term(spec, c, k), expect)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ball_coeffs().filter(lambda case: _dense(*case[:2])))
+def test_the_dense_route_is_the_masked_cubic_term_to_roundoff(case):
+    # the dense products sum in another order than the FFT: 2.0e-15 of
+    # max |term| at worst over d <= 3, N <= 64, k in {1, 2}
+    spec, c, k = case
+    expect = np.where(spec.dealias_mask, nonlinear_term(spec, c, k), 0.0)
+    got = dealiased_nonlinear_term(spec, c, k)
+    assert np.all(got[..., ~spec.dealias_mask] == 0.0)
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+def _count_ffts(monkeypatch):
+    """A list that grows by one name per numpy.fft transform call."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _ball(spec, lead, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(lead + spec.shape) + 1j * rng.standard_normal(lead + spec.shape)
+    return np.where(spec.dealias_mask, c, 0.0)
+
+
+@pytest.mark.parametrize(
+    "d,N,lead,dense",
+    [(1, 32, (), True), (2, 8, (), True), (1, 64, (), True), (1, 32, (4,), True),
+     (1, 128, (), False), (2, 32, (), False), (1, 32, (1001,), False)],
+    ids=["d1N32", "d2N8", "d1N64", "d1N32x4", "d1N128", "d2N32", "d1N32x1001"],
+)
+def test_the_dealiased_term_routes_by_its_work(monkeypatch, d, N, lead, dense):
+    # the dense route makes no FFT call once its pair is built; the FFT
+    # route is the masked cubic term bit for bit; both write exact zeros
+    # outside the mask
+    spec = b.make_torus(d, N, 1.0)
+    c = _ball(spec, lead, N)
+    dealiased_nonlinear_term(spec, c, 1)  # builds the dense pair once per lattice
+    calls = _count_ffts(monkeypatch)
+    got = dealiased_nonlinear_term(spec, c, 1)
+    assert (not calls) == dense
+    monkeypatch.undo()
+    assert np.all(got[..., ~spec.dealias_mask] == 0.0)
+    if not dense:
+        assert np.array_equal(got, np.where(spec.dealias_mask, nonlinear_term(spec, c, 1), 0.0))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_field_has_one_term_alone_and_in_a_batch(k):
+    # alone it takes the dense route, in a batch of 1001 the FFT route
+    spec = b.make_torus(1, 32, 1.0)
+    batch = _ball(spec, (1001,), k)
+    alone = dealiased_nonlinear_term(spec, batch[500], k)
+    inside = dealiased_nonlinear_term(spec, batch, k)[500]
+    assert np.abs(alone - inside).max() <= 1e-14 * np.abs(inside).max()
 
 
 def _functions_calling(tree, names):
