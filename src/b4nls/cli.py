@@ -11,8 +11,9 @@ seed in the config, so a fixed config produces byte-identical CSV output.
     b4nls describe <experiment>
 
 Exit status is 0 on success, 2 for a bad config or input, and 1 when a
-solver fails (blow-up, stalled CG, failed contraction). `validate` is `run`
-without the solve, so bad input fails before an output directory exists.
+solver fails (blow-up, an unobservable control problem, failed
+contraction). `validate` is `run` without the solve, so bad input fails
+before an output directory exists.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .hum import (
     solve_linear_control,
     solve_nonlinear_control,
 )
-from .linalg import IterationError
 from .observability import check_gramian_sweep, gramian_sweep
 from .gcc import check_torus_scan, closing_length, torus_gcc_time
 from .resonance import check_sweep, counting_sweep
@@ -254,7 +254,6 @@ def _control_problem(cfg, rng, nonlinear) -> ControlProblem:
         phi=_build_profile(cfg, spec),
         k_nl=_get(cfg, "solver", "k_nl", int, 1),
         cg_tol=_get(cfg, "control", "cg_tol", float, 1e-9),
-        cg_max_iter=_get(cfg, "control", "cg_max_iter", int, 600),
         fixedpoint_tol=(_get(cfg, "control", "fixedpoint_tol", float, 1e-8) if nonlinear
                         else ControlProblem.fixedpoint_tol),
         control_band=_get(cfg, "control", "control_band", int, None),
@@ -290,10 +289,11 @@ def _control_linear(cfg, rng):
         cert = solve_linear_control(prob)
         return _save_control(
             outdir, prob, cert,
-            [[int(cert.cg_iterations[0]), cert.terminal_residual, 0.0]],
-            ["terminal_residual", "relative_residual", "integrator_residual", "cg_iterations"],
-            [cert.terminal_residual, cert.relative_residual,
-             float(cert.integrator_residual), int(cert.cg_iterations[0])],
+            [[0, cert.terminal_residual, 0.0]],
+            ["terminal_residual", "relative_residual", "integrator_residual", "lambda_min",
+             "condition"],
+            [cert.terminal_residual, cert.relative_residual, float(cert.integrator_residual),
+             cert.lambda_min, cert.condition],
         )
 
     return run
@@ -463,7 +463,7 @@ _REGION = {"region": "type,lo,hi,axis,radius,center_x,center_y,center_z,smoothin
 _FLOW = {"manifold": "d,N,beta", "solver": "dt,k_nl,record_stride",
          "run": f"T,snapshot_stride,{_DATUM}"}
 _CONTROL = {"manifold": "d,N,beta", **_REGION, "solver": "k_nl", "run": f"T,{_DATUM}",
-            "control": "control_band,cg_tol,cg_max_iter,verify_dt"}
+            "control": "control_band,cg_tol,verify_dt"}
 # kind -> section -> the keys its builder may read
 _KEYS = {
     "simulate": _FLOW,
@@ -585,7 +585,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BlowUpError, ControlStagnationError, ContractionFailure, IterationError) as exc:
+    except (BlowUpError, ControlStagnationError, ContractionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

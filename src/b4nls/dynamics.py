@@ -50,7 +50,8 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     _grid_modulus,
-    dealias_box,
+    block_layout,
+    blockwise,
     dealiased_nonlinear_term,
     hs_norm,
     kernel_rows,
@@ -254,11 +255,10 @@ def evolve_nonlinear(
     if use_nl:
         c = np.where(mask, c, 0.0)
 
-    def nonlin(cc: np.ndarray, g) -> np.ndarray:
-        if use_nl:
-            out = 1j * dealiased_nonlinear_term(spec, cc, cfg.k_nl)
-        else:
-            out = np.zeros_like(cc)
+    def nonlin(cc: np.ndarray, g):
+        if not use_nl:  # the forcing itself, or 0.0 without one
+            return 0.0 if g is None else g
+        out = 1j * dealiased_nonlinear_term(spec, cc, cfg.k_nl)
         if g is not None:
             out += g
         return out
@@ -287,35 +287,32 @@ def evolve_nonlinear(
 # damped flow
 # ---------------------------------------------------------------------------
 
-def damping_layout(profile: DampingProfile) -> tuple[int, list[int]]:
-    """(m, axes): the side m = 2 floor(N/3) + 1 of the 2/3-rule box and the
-    axes along which the profile varies, v of them. D's blocks hold
-    m^(d+v) entries; ValueError above MAX_BLOCK_ENTRIES. Only the shape of
-    the compact profile is read."""
-    spec = profile.spec
-    box = dealias_box(spec)
-    m = box.stop - box.start
-    axes = [axis for axis in range(spec.d) if profile.compact.shape[axis] > 1]
-    entries = m ** (spec.d + len(axes))
+def damping_layout(profile: DampingProfile) -> np.ndarray:
+    """The 2/3-rule box of side m = 2 floor(N/3) + 1 in D's blocks: the
+    block_layout of the modes of spec.dealias_mask, m^(d-v) rows of m^v
+    modes for a profile that varies along v axes. D's blocks hold m^(d+v)
+    entries; ValueError above MAX_BLOCK_ENTRIES."""
+    layout = block_layout(profile, np.flatnonzero(profile.spec.dealias_mask))
+    entries = layout.size * layout.shape[1]
     if entries > MAX_BLOCK_ENTRIES:
         raise ValueError(
             f"the damping operator's blocks need {entries} entries ({16 * entries} bytes), "
             f"above the cap of {MAX_BLOCK_ENTRIES}; use a profile constant along more "
             "axes, or a smaller N"
         )
-    return m, axes
+    return layout
 
 
 class _DampingOperator:
     """D = a (1-Lap)^{-2} (a .) on the dealiasing box, block by block, and
     the solve of J w = (1 - i D) w = v.
 
-    The box is reordered as (constant axes, varying axes) of the profile
-    and reshaped to m^(d-v) blocks of m^v modes: D maps no block into
-    another. Field j, 1 on every box mode whose varying-axis index is j,
-    gives column j of every block in one apply, so the blocks take m^v
-    applies of D; J is then inverted once per block. A constant profile
-    has v = 0: blocks of one mode, a diagonal D.
+    The box is grouped by damping_layout into m^(d-v) blocks of m^v
+    modes: D maps no block into another. Field j, 1 on every box mode
+    whose varying-axis index is j, gives column j of every block in one
+    apply, so the blocks take m^v applies of D; J is then inverted once
+    per block. A constant profile has v = 0: blocks of one mode, a
+    diagonal D.
 
     An apply is two profile products on the compact profile, each one
     transform pass per axis the profile varies on and one back: 4 one-axis
@@ -326,13 +323,11 @@ class _DampingOperator:
         self.spec = spec
         self.a = profile.compact
         self.s2 = smoothing_multiplier(spec, 2)
-        m, varying = damping_layout(profile)
-        order = [axis for axis in range(spec.d) if axis not in varying] + varying
-        flat = np.arange(spec.n_modes).reshape(spec.shape)[(dealias_box(spec),) * spec.d]
-        self.idx = flat.transpose(order).reshape(-1)  # box modes, block by block
-        size = m ** len(varying)
-        fields = np.arange(len(self.idx)) % size == np.arange(size)[:, None]
-        cols = kernel_rows(spec, self.apply, fields, self.idx, self.idx)
+        self.layout = damping_layout(profile)
+        idx = self.layout.ravel()  # box modes, block by block
+        size = self.layout.shape[1]
+        fields = np.arange(len(idx)) % size == np.arange(size)[:, None]
+        cols = kernel_rows(spec, self.apply, fields, idx, idx)
         d_blocks = cols.reshape(size, -1, size).transpose(1, 2, 0)
         self.j = np.eye(size) - 1j * d_blocks
         self.j_inv = np.linalg.inv(self.j)
@@ -340,21 +335,14 @@ class _DampingOperator:
     def apply(self, c: np.ndarray) -> np.ndarray:
         return sandwich(self.spec, self.a, self.s2, c)
 
-    def _blockwise(self, blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """The block matrices applied to the box part of c, zero elsewhere."""
-        x = c.reshape(-1)[self.idx].reshape(len(blocks), -1, 1)
-        out = np.zeros(c.shape, dtype=complex)
-        out.reshape(-1)[self.idx] = (blocks @ x).reshape(-1)
-        return out
-
     def times_j(self, u: np.ndarray) -> np.ndarray:
         """J u for u in the box."""
-        return self._blockwise(self.j, u)
+        return blockwise(self.j, self.layout, u)
 
     def solve_j(self, v: np.ndarray):
         """(w, D w) for J w = v, v in the box: w = J^{-1} v by blocks, and
         D w = i (v - w) from J w = v, with no apply of D."""
-        w = self._blockwise(self.j_inv, v)
+        w = blockwise(self.j_inv, self.layout, v)
         return w, 1j * (v - w)
 
 

@@ -25,17 +25,19 @@ The dual datum lives on a support S: the modes of the control band, or
 every mode without one. Nothing reads a column of Lambda or A outside S, so
 the operator assembles only A[:, S], the spectral kernel's control weight
 (`sandwich` with (1-Lap)^{-2}) on the basis vectors of S through the block
-builder `kernel_rows`, and Lambda[:, S]. CG runs on the block
+builder `kernel_rows`, and Lambda[:, S]. The solve factors the block
 Lambda[S, S], the closed-form certificate applies Lambda[:, S] to v0[S],
 and the control forcing applies A[:, S] to e^{itX_S} v0[S]. A banded
 operator thus holds n |S| entries instead of n^2. The dense multiplication
 matrix of phi is the test oracle of the grid products; no run path builds
 it.
 
-The system is solved by plain conjugate gradients in L^2; the H^{-2} -> H^2
-character of the continuum operator appears as conditioning and is reported
-through the iteration count, not hidden behind a preconditioner. That count
-and the last fixed-point update sit at CG's noise floor (ControlCertificate).
+The system is solved directly in L^2: one batched eigh factors Lambda[S, S]
+by the blocks of `block_layout` once per operator, and a solve is one
+batched product. The certificate reports the smallest eigenvalue, the
+discrete observability constant (Lions, SIAM Rev. 30 (1988)), and the
+condition number, where the H^{-2} -> H^2 character of the continuum
+operator shows unpreconditioned.
 
 The nonlinear local control iterates the contraction
 
@@ -55,15 +57,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import cg_hermitian
-from .dynamics import SolverConfig, evolve_nonlinear, step_grid
+# Nothing here calls cg_hermitian; the name stays because the benchmark's
+# traced run wraps b4nls.hum.cg_hermitian (bench/layers.py).
+from .linalg import cg_hermitian  # noqa: F401
+from .dynamics import SolverConfig, check_horizon, evolve_nonlinear, step_grid
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
     SpectralField,
+    block_layout,
+    blockwise,
     box_mask,
     dealiased_nonlinear_term,
     free_phase,
@@ -75,7 +82,10 @@ from .spectral import (
 )
 
 
-# entries of A[:, S] and of Lambda[:, S] a ControlProblem may need (64 MiB each)
+# entries of A[:, S] and of Lambda[:, S] a ControlProblem may need (64 MiB
+# each). At the cap, d1N2048 with no band, Lambda[S, S] is one block of 2048
+# (cond 5.8e11 on the default strip): its eigh takes 11 s on a 2-core Xeon VM
+# with one BLAS thread, where CG took 0.3 s, or stalled after 1.8 s.
 MAX_OPERATOR_ENTRIES = 2**22
 
 # the nonlinear control runs at most FIXEDPOINT_MAX_ITER fixed-point updates
@@ -83,7 +93,7 @@ FIXEDPOINT_MAX_ITER = 12
 
 
 class ControlStagnationError(RuntimeError):
-    """CG failed to converge: practical loss of observability."""
+    """A singular Lambda or no fixed point: practical loss of observability."""
 
 
 class ContractionFailure(RuntimeError):
@@ -110,6 +120,9 @@ class ControlProblem:
     the band, and a problem whose operator would exceed
     MAX_OPERATOR_ENTRIES (n_modes x |S|) is refused before anything is
     assembled.
+
+    A HUM solve whose true relative residual ||b - Lambda[S, S] x|| / ||b||
+    is not at most 100 cg_tol raises ControlStagnationError.
     """
 
     spec: ManifoldSpec
@@ -119,15 +132,13 @@ class ControlProblem:
     u_target: SpectralField | None = None
     k_nl: int = 1
     cg_tol: float = 1e-9
-    cg_max_iter: int = 600
     fixedpoint_tol: float = 1e-8
     control_band: int | None = None
     verify_dt: float = 1e-4
     solve_dt: float = 1e-3
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ValueError("control horizon must be positive")
+        check_horizon(self.T)
         if self.phi.spec != self.spec or self.u0.spec != self.spec:
             raise ValueError("problem pieces live on different specs")
         if self.u_target is not None and self.u_target.spec != self.spec:
@@ -135,14 +146,14 @@ class ControlProblem:
         band = self.control_band
         if band is not None and band < 0:
             raise ValueError(f"control band must be >= 0, got control_band = {band}")
-        if not (self.verify_dt > 0.0 and self.solve_dt > 0.0):
-            raise ValueError("verify_dt and solve_dt must be positive")
+        if not (0.0 < self.verify_dt < math.inf and 0.0 < self.solve_dt < math.inf):
+            raise ValueError("verify_dt and solve_dt must be positive and finite")
         if self.k_nl < 1:
             raise ValueError("k_nl must be >= 1")
         if not 0.0 < self.cg_tol < 1.0:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
-        if not (self.fixedpoint_tol > 0.0 and self.cg_max_iter >= 1):
-            raise ValueError("fixedpoint_tol must be positive and cg_max_iter >= 1")
+        if not self.fixedpoint_tol > 0.0:
+            raise ValueError("fixedpoint_tol must be positive")
         n = self.spec.n_modes
         support = dual_support(self.spec, band)
         m = len(support)
@@ -170,16 +181,16 @@ class ControlCertificate:
     by a finite-step ETDRK4 run, which carries that scheme's own quadrature
     error on the control's oscillations and is therefore pinned separately.
 
-    At CG's noise floor, cg_iterations reproduces only to +-2 under roundoff
-    (Lambda scaled by 1 + 2^-52 moved it by 1-2 on 7 of 16 bench seeds), and
-    the nonlinear last fixed-point update, about 1e-11, is that floor itself.
+    lambda_min and condition are Lambda[S, S]'s smallest eigenvalue and its
+    ratio to the largest; cg_residuals holds each HUM solve's true residual.
     """
 
     kind: str  # "linear" | "nonlinear"
     dual_datum: np.ndarray  # v0 (linear) or Phi0 (nonlinear), lattice coeffs
     terminal_residual: float
     relative_residual: float
-    cg_iterations: tuple[int, ...]
+    lambda_min: float
+    condition: float
     cg_residuals: tuple[float, ...]
     integrator_residual: float | None = None
     fixedpoint_diffs: tuple[float, ...] = ()
@@ -264,8 +275,9 @@ class HumOperator:
     support holds the flat lattice indices S that a dual datum may occupy,
     dual_support(spec, band). The operator keeps A = A[:, S] and matrix =
     Lambda[:, S], both of shape (n_modes, |S|), and block = Lambda[S, S],
-    the Hermitian matrix CG solves with. Vectors on S are given in support
-    order.
+    the Hermitian matrix the HUM system solves with. Vectors on S are given
+    in support order. layout is S grouped by block_layout: block's entries
+    between two of its rows are exactly 0.0.
     """
 
     def __init__(
@@ -286,6 +298,17 @@ class HumOperator:
         self.matrix *= self.A
         # without a band the block is the whole matrix, not a copy of it
         self.block = self.matrix if band is None else self.matrix[self.support]
+        self.layout = block_layout(phi, self.support)
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, inv): the blocks' eigenvalues by one batched eigh on the first
+        solve, and their inverses V diag(1/w) V^H, a zero eigenvalue's
+        component left out so that no division warns."""
+        p = np.searchsorted(self.support, self.layout)  # the layout's places in S
+        w, V = np.linalg.eigh(self.block[p[:, :, None], p[:, None, :]])
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0.0)
+        return w, (V * inv_w[:, None, :]) @ np.swapaxes(V, 1, 2).conj()
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Lambda c for lattice coefficients c supported on S."""
@@ -334,25 +357,23 @@ def _transported_rhs(prob: ControlProblem) -> np.ndarray:
 
 def _solve_hum_system(
     prob: ControlProblem, op: HumOperator, rhs: np.ndarray
-) -> tuple[np.ndarray, int, float]:
-    """CG on the block Lambda[S, S] for one right-hand side. Only rhs on S
-    is read, which makes the solve the Galerkin projection onto S. The
-    reported residual is the true ||b - Lambda[S, S] x|| / ||b||, not CG's
-    recursive estimate."""
+) -> tuple[np.ndarray, float]:
+    """Lambda[S, S] x = b by the block inverses of op.factors. Only rhs on S
+    is read: the Galerkin projection onto S. The gate reads the true
+    residual ||b - Lambda[S, S] x|| / ||b||, so a singular Lambda fails it."""
+    w, inv = op.factors
+    v0 = blockwise(inv, op.layout, rhs)
     b = rhs.ravel()[op.support]
-    x, iters, _ = cg_hermitian(
-        lambda z: op.block @ z, b, tol=prob.cg_tol, max_iter=prob.cg_max_iter
-    )
     bnorm = float(np.linalg.norm(b))
-    relres = float(np.linalg.norm(b - op.block @ x)) / bnorm if bnorm > 0.0 else 0.0
-    if relres > 100.0 * prob.cg_tol:
+    relres = float(np.linalg.norm(b - op.block @ v0.ravel()[op.support]))
+    relres = relres / bnorm if bnorm > 0.0 else 0.0
+    if not relres <= 100.0 * prob.cg_tol:
         raise ControlStagnationError(
-            f"CG stalled at relative residual {relres:.3e} after {iters} iterations; "
-            "the control region may not be observable (GCC violated?)"
+            f"the HUM system is solved only to relative residual {relres:.3e} "
+            f"(lambda_min = {w.min():.3e}); the control region may not be observable "
+            "(GCC violated?)"
         )
-    v0 = np.zeros(prob.spec.n_modes, dtype=complex)
-    v0[op.support] = x
-    return v0.reshape(prob.spec.shape), iters, relres
+    return v0, relres
 
 
 def _h2_miss(prob: ControlProblem, uT: np.ndarray) -> float:
@@ -384,21 +405,23 @@ def _certificate(prob: ControlProblem, op: HumOperator, kind: str, dual: np.ndar
     """The certificate of a dual datum with its terminal miss, relative to
     ||u0||_{H^2}, and its control sampled at 101 times."""
     ts = np.linspace(0.0, prob.T, 101)
+    w = op.factors[0]
+    lam = float(w.min())
     return ControlCertificate(
         kind=kind, dual_datum=dual, terminal_residual=residual,
         relative_residual=residual / max(sobolev_norm(prob.u0, 2.0), 1e-300),
+        lambda_min=lam, condition=float(w.max()) / lam if lam > 0.0 else math.inf,
         control_times=ts, control_samples=control_forcing(op, dual)(ts), **fields,
     )
 
 
 def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
-    """HUM synthesis for the linear equation: CG on Lambda v0 = rhs, then a
+    """HUM synthesis for the linear equation: Lambda v0 = rhs, then a
     forward solve of the controlled equation to certify the terminal state."""
     op = HumOperator(prob.spec, prob.phi, prob.T, band=prob.control_band)
-    v0, iters, relres = _solve_hum_system(prob, op, _transported_rhs(prob))
+    v0, relres = _solve_hum_system(prob, op, _transported_rhs(prob))
     return _certificate(
-        prob, op, "linear", v0, _verify_closed_form(prob, op, v0),
-        cg_iterations=(iters,), cg_residuals=(relres,),
+        prob, op, "linear", v0, _verify_closed_form(prob, op, v0), cg_residuals=(relres,),
         integrator_residual=_verify_integrator(prob, op, v0, nonlinear=False),
     )
 
@@ -457,14 +480,12 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
     phi0 = np.zeros(spec.shape, dtype=complex)
     diffs: list[float] = []
     ratios: list[float] = []
-    cg_iters: list[int] = []
     cg_res: list[float] = []
     u0c = prob.u0.coeffs.astype(complex)
 
     for _ in range(FIXEDPOINT_MAX_ITER):
         k_phi = _nonlinear_correction(prob, op, phi0)
-        phi_new, iters, relres = _solve_hum_system(prob, op, -1j * (u0c - k_phi))
-        cg_iters.append(iters)
+        phi_new, relres = _solve_hum_system(prob, op, -1j * (u0c - k_phi))
         cg_res.append(relres)
         diff = hs_norm(spec, phi_new - phi0, -2.0)
         if diffs and diffs[-1] > 0.0:
@@ -483,7 +504,7 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
 
     return _certificate(
         prob, op, "nonlinear", phi0, _verify_integrator(prob, op, phi0, nonlinear=True),
-        cg_iterations=tuple(cg_iters), cg_residuals=tuple(cg_res),
+        cg_residuals=tuple(cg_res),
         fixedpoint_diffs=tuple(diffs), contraction_ratios=tuple(ratios),
     )
 

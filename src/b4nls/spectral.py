@@ -430,6 +430,27 @@ def kernel_rows(
     return out
 
 
+def block_layout(profile: DampingProfile, modes: np.ndarray) -> np.ndarray:
+    """The flat indices modes of a lattice cube of side m, in lattice order,
+    as m^(d-v) rows of m^v: the cube ordered as (the profile's constant
+    axes, the v axes it varies on). A kernel of grid products with the
+    profile is diagonal in the constant axes' wavenumbers: no row maps
+    into another."""
+    d = profile.spec.d
+    varying = [axis for axis in range(d) if profile.compact.shape[axis] > 1]
+    order = [axis for axis in range(d) if axis not in varying] + varying
+    m = round(len(modes) ** (1.0 / d))
+    return modes.reshape((m,) * d).transpose(order).reshape(-1, m ** len(varying))
+
+
+def blockwise(blocks: np.ndarray, layout: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """blocks[j] applied to c on the flat indices layout[j], for each row j
+    of a block_layout; zero off the layout."""
+    out = np.zeros(c.shape, dtype=complex)
+    out.reshape(-1)[layout] = (blocks @ c.reshape(-1)[layout][..., None])[..., 0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # norms and multipliers
 # ---------------------------------------------------------------------------

@@ -250,9 +250,7 @@ NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
         (NONLINEAR + "solve_dt = 0\n", "verify_dt and solve_dt must be positive"),
         # a negative tolerance ran 600 CG iterations and exited 1
         (BANDED + "cg_tol = -1\n", "cg_tol must lie in (0, 1)"),
-        # no CG iteration ran and the message blamed GCC; a nonpositive
-        # fixed-point tolerance was reported as a too-large datum
-        (BANDED + "cg_max_iter = 0\n", "cg_max_iter >= 1"),
+        # a nonpositive fixed-point tolerance was reported as a too-large datum
         (NONLINEAR + "fixedpoint_tol = -1\n", "fixedpoint_tol must be positive"),
         # NaN region data gave an all-zero damping profile and exit 0
         (STABILIZE + "[region]\nsmoothing_width = nan\n",
@@ -282,7 +280,7 @@ NONLINEAR = BANDED.replace("control-linear", "control-nonlinear")
     ],
     ids=["sweep-quad_dt", "sweep-T", "bourgain-b", "simulate-stride", "gcc-n_angles",
          "simulate-T-inf", "sweep-T-inf", "solver-dt-nan", "verify_dt-nan",
-         "verify_dt-negative", "solve_dt-zero", "cg_tol-negative", "cg_max_iter-zero",
+         "verify_dt-negative", "solve_dt-zero", "cg_tol-negative",
          "fixedpoint_tol-negative", "smoothing_width-nan", "lo-nan", "duplicate-key",
          "bad-interpolation", "stabilize-zero-datum", "stabilize-datum-outside-ball",
          "misspelt-key", "control-solver-dt", "control-k_nl-zero", "plane-wave-datum_norm",

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import b4nls as b
-from b4nls import dynamics, hum
+from b4nls import cli, dynamics, hum
 from b4nls.hum import (
     HumOperator,
     backward_forced_initial,
@@ -15,6 +16,7 @@ from b4nls.hum import (
     multiplication_matrix,
     time_average_kernel,
 )
+from b4nls.linalg import cg_hermitian
 from b4nls.spectral import box_mask, smoothing_multiplier
 
 PI = math.pi
@@ -219,7 +221,7 @@ def test_linear_control_zero_problem():
     cert = b.solve_linear_control(prob)
     assert cert.terminal_residual == 0.0
     assert cert.integrator_residual == 0.0
-    assert cert.cg_iterations == (0,)
+    assert cert.cg_residuals == (0.0,) and cert.lambda_min > 0.0
 
 
 def test_linear_control_full_weight_closed_form_datum():
@@ -272,47 +274,147 @@ def test_linear_control_band_restriction():
     assert 1e-9 <= cert.relative_residual <= 1e-3
 
 
-def test_cg_stagnation_reports_observability():
-    spec = b.make_torus(1, 32, 1.0)
-    u0 = b.normalize_sobolev(rand_field(spec, 11, decay=2.0), 2.0, 1.0)
-    prob = b.ControlProblem(
-        spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12, cg_max_iter=3
-    )
-    with pytest.raises(b.ControlStagnationError, match="observable"):
-        b.solve_linear_control(prob)
+def _one_point_profile(spec):
+    values = np.zeros(spec.shape)
+    values[(0,) * spec.d] = 1.0
+    return b.DampingProfile(spec, values)
 
 
-def test_cg_gate_reads_the_true_residual(monkeypatch):
-    # cg_hermitian reports its recursive estimate; the HUM gate and the
-    # certificate use ||b - Lambda[S, S] x|| / ||b||, computed afresh
+@pytest.mark.parametrize(
+    "profile", [lambda spec: b.constant_profile(spec, 0.0), _one_point_profile],
+    ids=["zero-profile", "one-point-profile"],
+)
+def test_singular_gramian_exits_1_as_unobservable(tmp_path, capsys, monkeypatch, profile):
+    # a zero profile gives Lambda = 0; a profile on one grid point gives a
+    # rank-one A, and Lambda's rows at k and -k, which share a frequency,
+    # are parallel. The solve's true residual refuses both, with no warning.
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 11, decay=2.0), 2.0, 1.0)
-    prob = b.ControlProblem(
-        spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12, cg_max_iter=3
-    )
+    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=profile(spec))
+    monkeypatch.setattr(cli, "_build_profile", lambda cfg, spec: profile(spec))
+    path = tmp_path / "run.ini"
+    path.write_text("[experiment]\nkind = control-linear\n[manifold]\nd = 1\nN = 32\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(b.ControlStagnationError, match="observable"):
+            b.solve_linear_control(prob)
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "observable" in err and "Traceback" not in err
+
+
+def test_certificate_residual_is_the_true_residual():
+    # the gate and the certificate read ||b - Lambda[S, S] x|| / ||b||,
+    # computed afresh on the whole block; lambda_min and condition are the
+    # extreme eigenvalues of that block
+    spec = b.make_torus(1, 32, 1.0)
+    u0 = b.normalize_sobolev(rand_field(spec, 11, decay=2.0), 2.0, 1.0)
+    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12)
+    cert = b.solve_linear_control(prob)
     op = HumOperator(spec, prob.phi, prob.T)
-    rhs = hum._transported_rhs(prob)
-    with pytest.raises(b.ControlStagnationError, match="observable"):
-        hum._solve_hum_system(prob, op, rhs)
-    cg = hum.cg_hermitian
-    monkeypatch.setattr(
-        hum, "cg_hermitian", lambda *args, **kw: cg(*args, **kw)[:2] + (0.0,)
-    )
-    with pytest.raises(b.ControlStagnationError, match="observable"):
-        hum._solve_hum_system(prob, op, rhs)
-
-    monkeypatch.undo()
-    cert = b.solve_linear_control(dataclasses.replace(prob, cg_max_iter=600))
-    bs = rhs.ravel()[op.support]
+    bs = hum._transported_rhs(prob).ravel()[op.support]
     true = np.linalg.norm(bs - op.block @ cert.dual_datum.ravel()[op.support])
     assert cert.cg_residuals[0] == pytest.approx(true / np.linalg.norm(bs), rel=1e-12)
     assert cert.cg_residuals[0] <= prob.cg_tol
+    ev = np.linalg.eigvalsh(op.block)
+    assert cert.lambda_min == pytest.approx(ev[0], rel=1e-8)
+    assert cert.condition == pytest.approx(ev[-1] / ev[0], rel=1e-8)
+
+
+@pytest.mark.parametrize("d,N,width", [(2, 16, 0.6), (3, 8, 0.6)])
+@pytest.mark.parametrize("band", [None, 2])
+def test_strip_gramian_is_block_diagonal(d, N, width, band):
+    # a strip across axis 0 is constant along the others: Lambda[S, S] maps
+    # no block of the layout into another, exactly
+    spec = b.make_torus(d, N, 1.0)
+    op = HumOperator(spec, strip_phi(spec, width), 0.8, band=band)
+    m = N if band is None else 2 * band + 1
+    p = np.searchsorted(op.support, op.layout)
+    assert p.shape == (m ** (d - 1), m)
+    assert np.array_equal(np.sort(p.ravel()), np.arange(len(op.support)))
+    on = np.zeros(op.block.shape, dtype=bool)
+    on[p[:, :, None], p[:, None, :]] = True
+    assert np.all(op.block[~on] == 0.0)
+    assert np.all(np.abs(np.diagonal(op.block)) > 0.0)
+
+
+@pytest.mark.parametrize("d,N,band", [(1, 32, None), (2, 16, 3), (2, 16, None)])
+def test_block_solve_matches_a_dense_solve(d, N, band):
+    spec = b.make_torus(d, N, 1.0)
+    u0 = b.normalize_sobolev(rand_field(spec, 17, decay=2.0, band=3), 2.0, 1.0)
+    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec, 0.6),
+                            control_band=band)
+    op = HumOperator(spec, prob.phi, prob.T, band=band)
+    rhs = hum._transported_rhs(prob)
+    v0, _ = hum._solve_hum_system(prob, op, rhs)
+    dense = np.linalg.solve(op.block, rhs.ravel()[op.support])
+    x = v0.ravel()[op.support]
+    assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_block_solve_matches_the_cg_oracle():
+    # a well-conditioned d1N32 problem (band 3, cond about 66): CG to 1e-13
+    # lands on the factored solve
+    spec = b.make_torus(1, 32, 1.0)
+    u0 = b.normalize_sobolev(rand_field(spec, 18, decay=2.0, band=3), 2.0, 1.0)
+    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
+    op = HumOperator(spec, prob.phi, prob.T, band=3)
+    rhs = hum._transported_rhs(prob)
+    bs = rhs.ravel()[op.support]
+    x_cg, _, _ = cg_hermitian(lambda z: op.block @ z, bs, tol=1e-13, max_iter=200)
+    x = hum._solve_hum_system(prob, op, rhs)[0].ravel()[op.support]
+    assert np.linalg.norm(x - x_cg) <= 1e-11 * np.linalg.norm(x_cg)
+
+
+def test_the_factors_are_built_once_per_operator(monkeypatch):
+    # the fixed point reuses one factorization; re-verifying factors nothing
+    spec = b.make_torus(1, 32, 1.0)
+    u0 = b.normalize_sobolev(rand_field(spec, 16, decay=2.0, band=5), 2.0, 1e-2)
+    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), verify_dt=1e-3)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    cert = b.solve_nonlinear_control(prob)
+    assert len(cert.cg_residuals) >= 3 and len(calls) == 1
+    b.verify_certificate(prob, cert)
+    assert len(calls) == 1
+
+
+def test_control_outputs_reproduce_under_a_roundoff_scaling(monkeypatch):
+    # the bench's control-linear setup (d2N32, strip (1,3), band 3); scaling
+    # A, Lambda[:, S] and Lambda[S, S] by 1 + 2^-52 leaves the residuals of
+    # the factored solve in place to 1e-13
+    spec = b.make_torus(2, 32, 1.0)
+    u0 = b.normalize_sobolev(rand_field(spec, 3, decay=2.0, band=3), 2.0, 1.0)
+    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0,
+                            phi=b.make_damping_profile(spec, b.Strip(1.0, 3.0)),
+                            control_band=3, verify_dt=1e-3)
+    ref = b.solve_linear_control(prob)
+    init = HumOperator.__init__
+
+    def scaled(self, *args, **kw):
+        init(self, *args, **kw)
+        for part in ("A", "matrix", "block"):
+            getattr(self, part)[...] *= 1.0 + 2.0**-52
+
+    monkeypatch.setattr(HumOperator, "__init__", scaled)
+    cert = b.solve_linear_control(prob)
+    for field in ("terminal_residual", "relative_residual", "integrator_residual"):
+        assert getattr(cert, field) == pytest.approx(getattr(ref, field), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("field", ["T", "verify_dt", "solve_dt"])
+def test_control_problem_refuses_an_infinite_horizon_or_step(field):
+    # all three constructed and failed only in the verifying march
+    spec = b.make_torus(1, 32, 1.0)
+    kw = {"T": 1.0, field: math.inf}
+    with pytest.raises(ValueError, match="finite"):
+        b.ControlProblem(spec=spec, u0=rand_field(spec, 19, band=3), phi=strip_phi(spec), **kw)
 
 
 def test_grid_refinement_stability():
     # band-limited datum: doubling N barely moves the terminal miss in the
-    # L^2 pivot where CG runs (the H^2 report just reweights the same
-    # CG-floor residual)
+    # L^2 pivot of the HUM system (the H^2 report just reweights the same
+    # residual)
     datum_band = 5
     cg_tol = 1e-10
     rng = np.random.default_rng(12)

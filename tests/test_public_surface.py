@@ -33,6 +33,7 @@ ORACLES = {
     "contains": "test_gcc.py::assert_first_hit",
     "lanczos_extreme": "test_observability.py::test_lanczos_matches_dense_across_bands",
     "multiplication_matrix": "test_spectral_core.py::test_kernel_rows_match_the_dense_oracle",
+    "cg_hermitian": "test_hum.py::test_block_solve_matches_the_cg_oracle",
 }
 
 
