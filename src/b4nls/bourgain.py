@@ -301,6 +301,8 @@ def trilinear_constant_probe(
     random tapered band-limited fields on the window [0, 2pi]."""
     if not 0.0 < b_prime < 0.5:
         raise ValueError("need 0 < b' < 1/2")
+    if not math.isfinite(s):  # a NaN ratio would lose to max(0.0, .) unseen
+        raise ValueError(f"s must be finite, got {s}")
     if space_band is None:
         space_band = spec.N // 8
     check_probe_inputs(n_samples, M_t, space_band, time_band)

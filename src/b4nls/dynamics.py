@@ -52,9 +52,10 @@ from .spectral import (
     _grid_modulus,
     block_layout,
     blockwise,
+    check_block_entries,
     dealiased_nonlinear_term,
     hs_norm,
-    kernel_rows,
+    kernel_blocks,
     load_field,
     sandwich,
     save_field,
@@ -65,12 +66,6 @@ from .spectral import (
 # A run stops with BlowUpError once a recorded H^2 norm exceeds this
 # multiple of the initial one (of 1 for zero initial data).
 BLOWUP_FACTOR = 1e6
-
-# Entries of the damping operator's blocks (64 MiB of complex), the cap of
-# hum.MAX_OPERATOR_ENTRIES. A d2N64 ball, one block of 43^2 modes, is near
-# it: 2.2 s to build and about 4 ms per step on a 2-core Xeon VM, and the
-# cost grows as the square of the block size.
-MAX_BLOCK_ENTRIES = 2**22
 
 
 class BlowUpError(RuntimeError):
@@ -293,13 +288,8 @@ def damping_layout(profile: DampingProfile) -> np.ndarray:
     modes for a profile that varies along v axes. D's blocks hold m^(d+v)
     entries; ValueError above MAX_BLOCK_ENTRIES."""
     layout = block_layout(profile, np.flatnonzero(profile.spec.dealias_mask))
-    entries = layout.size * layout.shape[1]
-    if entries > MAX_BLOCK_ENTRIES:
-        raise ValueError(
-            f"the damping operator's blocks need {entries} entries ({16 * entries} bytes), "
-            f"above the cap of {MAX_BLOCK_ENTRIES}; use a profile constant along more "
-            "axes, or a smaller N"
-        )
+    check_block_entries(layout.size * layout.shape[1], "the damping operator's blocks",
+                        "use a profile constant along more axes, or a smaller N")
     return layout
 
 
@@ -308,11 +298,9 @@ class _DampingOperator:
     the solve of J w = (1 - i D) w = v.
 
     The box is grouped by damping_layout into m^(d-v) blocks of m^v
-    modes: D maps no block into another. Field j, 1 on every box mode
-    whose varying-axis index is j, gives column j of every block in one
-    apply, so the blocks take m^v applies of D; J is then inverted once
-    per block. A constant profile has v = 0: blocks of one mode, a
-    diagonal D.
+    modes: D maps no block into another, so kernel_blocks builds every
+    block from m^v applies of D; J is then inverted once per block. A
+    constant profile has v = 0: blocks of one mode, a diagonal D.
 
     An apply is two profile products on the compact profile, each one
     transform pass per axis the profile varies on and one back: 4 one-axis
@@ -324,12 +312,8 @@ class _DampingOperator:
         self.a = profile.compact
         self.s2 = smoothing_multiplier(spec, 2)
         self.layout = damping_layout(profile)
-        idx = self.layout.ravel()  # box modes, block by block
-        size = self.layout.shape[1]
-        fields = np.arange(len(idx)) % size == np.arange(size)[:, None]
-        cols = kernel_rows(spec, self.apply, fields, idx, idx)
-        d_blocks = cols.reshape(size, -1, size).transpose(1, 2, 0)
-        self.j = np.eye(size) - 1j * d_blocks
+        d_blocks = kernel_blocks(spec, self.apply, self.layout, self.layout)
+        self.j = np.eye(self.layout.shape[1]) - 1j * d_blocks
         self.j_inv = np.linalg.inv(self.j)
 
     def apply(self, c: np.ndarray) -> np.ndarray:

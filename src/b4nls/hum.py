@@ -22,22 +22,19 @@ matrix-free Gramian) is the one sampled duality integral
 `backward_forced_initial`.
 
 The dual datum lives on a support S: the modes of the control band, or
-every mode without one. Nothing reads a column of Lambda or A outside S, so
-the operator assembles only A[:, S], the spectral kernel's control weight
-(`sandwich` with (1-Lap)^{-2}) on the basis vectors of S through the block
-builder `kernel_rows`, and Lambda[:, S]. The solve factors the block
-Lambda[S, S], the closed-form certificate applies Lambda[:, S] to v0[S],
-and the control forcing applies A[:, S] to e^{itX_S} v0[S]. A banded
-operator thus holds n |S| entries instead of n^2. The dense multiplication
-matrix of phi is the test oracle of the grid products; no run path builds
-it.
+every mode without one. A and Lambda are diagonal in the wavenumbers of
+the axes along which phi is constant, so `operator_layout` groups S by
+`block_layout` and gives each group its rows, the modes A maps it into.
+The operator keeps only the blocks of A, the spectral kernel's control
+weight (`sandwich` with (1-Lap)^{-2}) from `kernel_blocks`, and of Lambda
+on those rows and columns. The dense multiplication matrix of phi is the
+test oracle of the grid products; no run path builds it.
 
 The system is solved directly in L^2: one batched eigh factors Lambda[S, S]
-by the blocks of `block_layout` once per operator, and a solve is one
-batched product. The certificate reports the smallest eigenvalue, the
-discrete observability constant (Lions, SIAM Rev. 30 (1988)), and the
-condition number, where the H^{-2} -> H^2 character of the continuum
-operator shows unpreconditioned.
+by its blocks once per operator, and a solve is one batched product. The
+certificate reports the smallest eigenvalue, the discrete observability
+constant (Lions, SIAM Rev. 30 (1988)), and the condition number, where the
+H^{-2} -> H^2 character of the continuum operator shows unpreconditioned.
 
 The nonlinear local control iterates the contraction
 
@@ -72,21 +69,16 @@ from .spectral import (
     block_layout,
     blockwise,
     box_mask,
+    check_block_entries,
     dealiased_nonlinear_term,
     free_phase,
     hs_norm,
-    kernel_rows,
+    kernel_blocks,
     sandwich,
     smoothing_multiplier,
     sobolev_norm,
 )
 
-
-# entries of A[:, S] and of Lambda[:, S] a ControlProblem may need (64 MiB
-# each). At the cap, d1N2048 with no band, Lambda[S, S] is one block of 2048
-# (cond 5.8e11 on the default strip): its eigh takes 11 s on a 2-core Xeon VM
-# with one BLAS thread, where CG took 0.3 s, or stalled after 1.8 s.
-MAX_OPERATOR_ENTRIES = 2**22
 
 # the nonlinear control runs at most FIXEDPOINT_MAX_ITER fixed-point updates
 FIXEDPOINT_MAX_ITER = 12
@@ -117,9 +109,9 @@ class ControlProblem:
     control operator enters the certified residual honestly. Construction
     checks every input rule of the problem, so a problem that exists can be
     solved: the transported datum -i (u0 - e^{-iTL} u_target) must lie in
-    the band, and a problem whose operator would exceed
-    MAX_OPERATOR_ENTRIES (n_modes x |S|) is refused before anything is
-    assembled.
+    the band, and a problem whose blocks of A would exceed
+    MAX_BLOCK_ENTRIES (|S| N^v for a profile that varies along v axes) is
+    refused before anything is assembled.
 
     A HUM solve whose true relative residual ||b - Lambda[S, S] x|| / ||b||
     is not at most 100 cg_tol raises ControlStagnationError.
@@ -154,16 +146,11 @@ class ControlProblem:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if not self.fixedpoint_tol > 0.0:
             raise ValueError("fixedpoint_tol must be positive")
-        n = self.spec.n_modes
-        support = dual_support(self.spec, band)
-        m = len(support)
-        if n * m > MAX_OPERATOR_ENTRIES:
-            raise ValueError(
-                f"the HUM operator needs {2 * 16 * n * m} bytes for A and Lambda ({n} x {m} "
-                f"complex each), above the cap of {MAX_OPERATOR_ENTRIES} entries; narrow the band"
-            )
+        layout, rows = operator_layout(self.phi, band)
+        check_block_entries(layout.size * rows.shape[1], "the HUM operator's blocks of A",
+                            "narrow the band")
         rhs = _transported_rhs(self)
-        if np.linalg.norm(np.delete(rhs, support)) > 1e-12 * max(np.linalg.norm(rhs), 1.0):
+        if np.linalg.norm(np.delete(rhs, layout)) > 1e-12 * max(np.linalg.norm(rhs), 1.0):
             raise ValueError(
                 f"the datum has content outside the control band (control_band = {band})"
             )
@@ -203,17 +190,23 @@ class ControlCertificate:
 # the duality operator
 # ---------------------------------------------------------------------------
 
-def dual_support(spec: ManifoldSpec, band: int | None) -> np.ndarray:
-    """The flat lattice indices S a dual datum may occupy: the modes with
-    every |k_i| <= band, or every mode when band is None."""
-    if band is None:
-        return np.arange(spec.n_modes)
-    return np.flatnonzero(box_mask(spec, band))
+def operator_layout(phi: DampingProfile, band: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(layout, rows): the support S a dual datum may occupy, the modes with
+    every |k_i| <= band or every mode when band is None, as the m^(d-v)
+    groups of m^v modes of block_layout (phi varies along v axes); and for
+    each group the N^v modes A maps it into, those with its wavenumbers on
+    the other axes, the group's own first."""
+    spec = phi.spec
+    full = block_layout(phi, np.arange(spec.n_modes))
+    layout = full if band is None else block_layout(phi, np.flatnonzero(box_mask(spec, band)))
+    rows = full[np.isin(full, layout).any(axis=1)]
+    own = np.isin(rows[0], layout[0])  # the same places in every group
+    return layout, np.concatenate([rows[:, own], rows[:, ~own]], axis=1)
 
 
 def multiplication_matrix(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     """Dense matrix of grid multiplication by a real profile, e_k basis:
-    the test oracle of the grid products and of `kernel_rows`.
+    the test oracle of the grid products and of `kernel_blocks`.
 
     Entries are the circularly wrapped Fourier coefficients of the profile,
     identical to the aliased grid product, so the dense and matrix-free
@@ -232,7 +225,8 @@ def time_average_kernel(
 ) -> np.ndarray:
     """E[l,k] = int_0^T exp(i t w) dt with w = X_k - X_l, by one rule.
 
-    Rows run over X, columns over X[cols] (all of X when cols is None).
+    Rows run over X's last axis and columns over X[..., cols] (all of it
+    when cols is None); leading axes, such as a block stack's, broadcast.
     quadrature None gives the exact integral; a float dt gives the
     composite trapezoid sum on the steps of `step_grid(T, dt)`; at T = 0,
     which has no step, both are the zero matrix. Both are one closed form,
@@ -246,8 +240,8 @@ def time_average_kernel(
     """
     if T == 0.0:
         quadrature = None
-    Xc = X if cols is None else X[cols]
-    h = Xc[None, :] - X[:, None]  # w, until it becomes h
+    Xc = X if cols is None else X[..., cols]
+    h = Xc[..., None, :] - X[..., :, None]  # w, until it becomes h
     E = np.empty(h.shape, dtype=complex)
     if quadrature is not None:
         # the trapezoid sum sees w only modulo 2pi/dt, and so does the closed
@@ -270,14 +264,12 @@ def time_average_kernel(
 
 
 class HumOperator:
-    """Lambda for one (phi, T) pair, assembled on the columns of the support.
+    """Lambda for one (phi, T) pair, by the blocks of operator_layout.
 
-    support holds the flat lattice indices S that a dual datum may occupy,
-    dual_support(spec, band). The operator keeps A = A[:, S] and matrix =
-    Lambda[:, S], both of shape (n_modes, |S|), and block = Lambda[S, S],
-    the Hermitian matrix the HUM system solves with. Vectors on S are given
-    in support order. layout is S grouped by block_layout: block's entries
-    between two of its rows are exactly 0.0.
+    A and matrix are the stacks A[rows[j], layout[j]] and
+    Lambda[rows[j], layout[j]], shape (groups, N^v, m^v); every other entry
+    of either is exactly 0.0. block, a view of matrix's first m^v rows,
+    stacks Lambda[S, S]'s blocks. Vectors on S are given in layout order.
     """
 
     def __init__(
@@ -288,46 +280,52 @@ class HumOperator:
         band: int | None = None,
     ):
         self.spec = spec
-        self.support = dual_support(spec, band)
+        self.layout, self.rows = operator_layout(phi, band)
         s2 = smoothing_multiplier(spec, 2)
-        self.A = kernel_rows(  # phi (1-Lap)^{-2} phi, columns S
-            spec, lambda f: sandwich(spec, phi.compact, s2, f),
-            np.eye(len(self.support), dtype=complex), self.support, np.arange(spec.n_modes),
-        ).T
-        self.matrix = time_average_kernel(spec.dispersion.ravel(), T, None, self.support)
+        self.A = kernel_blocks(  # phi (1-Lap)^{-2} phi
+            spec, lambda f: sandwich(spec, phi.compact, s2, f), self.layout, self.rows,
+        )
+        m = self.layout.shape[1]
+        self.matrix = time_average_kernel(spec.dispersion.ravel()[self.rows], T, None, np.arange(m))
         self.matrix *= self.A
-        # without a band the block is the whole matrix, not a copy of it
-        self.block = self.matrix if band is None else self.matrix[self.support]
-        self.layout = block_layout(phi, self.support)
+        self.block = self.matrix[:, :m]
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, inv): the blocks' eigenvalues by one batched eigh on the first
         solve, and their inverses V diag(1/w) V^H, a zero eigenvalue's
         component left out so that no division warns."""
-        p = np.searchsorted(self.support, self.layout)  # the layout's places in S
-        w, V = np.linalg.eigh(self.block[p[:, :, None], p[:, None, :]])
+        w, V = np.linalg.eigh(self.block)
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0.0)
         return w, (V * inv_w[:, None, :]) @ np.swapaxes(V, 1, 2).conj()
 
+    def _scatter(self, blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """blocks applied to a stack of w given on the layout, (..., groups,
+        m^v), as a stack of lattice coeffs: one product per group."""
+        lead, g = w.shape[:-2], len(blocks)
+        y = np.moveaxis(w, -2, 0).reshape(g, -1, w.shape[-1]) @ np.swapaxes(blocks, 1, 2)
+        out = np.zeros(lead + (self.spec.n_modes,), dtype=complex)
+        out[..., self.rows] = np.moveaxis(y.reshape((g,) + lead + (-1,)), 0, -2)
+        return out.reshape(lead + self.spec.shape)
+
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Lambda c for lattice coefficients c supported on S."""
-        return (self.matrix @ coeffs.ravel()[self.support]).reshape(self.spec.shape)
+        return self._scatter(self.matrix, coeffs.ravel()[self.layout])
 
     def control_weight(self, w: np.ndarray) -> np.ndarray:
-        """A w = phi (1-Lap)^{-2} (phi w) for a stack of w given on S, as a
-        stack of lattice coeffs."""
-        return (w @ self.A.T).reshape(w.shape[:-1] + self.spec.shape)
+        """A w = phi (1-Lap)^{-2} (phi w) for a stack of w given on the
+        layout, (..., groups, m^v), as a stack of lattice coeffs."""
+        return self._scatter(self.A, w)
 
 
 def control_forcing(op: HumOperator, v0: np.ndarray):
     """Map ts -> coefficients of A e^{itL} v0 at each time of the array ts,
-    a (len(ts),) + lattice stack, exact at any stage time. Only v0 on the
-    support S is read: h(t) = A[:, S] (e^{itX_S} v0[S]), one |ts| x |S|
-    phase block and one product through control_weight for all the times.
+    a (len(ts),) + lattice stack, exact at any stage time. Only v0 on S is
+    read: one phase stack on the layout and one control_weight product per
+    group for all the times.
     """
-    X = op.spec.dispersion.ravel()[op.support]
-    v = v0.ravel()[op.support]
+    X = op.spec.dispersion.ravel()[op.layout]
+    v = v0.ravel()[op.layout]
     return lambda ts: op.control_weight(free_phase(ts, X) * v)
 
 
@@ -363,9 +361,9 @@ def _solve_hum_system(
     residual ||b - Lambda[S, S] x|| / ||b||, so a singular Lambda fails it."""
     w, inv = op.factors
     v0 = blockwise(inv, op.layout, rhs)
-    b = rhs.ravel()[op.support]
+    b = rhs.ravel()[op.layout]
     bnorm = float(np.linalg.norm(b))
-    relres = float(np.linalg.norm(b - op.block @ v0.ravel()[op.support]))
+    relres = float(np.linalg.norm(b - blockwise(op.block, op.layout, v0).ravel()[op.layout]))
     relres = relres / bnorm if bnorm > 0.0 else 0.0
     if not relres <= 100.0 * prob.cg_tol:
         raise ControlStagnationError(

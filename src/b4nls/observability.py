@@ -10,14 +10,15 @@ numerical shadow of the frequency-cutoff observability inequality.
 The band matrix (`BandGramian.dense`) is the closed form of the trapezoid
 time average on the `dynamics.step_grid` steps, `hum.time_average_kernel`
 (one formula with HUM's exact integral), multiplied in place by the weight's
-band block from the spectral kernel's block builder; both extreme
-eigenvalues come from `np.linalg.eigvalsh`. At T = 0 the time kernel is
-the zero matrix. `check_gramian_sweep` owns a sweep's input rules (T >= 0,
-quad_dt > 0, bands of 1 to sqrt(MAX_BAND_ENTRIES) modes). The matrix-free
-route (`BandGramian.apply`) is the independent one: it samples m e^{itL} v
-on the nodes and integrates them with the one sampled duality integral,
-`hum.backward_forced_initial`; the tests drive it through Lanczos with full
-reorthogonalization and hold the two together.
+band block from the spectral kernel's block builder, the band as one
+group; both extreme eigenvalues come from `np.linalg.eigvalsh`. At T = 0
+the time kernel is the zero matrix. `check_gramian_sweep` owns a sweep's
+input rules (finite T >= 0 and quad_dt > 0, bands of 1 to
+sqrt(MAX_BAND_ENTRIES) modes), and a sweep builds each band once. The
+matrix-free route (`BandGramian.apply`) is the independent one: it samples
+m e^{itL} v on the nodes and integrates them with the one sampled duality
+integral, `hum.backward_forced_initial`; the tests drive it through Lanczos
+with full reorthogonalization and hold the two together.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .spectral import (
     ManifoldSpec,
     band_mode_mask,
     free_phase,
-    kernel_rows,
+    kernel_blocks,
     profile_product,
 )
 
@@ -100,21 +101,20 @@ class BandGramian:
         place by the weight's band block."""
         spec, idx = self.spec, self.band_idx
         G = time_average_kernel(self.X[idx], self.T, self.quad_dt)
-        G *= kernel_rows(
-            spec, lambda f: profile_product(spec, self.weight_values, f),
-            np.eye(self.band_dim, dtype=complex), idx, idx,
-        ).T
+        G *= kernel_blocks(
+            spec, lambda f: profile_product(spec, self.weight_values, f), idx[None], idx[None],
+        )[0]
         return G
 
 
 def check_gramian_sweep(spec: ManifoldSpec, T: float, h_values, quad_dt: float) -> list:
     """The flat lattice indices of the band kappa(h^2 |k|^2) > 0 of each h;
-    ValueError unless T >= 0, quad_dt > 0 and each band has a mode and a
-    dense Gramian of at most MAX_BAND_ENTRIES entries."""
-    if not T >= 0.0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    if not quad_dt > 0.0:
-        raise ValueError(f"quad_dt must be positive, got {quad_dt}")
+    ValueError unless T >= 0 and quad_dt > 0 are finite and each band has a
+    mode and a dense Gramian of at most MAX_BAND_ENTRIES entries."""
+    if not 0.0 <= T < np.inf:
+        raise ValueError(f"T must be >= 0 and finite, got {T}")
+    if not 0.0 < quad_dt < np.inf:
+        raise ValueError(f"quad_dt must be positive and finite, got {quad_dt}")
     bands = [np.flatnonzero(band_mode_mask(spec, h).ravel()) for h in h_values]
     for h, idx in zip(h_values, bands):
         if len(idx) == 0:
@@ -124,6 +124,19 @@ def check_gramian_sweep(spec: ManifoldSpec, T: float, h_values, quad_dt: float) 
     return bands
 
 
+def _reports(profile: DampingProfile, T: float, h_values, quad_dt: float) -> list[GramianReport]:
+    """The report of each h, its band checked and then built once from the
+    indices check_gramian_sweep returned; both extreme eigenvalues come from
+    eigvalsh of the dense closed-form band matrix."""
+    reports = []
+    for h, idx in zip(h_values, check_gramian_sweep(profile.spec, T, h_values, quad_dt)):
+        g = BandGramian(profile.spec, profile.compact, T, quad_dt, idx)
+        evals = np.linalg.eigvalsh(g.dense())
+        reports.append(GramianReport(h=h, band_dim=g.band_dim, T=T, min_eig=float(evals[0]),
+                                     max_eig=float(evals[-1])))
+    return reports
+
+
 def band_gramian_min_eig(
     profile: DampingProfile,
     T: float,
@@ -131,16 +144,8 @@ def band_gramian_min_eig(
     quad_dt: float = 1e-3,
 ) -> GramianReport:
     """Smallest Gramian eigenvalue on the band kappa(h^2 |k|^2) > 0, for the
-    weight of a damping profile.
-
-    Both extremes come from eigvalsh of the dense closed-form band matrix.
-    """
-    idx, = check_gramian_sweep(profile.spec, T, [h], quad_dt)
-    g = BandGramian(profile.spec, profile.compact, T, quad_dt, idx)
-    evals = np.linalg.eigvalsh(g.dense())
-    return GramianReport(
-        h=h, band_dim=g.band_dim, T=T, min_eig=float(evals[0]), max_eig=float(evals[-1]),
-    )
+    weight of a damping profile, with the largest."""
+    return _reports(profile, T, [h], quad_dt)[0]
 
 
 def gramian_sweep(
@@ -150,6 +155,4 @@ def gramian_sweep(
     quad_dt: float = 1e-3,
 ) -> list[GramianReport]:
     """Gramian floors across the scales h = 2^{-j}, every band checked first."""
-    h_values = [2.0 ** (-j) for j in j_values]
-    check_gramian_sweep(profile.spec, T, h_values, quad_dt)
-    return [band_gramian_min_eig(profile, T, h, quad_dt) for h in h_values]
+    return _reports(profile, T, [2.0 ** (-j) for j in j_values], quad_dt)

@@ -33,10 +33,10 @@ passes skip the lines that are zero outside the box, and its forward passes
 compute only the lines the box keeps.
 
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
-the damping operator and the HUM operator both apply it. Dense blocks of a
-kernel, M[rows, cols], come from one builder, kernel_rows, which applies
-the kernel to KERNEL_BATCH fields per call; the damping operator's
-blocks, the HUM operator and the band Gramian are built through it.
+the damping operator and the HUM operator both apply it. The dense blocks
+of a kernel that maps no group of modes into another come from one
+builder, kernel_blocks, one apply per mode of a group: D's blocks, HUM's A
+and the band Gramian's weight (one group) are built through it.
 
 Every H^s norm of coefficients is hs_norm, and every free phase e^{itX}
 over a dispersion array X is free_phase, except in the oracles
@@ -309,11 +309,11 @@ DENSE_TERM_WORK = 2**12
 @lru_cache(maxsize=16)
 def _dense_term_pair(spec: ManifoldSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The dealiased cubic term's transforms as n_modes x n_modes matrices,
-    tabulated by applying the kernel's own transforms to the identity, as
-    kernel_rows tabulates a kernel. Row m of inv is the signed grid of e_m,
-    zero for m outside spec.dealias_mask; row j of fwd is the signed
-    coefficients of the grid delta at x_j times the scale^(2k), zero in the
-    columns outside the mask. Built once per lattice and k, read-only."""
+    tabulated by applying the kernel's own transforms to the identity. Row
+    m of inv is the signed grid of e_m, zero for m outside
+    spec.dealias_mask; row j of fwd is the signed coefficients of the grid
+    delta at x_j times the scale^(2k), zero in the columns outside the
+    mask. Built once per lattice and k, read-only."""
     n = spec.n_modes
     eye = np.eye(n, dtype=complex).reshape((n,) + spec.shape)
     drop = ~spec.dealias_mask.ravel()
@@ -403,30 +403,40 @@ def sandwich(spec: ManifoldSpec, a: np.ndarray, m: np.ndarray, coeffs: np.ndarra
     return profile_product(spec, a, m * profile_product(spec, a, coeffs))
 
 
-# Fields per kernel call of kernel_rows: the transform temporaries stay the
-# size of KERNEL_BATCH fields however many rows a block has.
+# Fields per kernel call of kernel_blocks: the transform temporaries stay the
+# size of KERNEL_BATCH fields however wide a block is.
 KERNEL_BATCH = 8
 
+# Entries of one stack of blocks (64 MiB of complex), the one cap on what a
+# kernel's blocks may hold: D's blocks and J's inverses, HUM's A and Lambda.
+# Near it, on a 2-core Xeon VM with one BLAS thread: a d2N64 ball damping
+# operator, one block of 43^2 modes, takes 2.2 s to build and 13 ms per
+# ETDRK4 step; unbanded d1N2048 control, one block of 2048 (cond 5.8e11 on
+# the default strip), 1.1 s to build and 11-14 s for its eigh.
+MAX_BLOCK_ENTRIES = 2**22
 
-def kernel_rows(
-    spec: ManifoldSpec, kernel, x: np.ndarray, cols: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """The kernel applied to each row of x, read on the flat lattice indices
-    rows.
 
-    A row of x holds a field's coefficients on the flat indices cols (zero
-    elsewhere); kernel maps a stack of lattice fields to a stack. Row i of
-    the result is (M x_i)[rows] for the matrix M of the kernel, so x the
-    identity gives M[rows, cols]^T.
-    """
-    out = np.empty((len(x), len(rows)), dtype=complex)
-    fields = np.zeros((KERNEL_BATCH, spec.n_modes), dtype=complex)
-    for i in range(0, len(x), KERNEL_BATCH):
-        chunk = x[i:i + KERNEL_BATCH]
-        f = fields[:len(chunk)]
-        f[:, cols] = chunk
-        y = kernel(f.reshape((len(chunk),) + spec.shape))
-        out[i:i + len(chunk)] = y.reshape(len(chunk), -1)[:, rows]
+def check_block_entries(entries: int, what: str, advice: str) -> None:
+    """ValueError if a stack of blocks would hold over MAX_BLOCK_ENTRIES."""
+    if entries > MAX_BLOCK_ENTRIES:
+        raise ValueError(f"{what} need {entries} entries ({32 * entries} bytes for two "
+                         f"stacks), above the cap of {MAX_BLOCK_ENTRIES}; {advice}")
+
+
+def kernel_blocks(spec: ManifoldSpec, kernel, layout: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The stack of blocks M[rows[j], layout[j]] of the matrix M of a kernel
+    (a map of stacks of lattice fields) that maps the flat indices layout[j]
+    of each group j into rows[j] alone. Probe field i is 1 on layout[j, i]
+    for every j, so layout.shape[1] applies, KERNEL_BATCH fields per call,
+    give every block."""
+    size = layout.shape[1]
+    out = np.empty(rows.shape + (size,), dtype=complex)
+    for i in range(0, size, KERNEL_BATCH):
+        probe = layout[:, i:i + KERNEL_BATCH].T
+        fields = np.zeros((len(probe), spec.n_modes), dtype=complex)
+        fields[np.arange(len(probe))[:, None], probe] = 1.0
+        y = kernel(fields.reshape((len(probe),) + spec.shape)).reshape(len(probe), -1)
+        out[..., i:i + len(probe)] = np.moveaxis(y[:, rows], 0, -1)
     return out
 
 

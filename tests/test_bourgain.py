@@ -111,14 +111,17 @@ def test_probe_outputs_of_the_bench_config_are_pinned(tmp_path):
      ({"n_samples": 0}, "samples >= 1"),
      ({"M_t": 8}, "M_t must be even and > 8"),
      ({"M_t": 33}, "M_t must be even and > 8"),
-     ({"time_band": 64}, "time band out of range")],
+     ({"time_band": 64}, "time band out of range"),
+     ({"s": math.nan}, "s must be finite"),
+     ({"s": math.inf}, "s must be finite")],
 )
 def test_trilinear_probe_refuses_inputs_it_cannot_run(kwargs, message):
-    # a negative band or no sample returned 0.0, with no field drawn
-    args = {"n_samples": 4, "M_t": 128, "space_band": None, "time_band": 8, **kwargs}
+    # a negative band or no sample returned 0.0, with no field drawn; a NaN
+    # s made every ratio NaN, which max(0.0, nan) dropped, and reported 0.0
+    args = {"s": 2.0, "n_samples": 4, "M_t": 128, "space_band": None, "time_band": 8, **kwargs}
     with pytest.raises(ValueError, match=message):
         trilinear_constant_probe(
-            b.make_torus(1, 32, 1.0), 2.0, 0.45, args.pop("n_samples"),
+            b.make_torus(1, 32, 1.0), args.pop("s"), 0.45, args.pop("n_samples"),
             np.random.default_rng(0), **args,
         )
 

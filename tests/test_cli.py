@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import b4nls
 from b4nls import cli
 from b4nls.cli import EXPERIMENTS, main
+from b4nls.hum import HumOperator
 from b4nls.observability import MAX_BAND_ENTRIES
 from b4nls.resonance import MAX_SWEEP_KEYS
 from b4nls.spectral import band_mode_mask
@@ -397,14 +398,18 @@ def test_validate_refuses_damping_blocks_above_the_cap(tmp_path, capsys, d, N, c
 
 
 def test_validate_refuses_a_hum_operator_above_the_cap(tmp_path, capsys):
-    # unbanded at d2N64: A and Lambda would be 4096 x 4096 complex each
-    path = write_config(
-        tmp_path,
-        "[experiment]\nkind = control-linear\n[manifold]\nd = 2\nN = 64\n"
-        "[region]\nlo = 1.0\nhi = 3.0\n",
-    )
+    # unbanded at d2N64: a ball is one block, so A and Lambda would be
+    # 4096 x 4096 complex each; a strip splits them into 64 blocks of 64 x 64
+    # modes, 262,144 entries each, which fit
+    control = "[experiment]\nkind = control-linear\n[manifold]\nd = 2\nN = 64\n"
+    path = write_config(tmp_path, control + "[region]\ntype = ball\nradius = 2.5\n")
     assert main(["validate", path]) == 2
     assert f"{2 * 16 * 4096 * 4096} bytes" in capsys.readouterr().err
+    path = write_config(tmp_path, control + "[region]\nlo = 1.0\nhi = 3.0\n")
+    assert main(["validate", path]) == 0
+    spec = b4nls.make_torus(2, 64, 1.0)
+    phi = b4nls.make_damping_profile(spec, b4nls.Strip(1.0, 3.0))
+    assert HumOperator(spec, phi, 1.0).A.shape == (64, 64, 64)
 
 
 def test_run_onto_a_file_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from b4nls.hum import (
     time_average_kernel,
 )
 from b4nls.linalg import cg_hermitian
-from b4nls.spectral import box_mask, smoothing_multiplier
+from b4nls.spectral import MAX_BLOCK_ENTRIES, blockwise, box_mask, sandwich, smoothing_multiplier
 
 PI = math.pi
 
@@ -28,6 +28,15 @@ def strip_phi(spec, width=None):
 
 def rand_field(spec, seed, **kw):
     return b.random_field(spec, np.random.default_rng(seed), **kw)
+
+
+def dense_of(op, blocks):
+    """The n x n matrix that holds an operator's block stack on its
+    (rows x layout) entries and 0.0 elsewhere."""
+    n = op.spec.n_modes
+    out = np.zeros((n, n), dtype=complex)
+    out[op.rows[:, :, None], op.layout[:, None, :]] = blocks
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +98,23 @@ def test_time_kernel_holds_one_complex_array(quadrature):
 
 
 def test_the_dual_support_has_one_owner():
-    # the problem's operator cap and datum check and the operator's columns
-    # all read hum.dual_support: box_mask is called once in hum.py
+    # the problem's operator cap and datum check and the operator's blocks
+    # all read hum.operator_layout: box_mask is called once in hum.py
     spec = b.make_torus(2, 16, 1.0)
-    assert np.array_equal(hum.dual_support(spec, None), np.arange(spec.n_modes))
-    assert np.array_equal(hum.dual_support(spec, 3), np.flatnonzero(box_mask(spec, 3)))
     phi = strip_phi(spec, 0.6)
-    for band in (None, 3):
+    for band, S in ((None, np.arange(spec.n_modes)), (3, np.flatnonzero(box_mask(spec, 3)))):
+        layout, rows = hum.operator_layout(phi, band)
+        assert np.array_equal(np.sort(layout.ravel()), S)
+        # rows[j]: layout[j] first, then every other mode with its k_1
+        assert np.array_equal(rows[:, :layout.shape[1]], layout)
+        assert rows.shape == (len(layout), 16) and len(np.unique(rows)) == rows.size
+        k1 = np.unravel_index(rows, spec.shape)[1]
+        assert np.all(k1 == np.unravel_index(layout[:, :1], spec.shape)[1])
         op = HumOperator(spec, phi, 0.5, band=band)
-        assert np.array_equal(op.support, hum.dual_support(spec, band))
+        assert np.array_equal(op.layout, layout) and np.array_equal(op.rows, rows)
+    for region in (b.Strip(PI / 2, 3 * PI / 2, 1), b.Ball((PI, PI), 2.5)):
+        layout, rows = hum.operator_layout(b.make_damping_profile(spec, region, 0.6), 3)
+        assert np.array_equal(rows[:, :layout.shape[1]], layout)
     source = Path(hum.__file__).read_text()
     assert source.count("box_mask(") == 1
 
@@ -107,19 +124,22 @@ def test_banded_operator_is_the_full_operators_support_columns(d, N):
     spec = b.make_torus(d, N, 1.0)
     phi = strip_phi(spec, 0.6)
     full = HumOperator(spec, phi, 0.8)
-    # the batched grid assembly of A against the dense oracle M S^2 M
+    # the block assembly of A against the dense oracle M S^2 M
     M = multiplication_matrix(spec, phi.values)
     dense = (M * smoothing_multiplier(spec, 2).ravel()[None, :]) @ M
-    assert np.abs(full.A - dense).max() <= 1e-13 * np.abs(dense).max()
-    assert full.matrix.shape == full.block.shape == (spec.n_modes, spec.n_modes)
+    assert np.abs(dense_of(full, full.A) - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert full.matrix.shape == full.block.shape == (N ** (d - 1), N, N)
     banded = HumOperator(spec, phi, 0.8, band=3)
-    S = banded.support
-    assert len(S) == 7**d
-    assert np.array_equal(S, np.flatnonzero(box_mask(spec, 3)))
+    S = np.flatnonzero(box_mask(spec, 3))
+    assert banded.A.shape == banded.matrix.shape == (7 ** (d - 1), N, 7)
+    assert np.array_equal(np.sort(banded.layout.ravel()), S)
     for part in ("A", "matrix"):
-        ref = getattr(full, part)[:, S]
-        assert np.abs(getattr(banded, part) - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.array_equal(banded.block, banded.matrix[S])
+        ref = dense_of(full, getattr(full, part))
+        ref[:, np.delete(np.arange(spec.n_modes), S)] = 0.0
+        got = dense_of(banded, getattr(banded, part))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.shares_memory(banded.block, banded.matrix)
+    assert np.array_equal(banded.block, banded.matrix[:, :7])
 
 
 def test_multiplication_matrix_matches_grid_product():
@@ -160,7 +180,7 @@ def test_lambda_self_adjoint_nonnegative():
     for _ in range(5):
         v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        lv, lw = op.matrix @ v, op.matrix @ w
+        lv, lw = op.apply(v), op.apply(w)
         sym = abs(np.vdot(w, lv) - np.vdot(lw, v))
         assert sym <= 1e-10 * np.linalg.norm(lv) * np.linalg.norm(w)
         assert np.real(np.vdot(v, lv)) >= -1e-12
@@ -194,7 +214,7 @@ def test_control_cost_reciprocity():
     op = HumOperator(spec, phi, T)
     X = spec.dispersion.ravel()
     v0 = rand_field(spec, 5).coeffs
-    lam = op.A * time_average_kernel(X, T, dt)  # the trapezoid rule on the same grid
+    lam = dense_of(op, op.A) * time_average_kernel(X, T, dt)  # the trapezoid rule on the same grid
     lhs = float(np.real(np.vdot(v0.ravel(), lam @ v0.ravel())))
     n = round(T / dt)
     ts = np.linspace(0.0, T, n + 1)
@@ -305,18 +325,19 @@ def test_singular_gramian_exits_1_as_unobservable(tmp_path, capsys, monkeypatch,
 
 def test_certificate_residual_is_the_true_residual():
     # the gate and the certificate read ||b - Lambda[S, S] x|| / ||b||,
-    # computed afresh on the whole block; lambda_min and condition are the
-    # extreme eigenvalues of that block
+    # computed afresh on the whole of Lambda[S, S]'s blocks; lambda_min and
+    # condition are the extreme eigenvalues of Lambda[S, S]
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 11, decay=2.0), 2.0, 1.0)
     prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12)
     cert = b.solve_linear_control(prob)
     op = HumOperator(spec, prob.phi, prob.T)
-    bs = hum._transported_rhs(prob).ravel()[op.support]
-    true = np.linalg.norm(bs - op.block @ cert.dual_datum.ravel()[op.support])
+    S = op.layout.ravel()
+    bs = hum._transported_rhs(prob).ravel()[S]
+    true = np.linalg.norm(bs - blockwise(op.block, op.layout, cert.dual_datum).ravel()[S])
     assert cert.cg_residuals[0] == pytest.approx(true / np.linalg.norm(bs), rel=1e-12)
     assert cert.cg_residuals[0] <= prob.cg_tol
-    ev = np.linalg.eigvalsh(op.block)
+    ev = np.linalg.eigvalsh(dense_of(op, op.matrix)[np.ix_(S, S)])
     assert cert.lambda_min == pytest.approx(ev[0], rel=1e-8)
     assert cert.condition == pytest.approx(ev[-1] / ev[0], rel=1e-8)
 
@@ -324,18 +345,28 @@ def test_certificate_residual_is_the_true_residual():
 @pytest.mark.parametrize("d,N,width", [(2, 16, 0.6), (3, 8, 0.6)])
 @pytest.mark.parametrize("band", [None, 2])
 def test_strip_gramian_is_block_diagonal(d, N, width, band):
-    # a strip across axis 0 is constant along the others: Lambda[S, S] maps
-    # no block of the layout into another, exactly
+    # a strip across axis 0 is constant along the others: the control
+    # weight maps each basis vector of a group into the group's rows and is
+    # exactly 0.0 elsewhere, so A and Lambda = E o A live on the
+    # (rows x layout) entries, where the blocks equal the dense oracle
     spec = b.make_torus(d, N, 1.0)
-    op = HumOperator(spec, strip_phi(spec, width), 0.8, band=band)
+    phi = strip_phi(spec, width)
+    op = HumOperator(spec, phi, 0.8, band=band)
     m = N if band is None else 2 * band + 1
-    p = np.searchsorted(op.support, op.layout)
-    assert p.shape == (m ** (d - 1), m)
-    assert np.array_equal(np.sort(p.ravel()), np.arange(len(op.support)))
-    on = np.zeros(op.block.shape, dtype=bool)
-    on[p[:, :, None], p[:, None, :]] = True
-    assert np.all(op.block[~on] == 0.0)
-    assert np.all(np.abs(np.diagonal(op.block)) > 0.0)
+    assert op.layout.shape == (m ** (d - 1), m) and op.rows.shape == (m ** (d - 1), N)
+    s2 = smoothing_multiplier(spec, 2)
+    for group, rows in zip(op.layout, op.rows):
+        e = np.zeros((len(group), spec.n_modes), dtype=complex)
+        e[np.arange(len(group)), group] = 1.0
+        cols = sandwich(spec, phi.compact, s2, e.reshape((-1,) + spec.shape))
+        assert not np.delete(cols.reshape(len(group), -1), rows, axis=1).any()
+    M = multiplication_matrix(spec, phi.values)
+    A = (M * s2.ravel()) @ M
+    lam = A * time_average_kernel(spec.dispersion.ravel(), 0.8, None)
+    for part, dense in (("A", A), ("matrix", lam)):
+        ref = np.stack([dense[np.ix_(r, g)] for r, g in zip(op.rows, op.layout)])
+        assert np.abs(getattr(op, part) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.all(np.abs(np.diagonal(op.block, axis1=1, axis2=2)) > 0.0)
 
 
 @pytest.mark.parametrize("d,N,band", [(1, 32, None), (2, 16, 3), (2, 16, None)])
@@ -347,8 +378,9 @@ def test_block_solve_matches_a_dense_solve(d, N, band):
     op = HumOperator(spec, prob.phi, prob.T, band=band)
     rhs = hum._transported_rhs(prob)
     v0, _ = hum._solve_hum_system(prob, op, rhs)
-    dense = np.linalg.solve(op.block, rhs.ravel()[op.support])
-    x = v0.ravel()[op.support]
+    S = op.layout.ravel()
+    dense = np.linalg.solve(dense_of(op, op.matrix)[np.ix_(S, S)], rhs.ravel()[S])
+    x = v0.ravel()[S]
     assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -360,9 +392,10 @@ def test_block_solve_matches_the_cg_oracle():
     prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
     op = HumOperator(spec, prob.phi, prob.T, band=3)
     rhs = hum._transported_rhs(prob)
-    bs = rhs.ravel()[op.support]
-    x_cg, _, _ = cg_hermitian(lambda z: op.block @ z, bs, tol=1e-13, max_iter=200)
-    x = hum._solve_hum_system(prob, op, rhs)[0].ravel()[op.support]
+    S = op.layout.ravel()
+    lam = dense_of(op, op.matrix)[np.ix_(S, S)]
+    x_cg, _, _ = cg_hermitian(lambda z: lam @ z, rhs.ravel()[S], tol=1e-13, max_iter=200)
+    x = hum._solve_hum_system(prob, op, rhs)[0].ravel()[S]
     assert np.linalg.norm(x - x_cg) <= 1e-11 * np.linalg.norm(x_cg)
 
 
@@ -381,8 +414,9 @@ def test_the_factors_are_built_once_per_operator(monkeypatch):
 
 def test_control_outputs_reproduce_under_a_roundoff_scaling(monkeypatch):
     # the bench's control-linear setup (d2N32, strip (1,3), band 3); scaling
-    # A, Lambda[:, S] and Lambda[S, S] by 1 + 2^-52 leaves the residuals of
-    # the factored solve in place to 1e-13
+    # the blocks of A and Lambda by 1 + 2^-52 (Lambda[S, S]'s blocks are a
+    # view of Lambda's) leaves the residuals of the factored solve in place
+    # to 1e-13
     spec = b.make_torus(2, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 3, decay=2.0, band=3), 2.0, 1.0)
     prob = b.ControlProblem(spec=spec, u0=u0, T=1.0,
@@ -393,7 +427,7 @@ def test_control_outputs_reproduce_under_a_roundoff_scaling(monkeypatch):
 
     def scaled(self, *args, **kw):
         init(self, *args, **kw)
-        for part in ("A", "matrix", "block"):
+        for part in ("A", "matrix"):
             getattr(self, part)[...] *= 1.0 + 2.0**-52
 
     monkeypatch.setattr(HumOperator, "__init__", scaled)
@@ -599,11 +633,11 @@ def test_forced_march_does_not_depend_on_the_forcing_block(monkeypatch):
 
 
 def test_banded_control_certifies_at_d2n64():
-    # the operator keeps 49 of 4096 columns: two n x n matrices would take
-    # 268 MB each at this size
+    # the operator keeps 7 blocks of 64 x 7 entries: two n x n matrices
+    # would take 268 MB each at this size
     spec = b.make_torus(2, 64, 1.0)
     phi = b.make_damping_profile(spec, b.Strip(1.0, 3.0))
-    assert HumOperator(spec, phi, 1.0, band=3).matrix.shape == (4096, 49)
+    assert HumOperator(spec, phi, 1.0, band=3).matrix.shape == (7, 64, 7)
     u0 = b.normalize_sobolev(rand_field(spec, 20, decay=4.0, band=3), 2.0, 1.0)
     prob = b.ControlProblem(
         spec=spec, u0=u0, T=1.0, phi=phi, control_band=3, verify_dt=1e-3
@@ -638,15 +672,17 @@ def test_control_band_must_hold_the_transported_target():
     "d,N,band,admitted",
     [
         (2, 32, None, True),  # 2^20 entries, the largest unbanded test config
-        (2, 64, 3, True),  # 4096 x 49
-        (3, 16, 2, True),  # 4096 x 125
-        (2, 64, None, False),  # 4096 x 4096: 268 MB for each matrix
+        (2, 64, 3, True),  # 49 x 4096
+        (3, 16, 2, True),  # 125 x 4096
+        (2, 64, None, False),  # 4096 x 4096: 268 MB for each stack
         (3, 16, None, False),
     ],
 )
 def test_control_problem_refuses_an_operator_above_the_cap(d, N, band, admitted):
+    # a ball varies on every axis: one block of |S| x n entries; nothing is
+    # assembled either way
     spec = b.make_torus(d, N, 1.0)
-    phi = b.constant_profile(spec, 1.0)  # nothing is assembled either way
+    phi = b.make_damping_profile(spec, b.Ball((PI,) * d, 2.0), 0.5)
     kw = dict(spec=spec, u0=b.zero_field(spec), T=1.0, phi=phi, control_band=band)
     if admitted:
         b.ControlProblem(**kw)
@@ -654,4 +690,4 @@ def test_control_problem_refuses_an_operator_above_the_cap(d, N, band, admitted)
     n = spec.n_modes
     with pytest.raises(ValueError, match=f"{2 * 16 * n * n} bytes"):
         b.ControlProblem(**kw)
-    assert n * n > hum.MAX_OPERATOR_ENTRIES
+    assert n * n > MAX_BLOCK_ENTRIES

@@ -146,10 +146,13 @@ def test_monotone_in_region():
 
 
 def test_gramian_sweep_reports():
+    # the sweep builds each band once, from the indices its check returned;
+    # the single-band route builds its own and reports the same
     spec = b.make_torus(1, 128, 1.0)
     reports = b.gramian_sweep(strip_profile(spec), 1.0, [2, 3])
     assert [r.h for r in reports] == [0.25, 0.125]
     assert all(r.min_eig > 0.0 for r in reports)
+    assert reports == [b.band_gramian_min_eig(strip_profile(spec), 1.0, r.h) for r in reports]
 
 
 @pytest.mark.parametrize("T,quad_dt", [(1.0, -1e-3), (1.0, 0.0), (-1.0, 1e-3)])
@@ -158,6 +161,22 @@ def test_gramian_refuses_a_bad_horizon_or_step(T, quad_dt):
     spec = b.make_torus(1, 64, 1.0)
     with pytest.raises(ValueError, match="T must be >= 0|quad_dt must be positive"):
         b.band_gramian_min_eig(strip_profile(spec), T, 0.25, quad_dt=quad_dt)
+
+
+@pytest.mark.parametrize("T,quad_dt,message", [
+    (math.inf, 1e-3, "T must be >= 0 and finite"),
+    (1.0, math.inf, "quad_dt must be positive and finite"),
+])
+@pytest.mark.parametrize("entry", ["band", "sweep"])
+def test_gramian_refuses_an_infinite_horizon_or_step(T, quad_dt, message, entry):
+    # an infinite T raised OverflowError in step_grid; an infinite quad_dt
+    # returned the floors of a single trapezoid step
+    spec = b.make_torus(1, 64, 1.0)
+    with pytest.raises(ValueError, match=message):
+        if entry == "band":
+            b.band_gramian_min_eig(strip_profile(spec), T, 0.25, quad_dt=quad_dt)
+        else:
+            b.gramian_sweep(strip_profile(spec), T, [2, 3], quad_dt=quad_dt)
 
 
 def test_gramian_sweep_checks_every_band_before_the_first(monkeypatch):

@@ -32,8 +32,9 @@ ORACLES = {
     "first_hit_time": "test_gcc.py::test_first_hit_time_passes_the_sampling_oracle",
     "contains": "test_gcc.py::assert_first_hit",
     "lanczos_extreme": "test_observability.py::test_lanczos_matches_dense_across_bands",
-    "multiplication_matrix": "test_spectral_core.py::test_kernel_rows_match_the_dense_oracle",
+    "multiplication_matrix": "test_spectral_core.py::test_kernel_blocks_match_the_dense_oracle",
     "cg_hermitian": "test_hum.py::test_block_solve_matches_the_cg_oracle",
+    "band_gramian_min_eig": "test_observability.py::test_gramian_sweep_reports",
 }
 
 

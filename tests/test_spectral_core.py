@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import b4nls as b
 from b4nls.dynamics import energy
-from b4nls.hum import multiplication_matrix
+from b4nls.hum import multiplication_matrix, operator_layout
 from b4nls.spectral import (
     DENSE_TERM_WORK,
     KERNEL_BATCH,
@@ -25,8 +25,9 @@ from b4nls.spectral import (
     dealiased_nonlinear_term,
     free_phase,
     grid_to_coeffs,
+    block_layout,
     hs_norm,
-    kernel_rows,
+    kernel_blocks,
     nonlinear_term,
     profile_product,
     sandwich,
@@ -495,29 +496,35 @@ def test_shift_free_products_match_the_shifted_route(d, N, k, batch):
 
 @pytest.mark.parametrize("d, N", [(1, 32), (2, 16), (3, 8)])
 @pytest.mark.parametrize("kernel", ["product", "sandwich"])
-def test_kernel_rows_match_the_dense_oracle(d, N, kernel):
-    # cols is the dealiasing ball (21, 121 and 125 modes, no multiple of
-    # KERNEL_BATCH), rows a random third of the lattice, so rows != cols
+def test_kernel_blocks_match_the_dense_oracle(d, N, kernel):
+    # the package's three tabulations on a strip across the last axis and on
+    # a ball: D's blocks (layout, layout), HUM's A (layout, rows) and the band
+    # Gramian's weight (one group, here a random third of the lattice against
+    # the dealiasing box). The box's block widths, 21 and 11 (strips) and
+    # 21, 121 and 125 (balls), are no multiple of KERNEL_BATCH
     spec = b.make_torus(d, N, 1.0)
-    rng = np.random.default_rng(d)
-    w = rng.uniform(0.0, 1.0, spec.shape)
     s2 = smoothing_multiplier(spec, 2)
-    M = multiplication_matrix(spec, w)
-    apply, dense = {
-        "product": (lambda f: profile_product(spec, w, f), M),
-        "sandwich": (lambda f: sandwich(spec, w, s2, f), (M * s2.ravel()) @ M),
-    }[kernel]
-    cols = np.flatnonzero(spec.dealias_mask)
-    assert len(cols) % KERNEL_BATCH != 0
-    rows = np.sort(rng.choice(spec.n_modes, spec.n_modes // 3, replace=False))
-    block = dense[rows][:, cols]
-    scale = np.abs(block).max()
-    eye = kernel_rows(spec, apply, np.eye(len(cols), dtype=complex), cols, rows)
-    assert np.abs(eye - block.T).max() <= 1e-13 * scale
-    # a non-identity x, as the Ritz build passes: row i is block @ x_i
-    x = rng.standard_normal((13, len(cols))) + 1j * rng.standard_normal((13, len(cols)))
-    out = kernel_rows(spec, apply, x, cols, rows)
-    assert np.abs(out - x @ block.T).max() <= 1e-13 * scale * np.abs(x).sum(axis=1).max()
+    rng = np.random.default_rng(d)
+    some = np.sort(rng.choice(spec.n_modes, spec.n_modes // 3, replace=False))
+    box = np.flatnonzero(spec.dealias_mask)
+    for region in (b.Strip(PI / 2, 3 * PI / 2, d - 1), b.Ball((PI,) * d, 2.5)):
+        phi = b.make_damping_profile(spec, region, 0.6)
+        a = phi.compact
+        M = multiplication_matrix(spec, phi.values)
+        apply, dense = {
+            "product": (lambda f: profile_product(spec, a, f), M),
+            "sandwich": (lambda f: sandwich(spec, a, s2, f), (M * s2.ravel()) @ M),
+        }[kernel]
+        scale = np.abs(dense).max()
+        layout, rows = operator_layout(phi, N // 3)
+        assert np.array_equal(layout, block_layout(phi, box))
+        assert layout.shape[1] % KERNEL_BATCH != 0
+        for r in (layout, rows):
+            ref = np.stack([dense[np.ix_(rj, lj)] for rj, lj in zip(r, layout)])
+            assert np.abs(kernel_blocks(spec, apply, layout, r) - ref).max() <= 1e-13 * scale
+        one = kernel_blocks(spec, apply, box[None], some[None])
+        assert one.shape == (1, len(some), len(box))
+        assert np.abs(one[0] - dense[np.ix_(some, box)]).max() <= 1e-13 * scale
 
 
 def _profile_cases():
@@ -712,6 +719,25 @@ def test_grid_operations_live_only_in_the_kernel():
     assert two_pi_defs == 1
     assert dense_calls == 0
     assert dense_callers == []
+
+
+def test_every_kernel_tabulation_goes_through_the_block_builder():
+    # D's blocks, HUM's A and the band Gramian's weight: kernel_blocks has
+    # these three callers, and neither hum nor observability tabulates a
+    # kernel on an identity
+    src = Path(b.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        callers += [
+            f"{path.stem}.{fn.name}"
+            for fn in ast.walk(ast.parse(text)) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "kernel_blocks"
+        ]
+        if path.name in ("hum.py", "observability.py"):
+            assert "np.eye(" not in text, path.name
+    assert sorted(callers) == ["dynamics.__init__", "hum.__init__", "observability.dense"]
 
 
 def _takes_a_phase(nodes):
