@@ -9,8 +9,10 @@ Three flows share one exponential integrator:
 with the defocusing sign throughout. The generator is treated exactly in
 Fourier (fourth-order exponential time differencing, ETDRK4), which is the
 only practical choice given the |k|^4 stiffness; `_phi` gives its phi_1..3
-(Kassam & Trefethen, SISC 26 (2005)). Every horizon, the time kernel's and
-the band Gramian's included, is cut into the steps of `step_grid`.
+(Kassam & Trefethen, SISC 26 (2005)) and `Etdrk4Tableau` its weights, which
+hum also reads to sum the controlled linear march in closed form. Every
+horizon, the time kernel's and the band Gramian's included, is cut into the
+steps of `step_grid`.
 
 The damped equation is integrated through the bounded reformulation
 v = J u, J = 1 - i D, D = a (1-Lap)^{-2} a: the stiff part of the
@@ -177,8 +179,10 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Etdrk4Tableau:
-    """Precomputed exponential coefficients for a diagonal generator."""
+class Etdrk4Tableau:
+    """Precomputed exponential coefficients for a diagonal generator, the one
+    owner of the scheme's weights: a step is E u + f1 n0 + f2 (na + nb) +
+    f3 nc, f2 weighing both middle stages."""
 
     def __init__(self, lin: np.ndarray, dt: float):
         z = dt * lin
@@ -272,7 +276,7 @@ def evolve_nonlinear(
             for i in range(len(t) - 1):
                 yield ends[i], g[i], ends[i + 1]
 
-    tab = _Etdrk4Tableau(1j * spec.dispersion, dt)
+    tab = Etdrk4Tableau(1j * spec.dispersion, dt)
     stages = itertools.repeat((None,) * 3) if forcing is None else stage_forcing()
     stepper = lambda cc: tab.step(cc, nonlin, next(stages))
     return _march(spec, c, dt, n_steps, cfg, stepper)
@@ -362,7 +366,7 @@ def evolve_damped(
         w, dw = damp.solve_j(vv)
         return -mult * dw + 1j * f_ball(w)
 
-    tab = _Etdrk4Tableau(1j * mult, dt)
+    tab = Etdrk4Tableau(1j * mult, dt)
     stepper = lambda vv: tab.step(vv, nonlin, (None,) * 3)
 
     c0 = np.where(mask, u0.coeffs.astype(complex), 0.0)

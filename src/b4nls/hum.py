@@ -16,10 +16,12 @@ semidefinite exactly. The operator uses the exact time integral and the
 observability Gramians the trapezoid sum on a uniform grid; both are one
 closed form, E(w) = e^{iwT/2} sin(wT/2) / h(w) with h = w/2 or
 h = tan(w dt/2)/dt, which `time_average_kernel` computes with its result as
-the only complex array, and the zero matrix at T = 0. A time integral over
-samples (the backward initial value, the nonlinear correction, the
-matrix-free Gramian) is the one sampled duality integral
-`backward_forced_initial`.
+the only complex array, and the zero matrix at T = 0. Its third use is the
+ETDRK4 step sum: the linear certificate's march of that scheme is summed in
+closed form, from `Etdrk4Tableau`'s weights and the trapezoid sum's
+geometric series, with no step taken. A time integral over samples (the
+backward initial value, the nonlinear correction, the matrix-free Gramian)
+is the one sampled duality integral `backward_forced_initial`.
 
 The dual datum lives on a support S: the modes of the control band, or
 every mode without one. A and Lambda are diagonal in the wavenumbers of
@@ -61,7 +63,7 @@ import numpy as np
 # Nothing here calls cg_hermitian; the name stays because the benchmark's
 # traced run wraps b4nls.hum.cg_hermitian (bench/layers.py).
 from .linalg import cg_hermitian  # noqa: F401
-from .dynamics import SolverConfig, check_horizon, evolve_nonlinear, step_grid
+from .dynamics import Etdrk4Tableau, SolverConfig, check_horizon, evolve_nonlinear, step_grid
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
@@ -104,7 +106,7 @@ class ControlProblem:
 
     control_band (>= 0) restricts the dual datum (hence the synthesized
     control's oscillation rates) to modes with max_i |k_i| <= control_band.
-    This keeps the certification forward solve able to resolve the
+    This keeps the certifying ETDRK4 scheme able to resolve the
     control's phases at a finite step size; the out-of-band leak of the
     control operator enters the certified residual honestly. Construction
     checks every input rule of the problem, so a problem that exists can be
@@ -164,9 +166,10 @@ class ControlCertificate:
     trajectory: for the linear problem the flow integrates in closed form
     (exponential Duhamel formula), so the value is exact for the lattice
     system; for the nonlinear problem it comes from the certifying ETDRK4
-    solve. integrator_residual (linear only) reports the same miss measured
-    by a finite-step ETDRK4 run, which carries that scheme's own quadrature
-    error on the control's oscillations and is therefore pinned separately.
+    solve. integrator_residual (linear only) reports the same miss for the
+    terminal state of the ETDRK4 scheme at step verify_dt, summed in closed
+    form over its steps; it carries that scheme's own quadrature error on
+    the control's oscillations and is therefore pinned separately.
 
     lambda_min and condition are Lambda[S, S]'s smallest eigenvalue and its
     ratio to the largest; cg_residuals holds each HUM solve's true residual.
@@ -236,7 +239,9 @@ def time_average_kernel(
     with h = w/2 for the exact rule and h = tan(w dt/2)/dt for the
     trapezoid sum, whose geometric series is dt e^{inθ/2} sin(nθ/2)
     cot(θ/2) at θ = w dt. The result is the only complex array of its size
-    that the call holds.
+    that the call holds. Its uses are HUM's Lambda (exact), the band
+    Gramians (trapezoid) and the ETDRK4 step sum of the linear certificate,
+    sum_{j<n} e^{ijθ} = E / dt - (e^{iwT} - 1)/2.
     """
     if T == 0.0:
         quadrature = None
@@ -378,17 +383,43 @@ def _h2_miss(prob: ControlProblem, uT: np.ndarray) -> float:
     return hs_norm(prob.spec, uT if prob.u_target is None else uT - prob.u_target.coeffs, 2.0)
 
 
-def _verify_integrator(prob: ControlProblem, op: HumOperator, v0: np.ndarray,
-                       nonlinear: bool) -> float:
-    """Terminal miss measured by an ETDRK4 run driven by the control."""
-    cfg = SolverConfig(
-        dt=prob.verify_dt,
-        k_nl=prob.k_nl,
-        include_nonlinearity=nonlinear,
-        record_stride=10**9,  # only endpoints matter here
-    )
-    trace = evolve_nonlinear(prob.u0, prob.T, cfg, forcing=control_forcing(op, v0))
+def _verify_integrator(prob: ControlProblem, op: HumOperator, phi0: np.ndarray) -> float:
+    """Terminal miss measured by a nonlinear ETDRK4 run driven by the control."""
+    cfg = SolverConfig(dt=prob.verify_dt, k_nl=prob.k_nl,
+                       record_stride=10**9)  # only endpoints matter here
+    trace = evolve_nonlinear(prob.u0, prob.T, cfg, forcing=control_forcing(op, phi0))
     return _h2_miss(prob, trace.states[-1])
+
+
+def _verify_linear_march(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -> float:
+    """Terminal miss of the ETDRK4 march of the controlled linear system on
+    the steps of step_grid(T, verify_dt), summed in closed form.
+
+    With no nonlinearity every stage returns the forcing g(t) = -i A e^{itL} v0,
+    so a step of Etdrk4Tableau is u <- E u + f1 g(t) + 2 f2 g(t + dt/2) +
+    f3 g(t + dt), and n steps give u_n = E^n u0 - i (A o K) v0 on the blocks:
+
+        K[l, k] = E_l^{n-1} (f1_l + 2 f2_l e^{iX_k dt/2} + f3_l e^{iX_k dt})
+                  sum_{j<n} e^{ij dt w},   w = X_k - X_l.
+
+    The geometric sum is the trapezoid time kernel less its end half-terms,
+    time_average_kernel / dt - (e^{iwT} - 1)/2, whose reduction keeps the
+    digits where X dt passes pi.
+    """
+    T, dt = prob.T, step_grid(prob.T, prob.verify_dt)[1]
+    X = prob.spec.dispersion.ravel()[op.rows]
+    Xk = X[:, None, :op.layout.shape[1]]  # the layout, first in every row
+    tab = Etdrk4Tableau(1j * X, dt)
+    K = time_average_kernel(X, T, prob.verify_dt, np.arange(Xk.shape[-1]))
+    K /= dt
+    K -= 0.5 * (free_phase(T, Xk) * free_phase(-T, X)[..., None] - 1.0)
+    K *= free_phase(T - dt, X)[..., None] * (
+        tab.f1[..., None] + 2.0 * tab.f2[..., None] * free_phase(0.5 * dt, Xk)
+        + tab.f3[..., None] * free_phase(dt, Xk)
+    )
+    K *= op.A
+    uT = free_phase(T, prob.spec.dispersion) * prob.u0.coeffs
+    return _h2_miss(prob, uT - 1j * op._scatter(K, v0.ravel()[op.layout]))
 
 
 def _verify_closed_form(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -> float:
@@ -414,13 +445,14 @@ def _certificate(prob: ControlProblem, op: HumOperator, kind: str, dual: np.ndar
 
 
 def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
-    """HUM synthesis for the linear equation: Lambda v0 = rhs, then a
-    forward solve of the controlled equation to certify the terminal state."""
+    """HUM synthesis for the linear equation: Lambda v0 = rhs, then the
+    terminal state of the controlled equation, exact and by the ETDRK4
+    scheme's closed-form step sum, to certify it."""
     op = HumOperator(prob.spec, prob.phi, prob.T, band=prob.control_band)
     v0, relres = _solve_hum_system(prob, op, _transported_rhs(prob))
     return _certificate(
         prob, op, "linear", v0, _verify_closed_form(prob, op, v0), cg_residuals=(relres,),
-        integrator_residual=_verify_integrator(prob, op, v0, nonlinear=False),
+        integrator_residual=_verify_linear_march(prob, op, v0),
     )
 
 
@@ -501,16 +533,18 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
         )
 
     return _certificate(
-        prob, op, "nonlinear", phi0, _verify_integrator(prob, op, phi0, nonlinear=True),
+        prob, op, "nonlinear", phi0, _verify_integrator(prob, op, phi0),
         cg_residuals=tuple(cg_res),
         fixedpoint_diffs=tuple(diffs), contraction_ratios=tuple(ratios),
     )
 
 
 def verify_certificate(prob: ControlProblem, cert: ControlCertificate) -> float:
-    """Recompute the terminal residual of a certificate by a fresh forward
-    solve; must reproduce the stored value."""
+    """Recompute the terminal residual of a certificate from a fresh
+    operator, a nonlinear one by a fresh ETDRK4 forward solve and a linear
+    one by the exact closed form e^{iTL} (u0 - i Lambda v0); must reproduce
+    the stored value."""
     op = HumOperator(prob.spec, prob.phi, prob.T, band=prob.control_band)
     if cert.kind == "nonlinear":
-        return _verify_integrator(prob, op, cert.dual_datum, nonlinear=True)
+        return _verify_integrator(prob, op, cert.dual_datum)
     return _verify_closed_form(prob, op, cert.dual_datum)

@@ -17,7 +17,9 @@ from b4nls.hum import (
     time_average_kernel,
 )
 from b4nls.linalg import cg_hermitian
-from b4nls.spectral import MAX_BLOCK_ENTRIES, blockwise, box_mask, sandwich, smoothing_multiplier
+from b4nls.spectral import (
+    MAX_BLOCK_ENTRIES, blockwise, box_mask, hs_norm, sandwich, smoothing_multiplier,
+)
 
 PI = math.pi
 
@@ -292,6 +294,45 @@ def test_linear_control_band_restriction():
     assert np.all(cert.dual_datum[~keep] == 0.0)
     # the out-of-band control leak now enters the certified residual
     assert 1e-9 <= cert.relative_residual <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "d, N, region, width, band, target, verify_dt, T",
+    [
+        (1, 32, b.Strip(PI / 2, 3 * PI / 2), None, None, True, 3e-3, 1.0),  # 333 steps
+        (1, 64, b.Strip(PI / 2, 3 * PI / 2), None, 8, False, 1e-3, 1.0),
+        (2, 32, b.Strip(1.0, 3.0), None, 3, False, 2e-2, 1.0),  # max X dt about 1400
+        (2, 32, b.Strip(1.0, 3.0), None, 3, True, 1e-3, 1.0),
+        (2, 16, b.Strip(1.0, 3.0), 0.4, None, False, 7e-3, 0.5),  # 71 steps
+        (2, 16, b.Ball((PI, PI), 2.0), None, None, False, 1e-3, 0.5),
+        (2, 16, b.Ball((PI, PI), 2.0), None, 3, True, 3e-3, 1.0),
+        (3, 8, b.Strip(1.0, 3.0), 0.4, 2, False, 1e-3, 0.5),
+        (3, 8, b.Ball((PI, PI, PI), 2.0), 0.4, 2, True, 2e-2, 1.0),
+    ],
+)
+def test_linear_integrator_residual_is_the_forced_linear_march(
+    monkeypatch, d, N, region, width, band, target, verify_dt, T
+):
+    # the certificate sums the linear ETDRK4 march in closed form; the
+    # oracle steps it, driven by the synthesized control, and no src path
+    # runs that march any more
+    spec = b.make_torus(d, N, 1.0)
+    phi = b.make_damping_profile(spec, region, width)
+    rng = np.random.default_rng(30 + d)
+    datum_band = min(3, band or 3)
+    u0 = b.normalize_sobolev(b.random_field(spec, rng, decay=2.0, band=datum_band), 2.0, 1.0)
+    u1 = b.normalize_sobolev(b.random_field(spec, rng, decay=2.0, band=datum_band), 2.0, 0.5)
+    prob = b.ControlProblem(spec=spec, u0=u0, u_target=u1 if target else None, T=T, phi=phi,
+                            control_band=band, verify_dt=verify_dt)
+    monkeypatch.setattr(hum, "evolve_nonlinear", None)
+    cert = b.solve_linear_control(prob)
+    assert b.verify_certificate(prob, cert) == cert.terminal_residual
+    monkeypatch.undo()
+    cfg = b.SolverConfig(dt=verify_dt, include_nonlinearity=False, record_stride=10**9)
+    forcing = control_forcing(HumOperator(spec, phi, T, band), cert.dual_datum)
+    uT = b.evolve_nonlinear(u0, T, cfg, forcing=forcing).states[-1]
+    miss = hs_norm(spec, uT - u1.coeffs if target else uT, 2.0)
+    assert cert.integrator_residual == pytest.approx(miss, rel=1e-12, abs=0.0)
 
 
 def _one_point_profile(spec):

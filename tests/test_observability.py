@@ -184,3 +184,29 @@ def test_gramian_sweep_checks_every_band_before_the_first(monkeypatch):
     monkeypatch.setattr(BandGramian, "dense", lambda self: pytest.fail("a band was built"))
     with pytest.raises(ValueError, match="no lattice mode falls in the h = 1.81899e-12 band"):
         b.gramian_sweep(strip_profile(spec), 1.0, [2, 3, 39])
+
+
+@pytest.mark.parametrize("d, N, j_values", [(2, 64, (2, 3)), (3, 16, (1, 2, 4))])
+def test_strip_band_gramian_is_the_one_dimensional_gramian_by_blocks(d, N, j_values):
+    # an x-strip is constant along the other axes, so on the modes that share
+    # their wavenumbers q there, |k|^4 + beta |k|^2 = k_x^4 + (beta + 2|q|^2)
+    # k_x^2 + const: the band Gramian's block is the d = 1 Gramian at the
+    # shifted beta on the block's k_x modes, weighted by the profile's 1-D
+    # slice, and the floor is the least of the d = 1 floors
+    beta, T, quad_dt = 1.0, 1.0, 1e-3
+    spec = b.make_torus(d, N, beta)
+    profile = b.make_damping_profile(spec, STRIP, 0.4)
+    q_sq = spec.k_sq.reshape(N, -1)[N // 2]  # |q|^2, read at k_x = 0
+    for j in j_values:
+        idx = np.flatnonzero(band_mode_mask(spec, 2.0**-j))
+        G = BandGramian(spec, profile.compact, T, quad_dt, idx).dense()
+        kx, q = np.divmod(idx, N ** (d - 1))
+        floors = []
+        for group in np.unique(q):
+            on = q == group
+            one = b.make_torus(1, N, beta + 2.0 * q_sq[group])
+            G1 = BandGramian(one, profile.compact.reshape(N), T, quad_dt, kx[on]).dense()
+            assert np.abs(G[np.ix_(on, on)] - G1).max() <= 1e-15 * np.abs(G1).max()
+            assert not G[np.ix_(on, ~on)].any()
+            floors.append(np.linalg.eigvalsh(G1)[0])
+        assert np.linalg.eigvalsh(G)[0] == pytest.approx(min(floors), rel=0.0, abs=1e-13)
