@@ -348,16 +348,17 @@ def _gcc_check(cfg, rng):
     starts = _get(cfg, "gcc", "starts_per_dim", int, 8)
     farey = _get(cfg, "gcc", "farey_max_den", int, 6)
     n_angles = _get(cfg, "gcc", "n_angles", int, 32)
-    check_torus_scan(region, d, t_max, starts, n_angles)
+    check_torus_scan(region, d, t_max, starts, farey, n_angles)
 
     def run(outdir):
         scan = torus_gcc_time(region, d, t_max, starts, farey, n_angles)
-        rows = [
-            [" ".join(repr(float(x)) for x in rec.start),
-             " ".join(repr(float(x)) for x in rec.direction),
-             repr(float(rec.hit_time)) if rec.hit_time is not None else "miss"]
-            for rec in scan.records
-        ]
+        x0s = [" ".join(map(repr, x)) for x in scan.starts.tolist()]
+        thetas = [" ".join(map(repr, v)) for v in scan.directions.tolist()]
+        rows = (
+            [x0, theta, "miss" if math.isnan(t) else t]
+            for x0, times in zip(x0s, scan.hit_times.tolist())
+            for theta, t in zip(thetas, times)
+        )
         _write_csv(os.path.join(outdir, "geodesics.csv"), ["x0", "theta", "hit_time"], rows)
         with open(os.path.join(outdir, "summary.txt"), "w") as fh:
             if scan.holds_on_sample:

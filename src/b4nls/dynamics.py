@@ -84,7 +84,6 @@ class SolverConfig:
 
     dt: float = 1e-3
     k_nl: int = 1
-    include_nonlinearity: bool = True
     record_stride: int = 1
 
     def __post_init__(self):
@@ -241,22 +240,16 @@ def evolve_nonlinear(
     coefficients at those times; a run asks once per block of steps, for
     each stage time of the block once. Without forcing the flow conserves
     mass and energy up to the integrator error, which the ledger records.
-    States are kept in the dealiasing ball whenever the nonlinear term is
-    active.
+    States are kept in the dealiasing ball.
     """
     check_horizon(T)
     spec = u0.spec
     n_steps, dt = step_grid(T, cfg.dt)
 
     mask = spec.dealias_mask
-    use_nl = cfg.include_nonlinearity
-    c = u0.coeffs.astype(complex)
-    if use_nl:
-        c = np.where(mask, c, 0.0)
+    c = np.where(mask, u0.coeffs.astype(complex), 0.0)
 
     def nonlin(cc: np.ndarray, g):
-        if not use_nl:  # the forcing itself, or 0.0 without one
-            return 0.0 if g is None else g
         out = 1j * dealiased_nonlinear_term(spec, cc, cfg.k_nl)
         if g is not None:
             out += g
@@ -271,7 +264,7 @@ def evolve_nonlinear(
         for s0 in range(0, n_steps, block):
             t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
             g = -1j * forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[min(s0, 1):]]))
-            g = np.where(mask, g, 0.0) if use_nl else g
+            g = np.where(mask, g, 0.0)
             ends = ends[-1:] + list(g[len(t) - 1:])
             for i in range(len(t) - 1):
                 yield ends[i], g[i], ends[i + 1]
@@ -357,14 +350,9 @@ def evolve_damped(
     damp = _DampingOperator(spec, profile)
     mult = spec.dispersion + 1.0  # |k|^4 + beta |k|^2 + 1
 
-    def f_ball(cc: np.ndarray) -> np.ndarray:
-        if not cfg.include_nonlinearity:
-            return np.zeros_like(cc)
-        return dealiased_nonlinear_term(spec, cc, cfg.k_nl)
-
     def nonlin(vv: np.ndarray, g) -> np.ndarray:
         w, dw = damp.solve_j(vv)
-        return -mult * dw + 1j * f_ball(w)
+        return -mult * dw + 1j * dealiased_nonlinear_term(spec, w, cfg.k_nl)
 
     tab = Etdrk4Tableau(1j * mult, dt)
     stepper = lambda vv: tab.step(vv, nonlin, (None,) * 3)
@@ -376,7 +364,7 @@ def evolve_damped(
         # u_t = i w for the solve below, so the flux ||(1-Lap)^{-1}(a u_t)||^2
         # is D's quadratic form <u_t, D u_t> = <w, D w>
         u = damp.solve_j(vv)[0]
-        w, dw = damp.solve_j(mult * u + f_ball(u))
+        w, dw = damp.solve_j(mult * u + dealiased_nonlinear_term(spec, u, cfg.k_nl))
         return u, float(np.real(np.vdot(w, dw)))
 
     return _march(spec, v0, dt, n_steps, cfg, stepper, recover)
@@ -436,10 +424,7 @@ def _march(
         times=np.asarray(times),
         states=states,
         masses=np.concatenate([mass(spec, c) for c in blocks]),
-        energies=np.concatenate([
-            energy(spec, c, cfg.k_nl, damped, cfg.include_nonlinearity)
-            for c in blocks
-        ]),
+        energies=np.concatenate([energy(spec, c, cfg.k_nl, damped) for c in blocks]),
         fluxes=np.asarray(fluxes),
         damped=damped,
     )

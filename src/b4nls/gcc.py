@@ -14,7 +14,10 @@ hit time here is exact to roundoff, with no time step or tolerance:
   of its center within reach of t_max;
 - a union is entered at the first entry into any part.
 `torus_gcc_time` computes these over the whole start x direction family at
-once; `first_hit_time` is the same closed form for one geodesic.
+once and returns them as arrays (`GccScan`): the starts, the unit
+directions and one hit time per pair, NaN for a miss. `first_hit_time` is
+the same closed form for one geodesic. A family is bounded before it is
+built (MAX_SCAN_GEODESICS).
 
 A witness is a geodesic that genuinely misses the region up to t_max; a
 closed one (`closing_length`) no longer than t_max misses it forever. A
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,21 +145,21 @@ def first_hit_time(q: GeodesicQuery) -> float | None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GeodesicRecord:
-    start: tuple
-    direction: tuple
-    hit_time: float | None
-
-
-@dataclass(frozen=True)
 class GccScan:
     """Outcome of a sampled scan: either T0, the largest exact hit time over
     the sampled family (a lower bound on the control time), or a witness
-    geodesic missing the region within t_max."""
+    geodesic missing the region within t_max.
+
+    The family is held as arrays: the n_run starts scanned, shape
+    (n_run, d), the unit directions, shape (n_dir, d), and the exact hit
+    time of every start x direction pair, shape (n_run, n_dir), NaN for a
+    geodesic that misses the region within t_max."""
 
     t0: float | None
     witness: GeodesicQuery | None
-    records: tuple = field(default_factory=tuple)
+    starts: np.ndarray
+    directions: np.ndarray
+    hit_times: np.ndarray
 
     @property
     def holds_on_sample(self) -> bool:
@@ -198,19 +201,49 @@ def closing_length(direction, max_den: int) -> float | None:
     return None
 
 
+# Geodesics a scan may follow, times the ceil(t_max / pi) windows its march
+# visits when the region has a ball part. The family is bounded before any
+# direction is built, by starts^d times the (2D + 1)^2 + 1 integer
+# directions of the box that holds the Farey ones, plus n_angles. Near the
+# cap, on a 2-core Xeon VM, through `b4nls run`: 362^2 starts times the two
+# axis directions take 1.6 s and peak at 74 MB RSS with a 15 MB
+# geodesics.csv; one start at farey_max_den = 255 takes 3.1 s, mostly the
+# Farey loop, and 76 MB; the default family's 20 windows on a ball of
+# radius 2.5 take 0.2 s.
+MAX_SCAN_GEODESICS = 2**18
+
+
+def _marches(region: Region) -> bool:
+    """Whether the entry times march windows: the region has a ball part."""
+    if isinstance(region, RegionUnion):
+        return any(_marches(p) for p in region.parts)
+    return isinstance(region, Ball)
+
+
 def check_torus_scan(
-    region: Region, d: int, t_max: float, starts_per_dim: int, n_angles: int = 0
+    region: Region, d: int, t_max: float, starts_per_dim: int, farey_max_den: int, n_angles: int
 ) -> None:
     """Raise ValueError unless `torus_gcc_time` can scan these arguments;
-    an empty family would report the condition as holding."""
+    an empty family would report the condition as holding, and one over
+    MAX_SCAN_GEODESICS would not finish in reasonable time or memory."""
     if d not in (1, 2):
         raise ValueError("torus scans support d = 1 or 2")
     validate_region(region, d)
     _check_horizon(t_max)
     if starts_per_dim < 1:
         raise ValueError("starts_per_dim must be >= 1")
+    if farey_max_den < 0:
+        raise ValueError("farey_max_den must be >= 0")
     if n_angles < 0:
         raise ValueError("n_angles must be >= 0")
+    geodesics = starts_per_dim**d * (2 if d == 1 else (2 * farey_max_den + 1) ** 2 + 1 + n_angles)
+    windows = math.ceil(t_max / math.pi) if _marches(region) else 1
+    if geodesics * windows > MAX_SCAN_GEODESICS:
+        raise ValueError(
+            f"the scan may follow {geodesics} geodesics over {windows} window(s), over the cap"
+            f" of {MAX_SCAN_GEODESICS}; use fewer starts or directions"
+            + (", or a smaller t_max" if windows > 1 else "")
+        )
 
 
 def torus_gcc_time(
@@ -223,44 +256,30 @@ def torus_gcc_time(
 ) -> GccScan:
     """Sampled control time on T^d (d = 1 or 2).
 
-    Every start is paired with every direction. The records run start by
-    start and stop after the first start with a miss; the witness is the
+    Every start is paired with every direction. The scan runs start by
+    start and stops after the first start with a miss; the witness is the
     last direction that missed from it. Hit times equal `first_hit_time` of
     each geodesic.
     """
-    check_torus_scan(region, d, t_max, starts_per_dim, n_angles)
+    check_torus_scan(region, d, t_max, starts_per_dim, farey_max_den, n_angles)
+    axis = np.linspace(0.0, TWO_PI, starts_per_dim, endpoint=False)
     if d == 1:
         directions = [(1.0,), (-1.0,)]
-        starts = [(x,) for x in np.linspace(0.0, TWO_PI, starts_per_dim, endpoint=False)]
     else:
         directions = list(farey_directions(farey_max_den))
         directions += [
             (math.cos(a), math.sin(a))
             for a in np.linspace(0.0, math.pi, n_angles, endpoint=False)
         ]
-        axis = np.linspace(0.0, TWO_PI, starts_per_dim, endpoint=False)
-        starts = [(x, y) for x in axis for y in axis]
-
+    starts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     # normalized as GeodesicQuery normalizes them, one vector at a time
-    units = [tuple(np.asarray(v, dtype=float) / float(np.linalg.norm(v))) for v in directions]
-    start_arr = np.asarray(starts, dtype=float).reshape(-1, d)
-    hits = _hit_times(region, start_arr[:, None, :], np.asarray(units)[None, :, :], t_max)
+    units = np.array([np.asarray(v, dtype=float) / float(np.linalg.norm(v)) for v in directions])
+    hits = _hit_times(region, starts[:, None, :], units[None, :, :], t_max)
     missed = np.isnan(hits)
     failing = np.flatnonzero(missed.any(axis=1))
-    n_run = failing[0] + 1 if failing.size else len(starts)
-    records = tuple(
-        GeodesicRecord(
-            start=starts[i], direction=units[j],
-            hit_time=None if missed[i, j] else float(hits[i, j]),
-        )
-        for i in range(n_run)
-        for j in range(len(units))
-    )
     if failing.size:
         i = failing[0]
-        witness = GeodesicQuery(
-            start=starts[i],
-            direction=directions[np.flatnonzero(missed[i])[-1]], region=region, t_max=t_max,
-        )
-        return GccScan(t0=None, witness=witness, records=records)
-    return GccScan(t0=float(hits.max(initial=0.0)), witness=None, records=records)
+        witness = GeodesicQuery(start=tuple(starts[i]), region=region, t_max=t_max,
+                                direction=directions[np.flatnonzero(missed[i])[-1]])
+        return GccScan(None, witness, starts[:i + 1], units, hits[:i + 1])
+    return GccScan(float(hits.max(initial=0.0)), None, starts, units, hits)

@@ -478,7 +478,7 @@ def _nonlinear_correction(
         return np.zeros(spec.shape, dtype=complex)
 
     chi0 = free_phase(-prob.T, X) * np.conj(phi0)
-    cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl, include_nonlinearity=True)
+    cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
     w_trace = evolve_nonlinear(
         SpectralField(spec, np.zeros(spec.shape, dtype=complex)),
         prob.T,

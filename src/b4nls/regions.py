@@ -2,13 +2,17 @@
 
 Regions are open sets described by a few primitive shapes. They are shared
 by the damping-profile builder (smoothed indicators) and the geodesic
-checker (closed-form entry times).
+checker (closed-form entry times). `inside_depth` takes an array of points
+of shape (..., d), such as a whole collocation grid, and returns one depth
+per point; `contains` is the scalar membership test of one point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,47 +47,37 @@ class RegionUnion:
 Region = Strip | Ball | FullRegion | RegionUnion
 
 
-def _wrap(x: float) -> float:
-    return x % TWO_PI
-
-
-def periodic_delta(x: float, y: float) -> float:
-    """Distance between angles x, y on the circle of circumference 2pi."""
-    d = abs(_wrap(x) - _wrap(y))
-    return min(d, TWO_PI - d)
-
-
 def strip_width(s: Strip) -> float:
-    w = _wrap(s.hi - s.lo)
-    return w
+    return (s.hi - s.lo) % TWO_PI
 
 
-def inside_depth(region: Region, point: tuple[float, ...]) -> float:
-    """Signed depth into the region: > 0 inside, <= 0 outside.
+def inside_depth(region: Region, points) -> np.ndarray:
+    """Signed depth into the region at points of shape (..., d), one value
+    per point: > 0 inside, <= 0 outside.
 
-    For points inside, returns the distance to the region boundary; the
-    value is what the smoothed indicator ramps on.
+    For points inside, it is the distance to the region boundary, the value
+    the smoothed indicator ramps on: to the nearer edge of a strip, r minus
+    the periodic distance to a ball's center, the largest over a union's
+    parts, and inf everywhere for the full torus.
     """
+    x = np.asarray(points, dtype=float)
     if isinstance(region, FullRegion):
-        return math.inf
+        return np.full(x.shape[:-1], math.inf)
     if isinstance(region, Strip):
         w = strip_width(region)
-        t = _wrap(point[region.axis] - region.lo)
-        if t <= 0.0 or t >= w:
-            return 0.0
-        return min(t, w - t)
+        t = (x[..., region.axis] - region.lo) % TWO_PI
+        return np.where((t > 0.0) & (t < w), np.minimum(t, w - t), 0.0)
     if isinstance(region, Ball):
-        d = math.sqrt(
-            sum(periodic_delta(x, c) ** 2 for x, c in zip(point, region.center))
-        )
-        return region.radius - d
+        delta = np.abs(x % TWO_PI - np.asarray(region.center) % TWO_PI)
+        delta = np.minimum(delta, TWO_PI - delta)  # the periodic distance per axis
+        return region.radius - np.sqrt((delta * delta).sum(-1))
     if isinstance(region, RegionUnion):
-        return max(inside_depth(p, point) for p in region.parts)
+        return np.maximum.reduce([inside_depth(p, x) for p in region.parts])
     raise TypeError(f"unknown region {region!r}")
 
 
 def contains(region: Region, point: tuple[float, ...]) -> bool:
-    return inside_depth(region, point) > 0.0
+    return bool(inside_depth(region, point) > 0.0)
 
 
 def min_feature_size(region: Region) -> float:

@@ -65,6 +65,7 @@ import numpy as np
 from .regions import (
     FullRegion,
     Region,
+    RegionUnion,
     TWO_PI,
     inside_depth,
     min_feature_size,
@@ -495,7 +496,7 @@ def normalize_sobolev(u: SpectralField, s: float, value: float = 1.0) -> Spectra
     return SpectralField(u.spec, u.coeffs * (value / n))
 
 
-def smoothing_multiplier(spec: ManifoldSpec, m: int = 2) -> np.ndarray:
+def smoothing_multiplier(spec: ManifoldSpec, m: int) -> np.ndarray:
     """(1 - Lap)^{-m}, the regularizing factor of the damping feedback."""
     return sobolev_weights(spec, -float(m))
 
@@ -593,21 +594,13 @@ class DampingProfile:
 
 
 def _region_profile(region: Region, pts: np.ndarray, width: float) -> np.ndarray:
-    from .regions import Ball, RegionUnion, Strip  # local: avoid name clutter
-
-    if isinstance(region, FullRegion):
-        return np.ones(pts.shape[:-1])
     if isinstance(region, RegionUnion):
         # soft union 1 - prod(1 - a_i): stays C-infinity where parts overlap
         acc = np.ones(pts.shape[:-1])
         for p in region.parts:
             acc *= 1.0 - _region_profile(p, pts, width)
         return 1.0 - acc
-    if isinstance(region, (Strip, Ball)):
-        flat = pts.reshape(-1, pts.shape[-1])
-        depth = np.array([inside_depth(region, tuple(p)) for p in flat])
-        return smooth_ramp(depth / width).reshape(pts.shape[:-1])
-    raise TypeError(f"unknown region {region!r}")
+    return smooth_ramp(inside_depth(region, pts) / width)  # the full torus's depth is inf: 1
 
 
 def make_damping_profile(
@@ -629,9 +622,7 @@ def make_damping_profile(
             f"region feature size {feature:.4g} too small for smoothing width "
             f"{smoothing_width:.4g}"
         )
-    pts = spec.grid_points()
-    values = _region_profile(region, pts, smoothing_width)
-    return DampingProfile(spec, values)
+    return DampingProfile(spec, _region_profile(region, spec.grid_points(), smoothing_width))
 
 
 def constant_profile(spec: ManifoldSpec, value: float) -> DampingProfile:

@@ -3,20 +3,23 @@ import configparser
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import b4nls
-from b4nls import cli
+from b4nls import cli, gcc
 from b4nls.cli import EXPERIMENTS, main
+from b4nls.gcc import MAX_SCAN_GEODESICS
 from b4nls.hum import HumOperator
 from b4nls.observability import MAX_BAND_ENTRIES
 from b4nls.resonance import MAX_SWEEP_KEYS
@@ -134,8 +137,18 @@ GCC_CHECK = "[experiment]\nkind = gcc-check\n"
          "strip axis 1 out of range"),
         ("[experiment]\nkind = resonance-sweep\n[sweep]\nK_max = 8\n"
          "beta_p = 2\nbeta_q = 4\n", "lowest terms"),
+        (GCC_CHECK + "[gcc]\nfarey_max_den = -1\n", "farey_max_den must be >= 0"),
+        # farey_directions(400) alone took 8 s, and 64 starts made 18.7 M hit times
+        (GCC_CHECK + "[gcc]\nfarey_max_den = 400\n", f"over the cap of {MAX_SCAN_GEODESICS}"),
+        (GCC_CHECK + "[gcc]\nstarts_per_dim = 1000\n", f"over the cap of {MAX_SCAN_GEODESICS}"),
+        (GCC_CHECK + "[gcc]\nn_angles = 1000000000\n", f"over the cap of {MAX_SCAN_GEODESICS}"),
+        # a ball part marches ceil(t_max / pi) windows: 4.3 s at t_max = 1e4
+        (GCC_CHECK + "[region]\ntype = ball\nradius = 0.5\n[gcc]\nt_max = 1e4\n",
+         "or a smaller t_max"),
     ],
-    ids=["gcc-d3", "gcc-eps_t", "gcc-t_max", "gcc-starts", "gcc-region", "resonance-beta"],
+    ids=["gcc-d3", "gcc-eps_t", "gcc-t_max", "gcc-starts", "gcc-region", "resonance-beta",
+         "gcc-farey-negative", "gcc-farey-400", "gcc-starts-1000", "gcc-n_angles-1e9",
+         "gcc-ball-t_max-1e4"],
 )
 def test_validate_catches_what_the_survey_run_rejects(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
@@ -144,6 +157,58 @@ def test_validate_catches_what_the_survey_run_rejects(tmp_path, capsys, text, me
     assert main(["run", path, "--output", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_oversized_scan_is_refused_before_its_family_is_built(tmp_path, monkeypatch, capsys):
+    # the cap reads a bound of the family, so validate builds no direction;
+    # the bench's family (two strips, 64 starts x 103 directions) passes
+    monkeypatch.setattr(gcc, "farey_directions", None)
+    for body, code in (("[gcc]\nfarey_max_den = 400\n", 2), ("[gcc]\nstarts_per_dim = 1000\n", 2),
+                       ("[region]\ntype = ball\nradius = 0.5\n[gcc]\nt_max = 1e4\n", 2),
+                       ("[region]\ntype = two-strips\n", 0)):
+        start = time.perf_counter()
+        assert main(["validate", write_config(tmp_path, GCC_CHECK + body)]) == code
+        assert time.perf_counter() - start < 1.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "d,region,t_max",
+    [(2, b4nls.RegionUnion((b4nls.Strip(0.0, 1.0, 0), b4nls.Strip(0.0, 1.0, 1))), 20.0),
+     (2, b4nls.Strip(math.pi / 2, 3 * math.pi / 2, 0), 5.0),
+     (2, b4nls.Ball((math.pi, math.pi), 1.0), 8.0),
+     (1, b4nls.Ball((math.pi,), 1.0), 8.0)],
+    ids=["two-strips", "strip-witness", "ball-witness", "d1-ball"],
+)
+def test_geodesics_csv_is_the_first_hit_time_of_each_geodesic(tmp_path, d, region, t_max):
+    # the rows are those of the per-geodesic records the scan used to keep:
+    # start by start, every direction, up to the first start with a miss
+    kind = {b4nls.Strip: "strip", b4nls.Ball: "ball"}.get(type(region), "two-strips")
+    radius = "radius = 1.0\n" if kind == "ball" else ""
+    path = write_config(tmp_path, GCC_CHECK + f"[manifold]\nd = {d}\n[region]\ntype = {kind}\n"
+                        f"{radius}[gcc]\nstarts_per_dim = 3\nfarey_max_den = 2\nn_angles = 4\n"
+                        f"t_max = {t_max}\n")
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "geodesics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    axis = np.linspace(0.0, 2 * math.pi, 3, endpoint=False)
+    angles = np.linspace(0.0, math.pi, 4, endpoint=False)
+    directions = [(1.0,), (-1.0,)] if d == 1 else (
+        gcc.farey_directions(2) + [(math.cos(a), math.sin(a)) for a in angles])
+    expect = [["x0", "theta", "hit_time"]]
+    for start in itertools.product(axis, repeat=d):
+        hits = []
+        for v in directions:
+            q = gcc.GeodesicQuery(start=start, direction=v, region=region, t_max=t_max)
+            hits.append(gcc.first_hit_time(q))
+            expect.append([" ".join(repr(float(x)) for x in q.start),
+                           " ".join(repr(float(x)) for x in q.direction),
+                           repr(float(hits[-1])) if hits[-1] is not None else "miss"])
+        if None in hits:
+            break
+    assert rows == expect
+    assert (tmp_path / "out" / "summary.txt").read_text().startswith(
+        "gcc fails" if any(r[2] == "miss" for r in rows) else "gcc holds")
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_scan_rejects_a_nonpositive_horizon_tolerance_or_sample():
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             b.torus_gcc_time(region, 2, t_max=t_max)
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
-            check_torus_scan(region, 2, t_max, 8)
+            check_torus_scan(region, 2, t_max, 8, 6, 32)
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             torus_query((0.0,), (1.0,), region, t_max=t_max)
     # an empty family would report the condition as holding
@@ -185,7 +185,7 @@ def test_scan_at_the_float_spacing_returns():
     assert scan.holds_on_sample
     assert scan.t0 == pytest.approx(2 * PI - 1.5, abs=1e-12)
     q = torus_query((0.0,), (-1.0,), region, t_max=40.0)
-    assert b.first_hit_time(q) == scan.records[1].hit_time == scan.t0
+    assert b.first_hit_time(q) == scan.hit_times[0, 1] == scan.t0
     # a start one float spacing below the edge enters within that spacing,
     # and a start on the edge enters at once
     below = math.nextafter(1.0, 0.0)
@@ -277,21 +277,29 @@ def test_first_hit_time_passes_the_sampling_oracle(case):
 
 def test_family_records_pass_the_sampling_oracle():
     # the family stops at the first start with a miss; starts with x in
-    # {0, pi/2} lie in the strip, and x = pi is the first to miss. The
-    # records of the last two starts, misses included, pass the oracle
+    # {0, pi/2} lie in the strip, and x = pi is the first to miss. The hit
+    # times of the last two starts, misses included, pass the oracle
     region = b.RegionUnion((b.Strip(-0.5, 1.7, 0), b.Ball((4.0, 4.0), 0.5)))
     scan = b.torus_gcc_time(region, 2, t_max=12.0, starts_per_dim=4, farey_max_den=3,
                             n_angles=6)
-    n_dir = len(farey_directions(3)) + 6
+    angles = np.linspace(0.0, PI, 6, endpoint=False)
+    raw = farey_directions(3) + [(math.cos(a), math.sin(a)) for a in angles]
+    n_dir = len(raw)
     assert not scan.holds_on_sample
-    assert len(scan.records) == 9 * n_dir
-    last_start = scan.records[-n_dir:]
-    missed = [r for r in last_start if r.hit_time is None]
-    assert missed and all(r.hit_time is not None for r in scan.records[:-n_dir])
-    assert scan.witness.start == missed[-1].start
-    assert scan.witness.direction == missed[-1].direction
-    for rec in scan.records[-2 * n_dir:]:
-        assert_first_hit(region, rec.start, rec.direction, 12.0, rec.hit_time)
+    assert scan.starts.shape == (9, 2)
+    assert scan.directions.shape == (n_dir, 2) and scan.hit_times.shape == (9, n_dir)
+    missed = np.flatnonzero(np.isnan(scan.hit_times[-1]))
+    assert missed.size and not np.isnan(scan.hit_times[:-1]).any()
+    assert scan.witness.start == tuple(scan.starts[-1])
+    assert scan.witness.direction == tuple(scan.directions[missed[-1]])
+    for i in (-2, -1):
+        for v, unit, t in zip(raw, scan.directions, scan.hit_times[i]):
+            # each direction is normalized as GeodesicQuery normalizes it
+            q = GeodesicQuery(start=tuple(scan.starts[i]), direction=v, region=region, t_max=12.0)
+            assert q.direction == tuple(unit)
+            hit = None if np.isnan(t) else float(t)
+            assert b.first_hit_time(q) == hit
+            assert_first_hit(region, q.start, q.direction, 12.0, hit)
 
 
 # a strip union with a strip on every axis: its regions, the upper edges

@@ -314,8 +314,9 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     monkeypatch, d, N, region, width, band, target, verify_dt, T
 ):
     # the certificate sums the linear ETDRK4 march in closed form; the
-    # oracle steps it, driven by the synthesized control, and no src path
-    # runs that march any more
+    # oracle steps the scheme's tableau, driven by -i h for the synthesized
+    # control h at the stage times evolve_nonlinear forms, with no
+    # nonlinear term and no mask; no src path runs that march
     spec = b.make_torus(d, N, 1.0)
     phi = b.make_damping_profile(spec, region, width)
     rng = np.random.default_rng(30 + d)
@@ -328,9 +329,15 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     cert = b.solve_linear_control(prob)
     assert b.verify_certificate(prob, cert) == cert.terminal_residual
     monkeypatch.undo()
-    cfg = b.SolverConfig(dt=verify_dt, include_nonlinearity=False, record_stride=10**9)
+    n, dt = dynamics.step_grid(T, verify_dt)
+    t = np.arange(n + 1) * dt
     forcing = control_forcing(HumOperator(spec, phi, T, band), cert.dual_datum)
-    uT = b.evolve_nonlinear(u0, T, cfg, forcing=forcing).states[-1]
+    g = -1j * forcing(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+    ends, mids = g[:n + 1], g[n + 1:]
+    tab = dynamics.Etdrk4Tableau(1j * spec.dispersion, dt)
+    uT = u0.coeffs.astype(complex)
+    for i in range(n):
+        uT = tab.step(uT, lambda c, g: g, (ends[i], mids[i], ends[i + 1]))
     miss = hs_norm(spec, uT - u1.coeffs if target else uT, 2.0)
     assert cert.integrator_residual == pytest.approx(miss, rel=1e-12, abs=0.0)
 
@@ -635,7 +642,7 @@ def test_certifying_run_evaluates_the_forcing_once_per_distinct_time(monkeypatch
     weight = HumOperator.control_weight
     u0 = rand_field(spec, 19, band=5)
     h = control_forcing(op, u0.coeffs)
-    cfg = b.SolverConfig(dt=1e-3, include_nonlinearity=False, record_stride=10)
+    cfg = b.SolverConfig(dt=1e-3, record_stride=10)
     n_steps = 200
     ends = np.arange(n_steps + 1) * (0.2 / n_steps)
     stage_times = np.sort(np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])]))

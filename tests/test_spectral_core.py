@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 import b4nls as b
 from b4nls.dynamics import energy
 from b4nls.hum import multiplication_matrix, operator_layout
+from b4nls.regions import contains, inside_depth
 from b4nls.spectral import (
     DENSE_TERM_WORK,
     KERNEL_BATCH,
@@ -31,6 +33,7 @@ from b4nls.spectral import (
     nonlinear_term,
     profile_product,
     sandwich,
+    smooth_ramp,
     smoothing_multiplier,
     sobolev_weights,
 )
@@ -300,6 +303,74 @@ def test_band_mode_mask_annulus():
         0.0625 * ks.astype(float) ** 2 < 2.5
     )
     assert inside.all()
+
+
+# ---------------------------------------------------------------------------
+# region depth
+# ---------------------------------------------------------------------------
+
+def _circle_distance(x: float, y: float) -> float:
+    return abs(math.remainder(x - y, 2 * PI))
+
+
+def _depth_oracle(region, point) -> float:
+    """inside_depth at one point, in Python floats: the distance to a
+    strip's nearer edge, r minus the least distance to the 3^d nearest
+    images of a ball's center, the max over a union's parts."""
+    point = [float(x) for x in point]
+    if isinstance(region, b.FullRegion):
+        return math.inf
+    if isinstance(region, b.RegionUnion):
+        return max(_depth_oracle(p, point) for p in region.parts)
+    if isinstance(region, b.Strip):
+        x, lo, hi = point[region.axis], region.lo, region.hi
+        if not (x - lo) % (2 * PI) < (hi - lo) % (2 * PI):  # on the arc from lo up to hi
+            return 0.0
+        return min(_circle_distance(x, lo), _circle_distance(x, hi))
+    wrapped = [x % (2 * PI) for x in point]
+    center = [c % (2 * PI) for c in region.center]
+    images = itertools.product(*[[c + 2 * PI * k for k in (-1, 0, 1)] for c in center])
+    return region.radius - min(math.dist(wrapped, image) for image in images)
+
+
+def _regions(d):
+    last = d - 1
+    strips = [b.Strip(PI / 2, 3 * PI / 2, 0), b.Strip(5.0, 1.0, last), b.Strip(-0.5, 1.7, last)]
+    balls = [b.Ball((PI,) * d, 2.0), b.Ball(tuple(0.3 + k for k in range(d)), 1.2)]
+    unions = [b.RegionUnion((strips[1], balls[1])), b.RegionUnion((strips[0], strips[2]))]
+    return strips + balls + unions + [b.FullRegion()]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_inside_depth_matches_a_per_point_oracle(d):
+    # points of shape (4, 25, d), spread over several periods
+    points = np.random.default_rng(40 + d).uniform(-10.0, 10.0, size=(4, 25, d))
+    for region in _regions(d):
+        depth = inside_depth(region, points)
+        assert depth.shape == (4, 25)
+        expect = np.array([[_depth_oracle(region, p) for p in row] for row in points])
+        if isinstance(region, b.FullRegion):
+            assert np.all(depth == math.inf) and np.all(expect == math.inf)
+        else:
+            assert np.abs(depth - expect).max() <= 1e-12, region
+        # a one-point call gives a value that contains turns into a bool
+        one = inside_depth(region, tuple(points[0, 0]))
+        assert np.shape(one) == () and one == depth[0, 0]
+        member = contains(region, tuple(points[0, 0]))
+        assert type(member) is bool and member == (expect[0, 0] > 0.0)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32), (3, 16)])
+def test_damping_profile_is_the_ramp_of_the_depth(d, N):
+    # a strip's or a ball's profile is smooth_ramp(depth / width) on the grid
+    spec = b.make_torus(d, N, 1.0)
+    grid = spec.grid_points()
+    for region in _regions(d)[:5]:
+        expect = smooth_ramp(
+            np.array([_depth_oracle(region, p) for p in grid.reshape(-1, d)]) / 0.3
+        ).reshape(spec.shape)
+        got = b.make_damping_profile(spec, region, 0.3).values
+        assert np.abs(got - expect).max() <= 1e-12, region
 
 
 # ---------------------------------------------------------------------------
