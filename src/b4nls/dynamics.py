@@ -23,14 +23,18 @@ wavenumber, so on the dealiasing box D splits into one block per
 wavenumber of those axes; J is inverted block by block, once per run, and
 each solve is one batched product with the inverses.
 
-The semidiscrete system keeps the state inside the 2/3-rule dealiasing
-ball and evaluates |u|^{2k} u pointwise on the grid; with that convention
-mass, energy and the damping-flux identity
+The semidiscrete system keeps the state in the 2/3-rule dealiasing box and
+evaluates |u|^{2k} u pointwise on the grid. A march carries the box array
+itself (spec.box: m^d coefficients, m = 2 floor(N/3) + 1, against N^d on
+the lattice), with its tableau, its guard weights and its term kernel
+built on the box once, before the loop; the records are scattered into
+lattice arrays after it. With that convention mass, energy and the
+damping-flux identity
 
     E(t) - E(0) = - int_0^t || (1-Lap)^{-1} ( a u_t ) ||_{L^2}^2
 
 are exact properties of the ODE system, so the recorded ledgers audit the
-time integrator itself. For u_t in the ball the flux is D's quadratic form
+time integrator itself. For u_t in the box the flux is D's quadratic form
 <u_t, D u_t>, so a record reads it off the D w of its u_t solve.
 """
 
@@ -55,13 +59,13 @@ from .spectral import (
     block_layout,
     blockwise,
     check_block_entries,
-    dealiased_nonlinear_term,
-    hs_norm,
+    dealiased_term_kernel,
     kernel_blocks,
     load_field,
     sandwich,
     save_field,
     smoothing_multiplier,
+    sobolev_weights,
 )
 
 
@@ -193,18 +197,27 @@ class Etdrk4Tableau:
         self.f2 = 2.0 * (dt * (p2 - 2.0 * p3))  # weighs both middle stages
         self.f3 = dt * (4.0 * p3 - p2)
 
-    def step(self, u: np.ndarray, nonlin, g) -> np.ndarray:
-        """One step. nonlin maps a stage state and forcing to its term; g
-        holds the forcing at the step's start, midpoint and end, or Nones."""
-        e2u = self.E2 * u
-        n0 = nonlin(u, g[0])
-        a = e2u + self.Q * n0
-        na = nonlin(a, g[1])
-        b = e2u + self.Q * na
-        nb = nonlin(b, g[1])
-        c = self.E2 * a + self.Q * (2.0 * nb - n0)
-        nc = nonlin(c, g[2])
-        return self.E * u + self.f1 * n0 + self.f2 * (na + nb) + self.f3 * nc
+    def stepper(self, stage):
+        """The step (u, g) -> u', where g holds the forcing at the step's
+        start, midpoint and end, or Nones, and stage maps a stage state and
+        its forcing to its term over i: the scheme's nonlinear part is
+        i stage(...). The factor i rides on the weights Q, f1, f2 and f3,
+        multiplied here once, so that no stage pays the product."""
+        E, E2 = self.E, self.E2
+        Q, f1, f2, f3 = (1j * w for w in (self.Q, self.f1, self.f2, self.f3))
+
+        def step(u: np.ndarray, g) -> np.ndarray:
+            e2u = E2 * u
+            n0 = stage(u, g[0])
+            a = e2u + Q * n0
+            na = stage(a, g[1])
+            b = e2u + Q * na
+            nb = stage(b, g[1])
+            c = E2 * a + Q * (2.0 * nb - n0)
+            nc = stage(c, g[2])
+            return E * u + f1 * n0 + f2 * (na + nb) + f3 * nc
+
+        return step
 
 
 def check_horizon(T: float) -> None:
@@ -238,41 +251,42 @@ def evolve_nonlinear(
 
     forcing, if given, maps an array of times to the stack of h's lattice
     coefficients at those times; a run asks once per block of steps, for
-    each stage time of the block once. Without forcing the flow conserves
-    mass and energy up to the integrator error, which the ledger records.
-    States are kept in the dealiasing ball.
+    each stage time of the block once, and keeps h on the dealiasing box.
+    Without forcing the flow conserves mass and energy up to the
+    integrator error, which the ledger records. The march carries the box
+    array of the state (spec.box); its records are lattice arrays.
     """
     check_horizon(T)
     spec = u0.spec
     n_steps, dt = step_grid(T, cfg.dt)
+    box = spec.box
+    c0 = u0.coeffs[box].astype(complex)
+    term = dealiased_term_kernel(spec, cfg.k_nl, c0.shape)
 
-    mask = spec.dealias_mask
-    c = np.where(mask, u0.coeffs.astype(complex), 0.0)
-
-    def nonlin(cc: np.ndarray, g):
-        out = 1j * dealiased_nonlinear_term(spec, cc, cfg.k_nl)
-        if g is not None:
-            out += g
+    def stage(cc: np.ndarray, h):
+        """The stage term i (|u|^{2k} u - h) over i."""
+        out = term(cc)
+        if h is not None:
+            out -= h
         return out
 
     def stage_forcing():
-        """-i h at each step's start, midpoint and end. A block of steps asks
-        once for its midpoints and ends, the first block for t = 0 too, and
-        starts at the last block's end: each stage time is asked for once."""
+        """h on the box at each step's start, midpoint and end. A block of
+        steps asks once for its midpoints and ends, the first block for
+        t = 0 too, and starts at the last block's end: each stage time is
+        asked for once."""
         block = max(1, (_FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
         ends = []
         for s0 in range(0, n_steps, block):
             t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
-            g = -1j * forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[min(s0, 1):]]))
-            g = np.where(mask, g, 0.0)
-            ends = ends[-1:] + list(g[len(t) - 1:])
+            h = forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[min(s0, 1):]]))[box]
+            ends = ends[-1:] + list(h[len(t) - 1:])
             for i in range(len(t) - 1):
-                yield ends[i], g[i], ends[i + 1]
+                yield ends[i], h[i], ends[i + 1]
 
-    tab = Etdrk4Tableau(1j * spec.dispersion, dt)
+    step = Etdrk4Tableau(1j * spec.dispersion[box], dt).stepper(stage)
     stages = itertools.repeat((None,) * 3) if forcing is None else stage_forcing()
-    stepper = lambda cc: tab.step(cc, nonlin, next(stages))
-    return _march(spec, c, dt, n_steps, cfg, stepper)
+    return _march(spec, c0, dt, n_steps, cfg, lambda cc: step(cc, next(stages)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +294,11 @@ def evolve_nonlinear(
 # ---------------------------------------------------------------------------
 
 def damping_layout(profile: DampingProfile) -> np.ndarray:
-    """The 2/3-rule box of side m = 2 floor(N/3) + 1 in D's blocks: the
-    block_layout of the modes of spec.dealias_mask, m^(d-v) rows of m^v
-    modes for a profile that varies along v axes. D's blocks hold m^(d+v)
-    entries; ValueError above MAX_BLOCK_ENTRIES."""
-    layout = block_layout(profile, np.flatnonzero(profile.spec.dealias_mask))
+    """The flat indices of a box array, 0 ... m^d - 1 with m = 2 floor(N/3)
+    + 1, in D's blocks: their block_layout, m^(d-v) rows of m^v modes for
+    a profile that varies along v axes. D's blocks hold m^(d+v) entries;
+    ValueError above MAX_BLOCK_ENTRIES."""
+    layout = block_layout(profile, np.arange(np.count_nonzero(profile.spec.dealias_mask)))
     check_block_entries(layout.size * layout.shape[1], "the damping operator's blocks",
                         "use a profile constant along more axes, or a smaller N")
     return layout
@@ -292,12 +306,13 @@ def damping_layout(profile: DampingProfile) -> np.ndarray:
 
 class _DampingOperator:
     """D = a (1-Lap)^{-2} (a .) on the dealiasing box, block by block, and
-    the solve of J w = (1 - i D) w = v.
+    the solve of J w = (1 - i D) w = v for box arrays v.
 
     The box is grouped by damping_layout into m^(d-v) blocks of m^v
     modes: D maps no block into another, so kernel_blocks builds every
-    block from m^v applies of D; J is then inverted once per block. A
-    constant profile has v = 0: blocks of one mode, a diagonal D.
+    block from m^v applies of D to lattice fields; J is then inverted once
+    per block. A constant profile has v = 0: blocks of one mode, a
+    diagonal D.
 
     An apply is two profile products on the compact profile, each one
     transform pass per axis the profile varies on and one back: 4 one-axis
@@ -309,20 +324,22 @@ class _DampingOperator:
         self.a = profile.compact
         self.s2 = smoothing_multiplier(spec, 2)
         self.layout = damping_layout(profile)
-        d_blocks = kernel_blocks(spec, self.apply, self.layout, self.layout)
+        modes = np.flatnonzero(spec.dealias_mask)[self.layout]  # in the lattice
+        d_blocks = kernel_blocks(spec, self.apply, modes, modes)
         self.j = np.eye(self.layout.shape[1]) - 1j * d_blocks
         self.j_inv = np.linalg.inv(self.j)
 
     def apply(self, c: np.ndarray) -> np.ndarray:
+        """D c for lattice coefficients c."""
         return sandwich(self.spec, self.a, self.s2, c)
 
     def times_j(self, u: np.ndarray) -> np.ndarray:
-        """J u for u in the box."""
+        """J u for a box array u."""
         return blockwise(self.j, self.layout, u)
 
     def solve_j(self, v: np.ndarray):
-        """(w, D w) for J w = v, v in the box: w = J^{-1} v by blocks, and
-        D w = i (v - w) from J w = v, with no apply of D."""
+        """(w, D w) for J w = v, v a box array: w = J^{-1} v, and D w =
+        i (v - w) from J w = v, with no apply of D."""
         w = blockwise(self.j_inv, self.layout, v)
         return w, 1j * (v - w)
 
@@ -337,8 +354,9 @@ def evolve_damped(
 
     i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u + u = - a (1-Lap)^{-2} (a u_t)
 
-    The recorded flux column holds ||(1-Lap)^{-1}(a u_t)||^2 per time, so
-    audit_dissipation can check the energy identity by quadrature.
+    The march carries the box array of v = J u; its records are lattice
+    arrays. The recorded flux column holds ||(1-Lap)^{-1}(a u_t)||^2 per
+    time, so audit_dissipation can check the energy identity by quadrature.
     """
     check_horizon(T)
     spec = u0.spec
@@ -346,28 +364,30 @@ def evolve_damped(
         raise ValueError("damping profile lives on a different spec")
     n_steps, dt = step_grid(T, cfg.dt)
 
-    mask = spec.dealias_mask
+    box = spec.box
     damp = _DampingOperator(spec, profile)
-    mult = spec.dispersion + 1.0  # |k|^4 + beta |k|^2 + 1
+    mult = spec.dispersion[box] + 1.0  # |k|^4 + beta |k|^2 + 1
+    v0 = damp.times_j(u0.coeffs[box].astype(complex))  # v = J u
+    term = dealiased_term_kernel(spec, cfg.k_nl, v0.shape)
 
-    def nonlin(vv: np.ndarray, g) -> np.ndarray:
-        w, dw = damp.solve_j(vv)
-        return -mult * dw + 1j * dealiased_nonlinear_term(spec, w, cfg.k_nl)
+    def stage(vv: np.ndarray, g) -> np.ndarray:
+        # the v-equation's term -mult D w + i f(w) over i, with
+        # D w = i (v - w): f(w) + mult (w - v)
+        w = blockwise(damp.j_inv, damp.layout, vv)
+        out = term(w)
+        out += mult * (w - vv)
+        return out
 
-    tab = Etdrk4Tableau(1j * mult, dt)
-    stepper = lambda vv: tab.step(vv, nonlin, (None,) * 3)
-
-    c0 = np.where(mask, u0.coeffs.astype(complex), 0.0)
-    v0 = damp.times_j(c0)  # v = J u
+    step = Etdrk4Tableau(1j * mult, dt).stepper(stage)
 
     def recover(vv: np.ndarray):
         # u_t = i w for the solve below, so the flux ||(1-Lap)^{-1}(a u_t)||^2
         # is D's quadratic form <u_t, D u_t> = <w, D w>
-        u = damp.solve_j(vv)[0]
-        w, dw = damp.solve_j(mult * u + dealiased_nonlinear_term(spec, u, cfg.k_nl))
+        u = blockwise(damp.j_inv, damp.layout, vv)
+        w, dw = damp.solve_j(mult * u + term(u))
         return u, float(np.real(np.vdot(w, dw)))
 
-    return _march(spec, v0, dt, n_steps, cfg, stepper, recover)
+    return _march(spec, v0, dt, n_steps, cfg, lambda vv: step(vv, (None,) * 3), recover)
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +409,27 @@ def _march(
     stepper,
     recover=None,
 ) -> EvolutionTrace:
-    """Step n_steps times and record every cfg.record_stride steps.
+    """Step a box array n_steps times and record every cfg.record_stride
+    steps.
 
     A damped run passes recover, which maps a marched state to the recorded
-    field and its damping flux; its ledger adds the mass term. The ledger
-    is computed after the loop over blocks of stacked records; only the
-    blow-up guard (BLOWUP_FACTOR) runs per record.
+    field and its damping flux; its ledger adds the mass term. The records
+    are scattered into lattice arrays once, after the loop, and the ledger
+    is computed over blocks of them; only the blow-up guard
+    (BLOWUP_FACTOR), the H^2 norm by the box's weights, runs per record.
     """
     damped = recover is not None
+    w2 = sobolev_weights(spec, 2.0)[spec.box]
+
+    def h2_squared(c: np.ndarray) -> float:
+        return float(np.vdot(c, w2 * c).real)
+
     times = [0.0]
     u0c, flux0 = recover(state0) if damped else (state0, 0.0)
-    states = [u0c]
+    records = [u0c]
     fluxes = [flux0]
     # zero initial data (forced runs) falls back to an absolute unit scale
-    guard = BLOWUP_FACTOR * (hs_norm(spec, u0c, 2.0) or 1.0)
+    guard = BLOWUP_FACTOR**2 * (h2_squared(u0c) or 1.0)
 
     state = state0
     for step in range(1, n_steps + 1):
@@ -411,12 +438,13 @@ def _march(
         if step % cfg.record_stride == 0 or step == n_steps:
             uc, fl = recover(state) if damped else (state, 0.0)
             times.append(t)
-            states.append(uc)
+            records.append(uc)
             fluxes.append(fl)
-            if not hs_norm(spec, uc, 2.0) <= guard:  # NaN or inf fails the test too
+            if not h2_squared(uc) <= guard:  # NaN or inf fails the test too
                 raise BlowUpError(f"H^2 norm exceeded guard at t = {t:.6g}")
 
-    states = np.asarray(states)
+    states = np.zeros((len(records),) + spec.shape, dtype=complex)
+    states[spec.box] = records
     block = max(1, _LEDGER_BLOCK_ENTRIES // spec.n_modes)
     blocks = [states[i:i + block] for i in range(0, len(states), block)]
     return EvolutionTrace(

@@ -52,10 +52,23 @@ from .regions import (
 from .regions import contains  # noqa: F401
 
 
+def _unit(direction) -> tuple[float, ...]:
+    """direction / |direction|, or direction itself when its norm is already
+    1 to within 4 ulps: no division comes closer, and the norm of a vector
+    normalized here is within 3 ulps of 1, so it passes through unchanged."""
+    n = math.hypot(*direction)
+    if n == 0.0:
+        raise ValueError("direction must be nonzero")
+    if abs(n - 1.0) <= 4.0 * math.ulp(1.0):
+        return tuple(map(float, direction))
+    return tuple(float(x) / n for x in direction)
+
+
 @dataclass(frozen=True)
 class GeodesicQuery:
     """One torus geodesic and one target region; the direction is
-    normalized to unit Euclidean speed."""
+    normalized to unit Euclidean speed by _unit, so a query built from a
+    scan's unit direction keeps it exactly."""
 
     start: tuple
     direction: tuple
@@ -64,11 +77,7 @@ class GeodesicQuery:
 
     def __post_init__(self):
         _check_horizon(self.t_max)
-        d = np.asarray(self.direction, dtype=float)
-        n = float(np.linalg.norm(d))
-        if n == 0.0:
-            raise ValueError("direction must be nonzero")
-        object.__setattr__(self, "direction", tuple(d / n))
+        object.__setattr__(self, "direction", _unit(self.direction))
         validate_region(self.region, len(self.start))
 
 
@@ -167,22 +176,28 @@ class GccScan:
 
 
 def farey_directions(max_den: int) -> list[tuple[float, float]]:
-    """Unit vectors with rational slope p/q, |p|,|q| <= max_den, plus axes.
+    """Unit vectors with rational slope p/q, |p|,|q| <= max_den, plus axes,
+    sorted and without repeats.
 
     Closed torus geodesics have exactly these directions, which is the
-    adversarial family for strip-avoidance.
+    adversarial family for strip-avoidance. For each coprime pair q >= 1,
+    p >= 0, the vector (q, p) / |(q, p)|, rounded to 15 decimals by
+    np.round, gives four: (a, b), (b, a), (a, -b) and (-b, a). A zero
+    loses its sign.
     """
-    dirs = {(1.0, 0.0), (0.0, 1.0)}
-    for qden in range(1, max_den + 1):
-        for pnum in range(0, max_den + 1):
-            if math.gcd(pnum, qden) != 1:
-                continue
-            for sp in (1.0, -1.0):
-                v = np.array([qden, sp * pnum], dtype=float)
-                v /= np.linalg.norm(v)
-                dirs.add((round(v[0], 15), round(v[1], 15)))
-                dirs.add((round(v[1], 15), round(v[0], 15)))
-    return sorted(dirs)
+    q, p = np.meshgrid(np.arange(1, max_den + 1), np.arange(max_den + 1), indexing="ij")
+    coprime = np.gcd(q, p) == 1
+    qp = np.stack([q[coprime], p[coprime]], axis=1).astype(float)
+    units = qp / np.sqrt((qp * qp).sum(axis=1, keepdims=True))  # exact sums of squares
+    a, b = np.round(units, 15).T
+    dirs = np.concatenate([
+        np.array([[1.0, 0.0], [0.0, 1.0]]),
+        np.stack([a, b], axis=1), np.stack([b, a], axis=1),
+        np.stack([a, -b], axis=1), np.stack([-b, a], axis=1),
+    ]) + 0.0  # -0.0 + 0.0 is 0.0
+    dirs = dirs[np.lexsort((dirs[:, 1], dirs[:, 0]))]
+    dirs = dirs[np.r_[True, np.any(dirs[1:] != dirs[:-1], axis=1)]]
+    return list(map(tuple, dirs.tolist()))
 
 
 def closing_length(direction, max_den: int) -> float | None:
@@ -207,9 +222,9 @@ def closing_length(direction, max_den: int) -> float | None:
 # directions of the box that holds the Farey ones, plus n_angles. Near the
 # cap, on a 2-core Xeon VM, through `b4nls run`: 362^2 starts times the two
 # axis directions take 1.6 s and peak at 74 MB RSS with a 15 MB
-# geodesics.csv; one start at farey_max_den = 255 takes 3.1 s, mostly the
-# Farey loop, and 76 MB; the default family's 20 windows on a ball of
-# radius 2.5 take 0.2 s.
+# geodesics.csv; one start at farey_max_den = 255 takes 1.6 s, mostly
+# normalizing and writing its 118,919 directions, and 73 MB; the default
+# family's 20 windows on a ball of radius 2.5 take 0.2 s.
 MAX_SCAN_GEODESICS = 2**18
 
 
@@ -273,13 +288,13 @@ def torus_gcc_time(
         ]
     starts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     # normalized as GeodesicQuery normalizes them, one vector at a time
-    units = np.array([np.asarray(v, dtype=float) / float(np.linalg.norm(v)) for v in directions])
+    units = np.array([_unit(v) for v in directions])
     hits = _hit_times(region, starts[:, None, :], units[None, :, :], t_max)
     missed = np.isnan(hits)
     failing = np.flatnonzero(missed.any(axis=1))
     if failing.size:
         i = failing[0]
         witness = GeodesicQuery(start=tuple(starts[i]), region=region, t_max=t_max,
-                                direction=directions[np.flatnonzero(missed[i])[-1]])
+                                direction=tuple(units[np.flatnonzero(missed[i])[-1]]))
         return GccScan(None, witness, starts[:i + 1], units, hits[:i + 1])
     return GccScan(float(hits.max(initial=0.0)), None, starts, units, hits)

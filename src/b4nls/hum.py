@@ -335,13 +335,15 @@ def control_forcing(op: HumOperator, v0: np.ndarray):
 
 
 def backward_forced_initial(
-    spec: ManifoldSpec, times: np.ndarray, forcing_samples: np.ndarray
+    X: np.ndarray, times: np.ndarray, forcing_samples: np.ndarray
 ) -> np.ndarray:
     """Initial value of the backward problem i u_t + L u = h, u(T) = 0.
 
-    u(0) = i int_0^T e^{-isL} h(s) ds, by trapezoid over the given samples.
+    u(0) = i int_0^T e^{-isL} h(s) ds, by trapezoid over the given samples,
+    shaped (len(times),) + X.shape for L's dispersion X on the modes they
+    hold: spec.dispersion for lattice arrays, its box for box arrays.
     """
-    integrand = free_phase(-np.asarray(times), spec.dispersion) * forcing_samples
+    integrand = free_phase(-np.asarray(times), X) * forcing_samples
     return 1j * np.trapezoid(integrand, np.asarray(times), axis=0)
 
 
@@ -488,10 +490,14 @@ def _nonlinear_correction(
 
     # J_w = int_0^T e^{-irL} |w|^{2k} w dr over the trace grid is the
     # sampled duality integral: i J_w = backward_forced_initial(f), so
-    # v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w)
-    f_samples = dealiased_nonlinear_term(spec, w_trace.states, prob.k_nl)
-    i_j_w = backward_forced_initial(spec, w_trace.times, f_samples)
-    return np.conj(free_phase(prob.T, X) * i_j_w)
+    # v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w); the term and its
+    # integral stay on the box, and v(0) is scattered into the lattice once
+    box = spec.box
+    f_samples = dealiased_nonlinear_term(spec, w_trace.states[box], prob.k_nl)
+    i_j_w = backward_forced_initial(X[box], w_trace.times, f_samples)
+    out = np.zeros(spec.shape, dtype=complex)
+    out[box] = np.conj(free_phase(prob.T, X[box]) * i_j_w)
+    return out
 
 
 def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:

@@ -94,7 +94,7 @@ class BandGramian:
         full[self.band_idx] = vec
         batch = (free_phase(self.times, self.X) * full).reshape((-1,) + spec.shape)
         samples = profile_product(spec, self.weight_values, batch)
-        return -1j * backward_forced_initial(spec, self.times, samples).ravel()[self.band_idx]
+        return -1j * backward_forced_initial(spec.dispersion, self.times, samples).ravel()[self.band_idx]
 
     def dense(self) -> np.ndarray:
         """Dense band matrix: the closed-form time kernel, multiplied in

@@ -22,15 +22,22 @@ multiplication by a(x) commutes with the transforms along an axis where a
 is constant, so a strip across one axis costs one axis pass each way and a
 constant profile none. DampingProfile.compact is the profile with every
 constant axis cut to length 1, and profile_product reads the axes from its
-array's shape. The dealiased cubic term, dealiased_nonlinear_term, takes
-coefficients inside the 2/3-rule box and has two routes, chosen by the work
-of one product, coeffs.size * n_modes. Up to DENSE_TERM_WORK = 2^12 complex
-multiply-adds (one field at d = 1 with N <= 64, or d2N8) it is two products
-with a cached pair of masked transform matrices and no FFT call, about a
-third of the FFT route's time, equal to the masked product to roundoff.
-Above that, the FFT route is the masked product bit for bit: its inverse
-passes skip the lines that are zero outside the box, and its forward passes
-compute only the lines the box keeps.
+array's shape.
+
+The flows carry box arrays: the m^d coefficients, m = 2 floor(N/3) + 1,
+of the 2/3-rule box that spec.dealias_mask keeps, cut from a lattice
+array by spec.box and kept in lattice order. The dealiased cubic term,
+dealiased_nonlinear_term, maps box arrays to box arrays and has two
+routes, chosen by the work of one product, box.size * n_modes. Up to
+DENSE_TERM_WORK = 2^12 complex multiply-adds (one field at d = 1 with
+even N <= 76, or d2N8) it is two products with a cached pair of transform
+matrices between the box and the grid and no FFT call, about a third of
+the FFT route's time, equal to the masked product to roundoff. Above that,
+the FFT route is the masked product bit for bit: its inverse passes pad
+the box with zeros into the lines they transform, and its forward passes
+compute only the lines the box keeps, the last of them leaving the box
+array. dealiased_term_kernel builds either route once, for a march to call
+at every stage.
 
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
 the damping operator and the HUM operator both apply it. The dense blocks
@@ -138,6 +145,13 @@ class ManifoldSpec:
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: modes with every |k_i| <= N/3 are kept."""
         return box_mask(self, self.N // 3)
+
+    @cached_property
+    def box(self) -> tuple:
+        """Index of the modes dealias_mask keeps, the 2/3-rule box of side
+        m = 2 floor(N/3) + 1: c[spec.box] of a lattice array (or a stack of
+        them) is its box array, shaped (..., m)*d, in lattice order."""
+        return (Ellipsis,) + (dealias_box(self),) * self.d
 
     def grid_points(self) -> np.ndarray:
         """Collocation points, shape (N,)*d + (d,)."""
@@ -309,81 +323,94 @@ DENSE_TERM_WORK = 2**12
 
 @lru_cache(maxsize=16)
 def _dense_term_pair(spec: ManifoldSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dealiased cubic term's transforms as n_modes x n_modes matrices,
-    tabulated by applying the kernel's own transforms to the identity. Row
-    m of inv is the signed grid of e_m, zero for m outside
-    spec.dealias_mask; row j of fwd is the signed coefficients of the grid
-    delta at x_j times the scale^(2k), zero in the columns outside the
-    mask. Built once per lattice and k, read-only."""
+    """The dealiased cubic term's transforms between the box and the grid,
+    an (m^d, n_modes) and an (n_modes, m^d) matrix, tabulated by applying
+    the kernel's own transforms to the identity. Row i of inv is the signed
+    grid of the box's mode i; row j of fwd is the box's signed coefficients
+    of the grid delta at x_j, times the scale^(2k). Built once per lattice
+    and k, read-only."""
     n = spec.n_modes
     eye = np.eye(n, dtype=complex).reshape((n,) + spec.shape)
-    drop = ~spec.dealias_mask.ravel()
-    inv = _signed_grid(spec, eye).reshape(n, n)
-    inv[drop] = 0.0
-    fwd = _signed_coeffs(spec, eye).reshape(n, n) * _grid_scale(spec) ** (2 * k)
-    fwd[:, drop] = 0.0
+    inv = _signed_grid(spec, eye[np.flatnonzero(spec.dealias_mask)]).reshape(-1, n)
+    fwd = (_signed_coeffs(spec, eye)[spec.box] * _grid_scale(spec) ** (2 * k)).reshape(n, -1)
     inv.flags.writeable = fwd.flags.writeable = False
     return inv, fwd
 
 
-def dealiased_nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
-    """nonlinear_term masked to spec.dealias_mask, for coeffs that vanish
-    outside the mask, as the flows' states do. Entries outside the mask are
-    exactly 0.0 on either route.
+def dealiased_term_kernel(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
+    """dealiased_nonlinear_term as a map of box arrays of one shape, with
+    its route's matrices or zero-padded buffers fetched once, here: a march
+    builds it before its loop and calls it at every stage."""
+    lead = shape[:len(shape) - spec.d]
+    if math.prod(shape) * spec.n_modes <= DENSE_TERM_WORK:
+        inv, fwd = _dense_term_pair(spec, k)
+        flat = lead + (-1,)
 
-    Dense route, when coeffs.size * n_modes <= DENSE_TERM_WORK: two products
-    with the cached pair _dense_term_pair, v = c inv and (|v|^{2k} v) fwd.
-    The mask is folded into the matrices, so the route slices and scatters
-    nothing, and it makes no FFT call: at a few dozen modes the FFT costs
-    its fixed per-call overhead, not its arithmetic. Its sums run in
-    another order than the FFT's, so it agrees with the masked
-    nonlinear_term to roundoff (within 1e-14 of max |term|), not bit for bit.
+        def dense(box: np.ndarray) -> np.ndarray:
+            v = box.reshape(flat) @ inv
+            return ((np.abs(v) ** (2 * k) * v) @ fwd).reshape(shape)
+
+        return dense
+    # pass j transforms axis -1 - j: its input is cut to the box along the
+    # axes still to transform, and padded with zeros to N along the others
+    at = [(Ellipsis, dealias_box(spec)) + (slice(None),) * j for j in range(spec.d)]
+    pads = [np.zeros(shape[:len(shape) - 1 - j] + (spec.N,) * (j + 1), dtype=complex)
+            for j in range(spec.d)]
+    axes = _axes(spec)[::-1]
+    scale = _grid_scale(spec) ** (2 * k)
+
+    def fft(box: np.ndarray) -> np.ndarray:
+        v = box
+        for pad, lines, axis in zip(pads, at, axes):
+            pad[lines] = v
+            v = np.fft.ifft(pad, axis=axis)
+        w = np.abs(v) ** (2 * k) * v
+        for lines, axis in zip(at, axes):
+            w = np.fft.fft(w, axis=axis)[lines]
+        return w * scale
+
+    return fft
+
+
+def dealiased_nonlinear_term(spec: ManifoldSpec, box: np.ndarray, k: int) -> np.ndarray:
+    """nonlinear_term masked to spec.dealias_mask, for and on box arrays:
+    the coefficients of the 2/3-rule box, c[spec.box] of a lattice array c,
+    shaped (..., m)*d. A flow's state and its term live there.
+
+    Dense route, when box.size * n_modes <= DENSE_TERM_WORK: two products
+    with the cached pair _dense_term_pair, v = c inv on the grid and
+    (|v|^{2k} v) fwd on the box. It makes no FFT call: at a few dozen
+    modes the FFT costs its fixed per-call overhead, not its arithmetic.
+    Its sums run in another order than the FFT's, so it agrees with the
+    masked nonlinear_term to roundoff (within 1e-14 of max |term|), not
+    bit for bit.
 
     FFT route, everything larger: the masked nonlinear_term bit for bit.
-    The mask is the box dealias_box on each axis, a slice of the stored
-    array. Before an inverse pass, the axes it has yet to transform still
-    hold zeros outside the box, so it transforms only the lines inside;
-    each forward pass is cut to the box along its axis, so the next pass
-    computes only the lines the mask keeps.
+    Each inverse pass pads its input with zeros to the N lines of its axis,
+    which is where the box sits in the lattice, and transforms only the
+    lines inside the box along the axes still to transform; each forward
+    pass is cut to the box along its axis, so the next pass computes only
+    the lines the mask keeps, and the last leaves the box array itself.
 
     The rule reads the work of one product, so the bench's d1N32 control
-    march takes the dense route and its d2N32/d2N64 flows and hum's (1001, 32)
-    batch the FFT route. Time per call, numpy 2.4 and OpenBLAS on one thread
-    of a shared 2-core x86-64 VM, k = 1 (best of 5 timeit runs):
+    march takes the dense route and its d2N32/d2N64 flows and hum's
+    (1001, 21) batch the FFT route. Time per call of a kernel built once,
+    on box arrays, numpy 2.4 and OpenBLAS on one thread of a shared 2-core
+    x86-64 VM, k = 1 (best of 5 timeit runs):
 
         call            work     FFT route   dense route
-        d1N32           2^10      18 us        6 us
-        d1N64           2^12      18 us        8 us
-        d2N8            2^12      32 us        8 us
-        d1N128          2^14      22 us       21 us
-        d1N256          2^16      31 us       77 us
-        (1001, 64)     ~2^22     0.89 ms     1.23 ms
+        d1N32 (21)      2^9.4      17 us        5 us
+        d1N64 (43)      2^11.4     18 us        7 us
+        d2N8 (5, 5)     2^10.6     34 us        6 us
+        d1N128 (85)     2^13.4     21 us       17 us
+        d1N256 (171)    2^15.4     24 us       37 us
+        (1001, 43)     ~2^21.4    2.4 ms      2.7 ms
 
-    A single field still gains at d1N96 and breaks even near d1N128; the
-    bound stops at 2^12 so that each matrix stays at 64 KB and batches stay
-    on the FFT.
+    A single field still gains at d1N128 and loses at d1N256; the bound
+    stops at 2^12 so that each matrix stays at 64 KB and batches stay on
+    the FFT.
     """
-    if coeffs.size * spec.n_modes <= DENSE_TERM_WORK:
-        inv, fwd = _dense_term_pair(spec, k)
-        v = coeffs.reshape(coeffs.shape[:coeffs.ndim - spec.d] + (-1,)) @ inv
-        return (((v.real**2 + v.imag**2) ** k * v) @ fwd).reshape(coeffs.shape)
-    box = dealias_box(spec)
-    v = coeffs
-    for done, axis in enumerate(_axes(spec)[::-1]):
-        boxed = spec.d - 1 - done  # the leading axes, not yet transformed
-        if boxed:
-            lines = (Ellipsis,) + (box,) * boxed + (slice(None),) * (done + 1)
-            out = np.zeros(v.shape, dtype=complex)
-            out[lines] = np.fft.ifft(v[lines], axis=axis)
-            v = out
-        else:
-            v = np.fft.ifft(v, axis=axis)
-    w = (np.abs(v) ** (2 * k)) * v
-    for axis in _axes(spec)[::-1]:
-        w = np.fft.fft(w, axis=axis)[(Ellipsis, box) + (slice(None),) * (-1 - axis)]
-    out = np.zeros(coeffs.shape, dtype=complex)
-    out[(Ellipsis,) + (box,) * spec.d] = w * _grid_scale(spec) ** (2 * k)
-    return out
+    return dealiased_term_kernel(spec, k, box.shape)(box)
 
 
 def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

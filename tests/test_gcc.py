@@ -153,6 +153,42 @@ def test_farey_directions_contain_adversaries():
     assert closing_length((math.cos(0.3), math.sin(0.3)), 4) is None
 
 
+def _farey_loop(max_den):
+    """The Farey family one pair at a time, the oracle of the array build:
+    round of a numpy float64 is numpy's rounding, which np.round repeats."""
+    dirs = {(1.0, 0.0), (0.0, 1.0)}
+    for qden in range(1, max_den + 1):
+        for pnum in range(0, max_den + 1):
+            if math.gcd(pnum, qden) != 1:
+                continue
+            for sp in (1.0, -1.0):
+                v = np.array([qden, sp * pnum], dtype=float)
+                v /= np.linalg.norm(v)
+                dirs.add((round(v[0], 15), round(v[1], 15)))
+                dirs.add((round(v[1], 15), round(v[0], 15)))
+    return sorted(dirs)
+
+
+@pytest.mark.parametrize("max_den", [0, 1, 6, 15, 64])
+def test_farey_directions_are_the_pair_loop_bit_for_bit(max_den):
+    # the bits too: a -0.0 would equal 0.0 in the list comparison
+    dirs = farey_directions(max_den)
+    oracle = _farey_loop(max_den)
+    assert dirs == oracle
+    assert np.array_equal(np.array(dirs).view(np.int64), np.array(oracle, dtype=float).view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.floats(-1e6, 1e6)] * d))
+       .filter(lambda v: math.hypot(*v) > 1e-6))
+def test_a_normalized_direction_passes_through_unchanged(direction):
+    region = b.FullRegion()
+    q = GeodesicQuery(start=(0.0,) * len(direction), direction=direction, region=region)
+    assert abs(math.hypot(*q.direction) - 1.0) <= 1e-15
+    again = GeodesicQuery(start=q.start, direction=q.direction, region=region)
+    assert again.direction == q.direction
+
+
 def test_union_scan_resolves_thin_part():
     # a union is entered at its first part's entry, however thin that part
     thin = b.Strip(1.0, 1.02, 1)
@@ -300,6 +336,20 @@ def test_family_records_pass_the_sampling_oracle():
             hit = None if np.isnan(t) else float(t)
             assert b.first_hit_time(q) == hit
             assert_first_hit(region, q.start, q.direction, 12.0, hit)
+
+
+
+def test_queries_from_the_scan_directions_reproduce_its_hit_times_bit_for_bit():
+    # the family of the test above: a query built from a scan's unit
+    # direction keeps it, so its first_hit_time is the scan's hit time
+    region = b.RegionUnion((b.Strip(-0.5, 1.7, 0), b.Ball((4.0, 4.0), 0.5)))
+    scan = b.torus_gcc_time(region, 2, t_max=12.0, starts_per_dim=4, farey_max_den=3,
+                            n_angles=6)
+    for start, times in zip(scan.starts, scan.hit_times):
+        for unit, t in zip(scan.directions, times):
+            q = GeodesicQuery(start=tuple(start), direction=tuple(unit), region=region, t_max=12.0)
+            assert q.direction == tuple(unit)
+            assert b.first_hit_time(q) == (None if np.isnan(t) else float(t))
 
 
 # a strip union with a strip on every axis: its regions, the upper edges

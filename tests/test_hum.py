@@ -197,7 +197,7 @@ def test_duality_identity_random_forcing():
     h = rng.standard_normal((len(times),) + spec.shape) + 1j * rng.standard_normal(
         (len(times),) + spec.shape
     )
-    u0 = backward_forced_initial(spec, times, h)
+    u0 = backward_forced_initial(spec.dispersion, times, h)
     v0 = rand_field(spec, 4).coeffs
     phases = np.exp(1j * times[:, None] * spec.dispersion.ravel()[None, :])
     vt = phases * v0.ravel()[None, :]
@@ -332,12 +332,12 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     n, dt = dynamics.step_grid(T, verify_dt)
     t = np.arange(n + 1) * dt
     forcing = control_forcing(HumOperator(spec, phi, T, band), cert.dual_datum)
-    g = -1j * forcing(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+    g = -forcing(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))  # the stages' -i h over i
     ends, mids = g[:n + 1], g[n + 1:]
-    tab = dynamics.Etdrk4Tableau(1j * spec.dispersion, dt)
+    step = dynamics.Etdrk4Tableau(1j * spec.dispersion, dt).stepper(lambda c, g: g)
     uT = u0.coeffs.astype(complex)
     for i in range(n):
-        uT = tab.step(uT, lambda c, g: g, (ends[i], mids[i], ends[i + 1]))
+        uT = step(uT, (ends[i], mids[i], ends[i + 1]))
     miss = hs_norm(spec, uT - u1.coeffs if target else uT, 2.0)
     assert cert.integrator_residual == pytest.approx(miss, rel=1e-12, abs=0.0)
 

@@ -646,8 +646,8 @@ def _ball_coeffs(draw):
 
 
 def _dense(spec, c):
-    """Whether dealiased_nonlinear_term takes its dense route on c."""
-    return c.size * spec.n_modes <= DENSE_TERM_WORK
+    """Whether dealiased_nonlinear_term takes its dense route on c's box."""
+    return c[spec.box].size * spec.n_modes <= DENSE_TERM_WORK
 
 
 @settings(max_examples=80, deadline=None)
@@ -656,8 +656,8 @@ def test_the_dealiased_kernel_is_the_masked_cubic_term_bit_for_bit(case):
     # the pruned passes transform each kept line as the full ones do, so
     # the flows may call it in place of the masked product
     spec, c, k = case
-    expect = np.where(spec.dealias_mask, nonlinear_term(spec, c, k), 0.0)
-    assert np.array_equal(dealiased_nonlinear_term(spec, c, k), expect)
+    expect = nonlinear_term(spec, c, k)[spec.box]
+    assert np.array_equal(dealiased_nonlinear_term(spec, c[spec.box], k), expect)
 
 
 @settings(max_examples=80, deadline=None)
@@ -666,9 +666,9 @@ def test_the_dense_route_is_the_masked_cubic_term_to_roundoff(case):
     # the dense products sum in another order than the FFT: 2.0e-15 of
     # max |term| at worst over d <= 3, N <= 64, k in {1, 2}
     spec, c, k = case
-    expect = np.where(spec.dealias_mask, nonlinear_term(spec, c, k), 0.0)
-    got = dealiased_nonlinear_term(spec, c, k)
-    assert np.all(got[..., ~spec.dealias_mask] == 0.0)
+    expect = nonlinear_term(spec, c, k)[spec.box]
+    got = dealiased_nonlinear_term(spec, c[spec.box], k)
+    assert got.shape == expect.shape
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
@@ -684,31 +684,36 @@ def _count_ffts(monkeypatch):
 
 
 def _ball(spec, lead, seed):
+    """A random box array."""
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(lead + spec.shape) + 1j * rng.standard_normal(lead + spec.shape)
-    return np.where(spec.dealias_mask, c, 0.0)
+    return c[spec.box]
 
 
 @pytest.mark.parametrize(
     "d,N,lead,dense",
     [(1, 32, (), True), (2, 8, (), True), (1, 64, (), True), (1, 32, (4,), True),
+     (1, 76, (), True), (1, 78, (), False), (2, 10, (), False),
      (1, 128, (), False), (2, 32, (), False), (1, 32, (1001,), False)],
-    ids=["d1N32", "d2N8", "d1N64", "d1N32x4", "d1N128", "d2N32", "d1N32x1001"],
+    ids=["d1N32", "d2N8", "d1N64", "d1N32x4", "d1N76", "d1N78", "d2N10",
+         "d1N128", "d2N32", "d1N32x1001"],
 )
 def test_the_dealiased_term_routes_by_its_work(monkeypatch, d, N, lead, dense):
     # the dense route makes no FFT call once its pair is built; the FFT
-    # route is the masked cubic term bit for bit; both write exact zeros
-    # outside the mask
+    # route is the masked cubic term bit for bit, d transforms each way;
+    # both take and return box arrays
     spec = b.make_torus(d, N, 1.0)
     c = _ball(spec, lead, N)
     dealiased_nonlinear_term(spec, c, 1)  # builds the dense pair once per lattice
     calls = _count_ffts(monkeypatch)
     got = dealiased_nonlinear_term(spec, c, 1)
-    assert (not calls) == dense
+    assert len(calls) == (0 if dense else 2 * d)
     monkeypatch.undo()
-    assert np.all(got[..., ~spec.dealias_mask] == 0.0)
+    assert got.shape == c.shape
     if not dense:
-        assert np.array_equal(got, np.where(spec.dealias_mask, nonlinear_term(spec, c, 1), 0.0))
+        full = np.zeros(lead + spec.shape, dtype=complex)
+        full[spec.box] = c
+        assert np.array_equal(got, nonlinear_term(spec, full, 1)[spec.box])
 
 
 @pytest.mark.parametrize("k", [1, 2])
