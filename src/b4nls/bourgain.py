@@ -18,8 +18,8 @@ e^{-itL} u(t).
 Fields must be tapered: the window taper has to vanish at both window ends
 so the periodic time transform sees a smooth periodic signal. Every H^b time
 norm is one kernel, `_hb_norm`, summed in FFT order (a sum needs no
-fftshift): the space-time norms pass it the spatial Sobolev weight, the
-scalar gain probe a unit weight.
+fftshift): the space-time norms weight it by `_time_weight` times the
+spatial Sobolev weight, the gain probe by two time weights built per call.
 
 The module also carries two measured-constant probes: the window-averaged
 time-integration gain (the T^{1-b-b'} smoothing of the Duhamel integral on
@@ -137,15 +137,18 @@ def random_spacetime_field(
 # transforms and norms
 # ---------------------------------------------------------------------------
 
-def _hb_norm(samples: np.ndarray, dt: float, b: float, weight: float | np.ndarray) -> float:
-    """(sum_tau (1 + tau^2)^b weight |F(tau)|^2 dtau)^{1/2} over the time
-    frequencies of samples at step dt along axis 0, in FFT order, with
-    F(tau) = (2 pi)^{-1/2} sum_j f(t_j) e^{i tau t_j} dt (Parseval at b = 0)."""
+def _time_weight(n: int, dt: float, b: float) -> np.ndarray:
+    """(1 + tau^2)^b over the time frequencies of n samples at step dt, in FFT order."""
+    return (1.0 + (TWO_PI * np.fft.fftfreq(n, d=dt)) ** 2) ** b
+
+
+def _hb_norm(samples: np.ndarray, dt: float, weight: float | np.ndarray) -> float:
+    """(sum_tau weight |F(tau)|^2 dtau)^{1/2} over the time frequencies of
+    samples at step dt along axis 0, in FFT order, with F(tau) = (2 pi)^{-1/2}
+    sum_j f(t_j) e^{i tau t_j} dt; the weight has a `_time_weight` factor."""
     n = samples.shape[0]
-    F = np.fft.ifft(samples, axis=0) * n * dt / math.sqrt(TWO_PI)
-    tau = (TWO_PI * np.fft.fftfreq(n, d=dt)).reshape((-1,) + (1,) * (samples.ndim - 1))
-    dtau = TWO_PI / (n * dt)
-    return math.sqrt(float(np.sum((1.0 + tau**2) ** b * weight * np.abs(F) ** 2)) * dtau)
+    F = np.fft.ifft(samples, axis=0) * (n * dt / math.sqrt(TWO_PI))
+    return math.sqrt(float(np.sum(weight * np.abs(F) ** 2)) * (TWO_PI / (n * dt)))
 
 
 def interaction_frame(f: SpaceTimeField) -> SpaceTimeField:
@@ -156,7 +159,9 @@ def interaction_frame(f: SpaceTimeField) -> SpaceTimeField:
 
 def hb_hs_norm(f: SpaceTimeField, s: float, b: float) -> float:
     """Plain H^b_t H^s_x norm of the sampled field (no dispersion weight)."""
-    return _hb_norm(f.values, f.T_w / f.M_t, b, sobolev_weights(f.spec, s))
+    dt = f.T_w / f.M_t
+    time_weight = _time_weight(f.M_t, dt, b).reshape((-1,) + (1,) * f.spec.d)
+    return _hb_norm(f.values, dt, time_weight * sobolev_weights(f.spec, s))
 
 
 def xsb_norm(f: SpaceTimeField, s: float, b: float) -> float:
@@ -238,6 +243,12 @@ def check_gain_exponents(b: float, b_prime: float) -> None:
         raise ValueError("need 0 < b' < 1/2 < b and b + b' <= 1")
 
 
+def _probe_signal(t: np.ndarray, w: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """sum_k amps[k] e^{i w[k] t} over a uniform grid t of 64 m times, with
+    e^{iwt_{64c+f}} = e^{iwt_{64c}} e^{iw(t_f - t_0)}: m + 64 exponentials per w[k]."""
+    return ((free_phase(t[::64], w) * amps) @ free_phase(t[:64] - t[0], w).T).ravel()
+
+
 def duhamel_gain_probe(
     b: float,
     b_prime: float,
@@ -249,14 +260,16 @@ def duhamel_gain_probe(
     window lengths T = 1, 1/2, 1/4 (the estimate is for T <= 1) to expose
     the T^{1-b-b'} scaling.
 
-    Valid parameter range 0 < b' < 1/2 < b, b + b' <= 1. Zero signals are
-    skipped (0/0 guard).
+    Valid parameter range 0 < b' < 1/2 < b, b + b' <= 1. The zero signal
+    among them is skipped (its ratio is 0/0).
     """
     check_gain_exponents(b, b_prime)
     check_probe_inputs(n_samples, None, None, None)
     T_values = (1.0, 0.5, 0.25)
     t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
     dt = t[1] - t[0]
+    i0 = np.searchsorted(t, 0.0)
+    weight_num, weight_den = _time_weight(len(t), dt, b), _time_weight(len(t), dt, -b_prime)
     max_ratios = []
     for T in T_values:
         # one bump is both the signal cutoff and the window Psi(t/T)
@@ -265,21 +278,16 @@ def duhamel_gain_probe(
         freqs = [0.5 / T, 1.0 / T, 2.0 / T, 4.0 / T, 8.0 / T]
         for i in range(n_samples):
             if i < len(freqs):
-                f = chi * np.exp(1j * freqs[i] * t)
+                w, amps = np.array([freqs[i]]), np.ones(1)
             elif i == len(freqs):
-                f = np.zeros_like(t, dtype=complex)
+                continue  # the zero signal
             else:
                 w = rng.uniform(0.25 / T, 12.0 / T, size=3)
                 amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                f = chi * sum(a * np.exp(1j * wi * t) for a, wi in zip(amps, w))
-            denom = _hb_norm(f, dt, -b_prime, 1.0)
-            if denom == 0.0:
-                continue
+            f = chi * _probe_signal(t, w, amps)
+            denom = _hb_norm(f, dt, weight_den)
             prim = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * dt)])
-            i0 = np.searchsorted(t, 0.0)
-            prim = prim - prim[i0]
-            F = chi * prim
-            best = max(best, _hb_norm(F, dt, b, 1.0) / denom)
+            best = max(best, _hb_norm(chi * (prim - prim[i0]), dt, weight_num) / denom)
         max_ratios.append(best)
     slope = float(np.polyfit(np.log(T_values), np.log(max_ratios), 1)[0])
     return GainProbeResult(

@@ -184,10 +184,7 @@ def _flow(cfg, rng, T_default):
 
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
 # ---------------------------------------------------------------------------

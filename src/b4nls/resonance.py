@@ -29,8 +29,8 @@ import numpy as np
 
 
 # keys of the last block (K_max^2) a sweep may count: `_max_bucket` peaks at
-# 49 B per int64 key and 206 B per exact key (K = 1024, 2048), so 2^22 keys
-# (K_max = 2048) stay below 0.9 GB.
+# 28 B per int64 key and 76 B per exact key (tracemalloc, K = 1024 and 2048,
+# beta = 1/(10^15 + 1)), so 2^22 keys (K_max = 2048) stay below 0.35 GB.
 MAX_SWEEP_KEYS = 2**22
 
 
@@ -114,20 +114,25 @@ class SweepResult:
 def _max_bucket(K: int, p: int, q: int) -> tuple[int, int]:
     """(max count, key m) of the fullest phase-sum bucket of the K x K box.
 
-    The keys m = q(A^2 + B^2) + p(A + B) of `build_table` are counted by
-    np.unique; among the fullest buckets the one whose first pair comes
-    first in `build_table`'s (k, l) order wins, the bucket that
-    `build_table`'s dict lists first. The keys are int64 unless they could
-    reach 2^63, and exact Python ints then.
+    The keys m = q(A^2 + B^2) + p(A + B) of `build_table` are sorted once and
+    counted by run length. Of the fullest buckets, the one `build_table`'s
+    dict lists first wins: it holds the first key, row by row, that a fullest
+    bucket holds. The keys are int64 unless they could reach 2^63, and exact
+    Python ints then.
     """
     a_top = (2 * K - 1) * (2 * K + 3)  # the largest A = k(k+4) of the box
     exact = q * 2 * a_top * a_top + abs(p) * 2 * a_top >= 2**63
     a = np.array([k * (k + 4) for k in range(K, 2 * K)], dtype=object if exact else np.int64)
     half = q * a * a + p * a
-    keys = (half[:, None] + half[None, :]).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    top = counts.max()
-    return int(top), int(keys[first[counts == top].min()])
+    keys = half[:, None] + half[None, :]
+    s = np.sort(keys, axis=None)
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    counts = np.diff(starts, append=s.size)
+    fullest = s[starts[counts == counts.max()]]
+    for row in keys:
+        hit = fullest[np.searchsorted(fullest, row).clip(max=len(fullest) - 1)] == row
+        if hit.any():
+            return int(counts.max()), int(row[hit.argmax()])
 
 
 def check_sweep(K_max: int, p: int, q: int) -> None:

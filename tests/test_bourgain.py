@@ -9,6 +9,8 @@ from b4nls.cli import main
 from b4nls.bourgain import (
     SpaceTimeField,
     _hb_norm,
+    _probe_signal,
+    _time_weight,
     duhamel_gain_probe,
     hb_hs_norm,
     l2hs_norm,
@@ -18,7 +20,7 @@ from b4nls.bourgain import (
     trilinear_constant_probe,
     xsb_norm,
 )
-from b4nls.spectral import box_mask, sobolev_weights
+from b4nls.spectral import box_mask, plateau_bump, sobolev_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,12 +88,76 @@ def test_hb_norm_of_a_gaussian_is_its_closed_form(bb):
              sigma * rp + rp / sigma + 3 * rp / (4 * sigma**3)][bb]
     t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
     f = np.exp(-(t**2) / (2 * sigma**2))
-    assert _hb_norm(f, t[1] - t[0], bb, 1.0) ** 2 == pytest.approx(exact, rel=1e-14, abs=0)
+    dt = t[1] - t[0]
+    norm = _hb_norm(f, dt, _time_weight(len(t), dt, bb))
+    assert norm**2 == pytest.approx(exact, rel=1e-14, abs=0)
     spec = b.make_torus(1, 8, 1.0)
     values = np.zeros((len(t),) + spec.shape)
     values[:, 0] = f
     field = SpaceTimeField(spec, 8.0, values, None)
     assert hb_hs_norm(field, 0.0, bb) ** 2 == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("w", [0.25, 1.0, 8.0, 31.7, 48.0])
+def test_probe_phase_table_is_the_direct_exponential(w):
+    # 48 = 12 / T at T = 1/4 is the probe's largest frequency: |wt| reaches 192
+    t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
+    table = _probe_signal(t, np.array([w]), np.ones(1))
+    assert np.abs(table - np.exp(1j * w * t)).max() <= 2e-13
+
+
+def _hb_norm_per_call(f, dt, b):
+    """The H^b norm of a scalar signal as the probe computed it per signal,
+    time frequencies and weight included."""
+    n = len(f)
+    F = np.fft.ifft(f) * n * dt / math.sqrt(TWO_PI)
+    tau = TWO_PI * np.fft.fftfreq(n, d=dt)
+    return math.sqrt(float(np.sum((1.0 + tau**2) ** b * np.abs(F) ** 2)) * TWO_PI / (n * dt))
+
+
+def _gain_probe_loop(b, b_prime, n_samples, rng):
+    """The gain probe signal by signal, each e^{iwt} by np.exp on the whole
+    grid: the oracle of duhamel_gain_probe."""
+    T_values = (1.0, 0.5, 0.25)
+    t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
+    dt = t[1] - t[0]
+    max_ratios = []
+    for T in T_values:
+        chi = plateau_bump(t / T, -2.0, -1.0, 1.0, 2.0)
+        best = 0.0
+        freqs = [0.5 / T, 1.0 / T, 2.0 / T, 4.0 / T, 8.0 / T]
+        for i in range(n_samples):
+            if i < len(freqs):
+                f = chi * np.exp(1j * freqs[i] * t)
+            elif i == len(freqs):
+                f = np.zeros_like(t, dtype=complex)
+            else:
+                w = rng.uniform(0.25 / T, 12.0 / T, size=3)
+                amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                f = chi * sum(a * np.exp(1j * wi * t) for a, wi in zip(amps, w))
+            denom = _hb_norm_per_call(f, dt, -b_prime)
+            if denom == 0.0:
+                continue
+            prim = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * dt)])
+            prim = prim - prim[np.searchsorted(t, 0.0)]
+            best = max(best, _hb_norm_per_call(chi * prim, dt, b) / denom)
+        max_ratios.append(best)
+    slope = float(np.polyfit(np.log(T_values), np.log(max_ratios), 1)[0])
+    return max_ratios, slope
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_gain_probe_matches_the_per_signal_loop(seed):
+    # 20 samples is the bench's count; 3 leaves out the zero signal and 7
+    # draws one random signal. The rng must end where the loop leaves it,
+    # since the trilinear probe draws from it next.
+    for n_samples in (3, 7, 20):
+        rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = duhamel_gain_probe(0.55, 0.45, n_samples, rng)
+        ratios, slope = _gain_probe_loop(0.55, 0.45, n_samples, rng_loop)
+        assert got.max_ratios == pytest.approx(ratios, rel=1e-12, abs=0)
+        assert got.fitted_exponent == pytest.approx(slope, rel=1e-12, abs=0)
+        assert rng.random() == rng_loop.random()
 
 
 def test_probe_outputs_of_the_bench_config_are_pinned(tmp_path):

@@ -267,6 +267,19 @@ def test_every_kind_runs_and_reruns_byte_identically(tmp_path, kind):
     assert trees[0] == trees[1]
 
 
+def test_write_csv_writes_each_cell_as_csv_does(tmp_path):
+    # a float subclass was written by its repr, so numpy 2 wrote
+    # np.float64(0.1) as the text "np.float64(0.1)"
+    row = [np.float64(0.1), 0.1, math.nan, 3, "a b"]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, ["x", "y", "z", "n", "s"], [row, row])
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([["x", "y", "z", "n", "s"], row, row])
+    text = path.read_bytes().decode()
+    assert text == expected.getvalue()
+    assert text.splitlines()[1] == "0.1,0.1,nan,3,a b"
+
+
 def test_a_zero_horizon_sweep_writes_unsigned_zero_floors(tmp_path):
     # G is the zero matrix at T = 0, and its eigenvalues are written as 0.0
     path = write_config(

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,14 +116,36 @@ def _sweep_from_tables(K_max, p, q):
     return tuple(rows), tuple(counts)
 
 
-def test_counting_sweep_keeps_exact_keys_past_int64():
+def test_counting_sweep_keeps_exact_keys_past_int64(monkeypatch):
     # q 2 A^2 + |p| 2 A reaches 2^63 at K = 8 (A = 15 * 19), so int64 keys
-    # would wrap; the sweep must fall back to exact integers
+    # would wrap; the sweep must fall back to exact integers, which take the
+    # same sort and run-length count as int64 keys
     p, q, K_max = 1, 10**15 + 1, 8
     a_top = (2 * K_max - 1) * (2 * K_max + 3)
     assert q * 2 * a_top**2 + abs(p) * 2 * a_top >= 2**63
+    sorted_dtypes = []
+    sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sorted_dtypes.append(a.dtype)
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(rz.np, "sort", spy)
     sweep = rz.counting_sweep(K_max, p, q)
+    monkeypatch.undo()
+    assert sorted_dtypes[-1] == object and len(sorted_dtypes) == 4
     assert (sweep.rows, sweep.max_counts) == _sweep_from_tables(K_max, p, q)
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 1)])
+def test_counting_sweep_equals_the_table_oracle_at_K_256(p, q):
+    # past the property test's K_max <= 32: at K = 256 the max count is 2
+    # and tens of thousands of buckets tie for it, so the row is the first
+    # pair's bucket in the table's order, not just any fullest bucket
+    sweep = rz.counting_sweep(256, p, q)
+    assert (sweep.rows, sweep.max_counts) == _sweep_from_tables(256, p, q)
+    assert sweep.max_counts[-1] == 2
+    assert sum(len(v) == 2 for v in rz.build_table(256, 256, p, q).buckets.values()) > 30000
 
 
 @st.composite

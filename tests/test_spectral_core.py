@@ -840,9 +840,9 @@ def _is_weighted_square_sum(node):
 def test_each_numerical_rule_has_one_owner():
     # the step grid n = max(1, round(T / dt)) is dynamics.step_grid, and a
     # straight-line fit is np.polyfit: no other round of a quotient, no lstsq.
-    # The free phase e^{itX} is spectral.free_phase: the oracles
-    # propagate_free and tapered_free_solution keep their own, and the gain
-    # probe's e^{iwt} is a scalar test signal, not a lattice phase. The
+    # The free phase e^{itX} is spectral.free_phase, the gain probe's
+    # e^{iwt} tables included: the oracles propagate_free and
+    # tapered_free_solution keep their own. The
     # Sobolev-weighted square sum is spectral.hs_norm, and the oracle
     # l2hs_norm keeps its own.
     src = Path(b.__file__).parent
@@ -871,7 +871,6 @@ def test_each_numerical_rule_has_one_owner():
                     sobolev_sums.add(name)
     assert rounders == ["dynamics.step_grid"]
     assert sorted(phases) == [
-        "bourgain.duhamel_gain_probe", "bourgain.tapered_free_solution",
-        "spectral.free_phase", "spectral.propagate_free",
+        "bourgain.tapered_free_solution", "spectral.free_phase", "spectral.propagate_free",
     ]
     assert sorted(sobolev_sums) == ["bourgain.l2hs_norm", "spectral.hs_norm"]
