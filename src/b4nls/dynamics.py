@@ -56,8 +56,8 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     _grid_modulus,
+    block_axes,
     block_layout,
-    blockwise,
     check_block_entries,
     dealiased_term_kernel,
     kernel_blocks,
@@ -312,7 +312,9 @@ class _DampingOperator:
     modes: D maps no block into another, so kernel_blocks builds every
     block from m^v applies of D to lattice fields; J is then inverted once
     per block. A constant profile has v = 0: blocks of one mode, a
-    diagonal D.
+    diagonal D. The layout is the box's axes permuted into block_axes, so
+    a box array goes through the blocks by a transpose, one batched
+    product and the transpose back (by_blocks).
 
     An apply is two profile products on the compact profile, each one
     transform pass per axis the profile varies on and one back: 4 one-axis
@@ -324,6 +326,8 @@ class _DampingOperator:
         self.a = profile.compact
         self.s2 = smoothing_multiplier(spec, 2)
         self.layout = damping_layout(profile)
+        self.axes = block_axes(profile)
+        self.back = tuple(np.argsort(self.axes))
         modes = np.flatnonzero(spec.dealias_mask)[self.layout]  # in the lattice
         d_blocks = kernel_blocks(spec, self.apply, modes, modes)
         self.j = np.eye(self.layout.shape[1]) - 1j * d_blocks
@@ -333,14 +337,20 @@ class _DampingOperator:
         """D c for lattice coefficients c."""
         return sandwich(self.spec, self.a, self.s2, c)
 
+    def by_blocks(self, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The stack blocks (j or j_inv) applied to a box array u, block by
+        block: u's axes in block order are the layout's rows."""
+        x = u.transpose(self.axes).reshape(self.layout.shape + (1,))
+        return (blocks @ x).reshape(u.shape).transpose(self.back)
+
     def times_j(self, u: np.ndarray) -> np.ndarray:
         """J u for a box array u."""
-        return blockwise(self.j, self.layout, u)
+        return self.by_blocks(self.j, u)
 
     def solve_j(self, v: np.ndarray):
         """(w, D w) for J w = v, v a box array: w = J^{-1} v, and D w =
         i (v - w) from J w = v, with no apply of D."""
-        w = blockwise(self.j_inv, self.layout, v)
+        w = self.by_blocks(self.j_inv, v)
         return w, 1j * (v - w)
 
 
@@ -373,7 +383,7 @@ def evolve_damped(
     def stage(vv: np.ndarray, g) -> np.ndarray:
         # the v-equation's term -mult D w + i f(w) over i, with
         # D w = i (v - w): f(w) + mult (w - v)
-        w = blockwise(damp.j_inv, damp.layout, vv)
+        w = damp.by_blocks(damp.j_inv, vv)
         out = term(w)
         out += mult * (w - vv)
         return out
@@ -383,7 +393,7 @@ def evolve_damped(
     def recover(vv: np.ndarray):
         # u_t = i w for the solve below, so the flux ||(1-Lap)^{-1}(a u_t)||^2
         # is D's quadratic form <u_t, D u_t> = <w, D w>
-        u = blockwise(damp.j_inv, damp.layout, vv)
+        u = damp.by_blocks(damp.j_inv, vv)
         w, dw = damp.solve_j(mult * u + term(u))
         return u, float(np.real(np.vdot(w, dw)))
 
@@ -535,11 +545,16 @@ def save_trace(trace: EvolutionTrace, outdir, snapshot_stride: int = 1) -> None:
 
 
 def load_ledger(path) -> dict[str, np.ndarray]:
+    """The columns of a ledger.csv, one array per LEDGER_HEADER name; a
+    header with no rows gives zero-length columns."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError("empty ledger: no header")
     if rows[0] != LEDGER_HEADER:
         raise ValueError("unrecognized ledger header")
-    cols = np.array([[float(x) for x in row] for row in rows[1:]])
+    values = [[float(x) for x in row] for row in rows[1:]]
+    cols = np.array(values, dtype=float).reshape(len(values), len(LEDGER_HEADER))
     return {name: cols[:, i] for i, name in enumerate(LEDGER_HEADER)}
 
 

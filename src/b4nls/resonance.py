@@ -22,6 +22,7 @@ floating point is the growth-exponent fit in the dyadic sweep summary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,9 +34,24 @@ import numpy as np
 # beta = 1/(10^15 + 1)), so 2^22 keys (K_max = 2048) stay below 0.35 GB.
 MAX_SWEEP_KEYS = 2**22
 
+# bytes the last block's keys may take at the peak of `_max_bucket`, the
+# 0.35 GB above. An exact key is a Python int whose size grows with beta's
+# terms; per key the peak is at most sys.getsizeof of the largest key plus
+# _EXACT_KEY_BYTES (tracemalloc, K = 128 and 256, q of 16 to 1,001 digits:
+# 36-40 B above the largest key's size, 512 B per key at 1,001 digits).
+MAX_SWEEP_BYTES = 350_000_000
+_EXACT_KEY_BYTES = 40
+
 
 class ResonanceError(ValueError):
     pass
+
+
+def _top_key(K: int, p: int, q: int) -> int:
+    """A bound on |key| over the K x K box: the largest A = k(k+4) in
+    q(A^2 + B^2) + |p|(A + B)."""
+    a_top = (2 * K - 1) * (2 * K + 3)
+    return q * 2 * a_top * a_top + abs(p) * 2 * a_top
 
 
 def _check_beta(p: int, q: int) -> None:
@@ -120,8 +136,7 @@ def _max_bucket(K: int, p: int, q: int) -> tuple[int, int]:
     bucket holds. The keys are int64 unless they could reach 2^63, and exact
     Python ints then.
     """
-    a_top = (2 * K - 1) * (2 * K + 3)  # the largest A = k(k+4) of the box
-    exact = q * 2 * a_top * a_top + abs(p) * 2 * a_top >= 2**63
+    exact = _top_key(K, p, q) >= 2**63
     a = np.array([k * (k + 4) for k in range(K, 2 * K)], dtype=object if exact else np.int64)
     half = q * a * a + p * a
     keys = half[:, None] + half[None, :]
@@ -145,6 +160,16 @@ def check_sweep(K_max: int, p: int, q: int) -> None:
             f"more than the {MAX_SWEEP_KEYS} a sweep may count in memory"
         )
     _check_beta(p, q)
+    top = _top_key(K_max, p, q)
+    if top >= 2**63:
+        need = K_max * K_max * (sys.getsizeof(top) + _EXACT_KEY_BYTES)
+        if need > MAX_SWEEP_BYTES:
+            raise ResonanceError(
+                f"K_max = {K_max}, beta = {p}/{q}: the last block's {K_max * K_max} exact "
+                f"phase-sum keys need about {need} bytes, more than the "
+                f"{MAX_SWEEP_BYTES} a sweep may hold; use a smaller K_max or a beta "
+                "with shorter terms"
+            )
 
 
 def counting_sweep(K_max: int, p: int, q: int) -> SweepResult:

@@ -28,16 +28,17 @@ The flows carry box arrays: the m^d coefficients, m = 2 floor(N/3) + 1,
 of the 2/3-rule box that spec.dealias_mask keeps, cut from a lattice
 array by spec.box and kept in lattice order. The dealiased cubic term,
 dealiased_nonlinear_term, maps box arrays to box arrays and has two
-routes, chosen by the work of one product, box.size * n_modes. Up to
-DENSE_TERM_WORK = 2^12 complex multiply-adds (one field at d = 1 with
-even N <= 76, or d2N8) it is two products with a cached pair of transform
-matrices between the box and the grid and no FFT call, about a third of
-the FFT route's time, equal to the masked product to roundoff. Above that,
-the FFT route is the masked product bit for bit: its inverse passes pad
-the box with zeros into the lines they transform, and its forward passes
-compute only the lines the box keeps, the last of them leaving the box
-array. dealiased_term_kernel builds either route once, for a march to call
-at every stage.
+routes, chosen by dense_term_route from the sizes alone. Up to
+DENSE_TERM_WORK = 2^15 complex multiply-adds per one-axis FFT call it
+replaces (a single field at d = 1 with N <= 220, d = 2 with N <= 38 and
+d = 3 with N <= 16), it is separable: one product per axis each way with
+a cached (m, N) and (N, m) pair of one-axis transform matrices, no FFT
+call, equal to the masked product to roundoff. Above that, the FFT route
+is the masked product bit for bit: its inverse passes pad the box with
+zeros into the lines they transform, and its forward passes compute only
+the lines the box keeps, the last of them leaving the box array; every
+pass writes into a buffer made with the kernel. dealiased_term_kernel
+builds either route once, for a march to call at every stage.
 
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
 the damping operator and the HUM operator both apply it. The dense blocks
@@ -81,6 +82,7 @@ from .regions import (
 
 SNAPSHOT_MAGIC = b"B4NLS1"
 SNAPSHOT_TORUS = 0  # the only manifold kind byte a snapshot may carry
+SNAPSHOT_HEADER = struct.Struct("<BBId")  # after the magic: kind, d, N, beta
 
 
 @dataclass(frozen=True)
@@ -315,61 +317,104 @@ def dealias_box(spec: ManifoldSpec) -> slice:
     return slice(spec.N // 2 - spec.N // 3, spec.N // 2 + spec.N // 3 + 1)
 
 
-# Complex multiply-adds per product at or below which the dealiased cubic
-# term takes the dense route; it also caps each matrix of the pair at
-# 2^12 entries, 64 KB.
-DENSE_TERM_WORK = 2**12
+# Complex multiply-adds per FFT call replaced, at or below which the
+# dealiased cubic term takes the dense route (dense_term_route).
+DENSE_TERM_WORK = 2**15
+
+
+def dense_term_route(spec: ManifoldSpec, shape: tuple[int, ...]) -> bool:
+    """Whether dealiased_term_kernel takes its dense route for box arrays
+    of this shape: whether the separable products' multiply-adds, spread
+    over the 2d one-axis FFT calls they replace, stay within
+    DENSE_TERM_WORK. A pass along one axis maps m entries to N (or back) on
+    every line of the others; summed over the d passes each way that is
+    2 L m N (N^d - m^d) / (N - m) for L fields of box side m."""
+    N, d, m = spec.N, spec.d, shape[-1]
+    fields = math.prod(shape[:len(shape) - d])
+    return fields * m * N * (N**d - m**d) // (N - m) <= DENSE_TERM_WORK * d
 
 
 @lru_cache(maxsize=16)
-def _dense_term_pair(spec: ManifoldSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dealiased cubic term's transforms between the box and the grid,
-    an (m^d, n_modes) and an (n_modes, m^d) matrix, tabulated by applying
-    the kernel's own transforms to the identity. Row i of inv is the signed
-    grid of the box's mode i; row j of fwd is the box's signed coefficients
-    of the grid delta at x_j, times the scale^(2k). Built once per lattice
-    and k, read-only."""
-    n = spec.n_modes
-    eye = np.eye(n, dtype=complex).reshape((n,) + spec.shape)
-    inv = _signed_grid(spec, eye[np.flatnonzero(spec.dealias_mask)]).reshape(-1, n)
-    fwd = (_signed_coeffs(spec, eye)[spec.box] * _grid_scale(spec) ** (2 * k)).reshape(n, -1)
+def _dense_term_axis(spec: ManifoldSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense route's transforms along one axis, tabulated by applying
+    the kernel's own one-axis transforms to the identity: row i of the
+    (m, N) matrix inv is the inverse FFT of the box's i-th line, row j of
+    the (N, m) matrix fwd the box's entries of the forward FFT of the grid
+    delta at x_j, times (N / sqrt(2pi))^(2k), one axis's share of the
+    scale^(2k). Every axis shares them. Built once per lattice and k,
+    read-only."""
+    eye = np.eye(spec.N, dtype=complex)
+    lines = dealias_box(spec)
+    inv = np.fft.ifft(eye[lines], axis=-1)
+    fwd = np.fft.fft(eye, axis=-1)[:, lines] * (spec.N / math.sqrt(TWO_PI)) ** (2 * k)
     inv.flags.writeable = fwd.flags.writeable = False
     return inv, fwd
 
 
-def dealiased_term_kernel(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
-    """dealiased_nonlinear_term as a map of box arrays of one shape, with
-    its route's matrices or zero-padded buffers fetched once, here: a march
-    builds it before its loop and calls it at every stage."""
-    lead = shape[:len(shape) - spec.d]
-    if math.prod(shape) * spec.n_modes <= DENSE_TERM_WORK:
-        inv, fwd = _dense_term_pair(spec, k)
-        flat = lead + (-1,)
+def _dense_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
+    """The dense route for box arrays of shape lead + (m,)*d. Each pass is
+    one matmul along one axis: the last axis as x @ inv, every other as
+    inv.T @ x on x reshaped to (..., m, N^j), the axes after it already on
+    the grid, so the inverse ends on lead + (N, N^(d-1)). The forward
+    passes run first axis first, the last axis last as w @ fwd, which
+    leaves the box array. At d = 1 both loops are empty: two products and
+    the pointwise power."""
+    inv, fwd = _dense_term_axis(spec, k)
+    N, d, m = spec.N, spec.d, shape[-1]
+    lead = shape[:len(shape) - d]
+    to_grid = [lead + (m,) * (d - 1 - j) + (m, N**j) for j in range(1, d)]
+    to_box = [lead + (m,) * i + (N, N ** (d - 1 - i)) for i in range(d - 1)]
+    inv_t, fwd_t = inv.T, fwd.T
 
-        def dense(box: np.ndarray) -> np.ndarray:
-            v = box.reshape(flat) @ inv
-            return ((np.abs(v) ** (2 * k) * v) @ fwd).reshape(shape)
+    def dense(box: np.ndarray) -> np.ndarray:
+        v = box @ inv
+        for grouping in to_grid:
+            v = inv_t @ v.reshape(grouping)
+        w = np.abs(v) ** (2 * k) * v
+        for grouping in to_box:
+            w = fwd_t @ w.reshape(grouping)
+        return w @ fwd
 
-        return dense
-    # pass j transforms axis -1 - j: its input is cut to the box along the
-    # axes still to transform, and padded with zeros to N along the others
-    at = [(Ellipsis, dealias_box(spec)) + (slice(None),) * j for j in range(spec.d)]
-    pads = [np.zeros(shape[:len(shape) - 1 - j] + (spec.N,) * (j + 1), dtype=complex)
-            for j in range(spec.d)]
+    return dense
+
+
+def _fft_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
+    """The FFT route for box arrays of one shape, with every buffer made
+    here. Inverse pass j transforms axis -1 - j of a buffer that holds the
+    box along the axes still to transform and zeros around it on the N
+    lines of the others; it writes straight into the box lines of the next
+    pass's buffer, and the last pass into the grid. Forward pass j writes
+    into its own buffer, whose box lines along its axis are the next
+    pass's input. A call copies the box in, and its result out."""
+    N, d, m = spec.N, spec.d, shape[-1]
+    lead = shape[:len(shape) - d]
+    at = [(Ellipsis, dealias_box(spec)) + (slice(None),) * j for j in range(d)]
+    pads = [np.zeros(lead + (m,) * (d - 1 - j) + (N,) * (j + 1), dtype=complex)
+            for j in range(d)]
+    grid = np.empty(lead + (N,) * d, dtype=complex)
+    inv_out = [pad[lines] for pad, lines in zip(pads[1:], at[1:])] + [grid]
+    fwd_out = [np.empty(lead + (N,) * (d - j) + (m,) * j, dtype=complex) for j in range(d)]
+    first = pads[0][at[0]]
     axes = _axes(spec)[::-1]
     scale = _grid_scale(spec) ** (2 * k)
 
     def fft(box: np.ndarray) -> np.ndarray:
-        v = box
-        for pad, lines, axis in zip(pads, at, axes):
-            pad[lines] = v
-            v = np.fft.ifft(pad, axis=axis)
-        w = np.abs(v) ** (2 * k) * v
-        for lines, axis in zip(at, axes):
-            w = np.fft.fft(w, axis=axis)[lines]
+        first[...] = box
+        for pad, out, axis in zip(pads, inv_out, axes):
+            np.fft.ifft(pad, axis=axis, out=out)
+        w = np.abs(grid) ** (2 * k) * grid
+        for out, lines, axis in zip(fwd_out, at, axes):
+            w = np.fft.fft(w, axis=axis, out=out)[lines]
         return w * scale
 
     return fft
+
+
+def dealiased_term_kernel(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
+    """dealiased_nonlinear_term as a map of box arrays of one shape, on the
+    route dense_term_route picks, with its matrices or buffers fetched once,
+    here: a march builds it before its loop and calls it at every stage."""
+    return (_dense_term if dense_term_route(spec, shape) else _fft_term)(spec, k, shape)
 
 
 def dealiased_nonlinear_term(spec: ManifoldSpec, box: np.ndarray, k: int) -> np.ndarray:
@@ -377,13 +422,13 @@ def dealiased_nonlinear_term(spec: ManifoldSpec, box: np.ndarray, k: int) -> np.
     the coefficients of the 2/3-rule box, c[spec.box] of a lattice array c,
     shaped (..., m)*d. A flow's state and its term live there.
 
-    Dense route, when box.size * n_modes <= DENSE_TERM_WORK: two products
-    with the cached pair _dense_term_pair, v = c inv on the grid and
-    (|v|^{2k} v) fwd on the box. It makes no FFT call: at a few dozen
-    modes the FFT costs its fixed per-call overhead, not its arithmetic.
-    Its sums run in another order than the FFT's, so it agrees with the
-    masked nonlinear_term to roundoff (within 1e-14 of max |term|), not
-    bit for bit.
+    Dense route, when dense_term_route says so: separable products with
+    one cached pair of one-axis matrices, v = c inv along each axis onto
+    the grid and (|v|^{2k} v) fwd along each axis back onto the box. It
+    makes no FFT call: at a few thousand grid points the FFT's calls cost
+    their fixed overhead, not their arithmetic. Its sums run in another
+    order than the FFT's, so it agrees with the masked nonlinear_term to
+    roundoff (within 1e-14 of max |term|), not bit for bit.
 
     FFT route, everything larger: the masked nonlinear_term bit for bit.
     Each inverse pass pads its input with zeros to the N lines of its axis,
@@ -392,23 +437,35 @@ def dealiased_nonlinear_term(spec: ManifoldSpec, box: np.ndarray, k: int) -> np.
     pass is cut to the box along its axis, so the next pass computes only
     the lines the mask keeps, and the last leaves the box array itself.
 
-    The rule reads the work of one product, so the bench's d1N32 control
-    march takes the dense route and its d2N32/d2N64 flows and hum's
-    (1001, 21) batch the FFT route. Time per call of a kernel built once,
-    on box arrays, numpy 2.4 and OpenBLAS on one thread of a shared 2-core
-    x86-64 VM, k = 1 (best of 5 timeit runs):
+    The rule sends the bench's single fields at d1N32 (control) and d2N32
+    (stabilize) to the dense route, and d2N64 (simulate) and hum's
+    (1001, 21) batch to the FFT route. Time per call of a kernel built
+    once, on box arrays, numpy 2.4 and OpenBLAS on one thread of a shared
+    2-core x86-64 VM, k = 1 (best of 9 interleaved timeit runs, the lower
+    of two sets); work is the separable multiply-adds per FFT call
+    replaced:
 
-        call            work     FFT route   dense route
-        d1N32 (21)      2^9.4      17 us        5 us
-        d1N64 (43)      2^11.4     18 us        7 us
-        d2N8 (5, 5)     2^10.6     34 us        6 us
-        d1N128 (85)     2^13.4     21 us       17 us
-        d1N256 (171)    2^15.4     24 us       37 us
-        (1001, 43)     ~2^21.4    2.4 ms      2.7 ms
+        call              work      FFT route   dense route
+        d1N32 (21)        2^9.4       25 us         9 us
+        d1N128 (85)       2^13.4      26 us        17 us
+        d1N192 (129)      2^14.6      28 us        26 us
+        d1N220 (147)      2^15.0      23 us        29 us
+        d1N256 (171)      2^15.4      26 us        41 us
+        (1001, 21)        2^19.4     678 us       509 us
+        d2N8 (5, 5)       2^8.0       40 us        17 us
+        d2N32 (21, 21)    2^14.1      52 us        37 us
+        d2N40 (27, 27)    2^15.1      70 us        52 us
+        d2N56 (37, 37)    2^16.6      90 us       102 us
+        d2N64 (43, 43)    2^17.2     109 us       136 us
+        d3N16 (11,)*3     2^15.0     149 us       117 us
+        d3N24 (17,)*3     2^17.4     636 us       424 us
 
-    A single field still gains at d1N128 and loses at d1N256; the bound
-    stops at 2^12 so that each matrix stays at 64 KB and batches stay on
-    the FFT.
+    A single field at d = 1 breaks even near N = 200, a little below the
+    bound; at d = 2 the dense route gains up to about d2N48 and at d = 3
+    past d3N24, and it gains on the (1001, 21) batch too. The one bound
+    stays at 2^15 so that batches keep the FFT route, which is the masked
+    product bit for bit, and the dense temporaries stay the size of a few
+    grids.
     """
     return dealiased_term_kernel(spec, k, box.shape)(box)
 
@@ -468,17 +525,22 @@ def kernel_blocks(spec: ManifoldSpec, kernel, layout: np.ndarray, rows: np.ndarr
     return out
 
 
+def block_axes(profile: DampingProfile) -> tuple[int, ...]:
+    """The d axes in block order: the profile's constant axes, then the
+    axes it varies on."""
+    shape = profile.compact.shape
+    return tuple(sorted(range(len(shape)), key=lambda axis: shape[axis] > 1))
+
+
 def block_layout(profile: DampingProfile, modes: np.ndarray) -> np.ndarray:
     """The flat indices modes of a lattice cube of side m, in lattice order,
-    as m^(d-v) rows of m^v: the cube ordered as (the profile's constant
-    axes, the v axes it varies on). A kernel of grid products with the
-    profile is diagonal in the constant axes' wavenumbers: no row maps
-    into another."""
+    as m^(d-v) rows of m^v: the cube's axes permuted into block_axes. A
+    kernel of grid products with the profile is diagonal in the constant
+    axes' wavenumbers: no row maps into another."""
     d = profile.spec.d
-    varying = [axis for axis in range(d) if profile.compact.shape[axis] > 1]
-    order = [axis for axis in range(d) if axis not in varying] + varying
+    varying = sum(n > 1 for n in profile.compact.shape)
     m = round(len(modes) ** (1.0 / d))
-    return modes.reshape((m,) * d).transpose(order).reshape(-1, m ** len(varying))
+    return modes.reshape((m,) * d).transpose(block_axes(profile)).reshape(-1, m**varying)
 
 
 def blockwise(blocks: np.ndarray, layout: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -670,9 +732,7 @@ def multiply_profile(u: SpectralField, a: DampingProfile) -> SpectralField:
 def save_field(u: SpectralField, path) -> None:
     """Binary snapshot: magic, kind u8, d u8, N u32, beta f64, coeffs c128."""
     spec = u.spec
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<BBId", SNAPSHOT_TORUS, spec.d, spec.N, spec.beta
-    )
+    header = SNAPSHOT_MAGIC + SNAPSHOT_HEADER.pack(SNAPSHOT_TORUS, spec.d, spec.N, spec.beta)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes())
@@ -683,7 +743,11 @@ def load_field(path) -> SpectralField:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        kind_code, d, N, beta = struct.unpack("<BBId", fh.read(14))
+        header = fh.read(SNAPSHOT_HEADER.size)
+        if len(header) != SNAPSHOT_HEADER.size:
+            raise ValueError(f"truncated snapshot header: {len(header)} of "
+                             f"{SNAPSHOT_HEADER.size} bytes after the magic")
+        kind_code, d, N, beta = SNAPSHOT_HEADER.unpack(header)
         if kind_code != SNAPSHOT_TORUS:
             raise ValueError(f"bad manifold kind byte {kind_code}")
         spec = ManifoldSpec(d=d, N=N, beta=beta)

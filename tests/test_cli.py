@@ -22,7 +22,7 @@ from b4nls.cli import EXPERIMENTS, main
 from b4nls.gcc import MAX_SCAN_GEODESICS
 from b4nls.hum import HumOperator
 from b4nls.observability import MAX_BAND_ENTRIES
-from b4nls.resonance import MAX_SWEEP_KEYS
+from b4nls.resonance import MAX_SWEEP_BYTES, MAX_SWEEP_KEYS
 from b4nls.spectral import band_mode_mask
 
 
@@ -528,6 +528,23 @@ def test_validate_caps_the_resonance_sweep(tmp_path, capsys, K_max, code):
         assert f"K_max = {K_max}: the last block has {K_max**2} phase-sum keys" in (
             capsys.readouterr().err
         )
+
+
+@pytest.mark.parametrize("K_max,code", [(512, 0), (2048, 2)])
+def test_validate_caps_the_resonance_sweep_by_its_key_bytes(tmp_path, capsys, monkeypatch, K_max, code):
+    # a 1,001-digit beta_q makes every exact key about 512 B at the peak, so
+    # K_max = 2048 would need about 2.1 GB; validate refuses it before any
+    # key is built
+    monkeypatch.setattr("b4nls.resonance._max_bucket", None)
+    q = 10**1000 + 1
+    path = write_config(tmp_path, f"[experiment]\nkind = resonance-sweep\n[sweep]\n"
+                                  f"K_max = {K_max}\nbeta_p = 1\nbeta_q = {q}\n")
+    assert main(["validate", path]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        need = int(re.search(r"need about (\d+) bytes", err).group(1))
+        assert 2.0e9 < need and MAX_SWEEP_BYTES < need
 
 
 # ---------------------------------------------------------------------------

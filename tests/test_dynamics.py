@@ -565,6 +565,21 @@ def test_trace_persistence_roundtrip(tmp_path):
     assert np.array_equal(states[0].coeffs, trace.states[0])
 
 
+def test_an_empty_ledger_is_refused(tmp_path):
+    path = tmp_path / "ledger.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty ledger"):
+        load_ledger(path)
+
+
+def test_a_header_only_ledger_has_zero_length_columns(tmp_path):
+    path = tmp_path / "ledger.csv"
+    path.write_text("t,mass,energy,damping_flux\r\n")
+    led = load_ledger(path)
+    assert list(led) == ["t", "mass", "energy", "damping_flux"]
+    assert all(col.shape == (0,) and col.dtype == float for col in led.values())
+
+
 def test_energy_ledger_definition():
     # the recorded energy is the quadratic part plus the grid potential
     spec = b.make_torus(1, 32, 1.0)

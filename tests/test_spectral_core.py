@@ -15,7 +15,6 @@ from b4nls.dynamics import energy
 from b4nls.hum import multiplication_matrix, operator_layout
 from b4nls.regions import contains, inside_depth
 from b4nls.spectral import (
-    DENSE_TERM_WORK,
     KERNEL_BATCH,
     _signed_coeffs,
     _signed_grid,
@@ -25,6 +24,7 @@ from b4nls.spectral import (
     _mode_index,
     coeffs_to_grid,
     dealiased_nonlinear_term,
+    dense_term_route,
     free_phase,
     grid_to_coeffs,
     block_layout,
@@ -483,6 +483,17 @@ def test_snapshot_bad_magic(tmp_path):
         b.load_field(path)
 
 
+@pytest.mark.parametrize("kept", [6, 7, 19, 20, 147])
+def test_a_truncated_snapshot_is_refused(tmp_path, kept):
+    # the magic is 6 bytes, the header after it 14 (kind, d, N, beta), the
+    # d1N8 coefficients 128: a cut anywhere after the magic is a ValueError
+    path = tmp_path / "f.b4f"
+    b.save_field(b.basis_field(b.make_torus(1, 8, 0.5), 1), path)
+    path.write_bytes(path.read_bytes()[:kept])
+    with pytest.raises(ValueError, match="truncated snapshot"):
+        b.load_field(path)
+
+
 def test_grid_roundtrip():
     spec = b.make_torus(1, 64, 1.0)
     u = rand_field(spec, 9)
@@ -635,8 +646,9 @@ def test_a_compact_profile_transforms_only_the_axes_it_varies_on(d, region, shap
 
 @st.composite
 def _ball_coeffs(draw):
+    # N reaches 256 at d = 1, so that both routes draw fields at every d
     d = draw(st.sampled_from([1, 2, 3]))
-    N = draw(st.sampled_from([n for n in range(8, 65, 2) if d < 3 or n <= 16]))
+    N = draw(st.sampled_from([n for n in range(8, {1: 257, 2: 65, 3: 17}[d], 2)]))
     spec = b.make_torus(d, N, 1.0)
     batch = draw(st.sampled_from([(), (3,)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -647,7 +659,7 @@ def _ball_coeffs(draw):
 
 def _dense(spec, c):
     """Whether dealiased_nonlinear_term takes its dense route on c's box."""
-    return c[spec.box].size * spec.n_modes <= DENSE_TERM_WORK
+    return dense_term_route(spec, c[spec.box].shape)
 
 
 @settings(max_examples=80, deadline=None)
@@ -663,8 +675,8 @@ def test_the_dealiased_kernel_is_the_masked_cubic_term_bit_for_bit(case):
 @settings(max_examples=80, deadline=None)
 @given(_ball_coeffs().filter(lambda case: _dense(*case[:2])))
 def test_the_dense_route_is_the_masked_cubic_term_to_roundoff(case):
-    # the dense products sum in another order than the FFT: 2.0e-15 of
-    # max |term| at worst over d <= 3, N <= 64, k in {1, 2}
+    # the dense products sum in another order than the FFT: within a few
+    # 1e-15 of max |term| over d <= 3, N <= 220, k in {1, 2}
     spec, c, k = case
     expect = nonlinear_term(spec, c, k)[spec.box]
     got = dealiased_nonlinear_term(spec, c[spec.box], k)
@@ -690,30 +702,45 @@ def _ball(spec, lead, seed):
     return c[spec.box]
 
 
-@pytest.mark.parametrize(
-    "d,N,lead,dense",
-    [(1, 32, (), True), (2, 8, (), True), (1, 64, (), True), (1, 32, (4,), True),
-     (1, 76, (), True), (1, 78, (), False), (2, 10, (), False),
-     (1, 128, (), False), (2, 32, (), False), (1, 32, (1001,), False)],
-    ids=["d1N32", "d2N8", "d1N64", "d1N32x4", "d1N76", "d1N78", "d2N10",
-         "d1N128", "d2N32", "d1N32x1001"],
-)
+_ROUTES = [
+    # the bench's calls: control (d1N32), stabilize (d2N32), simulate
+    # (d2N64) and hum's record batch (1001 fields at d1N32)
+    ("d1N32", 1, 32, (), True), ("d2N32", 2, 32, (), True),
+    ("d2N64", 2, 64, (), False), ("d1N32x1001", 1, 32, (1001,), False),
+    # around them
+    ("d1N32x4", 1, 32, (4,), True), ("d1N64", 1, 64, (), True),
+    ("d1N76", 1, 76, (), True), ("d1N78", 1, 78, (), True),
+    ("d1N128", 1, 128, (), True), ("d1N256", 1, 256, (), False),
+    ("d2N8", 2, 8, (), True), ("d2N10", 2, 10, (), True),
+    # the last dense and first FFT lattice of a single field at each d
+    ("d1N220", 1, 220, (), True), ("d1N222", 1, 222, (), False),
+    ("d2N38", 2, 38, (), True), ("d2N40", 2, 40, (), False),
+    ("d3N16", 3, 16, (), True), ("d3N18", 3, 18, (), False),
+]
+
+
+@pytest.mark.parametrize("d,N,lead,dense", [row[1:] for row in _ROUTES],
+                         ids=[row[0] for row in _ROUTES])
 def test_the_dealiased_term_routes_by_its_work(monkeypatch, d, N, lead, dense):
-    # the dense route makes no FFT call once its pair is built; the FFT
-    # route is the masked cubic term bit for bit, d transforms each way;
-    # both take and return box arrays
+    # the dense route makes no FFT call once its matrices are built; the
+    # FFT route is the masked cubic term bit for bit, d transforms each
+    # way; both take and return box arrays
     spec = b.make_torus(d, N, 1.0)
     c = _ball(spec, lead, N)
-    dealiased_nonlinear_term(spec, c, 1)  # builds the dense pair once per lattice
+    assert dense_term_route(spec, c.shape) == dense
+    dealiased_nonlinear_term(spec, c, 1)  # builds the dense matrices once per N
     calls = _count_ffts(monkeypatch)
     got = dealiased_nonlinear_term(spec, c, 1)
     assert len(calls) == (0 if dense else 2 * d)
     monkeypatch.undo()
     assert got.shape == c.shape
-    if not dense:
-        full = np.zeros(lead + spec.shape, dtype=complex)
-        full[spec.box] = c
-        assert np.array_equal(got, nonlinear_term(spec, full, 1)[spec.box])
+    full = np.zeros(lead + spec.shape, dtype=complex)
+    full[spec.box] = c
+    expect = nonlinear_term(spec, full, 1)[spec.box]
+    if dense:
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    else:
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("k", [1, 2])
