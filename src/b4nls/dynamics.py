@@ -27,9 +27,10 @@ The semidiscrete system keeps the state in the 2/3-rule dealiasing box and
 evaluates |u|^{2k} u pointwise on the grid. A march carries the box array
 itself (spec.box: m^d coefficients, m = 2 floor(N/3) + 1, against N^d on
 the lattice), with its tableau, its guard weights and its term kernel
-built on the box once, before the loop; the records are scattered into
-lattice arrays after it. With that convention mass, energy and the
-damping-flux identity
+built on the box once, before the loop. Every march steps in _steps; a
+trace scatters its records into lattice arrays after it, and HUM's
+correction streams its first stages' terms (forced_term_blocks). With
+that convention mass, energy and the damping-flux identity
 
     E(t) - E(0) = - int_0^t || (1-Lap)^{-1} ( a u_t ) ||_{L^2}^2
 
@@ -198,11 +199,11 @@ class Etdrk4Tableau:
         self.f3 = dt * (4.0 * p3 - p2)
 
     def stepper(self, stage):
-        """The step (u, g) -> u', where g holds the forcing at the step's
-        start, midpoint and end, or Nones, and stage maps a stage state and
-        its forcing to its term over i: the scheme's nonlinear part is
-        i stage(...). The factor i rides on the weights Q, f1, f2 and f3,
-        multiplied here once, so that no stage pays the product."""
+        """The step (u, g) -> u', where g holds stage's second argument (the
+        forcing, say) at the step's start, midpoint and end, and stage maps
+        a stage state and that argument to its term over i: the scheme's
+        nonlinear part is i stage(...). The factor i rides on the weights Q,
+        f1, f2 and f3, multiplied here once, so that no stage pays it."""
         E, E2 = self.E, self.E2
         Q, f1, f2, f3 = (1j * w for w in (self.Q, self.f1, self.f2, self.f3))
 
@@ -241,12 +242,52 @@ def step_grid(T: float, dt: float) -> tuple[int, float]:
 _FORCING_BLOCK_ENTRIES = 32768
 
 
-def evolve_nonlinear(
-    u0: SpectralField,
-    T: float,
-    cfg: SolverConfig,
-    forcing=None,
-) -> EvolutionTrace:
+def _forced_flow(u0: SpectralField, T: float, cfg: SolverConfig, forcing, blocks):
+    """The box march of evolve_nonlinear and forced_term_blocks: (c0, dt,
+    n_steps, term, advance), advance mapping a state to the next. blocks, if
+    a list, gets each block of steps' times t_0 ... t_B as the march asks
+    for its forcing, and B + 1 rows: the first stage of step i writes
+    |u|^{2k} u at t_i into row i before it subtracts h; row B stays open."""
+    check_horizon(T)
+    spec = u0.spec
+    n_steps, dt = step_grid(T, cfg.dt)
+    box = spec.box
+    c0 = u0.coeffs[box].astype(complex)
+    term = dealiased_term_kernel(spec, cfg.k_nl, c0.shape)
+
+    def stage(cc: np.ndarray, g):
+        """i (|u|^{2k} u - h) over i, for g = (h, row); a row keeps |u|^{2k} u."""
+        h, row = g
+        out = term(cc)
+        if row is not None:
+            row[...] = out
+        if h is not None:
+            out -= h
+        return out
+
+    def stage_forcing():
+        """(h, row) at each step's start, midpoint and end, h on the box: a
+        block of steps asks once for its stage times not asked for before."""
+        block = max(1, (_FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
+        ends = []
+        for s0 in range(0, n_steps, block):
+            t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
+            h = forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[min(s0, 1):]]))[box]
+            ends = ends[-1:] + list(h[len(t) - 1:])
+            rows = [None] * len(t)
+            if blocks is not None:
+                rows = np.empty((len(t),) + c0.shape, dtype=complex)
+                blocks.append((t, rows))
+            for i in range(len(t) - 1):
+                yield (ends[i], rows[i]), (h[i], None), (ends[i + 1], None)
+
+    step = Etdrk4Tableau(1j * spec.dispersion[box], dt).stepper(stage)
+    stages = itertools.repeat(((None, None),) * 3) if forcing is None else stage_forcing()
+    return c0, dt, n_steps, term, lambda cc: step(cc, next(stages))
+
+
+def evolve_nonlinear(u0: SpectralField, T: float, cfg: SolverConfig,
+                     forcing=None) -> EvolutionTrace:
     """Integrate i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u = h.
 
     forcing, if given, maps an array of times to the stack of h's lattice
@@ -256,37 +297,26 @@ def evolve_nonlinear(
     integrator error, which the ledger records. The march carries the box
     array of the state (spec.box); its records are lattice arrays.
     """
-    check_horizon(T)
-    spec = u0.spec
-    n_steps, dt = step_grid(T, cfg.dt)
-    box = spec.box
-    c0 = u0.coeffs[box].astype(complex)
-    term = dealiased_term_kernel(spec, cfg.k_nl, c0.shape)
+    c0, dt, n_steps, _, advance = _forced_flow(u0, T, cfg, forcing, None)
+    return _march(u0.spec, c0, dt, n_steps, cfg, advance)
 
-    def stage(cc: np.ndarray, h):
-        """The stage term i (|u|^{2k} u - h) over i."""
-        out = term(cc)
-        if h is not None:
-            out -= h
-        return out
 
-    def stage_forcing():
-        """h on the box at each step's start, midpoint and end. A block of
-        steps asks once for its midpoints and ends, the first block for
-        t = 0 too, and starts at the last block's end: each stage time is
-        asked for once."""
-        block = max(1, (_FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
-        ends = []
-        for s0 in range(0, n_steps, block):
-            t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
-            h = forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[min(s0, 1):]]))[box]
-            ends = ends[-1:] + list(h[len(t) - 1:])
-            for i in range(len(t) - 1):
-                yield ends[i], h[i], ends[i + 1]
-
-    step = Etdrk4Tableau(1j * spec.dispersion[box], dt).stepper(stage)
-    stages = itertools.repeat((None,) * 3) if forcing is None else stage_forcing()
-    return _march(spec, c0, dt, n_steps, cfg, lambda cc: step(cc, next(stages)))
+def forced_term_blocks(u0: SpectralField, T: float, cfg: SolverConfig, forcing):
+    """|u|^{2k} u at every step time of evolve_nonlinear's march under a
+    forcing, by the blocks of steps it asks the forcing for: yields (times,
+    terms) on the box per block, each from the last time of the block
+    before, the terms of the march's first stages and the final state's.
+    The blow-up guard runs at every step; nothing is kept but one block."""
+    blocks = []
+    c0, dt, n_steps, term, advance = _forced_flow(u0, T, cfg, forcing, blocks)
+    for _, state, _ in _steps(u0.spec, c0, dt, n_steps, 1, advance, None):
+        if len(blocks) == 2:  # the next block's first stage sampled this one's end
+            times, terms = blocks.pop(0)
+            terms[-1] = blocks[0][1][0]
+            yield times, terms
+    times, terms = blocks.pop()
+    terms[-1] = term(state)
+    yield times, terms
 
 
 # ---------------------------------------------------------------------------
@@ -410,62 +440,51 @@ def evolve_damped(
 _LEDGER_BLOCK_ENTRIES = 4096
 
 
-def _march(
-    spec: ManifoldSpec,
-    state0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    cfg: SolverConfig,
-    stepper,
-    recover=None,
-) -> EvolutionTrace:
-    """Step a box array n_steps times and record every cfg.record_stride
-    steps.
-
-    A damped run passes recover, which maps a marched state to the recorded
-    field and its damping flux; its ledger adds the mass term. The records
-    are scattered into lattice arrays once, after the loop, and the ledger
-    is computed over blocks of them; only the blow-up guard
-    (BLOWUP_FACTOR), the H^2 norm by the box's weights, runs per record.
-    """
-    damped = recover is not None
+def _steps(spec: ManifoldSpec, state0: np.ndarray, dt: float, n_steps: int, stride: int,
+           stepper, recover):
+    """The one stepping loop: step a box array n_steps times, and yield
+    (t, field, flux) at t = 0, every stride steps and after the last. A
+    damped run passes recover, which maps a state to its field and damping
+    flux; an undamped one None, its field the state and its flux 0. The
+    blow-up guard (BLOWUP_FACTOR), the H^2 norm by the box's weights, runs
+    on every field yielded."""
     w2 = sobolev_weights(spec, 2.0)[spec.box]
 
     def h2_squared(c: np.ndarray) -> float:
         return float(np.vdot(c, w2 * c).real)
 
-    times = [0.0]
-    u0c, flux0 = recover(state0) if damped else (state0, 0.0)
-    records = [u0c]
-    fluxes = [flux0]
+    u0c, flux0 = (state0, 0.0) if recover is None else recover(state0)
     # zero initial data (forced runs) falls back to an absolute unit scale
     guard = BLOWUP_FACTOR**2 * (h2_squared(u0c) or 1.0)
-
+    yield 0.0, u0c, flux0
     state = state0
     for step in range(1, n_steps + 1):
         state = stepper(state)
-        t = step * dt
-        if step % cfg.record_stride == 0 or step == n_steps:
-            uc, fl = recover(state) if damped else (state, 0.0)
-            times.append(t)
-            records.append(uc)
-            fluxes.append(fl)
+        if step % stride == 0 or step == n_steps:
+            t = step * dt
+            uc, fl = (state, 0.0) if recover is None else recover(state)
             if not h2_squared(uc) <= guard:  # NaN or inf fails the test too
                 raise BlowUpError(f"H^2 norm exceeded guard at t = {t:.6g}")
+            yield t, uc, fl
 
+
+def _march(spec: ManifoldSpec, state0: np.ndarray, dt: float, n_steps: int, cfg: SolverConfig,
+           stepper, recover=None) -> EvolutionTrace:
+    """The trace of _steps' fields every cfg.record_stride steps; a damped
+    run passes recover, and its ledger adds the mass term. The records are
+    scattered into lattice arrays once, after the loop, and the ledger is
+    computed over blocks of them."""
+    damped = recover is not None
+    times, records, fluxes = zip(*_steps(spec, state0, dt, n_steps, cfg.record_stride,
+                                         stepper, recover))
     states = np.zeros((len(records),) + spec.shape, dtype=complex)
     states[spec.box] = records
     block = max(1, _LEDGER_BLOCK_ENTRIES // spec.n_modes)
     blocks = [states[i:i + block] for i in range(0, len(states), block)]
-    return EvolutionTrace(
-        spec=spec,
-        times=np.asarray(times),
-        states=states,
-        masses=np.concatenate([mass(spec, c) for c in blocks]),
-        energies=np.concatenate([energy(spec, c, cfg.k_nl, damped) for c in blocks]),
-        fluxes=np.asarray(fluxes),
-        damped=damped,
-    )
+    masses = np.concatenate([mass(spec, c) for c in blocks])
+    energies = np.concatenate([energy(spec, c, cfg.k_nl, damped) for c in blocks])
+    return EvolutionTrace(spec, np.asarray(times), states, masses, energies,
+                          np.asarray(fluxes), damped)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,12 @@ The nonlinear local control iterates the contraction
 where S Phi0 = i Lambda Phi0 is the linear solution operator and K Phi0 is
 the initial value of the backward correction driven by the controlled
 nonlinear trajectory. Backward problems are realized as forward solves of
-the conjugated, time-reversed equation. The basin of the contraction is
-measured on each run, not assumed from a norm threshold: the iteration
-stops with ContractionFailure when an update ratio reaches 1, with
-ControlStagnationError at the iteration cap, and with BlowUpError when a
-trajectory leaves the H^2 guard.
+the conjugated, time-reversed equation; K streams its march's terms into
+the duality integral by blocks of steps, holding no trajectory. The
+basin of the contraction is measured on each run, not assumed from a
+norm threshold: the iteration stops with ContractionFailure when an
+update ratio reaches 1, with ControlStagnationError at the iteration
+cap, and with BlowUpError when a trajectory leaves the H^2 guard.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ import numpy as np
 # Nothing here calls cg_hermitian; the name stays because the benchmark's
 # traced run wraps b4nls.hum.cg_hermitian (bench/layers.py).
 from .linalg import cg_hermitian  # noqa: F401
-from .dynamics import Etdrk4Tableau, SolverConfig, check_horizon, evolve_nonlinear, step_grid
+from .dynamics import (Etdrk4Tableau, SolverConfig, check_horizon, evolve_nonlinear,
+                       forced_term_blocks, step_grid)
 from .spectral import (
     DampingProfile,
     ManifoldSpec,
@@ -72,13 +74,13 @@ from .spectral import (
     blockwise,
     box_mask,
     check_block_entries,
-    dealiased_nonlinear_term,
     free_phase,
     hs_norm,
     kernel_blocks,
     sandwich,
     smoothing_multiplier,
     sobolev_norm,
+    zero_field,
 )
 
 
@@ -462,9 +464,7 @@ def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
 # nonlinear local control
 # ---------------------------------------------------------------------------
 
-def _nonlinear_correction(
-    prob: ControlProblem, op: HumOperator, phi0: np.ndarray
-) -> np.ndarray:
+def _nonlinear_correction(prob: ControlProblem, op: HumOperator, phi0: np.ndarray) -> np.ndarray:
     """K Phi0 = v(0) where v solves the backward problem driven by the
     controlled trajectory:
 
@@ -475,28 +475,17 @@ def _nonlinear_correction(
     time-reversed equations.
     """
     spec = prob.spec
-    X = spec.dispersion
-    if np.linalg.norm(phi0) == 0.0:
-        return np.zeros(spec.shape, dtype=complex)
-
-    chi0 = free_phase(-prob.T, X) * np.conj(phi0)
-    cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
-    w_trace = evolve_nonlinear(
-        SpectralField(spec, np.zeros(spec.shape, dtype=complex)),
-        prob.T,
-        cfg,
-        forcing=control_forcing(op, chi0),
-    )
-
-    # J_w = int_0^T e^{-irL} |w|^{2k} w dr over the trace grid is the
-    # sampled duality integral: i J_w = backward_forced_initial(f), so
-    # v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w); the term and its
-    # integral stay on the box, and v(0) is scattered into the lattice once
-    box = spec.box
-    f_samples = dealiased_nonlinear_term(spec, w_trace.states[box], prob.k_nl)
-    i_j_w = backward_forced_initial(X[box], w_trace.times, f_samples)
+    X = spec.dispersion[spec.box]
     out = np.zeros(spec.shape, dtype=complex)
-    out[box] = np.conj(free_phase(prob.T, X[box]) * i_j_w)
+    if np.linalg.norm(phi0) == 0.0:
+        return out
+    chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
+    cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
+    blocks = forced_term_blocks(zero_field(spec), prob.T, cfg, control_forcing(op, chi0))
+    # i J_w = i int_0^T e^{-irL} |w|^{2k} w dr, summed over the march's blocks,
+    # and v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w), on the box
+    i_j_w = sum(backward_forced_initial(X, times, terms) for times, terms in blocks)
+    out[spec.box] = np.conj(free_phase(prob.T, X) * i_j_w)
     return out
 
 

@@ -26,19 +26,11 @@ array's shape.
 
 The flows carry box arrays: the m^d coefficients, m = 2 floor(N/3) + 1,
 of the 2/3-rule box that spec.dealias_mask keeps, cut from a lattice
-array by spec.box and kept in lattice order. The dealiased cubic term,
-dealiased_nonlinear_term, maps box arrays to box arrays and has two
-routes, chosen by dense_term_route from the sizes alone. Up to
-DENSE_TERM_WORK = 2^15 complex multiply-adds per one-axis FFT call it
-replaces (a single field at d = 1 with N <= 220, d = 2 with N <= 38 and
-d = 3 with N <= 16), it is separable: one product per axis each way with
-a cached (m, N) and (N, m) pair of one-axis transform matrices, no FFT
-call, equal to the masked product to roundoff. Above that, the FFT route
-is the masked product bit for bit: its inverse passes pad the box with
-zeros into the lines they transform, and its forward passes compute only
-the lines the box keeps, the last of them leaving the box array; every
-pass writes into a buffer made with the kernel. dealiased_term_kernel
-builds either route once, for a march to call at every stage.
+array by spec.box and kept in lattice order. Their dealiased cubic term,
+dealiased_term_kernel, takes a separable dense route for small boxes and
+an FFT route, the masked product bit for bit, above them, by
+dense_term_route from the sizes alone. Every route takes |v|^{2k} v from
+one helper, which forms the cube as v conj(v) v, with no modulus.
 
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
 the damping operator and the HUM operator both apply it. The dense blocks
@@ -297,6 +289,12 @@ def _grid_modulus(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
     return np.abs(_signed_grid(spec, coeffs)) * _grid_scale(spec)
 
 
+def _power_term(v: np.ndarray, k: int) -> np.ndarray:
+    """|v|^{2k} v pointwise for every term route; the cube (k = 1) as
+    v conj(v) v, with no modulus: no square root, at about half the cost."""
+    return v * v.conj() * v if k == 1 else np.abs(v) ** (2 * k) * v
+
+
 def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
     """Coefficients of |u|^{2k} u, evaluated pointwise on the grid.
 
@@ -308,7 +306,7 @@ def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray
     themselves, while the space-time product probes need the full product.
     """
     v = _signed_grid(spec, coeffs)
-    return _signed_coeffs(spec, (np.abs(v) ** (2 * k)) * v) * _grid_scale(spec) ** (2 * k)
+    return _signed_coeffs(spec, _power_term(v, k)) * _grid_scale(spec) ** (2 * k)
 
 
 def dealias_box(spec: ManifoldSpec) -> slice:
@@ -370,7 +368,7 @@ def _dense_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
         v = box @ inv
         for grouping in to_grid:
             v = inv_t @ v.reshape(grouping)
-        w = np.abs(v) ** (2 * k) * v
+        w = _power_term(v, k)
         for grouping in to_box:
             w = fwd_t @ w.reshape(grouping)
         return w @ fwd
@@ -402,7 +400,7 @@ def _fft_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
         first[...] = box
         for pad, out, axis in zip(pads, inv_out, axes):
             np.fft.ifft(pad, axis=axis, out=out)
-        w = np.abs(grid) ** (2 * k) * grid
+        w = _power_term(grid, k)
         for out, lines, axis in zip(fwd_out, at, axes):
             w = np.fft.fft(w, axis=axis, out=out)[lines]
         return w * scale
@@ -411,16 +409,12 @@ def _fft_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
 
 
 def dealiased_term_kernel(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
-    """dealiased_nonlinear_term as a map of box arrays of one shape, on the
-    route dense_term_route picks, with its matrices or buffers fetched once,
-    here: a march builds it before its loop and calls it at every stage."""
-    return (_dense_term if dense_term_route(spec, shape) else _fft_term)(spec, k, shape)
-
-
-def dealiased_nonlinear_term(spec: ManifoldSpec, box: np.ndarray, k: int) -> np.ndarray:
-    """nonlinear_term masked to spec.dealias_mask, for and on box arrays:
-    the coefficients of the 2/3-rule box, c[spec.box] of a lattice array c,
-    shaped (..., m)*d. A flow's state and its term live there.
+    """nonlinear_term masked to spec.dealias_mask, as a map of box arrays of
+    one shape: the coefficients of the 2/3-rule box, c[spec.box] of a
+    lattice array c, shaped (..., m)*d. A flow's state and its term live
+    there. The route is the one dense_term_route picks, with its matrices
+    or buffers fetched once, here: a march builds it before its loop and
+    calls it at every stage.
 
     Dense route, when dense_term_route says so: separable products with
     one cached pair of one-axis matrices, v = c inv along each axis onto
@@ -438,36 +432,33 @@ def dealiased_nonlinear_term(spec: ManifoldSpec, box: np.ndarray, k: int) -> np.
     the lines the mask keeps, and the last leaves the box array itself.
 
     The rule sends the bench's single fields at d1N32 (control) and d2N32
-    (stabilize) to the dense route, and d2N64 (simulate) and hum's
-    (1001, 21) batch to the FFT route. Time per call of a kernel built
+    (stabilize) to the dense route, d2N64 (simulate) and batches such as
+    1001 fields at d1N32 to the FFT route. Time per call of a kernel built
     once, on box arrays, numpy 2.4 and OpenBLAS on one thread of a shared
-    2-core x86-64 VM, k = 1 (best of 9 interleaved timeit runs, the lower
-    of two sets); work is the separable multiply-adds per FFT call
-    replaced:
+    2-core x86-64 VM, k = 1 with the cube as v conj(v) v (best of 9
+    interleaved timeit runs, the lower of two sets); work is the separable
+    multiply-adds per FFT call replaced:
 
         call              work      FFT route   dense route
-        d1N32 (21)        2^9.4       25 us         9 us
-        d1N128 (85)       2^13.4      26 us        17 us
-        d1N192 (129)      2^14.6      28 us        26 us
-        d1N220 (147)      2^15.0      23 us        29 us
-        d1N256 (171)      2^15.4      26 us        41 us
-        (1001, 21)        2^19.4     678 us       509 us
-        d2N8 (5, 5)       2^8.0       40 us        17 us
-        d2N32 (21, 21)    2^14.1      52 us        37 us
-        d2N40 (27, 27)    2^15.1      70 us        52 us
-        d2N56 (37, 37)    2^16.6      90 us       102 us
-        d2N64 (43, 43)    2^17.2     109 us       136 us
-        d3N16 (11,)*3     2^15.0     149 us       117 us
-        d3N24 (17,)*3     2^17.4     636 us       424 us
+        d1N32 (21)        2^9.4       12 us         4 us
+        d1N128 (85)       2^13.4      14 us        10 us
+        d1N192 (129)      2^14.6      16 us        18 us
+        d1N220 (147)      2^15.0      16 us        24 us
+        d1N256 (171)      2^15.4      16 us        30 us
+        (1001, 21)        2^19.4     451 us       371 us
+        d2N8 (5, 5)       2^8.0       21 us         8 us
+        d2N32 (21, 21)    2^14.1      37 us        32 us
+        d2N40 (27, 27)    2^15.1      47 us        48 us
+        d2N56 (37, 37)    2^16.6      68 us        90 us
+        d2N64 (43, 43)    2^17.2      86 us       127 us
+        d3N16 (11,)*3     2^15.0     114 us       102 us
+        d3N24 (17,)*3     2^17.4     348 us       313 us
 
-    A single field at d = 1 breaks even near N = 200, a little below the
-    bound; at d = 2 the dense route gains up to about d2N48 and at d = 3
-    past d3N24, and it gains on the (1001, 21) batch too. The one bound
-    stays at 2^15 so that batches keep the FFT route, which is the masked
-    product bit for bit, and the dense temporaries stay the size of a few
-    grids.
+    A single field breaks even near d1N190, d2N40 and past d3N24, and the
+    dense route gains on batches too; the one bound stays at 2^15 so that
+    batches keep the bit-for-bit FFT route and small dense temporaries.
     """
-    return dealiased_term_kernel(spec, k, box.shape)(box)
+    return (_dense_term if dense_term_route(spec, shape) else _fft_term)(spec, k, shape)
 
 
 def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

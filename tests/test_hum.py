@@ -18,7 +18,8 @@ from b4nls.hum import (
 )
 from b4nls.linalg import cg_hermitian
 from b4nls.spectral import (
-    MAX_BLOCK_ENTRIES, blockwise, box_mask, hs_norm, sandwich, smoothing_multiplier,
+    MAX_BLOCK_ENTRIES, blockwise, box_mask, dealiased_term_kernel, free_phase, hs_norm, sandwich,
+    smoothing_multiplier, sobolev_weights,
 )
 
 PI = math.pi
@@ -678,6 +679,80 @@ def test_forced_march_does_not_depend_on_the_forcing_block(monkeypatch):
         assert len(calls) == n_calls
         err = np.linalg.norm(trace.states[-1] - default)
         assert err <= 1e-13 * np.linalg.norm(default)
+
+
+def _correction_case(d, N, n_steps):
+    """A control problem over n_steps steps of 1e-3 on a d-torus strip with
+    band 2, its operator and a dual datum of L^2 norm 1 in the band."""
+    spec = b.make_torus(d, N, 1.0)
+    phi = b.make_damping_profile(spec, b.Strip(1.0, 3.0), 0.4)
+    u0 = b.normalize_sobolev(rand_field(spec, 40 + d, decay=2.0, band=2), 2.0, 0.1)
+    prob = b.ControlProblem(spec=spec, u0=u0, T=n_steps * 1e-3, phi=phi, control_band=2)
+    phi0 = b.normalize_sobolev(rand_field(spec, 50 + d, band=2), 0.0, 1.0).coeffs
+    return prob, HumOperator(spec, phi, prob.T, band=2), phi0
+
+
+def _batched_correction(prob, op, phi0):
+    """K Phi0 by the batched route: the march recorded at every step, the
+    dealiased term of all its records in one kernel call, and one sampled
+    duality integral over them."""
+    spec, box = prob.spec, prob.spec.box
+    chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
+    cfg = b.SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
+    trace = b.evolve_nonlinear(b.zero_field(spec), prob.T, cfg, forcing=control_forcing(op, chi0))
+    records = trace.states[box]
+    terms = dealiased_term_kernel(spec, prob.k_nl, records.shape)(records)
+    out = np.zeros(spec.shape, dtype=complex)
+    X = spec.dispersion[box]
+    out[box] = np.conj(free_phase(prob.T, X) * backward_forced_initial(X, trace.times, terms))
+    return out
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16), (3, 16)])
+@pytest.mark.parametrize("steps", ["one", "block_plus_one", "off_block"])
+def test_the_streamed_correction_is_the_batched_one(d, N, steps):
+    # blocks of 511, 127 and 3 steps: one step, one block and a step, and
+    # a run that ends inside its third block
+    spec = b.make_torus(d, N, 1.0)
+    block = max(1, (dynamics._FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
+    n = {"one": 1, "block_plus_one": block + 1, "off_block": 2 * block + block // 2 + 1}[steps]
+    assert n == 1 or n % block != 0
+    prob, op, phi0 = _correction_case(d, N, n)
+    expect = _batched_correction(prob, op, phi0)
+    got = hum._nonlinear_correction(prob, op, phi0)
+    assert np.linalg.norm(expect) > 0.0
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_the_correction_holds_no_record_of_its_march():
+    # 500 and 1000 steps at d2N16 (blocks of 127): one block of terms at a
+    # time, so the traced peak does not grow with the run
+    peaks = []
+    for T in (0.5, 1.0):
+        prob, op, phi0 = _correction_case(2, 16, round(T / 1e-3))
+        hum._nonlinear_correction(prob, op, phi0)  # builds the kernel caches
+        tracemalloc.start()
+        try:
+            hum._nonlinear_correction(prob, op, phi0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+def test_the_correction_guards_every_step(monkeypatch):
+    # w starts at 0, so the guard's scale is 1: a factor between w's H^2
+    # norms after steps 4 and 5 trips at step 5, not at the end
+    prob, op, phi0 = _correction_case(1, 32, 50)
+    spec = prob.spec
+    chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
+    trace = b.evolve_nonlinear(b.zero_field(spec), prob.T, b.SolverConfig(dt=prob.solve_dt),
+                               forcing=control_forcing(op, chi0))
+    norms = np.sqrt(np.sum(sobolev_weights(spec, 2.0) * np.abs(trace.states) ** 2, axis=1))
+    assert norms[4] < norms[5]
+    monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.5 * (norms[4] + norms[5]))
+    with pytest.raises(b.BlowUpError, match="t = 0.005$"):
+        hum._nonlinear_correction(prob, op, phi0)
 
 
 def test_banded_control_certifies_at_d2n64():

@@ -22,8 +22,9 @@ from b4nls.spectral import (
     band_mode_mask,
     box_mask,
     _mode_index,
+    _power_term,
     coeffs_to_grid,
-    dealiased_nonlinear_term,
+    dealiased_term_kernel,
     dense_term_route,
     free_phase,
     grid_to_coeffs,
@@ -39,6 +40,11 @@ from b4nls.spectral import (
 )
 
 PI = math.pi
+
+
+def dealiased_nonlinear_term(spec, box, k):
+    """The dealiased cubic term of box arrays, by a kernel built for their shape."""
+    return dealiased_term_kernel(spec, k, box.shape)(box)
 
 
 def rand_field(spec, seed, decay=2.0):
@@ -751,6 +757,36 @@ def test_a_field_has_one_term_alone_and_in_a_batch(k):
     alone = dealiased_nonlinear_term(spec, batch[500], k)
     inside = dealiased_nonlinear_term(spec, batch, k)[500]
     assert np.abs(alone - inside).max() <= 1e-14 * np.abs(inside).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("scale", [0.0, 1e-40, 1.0, 1e40], ids=["zero", "tiny", "unit", "large"])
+def test_the_pointwise_power_is_the_modulus_form(k, scale):
+    # the cube as v conj(v) v drops the modulus's square root: within 4
+    # ulp of max |v|^(2k+1) of |v|^(2k) v, on each part
+    rng = np.random.default_rng(k)
+    v = scale * (rng.standard_normal(512) + 1j * rng.standard_normal(512))
+    expect = np.abs(v) ** (2 * k) * v
+    got = _power_term(v, k)
+    bound = 4 * np.spacing(np.abs(v).max() ** (2 * k + 1))
+    assert np.abs(got.real - expect.real).max() <= bound
+    assert np.abs(got.imag - expect.imag).max() <= bound
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 64)], ids=["dense", "fft"])
+def test_a_non_finite_state_keeps_a_non_finite_term(d, N, k):
+    # a NaN or inf coefficient leaves the term non-finite on either route,
+    # so the march's H^2 guard, which fails on NaN, still sees it
+    v = np.array([1.0 + 1.0j, np.nan, np.inf, np.inf * (1.0 - 1.0j)])
+    spec = b.make_torus(d, N, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isfinite(_power_term(v, k)).tolist() == [True, False, False, False]
+        for bad in (np.nan, np.inf):
+            c = _ball(spec, (), k)
+            c[(1,) * d] = bad
+            assert dense_term_route(spec, c.shape) == (d == 1)
+            assert not np.all(np.isfinite(dealiased_nonlinear_term(spec, c, k)))
 
 
 def _functions_calling(tree, names):
