@@ -5,6 +5,9 @@ hand-editable) with one section per concern; `run` executes exactly one
 experiment kind and writes CSV artifacts, field snapshots, and a plain-text
 manifest into the output directory. All randomness flows from the single
 seed in the config, so a fixed config produces byte-identical CSV output.
+Every CSV artifact has one dialect: comma-separated cells, each the str of
+its value, CRLF line ends and no quoting; a cell that would need quoting (a
+comma, a double quote, CR or LF) is refused before its file is opened.
 
     b4nls run <config> [--output DIR]
     b4nls validate <config>
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import itertools
 import math
@@ -48,6 +50,7 @@ from .dynamics import (
     SolverConfig,
     audit_dissipation,
     check_horizon,
+    check_trace_size,
     damping_layout,
     energy,
     evolve_damped,
@@ -183,8 +186,21 @@ def _flow(cfg, rng, T_default):
 
 
 def _write_csv(path, header, rows):
+    """Write header and rows as a CSV artifact in one pass: cells are the
+    str of their values, joined by commas, each line ended by CRLF, with no
+    quoting. That is csv.writer's text for cells that need no quoting, and
+    str keeps numpy scalars plain. ValueError, before the file is opened,
+    if the text holds a double quote, a CR or LF that ends no line, or
+    other than len(header) - 1 commas a line: a cell that needed quoting."""
+    lines = [",".join(map(str, row)) for row in itertools.chain([header], rows)]
+    text = "\r\n".join(lines) + "\r\n"
+    n = len(lines)
+    if ('"' in text or text.count("\r") != n or text.count("\n") != n
+            or text.count(",") != (len(header) - 1) * n):
+        raise ValueError(f"{path}: a cell holds a comma, a double quote, CR or LF, "
+                         "or a row is not as long as the header")
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(itertools.chain([header], rows))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +212,7 @@ def _write_csv(path, header, rows):
 
 def _simulate(cfg, rng):
     u0, solver, T, stride = _flow(cfg, rng, 1.0)
+    check_trace_size(u0.spec, T, solver)
 
     def run(outdir):
         trace = evolve_nonlinear(u0, T, solver)
@@ -221,6 +238,7 @@ def _stabilize(cfg, rng):
         )
     profile = _build_profile(cfg, u0.spec)
     damping_layout(profile)  # refuses blocks above the cap
+    check_trace_size(u0.spec, T, solver)
 
     def run(outdir):
         trace = evolve_damped(u0, profile, T, solver)

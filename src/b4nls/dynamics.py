@@ -237,7 +237,7 @@ def step_grid(T: float, dt: float) -> tuple[int, float]:
 # undamped / forced flow
 # ---------------------------------------------------------------------------
 
-# Lattice entries per block of forcing samples: a forced run asks for the
+# Box entries per block of forcing samples: a forced run asks for the
 # forcing once per block of steps, in a block of this size however long.
 _FORCING_BLOCK_ENTRIES = 32768
 
@@ -268,7 +268,7 @@ def _forced_flow(u0: SpectralField, T: float, cfg: SolverConfig, forcing, blocks
     def stage_forcing():
         """(h, row) at each step's start, midpoint and end, h on the box: a
         block of steps asks once for its stage times not asked for before."""
-        block = max(1, (_FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
+        block = max(1, (_FORCING_BLOCK_ENTRIES // c0.size - 1) // 2)
         ends = []
         for s0 in range(0, n_steps, block):
             t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
@@ -298,6 +298,7 @@ def evolve_nonlinear(u0: SpectralField, T: float, cfg: SolverConfig,
     array of the state (spec.box); its records are lattice arrays.
     """
     c0, dt, n_steps, _, advance = _forced_flow(u0, T, cfg, forcing, None)
+    check_trace_size(u0.spec, T, cfg)
     return _march(u0.spec, c0, dt, n_steps, cfg, advance)
 
 
@@ -402,6 +403,7 @@ def evolve_damped(
     spec = u0.spec
     if profile.spec != spec:
         raise ValueError("damping profile lives on a different spec")
+    check_trace_size(spec, T, cfg)
     n_steps, dt = step_grid(T, cfg.dt)
 
     box = spec.box
@@ -438,6 +440,31 @@ def evolve_damped(
 # grid transform, and the ledger's grid temporaries stay the size of one
 # 64 x 64 field however many records a run keeps.
 _LEDGER_BLOCK_ENTRIES = 4096
+
+# bytes a trace may hold at the peak of _march: n_rec box records, then
+# the (n_rec,) + lattice stack they are scattered into, and the ledger's
+# block temporaries, 16 (n_rec (N^d + m^d) + 4 max(N^d,
+# _LEDGER_BLOCK_ENTRIES)) B. That is 0.98-0.99 of the tracemalloc peak of
+# an undamped march of 12-30 MB (d2N32, d2N64, d3N16); a damped march adds
+# its operator's blocks, capped apart (MAX_BLOCK_ENTRIES), and reads 0.96
+# at d2N32, 0.97 at d3N16 and 0.90 at d2N64. The cap admits the default
+# stabilize horizon, T = 20 at stride 1, up to d2N64 (1.9 GB).
+MAX_TRACE_BYTES = 2_000_000_000
+
+
+def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig) -> None:
+    """ValueError if the trace of a flow over T under cfg would hold more
+    than MAX_TRACE_BYTES at its peak."""
+    n_steps, _ = step_grid(T, cfg.dt)
+    n_rec = -(-n_steps // cfg.record_stride) + 1  # t = 0, every stride steps and the last
+    box = (2 * (spec.N // 3) + 1) ** spec.d
+    need = 16 * (n_rec * (spec.n_modes + box) + 4 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES))
+    if need > MAX_TRACE_BYTES:
+        raise ValueError(
+            f"a trace of {n_rec} records at d = {spec.d}, N = {spec.N} needs about {need} "
+            f"bytes, more than the {MAX_TRACE_BYTES} a trace may hold; raise record_stride "
+            f"(now {cfg.record_stride}) or shorten T"
+        )
 
 
 def _steps(spec: ManifoldSpec, state0: np.ndarray, dt: float, n_steps: int, stride: int,

@@ -144,10 +144,12 @@ def _max_bucket(K: int, p: int, q: int) -> tuple[int, int]:
     starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
     counts = np.diff(starts, append=s.size)
     fullest = s[starts[counts == counts.max()]]
-    for row in keys:
-        hit = fullest[np.searchsorted(fullest, row).clip(max=len(fullest) - 1)] == row
-        if hit.any():
-            return int(counts.max()), int(row[hit.argmax()])
+    # row i holds the key f when f - half[i] is in half: the first row that
+    # holds fullest[0] bounds the first hit, and the rows up to it are
+    # tested at once
+    head = keys[:np.isin(fullest[0] - half, half).argmax() + 1].ravel()
+    hit = fullest[np.searchsorted(fullest, head).clip(max=len(fullest) - 1)] == head
+    return int(counts.max()), int(head[hit.argmax()])
 
 
 def check_sweep(K_max: int, p: int, q: int) -> None:

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import b4nls
 from b4nls import cli, gcc
 from b4nls.cli import EXPERIMENTS, main
+from b4nls.dynamics import MAX_TRACE_BYTES
 from b4nls.gcc import MAX_SCAN_GEODESICS
 from b4nls.hum import HumOperator
 from b4nls.observability import MAX_BAND_ENTRIES
@@ -280,6 +281,56 @@ def test_write_csv_writes_each_cell_as_csv_does(tmp_path):
     assert text.splitlines()[1] == "0.1,0.1,nan,3,a b"
 
 
+def test_write_csv_is_csv_writer_on_every_cell_an_artifact_writes(tmp_path):
+    # csv.writer stays the oracle; it is given a numpy scalar's .item()
+    header = ["x0", "theta", "hit_time", "n", "flag", "value"]
+    floats = [0.1, math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e16, 1e-5,
+              1.7976931348623157e308, 2.0 / 3.0]
+    rows = [
+        [" ".join(map(repr, (0.0, math.pi))), " ".join(map(repr, (1.0, 2.0 / 3.0))),
+         "miss" if i % 3 == 0 else x, i, i % 2 == 0, np.float64(x)]
+        for i, x in enumerate(floats + [-x for x in floats])
+    ]
+    rows.append(["gain_T_" + repr(0.25), "gain_fitted_exponent", np.float64(-0.0), -7, False,
+                 np.float64(math.nan)])
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, header, rows)
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(
+        [header] + [[c.item() if isinstance(c, np.generic) else c for c in r] for r in rows]
+    )
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_write_csv_refuses_a_cell_that_needs_quoting(tmp_path, char):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="rows.csv: a cell holds"):
+        cli._write_csv(path, ["name", "value"], [["a", 1.0], [f"b{char}c", 2.0]])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_every_csv_artifact_reads_back_as_the_rows_written(tmp_path, monkeypatch, kind):
+    written = {}
+    write = cli._write_csv
+
+    def spy(path, header, rows):
+        rows = [list(r) for r in rows]
+        written[os.path.relpath(path, tmp_path / "out")] = [header] + rows
+        write(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    path = write_config(tmp_path, f"[experiment]\nkind = {kind}\nseed = 3\n{TINY[kind][0]}")
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 0
+    # every CSV but a trace's ledger.csv (dynamics.save_trace) goes through _write_csv
+    assert set(written) == {a for a in TINY[kind][1]
+                            if a.endswith(".csv") and not a.endswith("ledger.csv")}
+    for name, rows in written.items():
+        with open(tmp_path / "out" / name, newline="") as fh:
+            assert list(csv.reader(fh)) == [[str(c) for c in r] for r in rows]
+
+
 def test_a_zero_horizon_sweep_writes_unsigned_zero_floors(tmp_path):
     # G is the zero matrix at T = 0, and its eigenvalues are written as 0.0
     path = write_config(
@@ -488,6 +539,25 @@ def test_validate_refuses_a_hum_operator_above_the_cap(tmp_path, capsys):
     spec = b4nls.make_torus(2, 64, 1.0)
     phi = b4nls.make_damping_profile(spec, b4nls.Strip(1.0, 3.0))
     assert HumOperator(spec, phi, 1.0).A.shape == (64, 64, 64)
+
+
+@pytest.mark.parametrize("kind", ["simulate", "stabilize"])
+def test_validate_refuses_a_trace_that_cannot_fit_in_memory(tmp_path, capsys, kind):
+    # 1,001 records of 64^3 lattice and 43^3 box entries, about 5.5 GB;
+    # every 100 steps, 11 records, about 60 MB
+    flow = (f"[experiment]\nkind = {kind}\n[manifold]\nd = 3\nN = 64\n"
+            "[solver]\ndt = 1e-3\nrecord_stride = {}\n[run]\nT = 1\n")
+    path = write_config(tmp_path, flow.format(1))
+    start = time.perf_counter()
+    assert main(["validate", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "a trace of 1001 records at d = 3, N = 64" in err
+    assert "raise record_stride (now 1) or shorten T" in err
+    need = int(re.search(r"needs about (\d+) bytes", err).group(1))
+    assert need > 1001 * 64**3 * 16 > MAX_TRACE_BYTES
+    path = write_config(tmp_path, flow.format(100))
+    assert main(["validate", path]) == 0
 
 
 def test_run_onto_a_file_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@ import ctypes
 import glob
 import math
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +322,30 @@ def test_the_flows_refuse_a_horizon_that_is_not_positive(T):
         b.evolve_damped(u, prof, T, cfg)
     with pytest.raises(ValueError, match="horizon T must be positive"):
         dynamics.check_horizon(T)
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_the_trace_size_bound_is_the_traced_peak_of_the_march(monkeypatch, damped):
+    # d2N32 over 500 steps: 501 records of 32^2 lattice and 21^2 box
+    # entries, about 12 MB, the estimate within 5% of the tracemalloc peak
+    spec = b.make_torus(2, 32, 1.0)
+    u0 = smooth_datum(spec, 7)
+    cfg = b.SolverConfig(dt=1e-3)
+    profile = b.make_damping_profile(spec, b.Strip(1.0, 3.0))
+    run = ((lambda: b.evolve_damped(u0, profile, 0.5, cfg)) if damped
+           else (lambda: b.evolve_nonlinear(u0, 0.5, cfg)))
+    run()  # builds the kernel caches
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(dynamics, "MAX_TRACE_BYTES", 0)
+    with pytest.raises(ValueError, match="a trace of 501 records") as exc:
+        dynamics.check_trace_size(spec, 0.5, cfg)
+    need = int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
+    assert 0.95 * peak <= need <= 1.05 * peak
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])

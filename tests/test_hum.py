@@ -644,18 +644,18 @@ def test_certifying_run_evaluates_the_forcing_once_per_distinct_time(monkeypatch
     u0 = rand_field(spec, 19, band=5)
     h = control_forcing(op, u0.coeffs)
     cfg = b.SolverConfig(dt=1e-3, record_stride=10)
-    n_steps = 200
+    n_steps, box = 200, np.count_nonzero(spec.dealias_mask)  # blocks count box entries
     ends = np.arange(n_steps + 1) * (0.2 / n_steps)
     stage_times = np.sort(np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])]))
     for steps in (None, 30):
         if steps is not None:
-            monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * spec.n_modes)
+            monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * box)
         calls, asked = [], []
         monkeypatch.setattr(
             HumOperator, "control_weight", lambda self, w: calls.append(len(w)) or weight(self, w)
         )
         trace = b.evolve_nonlinear(u0, 0.2, cfg, forcing=lambda ts: asked.append(ts) or h(ts))
-        block = max(1, (dynamics._FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
+        block = max(1, (dynamics._FORCING_BLOCK_ENTRIES // box - 1) // 2)
         assert trace.n_records == 21
         assert len(calls) == len(asked) == math.ceil(n_steps / block)
         asked = np.concatenate(asked)
@@ -672,8 +672,9 @@ def test_forced_march_does_not_depend_on_the_forcing_block(monkeypatch):
     h = control_forcing(op, rand_field(spec, 22, band=3).coeffs)
     cfg = b.SolverConfig(dt=1e-3)
     default = b.evolve_nonlinear(u0, 0.05, cfg, forcing=h).states[-1]
+    box = np.count_nonzero(spec.dealias_mask)  # blocks count box entries
     for steps, n_calls in ((7, 8), (50, 1)):
-        monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * spec.n_modes)
+        monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * box)
         calls = []
         trace = b.evolve_nonlinear(u0, 0.05, cfg, forcing=lambda ts: calls.append(1) or h(ts))
         assert len(calls) == n_calls
@@ -711,10 +712,9 @@ def _batched_correction(prob, op, phi0):
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16), (3, 16)])
 @pytest.mark.parametrize("steps", ["one", "block_plus_one", "off_block"])
 def test_the_streamed_correction_is_the_batched_one(d, N, steps):
-    # blocks of 511, 127 and 3 steps: one step, one block and a step, and
-    # a run that ends inside its third block
-    spec = b.make_torus(d, N, 1.0)
-    block = max(1, (dynamics._FORCING_BLOCK_ENTRIES // spec.n_modes - 1) // 2)
+    # blocks of 779, 134 and 11 steps (box entries 21, 121 and 1,331): one
+    # step, one block and a step, and a run that ends inside its third block
+    block = max(1, (dynamics._FORCING_BLOCK_ENTRIES // (2 * (N // 3) + 1) ** d - 1) // 2)
     n = {"one": 1, "block_plus_one": block + 1, "off_block": 2 * block + block // 2 + 1}[steps]
     assert n == 1 or n % block != 0
     prob, op, phi0 = _correction_case(d, N, n)
@@ -725,7 +725,7 @@ def test_the_streamed_correction_is_the_batched_one(d, N, steps):
 
 
 def test_the_correction_holds_no_record_of_its_march():
-    # 500 and 1000 steps at d2N16 (blocks of 127): one block of terms at a
+    # 500 and 1000 steps at d2N16 (blocks of 134): one block of terms at a
     # time, so the traced peak does not grow with the run
     peaks = []
     for T in (0.5, 1.0):
@@ -738,6 +738,24 @@ def test_the_correction_holds_no_record_of_its_march():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+def test_a_forcing_block_at_d3n24_is_counted_in_box_entries(monkeypatch):
+    # 17^3 = 4,913 box entries make blocks of 2 steps, where 24^3 lattice
+    # entries made blocks of 1; the regrouped trapezoid sums agree to
+    # roundoff with the one-step blocking
+    prob, op, phi0 = _correction_case(3, 24, 5)
+    spec = prob.spec
+    chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
+    cfg = b.SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
+    blocks = dynamics.forced_term_blocks(b.zero_field(spec), prob.T, cfg,
+                                         control_forcing(op, chi0))
+    assert [len(times) - 1 for times, _ in blocks] == [2, 2, 1]
+    got = hum._nonlinear_correction(prob, op, phi0)
+    monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", 1)
+    one_step = hum._nonlinear_correction(prob, op, phi0)
+    assert np.linalg.norm(one_step) > 0.0
+    assert np.linalg.norm(got - one_step) <= 1e-13 * np.linalg.norm(one_step)
 
 
 def test_the_correction_guards_every_step(monkeypatch):

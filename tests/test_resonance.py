@@ -148,6 +148,16 @@ def test_counting_sweep_equals_the_table_oracle_at_K_256(p, q):
     assert sum(len(v) == 2 for v in rz.build_table(256, 256, p, q).buckets.values()) > 30000
 
 
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (1, 2), (-3, 7), (5, 1), (-33, 1),
+                                 (1, 10**15 + 1)])
+def test_counting_sweep_equals_the_table_oracle_to_K_64(p, q):
+    # past the property test's K_max <= 32 at several beta: -33/1 gives
+    # k = 2 and 3 one half-key (A + B = 33), and 1/(10^15 + 1) takes the
+    # exact (object) keys from K = 4 on
+    sweep = rz.counting_sweep(64, p, q)
+    assert (sweep.rows, sweep.max_counts) == _sweep_from_tables(64, p, q)
+
+
 @st.composite
 def _betas(draw):
     q = draw(st.one_of(st.integers(1, 60), st.integers(10**14, 10**17)))
