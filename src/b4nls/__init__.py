@@ -12,11 +12,9 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     basis_field,
-    constant_profile,
     load_field,
     make_damping_profile,
     make_torus,
-    multiply_profile,
     normalize_sobolev,
     propagate_free,
     random_field,
@@ -49,7 +47,6 @@ from .hum import (
 from .observability import (
     BandGramian,
     GramianReport,
-    band_gramian_min_eig,
     gramian_sweep,
 )
 from .gcc import (

@@ -5,8 +5,9 @@ hand-editable) with one section per concern; `run` executes exactly one
 experiment kind and writes CSV artifacts, field snapshots, and a plain-text
 manifest into the output directory. All randomness flows from the single
 seed in the config, so a fixed config produces byte-identical CSV output.
-Every CSV artifact has one dialect: comma-separated cells, each the str of
-its value, CRLF line ends and no quoting; a cell that would need quoting (a
+Every CSV artifact, a trace's ledger.csv too, has one dialect, the one
+dynamics._write_csv writes: comma-separated cells, each the str of its
+value, CRLF line ends and no quoting; a cell that would need quoting (a
 comma, a double quote, CR or LF) is refused before its file is opened.
 
     b4nls run <config> [--output DIR]
@@ -48,6 +49,7 @@ from .dynamics import (
     BlowUpError,
     EvolutionTrace,
     SolverConfig,
+    _write_csv,
     audit_dissipation,
     check_horizon,
     check_trace_size,
@@ -183,24 +185,6 @@ def _flow(cfg, rng, T_default):
     if stride is not None and stride < 1:
         raise ConfigError(f"[run] snapshot_stride must be >= 1, got {stride}")
     return u0, solver, T, stride
-
-
-def _write_csv(path, header, rows):
-    """Write header and rows as a CSV artifact in one pass: cells are the
-    str of their values, joined by commas, each line ended by CRLF, with no
-    quoting. That is csv.writer's text for cells that need no quoting, and
-    str keeps numpy scalars plain. ValueError, before the file is opened,
-    if the text holds a double quote, a CR or LF that ends no line, or
-    other than len(header) - 1 commas a line: a cell that needed quoting."""
-    lines = [",".join(map(str, row)) for row in itertools.chain([header], rows)]
-    text = "\r\n".join(lines) + "\r\n"
-    n = len(lines)
-    if ('"' in text or text.count("\r") != n or text.count("\n") != n
-            or text.count(",") != (len(header) - 1) * n):
-        raise ValueError(f"{path}: a cell holds a comma, a double quote, CR or LF, "
-                         "or a row is not as long as the header")
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

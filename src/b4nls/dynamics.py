@@ -65,7 +65,6 @@ from .spectral import (
     load_field,
     sandwich,
     save_field,
-    smoothing_multiplier,
     sobolev_weights,
 )
 
@@ -355,7 +354,6 @@ class _DampingOperator:
     def __init__(self, spec: ManifoldSpec, profile: DampingProfile):
         self.spec = spec
         self.a = profile.compact
-        self.s2 = smoothing_multiplier(spec, 2)
         self.layout = damping_layout(profile)
         self.axes = block_axes(profile)
         self.back = tuple(np.argsort(self.axes))
@@ -366,7 +364,7 @@ class _DampingOperator:
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """D c for lattice coefficients c."""
-        return sandwich(self.spec, self.a, self.s2, c)
+        return sandwich(self.spec, self.a, c)
 
     def by_blocks(self, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The stack blocks (j or j_inv) applied to a box array u, block by
@@ -457,7 +455,7 @@ def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig) -> None:
     than MAX_TRACE_BYTES at its peak."""
     n_steps, _ = step_grid(T, cfg.dt)
     n_rec = -(-n_steps // cfg.record_stride) + 1  # t = 0, every stride steps and the last
-    box = (2 * (spec.N // 3) + 1) ** spec.d
+    box = np.count_nonzero(spec.dealias_mask)
     need = 16 * (n_rec * (spec.n_modes + box) + 4 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES))
     if need > MAX_TRACE_BYTES:
         raise ValueError(
@@ -571,21 +569,30 @@ def fit_decay_rate(times, energies) -> DecayFit:
 LEDGER_HEADER = ["t", "mass", "energy", "damping_flux"]
 
 
+def _write_csv(path, header, rows):
+    """Write header and rows as a CSV artifact in one pass: cells are the
+    str of their values, joined by commas, each line ended by CRLF, with no
+    quoting. That is csv.writer's text for cells that need no quoting, and
+    str keeps numpy scalars plain. ValueError, before the file is opened,
+    if the text holds a double quote, a CR or LF that ends no line, or
+    other than len(header) - 1 commas a line: a cell that needed quoting."""
+    lines = [",".join(map(str, row)) for row in itertools.chain([header], rows)]
+    text = "\r\n".join(lines) + "\r\n"
+    n = len(lines)
+    if ('"' in text or text.count("\r") != n or text.count("\n") != n
+            or text.count(",") != (len(header) - 1) * n):
+        raise ValueError(f"{path}: a cell holds a comma, a double quote, CR or LF, "
+                         "or a row is not as long as the header")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def save_trace(trace: EvolutionTrace, outdir, snapshot_stride: int = 1) -> None:
     """Write ledger.csv plus field snapshots into a directory."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "ledger.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LEDGER_HEADER)
-        for i in range(trace.n_records):
-            w.writerow(
-                [
-                    repr(float(trace.times[i])),
-                    repr(float(trace.masses[i])),
-                    repr(float(trace.energies[i])),
-                    repr(float(trace.fluxes[i])),
-                ]
-            )
+    columns = (trace.times, trace.masses, trace.energies, trace.fluxes)
+    _write_csv(os.path.join(outdir, "ledger.csv"), LEDGER_HEADER,
+               np.column_stack(columns).tolist())
     for i in range(0, trace.n_records, snapshot_stride):
         save_field(trace.state(i), os.path.join(outdir, f"state_{i:06d}.b4f"))
 
@@ -605,7 +612,11 @@ def load_ledger(path) -> dict[str, np.ndarray]:
 
 
 def load_trace_states(outdir) -> list[SpectralField]:
+    """The snapshots state_{i:06d}.b4f of a trace directory in record order,
+    sorted by the index i: by name, record 1,000,000 would sort before
+    record 200,000."""
     names = sorted(
-        f for f in os.listdir(outdir) if f.startswith("state_") and f.endswith(".b4f")
+        (f for f in os.listdir(outdir) if f.startswith("state_") and f.endswith(".b4f")),
+        key=lambda f: int(f[len("state_"):-len(".b4f")]),
     )
     return [load_field(os.path.join(outdir, f)) for f in names]

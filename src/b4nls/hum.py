@@ -28,13 +28,14 @@ every mode without one. A and Lambda are diagonal in the wavenumbers of
 the axes along which phi is constant, so `operator_layout` groups S by
 `block_layout` and gives each group its rows, the modes A maps it into.
 The operator keeps only the blocks of A, the spectral kernel's control
-weight (`sandwich` with (1-Lap)^{-2}) from `kernel_blocks`, and of Lambda
-on those rows and columns. The dense multiplication matrix of phi is the
-test oracle of the grid products; no run path builds it.
+weight (`sandwich`) from `kernel_blocks`, and of Lambda on those rows and
+columns. The dense multiplication matrix of phi is the test oracle of the
+grid products; no run path builds it.
 
 The system is solved directly in L^2: one batched eigh factors Lambda[S, S]
-by its blocks once per operator, and a solve is one batched product. The
-certificate reports the smallest eigenvalue, the discrete observability
+by its blocks once per operator, and a solve runs on the layout: the right
+side gathered onto S once, one batched product, the datum scattered once.
+The certificate reports the smallest eigenvalue, the discrete observability
 constant (Lions, SIAM Rev. 30 (1988)), and the condition number, where the
 H^{-2} -> H^2 character of the continuum operator shows unpreconditioned.
 
@@ -71,14 +72,12 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     block_layout,
-    blockwise,
     box_mask,
     check_block_entries,
     free_phase,
     hs_norm,
     kernel_blocks,
     sandwich,
-    smoothing_multiplier,
     sobolev_norm,
     zero_field,
 )
@@ -288,9 +287,8 @@ class HumOperator:
     ):
         self.spec = spec
         self.layout, self.rows = operator_layout(phi, band)
-        s2 = smoothing_multiplier(spec, 2)
         self.A = kernel_blocks(  # phi (1-Lap)^{-2} phi
-            spec, lambda f: sandwich(spec, phi.compact, s2, f), self.layout, self.rows,
+            spec, lambda f: sandwich(spec, phi.compact, f), self.layout, self.rows,
         )
         m = self.layout.shape[1]
         self.matrix = time_average_kernel(spec.dispersion.ravel()[self.rows], T, None, np.arange(m))
@@ -365,14 +363,16 @@ def _transported_rhs(prob: ControlProblem) -> np.ndarray:
 def _solve_hum_system(
     prob: ControlProblem, op: HumOperator, rhs: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Lambda[S, S] x = b by the block inverses of op.factors. Only rhs on S
-    is read: the Galerkin projection onto S. The gate reads the true
-    residual ||b - Lambda[S, S] x|| / ||b||, so a singular Lambda fails it."""
+    """Lambda[S, S] x = b by the block inverses of op.factors, on the
+    layout: b = rhs on S (the Galerkin projection onto S), gathered once,
+    x = inv @ b one product per group, and x scattered once into lattice
+    coefficients. The gate reads the true residual ||b - Lambda[S, S] x|| /
+    ||b||, so a singular Lambda fails it."""
     w, inv = op.factors
-    v0 = blockwise(inv, op.layout, rhs)
-    b = rhs.ravel()[op.layout]
+    b = rhs.ravel()[op.layout][..., None]
+    x = inv @ b
     bnorm = float(np.linalg.norm(b))
-    relres = float(np.linalg.norm(b - blockwise(op.block, op.layout, v0).ravel()[op.layout]))
+    relres = float(np.linalg.norm(b - op.block @ x))
     relres = relres / bnorm if bnorm > 0.0 else 0.0
     if not relres <= 100.0 * prob.cg_tol:
         raise ControlStagnationError(
@@ -380,6 +380,8 @@ def _solve_hum_system(
             f"(lambda_min = {w.min():.3e}); the control region may not be observable "
             "(GCC violated?)"
         )
+    v0 = np.zeros(rhs.shape, dtype=complex)
+    v0.reshape(-1)[op.layout] = x[..., 0]
     return v0, relres
 
 

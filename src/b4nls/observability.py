@@ -12,7 +12,8 @@ time average on the `dynamics.step_grid` steps, `hum.time_average_kernel`
 (one formula with HUM's exact integral), multiplied in place by the weight's
 band block from the spectral kernel's block builder, the band as one
 group; both extreme eigenvalues come from `np.linalg.eigvalsh`. At T = 0
-the time kernel is the zero matrix. `check_gramian_sweep` owns a sweep's
+the time kernel is the zero matrix. `gramian_sweep` is the one entry: a
+single band h = 2^{-j} is the sweep of [j]. `check_gramian_sweep` owns its
 input rules (finite T >= 0 and quad_dt > 0, bands of 1 to
 sqrt(MAX_BAND_ENTRIES) modes), and a sweep builds each band once. The
 matrix-free route (`BandGramian.apply`) is the independent one: it samples
@@ -124,10 +125,17 @@ def check_gramian_sweep(spec: ManifoldSpec, T: float, h_values, quad_dt: float) 
     return bands
 
 
-def _reports(profile: DampingProfile, T: float, h_values, quad_dt: float) -> list[GramianReport]:
-    """The report of each h, its band checked and then built once from the
-    indices check_gramian_sweep returned; both extreme eigenvalues come from
-    eigvalsh of the dense closed-form band matrix."""
+def gramian_sweep(
+    profile: DampingProfile,
+    T: float,
+    j_values,
+    quad_dt: float = 1e-3,
+) -> list[GramianReport]:
+    """Gramian floors across the scales h = 2^{-j}, every band checked first
+    and then built once from the indices check_gramian_sweep returned; both
+    extreme eigenvalues come from eigvalsh of the dense closed-form band
+    matrix."""
+    h_values = [2.0 ** (-j) for j in j_values]
     reports = []
     for h, idx in zip(h_values, check_gramian_sweep(profile.spec, T, h_values, quad_dt)):
         g = BandGramian(profile.spec, profile.compact, T, quad_dt, idx)
@@ -135,24 +143,3 @@ def _reports(profile: DampingProfile, T: float, h_values, quad_dt: float) -> lis
         reports.append(GramianReport(h=h, band_dim=g.band_dim, T=T, min_eig=float(evals[0]),
                                      max_eig=float(evals[-1])))
     return reports
-
-
-def band_gramian_min_eig(
-    profile: DampingProfile,
-    T: float,
-    h: float,
-    quad_dt: float = 1e-3,
-) -> GramianReport:
-    """Smallest Gramian eigenvalue on the band kappa(h^2 |k|^2) > 0, for the
-    weight of a damping profile, with the largest."""
-    return _reports(profile, T, [h], quad_dt)[0]
-
-
-def gramian_sweep(
-    profile: DampingProfile,
-    T: float,
-    j_values,
-    quad_dt: float = 1e-3,
-) -> list[GramianReport]:
-    """Gramian floors across the scales h = 2^{-j}, every band checked first."""
-    return _reports(profile, T, [2.0 ** (-j) for j in j_values], quad_dt)

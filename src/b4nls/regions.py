@@ -89,8 +89,6 @@ def min_feature_size(region: Region) -> float:
     if isinstance(region, Ball):
         return 2.0 * region.radius
     if isinstance(region, RegionUnion):
-        if not region.parts:
-            return 0.0
         return min(min_feature_size(p) for p in region.parts)
     raise TypeError(f"unknown region {region!r}")
 

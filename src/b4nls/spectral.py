@@ -32,11 +32,13 @@ an FFT route, the masked product bit for bit, above them, by
 dense_term_route from the sizes alone. Every route takes |v|^{2k} v from
 one helper, which forms the cube as v conj(v) v, with no modulus.
 
-The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich:
-the damping operator and the HUM operator both apply it. The dense blocks
-of a kernel that maps no group of modes into another come from one
+The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich,
+which owns its multiplier: the damping operator and the HUM operator both
+apply it. Other powers of (1 - Lap) are sobolev_weights(spec, -m). The dense
+blocks of a kernel that maps no group of modes into another come from one
 builder, kernel_blocks, one apply per mode of a group: D's blocks, HUM's A
-and the band Gramian's weight (one group) are built through it.
+and the band Gramian's weight (one group) are built through it. Each caller
+applies its blocks on its own layout (hum's solve, D's by_blocks).
 
 Every H^s norm of coefficients is hs_norm, and every free phase e^{itX}
 over a dispersion array X is free_phase, except in the oracles
@@ -472,11 +474,11 @@ def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np
     return _fft_axes(a * _ifft_axes(coeffs, axes), axes)
 
 
-def sandwich(spec: ManifoldSpec, a: np.ndarray, m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of a m (a u): the grid product by a, the lattice
-    multiplier m, the grid product by a again. With m = (1-Lap)^{-2} this is
-    the control weight, the damping operator D and the HUM weight A alike."""
-    return profile_product(spec, a, m * profile_product(spec, a, coeffs))
+def sandwich(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of a (1-Lap)^{-2} (a u), the control weight: the grid
+    product by a, the lattice multiplier (1 + |k|^2)^{-2}, the grid product
+    by a again. The damping operator D and the HUM weight A alike."""
+    return profile_product(spec, a, sobolev_weights(spec, -2.0) * profile_product(spec, a, coeffs))
 
 
 # Fields per kernel call of kernel_blocks: the transform temporaries stay the
@@ -534,14 +536,6 @@ def block_layout(profile: DampingProfile, modes: np.ndarray) -> np.ndarray:
     return modes.reshape((m,) * d).transpose(block_axes(profile)).reshape(-1, m**varying)
 
 
-def blockwise(blocks: np.ndarray, layout: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """blocks[j] applied to c on the flat indices layout[j], for each row j
-    of a block_layout; zero off the layout."""
-    out = np.zeros(c.shape, dtype=complex)
-    out.reshape(-1)[layout] = (blocks @ c.reshape(-1)[layout][..., None])[..., 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # norms and multipliers
 # ---------------------------------------------------------------------------
@@ -574,11 +568,6 @@ def normalize_sobolev(u: SpectralField, s: float, value: float = 1.0) -> Spectra
     if n == 0.0:
         raise ValueError("cannot normalize the zero field")
     return SpectralField(u.spec, u.coeffs * (value / n))
-
-
-def smoothing_multiplier(spec: ManifoldSpec, m: int) -> np.ndarray:
-    """(1 - Lap)^{-m}, the regularizing factor of the damping feedback."""
-    return sobolev_weights(spec, -float(m))
 
 
 def free_phase(t, X: np.ndarray) -> np.ndarray:
@@ -703,17 +692,6 @@ def make_damping_profile(
             f"{smoothing_width:.4g}"
         )
     return DampingProfile(spec, _region_profile(region, spec.grid_points(), smoothing_width))
-
-
-def constant_profile(spec: ManifoldSpec, value: float) -> DampingProfile:
-    if value < 0.0:
-        raise ValueError("damping value must be >= 0")
-    return DampingProfile(spec, np.full(spec.shape, float(value)))
-
-
-def multiply_profile(u: SpectralField, a: DampingProfile) -> SpectralField:
-    """Pointwise multiplication by a(x), performed on the grid."""
-    return SpectralField(u.spec, profile_product(u.spec, a.values, u.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from b4nls.spectral import (
     coeffs_to_grid,
     grid_to_coeffs,
     nonlinear_term,
-    smoothing_multiplier,
+    sobolev_weights,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -159,7 +159,7 @@ def test_damping_off_matches_undamped_with_mass_phase():
     # with a = 0 the damped system is the undamped flow times e^{it}
     spec = b.make_torus(1, 64, 1.0)
     u0 = smooth_datum(spec, 3)
-    a0 = b.constant_profile(spec, 0.0)
+    a0 = b.DampingProfile(spec, np.full(spec.shape, 0.0))
     cfg = b.SolverConfig(dt=1e-3)
     dtrace = b.evolve_damped(u0, a0, 0.2, cfg)
     masked = b.SpectralField(
@@ -177,7 +177,7 @@ def test_damping_off_matches_undamped_with_mass_phase():
 def test_constant_damping_diagonal_fast_path():
     spec = b.make_torus(1, 64, 1.0)
     u0 = smooth_datum(spec, 4, decay=6.0)
-    a1 = b.constant_profile(spec, 1.0)
+    a1 = b.DampingProfile(spec, np.full(spec.shape, 1.0))
     trace = b.evolve_damped(u0, a1, 0.5, b.SolverConfig(dt=1e-3))
     assert np.all(np.diff(trace.energies) <= 1e-12 * trace.energies[0])
 
@@ -186,7 +186,7 @@ def test_constant_damping_solve_matches_cg_route():
     # the block solve on a box array and a generic normal-equation CG
     # solve on the lattice agree
     spec = b.make_torus(1, 32, 1.0)
-    prof = b.constant_profile(spec, 0.8)
+    prof = b.DampingProfile(spec, np.full(spec.shape, 0.8))
     op = _DampingOperator(spec, prof)
     rng = np.random.default_rng(5)
     v = np.where(
@@ -253,7 +253,7 @@ def test_damping_solve_matches_a_dense_solve_on_the_ball(d, N, region):
                   for axis in range(d)],
         "cross": [b.make_damping_profile(spec, _cross(d), 0.4)],
         "ball": [b.make_damping_profile(spec, b.Ball((math.pi,) * d, 2.8), 0.4)],
-        "constant": [b.constant_profile(spec, 0.8)],
+        "constant": [b.DampingProfile(spec, np.full(spec.shape, 0.8))],
     }[region]
     ball = np.flatnonzero(spec.dealias_mask)
     modes = np.unravel_index(ball, spec.shape)
@@ -406,7 +406,7 @@ def test_recorded_flux_is_the_smoothed_damping_norm(d, N, region):
         return grid_to_coeffs(spec, prof.values * coeffs_to_grid(spec, c))
 
     ball = np.flatnonzero(spec.dealias_mask)
-    s1 = smoothing_multiplier(spec, 1)
+    s1 = sobolev_weights(spec, -1)
     cols = []
     for j in ball:
         e = np.zeros(spec.n_modes, dtype=complex)
@@ -496,7 +496,7 @@ def test_the_damped_box_march_is_the_lattice_march_of_v(d, N, region):
     mask = spec.dealias_mask
     ball = np.flatnonzero(mask)
     M = multiplication_matrix(spec, prof.values)
-    D = ((M * smoothing_multiplier(spec, 2).ravel()) @ M)[np.ix_(ball, ball)]
+    D = ((M * sobolev_weights(spec, -2).ravel()) @ M)[np.ix_(ball, ball)]
     J = np.eye(len(ball)) - 1j * D
     mult = spec.dispersion + 1.0
     dt, n = 1e-3, 20
@@ -527,7 +527,9 @@ def test_the_damped_box_march_is_the_lattice_march_of_v(d, N, region):
 def test_audit_zero_damping():
     spec = b.make_torus(1, 64, 1.0)
     u0 = smooth_datum(spec, 7)
-    trace = b.evolve_damped(u0, b.constant_profile(spec, 0.0), 0.5, b.SolverConfig(dt=1e-3))
+    trace = b.evolve_damped(
+        u0, b.DampingProfile(spec, np.full(spec.shape, 0.0)), 0.5, b.SolverConfig(dt=1e-3)
+    )
     aud = audit_dissipation(trace)
     assert aud.rhs == 0.0
     assert abs(aud.lhs) <= 1e-7
@@ -536,7 +538,9 @@ def test_audit_zero_damping():
 def test_audit_full_damping_identity():
     spec = b.make_torus(1, 64, 1.0)
     u0 = smooth_datum(spec, 8, decay=6.0)
-    trace = b.evolve_damped(u0, b.constant_profile(spec, 1.0), 1.0, b.SolverConfig(dt=1e-3))
+    trace = b.evolve_damped(
+        u0, b.DampingProfile(spec, np.full(spec.shape, 1.0)), 1.0, b.SolverConfig(dt=1e-3)
+    )
     aud = audit_dissipation(trace)
     assert aud.lhs <= 0.0 and aud.rhs <= 0.0  # both sides decay
     assert aud.mismatch <= 1e-4
@@ -580,7 +584,7 @@ def test_trace_persistence_roundtrip(tmp_path):
     spec = b.make_torus(1, 32, 1.0)
     u0 = smooth_datum(spec, 10)
     trace = b.evolve_damped(
-        u0, b.constant_profile(spec, 1.0), 0.02, b.SolverConfig(dt=1e-3)
+        u0, b.DampingProfile(spec, np.full(spec.shape, 1.0)), 0.02, b.SolverConfig(dt=1e-3)
     )
     save_trace(trace, tmp_path, snapshot_stride=5)
     led = load_ledger(tmp_path / "ledger.csv")
@@ -589,6 +593,16 @@ def test_trace_persistence_roundtrip(tmp_path):
     assert np.array_equal(led["damping_flux"], trace.fluxes)
     states = load_trace_states(tmp_path)
     assert np.array_equal(states[0].coeffs, trace.states[0])
+
+
+def test_trace_states_load_in_record_order_past_a_million(tmp_path):
+    # by name, state_1000000.b4f sorts between state_100000 and state_200000
+    spec = b.make_torus(1, 8, 1.0)
+    records = [100_000, 999_999, 1_000_000]
+    for i in records:
+        b.save_field(b.basis_field(spec, 1, float(i)), tmp_path / f"state_{i:06d}.b4f")
+    states = load_trace_states(tmp_path)
+    assert [s.coeffs[_mode_index(spec, 1)].real for s in states] == records
 
 
 def test_an_empty_ledger_is_refused(tmp_path):

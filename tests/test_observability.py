@@ -6,7 +6,7 @@ import pytest
 import b4nls as b
 from b4nls.linalg import lanczos_extreme
 from b4nls.observability import BandGramian
-from b4nls.spectral import band_mode_mask
+from b4nls.spectral import band_mode_mask, profile_product
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -33,7 +33,7 @@ def band_gramian(profile, h):
 def test_full_region_gramian_is_T_identity():
     spec = b.make_torus(1, 64, 1.0)
     full = b.make_damping_profile(spec, b.FullRegion())
-    rep = b.band_gramian_min_eig(full, 1.0, 0.25)
+    rep = b.gramian_sweep(full, 1.0, [2])[0]
     assert rep.min_eig == pytest.approx(1.0, abs=1e-10)
     assert rep.max_eig == pytest.approx(1.0, abs=1e-10)
     g = band_gramian(full, 0.25)
@@ -44,7 +44,7 @@ def test_full_region_gramian_is_T_identity():
 
 def test_gramian_zero_horizon():
     spec = b.make_torus(1, 64, 1.0)
-    rep = b.band_gramian_min_eig(strip_profile(spec), 0.0, 0.25)
+    rep = b.gramian_sweep(strip_profile(spec), 0.0, [2])[0]
     assert rep.min_eig == 0.0 and rep.max_eig == 0.0
 
 
@@ -53,7 +53,7 @@ def test_gramian_empty_band_rejected():
     # the default width of 5 cells is too wide for the strip at N = 16
     profile = b.make_damping_profile(spec, STRIP, 0.5)
     with pytest.raises(ValueError, match="band"):
-        b.band_gramian_min_eig(profile, 1.0, 1e-4)
+        b.gramian_sweep(profile, 1.0, [13])
 
 
 def test_gramian_hermitian_and_bounded_by_T():
@@ -110,7 +110,7 @@ def test_single_pair_matches_quadrature_oracle():
             acc = 0.0j
             for t, w in zip(ts, wts):
                 vt = b.propagate_free(b.SpectralField(spec, ek), float(t))
-                mv = b.multiply_profile(vt, profile)
+                mv = b.SpectralField(spec, profile_product(spec, profile.values, vt.coeffs))
                 back = b.propagate_free(mv, -float(t))
                 acc += w * back.coeffs.ravel()[ka]
             assert abs(acc - G[a, c]) <= 1e-9
@@ -129,7 +129,7 @@ def test_lanczos_matches_dense_across_bands():
 def test_monotone_in_horizon():
     spec = b.make_torus(1, 64, 1.0)
     mins = [
-        b.band_gramian_min_eig(strip_profile(spec), T, 0.25, quad_dt=1e-3).min_eig
+        b.gramian_sweep(strip_profile(spec), T, [2], quad_dt=1e-3)[0].min_eig
         for T in (0.5, 1.0, 2.0)
     ]
     assert mins[0] <= mins[1] + 1e-12 and mins[1] <= mins[2] + 1e-12
@@ -140,19 +140,19 @@ def test_monotone_in_region():
     inner = b.Strip(PI / 2 + 0.3, 3 * PI / 2 - 0.3)
     outer = b.Strip(PI / 2, 3 * PI / 2)
     width = 0.15
-    m_in = b.band_gramian_min_eig(b.make_damping_profile(spec, inner, width), 1.0, 0.25)
-    m_out = b.band_gramian_min_eig(b.make_damping_profile(spec, outer, width), 1.0, 0.25)
+    m_in = b.gramian_sweep(b.make_damping_profile(spec, inner, width), 1.0, [2])[0]
+    m_out = b.gramian_sweep(b.make_damping_profile(spec, outer, width), 1.0, [2])[0]
     assert m_in.min_eig <= m_out.min_eig + 1e-12
 
 
 def test_gramian_sweep_reports():
     # the sweep builds each band once, from the indices its check returned;
-    # the single-band route builds its own and reports the same
+    # a sweep of one band builds its own and reports the same
     spec = b.make_torus(1, 128, 1.0)
     reports = b.gramian_sweep(strip_profile(spec), 1.0, [2, 3])
     assert [r.h for r in reports] == [0.25, 0.125]
     assert all(r.min_eig > 0.0 for r in reports)
-    assert reports == [b.band_gramian_min_eig(strip_profile(spec), 1.0, r.h) for r in reports]
+    assert reports == [b.gramian_sweep(strip_profile(spec), 1.0, [j])[0] for j in (2, 3)]
 
 
 @pytest.mark.parametrize("T,quad_dt", [(1.0, -1e-3), (1.0, 0.0), (-1.0, 1e-3)])
@@ -160,23 +160,20 @@ def test_gramian_refuses_a_bad_horizon_or_step(T, quad_dt):
     # a negative step used to run one trapezoid step of length T
     spec = b.make_torus(1, 64, 1.0)
     with pytest.raises(ValueError, match="T must be >= 0|quad_dt must be positive"):
-        b.band_gramian_min_eig(strip_profile(spec), T, 0.25, quad_dt=quad_dt)
+        b.gramian_sweep(strip_profile(spec), T, [2], quad_dt=quad_dt)
 
 
 @pytest.mark.parametrize("T,quad_dt,message", [
     (math.inf, 1e-3, "T must be >= 0 and finite"),
     (1.0, math.inf, "quad_dt must be positive and finite"),
 ])
-@pytest.mark.parametrize("entry", ["band", "sweep"])
+@pytest.mark.parametrize("entry", ["sweep"])
 def test_gramian_refuses_an_infinite_horizon_or_step(T, quad_dt, message, entry):
     # an infinite T raised OverflowError in step_grid; an infinite quad_dt
     # returned the floors of a single trapezoid step
     spec = b.make_torus(1, 64, 1.0)
     with pytest.raises(ValueError, match=message):
-        if entry == "band":
-            b.band_gramian_min_eig(strip_profile(spec), T, 0.25, quad_dt=quad_dt)
-        else:
-            b.gramian_sweep(strip_profile(spec), T, [2, 3], quad_dt=quad_dt)
+        b.gramian_sweep(strip_profile(spec), T, [2, 3], quad_dt=quad_dt)
 
 
 def test_gramian_sweep_checks_every_band_before_the_first(monkeypatch):

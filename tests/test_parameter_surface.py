@@ -18,7 +18,6 @@ SRC = TESTS.parent / "src" / "b4nls"
 TEST_KNOBS = {
     "cli.main.argv": "test_cli.py::test_describe_lists_every_key_the_builder_reads",
     "hum.ControlProblem.u_target": "test_hum.py::test_linear_control_nonzero_target",
-    "observability.band_gramian_min_eig.quad_dt": "test_observability.py::test_gramian_refuses_a_bad_horizon_or_step",
 }
 
 

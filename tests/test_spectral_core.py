@@ -35,7 +35,6 @@ from b4nls.spectral import (
     profile_product,
     sandwich,
     smooth_ramp,
-    smoothing_multiplier,
     sobolev_weights,
 )
 
@@ -191,7 +190,7 @@ def test_dispersion_on_basis_mode():
 
 def test_smoothing_on_basis_mode():
     spec = b.make_torus(1, 64, 1.0)
-    out = smoothing_multiplier(spec, 2) * b.basis_field(spec, 1).coeffs
+    out = sobolev_weights(spec, -2) * b.basis_field(spec, 1).coeffs
     assert coeff(out, spec, 1) == pytest.approx(0.25)
 
 
@@ -528,7 +527,7 @@ def test_basis_field_point_values():
 
 def test_smoothing_multiplier_values():
     spec = b.make_torus(1, 64, 2.0)
-    m = smoothing_multiplier(spec, 1)
+    m = sobolev_weights(spec, -1)
     k = spec.k1d.astype(float)
     assert np.allclose(m, 1.0 / (1.0 + k**2))
 
@@ -591,7 +590,7 @@ def test_kernel_blocks_match_the_dense_oracle(d, N, kernel):
     # the dealiasing box). The box's block widths, 21 and 11 (strips) and
     # 21, 121 and 125 (balls), are no multiple of KERNEL_BATCH
     spec = b.make_torus(d, N, 1.0)
-    s2 = smoothing_multiplier(spec, 2)
+    s2 = sobolev_weights(spec, -2)
     rng = np.random.default_rng(d)
     some = np.sort(rng.choice(spec.n_modes, spec.n_modes // 3, replace=False))
     box = np.flatnonzero(spec.dealias_mask)
@@ -601,7 +600,7 @@ def test_kernel_blocks_match_the_dense_oracle(d, N, kernel):
         M = multiplication_matrix(spec, phi.values)
         apply, dense = {
             "product": (lambda f: profile_product(spec, a, f), M),
-            "sandwich": (lambda f: sandwich(spec, a, s2, f), (M * s2.ravel()) @ M),
+            "sandwich": (lambda f: sandwich(spec, a, f), (M * s2.ravel()) @ M),
         }[kernel]
         scale = np.abs(dense).max()
         layout, rows = operator_layout(phi, N // 3)
