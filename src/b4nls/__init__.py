@@ -16,7 +16,6 @@ from .spectral import (
     make_damping_profile,
     make_torus,
     normalize_sobolev,
-    propagate_free,
     random_field,
     save_field,
     sobolev_norm,
@@ -42,7 +41,6 @@ from .hum import (
     ContractionFailure,
     solve_linear_control,
     solve_nonlinear_control,
-    verify_certificate,
 )
 from .observability import (
     BandGramian,
@@ -61,10 +59,8 @@ from .bourgain import (
     duhamel_gain_probe,
     hb_hs_norm,
     interaction_frame,
-    l2hs_norm,
     make_taper,
     random_spacetime_field,
-    tapered_free_solution,
     trilinear_constant_probe,
     xsb_norm,
 )

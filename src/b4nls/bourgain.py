@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import MAX_TRACE_BYTES
 from .regions import TWO_PI
 from .spectral import (
     ManifoldSpec,
@@ -60,7 +61,7 @@ class SpaceTimeField:
         if v.ndim != self.spec.d + 1 or v.shape[1:] != self.spec.shape:
             raise ValueError("values must be (M_t,) + lattice shaped")
         m = v.shape[0]
-        check_probe_inputs(1, m, None, None)
+        check_probe_inputs(None, 1, m, None, None)
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("non-finite sample")
         if self.taper is not None:
@@ -89,25 +90,11 @@ def make_taper(T_w: float, M_t: int) -> np.ndarray:
     """Smooth plateau window on [0, T_w], rising and falling over a quarter
     of the window each, exactly zero at both end samples (the support is
     inset by two grid steps)."""
-    check_probe_inputs(1, M_t, None, None)
+    check_probe_inputs(None, 1, M_t, None, None)
     t = T_w * np.arange(M_t) / M_t
     e = 0.25 * T_w
     margin = 2.0 * T_w / M_t
     return plateau_bump(t, margin, e, T_w - e, T_w - margin)
-
-
-def tapered_free_solution(
-    v0_coeffs: np.ndarray,
-    spec: ManifoldSpec,
-    T_w: float,
-    M_t: int,
-) -> SpaceTimeField:
-    """psi(t) e^{itL} v0 on the window grid."""
-    taper = make_taper(T_w, M_t)
-    t = T_w * np.arange(M_t) / M_t
-    phases = np.exp(1j * t.reshape((-1,) + (1,) * spec.d) * spec.dispersion)
-    vals = taper.reshape((-1,) + (1,) * spec.d) * phases * v0_coeffs
-    return SpaceTimeField(spec, T_w, vals, taper)
 
 
 def random_spacetime_field(
@@ -119,7 +106,7 @@ def random_spacetime_field(
     time_band: int,
 ) -> SpaceTimeField:
     """Tapered random field, band-limited in both space and time frequency."""
-    check_probe_inputs(1, M_t, space_band, time_band)
+    check_probe_inputs(None, 1, M_t, space_band, time_band)
     taper = make_taper(T_w, M_t)
     spectrum = np.zeros((M_t,) + spec.shape, dtype=complex)
     sl = np.zeros(M_t, dtype=bool)
@@ -171,42 +158,11 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float) -> float:
     return hb_hs_norm(interaction_frame(f), s, b)
 
 
-def l2hs_norm(f: SpaceTimeField, s: float) -> float:
-    """Discrete L^2_t H^s_x on the window (rectangle rule, exact for the
-    periodic grid)."""
-    ws = sobolev_weights(f.spec, s)
-    dt = f.T_w / f.M_t
-    return math.sqrt(float(np.sum(ws * np.abs(f.values) ** 2)) * dt)
-
-
 def cubic_product(f: SpaceTimeField) -> SpaceTimeField:
     """|u|^2 u evaluated pointwise on the space-time collocation grid.
 
     Unmasked: the product keeps its full spectrum up to grid aliasing."""
     return SpaceTimeField(f.spec, f.T_w, nonlinear_term(f.spec, f.values, 1), f.taper)
-
-
-def time_sobolev_norm_quadrature(taper: np.ndarray, T_w: float, b: float) -> float:
-    """H^b(R) norm of the taper by direct quadrature on an 8x oversampled
-    grid padded to 4 windows; the independent oracle for the free-solution
-    identity."""
-    oversample, pad = 8, 4
-    m = len(taper) * oversample
-    # resample by trigonometric interpolation of the smooth taper
-    spec_c = np.fft.fft(taper)
-    half = len(taper) // 2
-    padded = np.zeros(m, dtype=complex)
-    padded[:half] = spec_c[:half]
-    padded[-half:] = spec_c[-half:]
-    fine = np.real(np.fft.ifft(padded) * oversample)
-    # embed in a window pad times longer so the frequency grid refines
-    big = np.zeros(m * pad)
-    big[:m] = fine
-    W = T_w * pad
-    F = np.fft.ifft(big) * len(big) * (W / len(big)) / math.sqrt(TWO_PI)
-    tau = (TWO_PI / W) * np.fft.fftfreq(len(big)) * len(big)
-    dtau = TWO_PI / W
-    return math.sqrt(float(np.sum((1.0 + tau**2) ** b * np.abs(F) ** 2) * dtau))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +176,21 @@ class GainProbeResult:
     fitted_exponent: float
 
 
-def check_probe_inputs(n_samples: int, M_t: int | None, space_band: int | None,
-                       time_band: int | None) -> None:
+# bytes per space-time entry (M_t N^d) at the peak of trilinear_constant_probe,
+# a few complex stacks at a time: 96 by tracemalloc at d2N32 and d3N16
+# (M_t = 32 to 256), 85-100 on T^1.
+_PROBE_ENTRY_BYTES = 96
+
+
+def check_probe_inputs(spec: ManifoldSpec | None, n_samples: int, M_t: int | None,
+                       space_band: int | None, time_band: int | None) -> None:
     """Raise ValueError unless a probe can draw n_samples >= 1 signals on a
     window of M_t times, even and > 8 (the taper's edges need more than 8),
-    with 0 < time_band < M_t / 2 and space_band >= 0. A None argument is not
-    checked: the gain probe has no window, a field no bands, and a None
-    space_band is the probe's default."""
+    with 0 < time_band < M_t / 2 and space_band >= 0, and its space-time
+    stacks on spec's lattice fit under MAX_TRACE_BYTES, the cap of every
+    time-sampled field stack. A None argument is not checked: the gain probe
+    has no window or lattice, a field no bands, and a None space_band is the
+    probe's default."""
     if n_samples < 1:
         raise ValueError(f"need samples >= 1, got {n_samples}")
     if M_t is not None and (M_t % 2 or M_t <= 8):
@@ -235,6 +199,14 @@ def check_probe_inputs(n_samples: int, M_t: int | None, space_band: int | None,
         raise ValueError(f"time band out of range: need 0 < time_band < {M_t // 2}, got {time_band}")
     if space_band is not None and space_band < 0:
         raise ValueError(f"space_band must be >= 0, got {space_band}")
+    if spec is not None:
+        need = _PROBE_ENTRY_BYTES * M_t * spec.n_modes
+        if need > MAX_TRACE_BYTES:
+            raise ValueError(
+                f"a probe of M_t = {M_t} times at d = {spec.d}, N = {spec.N} needs about "
+                f"{need} bytes, more than the {MAX_TRACE_BYTES} a time-sampled stack may "
+                "hold; lower M_t or N"
+            )
 
 
 def check_gain_exponents(b: float, b_prime: float) -> None:
@@ -264,7 +236,7 @@ def duhamel_gain_probe(
     among them is skipped (its ratio is 0/0).
     """
     check_gain_exponents(b, b_prime)
-    check_probe_inputs(n_samples, None, None, None)
+    check_probe_inputs(None, n_samples, None, None, None)
     T_values = (1.0, 0.5, 0.25)
     t = np.linspace(-4.0, 4.0, 8192, endpoint=False)
     dt = t[1] - t[0]
@@ -313,7 +285,7 @@ def trilinear_constant_probe(
         raise ValueError(f"s must be finite, got {s}")
     if space_band is None:
         space_band = spec.N // 8
-    check_probe_inputs(n_samples, M_t, space_band, time_band)
+    check_probe_inputs(spec, n_samples, M_t, space_band, time_band)
     best = 0.0
     for _ in range(n_samples):
         u = random_spacetime_field(spec, rng, TWO_PI, M_t, space_band, time_band)

@@ -417,7 +417,7 @@ def _bourgain(cfg, rng):
     space_band = _get(cfg, "sweep", "space_band", int, None)
     time_band = _get(cfg, "sweep", "time_band", int, 8)
     check_gain_exponents(b, bp)
-    check_probe_inputs(samples, M_t, space_band, time_band)
+    check_probe_inputs(spec, samples, M_t, space_band, time_band)
 
     def run(outdir):
         gain = duhamel_gain_probe(b, bp, n_samples=samples, rng=rng)

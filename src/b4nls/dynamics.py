@@ -442,21 +442,30 @@ _LEDGER_BLOCK_ENTRIES = 4096
 # bytes a trace may hold at the peak of _march: n_rec box records, then
 # the (n_rec,) + lattice stack they are scattered into, and the ledger's
 # block temporaries, 16 (n_rec (N^d + m^d) + 4 max(N^d,
-# _LEDGER_BLOCK_ENTRIES)) B. That is 0.98-0.99 of the tracemalloc peak of
-# an undamped march of 12-30 MB (d2N32, d2N64, d3N16); a damped march adds
-# its operator's blocks, capped apart (MAX_BLOCK_ENTRIES), and reads 0.96
-# at d2N32, 0.97 at d3N16 and 0.90 at d2N64. The cap admits the default
-# stabilize horizon, T = 20 at stride 1, up to d2N64 (1.9 GB).
+# _LEDGER_BLOCK_ENTRIES)) B, plus _RECORD_BYTES per record. That is 0.96-1.02
+# of the tracemalloc peak of an undamped march of 10-44 MB (d2N32, d2N64,
+# d3N16); a damped march adds its operator's blocks, capped apart
+# (MAX_BLOCK_ENTRIES): 0.98 at d2N32 and d3N16, 0.77 at d2N64 (101 records).
+# The cap admits the default stabilize horizon, T = 20 at stride 1, up to
+# d2N64 (1.91 GB).
 MAX_TRACE_BYTES = 2_000_000_000
+
+# bytes per record beyond its coefficients, at the peak of either phase of
+# a trace (tracemalloc, d1N8, 20,001 records): in _march the tuple, floats
+# and array header of a yielded record, 190-350 B; in save_trace, with the
+# trace held, the ledger's rows and text, 350-470 B (the most with cells
+# of 22 characters).
+_RECORD_BYTES = 512
 
 
 def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig) -> None:
     """ValueError if the trace of a flow over T under cfg would hold more
-    than MAX_TRACE_BYTES at its peak."""
+    than MAX_TRACE_BYTES at its peak, in the march or in save_trace."""
     n_steps, _ = step_grid(T, cfg.dt)
     n_rec = -(-n_steps // cfg.record_stride) + 1  # t = 0, every stride steps and the last
     box = np.count_nonzero(spec.dealias_mask)
-    need = 16 * (n_rec * (spec.n_modes + box) + 4 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES))
+    need = (16 * (n_rec * (spec.n_modes + box) + 4 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES))
+            + _RECORD_BYTES * n_rec)
     if need > MAX_TRACE_BYTES:
         raise ValueError(
             f"a trace of {n_rec} records at d = {spec.d}, N = {spec.N} needs about {need} "

@@ -534,14 +534,3 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
         cg_residuals=tuple(cg_res),
         fixedpoint_diffs=tuple(diffs), contraction_ratios=tuple(ratios),
     )
-
-
-def verify_certificate(prob: ControlProblem, cert: ControlCertificate) -> float:
-    """Recompute the terminal residual of a certificate from a fresh
-    operator, a nonlinear one by a fresh ETDRK4 forward solve and a linear
-    one by the exact closed form e^{iTL} (u0 - i Lambda v0); must reproduce
-    the stored value."""
-    op = HumOperator(prob.spec, prob.phi, prob.T, band=prob.control_band)
-    if cert.kind == "nonlinear":
-        return _verify_integrator(prob, op, cert.dual_datum)
-    return _verify_closed_form(prob, op, cert.dual_datum)

@@ -61,34 +61,6 @@ def _check_beta(p: int, q: int) -> None:
         raise ResonanceError("beta must be given in lowest terms")
 
 
-def lambda4(k: int, p: int, q: int) -> Fraction:
-    """Exact quartic phase [k(k+4)]^2 + (p/q) k(k+4) of the k-th cluster."""
-    if k < 1:
-        raise ResonanceError("cluster index k must be >= 1")
-    _check_beta(p, q)
-    a = k * (k + 4)
-    return Fraction(a * a) + Fraction(p, q) * a
-
-
-def enumerate_pairs(
-    K: int, L: int, tau: Fraction, p: int, q: int
-) -> list[tuple[int, int]]:
-    """All (k, l) with K <= k < 2K, L <= l < 2L and lam_k^4 + lam_l^4 = tau,
-    by exact brute-force scan of the dyadic box."""
-    if K > L:
-        raise ResonanceError("dyadic ranges must satisfy K <= L")
-    _check_beta(p, q)
-    tau = Fraction(tau)
-    out = []
-    for k in range(K, 2 * K):
-        lk = lambda4(k, p, q)
-        rest = tau - lk
-        for l in range(L, 2 * L):
-            if lambda4(l, p, q) == rest:
-                out.append((k, l))
-    return out
-
-
 @dataclass(frozen=True)
 class ResonanceTable:
     """Phase-sum buckets of one dyadic box, exact."""

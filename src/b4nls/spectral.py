@@ -13,8 +13,7 @@ Lattice order and FFT order differ by a cyclic shift of N/2 along each axis
 product with a grid function, a(x) u, and in the phase-covariant map
 u -> |u|^{2k} u, the sign goes in with u and comes out with the result, so
 those kernels (profile_product, nonlinear_term) and the modulus quadrature of
-the energy skip the fftshift/ifftshift copies. The shifted pair
-coeffs_to_grid / grid_to_coeffs remains for grid values that a caller sees.
+the energy skip the fftshift/ifftshift copies: no route reorders the lattice.
 
 A product transforms only the lines it reads and writes. A profile
 product transforms along the axes its profile varies on, no others: grid
@@ -41,8 +40,7 @@ and the band Gramian's weight (one group) are built through it. Each caller
 applies its blocks on its own layout (hum's solve, D's by_blocks).
 
 Every H^s norm of coefficients is hs_norm, and every free phase e^{itX}
-over a dispersion array X is free_phase, except in the oracles
-propagate_free and bourgain.tapered_free_solution.
+over a dispersion array X is free_phase.
 
 Everything downstream (time integrators, control operators, Gramians,
 space-time norms) is built from the Fourier multipliers defined here:
@@ -58,6 +56,7 @@ All operations are pure; fields are immutable value objects.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -234,9 +233,7 @@ def box_mask(spec: ManifoldSpec, band: int) -> np.ndarray:
     return spec.k_box <= band
 
 
-# Passing s with axes spares numpy a per-call np.take on the shape, which
-# costs more than a small FFT. Only the user-facing pair below reorders the
-# lattice; the products after it skip the shift (see the module docstring).
+# The products below skip the lattice shift (see the module docstring).
 
 def _axes(spec: ManifoldSpec) -> tuple[int, ...]:
     return tuple(range(-spec.d, 0))
@@ -245,21 +242,6 @@ def _axes(spec: ManifoldSpec) -> tuple[int, ...]:
 def _grid_scale(spec: ManifoldSpec) -> float:
     """Grid values per unit of the inverse FFT: N^d / (2pi)^{d/2}."""
     return spec.n_modes / TWO_PI ** (spec.d / 2.0)
-
-
-def coeffs_to_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Values on the collocation grid x_j = 2pi j / N of lattice coefficients."""
-    axes = _axes(spec)
-    shifted = np.fft.ifftshift(coeffs, axes=axes)
-    return np.fft.ifftn(shifted, s=spec.shape, axes=axes) * _grid_scale(spec)
-
-
-def grid_to_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
-    """Lattice coefficients of grid values; inverse of coeffs_to_grid."""
-    axes = _axes(spec)
-    return np.fft.fftshift(np.fft.fftn(values, s=spec.shape, axes=axes), axes=axes) * (
-        TWO_PI ** (spec.d / 2.0) / spec.n_modes
-    )
 
 
 def _ifft_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -578,12 +560,6 @@ def free_phase(t, X: np.ndarray) -> np.ndarray:
     return np.exp(phase, out=phase)
 
 
-def propagate_free(u: SpectralField, t: float) -> SpectralField:
-    """Exact free flow: c_k -> exp(i t (|k|^4 + beta |k|^2)) c_k. Unitary."""
-    phase = np.exp(1j * t * u.spec.dispersion)
-    return SpectralField(u.spec, phase * u.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # smooth cutoffs
 # ---------------------------------------------------------------------------
@@ -720,8 +696,8 @@ def load_field(path) -> SpectralField:
         if kind_code != SNAPSHOT_TORUS:
             raise ValueError(f"bad manifold kind byte {kind_code}")
         spec = ManifoldSpec(d=d, N=N, beta=beta)
-        raw = fh.read(16 * spec.n_modes)
-        if len(raw) != 16 * spec.n_modes:
+        # the header's size is checked against the file before any read
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 16 * spec.n_modes:
             raise ValueError("truncated snapshot")
-        coeffs = np.frombuffer(raw, dtype="<c16").reshape(spec.shape)
+        coeffs = np.frombuffer(fh.read(16 * spec.n_modes), dtype="<c16").reshape(spec.shape)
     return SpectralField(spec, coeffs.astype(complex))

@@ -1,10 +1,13 @@
 import csv
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import b4nls as b
+from b4nls import bourgain
 from b4nls.cli import main
 from b4nls.bourgain import (
     SpaceTimeField,
@@ -13,14 +16,12 @@ from b4nls.bourgain import (
     _time_weight,
     duhamel_gain_probe,
     hb_hs_norm,
-    l2hs_norm,
     random_spacetime_field,
-    tapered_free_solution,
-    time_sobolev_norm_quadrature,
     trilinear_constant_probe,
     xsb_norm,
 )
 from b4nls.spectral import box_mask, plateau_bump, sobolev_weights
+from oracles import l2hs_norm, tapered_free_solution, time_sobolev_norm_quadrature
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,3 +197,28 @@ def test_gain_probe_refuses_zero_samples():
     # it fitted a line through log 0
     with pytest.raises(ValueError, match="samples >= 1"):
         duhamel_gain_probe(0.55, 0.45, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+def test_the_probe_size_bound_is_the_traced_peak_of_the_probe(monkeypatch, d, N):
+    # the default window, M_t = 128: 128 N^d space-time entries, 13 MB at
+    # d2N32 and 50 MB at d3N16, the estimate within 10% of the tracemalloc
+    # peak. Two samples, as a run draws at least four: each field after the
+    # first is drawn while the last one's cubic product is still held.
+    spec = b.make_torus(d, N, 1.0)
+
+    def probe():
+        return trilinear_constant_probe(spec, 2.0, 0.45, 2, np.random.default_rng(0))
+
+    probe()  # builds the kernel caches
+    tracemalloc.start()
+    try:
+        probe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(bourgain, "MAX_TRACE_BYTES", 0)
+    with pytest.raises(ValueError, match=f"a probe of M_t = 128 times at d = {d}, N = {N}") as exc:
+        probe()
+    need = int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
+    assert 0.9 * peak <= need <= 1.1 * peak

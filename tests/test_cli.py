@@ -2,6 +2,7 @@ import ast
 import configparser
 import contextlib
 import csv
+import glob
 import io
 import itertools
 import math
@@ -558,6 +559,40 @@ def test_validate_refuses_a_trace_that_cannot_fit_in_memory(tmp_path, capsys, ki
     assert need > 1001 * 64**3 * 16 > MAX_TRACE_BYTES
     path = write_config(tmp_path, flow.format(100))
     assert main(["validate", path]) == 0
+
+
+def test_validate_admits_the_default_stabilize_horizon_at_d2n64(tmp_path):
+    # T = 20 at stride 1: 20,001 records of 64^2 lattice and 43^2 box
+    # entries, about 1.91 GB, the largest trace under MAX_TRACE_BYTES on record
+    path = write_config(tmp_path, "[experiment]\nkind = stabilize\n[manifold]\nd = 2\nN = 64\n")
+    assert main(["validate", path]) == 0
+
+
+@pytest.mark.parametrize("N,code", [(48, 0), (64, 2), (96, 2)])
+def test_validate_refuses_a_bourgain_probe_that_cannot_fit_in_memory(tmp_path, capsys, N, code):
+    # 96 B per space-time entry at the default M_t = 128: about 1.4 GB at
+    # d3N48, 3.2 GB at d3N64 and 10.9 GB at d3N96
+    path = write_config(tmp_path, f"[experiment]\nkind = bourgain-probe\n[manifold]\nd = 3\nN = {N}\n")
+    start = time.perf_counter()
+    assert main(["validate", path]) == code
+    assert time.perf_counter() - start < 1.0
+    if code:
+        err = capsys.readouterr().err
+        assert f"a probe of M_t = 128 times at d = 3, N = {N} needs about" in err
+        assert f"more than the {MAX_TRACE_BYTES}" in err
+
+
+def test_every_bench_config_validates(tmp_path):
+    # the size caps refuse none of the runs the benchmark makes
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = sorted(glob.glob(os.path.join(root, "bench", "configs", "*.ini")))
+    assert len(configs) == 8
+    for config in configs:
+        with open(config) as fh:
+            text = fh.read()
+        for seed in (0, 3, 9):
+            path = write_config(tmp_path, text.replace("{seed}", str(seed)))
+            assert main(["validate", path]) == 0, (config, seed)
 
 
 def test_run_onto_a_file_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):

@@ -22,13 +22,8 @@ from b4nls.dynamics import (
 )
 from b4nls.hum import multiplication_matrix
 from b4nls.linalg import cg_hermitian
-from b4nls.spectral import (
-    _mode_index,
-    coeffs_to_grid,
-    grid_to_coeffs,
-    nonlinear_term,
-    sobolev_weights,
-)
+from b4nls.spectral import _mode_index, nonlinear_term, sobolev_weights
+from oracles import coeffs_to_grid, grid_to_coeffs, propagate_free
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,7 +77,7 @@ def test_linear_limit_matches_free_flow():
     trace = b.evolve_nonlinear(u0, 0.05, b.SolverConfig(dt=1e-3))
     scale = np.abs(u0.coeffs).max()
     for i, t in enumerate(trace.times):
-        ref = b.propagate_free(u0, float(t)).coeffs
+        ref = propagate_free(u0, float(t)).coeffs
         assert np.abs(trace.states[i] - ref).max() <= 1e-12 * scale
 
 
@@ -346,6 +341,32 @@ def test_the_trace_size_bound_is_the_traced_peak_of_the_march(monkeypatch, dampe
         dynamics.check_trace_size(spec, 0.5, cfg)
     need = int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
     assert 0.95 * peak <= need <= 1.05 * peak
+
+
+def test_the_trace_size_bound_covers_the_march_and_the_save_of_a_small_lattice(
+    tmp_path, monkeypatch
+):
+    # d1N8 over 20,000 steps at stride 1: 20,001 records of 8 lattice and 5
+    # box entries, where each record's Python objects in the march, and its
+    # ledger text in save_trace with the trace held, outweigh its coefficients
+    spec = b.make_torus(1, 8, 1.0)
+    u0 = smooth_datum(spec, 7)
+    cfg = b.SolverConfig(dt=1e-3)
+    b.evolve_nonlinear(u0, 0.01, cfg)  # builds the kernel caches
+    tracemalloc.start()
+    try:
+        trace = b.evolve_nonlinear(u0, 20.0, cfg)
+        march = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        save_trace(trace, tmp_path, snapshot_stride=trace.n_records)
+        saved = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(dynamics, "MAX_TRACE_BYTES", 0)
+    with pytest.raises(ValueError, match="a trace of 20001 records") as exc:
+        dynamics.check_trace_size(spec, 20.0, cfg)
+    need = int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
+    assert need >= max(march, saved)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])

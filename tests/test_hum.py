@@ -21,6 +21,7 @@ from b4nls.spectral import (
     MAX_BLOCK_ENTRIES, box_mask, dealiased_term_kernel, free_phase, hs_norm, profile_product,
     sandwich, sobolev_weights,
 )
+from oracles import propagate_free, verify_certificate
 
 PI = math.pi
 
@@ -226,7 +227,7 @@ def test_control_cost_reciprocity():
     s1 = sobolev_weights(spec, -1)
     total = 0.0
     for t, w in zip(ts, wts):
-        vt = b.propagate_free(b.SpectralField(spec, v0), float(t))
+        vt = propagate_free(b.SpectralField(spec, v0), float(t))
         sv = s1 * profile_product(spec, phi.values, vt.coeffs)
         total += w * float(np.sum(np.abs(sv) ** 2))
     assert lhs == pytest.approx(total, rel=1e-8)
@@ -328,7 +329,7 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
                             control_band=band, verify_dt=verify_dt)
     monkeypatch.setattr(hum, "evolve_nonlinear", None)
     cert = b.solve_linear_control(prob)
-    assert b.verify_certificate(prob, cert) == cert.terminal_residual
+    assert verify_certificate(prob, cert) == cert.terminal_residual
     monkeypatch.undo()
     n, dt = dynamics.step_grid(T, verify_dt)
     t = np.arange(n + 1) * dt
@@ -458,7 +459,7 @@ def test_the_factors_are_built_once_per_operator(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     cert = b.solve_nonlinear_control(prob)
     assert len(cert.cg_residuals) >= 3 and len(calls) == 1
-    b.verify_certificate(prob, cert)
+    verify_certificate(prob, cert)
     assert len(calls) == 1
 
 
@@ -526,7 +527,7 @@ def test_certificate_reverify():
     u0 = b.normalize_sobolev(rand_field(spec, 13, decay=2.0, band=5), 2.0, 1.0)
     prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec))
     cert = b.solve_linear_control(prob)
-    again = b.verify_certificate(prob, cert)
+    again = verify_certificate(prob, cert)
     assert abs(again - cert.terminal_residual) <= 1e-10
 
 
@@ -629,7 +630,7 @@ def test_control_forcing_is_weight_of_free_flow():
         h = control_forcing(op, v0)(ts)
         assert h.shape == (len(ts),) + spec.shape
         for t, ht in zip(ts, h):
-            vt = b.propagate_free(b.SpectralField(spec, v0), t)
+            vt = propagate_free(b.SpectralField(spec, v0), t)
             expect = sobolev_weights(spec, -2) * profile_product(spec, phi.values, vt.coeffs)
             expect = profile_product(spec, phi.values, expect)
             assert np.abs(ht - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)

@@ -13,13 +13,8 @@ import b4nls as b
 from b4nls.dynamics import SolverConfig, evolve_damped, evolve_nonlinear
 from b4nls.hum import multiplication_matrix
 from b4nls.regions import TWO_PI
-from b4nls.spectral import (
-    box_mask,
-    coeffs_to_grid,
-    grid_to_coeffs,
-    nonlinear_term,
-    profile_product,
-)
+from b4nls.spectral import box_mask, nonlinear_term, profile_product
+from oracles import coeffs_to_grid, grid_to_coeffs
 
 DIMS = [1, 2, 3]
 

@@ -7,6 +7,7 @@ import b4nls as b
 from b4nls.linalg import lanczos_extreme
 from b4nls.observability import BandGramian
 from b4nls.spectral import band_mode_mask, profile_product
+from oracles import propagate_free
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -109,9 +110,9 @@ def test_single_pair_matches_quadrature_oracle():
             ek.ravel()[kc] = 1.0
             acc = 0.0j
             for t, w in zip(ts, wts):
-                vt = b.propagate_free(b.SpectralField(spec, ek), float(t))
+                vt = propagate_free(b.SpectralField(spec, ek), float(t))
                 mv = b.SpectralField(spec, profile_product(spec, profile.values, vt.coeffs))
-                back = b.propagate_free(mv, -float(t))
+                back = propagate_free(mv, -float(t))
                 acc += w * back.coeffs.ravel()[ka]
             assert abs(acc - G[a, c]) <= 1e-9
 

@@ -5,28 +5,29 @@ package refers to (its own definition and the re-exports of `__init__.py`
 do not count) is either a test oracle, listed in ORACLES with a test that
 holds the run path against it, or dead code. The walk is by name, so an
 attribute or method of the same name counts as a reference.
+
+An oracle stays in `src` only while the benchmark's traced run wraps it
+(bench/layers.py), or as one of the two artifact readers; any other
+independent route lives in tests/oracles.py.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+from test_bench_wrap_points import load_wrap_points
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "b4nls"
 
+# the public readers of a run's artifacts, kept on purpose
+ARTIFACT_READERS = {"load_ledger", "load_trace_states"}
+
 # name -> "file::test" (or test helper) that uses it as an independent route
 ORACLES = {
-    "enumerate_pairs": "test_resonance.py::test_table_buckets_equal_enumeration_small",
     "build_table": "test_resonance.py::test_table_buckets_equal_enumeration_small",
-    "tapered_free_solution": "test_bourgain.py::test_tapered_free_solution_norm_factorizes",
-    "time_sobolev_norm_quadrature": "test_bourgain.py::test_tapered_free_solution_norm_factorizes",
-    "l2hs_norm": "test_bourgain.py::test_xsb_at_b_zero_is_l2hs",
-    "verify_certificate": "test_hum.py::test_certificate_reverify",
     "load_ledger": "test_dynamics.py::test_trace_persistence_roundtrip",
     "load_trace_states": "test_dynamics.py::test_trace_persistence_roundtrip",
-    "propagate_free": "test_dynamics.py::test_linear_limit_matches_free_flow",
-    "coeffs_to_grid": "test_spectral_core.py::test_shift_free_products_match_the_shifted_route",
-    "grid_to_coeffs": "test_spectral_core.py::test_shift_free_products_match_the_shifted_route",
     "first_hit_time": "test_gcc.py::test_first_hit_time_passes_the_sampling_oracle",
     "contains": "test_gcc.py::assert_first_hit",
     "lanczos_extreme": "test_observability.py::test_lanczos_matches_dense_across_bands",
@@ -77,3 +78,10 @@ def test_each_oracle_is_called_by_its_test():
         assert any(_referenced(node) == name for node in ast.walk(body[0])), (
             f"{where} does not call {name}"
         )
+
+
+def test_each_oracle_in_src_is_a_wrap_point_or_an_artifact_reader(monkeypatch):
+    wrapped = {point.attr for point in load_wrap_points(monkeypatch)}
+    assert sorted(set(ORACLES) - wrapped - ARTIFACT_READERS) == [], (
+        "an oracle that no bench wrap point names belongs in tests/oracles.py"
+    )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from b4nls import resonance as rz
+from oracles import enumerate_pairs, lambda4
 
 
 # ---------------------------------------------------------------------------
@@ -13,18 +14,18 @@ from b4nls import resonance as rz
 # ---------------------------------------------------------------------------
 
 def test_lambda4_values():
-    assert rz.lambda4(1, 0, 1) == 25
-    assert rz.lambda4(2, 1, 1) == 156
-    assert rz.lambda4(1, 1, 2) == Fraction(55, 2)
+    assert lambda4(1, 0, 1) == 25
+    assert lambda4(2, 1, 1) == 156
+    assert lambda4(1, 1, 2) == Fraction(55, 2)
 
 
 def test_lambda4_rejects_bad_input():
     with pytest.raises(rz.ResonanceError):
-        rz.lambda4(0, 0, 1)
+        lambda4(0, 0, 1)
     with pytest.raises(rz.ResonanceError):
-        rz.lambda4(1, 2, 4)  # not lowest terms
+        lambda4(1, 2, 4)  # not lowest terms
     with pytest.raises(rz.ResonanceError):
-        rz.lambda4(1, 1, 0)
+        lambda4(1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -32,18 +33,18 @@ def test_lambda4_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_unit_box():
-    assert rz.enumerate_pairs(1, 1, Fraction(50), 0, 1) == [(1, 1)]
-    assert rz.enumerate_pairs(1, 1, Fraction(51), 0, 1) == []
+    assert enumerate_pairs(1, 1, Fraction(50), 0, 1) == [(1, 1)]
+    assert enumerate_pairs(1, 1, Fraction(51), 0, 1) == []
 
 
 def test_enumerate_mixed_box_beta_one():
     # lam_1^4 = 25 + 5 = 30, lam_2^4 = 144 + 12 = 156
-    assert rz.enumerate_pairs(1, 2, Fraction(186), 1, 1) == [(1, 2)]
+    assert enumerate_pairs(1, 2, Fraction(186), 1, 1) == [(1, 2)]
 
 
 def test_enumerate_requires_ordered_ranges():
     with pytest.raises(rz.ResonanceError):
-        rz.enumerate_pairs(4, 2, Fraction(50), 0, 1)
+        enumerate_pairs(4, 2, Fraction(50), 0, 1)
 
 
 def test_build_table_is_exhaustive():
@@ -52,7 +53,7 @@ def test_build_table_is_exhaustive():
     assert total == 4  # the whole 2x2 dyadic box
     for tau, pairs in table.buckets.items():
         for k, l in pairs:
-            assert rz.lambda4(k, 0, 1) + rz.lambda4(l, 0, 1) == tau
+            assert lambda4(k, 0, 1) + lambda4(l, 0, 1) == tau
 
 
 def test_monotone_embedding_in_dyadic_ranges():
@@ -64,7 +65,7 @@ def test_monotone_embedding_in_dyadic_ranges():
             (k, l)
             for k in range(2, 4)
             for l in range(2, 8)
-            if rz.lambda4(k, p, q) + rz.lambda4(l, p, q) == tau
+            if lambda4(k, p, q) + lambda4(l, p, q) == tau
         ]
         assert set(pairs) <= set(wide)
 
@@ -77,7 +78,7 @@ def test_table_buckets_equal_enumeration_small():
         K = 1
         while K <= 16:
             for tau, pairs in rz.build_table(K, K, p, q).buckets.items():
-                assert pairs == rz.enumerate_pairs(K, K, tau, p, q)
+                assert pairs == enumerate_pairs(K, K, tau, p, q)
                 n = 4 * q * q * tau + 2 * p * p
                 for k, l in pairs:
                     x, y = 2 * q * k * (k + 4) + p, 2 * q * l * (l + 4) + p

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from b4nls.hum import multiplication_matrix, operator_layout
 from b4nls.regions import contains, inside_depth
 from b4nls.spectral import (
     KERNEL_BATCH,
+    SNAPSHOT_HEADER,
     _signed_coeffs,
     _signed_grid,
     band_cutoff,
@@ -23,11 +25,9 @@ from b4nls.spectral import (
     box_mask,
     _mode_index,
     _power_term,
-    coeffs_to_grid,
     dealiased_term_kernel,
     dense_term_route,
     free_phase,
-    grid_to_coeffs,
     block_layout,
     hs_norm,
     kernel_blocks,
@@ -37,6 +37,7 @@ from b4nls.spectral import (
     smooth_ramp,
     sobolev_weights,
 )
+from oracles import coeffs_to_grid, grid_to_coeffs, propagate_free
 
 PI = math.pi
 
@@ -221,19 +222,19 @@ def test_multiplier_self_adjointness():
 
 def test_propagate_basis_beta0():
     spec = b.make_torus(1, 64, 0.0)
-    out = b.propagate_free(b.basis_field(spec, 1), PI)
+    out = propagate_free(b.basis_field(spec, 1), PI)
     assert coeff(out.coeffs, spec, 1) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_propagate_identity_at_zero():
     spec = b.make_torus(1, 64, 1.0)
     u = rand_field(spec, 4)
-    assert np.array_equal(b.propagate_free(u, 0.0).coeffs, u.coeffs)
+    assert np.array_equal(propagate_free(u, 0.0).coeffs, u.coeffs)
 
 
 def test_propagate_basis_beta1():
     spec = b.make_torus(1, 64, 1.0)
-    out = b.propagate_free(b.basis_field(spec, 1), PI / 2)
+    out = propagate_free(b.basis_field(spec, 1), PI / 2)
     assert coeff(out.coeffs, spec, 1) == pytest.approx(-1.0, abs=1e-14)
 
 
@@ -241,15 +242,15 @@ def test_propagate_unitary():
     spec = b.make_torus(1, 64, 1.0)
     u = rand_field(spec, 5)
     n0 = np.linalg.norm(u.coeffs)
-    n1 = np.linalg.norm(b.propagate_free(u, 0.731).coeffs)
+    n1 = np.linalg.norm(propagate_free(u, 0.731).coeffs)
     assert abs(n1 - n0) <= 1e-13 * n0
 
 
 def test_propagate_group_law():
     spec = b.make_torus(1, 64, 1.0)
     u = rand_field(spec, 6)
-    a = b.propagate_free(b.propagate_free(u, 0.3), 0.45)
-    c = b.propagate_free(u, 0.75)
+    a = propagate_free(propagate_free(u, 0.3), 0.45)
+    c = propagate_free(u, 0.75)
     assert np.abs(a.coeffs - c.coeffs).max() <= 1e-12 * np.linalg.norm(u.coeffs)
 
 
@@ -260,12 +261,12 @@ def test_free_phase_is_the_free_group(d, N):
     spec = b.make_torus(d, N, 1.0)
     u = rand_field(spec, 8)
     X = spec.dispersion
-    assert np.array_equal(free_phase(0.37, X) * u.coeffs, b.propagate_free(u, 0.37).coeffs)
+    assert np.array_equal(free_phase(0.37, X) * u.coeffs, propagate_free(u, 0.37).coeffs)
     ts = np.array([0.0, 0.2, -0.45, 1.3])
     stack = free_phase(ts, X)
     assert stack.shape == (len(ts),) + spec.shape
     for t, phase in zip(ts, stack):
-        assert np.array_equal(phase * u.coeffs, b.propagate_free(u, t).coeffs)
+        assert np.array_equal(phase * u.coeffs, propagate_free(u, t).coeffs)
     support = np.flatnonzero(box_mask(spec, 3))
     flat = free_phase(ts, X.ravel()[support])
     assert np.array_equal(flat, stack.reshape(len(ts), -1)[:, support])
@@ -497,6 +498,24 @@ def test_a_truncated_snapshot_is_refused(tmp_path, kept):
     path.write_bytes(path.read_bytes()[:kept])
     with pytest.raises(ValueError, match="truncated snapshot"):
         b.load_field(path)
+
+
+@pytest.mark.parametrize("d,N", [(3, 2**32 - 2), (2, 2**20), (1, 8)])
+def test_a_snapshot_is_refused_when_its_header_claims_more_than_the_file_holds(tmp_path, d, N):
+    # the payload is 7 coefficients, one short of d1N8; the larger headers
+    # claim 16 N^d bytes that no read size can hold (d3, N = 2^32 - 2) or
+    # 16 TiB (d2, N = 2^20). The header is checked against the file's size,
+    # so the refusal reads and allocates nothing of the payload.
+    path = tmp_path / "f.b4f"
+    path.write_bytes(b"B4NLS1" + SNAPSHOT_HEADER.pack(0, d, N, 0.5) + bytes(16 * 7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated snapshot"):
+            b.load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_grid_roundtrip():
@@ -788,17 +807,6 @@ def test_a_non_finite_state_keeps_a_non_finite_term(d, N, k):
             assert not np.all(np.isfinite(dealiased_nonlinear_term(spec, c, k)))
 
 
-def _functions_calling(tree, names):
-    """Names of the top-level functions of a module that call any of names."""
-    return {
-        fn.name
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in names
-    }
-
-
 def test_the_sampled_duality_integral_lives_in_one_function():
     # a time integral over samples is hum.backward_forced_initial; the
     # dissipation audit's integral of the scalar flux is the one other
@@ -825,8 +833,9 @@ def test_grid_operations_live_only_in_the_kernel():
     # bourgain's time-axis ifft and the forward fftn of the dense
     # multiplication matrix stay where they are; the patterns miss them. That
     # matrix is the test oracle of the grid products and of the block
-    # builder: nothing in the package calls it. Only the kernel's transform
-    # pair reorders the lattice: a sum over frequencies needs no fftshift.
+    # builder: nothing in the package calls it. No module reorders the
+    # lattice or takes an n-d inverse transform: the kernel's products skip
+    # the shift, and a sum over frequencies needs no fftshift.
     src = Path(b.__file__).parent
     two_pi_defs = 0
     dense_calls = 0
@@ -847,11 +856,6 @@ def test_grid_operations_live_only_in_the_kernel():
                 ]
         # the benchmark traces FFTs through the numpy.fft module attributes
         assert "from numpy.fft import" not in text, path.name
-        if path.name == "spectral.py":
-            # only the user-facing transform pair reorders the lattice
-            shifters = _functions_calling(ast.parse(text), {"fftshift", "ifftshift"})
-            assert shifters == {"coeffs_to_grid", "grid_to_coeffs"}
-            continue
         for pattern in ("ifftn(", "fftshift(", "logical_and.outer"):
             assert pattern not in text, f"{path.name} writes out {pattern}"
     assert two_pi_defs == 1
@@ -903,10 +907,8 @@ def test_each_numerical_rule_has_one_owner():
     # the step grid n = max(1, round(T / dt)) is dynamics.step_grid, and a
     # straight-line fit is np.polyfit: no other round of a quotient, no lstsq.
     # The free phase e^{itX} is spectral.free_phase, the gain probe's
-    # e^{iwt} tables included: the oracles propagate_free and
-    # tapered_free_solution keep their own. The
-    # Sobolev-weighted square sum is spectral.hs_norm, and the oracle
-    # l2hs_norm keeps its own.
+    # e^{iwt} tables included, and the Sobolev-weighted square sum is
+    # spectral.hs_norm.
     src = Path(b.__file__).parent
     rounders, phases, sobolev_sums = [], set(), set()
     for path in sorted(src.glob("*.py")):
@@ -932,7 +934,5 @@ def test_each_numerical_rule_has_one_owner():
                 ):
                     sobolev_sums.add(name)
     assert rounders == ["dynamics.step_grid"]
-    assert sorted(phases) == [
-        "bourgain.tapered_free_solution", "spectral.free_phase", "spectral.propagate_free",
-    ]
-    assert sorted(sobolev_sums) == ["bourgain.l2hs_norm", "spectral.hs_norm"]
+    assert sorted(phases) == ["spectral.free_phase"]
+    assert sorted(sobolev_sums) == ["spectral.hs_norm"]
