@@ -177,9 +177,9 @@ class GainProbeResult:
 
 
 # bytes per space-time entry (M_t N^d) at the peak of trilinear_constant_probe,
-# a few complex stacks at a time: 96 by tracemalloc at d2N32 and d3N16
-# (M_t = 32 to 256), 85-100 on T^1.
-_PROBE_ENTRY_BYTES = 96
+# a few complex stacks of one sample: 80 by tracemalloc at d2N32 and d3N16
+# (M_t = 32 to 256, one to four samples), 89 at d1N64.
+_PROBE_ENTRY_BYTES = 80
 
 
 def check_probe_inputs(spec: ManifoldSpec | None, n_samples: int, M_t: int | None,
@@ -290,8 +290,7 @@ def trilinear_constant_probe(
     for _ in range(n_samples):
         u = random_spacetime_field(spec, rng, TWO_PI, M_t, space_band, time_band)
         nu = xsb_norm(u, s, b_prime)
-        if nu == 0.0:
-            continue
-        cu = cubic_product(u)
-        best = max(best, xsb_norm(cu, s, -b_prime) / nu**3)
+        if nu > 0.0:
+            best = max(best, xsb_norm(cubic_product(u), s, -b_prime) / nu**3)
+        del u  # one field and its cube at a time: both go before the next draw
     return best

@@ -53,7 +53,6 @@ from .dynamics import (
     audit_dissipation,
     check_horizon,
     check_trace_size,
-    damping_layout,
     energy,
     evolve_damped,
     evolve_nonlinear,
@@ -196,7 +195,7 @@ def _flow(cfg, rng, T_default):
 
 def _simulate(cfg, rng):
     u0, solver, T, stride = _flow(cfg, rng, 1.0)
-    check_trace_size(u0.spec, T, solver)
+    check_trace_size(u0.spec, T, solver, None)
 
     def run(outdir):
         trace = evolve_nonlinear(u0, T, solver)
@@ -221,8 +220,7 @@ def _stabilize(cfg, rng):
             f"{u0.spec.N // 3}), so the damped flow stays zero and has no decay to fit"
         )
     profile = _build_profile(cfg, u0.spec)
-    damping_layout(profile)  # refuses blocks above the cap
-    check_trace_size(u0.spec, T, solver)
+    check_trace_size(u0.spec, T, solver, profile)
 
     def run(outdir):
         trace = evolve_damped(u0, profile, T, solver)
@@ -435,49 +433,37 @@ def _bourgain(cfg, rng):
     return run
 
 
-_BUILDERS = {
-    "simulate": _simulate,
-    "stabilize": _stabilize,
-    "control-linear": _control_linear,
-    "control-nonlinear": _control_nonlinear,
-    "observability-sweep": _observability,
-    "gcc-check": _gcc_check,
-    "resonance-sweep": _resonance,
-    "bourgain-probe": _bourgain,
-}
-EXPERIMENTS = tuple(_BUILDERS)
-
-_DESCRIPTIONS = {
-    "simulate": "free/nonlinear evolution; ledger.csv + snapshots + summary.csv",
-    "stabilize": "damped evolution; ledger.csv + decay_summary.csv (fit + dissipation audit)",
-    "control-linear": "HUM synthesis for the linear flow; certificate.csv + control trace",
-    "control-nonlinear": "local nonlinear control fixed point; certificate.csv + control trace",
-    "observability-sweep": "band Gramian minimum eigenvalues over h = 2^-j; gramian.csv",
-    "gcc-check": "exact geodesic first-entry times on a sampled family; geodesics.csv + summary.txt",
-    "resonance-sweep": "dyadic resonance counting; resonance.csv + summary.txt",
-    "bourgain-probe": "time-integration gain and cubic bound probes; probe.csv",
-}
-
 _DATUM = "datum,datum_norm,datum_decay,datum_band,datum_mode,datum_amplitude"
 _REGION = {"region": "type,lo,hi,axis,radius,center_x,center_y,center_z,smoothing_width"}
 _FLOW = {"manifold": "d,N,beta", "solver": "dt,k_nl,record_stride",
          "run": f"T,snapshot_stride,{_DATUM}"}
 _CONTROL = {"manifold": "d,N,beta", **_REGION, "solver": "k_nl", "run": f"T,{_DATUM}",
             "control": "control_band,cg_tol,verify_dt"}
-# kind -> section -> the keys its builder may read
-_KEYS = {
-    "simulate": _FLOW,
-    "stabilize": {**_FLOW, **_REGION},
-    "control-linear": _CONTROL,
-    "control-nonlinear": {**_CONTROL, "control": _CONTROL["control"] + ",fixedpoint_tol,solve_dt"},
-    "observability-sweep": {"manifold": "d,N,beta", **_REGION, "run": "T",
-                            "sweep": "j_values,quad_dt"},
-    "gcc-check": {"manifold": "d", "region": "type,lo,hi,axis,radius,center_x,center_y",
-                  "gcc": "t_max,starts_per_dim,farey_max_den,n_angles"},
-    "resonance-sweep": {"sweep": "K_max,beta_p,beta_q"},
-    "bourgain-probe": {"manifold": "d,N,beta",
-                       "sweep": "b,b_prime,s,samples,M_t,space_band,time_band"},
+# kind -> (builder, description, section -> the keys its builder may read)
+_KINDS = {
+    "simulate": (_simulate, "free/nonlinear evolution; ledger.csv + snapshots + summary.csv",
+                 _FLOW),
+    "stabilize": (_stabilize, "damped evolution; ledger.csv + decay_summary.csv (fit + "
+                  "dissipation audit)", {**_FLOW, **_REGION}),
+    "control-linear": (_control_linear, "HUM synthesis for the linear flow; certificate.csv "
+                       "+ control trace", _CONTROL),
+    "control-nonlinear": (_control_nonlinear, "local nonlinear control fixed point; "
+                          "certificate.csv + control trace",
+                          {**_CONTROL, "control": _CONTROL["control"] + ",fixedpoint_tol,solve_dt"}),
+    "observability-sweep": (_observability, "band Gramian minimum eigenvalues over h = 2^-j; "
+                            "gramian.csv", {"manifold": "d,N,beta", **_REGION, "run": "T",
+                                            "sweep": "j_values,quad_dt"}),
+    "gcc-check": (_gcc_check, "exact geodesic first-entry times on a sampled family; "
+                  "geodesics.csv + summary.txt",
+                  {"manifold": "d", "region": "type,lo,hi,axis,radius,center_x,center_y",
+                   "gcc": "t_max,starts_per_dim,farey_max_den,n_angles"}),
+    "resonance-sweep": (_resonance, "dyadic resonance counting; resonance.csv + summary.txt",
+                        {"sweep": "K_max,beta_p,beta_q"}),
+    "bourgain-probe": (_bourgain, "time-integration gain and cubic bound probes; probe.csv",
+                       {"manifold": "d,N,beta",
+                        "sweep": "b,b_prime,s,samples,M_t,space_band,time_band"}),
 }
+EXPERIMENTS = tuple(_KINDS)
 
 
 def validate_config(path) -> dict:
@@ -493,7 +479,7 @@ def validate_config(path) -> dict:
         raise ConfigError(f"unknown experiment {kind!r}; choose from {EXPERIMENTS}")
     seed = _get(cfg, "experiment", "seed", int, 0)
     try:
-        run = _BUILDERS[kind](cfg, np.random.default_rng(seed))
+        run = _KINDS[kind][0](cfg, np.random.default_rng(seed))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -574,9 +560,10 @@ def main(argv=None) -> int:
             print(f"ok: {info['kind']} (seed {info['seed']})")
             return 0
         if args.command == "describe":
-            print(f"{args.experiment}: {_DESCRIPTIONS[args.experiment]}")
+            _, description, sections = _KINDS[args.experiment]
+            print(f"{args.experiment}: {description}")
             print("keys:")
-            for section, keys in {"experiment": "kind,seed,output", **_KEYS[args.experiment]}.items():
+            for section, keys in {"experiment": "kind,seed,output", **sections}.items():
                 print(f"  [{section}] {keys}")
             return 0
         outdir = run_config(args.config, args.output)

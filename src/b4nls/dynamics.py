@@ -28,7 +28,7 @@ evaluates |u|^{2k} u pointwise on the grid. A march carries the box array
 itself (spec.box: m^d coefficients, m = 2 floor(N/3) + 1, against N^d on
 the lattice), with its tableau, its guard weights and its term kernel
 built on the box once, before the loop. Every march steps in _steps; a
-trace scatters its records into lattice arrays after it, and HUM's
+trace writes each record into its lattice stack as it comes, and HUM's
 correction streams its first stages' terms (forced_term_blocks). With
 that convention mass, energy and the damping-flux identity
 
@@ -252,7 +252,7 @@ def _forced_flow(u0: SpectralField, T: float, cfg: SolverConfig, forcing, blocks
     n_steps, dt = step_grid(T, cfg.dt)
     box = spec.box
     c0 = u0.coeffs[box].astype(complex)
-    term = dealiased_term_kernel(spec, cfg.k_nl, c0.shape)
+    term = dealiased_term_kernel(spec, cfg.k_nl)
 
     def stage(cc: np.ndarray, g):
         """i (|u|^{2k} u - h) over i, for g = (h, row); a row keeps |u|^{2k} u."""
@@ -296,8 +296,8 @@ def evolve_nonlinear(u0: SpectralField, T: float, cfg: SolverConfig,
     integrator error, which the ledger records. The march carries the box
     array of the state (spec.box); its records are lattice arrays.
     """
+    check_trace_size(u0.spec, T, cfg, None)
     c0, dt, n_steps, _, advance = _forced_flow(u0, T, cfg, forcing, None)
-    check_trace_size(u0.spec, T, cfg)
     return _march(u0.spec, c0, dt, n_steps, cfg, advance)
 
 
@@ -397,18 +397,17 @@ def evolve_damped(
     arrays. The recorded flux column holds ||(1-Lap)^{-1}(a u_t)||^2 per
     time, so audit_dissipation can check the energy identity by quadrature.
     """
-    check_horizon(T)
     spec = u0.spec
     if profile.spec != spec:
         raise ValueError("damping profile lives on a different spec")
-    check_trace_size(spec, T, cfg)
+    check_trace_size(spec, T, cfg, profile)
     n_steps, dt = step_grid(T, cfg.dt)
 
     box = spec.box
     damp = _DampingOperator(spec, profile)
     mult = spec.dispersion[box] + 1.0  # |k|^4 + beta |k|^2 + 1
     v0 = damp.times_j(u0.coeffs[box].astype(complex))  # v = J u
-    term = dealiased_term_kernel(spec, cfg.k_nl, v0.shape)
+    term = dealiased_term_kernel(spec, cfg.k_nl)
 
     def stage(vv: np.ndarray, g) -> np.ndarray:
         # the v-equation's term -mult D w + i f(w) over i, with
@@ -439,33 +438,40 @@ def evolve_damped(
 # 64 x 64 field however many records a run keeps.
 _LEDGER_BLOCK_ENTRIES = 4096
 
-# bytes a trace may hold at the peak of _march: n_rec box records, then
-# the (n_rec,) + lattice stack they are scattered into, and the ledger's
-# block temporaries, 16 (n_rec (N^d + m^d) + 4 max(N^d,
-# _LEDGER_BLOCK_ENTRIES)) B, plus _RECORD_BYTES per record. That is 0.96-1.02
-# of the tracemalloc peak of an undamped march of 10-44 MB (d2N32, d2N64,
-# d3N16); a damped march adds its operator's blocks, capped apart
-# (MAX_BLOCK_ENTRIES): 0.98 at d2N32 and d3N16, 0.77 at d2N64 (101 records).
-# The cap admits the default stabilize horizon, T = 20 at stride 1, up to
-# d2N64 (1.91 GB).
+# bytes a trace may hold at its peak, in _march or in save_trace: the
+# (n_rec,) + lattice stack and the ledger's block temporaries, 16 (n_rec N^d
+# + 4 max(N^d, _LEDGER_BLOCK_ENTRIES)) B, plus _RECORD_BYTES per record,
+# plus a damped march's two stacks of operator blocks (damping_layout).
+# That is 0.93-1.03 of the tracemalloc peak of a march of 7-36 MB, damped
+# or not (d2N32, d2N64, d3N16), the lowest at d2N64 over 101 records. The
+# cap admits the default stabilize horizon, T = 20 at stride 1, up to d2N64
+# (1.32 GB).
 MAX_TRACE_BYTES = 2_000_000_000
 
-# bytes per record beyond its coefficients, at the peak of either phase of
-# a trace (tracemalloc, d1N8, 20,001 records): in _march the tuple, floats
-# and array header of a yielded record, 190-350 B; in save_trace, with the
-# trace held, the ledger's rows and text, 350-470 B (the most with cells
-# of 22 characters).
+# bytes per record beyond its coefficients at the peak of save_trace, with
+# the trace held: its four ledger columns, the ledger's rows and text,
+# 440-500 B (tracemalloc, d1N8, 20,001 records, undamped and damped).
 _RECORD_BYTES = 512
 
 
-def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig) -> None:
-    """ValueError if the trace of a flow over T under cfg would hold more
-    than MAX_TRACE_BYTES at its peak, in the march or in save_trace."""
+def _record_count(n_steps: int, stride: int) -> int:
+    """Records of a march: t = 0, every stride steps and the last."""
+    return -(-n_steps // stride) + 1
+
+
+def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig,
+                     profile: DampingProfile | None) -> None:
+    """ValueError unless T is a horizon and the trace of a flow over T under
+    cfg holds at most MAX_TRACE_BYTES at its peak; a damped flow passes its
+    profile, whose blocks damping_layout checks, an undamped one None."""
+    check_horizon(T)
     n_steps, _ = step_grid(T, cfg.dt)
-    n_rec = -(-n_steps // cfg.record_stride) + 1  # t = 0, every stride steps and the last
-    box = np.count_nonzero(spec.dealias_mask)
-    need = (16 * (n_rec * (spec.n_modes + box) + 4 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES))
+    n_rec = _record_count(n_steps, cfg.record_stride)
+    need = (16 * (n_rec * spec.n_modes + 4 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES))
             + _RECORD_BYTES * n_rec)
+    if profile is not None:
+        layout = damping_layout(profile)
+        need += 32 * layout.size * layout.shape[1]  # J and its inverse
     if need > MAX_TRACE_BYTES:
         raise ValueError(
             f"a trace of {n_rec} records at d = {spec.d}, N = {spec.N} needs about {need} "
@@ -505,20 +511,22 @@ def _steps(spec: ManifoldSpec, state0: np.ndarray, dt: float, n_steps: int, stri
 def _march(spec: ManifoldSpec, state0: np.ndarray, dt: float, n_steps: int, cfg: SolverConfig,
            stepper, recover=None) -> EvolutionTrace:
     """The trace of _steps' fields every cfg.record_stride steps; a damped
-    run passes recover, and its ledger adds the mass term. The records are
-    scattered into lattice arrays once, after the loop, and the ledger is
-    computed over blocks of them."""
+    run passes recover, and its ledger adds the mass term. Each field is
+    written into its lattice record as it is yielded, and the ledger is
+    computed over blocks of the records."""
     damped = recover is not None
-    times, records, fluxes = zip(*_steps(spec, state0, dt, n_steps, cfg.record_stride,
-                                         stepper, recover))
-    states = np.zeros((len(records),) + spec.shape, dtype=complex)
-    states[spec.box] = records
+    n_rec = _record_count(n_steps, cfg.record_stride)
+    states = np.zeros((n_rec,) + spec.shape, dtype=complex)
+    records = states[spec.box]  # a view: the box of every lattice record
+    times, fluxes = np.empty(n_rec), np.empty(n_rec)
+    for i, (t, field, flux) in enumerate(_steps(spec, state0, dt, n_steps, cfg.record_stride,
+                                                stepper, recover)):
+        times[i], records[i], fluxes[i] = t, field, flux
     block = max(1, _LEDGER_BLOCK_ENTRIES // spec.n_modes)
     blocks = [states[i:i + block] for i in range(0, len(states), block)]
     masses = np.concatenate([mass(spec, c) for c in blocks])
     energies = np.concatenate([energy(spec, c, cfg.k_nl, damped) for c in blocks])
-    return EvolutionTrace(spec, np.asarray(times), states, masses, energies,
-                          np.asarray(fluxes), damped)
+    return EvolutionTrace(spec, times, states, masses, energies, fluxes, damped)
 
 
 # ---------------------------------------------------------------------------

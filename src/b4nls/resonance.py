@@ -29,17 +29,15 @@ from fractions import Fraction
 import numpy as np
 
 
-# keys of the last block (K_max^2) a sweep may count: `_max_bucket` peaks at
-# 28 B per int64 key and 76 B per exact key (tracemalloc, K = 1024 and 2048,
-# beta = 1/(10^15 + 1)), so 2^22 keys (K_max = 2048) stay below 0.35 GB.
-MAX_SWEEP_KEYS = 2**22
-
-# bytes the last block's keys may take at the peak of `_max_bucket`, the
-# 0.35 GB above. An exact key is a Python int whose size grows with beta's
-# terms; per key the peak is at most sys.getsizeof of the largest key plus
-# _EXACT_KEY_BYTES (tracemalloc, K = 128 and 256, q of 16 to 1,001 digits:
-# 36-40 B above the largest key's size, 512 B per key at 1,001 digits).
+# bytes the last block's K_max^2 keys may take at the peak of `_max_bucket`:
+# 28 B per int64 key (tracemalloc, K = 1024 and 2048), so K_max = 2048 (0.12
+# GB) is admitted and 4096 (0.47 GB) is not. An exact key is a Python int
+# whose size grows with beta's terms; per key the peak is at most
+# sys.getsizeof of the largest key plus _EXACT_KEY_BYTES (tracemalloc, K =
+# 128 and 256, q of 16 to 1,001 digits: 36-40 B above the largest key's
+# size, 512 B per key at 1,001 digits).
 MAX_SWEEP_BYTES = 350_000_000
+_INT64_KEY_BYTES = 28
 _EXACT_KEY_BYTES = 40
 
 
@@ -128,22 +126,17 @@ def check_sweep(K_max: int, p: int, q: int) -> None:
     """Raise ResonanceError unless `counting_sweep` can run these arguments."""
     if K_max < 1 or K_max & (K_max - 1) != 0:
         raise ResonanceError(f"K_max must be a power of two, got {K_max}")
-    if K_max * K_max > MAX_SWEEP_KEYS:
-        raise ResonanceError(
-            f"K_max = {K_max}: the last block has {K_max * K_max} phase-sum keys, "
-            f"more than the {MAX_SWEEP_KEYS} a sweep may count in memory"
-        )
     _check_beta(p, q)
     top = _top_key(K_max, p, q)
-    if top >= 2**63:
-        need = K_max * K_max * (sys.getsizeof(top) + _EXACT_KEY_BYTES)
-        if need > MAX_SWEEP_BYTES:
-            raise ResonanceError(
-                f"K_max = {K_max}, beta = {p}/{q}: the last block's {K_max * K_max} exact "
-                f"phase-sum keys need about {need} bytes, more than the "
-                f"{MAX_SWEEP_BYTES} a sweep may hold; use a smaller K_max or a beta "
-                "with shorter terms"
-            )
+    exact = top >= 2**63
+    need = K_max * K_max * (sys.getsizeof(top) + _EXACT_KEY_BYTES if exact else _INT64_KEY_BYTES)
+    if need > MAX_SWEEP_BYTES:
+        raise ResonanceError(
+            f"K_max = {K_max}, beta = {p}/{q}: the last block's {K_max * K_max} "
+            f"{'exact' if exact else 'int64'} phase-sum keys need about {need} bytes, more "
+            f"than the {MAX_SWEEP_BYTES} a sweep may hold; use a smaller K_max or a beta "
+            "with shorter terms"
+        )
 
 
 def counting_sweep(K_max: int, p: int, q: int) -> SweepResult:

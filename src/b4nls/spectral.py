@@ -23,13 +23,13 @@ constant profile none. DampingProfile.compact is the profile with every
 constant axis cut to length 1, and profile_product reads the axes from its
 array's shape.
 
-The flows carry box arrays: the m^d coefficients, m = 2 floor(N/3) + 1,
+A flow carries one box array: the m^d coefficients, m = 2 floor(N/3) + 1,
 of the 2/3-rule box that spec.dealias_mask keeps, cut from a lattice
-array by spec.box and kept in lattice order. Their dealiased cubic term,
-dealiased_term_kernel, takes a separable dense route for small boxes and
-an FFT route, the masked product bit for bit, above them, by
-dense_term_route from the sizes alone. Every route takes |v|^{2k} v from
-one helper, which forms the cube as v conj(v) v, with no modulus.
+array by spec.box and kept in lattice order. Its dealiased cubic term,
+dealiased_term_kernel, maps one box array to another, by a separable
+dense route on small lattices and an FFT route, the masked product bit
+for bit, on the rest, as dense_term_route reads from the lattice alone.
+Every route takes |v|^{2k} v from one helper: the cube as v conj(v) v.
 
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich,
 which owns its multiplier: the damping operator and the HUM operator both
@@ -225,8 +225,8 @@ def random_field(
 # the spectral kernel: every grid operation of the package
 # ---------------------------------------------------------------------------
 #
-# Each function acts on the trailing d axes, so a leading batch axis (time
-# slices, quadrature nodes, trajectory records) shares each FFT call.
+# Each function but dealiased_term_kernel acts on the trailing d axes, so a
+# leading batch axis (time slices, quadrature nodes, records) shares each FFT call.
 
 def box_mask(spec: ManifoldSpec, band: int) -> np.ndarray:
     """Modes with every |k_i| <= band."""
@@ -299,21 +299,12 @@ def dealias_box(spec: ManifoldSpec) -> slice:
     return slice(spec.N // 2 - spec.N // 3, spec.N // 2 + spec.N // 3 + 1)
 
 
-# Complex multiply-adds per FFT call replaced, at or below which the
-# dealiased cubic term takes the dense route (dense_term_route).
-DENSE_TERM_WORK = 2**15
-
-
-def dense_term_route(spec: ManifoldSpec, shape: tuple[int, ...]) -> bool:
-    """Whether dealiased_term_kernel takes its dense route for box arrays
-    of this shape: whether the separable products' multiply-adds, spread
-    over the 2d one-axis FFT calls they replace, stay within
-    DENSE_TERM_WORK. A pass along one axis maps m entries to N (or back) on
-    every line of the others; summed over the d passes each way that is
-    2 L m N (N^d - m^d) / (N - m) for L fields of box side m."""
-    N, d, m = spec.N, spec.d, shape[-1]
-    fields = math.prod(shape[:len(shape) - d])
-    return fields * m * N * (N**d - m**d) // (N - m) <= DENSE_TERM_WORK * d
+def dense_term_route(spec: ManifoldSpec) -> bool:
+    """Whether dealiased_term_kernel takes its dense route on spec's
+    lattice: whether N is at most the break-even of one field at spec.d,
+    the last even N at which the dense call beat the FFT's (the table in
+    dealiased_term_kernel's docstring)."""
+    return spec.N <= {1: 158, 2: 38, 3: 26}[spec.d]
 
 
 @lru_cache(maxsize=16)
@@ -333,19 +324,17 @@ def _dense_term_axis(spec: ManifoldSpec, k: int) -> tuple[np.ndarray, np.ndarray
     return inv, fwd
 
 
-def _dense_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
-    """The dense route for box arrays of shape lead + (m,)*d. Each pass is
-    one matmul along one axis: the last axis as x @ inv, every other as
-    inv.T @ x on x reshaped to (..., m, N^j), the axes after it already on
-    the grid, so the inverse ends on lead + (N, N^(d-1)). The forward
-    passes run first axis first, the last axis last as w @ fwd, which
-    leaves the box array. At d = 1 both loops are empty: two products and
-    the pointwise power."""
+def _dense_term(spec: ManifoldSpec, k: int):
+    """The dense route. Each pass is one matmul along one axis: the last
+    axis as x @ inv, every other as inv.T @ x on x reshaped to (..., m,
+    N^j), the axes after it already on the grid, so the inverse ends on
+    (N, N^(d-1)). The forward passes run first axis first, the last axis
+    last as w @ fwd, which leaves the box array. At d = 1 both loops are
+    empty: two products and the pointwise power."""
     inv, fwd = _dense_term_axis(spec, k)
-    N, d, m = spec.N, spec.d, shape[-1]
-    lead = shape[:len(shape) - d]
-    to_grid = [lead + (m,) * (d - 1 - j) + (m, N**j) for j in range(1, d)]
-    to_box = [lead + (m,) * i + (N, N ** (d - 1 - i)) for i in range(d - 1)]
+    N, d, m = spec.N, spec.d, len(inv)
+    to_grid = [(m,) * (d - 1 - j) + (m, N**j) for j in range(1, d)]
+    to_box = [(m,) * i + (N, N ** (d - 1 - i)) for i in range(d - 1)]
     inv_t, fwd_t = inv.T, fwd.T
 
     def dense(box: np.ndarray) -> np.ndarray:
@@ -360,22 +349,20 @@ def _dense_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
     return dense
 
 
-def _fft_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
-    """The FFT route for box arrays of one shape, with every buffer made
-    here. Inverse pass j transforms axis -1 - j of a buffer that holds the
-    box along the axes still to transform and zeros around it on the N
-    lines of the others; it writes straight into the box lines of the next
-    pass's buffer, and the last pass into the grid. Forward pass j writes
-    into its own buffer, whose box lines along its axis are the next
-    pass's input. A call copies the box in, and its result out."""
-    N, d, m = spec.N, spec.d, shape[-1]
-    lead = shape[:len(shape) - d]
+def _fft_term(spec: ManifoldSpec, k: int):
+    """The FFT route, with every buffer made here. Inverse pass j
+    transforms axis -1 - j of a buffer that holds the box along the axes
+    still to transform and zeros around it on the N lines of the others;
+    it writes straight into the box lines of the next pass's buffer, and
+    the last pass into the grid. Forward pass j writes into its own
+    buffer, whose box lines along its axis are the next pass's input. A
+    call copies the box in, and its result out."""
+    N, d, m = spec.N, spec.d, 2 * (spec.N // 3) + 1
     at = [(Ellipsis, dealias_box(spec)) + (slice(None),) * j for j in range(d)]
-    pads = [np.zeros(lead + (m,) * (d - 1 - j) + (N,) * (j + 1), dtype=complex)
-            for j in range(d)]
-    grid = np.empty(lead + (N,) * d, dtype=complex)
+    pads = [np.zeros((m,) * (d - 1 - j) + (N,) * (j + 1), dtype=complex) for j in range(d)]
+    grid = np.empty((N,) * d, dtype=complex)
     inv_out = [pad[lines] for pad, lines in zip(pads[1:], at[1:])] + [grid]
-    fwd_out = [np.empty(lead + (N,) * (d - j) + (m,) * j, dtype=complex) for j in range(d)]
+    fwd_out = [np.empty((N,) * (d - j) + (m,) * j, dtype=complex) for j in range(d)]
     first = pads[0][at[0]]
     axes = _axes(spec)[::-1]
     scale = _grid_scale(spec) ** (2 * k)
@@ -392,10 +379,10 @@ def _fft_term(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
     return fft
 
 
-def dealiased_term_kernel(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
-    """nonlinear_term masked to spec.dealias_mask, as a map of box arrays of
-    one shape: the coefficients of the 2/3-rule box, c[spec.box] of a
-    lattice array c, shaped (..., m)*d. A flow's state and its term live
+def dealiased_term_kernel(spec: ManifoldSpec, k: int):
+    """nonlinear_term masked to spec.dealias_mask, as a map of one box
+    array to another: the coefficients of the 2/3-rule box, c[spec.box] of
+    a lattice array c, shaped (m,)*d. A flow's state and its term live
     there. The route is the one dense_term_route picks, with its matrices
     or buffers fetched once, here: a march builds it before its loop and
     calls it at every stage.
@@ -415,34 +402,32 @@ def dealiased_term_kernel(spec: ManifoldSpec, k: int, shape: tuple[int, ...]):
     pass is cut to the box along its axis, so the next pass computes only
     the lines the mask keeps, and the last leaves the box array itself.
 
-    The rule sends the bench's single fields at d1N32 (control) and d2N32
-    (stabilize) to the dense route, d2N64 (simulate) and batches such as
-    1001 fields at d1N32 to the FFT route. Time per call of a kernel built
-    once, on box arrays, numpy 2.4 and OpenBLAS on one thread of a shared
-    2-core x86-64 VM, k = 1 with the cube as v conj(v) v (best of 9
-    interleaved timeit runs, the lower of two sets); work is the separable
-    multiply-adds per FFT call replaced:
+    The rule sends the bench's fields at d1N32 (control) and d2N32
+    (stabilize, control) to the dense route, d2N64 (simulate) to the FFT
+    route. Time per call of a kernel built once, on one box array, numpy
+    2.4 and OpenBLAS on one thread of a shared 2-core x86-64 VM, k = 1
+    (best of 7 timeit runs, the lowest of 3 interleaved sets):
 
-        call              work      FFT route   dense route
-        d1N32 (21)        2^9.4       12 us         4 us
-        d1N128 (85)       2^13.4      14 us        10 us
-        d1N192 (129)      2^14.6      16 us        18 us
-        d1N220 (147)      2^15.0      16 us        24 us
-        d1N256 (171)      2^15.4      16 us        30 us
-        (1001, 21)        2^19.4     451 us       371 us
-        d2N8 (5, 5)       2^8.0       21 us         8 us
-        d2N32 (21, 21)    2^14.1      37 us        32 us
-        d2N40 (27, 27)    2^15.1      47 us        48 us
-        d2N56 (37, 37)    2^16.6      68 us        90 us
-        d2N64 (43, 43)    2^17.2      86 us       127 us
-        d3N16 (11,)*3     2^15.0     114 us       102 us
-        d3N24 (17,)*3     2^17.4     348 us       313 us
+        call             FFT route   dense route   route
+        d1N32 (21,)         11 us         3 us      dense
+        d1N128 (85,)        13 us        10 us      dense
+        d1N158 (105,)       20 us        13 us      dense
+        d1N160 (107,)       14 us        14 us      FFT
+        d1N220 (147,)       15 us        23 us      FFT
+        d2N8 (5, 5)         20 us         8 us      dense
+        d2N32 (21, 21)      35 us        30 us      dense
+        d2N38 (25, 25)      61 us        42 us      dense
+        d2N40 (27, 27)      42 us        45 us      FFT
+        d2N64 (43, 43)      74 us       123 us      FFT
+        d3N16 (11,)*3      106 us       102 us      dense
+        d3N24 (17,)*3      338 us       303 us      dense
+        d3N26 (17,)*3      554 us       378 us      dense
+        d3N28 (19,)*3      448 us       468 us      FFT
 
-    A single field breaks even near d1N190, d2N40 and past d3N24, and the
-    dense route gains on batches too; the one bound stays at 2^15 so that
-    batches keep the bit-for-bit FFT route and small dense temporaries.
+    An N with a large prime factor slows the FFT: the last dense lattices,
+    d1N158, d2N38 and d3N26, are 2 x 79, 2 x 19 and 2 x 13.
     """
-    return (_dense_term if dense_term_route(spec, shape) else _fft_term)(spec, k, shape)
+    return (_dense_term if dense_term_route(spec) else _fft_term)(spec, k)
 
 
 def profile_product(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -204,7 +204,7 @@ def test_the_probe_size_bound_is_the_traced_peak_of_the_probe(monkeypatch, d, N)
     # the default window, M_t = 128: 128 N^d space-time entries, 13 MB at
     # d2N32 and 50 MB at d3N16, the estimate within 10% of the tracemalloc
     # peak. Two samples, as a run draws at least four: each field after the
-    # first is drawn while the last one's cubic product is still held.
+    # first is drawn once the last one and its cubic product are freed.
     spec = b.make_torus(d, N, 1.0)
 
     def probe():

@@ -24,7 +24,7 @@ from b4nls.dynamics import MAX_TRACE_BYTES
 from b4nls.gcc import MAX_SCAN_GEODESICS
 from b4nls.hum import HumOperator
 from b4nls.observability import MAX_BAND_ENTRIES
-from b4nls.resonance import MAX_SWEEP_BYTES, MAX_SWEEP_KEYS
+from b4nls.resonance import _INT64_KEY_BYTES, MAX_SWEEP_BYTES
 from b4nls.spectral import band_mode_mask
 
 
@@ -562,16 +562,16 @@ def test_validate_refuses_a_trace_that_cannot_fit_in_memory(tmp_path, capsys, ki
 
 
 def test_validate_admits_the_default_stabilize_horizon_at_d2n64(tmp_path):
-    # T = 20 at stride 1: 20,001 records of 64^2 lattice and 43^2 box
-    # entries, about 1.91 GB, the largest trace under MAX_TRACE_BYTES on record
+    # T = 20 at stride 1: 20,001 records of 64^2 lattice entries, about
+    # 1.32 GB, the largest trace under MAX_TRACE_BYTES on record
     path = write_config(tmp_path, "[experiment]\nkind = stabilize\n[manifold]\nd = 2\nN = 64\n")
     assert main(["validate", path]) == 0
 
 
 @pytest.mark.parametrize("N,code", [(48, 0), (64, 2), (96, 2)])
 def test_validate_refuses_a_bourgain_probe_that_cannot_fit_in_memory(tmp_path, capsys, N, code):
-    # 96 B per space-time entry at the default M_t = 128: about 1.4 GB at
-    # d3N48, 3.2 GB at d3N64 and 10.9 GB at d3N96
+    # 80 B per space-time entry at the default M_t = 128: about 1.1 GB at
+    # d3N48, 2.7 GB at d3N64 and 9.1 GB at d3N96
     path = write_config(tmp_path, f"[experiment]\nkind = bourgain-probe\n[manifold]\nd = 3\nN = {N}\n")
     start = time.perf_counter()
     assert main(["validate", path]) == code
@@ -625,12 +625,13 @@ def test_validate_caps_the_band_gramian(tmp_path, capsys):
 
 @pytest.mark.parametrize("K_max,code", [(512, 0), (2048, 0), (4096, 2), (65536, 2)])
 def test_validate_caps_the_resonance_sweep(tmp_path, capsys, K_max, code):
-    # the last block holds K_max^2 keys; the bench runs K_max = 512
-    assert (K_max**2 <= MAX_SWEEP_KEYS) == (code == 0)
+    # the last block holds K_max^2 keys, int64 up to K_max = 4096; the
+    # bench runs K_max = 512
+    assert (_INT64_KEY_BYTES * K_max**2 <= MAX_SWEEP_BYTES) == (code == 0)
     path = write_config(tmp_path, f"[experiment]\nkind = resonance-sweep\n[sweep]\nK_max = {K_max}\n")
     assert main(["validate", path]) == code
     if code:
-        assert f"K_max = {K_max}: the last block has {K_max**2} phase-sum keys" in (
+        assert f"K_max = {K_max}, beta = 0/1: the last block's {K_max**2} " in (
             capsys.readouterr().err
         )
 

@@ -319,10 +319,18 @@ def test_the_flows_refuse_a_horizon_that_is_not_positive(T):
         dynamics.check_horizon(T)
 
 
+def _estimated_trace_bytes(monkeypatch, spec, T, cfg, profile, n_rec):
+    """The bytes check_trace_size estimates for a trace of n_rec records."""
+    monkeypatch.setattr(dynamics, "MAX_TRACE_BYTES", 0)
+    with pytest.raises(ValueError, match=f"a trace of {n_rec} records") as exc:
+        dynamics.check_trace_size(spec, T, cfg, profile)
+    return int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
+
+
 @pytest.mark.parametrize("damped", [False, True])
 def test_the_trace_size_bound_is_the_traced_peak_of_the_march(monkeypatch, damped):
-    # d2N32 over 500 steps: 501 records of 32^2 lattice and 21^2 box
-    # entries, about 12 MB, the estimate within 5% of the tracemalloc peak
+    # d2N32 over 500 steps: 501 records of 32^2 lattice entries, about 9 MB,
+    # the estimate within 5% of the tracemalloc peak
     spec = b.make_torus(2, 32, 1.0)
     u0 = smooth_datum(spec, 7)
     cfg = b.SolverConfig(dt=1e-3)
@@ -336,19 +344,36 @@ def test_the_trace_size_bound_is_the_traced_peak_of_the_march(monkeypatch, dampe
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(dynamics, "MAX_TRACE_BYTES", 0)
-    with pytest.raises(ValueError, match="a trace of 501 records") as exc:
-        dynamics.check_trace_size(spec, 0.5, cfg)
-    need = int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
+    need = _estimated_trace_bytes(monkeypatch, spec, 0.5, cfg, profile if damped else None, 501)
     assert 0.95 * peak <= need <= 1.05 * peak
+
+
+def test_the_trace_size_bound_counts_the_damping_operator_of_a_large_lattice(monkeypatch):
+    # d2N64 over 100 steps on the default strip: 101 records of 64^2
+    # lattice entries (6.6 MB) beside J and its inverse, two stacks of 43
+    # blocks of 43^2 entries (2.5 MB); the estimate within 10% of the
+    # tracemalloc peak
+    spec = b.make_torus(2, 64, 1.0)
+    u0 = smooth_datum(spec, 7)
+    cfg = b.SolverConfig(dt=1e-3)
+    profile = b.make_damping_profile(spec, b.Strip(math.pi / 2, 3 * math.pi / 2))
+    b.evolve_damped(u0, profile, 0.1, cfg)  # builds the kernel caches
+    tracemalloc.start()
+    try:
+        b.evolve_damped(u0, profile, 0.1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = _estimated_trace_bytes(monkeypatch, spec, 0.1, cfg, profile, 101)
+    assert 0.9 * peak <= need <= 1.1 * peak
 
 
 def test_the_trace_size_bound_covers_the_march_and_the_save_of_a_small_lattice(
     tmp_path, monkeypatch
 ):
-    # d1N8 over 20,000 steps at stride 1: 20,001 records of 8 lattice and 5
-    # box entries, where each record's Python objects in the march, and its
-    # ledger text in save_trace with the trace held, outweigh its coefficients
+    # d1N8 over 20,000 steps at stride 1: 20,001 records of 8 lattice
+    # entries, where each record's ledger text in save_trace, with the trace
+    # held, outweighs its coefficients
     spec = b.make_torus(1, 8, 1.0)
     u0 = smooth_datum(spec, 7)
     cfg = b.SolverConfig(dt=1e-3)
@@ -362,11 +387,7 @@ def test_the_trace_size_bound_covers_the_march_and_the_save_of_a_small_lattice(
         saved = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(dynamics, "MAX_TRACE_BYTES", 0)
-    with pytest.raises(ValueError, match="a trace of 20001 records") as exc:
-        dynamics.check_trace_size(spec, 20.0, cfg)
-    need = int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
-    assert need >= max(march, saved)
+    assert _estimated_trace_bytes(monkeypatch, spec, 20.0, cfg, None, 20001) >= max(march, saved)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])

@@ -18,7 +18,7 @@ from b4nls.hum import (
 )
 from b4nls.linalg import cg_hermitian
 from b4nls.spectral import (
-    MAX_BLOCK_ENTRIES, box_mask, dealiased_term_kernel, free_phase, hs_norm, profile_product,
+    MAX_BLOCK_ENTRIES, box_mask, free_phase, hs_norm, nonlinear_term, profile_product,
     sandwich, sobolev_weights,
 )
 from oracles import propagate_free, verify_certificate
@@ -697,14 +697,14 @@ def _correction_case(d, N, n_steps):
 
 def _batched_correction(prob, op, phi0):
     """K Phi0 by the batched route: the march recorded at every step, the
-    dealiased term of all its records in one kernel call, and one sampled
+    masked cubic term of all its records in one call, which the FFT route
+    of the dealiased term kernel matches bit for bit, and one sampled
     duality integral over them."""
     spec, box = prob.spec, prob.spec.box
     chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
     cfg = b.SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
     trace = b.evolve_nonlinear(b.zero_field(spec), prob.T, cfg, forcing=control_forcing(op, chi0))
-    records = trace.states[box]
-    terms = dealiased_term_kernel(spec, prob.k_nl, records.shape)(records)
+    terms = nonlinear_term(spec, trace.states, prob.k_nl)[box]
     out = np.zeros(spec.shape, dtype=complex)
     X = spec.dispersion[box]
     out[box] = np.conj(free_phase(prob.T, X) * backward_forced_initial(X, trace.times, terms))

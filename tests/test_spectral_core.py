@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import b4nls as b
+from b4nls.cli import _build_spec, _load_config
 from b4nls.dynamics import energy
 from b4nls.hum import multiplication_matrix, operator_layout
 from b4nls.regions import contains, inside_depth
@@ -43,8 +44,8 @@ PI = math.pi
 
 
 def dealiased_nonlinear_term(spec, box, k):
-    """The dealiased cubic term of box arrays, by a kernel built for their shape."""
-    return dealiased_term_kernel(spec, k, box.shape)(box)
+    """The dealiased cubic term of a box array, by a kernel built for its lattice."""
+    return dealiased_term_kernel(spec, k)(box)
 
 
 def rand_field(spec, seed, decay=2.0):
@@ -670,24 +671,19 @@ def test_a_compact_profile_transforms_only_the_axes_it_varies_on(d, region, shap
 
 @st.composite
 def _ball_coeffs(draw):
-    # N reaches 256 at d = 1, so that both routes draw fields at every d
+    # N reaches 256 at d = 1 and 30 at d = 3, so that both routes draw
+    # fields at every d
     d = draw(st.sampled_from([1, 2, 3]))
-    N = draw(st.sampled_from([n for n in range(8, {1: 257, 2: 65, 3: 17}[d], 2)]))
+    N = draw(st.sampled_from([n for n in range(8, {1: 257, 2: 65, 3: 31}[d], 2)]))
     spec = b.make_torus(d, N, 1.0)
-    batch = draw(st.sampled_from([(), (3,)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
-    c = scale * (rng.standard_normal(batch + spec.shape) + 1j * rng.standard_normal(batch + spec.shape))
+    c = scale * (rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
     return spec, np.where(spec.dealias_mask, c, 0.0), draw(st.sampled_from([1, 2]))
 
 
-def _dense(spec, c):
-    """Whether dealiased_nonlinear_term takes its dense route on c's box."""
-    return dense_term_route(spec, c[spec.box].shape)
-
-
 @settings(max_examples=80, deadline=None)
-@given(_ball_coeffs().filter(lambda case: not _dense(*case[:2])))
+@given(_ball_coeffs().filter(lambda case: not dense_term_route(case[0])))
 def test_the_dealiased_kernel_is_the_masked_cubic_term_bit_for_bit(case):
     # the pruned passes transform each kept line as the full ones do, so
     # the flows may call it in place of the masked product
@@ -697,10 +693,10 @@ def test_the_dealiased_kernel_is_the_masked_cubic_term_bit_for_bit(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_ball_coeffs().filter(lambda case: _dense(*case[:2])))
+@given(_ball_coeffs().filter(lambda case: dense_term_route(case[0])))
 def test_the_dense_route_is_the_masked_cubic_term_to_roundoff(case):
     # the dense products sum in another order than the FFT: within a few
-    # 1e-15 of max |term| over d <= 3, N <= 220, k in {1, 2}
+    # 1e-15 of max |term| up to d1N158, d2N38 and d3N26, k in {1, 2}
     spec, c, k = case
     expect = nonlinear_term(spec, c, k)[spec.box]
     got = dealiased_nonlinear_term(spec, c[spec.box], k)
@@ -719,46 +715,44 @@ def _count_ffts(monkeypatch):
     return calls
 
 
-def _ball(spec, lead, seed):
+def _ball(spec, seed):
     """A random box array."""
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(lead + spec.shape) + 1j * rng.standard_normal(lead + spec.shape)
+    c = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
     return c[spec.box]
 
 
 _ROUTES = [
-    # the bench's calls: control (d1N32), stabilize (d2N32), simulate
-    # (d2N64) and hum's record batch (1001 fields at d1N32)
-    ("d1N32", 1, 32, (), True), ("d2N32", 2, 32, (), True),
-    ("d2N64", 2, 64, (), False), ("d1N32x1001", 1, 32, (1001,), False),
+    # the bench's calls: control (d1N32), stabilize (d2N32), simulate (d2N64)
+    ("d1N32", 1, 32, True), ("d2N32", 2, 32, True), ("d2N64", 2, 64, False),
     # around them
-    ("d1N32x4", 1, 32, (4,), True), ("d1N64", 1, 64, (), True),
-    ("d1N76", 1, 76, (), True), ("d1N78", 1, 78, (), True),
-    ("d1N128", 1, 128, (), True), ("d1N256", 1, 256, (), False),
-    ("d2N8", 2, 8, (), True), ("d2N10", 2, 10, (), True),
-    # the last dense and first FFT lattice of a single field at each d
-    ("d1N220", 1, 220, (), True), ("d1N222", 1, 222, (), False),
-    ("d2N38", 2, 38, (), True), ("d2N40", 2, 40, (), False),
-    ("d3N16", 3, 16, (), True), ("d3N18", 3, 18, (), False),
+    ("d1N64", 1, 64, True), ("d1N76", 1, 76, True), ("d1N78", 1, 78, True),
+    ("d1N128", 1, 128, True), ("d1N220", 1, 220, False), ("d1N222", 1, 222, False),
+    ("d1N256", 1, 256, False), ("d2N8", 2, 8, True), ("d2N10", 2, 10, True),
+    ("d3N16", 3, 16, True), ("d3N18", 3, 18, True),
+    # the last dense and first FFT lattice at each d
+    ("d1N158", 1, 158, True), ("d1N160", 1, 160, False),
+    ("d2N38", 2, 38, True), ("d2N40", 2, 40, False),
+    ("d3N26", 3, 26, True), ("d3N28", 3, 28, False),
 ]
 
 
-@pytest.mark.parametrize("d,N,lead,dense", [row[1:] for row in _ROUTES],
+@pytest.mark.parametrize("d,N,dense", [row[1:] for row in _ROUTES],
                          ids=[row[0] for row in _ROUTES])
-def test_the_dealiased_term_routes_by_its_work(monkeypatch, d, N, lead, dense):
+def test_the_dealiased_term_routes_by_its_work(monkeypatch, d, N, dense):
     # the dense route makes no FFT call once its matrices are built; the
     # FFT route is the masked cubic term bit for bit, d transforms each
     # way; both take and return box arrays
     spec = b.make_torus(d, N, 1.0)
-    c = _ball(spec, lead, N)
-    assert dense_term_route(spec, c.shape) == dense
+    c = _ball(spec, N)
+    assert dense_term_route(spec) == dense
     dealiased_nonlinear_term(spec, c, 1)  # builds the dense matrices once per N
     calls = _count_ffts(monkeypatch)
     got = dealiased_nonlinear_term(spec, c, 1)
     assert len(calls) == (0 if dense else 2 * d)
     monkeypatch.undo()
     assert got.shape == c.shape
-    full = np.zeros(lead + spec.shape, dtype=complex)
+    full = np.zeros(spec.shape, dtype=complex)
     full[spec.box] = c
     expect = nonlinear_term(spec, full, 1)[spec.box]
     if dense:
@@ -767,14 +761,12 @@ def test_the_dealiased_term_routes_by_its_work(monkeypatch, d, N, lead, dense):
         assert np.array_equal(got, expect)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_a_field_has_one_term_alone_and_in_a_batch(k):
-    # alone it takes the dense route, in a batch of 1001 the FFT route
-    spec = b.make_torus(1, 32, 1.0)
-    batch = _ball(spec, (1001,), k)
-    alone = dealiased_nonlinear_term(spec, batch[500], k)
-    inside = dealiased_nonlinear_term(spec, batch, k)[500]
-    assert np.abs(alone - inside).max() <= 1e-14 * np.abs(inside).max()
+@pytest.mark.parametrize("kind,dense", [("simulate", False), ("stabilize", True),
+                                        ("control-linear", True), ("control-nonlinear", True)])
+def test_the_bench_flows_keep_their_term_routes(kind, dense):
+    # the lattice each bench config's [manifold] names, read as a run reads it
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{kind}.ini"
+    assert dense_term_route(_build_spec(_load_config(str(config)))) == dense
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -801,9 +793,9 @@ def test_a_non_finite_state_keeps_a_non_finite_term(d, N, k):
     with np.errstate(invalid="ignore", over="ignore"):
         assert np.isfinite(_power_term(v, k)).tolist() == [True, False, False, False]
         for bad in (np.nan, np.inf):
-            c = _ball(spec, (), k)
+            c = _ball(spec, k)
             c[(1,) * d] = bad
-            assert dense_term_route(spec, c.shape) == (d == 1)
+            assert dense_term_route(spec) == (d == 1)
             assert not np.all(np.isfinite(dealiased_nonlinear_term(spec, c, k)))
 
 
