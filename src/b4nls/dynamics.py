@@ -19,9 +19,11 @@ v = J u, J = 1 - i D, D = a (1-Lap)^{-2} a: the stiff part of the
 v-equation is the diagonal multiplier i(|k|^4 + beta |k|^2 + 1) and the
 remainder is a zero-order operator evaluated through a solve of J w = v.
 Along an axis where the profile a is constant, D is diagonal in that axis's
-wavenumber, so on the dealiasing box D splits into one block per
-wavenumber of those axes; J is inverted block by block, once per run, and
-each solve is one batched product with the inverses.
+wavenumber, so on the dealiasing box J splits into one block per
+wavenumber of those axes (spectral.KernelBlocks on box arrays). A run
+tabulates J's blocks once from applies of J f = f - i D f, inverts them
+once, and each solve is one batched product with the inverses; D w = i (v
+- w) then needs no apply of D.
 
 The semidiscrete system keeps the state in the 2/3-rule dealiasing box and
 evaluates |u|^{2k} u pointwise on the grid. A march carries the box array
@@ -56,12 +58,9 @@ from .spectral import (
     DampingProfile,
     ManifoldSpec,
     SpectralField,
+    KernelBlocks,
     _grid_modulus,
-    block_axes,
-    block_layout,
-    check_block_entries,
     dealiased_term_kernel,
-    kernel_blocks,
     load_field,
     sandwich,
     save_field,
@@ -323,66 +322,6 @@ def forced_term_blocks(u0: SpectralField, T: float, cfg: SolverConfig, forcing):
 # damped flow
 # ---------------------------------------------------------------------------
 
-def damping_layout(profile: DampingProfile) -> np.ndarray:
-    """The flat indices of a box array, 0 ... m^d - 1 with m = 2 floor(N/3)
-    + 1, in D's blocks: their block_layout, m^(d-v) rows of m^v modes for
-    a profile that varies along v axes. D's blocks hold m^(d+v) entries;
-    ValueError above MAX_BLOCK_ENTRIES."""
-    layout = block_layout(profile, np.arange(np.count_nonzero(profile.spec.dealias_mask)))
-    check_block_entries(layout.size * layout.shape[1], "the damping operator's blocks",
-                        "use a profile constant along more axes, or a smaller N")
-    return layout
-
-
-class _DampingOperator:
-    """D = a (1-Lap)^{-2} (a .) on the dealiasing box, block by block, and
-    the solve of J w = (1 - i D) w = v for box arrays v.
-
-    The box is grouped by damping_layout into m^(d-v) blocks of m^v
-    modes: D maps no block into another, so kernel_blocks builds every
-    block from m^v applies of D to lattice fields; J is then inverted once
-    per block. A constant profile has v = 0: blocks of one mode, a
-    diagonal D. The layout is the box's axes permuted into block_axes, so
-    a box array goes through the blocks by a transpose, one batched
-    product and the transpose back (by_blocks).
-
-    An apply is two profile products on the compact profile, each one
-    transform pass per axis the profile varies on and one back: 4 one-axis
-    passes for the default strip at any d, against 4d for a ball.
-    """
-
-    def __init__(self, spec: ManifoldSpec, profile: DampingProfile):
-        self.spec = spec
-        self.a = profile.compact
-        self.layout = damping_layout(profile)
-        self.axes = block_axes(profile)
-        self.back = tuple(np.argsort(self.axes))
-        modes = np.flatnonzero(spec.dealias_mask)[self.layout]  # in the lattice
-        d_blocks = kernel_blocks(spec, self.apply, modes, modes)
-        self.j = np.eye(self.layout.shape[1]) - 1j * d_blocks
-        self.j_inv = np.linalg.inv(self.j)
-
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """D c for lattice coefficients c."""
-        return sandwich(self.spec, self.a, c)
-
-    def by_blocks(self, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The stack blocks (j or j_inv) applied to a box array u, block by
-        block: u's axes in block order are the layout's rows."""
-        x = u.transpose(self.axes).reshape(self.layout.shape + (1,))
-        return (blocks @ x).reshape(u.shape).transpose(self.back)
-
-    def times_j(self, u: np.ndarray) -> np.ndarray:
-        """J u for a box array u."""
-        return self.by_blocks(self.j, u)
-
-    def solve_j(self, v: np.ndarray):
-        """(w, D w) for J w = v, v a box array: w = J^{-1} v, and D w =
-        i (v - w) from J w = v, with no apply of D."""
-        w = self.by_blocks(self.j_inv, v)
-        return w, 1j * (v - w)
-
-
 def evolve_damped(
     u0: SpectralField,
     profile: DampingProfile,
@@ -404,15 +343,21 @@ def evolve_damped(
     n_steps, dt = step_grid(T, cfg.dt)
 
     box = spec.box
-    damp = _DampingOperator(spec, profile)
+    j = KernelBlocks(profile, box=True,
+                     kernel=lambda f: f - 1j * sandwich(spec, profile.compact, f))
+    j_inv = np.linalg.inv(j.stack)
     mult = spec.dispersion[box] + 1.0  # |k|^4 + beta |k|^2 + 1
-    v0 = damp.times_j(u0.coeffs[box].astype(complex))  # v = J u
+    v0 = j.apply(j.stack, j.gather(u0.coeffs[box].astype(complex)))  # v = J u
     term = dealiased_term_kernel(spec, cfg.k_nl)
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        """w = J^{-1} v for a box array v."""
+        return j.apply(j_inv, j.gather(v))
 
     def stage(vv: np.ndarray, g) -> np.ndarray:
         # the v-equation's term -mult D w + i f(w) over i, with
         # D w = i (v - w): f(w) + mult (w - v)
-        w = damp.by_blocks(damp.j_inv, vv)
+        w = solve(vv)
         out = term(w)
         out += mult * (w - vv)
         return out
@@ -420,11 +365,12 @@ def evolve_damped(
     step = Etdrk4Tableau(1j * mult, dt).stepper(stage)
 
     def recover(vv: np.ndarray):
-        # u_t = i w for the solve below, so the flux ||(1-Lap)^{-1}(a u_t)||^2
-        # is D's quadratic form <u_t, D u_t> = <w, D w>
-        u = damp.by_blocks(damp.j_inv, vv)
-        w, dw = damp.solve_j(mult * u + term(u))
-        return u, float(np.real(np.vdot(w, dw)))
+        # u_t = i w for the solve of J w = f below, so the flux ||(1-Lap)^{-1}
+        # (a u_t)||^2 is D's quadratic form <w, D w>, D w = i (f - w)
+        u = solve(vv)
+        f = mult * u + term(u)
+        w = solve(f)
+        return u, float(np.real(np.vdot(w, 1j * (f - w))))
 
     return _march(spec, v0, dt, n_steps, cfg, lambda vv: step(vv, (None,) * 3), recover)
 
@@ -439,14 +385,20 @@ def evolve_damped(
 _LEDGER_BLOCK_ENTRIES = 4096
 
 # bytes a trace may hold at its peak, in _march or in save_trace: the
-# (n_rec,) + lattice stack and the ledger's block temporaries, 16 (n_rec N^d
-# + 4 max(N^d, _LEDGER_BLOCK_ENTRIES)) B, plus _RECORD_BYTES per record,
-# plus a damped march's two stacks of operator blocks (damping_layout).
-# That is 0.93-1.03 of the tracemalloc peak of a march of 7-36 MB, damped
-# or not (d2N32, d2N64, d3N16), the lowest at d2N64 over 101 records. The
-# cap admits the default stabilize horizon, T = 20 at stride 1, up to d2N64
-# (1.32 GB).
+# (n_rec,) + lattice stack, 16 n_rec N^d B, plus the larger of the march's
+# working set (_MARCH_ARRAYS) and the save's extras, the ledger's block
+# temporaries, 16 (4 max(N^d, _LEDGER_BLOCK_ENTRIES)) B, and _RECORD_BYTES
+# per record; plus a damped march's J and J^{-1} blocks. That is 1.00-1.05
+# of the tracemalloc peak of a march of 7-19 MB, damped or not (d2N32,
+# d2N64, d2N96, d3N16). The cap admits the default stabilize horizon,
+# T = 20 at stride 1, up to d2N64 (1.32 GB).
 MAX_TRACE_BYTES = 2_000_000_000
+
+# box and lattice arrays a march holds beside its records and J's blocks:
+# the ETDRK4 tableau and stage temporaries, the term kernel's buffers and
+# grid temporaries. By tracemalloc (d1N32-d3N32, damped and not, both term
+# routes) that is the peak within 1% at d2N64-d2N128, and above it below.
+_MARCH_ARRAYS = (13, 9)
 
 # bytes per record beyond its coefficients at the peak of save_trace, with
 # the trace held: its four ledger columns, the ledger's rows and text,
@@ -463,15 +415,17 @@ def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig,
                      profile: DampingProfile | None) -> None:
     """ValueError unless T is a horizon and the trace of a flow over T under
     cfg holds at most MAX_TRACE_BYTES at its peak; a damped flow passes its
-    profile, whose blocks damping_layout checks, an undamped one None."""
+    profile, an undamped one None. The blocks of J are counted from their
+    shapes, and KernelBlocks refuses them above MAX_BLOCK_ENTRIES."""
     check_horizon(T)
     n_steps, _ = step_grid(T, cfg.dt)
     n_rec = _record_count(n_steps, cfg.record_stride)
-    need = (16 * (n_rec * spec.n_modes + 4 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES))
-            + _RECORD_BYTES * n_rec)
+    box = int(np.count_nonzero(spec.dealias_mask))
+    march = 16 * (_MARCH_ARRAYS[0] * box + _MARCH_ARRAYS[1] * spec.n_modes)
+    save = 64 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES) + _RECORD_BYTES * n_rec
+    need = 16 * n_rec * spec.n_modes + max(march, save)
     if profile is not None:
-        layout = damping_layout(profile)
-        need += 32 * layout.size * layout.shape[1]  # J and its inverse
+        need += 32 * KernelBlocks(profile, box=True).entries  # J and its inverse
     if need > MAX_TRACE_BYTES:
         raise ValueError(
             f"a trace of {n_rec} records at d = {spec.d}, N = {spec.N} needs about {need} "

@@ -25,15 +25,16 @@ is the one sampled duality integral `backward_forced_initial`.
 
 The dual datum lives on a support S: the modes of the control band, or
 every mode without one. A and Lambda are diagonal in the wavenumbers of
-the axes along which phi is constant, so `operator_layout` groups S by
-`block_layout` and gives each group its rows, the modes A maps it into.
-The operator keeps only the blocks of A, the spectral kernel's control
-weight (`sandwich`) from `kernel_blocks`, and of Lambda on those rows and
-columns. The dense multiplication matrix of phi is the test oracle of the
-grid products; no run path builds it.
+the axes along which phi is constant, so the operator is one
+`spectral.KernelBlocks` of the control weight (`sandwich`) on S: S in
+groups, each group's rows the modes A maps it into, and A's blocks on
+them. Lambda's blocks are E o A on the same groups, and every gather onto
+S and scatter back goes through that type. The dense multiplication
+matrix of phi is the test oracle of the grid products; no run path builds
+it.
 
 The system is solved directly in L^2: one batched eigh factors Lambda[S, S]
-by its blocks once per operator, and a solve runs on the layout: the right
+by its blocks once per operator, and a solve runs on the groups: the right
 side gathered onto S once, one batched product, the datum scattered once.
 The certificate reports the smallest eigenvalue, the discrete observability
 constant (Lions, SIAM Rev. 30 (1988)), and the condition number, where the
@@ -69,14 +70,11 @@ from .dynamics import (Etdrk4Tableau, SolverConfig, check_horizon, evolve_nonlin
                        forced_term_blocks, step_grid)
 from .spectral import (
     DampingProfile,
+    KernelBlocks,
     ManifoldSpec,
     SpectralField,
-    block_layout,
-    box_mask,
-    check_block_entries,
     free_phase,
     hs_norm,
-    kernel_blocks,
     sandwich,
     sobolev_norm,
     zero_field,
@@ -114,7 +112,7 @@ class ControlProblem:
     solved: the transported datum -i (u0 - e^{-iTL} u_target) must lie in
     the band, and a problem whose blocks of A would exceed
     MAX_BLOCK_ENTRIES (|S| N^v for a profile that varies along v axes) is
-    refused before anything is assembled.
+    refused by KernelBlocks before anything is assembled.
 
     A HUM solve whose true relative residual ||b - Lambda[S, S] x|| / ||b||
     is not at most 100 cg_tol raises ControlStagnationError.
@@ -149,11 +147,10 @@ class ControlProblem:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if not self.fixedpoint_tol > 0.0:
             raise ValueError("fixedpoint_tol must be positive")
-        layout, rows = operator_layout(self.phi, band)
-        check_block_entries(layout.size * rows.shape[1], "the HUM operator's blocks of A",
-                            "narrow the band")
+        support = KernelBlocks(self.phi, band)  # the cap, with nothing built
         rhs = _transported_rhs(self)
-        if np.linalg.norm(np.delete(rhs, layout)) > 1e-12 * max(np.linalg.norm(rhs), 1.0):
+        outside = rhs - support.scatter(support.gather(rhs))
+        if np.linalg.norm(outside) > 1e-12 * max(np.linalg.norm(rhs), 1.0):
             raise ValueError(
                 f"the datum has content outside the control band (control_band = {band})"
             )
@@ -194,20 +191,6 @@ class ControlCertificate:
 # the duality operator
 # ---------------------------------------------------------------------------
 
-def operator_layout(phi: DampingProfile, band: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(layout, rows): the support S a dual datum may occupy, the modes with
-    every |k_i| <= band or every mode when band is None, as the m^(d-v)
-    groups of m^v modes of block_layout (phi varies along v axes); and for
-    each group the N^v modes A maps it into, those with its wavenumbers on
-    the other axes, the group's own first."""
-    spec = phi.spec
-    full = block_layout(phi, np.arange(spec.n_modes))
-    layout = full if band is None else block_layout(phi, np.flatnonzero(box_mask(spec, band)))
-    rows = full[np.isin(full, layout).any(axis=1)]
-    own = np.isin(rows[0], layout[0])  # the same places in every group
-    return layout, np.concatenate([rows[:, own], rows[:, ~own]], axis=1)
-
-
 def multiplication_matrix(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
     """Dense matrix of grid multiplication by a real profile, e_k basis:
     the test oracle of the grid products and of `kernel_blocks`.
@@ -225,12 +208,12 @@ def time_average_kernel(
     X: np.ndarray,
     T: float,
     quadrature: float | None,
-    cols: np.ndarray | None = None,
+    Xc: np.ndarray | None = None,
 ) -> np.ndarray:
-    """E[l,k] = int_0^T exp(i t w) dt with w = X_k - X_l, by one rule.
+    """E[l,k] = int_0^T exp(i t w) dt with w = Xc_k - X_l, by one rule.
 
-    Rows run over X's last axis and columns over X[..., cols] (all of it
-    when cols is None); leading axes, such as a block stack's, broadcast.
+    Rows run over X's last axis and columns over Xc's (X itself when Xc is
+    None); leading axes, such as a block stack's, broadcast.
     quadrature None gives the exact integral; a float dt gives the
     composite trapezoid sum on the steps of `step_grid(T, dt)`; at T = 0,
     which has no step, both are the zero matrix. Both are one closed form,
@@ -246,7 +229,7 @@ def time_average_kernel(
     """
     if T == 0.0:
         quadrature = None
-    Xc = X if cols is None else X[..., cols]
+    Xc = X if Xc is None else Xc
     h = Xc[..., None, :] - X[..., :, None]  # w, until it becomes h
     E = np.empty(h.shape, dtype=complex)
     if quadrature is not None:
@@ -270,12 +253,12 @@ def time_average_kernel(
 
 
 class HumOperator:
-    """Lambda for one (phi, T) pair, by the blocks of operator_layout.
+    """Lambda for one (phi, T) pair, by the blocks of the control weight.
 
-    A and matrix are the stacks A[rows[j], layout[j]] and
-    Lambda[rows[j], layout[j]], shape (groups, N^v, m^v); every other entry
-    of either is exactly 0.0. block, a view of matrix's first m^v rows,
-    stacks Lambda[S, S]'s blocks. Vectors on S are given in layout order.
+    blocks is A's KernelBlocks on S; A, its stack, and matrix hold A's and
+    Lambda's blocks, shape (groups, N^v, m^v), and every other entry of
+    either is exactly 0.0. block, blocks.own(matrix), stacks Lambda[S, S]'s
+    blocks. Vectors on S are given by groups, as blocks.gather gives them.
     """
 
     def __init__(
@@ -286,14 +269,13 @@ class HumOperator:
         band: int | None = None,
     ):
         self.spec = spec
-        self.layout, self.rows = operator_layout(phi, band)
-        self.A = kernel_blocks(  # phi (1-Lap)^{-2} phi
-            spec, lambda f: sandwich(spec, phi.compact, f), self.layout, self.rows,
-        )
-        m = self.layout.shape[1]
-        self.matrix = time_average_kernel(spec.dispersion.ravel()[self.rows], T, None, np.arange(m))
+        self.blocks = KernelBlocks(phi, band, kernel=lambda f: sandwich(spec, phi.compact, f))
+        self.A = self.blocks.stack  # phi (1-Lap)^{-2} phi
+        X = spec.dispersion
+        self.matrix = time_average_kernel(self.blocks.gather(X, rows=True), T, None,
+                                          self.blocks.gather(X))
         self.matrix *= self.A
-        self.block = self.matrix[:, :m]
+        self.block = self.blocks.own(self.matrix)
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -304,33 +286,24 @@ class HumOperator:
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0.0)
         return w, (V * inv_w[:, None, :]) @ np.swapaxes(V, 1, 2).conj()
 
-    def _scatter(self, blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """blocks applied to a stack of w given on the layout, (..., groups,
-        m^v), as a stack of lattice coeffs: one product per group."""
-        lead, g = w.shape[:-2], len(blocks)
-        y = np.moveaxis(w, -2, 0).reshape(g, -1, w.shape[-1]) @ np.swapaxes(blocks, 1, 2)
-        out = np.zeros(lead + (self.spec.n_modes,), dtype=complex)
-        out[..., self.rows] = np.moveaxis(y.reshape((g,) + lead + (-1,)), 0, -2)
-        return out.reshape(lead + self.spec.shape)
-
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Lambda c for lattice coefficients c supported on S."""
-        return self._scatter(self.matrix, coeffs.ravel()[self.layout])
+        return self.blocks.apply(self.matrix, self.blocks.gather(coeffs))
 
     def control_weight(self, w: np.ndarray) -> np.ndarray:
-        """A w = phi (1-Lap)^{-2} (phi w) for a stack of w given on the
-        layout, (..., groups, m^v), as a stack of lattice coeffs."""
-        return self._scatter(self.A, w)
+        """A w = phi (1-Lap)^{-2} (phi w) for a stack of w given on S by
+        groups, (..., groups, m^v), as a stack of lattice coeffs."""
+        return self.blocks.apply(self.A, w)
 
 
 def control_forcing(op: HumOperator, v0: np.ndarray):
     """Map ts -> coefficients of A e^{itL} v0 at each time of the array ts,
     a (len(ts),) + lattice stack, exact at any stage time. Only v0 on S is
-    read: one phase stack on the layout and one control_weight product per
+    read: one phase stack on S's groups and one control_weight product per
     group for all the times.
     """
-    X = op.spec.dispersion.ravel()[op.layout]
-    v = v0.ravel()[op.layout]
+    X = op.blocks.gather(op.spec.dispersion)
+    v = op.blocks.gather(v0)
     return lambda ts: op.control_weight(free_phase(ts, X) * v)
 
 
@@ -363,13 +336,13 @@ def _transported_rhs(prob: ControlProblem) -> np.ndarray:
 def _solve_hum_system(
     prob: ControlProblem, op: HumOperator, rhs: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Lambda[S, S] x = b by the block inverses of op.factors, on the
-    layout: b = rhs on S (the Galerkin projection onto S), gathered once,
+    """Lambda[S, S] x = b by the block inverses of op.factors, on S's
+    groups: b = rhs on S (the Galerkin projection onto S), gathered once,
     x = inv @ b one product per group, and x scattered once into lattice
     coefficients. The gate reads the true residual ||b - Lambda[S, S] x|| /
     ||b||, so a singular Lambda fails it."""
     w, inv = op.factors
-    b = rhs.ravel()[op.layout][..., None]
+    b = op.blocks.gather(rhs)[..., None]
     x = inv @ b
     bnorm = float(np.linalg.norm(b))
     relres = float(np.linalg.norm(b - op.block @ x))
@@ -380,9 +353,7 @@ def _solve_hum_system(
             f"(lambda_min = {w.min():.3e}); the control region may not be observable "
             "(GCC violated?)"
         )
-    v0 = np.zeros(rhs.shape, dtype=complex)
-    v0.reshape(-1)[op.layout] = x[..., 0]
-    return v0, relres
+    return op.blocks.scatter(x[..., 0]), relres
 
 
 def _h2_miss(prob: ControlProblem, uT: np.ndarray) -> float:
@@ -413,10 +384,10 @@ def _verify_linear_march(prob: ControlProblem, op: HumOperator, v0: np.ndarray) 
     digits where X dt passes pi.
     """
     T, dt = prob.T, step_grid(prob.T, prob.verify_dt)[1]
-    X = prob.spec.dispersion.ravel()[op.rows]
-    Xk = X[:, None, :op.layout.shape[1]]  # the layout, first in every row
+    X = op.blocks.gather(prob.spec.dispersion, rows=True)
+    Xk = op.blocks.gather(prob.spec.dispersion)[:, None, :]  # the columns
     tab = Etdrk4Tableau(1j * X, dt)
-    K = time_average_kernel(X, T, prob.verify_dt, np.arange(Xk.shape[-1]))
+    K = time_average_kernel(X, T, prob.verify_dt, Xk[:, 0])
     K /= dt
     K -= 0.5 * (free_phase(T, Xk) * free_phase(-T, X)[..., None] - 1.0)
     K *= free_phase(T - dt, X)[..., None] * (
@@ -425,7 +396,7 @@ def _verify_linear_march(prob: ControlProblem, op: HumOperator, v0: np.ndarray) 
     )
     K *= op.A
     uT = free_phase(T, prob.spec.dispersion) * prob.u0.coeffs
-    return _h2_miss(prob, uT - 1j * op._scatter(K, v0.ravel()[op.layout]))
+    return _h2_miss(prob, uT - 1j * op.blocks.apply(K, op.blocks.gather(v0)))
 
 
 def _verify_closed_form(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -> float:

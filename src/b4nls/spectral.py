@@ -33,11 +33,13 @@ Every route takes |v|^{2k} v from one helper: the cube as v conj(v) v.
 
 The control weight a (1-Lap)^{-2} (a u) is one kernel operation, sandwich,
 which owns its multiplier: the damping operator and the HUM operator both
-apply it. Other powers of (1 - Lap) are sobolev_weights(spec, -m). The dense
-blocks of a kernel that maps no group of modes into another come from one
-builder, kernel_blocks, one apply per mode of a group: D's blocks, HUM's A
-and the band Gramian's weight (one group) are built through it. Each caller
-applies its blocks on its own layout (hum's solve, D's by_blocks).
+apply it. Other powers of (1 - Lap) are sobolev_weights(spec, -m). A grid
+product with a profile maps no mode into one that differs from it on an
+axis where the profile is constant, so its matrix falls into blocks: one
+type, KernelBlocks, holds them for the damped flow's J and HUM's A and
+Lambda, and gathers, scatters and applies them by cuts and transposes of
+the band cube. Its blocks and the band Gramian's weight (one group, an
+annulus) are tabulated by kernel_blocks, one apply per mode of a group.
 
 Every H^s norm of coefficients is hs_norm, and every free phase e^{itX}
 over a dispersion array X is free_phase.
@@ -453,11 +455,12 @@ def sandwich(spec: ManifoldSpec, a: np.ndarray, coeffs: np.ndarray) -> np.ndarra
 KERNEL_BATCH = 8
 
 # Entries of one stack of blocks (64 MiB of complex), the one cap on what a
-# kernel's blocks may hold: D's blocks and J's inverses, HUM's A and Lambda.
-# Near it, on a 2-core Xeon VM with one BLAS thread: a d2N64 ball damping
-# operator, one block of 43^2 modes, takes 2.2 s to build and 13 ms per
-# ETDRK4 step; unbanded d1N2048 control, one block of 2048 (cond 5.8e11 on
-# the default strip), 1.1 s to build and 11-14 s for its eigh.
+# kernel's blocks may hold, checked by KernelBlocks before it probes: the
+# damped flow's J and its inverse, HUM's A and Lambda. Near it, on a 2-core
+# Xeon VM with one BLAS thread: a d2N64 ball damping operator, one block of
+# 43^2 modes, takes 2.2 s to build and 13 ms per ETDRK4 step; unbanded
+# d1N2048 control, one block of 2048 (cond 5.8e11 on the default strip),
+# 1.1 s to build and 11-14 s for its eigh.
 MAX_BLOCK_ENTRIES = 2**22
 
 
@@ -485,22 +488,91 @@ def kernel_blocks(spec: ManifoldSpec, kernel, layout: np.ndarray, rows: np.ndarr
     return out
 
 
-def block_axes(profile: DampingProfile) -> tuple[int, ...]:
-    """The d axes in block order: the profile's constant axes, then the
-    axes it varies on."""
-    shape = profile.compact.shape
-    return tuple(sorted(range(len(shape)), key=lambda axis: shape[axis] > 1))
+def _moved(lead: int, axes: tuple[int, ...]) -> tuple[int, ...]:
+    """The transpose that permutes the axes after the first lead by axes."""
+    return tuple(range(lead)) + tuple(lead + axis for axis in axes)
 
 
-def block_layout(profile: DampingProfile, modes: np.ndarray) -> np.ndarray:
-    """The flat indices modes of a lattice cube of side m, in lattice order,
-    as m^(d-v) rows of m^v: the cube's axes permuted into block_axes. A
-    kernel of grid products with the profile is diagonal in the constant
-    axes' wavenumbers: no row maps into another."""
-    d = profile.spec.d
-    varying = sum(n > 1 for n in profile.compact.shape)
-    m = round(len(modes) ** (1.0 / d))
-    return modes.reshape((m,) * d).transpose(block_axes(profile)).reshape(-1, m**varying)
+class KernelBlocks:
+    """The blocks of a kernel of grid products with a profile (the control
+    weight, say) on the modes with every |k_i| <= band, all for None.
+
+    In block order, the profile's constant axes first, the band cube (side
+    m) falls into groups of m^v modes that share their wavenumbers there (v
+    varying axes), and the kernel maps each group into its rows, the n^v
+    modes that share them; stack holds M[rows, columns] per group, (groups,
+    n^v, m^v). Arrays are lattice arrays, or box arrays with box=True.
+    gather cuts an array, or a stack of them, to the columns (or rows),
+    transposes it into block order and reshapes it to (..., groups, m^v);
+    scatter undoes that, into zeros, or as the transposed view when the cut
+    is the whole array. The constructor refuses blocks above
+    MAX_BLOCK_ENTRIES, then tabulates kernel, if given, by kernel_blocks.
+    """
+
+    def __init__(self, profile: DampingProfile, band: int | None = None, box: bool = False,
+                 kernel=None):
+        spec, shape = profile.spec, profile.compact.shape
+        self.axes = tuple(sorted(range(spec.d), key=lambda axis: shape[axis] > 1))
+        self.back = tuple(np.argsort(self.axes).tolist())
+        n = 2 * (spec.N // 3) + 1 if box else spec.N
+        self.shape, self.constant = (n,) * spec.d, shape.count(1)
+        whole = band is None or band >= n // 2
+        cube = slice(None) if whole else slice(n // 2 - band, n // 2 + band + 1)
+        self._cuts = {}  # entries of a group -> (index, sides in block order)
+        for cut in ((cube,) * spec.d, tuple(cube if side == 1 else slice(None) for side in shape)):
+            sides = tuple(len(range(n)[cut[axis]]) for axis in self.axes)
+            self._cuts[math.prod(sides[self.constant:])] = ((Ellipsis,) + cut, sides)
+        self.groups = math.prod(sides[:self.constant])
+        self.width, self.height = min(self._cuts), max(self._cuts)
+        self.entries = self.groups * self.height * self.width  # of one stack
+        check_block_entries(self.entries, "the operator's blocks",
+                            "use a profile constant along more axes, or a smaller N"
+                            + ("" if box else ", or a narrower band"))
+        self.stack = None
+        if kernel is not None:
+            modes = np.arange(spec.n_modes).reshape(spec.shape)
+            modes = modes[spec.box] if box else modes
+            self.stack = kernel_blocks(spec, kernel, self.gather(modes),
+                                       self.gather(modes, rows=True))
+
+    def gather(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
+        """x's columns (or rows) by groups, (..., groups, m^v (or n^v))."""
+        length = self.height if rows else self.width
+        lead = x.ndim - len(self.shape)
+        x = x[self._cuts[length][0]].transpose(_moved(lead, self.axes))
+        return x.reshape(x.shape[:lead] + (-1, length))
+
+    def scatter(self, y: np.ndarray) -> np.ndarray:
+        """The arrays of y, given by groups on the columns or on the rows
+        (as its last axis says), zero elsewhere."""
+        index, sides = self._cuts[y.shape[-1]]
+        lead = y.ndim - 2
+        x = y.reshape(y.shape[:lead] + sides).transpose(_moved(lead, self.back))
+        if x.shape[lead:] == self.shape:
+            return x
+        out = np.zeros(y.shape[:lead] + self.shape, dtype=complex)
+        out[index] = x
+        return out
+
+    def apply(self, stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """stack (the kernel's blocks or any on its groups) applied to w,
+        (..., groups, m^v), and scattered: one vector as (groups, n^v, m^v)
+        @ (groups, m^v, 1), a stack of L as (groups, L, m^v) @ stack^T."""
+        if w.ndim == 2:
+            return self.scatter((stack @ w[..., None])[..., 0])
+        lead = w.shape[:-2]
+        y = np.moveaxis(w, -2, 0).reshape(self.groups, -1, self.width) @ np.swapaxes(stack, 1, 2)
+        return self.scatter(np.moveaxis(y.reshape((self.groups,) + lead + (-1,)), 0, -2))
+
+    def own(self, stack: np.ndarray) -> np.ndarray:
+        """The rows of each block in its own columns, M[S, S]'s blocks for S
+        the cube: a view of stack unless the band cuts two varying axes."""
+        if self.height == self.width:
+            return stack
+        (index, _), (_, sides), c = self._cuts[self.width], self._cuts[self.height], self.constant
+        rows = stack.reshape((self.groups,) + sides[c:] + (self.width,))
+        rows = rows[(slice(None),) + tuple(index[1 + axis] for axis in self.axes[c:])]
+        return rows.reshape(self.groups, self.width, self.width)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from b4nls.bourgain import SpaceTimeField, make_taper
 from b4nls.hum import HumOperator, _verify_closed_form, _verify_integrator
 from b4nls.regions import TWO_PI
 from b4nls.resonance import ResonanceError
-from b4nls.spectral import SpectralField, sobolev_weights
+from b4nls.spectral import SpectralField, box_mask, sobolev_weights
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,29 @@ def enumerate_pairs(K: int, L: int, tau: Fraction, p: int, q: int) -> list[tuple
 # ---------------------------------------------------------------------------
 # hum
 # ---------------------------------------------------------------------------
+
+def operator_layout(phi, band):
+    """(layout, rows) in flat lattice indices: the support S a dual datum
+    may occupy, the modes with every |k_i| <= band or every mode when band
+    is None, as m^(d-v) groups of m^v modes (phi varies along v axes): the
+    cube of S with its axes permuted so that phi's constant axes come
+    first. For each group, rows holds the N^v modes with its wavenumbers on
+    the constant axes, the group's own first, then the others in lattice
+    order."""
+    spec, shape = phi.spec, phi.compact.shape
+    axes = sorted(range(spec.d), key=lambda axis: shape[axis] > 1)
+    v = sum(n > 1 for n in shape)
+
+    def grouped(modes):
+        m = round(len(modes) ** (1.0 / spec.d))
+        return modes.reshape((m,) * spec.d).transpose(axes).reshape(-1, m**v)
+
+    full = grouped(np.arange(spec.n_modes))
+    layout = full if band is None else grouped(np.flatnonzero(box_mask(spec, band)))
+    rows = full[np.isin(full, layout).any(axis=1)]
+    own = np.isin(rows[0], layout[0])  # the same places in every group
+    return layout, np.concatenate([rows[:, own], rows[:, ~own]], axis=1)
+
 
 def verify_certificate(prob, cert) -> float:
     """Recompute the terminal residual of a certificate from a fresh

@@ -74,3 +74,29 @@ def test_every_import_is_used_or_a_wrapped_re_import(monkeypatch):
                 unused.append(f"{module}.{name}")
     assert unused == [], "imported but unused: delete the import"
     assert unwrapped == [], "a # noqa: F401 re-import that no bench wrap point names"
+
+
+def test_a_traced_bench_run_counts_its_layers(monkeypatch, tmp_path):
+    # the counters read call arguments by position (HumOperator.__init__'s
+    # spec, evolve_damped's T and cfg), so a signature change shows here,
+    # not only in a traced bench run: control-linear and stabilize at seed 0
+    points = load_wrap_points(monkeypatch)
+    spec = importlib.util.spec_from_file_location("_bench_tracer", os.path.join(BENCH, "tracer.py"))
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # for its dataclass
+    spec.loader.exec_module(tracer_module)
+    from b4nls import cli
+
+    tracer = tracer_module.Tracer(points)
+    tracer.install()
+    try:
+        for kind in ("control-linear", "stabilize"):
+            with open(os.path.join(BENCH, "configs", f"{kind}.ini")) as fh:
+                (tmp_path / f"{kind}.ini").write_text(fh.read().replace("{seed}", "0"))
+            cli.run_config(str(tmp_path / f"{kind}.ini"), str(tmp_path / kind))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.counters["hum.assembly_bytes"] == 2 * 16 * 32**4
+    # stabilize's 200 steps; the linear certificate sums its march in closed form
+    assert tracer.counters["dynamics.steps"] == 200

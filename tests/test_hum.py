@@ -21,7 +21,7 @@ from b4nls.spectral import (
     MAX_BLOCK_ENTRIES, box_mask, free_phase, hs_norm, nonlinear_term, profile_product,
     sandwich, sobolev_weights,
 )
-from oracles import propagate_free, verify_certificate
+from oracles import operator_layout, propagate_free, verify_certificate
 
 PI = math.pi
 
@@ -34,12 +34,14 @@ def rand_field(spec, seed, **kw):
     return b.random_field(spec, np.random.default_rng(seed), **kw)
 
 
-def dense_of(op, blocks):
+def dense_of(phi, band, blocks):
     """The n x n matrix that holds an operator's block stack on its
-    (rows x layout) entries and 0.0 elsewhere."""
-    n = op.spec.n_modes
+    (rows x layout) entries and 0.0 elsewhere: the oracle layout's, each
+    group's rows in lattice order, as the operator keeps them."""
+    layout, rows = operator_layout(phi, band)
+    n = phi.spec.n_modes
     out = np.zeros((n, n), dtype=complex)
-    out[op.rows[:, :, None], op.layout[:, None, :]] = blocks
+    out[np.sort(rows, axis=1)[:, :, None], layout[:, None, :]] = blocks
     return out
 
 
@@ -103,11 +105,12 @@ def test_time_kernel_holds_one_complex_array(quadrature):
 
 def test_the_dual_support_has_one_owner():
     # the problem's operator cap and datum check and the operator's blocks
-    # all read hum.operator_layout: box_mask is called once in hum.py
+    # all read the support from spectral.KernelBlocks: hum.py calls no
+    # box_mask, and the operator's groups are the oracle layout's
     spec = b.make_torus(2, 16, 1.0)
     phi = strip_phi(spec, 0.6)
     for band, S in ((None, np.arange(spec.n_modes)), (3, np.flatnonzero(box_mask(spec, 3)))):
-        layout, rows = hum.operator_layout(phi, band)
+        layout, rows = operator_layout(phi, band)
         assert np.array_equal(np.sort(layout.ravel()), S)
         # rows[j]: layout[j] first, then every other mode with its k_1
         assert np.array_equal(rows[:, :layout.shape[1]], layout)
@@ -115,12 +118,14 @@ def test_the_dual_support_has_one_owner():
         k1 = np.unravel_index(rows, spec.shape)[1]
         assert np.all(k1 == np.unravel_index(layout[:, :1], spec.shape)[1])
         op = HumOperator(spec, phi, 0.5, band=band)
-        assert np.array_equal(op.layout, layout) and np.array_equal(op.rows, rows)
+        modes = np.arange(spec.n_modes).reshape(spec.shape)
+        assert np.array_equal(op.blocks.gather(modes), layout)
+        assert np.array_equal(op.blocks.gather(modes, rows=True), np.sort(rows, axis=1))
     for region in (b.Strip(PI / 2, 3 * PI / 2, 1), b.Ball((PI, PI), 2.5)):
-        layout, rows = hum.operator_layout(b.make_damping_profile(spec, region, 0.6), 3)
+        layout, rows = operator_layout(b.make_damping_profile(spec, region, 0.6), 3)
         assert np.array_equal(rows[:, :layout.shape[1]], layout)
     source = Path(hum.__file__).read_text()
-    assert source.count("box_mask(") == 1
+    assert source.count("box_mask(") == 0
 
 
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
@@ -131,19 +136,20 @@ def test_banded_operator_is_the_full_operators_support_columns(d, N):
     # the block assembly of A against the dense oracle M S^2 M
     M = multiplication_matrix(spec, phi.values)
     dense = (M * sobolev_weights(spec, -2).ravel()[None, :]) @ M
-    assert np.abs(dense_of(full, full.A) - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert np.abs(dense_of(phi, None, full.A) - dense).max() <= 1e-13 * np.abs(dense).max()
     assert full.matrix.shape == full.block.shape == (N ** (d - 1), N, N)
     banded = HumOperator(spec, phi, 0.8, band=3)
     S = np.flatnonzero(box_mask(spec, 3))
     assert banded.A.shape == banded.matrix.shape == (7 ** (d - 1), N, 7)
-    assert np.array_equal(np.sort(banded.layout.ravel()), S)
+    modes = np.arange(spec.n_modes).reshape(spec.shape)
+    assert np.array_equal(np.sort(banded.blocks.gather(modes).ravel()), S)
     for part in ("A", "matrix"):
-        ref = dense_of(full, getattr(full, part))
+        ref = dense_of(phi, None, getattr(full, part))
         ref[:, np.delete(np.arange(spec.n_modes), S)] = 0.0
-        got = dense_of(banded, getattr(banded, part))
+        got = dense_of(phi, 3, getattr(banded, part))
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.shares_memory(banded.block, banded.matrix)
-    assert np.array_equal(banded.block, banded.matrix[:, :7])
+    assert np.array_equal(banded.block, banded.matrix[:, N // 2 - 3:N // 2 + 4])
 
 
 def test_multiplication_matrix_matches_grid_product():
@@ -218,7 +224,7 @@ def test_control_cost_reciprocity():
     op = HumOperator(spec, phi, T)
     X = spec.dispersion.ravel()
     v0 = rand_field(spec, 5).coeffs
-    lam = dense_of(op, op.A) * time_average_kernel(X, T, dt)  # the trapezoid rule on the same grid
+    lam = dense_of(phi, None, op.A) * time_average_kernel(X, T, dt)  # the trapezoid rule on the same grid
     lhs = float(np.real(np.vdot(v0.ravel(), lam @ v0.ravel())))
     n = round(T / dt)
     ts = np.linspace(0.0, T, n + 1)
@@ -382,13 +388,14 @@ def test_certificate_residual_is_the_true_residual():
     prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12)
     cert = b.solve_linear_control(prob)
     op = HumOperator(spec, prob.phi, prob.T)
-    S = op.layout.ravel()
+    layout = operator_layout(prob.phi, None)[0]
+    S = layout.ravel()
     bs = hum._transported_rhs(prob).ravel()[S]
-    x = cert.dual_datum.ravel()[op.layout][..., None]
+    x = cert.dual_datum.ravel()[layout][..., None]
     true = np.linalg.norm(bs - (op.block @ x).ravel())
     assert cert.cg_residuals[0] == pytest.approx(true / np.linalg.norm(bs), rel=1e-12)
     assert cert.cg_residuals[0] <= prob.cg_tol
-    ev = np.linalg.eigvalsh(dense_of(op, op.matrix)[np.ix_(S, S)])
+    ev = np.linalg.eigvalsh(dense_of(prob.phi, None, op.matrix)[np.ix_(S, S)])
     assert cert.lambda_min == pytest.approx(ev[0], rel=1e-8)
     assert cert.condition == pytest.approx(ev[-1] / ev[0], rel=1e-8)
 
@@ -404,9 +411,11 @@ def test_strip_gramian_is_block_diagonal(d, N, width, band):
     phi = strip_phi(spec, width)
     op = HumOperator(spec, phi, 0.8, band=band)
     m = N if band is None else 2 * band + 1
-    assert op.layout.shape == (m ** (d - 1), m) and op.rows.shape == (m ** (d - 1), N)
+    layout, rows_of = operator_layout(phi, band)
+    rows_of = np.sort(rows_of, axis=1)  # the operator keeps each group's rows in lattice order
+    assert layout.shape == (m ** (d - 1), m) and rows_of.shape == (m ** (d - 1), N)
     s2 = sobolev_weights(spec, -2)
-    for group, rows in zip(op.layout, op.rows):
+    for group, rows in zip(layout, rows_of):
         e = np.zeros((len(group), spec.n_modes), dtype=complex)
         e[np.arange(len(group)), group] = 1.0
         cols = sandwich(spec, phi.compact, e.reshape((-1,) + spec.shape))
@@ -415,7 +424,7 @@ def test_strip_gramian_is_block_diagonal(d, N, width, band):
     A = (M * s2.ravel()) @ M
     lam = A * time_average_kernel(spec.dispersion.ravel(), 0.8, None)
     for part, dense in (("A", A), ("matrix", lam)):
-        ref = np.stack([dense[np.ix_(r, g)] for r, g in zip(op.rows, op.layout)])
+        ref = np.stack([dense[np.ix_(r, g)] for r, g in zip(rows_of, layout)])
         assert np.abs(getattr(op, part) - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.all(np.abs(np.diagonal(op.block, axis1=1, axis2=2)) > 0.0)
 
@@ -429,8 +438,8 @@ def test_block_solve_matches_a_dense_solve(d, N, band):
     op = HumOperator(spec, prob.phi, prob.T, band=band)
     rhs = hum._transported_rhs(prob)
     v0, _ = hum._solve_hum_system(prob, op, rhs)
-    S = op.layout.ravel()
-    dense = np.linalg.solve(dense_of(op, op.matrix)[np.ix_(S, S)], rhs.ravel()[S])
+    S = operator_layout(prob.phi, band)[0].ravel()
+    dense = np.linalg.solve(dense_of(prob.phi, band, op.matrix)[np.ix_(S, S)], rhs.ravel()[S])
     x = v0.ravel()[S]
     assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
 
@@ -443,8 +452,8 @@ def test_block_solve_matches_the_cg_oracle():
     prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
     op = HumOperator(spec, prob.phi, prob.T, band=3)
     rhs = hum._transported_rhs(prob)
-    S = op.layout.ravel()
-    lam = dense_of(op, op.matrix)[np.ix_(S, S)]
+    S = operator_layout(prob.phi, 3)[0].ravel()
+    lam = dense_of(prob.phi, 3, op.matrix)[np.ix_(S, S)]
     x_cg, _, _ = cg_hermitian(lambda z: lam @ z, rhs.ravel()[S], tol=1e-13, max_iter=200)
     x = hum._solve_hum_system(prob, op, rhs)[0].ravel()[S]
     assert np.linalg.norm(x - x_cg) <= 1e-11 * np.linalg.norm(x_cg)

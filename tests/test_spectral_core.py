@@ -14,10 +14,11 @@ from hypothesis.extra.numpy import arrays
 import b4nls as b
 from b4nls.cli import _build_spec, _load_config
 from b4nls.dynamics import energy
-from b4nls.hum import multiplication_matrix, operator_layout
+from b4nls.hum import multiplication_matrix
 from b4nls.regions import contains, inside_depth
 from b4nls.spectral import (
     KERNEL_BATCH,
+    KernelBlocks,
     SNAPSHOT_HEADER,
     _signed_coeffs,
     _signed_grid,
@@ -29,7 +30,6 @@ from b4nls.spectral import (
     dealiased_term_kernel,
     dense_term_route,
     free_phase,
-    block_layout,
     hs_norm,
     kernel_blocks,
     nonlinear_term,
@@ -38,7 +38,7 @@ from b4nls.spectral import (
     smooth_ramp,
     sobolev_weights,
 )
-from oracles import coeffs_to_grid, grid_to_coeffs, propagate_free
+from oracles import coeffs_to_grid, grid_to_coeffs, operator_layout, propagate_free
 
 PI = math.pi
 
@@ -624,14 +624,70 @@ def test_kernel_blocks_match_the_dense_oracle(d, N, kernel):
         }[kernel]
         scale = np.abs(dense).max()
         layout, rows = operator_layout(phi, N // 3)
-        assert np.array_equal(layout, block_layout(phi, box))
+        box_modes = np.arange(spec.n_modes).reshape(spec.shape)[spec.box]
+        assert np.array_equal(layout, KernelBlocks(phi, box=True).gather(box_modes))
         assert layout.shape[1] % KERNEL_BATCH != 0
         for r in (layout, rows):
             ref = np.stack([dense[np.ix_(rj, lj)] for rj, lj in zip(r, layout)])
             assert np.abs(kernel_blocks(spec, apply, layout, r) - ref).max() <= 1e-13 * scale
+        # the block type keeps each group's rows in lattice order
+        ref = np.stack([dense[np.ix_(rj, lj)] for rj, lj in zip(np.sort(rows, axis=1), layout)])
+        assert np.abs(KernelBlocks(phi, N // 3, kernel=apply).stack - ref).max() <= 1e-13 * scale
         one = kernel_blocks(spec, apply, box[None], some[None])
         assert one.shape == (1, len(some), len(box))
         assert np.abs(one[0] - dense[np.ix_(some, box)]).max() <= 1e-13 * scale
+
+
+def _block_profiles(spec):
+    """A strip across each axis, the cross (two strips on axis 0 at d = 1,
+    on axes 0 and 1 above), a ball and a constant profile."""
+    d = spec.d
+    cross = (b.RegionUnion((b.Strip(0.0, 1.0), b.Strip(PI, PI + 1.0))) if d == 1
+             else b.RegionUnion((b.Strip(0.0, 1.0, 0), b.Strip(0.0, 1.0, 1))))
+    regions = [b.Strip(1.0, 3.0, axis) for axis in range(d)] + [cross, b.Ball((PI,) * d, 2.5)]
+    return ([b.make_damping_profile(spec, region, 0.4) for region in regions]
+            + [b.DampingProfile(spec, np.full(spec.shape, 0.8))])
+
+
+@pytest.mark.parametrize("d, N", [(1, 16), (2, 12), (3, 8)])
+@pytest.mark.parametrize("band", [None, 0, 2, "box", "half", "above"])
+def test_kernel_blocks_gather_scatter_and_apply_are_fancy_indexing_on_the_oracle_layout(d, N, band):
+    # the block type cuts, transposes and reshapes; the oracle's flat
+    # layout and rows say where each entry goes. "box" is band N // 3 on
+    # box arrays, where the rows of every group are its columns; "half"
+    # and "above" are bands N / 2 and N, every lattice mode
+    spec = b.make_torus(d, N, 1.0)
+    rng = np.random.default_rng(d)
+    box = band == "box"
+    lattice_band = {"box": N // 3, "half": N // 2, "above": N}.get(band, band)
+    for prof in _block_profiles(spec):
+        blocks = KernelBlocks(prof, lattice_band, box=box)
+        layout, rows = operator_layout(prof, lattice_band)
+        rows = np.sort(rows, axis=1)
+        shape = spec.shape
+        if box:  # flat indices of the box array: its modes in lattice order
+            layout = rows = np.searchsorted(np.flatnonzero(spec.dealias_mask), layout)
+            shape = (2 * (N // 3) + 1,) * d
+        assert (blocks.groups, blocks.height, blocks.width) == rows.shape + layout.shape[1:]
+        x = rng.standard_normal((3, 2) + shape) + 1j * rng.standard_normal((3, 2) + shape)
+        flat = x.reshape(3, 2, -1)
+        assert np.array_equal(blocks.gather(x), flat[..., layout])
+        assert np.array_equal(blocks.gather(x, rows=True), flat[..., rows])
+        assert np.array_equal(blocks.gather(x[1, 0]), flat[1, 0, layout])
+        for index in (layout, rows):
+            y = rng.standard_normal((3, 2) + index.shape) + 0j
+            ref = np.zeros(flat.shape, dtype=complex)
+            ref[..., index] = y
+            assert np.array_equal(blocks.scatter(y), ref.reshape(x.shape))
+        stack = rng.standard_normal(rows.shape + layout.shape[1:]) + 0j
+        own = np.isin(rows[0], layout[0])
+        assert np.array_equal(blocks.own(stack), stack[:, own])
+        for w in (flat[..., layout], flat[0, 1, layout]):  # a stack with leading axes, one vector
+            ref = np.zeros(w.shape[:-2] + flat.shape[-1:], dtype=complex)
+            ref[..., rows] = np.einsum("gij,...gj->...gi", stack, w)
+            got = blocks.apply(stack, w)
+            assert got.shape == w.shape[:-2] + shape
+            assert np.abs(got.reshape(ref.shape) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _profile_cases():
@@ -856,22 +912,25 @@ def test_grid_operations_live_only_in_the_kernel():
 
 
 def test_every_kernel_tabulation_goes_through_the_block_builder():
-    # D's blocks, HUM's A and the band Gramian's weight: kernel_blocks has
-    # these three callers, and neither hum nor observability tabulates a
-    # kernel on an identity
+    # the damped flow's J, HUM's A and the band Gramian's weight: kernel_blocks
+    # has two callers, the block type's constructor (J and A) and the band
+    # Gramian, whose band is an annulus; neither hum nor observability
+    # tabulates a kernel on an identity, and the block cap has one caller
     src = Path(b.__file__).parent
-    callers = []
+    callers = {"kernel_blocks": [], "check_block_entries": []}
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        callers += [
-            f"{path.stem}.{fn.name}"
-            for fn in ast.walk(ast.parse(text)) if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "kernel_blocks"
-        ]
+        for name, found in callers.items():
+            found += [
+                f"{path.stem}.{fn.name}"
+                for fn in ast.walk(ast.parse(text)) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            ]
         if path.name in ("hum.py", "observability.py"):
             assert "np.eye(" not in text, path.name
-    assert sorted(callers) == ["dynamics.__init__", "hum.__init__", "observability.dense"]
+    assert sorted(callers["kernel_blocks"]) == ["observability.dense", "spectral.__init__"]
+    assert callers["check_block_entries"] == ["spectral.__init__"]
 
 
 def _takes_a_phase(nodes):
