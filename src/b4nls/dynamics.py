@@ -29,10 +29,15 @@ The semidiscrete system keeps the state in the 2/3-rule dealiasing box and
 evaluates |u|^{2k} u pointwise on the grid. A march carries the box array
 itself (spec.box: m^d coefficients, m = 2 floor(N/3) + 1, against N^d on
 the lattice), with its tableau, its guard weights and its term kernel
-built on the box once, before the loop. Every march steps in _steps; a
-trace writes each record into its lattice stack as it comes, and HUM's
-correction streams its first stages' terms (forced_term_blocks). With
-that convention mass, energy and the damping-flux identity
+built on the box once, before the loop. The scheme is written once, as
+Etdrk4Tableau's stage rows, with two evaluators: the box stepper, whose
+stages call the term kernel, and for an undamped march at d = 1 up to a
+measured break-even N (grid_step_route) the grid stepper, whose stages
+are products with matrices composed once per run. A forcing enters both
+as per-block offsets, the rows on its samples. Every march steps in
+_steps; a trace writes each record into its lattice stack as it comes,
+and HUM's correction streams its first stages' terms (forced_term_blocks).
+With that convention mass, energy and the damping-flux identity
 
     E(t) - E(0) = - int_0^t || (1-Lap)^{-1} ( a u_t ) ||_{L^2}^2
 
@@ -48,6 +53,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +65,9 @@ from .spectral import (
     ManifoldSpec,
     SpectralField,
     KernelBlocks,
+    _dense_term_axis,
     _grid_modulus,
+    _power_term,
     dealiased_term_kernel,
     load_field,
     sandwich,
@@ -183,8 +191,15 @@ def _phi(z: np.ndarray) -> np.ndarray:
 
 class Etdrk4Tableau:
     """Precomputed exponential coefficients for a diagonal generator, the one
-    owner of the scheme's weights: a step is E u + f1 n0 + f2 (na + nb) +
-    f3 nc, f2 weighing both middle stages."""
+    owner of the scheme's weights and of its stage rows. With n0, na, nb, nc
+    the stage terms of the states u, a, b, c, a step is
+
+        a = E2 u + Q n0,   b = E2 u + Q na,   c = E2 a + Q (2 nb - n0),
+        end = E u + f1 n0 + f2 (na + nb) + f3 nc,
+
+    f2 weighing both middle stages: rows maps each name to its linear map
+    of the values named before it, the stage term of row r named "n" + r,
+    and the terms given over i, whose factor rides on Q, f1, f2 and f3."""
 
     def __init__(self, lin: np.ndarray, dt: float):
         z = dt * lin
@@ -196,25 +211,40 @@ class Etdrk4Tableau:
         self.f2 = 2.0 * (dt * (p2 - 2.0 * p3))  # weighs both middle stages
         self.f3 = dt * (4.0 * p3 - p2)
 
-    def stepper(self, stage):
-        """The step (u, g) -> u', where g holds stage's second argument (the
-        forcing, say) at the step's start, midpoint and end, and stage maps
-        a stage state and that argument to its term over i: the scheme's
-        nonlinear part is i stage(...). The factor i rides on the weights Q,
-        f1, f2 and f3, multiplied here once, so that no stage pays it."""
+    @cached_property
+    def rows(self) -> dict:
         E, E2 = self.E, self.E2
         Q, f1, f2, f3 = (1j * w for w in (self.Q, self.f1, self.f2, self.f3))
+        return {
+            "a": lambda x: E2 * x["u"] + Q * x["n0"],
+            "b": lambda x: E2 * x["u"] + Q * x["na"],
+            "c": lambda x: E2 * x["a"] + Q * (2.0 * x["nb"] - x["n0"]),
+            "end": lambda x: E * x["u"] + f1 * x["n0"] + f2 * (x["na"] + x["nb"]) + f3 * x["nc"],
+        }
 
-        def step(u: np.ndarray, g) -> np.ndarray:
-            e2u = E2 * u
-            n0 = stage(u, g[0])
-            a = e2u + Q * n0
-            na = stage(a, g[1])
-            b = e2u + Q * na
-            nb = stage(b, g[1])
-            c = E2 * a + Q * (2.0 * nb - n0)
-            nc = stage(c, g[2])
-            return E * u + f1 * n0 + f2 * (na + nb) + f3 * nc
+    def values(self, u, n0, na, nb, nc) -> list:
+        """[a, b, c, end] for stage terms given in advance, leading axes
+        broadcast. On u = 0 and a forcing h at a step's start, midpoint
+        (twice) and end they are the offsets its forced rows subtract."""
+        x = {"u": u, "n0": n0, "na": na, "nb": nb, "nc": nc}
+        return [x.setdefault(name, rule(x)) for name, rule in self.rows.items()]
+
+    def stepper(self, stage):
+        """The box step (u, off, row) -> end, stage mapping a state to its
+        term over i; the rows subtract off if given, and row receives n0."""
+        rows = self.rows.items()
+
+        def step(u: np.ndarray, off=None, row=None) -> np.ndarray:
+            x = {"u": u, "n0": stage(u)}
+            if row is not None:
+                row[...] = x["n0"]
+            for s, (name, rule) in enumerate(rows):
+                x[name] = v = rule(x)
+                if off is not None:
+                    v = v - off[s]
+                if name != "end":
+                    x["n" + name] = stage(v)
+            return v
 
         return step
 
@@ -236,52 +266,123 @@ def step_grid(T: float, dt: float) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 # Box entries per block of forcing samples: a forced run asks for the
-# forcing once per block of steps, in a block of this size however long.
+# forcing once per block of steps, in a block of this size however long;
+# and per chunk of a block's offsets, which stay in cache as the march
+# reads them.
 _FORCING_BLOCK_ENTRIES = 32768
+_OFFSET_CHUNK_ENTRIES = 4096
+
+
+def _forcing_block(box: int) -> int:
+    """Steps per block of a forced march whose box holds box entries."""
+    return max(1, (_FORCING_BLOCK_ENTRIES // box - 1) // 2)
+
+
+def grid_step_route(spec: ManifoldSpec) -> bool:
+    """Whether an undamped march steps on the grid (_grid_stepper): at d = 1
+    up to N = 86, past which the two steps tie forced and by N = 104 the
+    grid step is the slower; never at d >= 2, where its matrices would be
+    dense N^d x N^d. Microseconds per step (k = 1, HUM control of band 3;
+    least of 3 interleaved sets of 5 runs of 2,000 steps; numpy 2.4,
+    OpenBLAS on one thread of a shared 2-core x86-64 VM):
+
+        lattice   unforced box / grid   forced box / grid
+        d1N8         22.5 / 10.2          24.6 / 12.5
+        d1N32        23.8 / 13.8          27.0 / 17.4
+        d1N64        29.7 / 20.7          35.5 / 28.1
+        d1N86        36.0 / 31.1          41.7 / 42.9
+        d1N96        38.7 / 37.9          48.1 / 48.5
+        d1N104       41.1 / 45.3          49.9 / 57.5
+        d1N128       48.0 / 86.3          59.0 / 96.8
+    """
+    return spec.N <= {1: 86}.get(spec.d, 0)
+
+
+def _grid_stepper(spec: ManifoldSpec, tab: Etdrk4Tableau, k: int):
+    """tab's step on the grid at d = 1, off holding a, b and c's offsets on
+    the grid and row receiving p0, and the maps of offsets to the grid and
+    of powers to their terms on the box. On the dense term route's
+    one-axis matrices inv and fwd a stage term is p fwd, p = |v|^{2k} v for
+    v = x inv, so each row is linear in z = [pa, u, p0, pb, pc]. The rows on
+    one-hot inputs give their weights w, and so their matrices on the slice
+    of z they read: diag(w) for u and fwd diag(w) for a power, times inv
+    for a, b and c. A step is five products and four powers."""
+    inv, fwd = _dense_term_axis(spec, k)
+    m, N = inv.shape
+    order = ("na", "u", "n0", "nb", "nc")  # z's layout: every row reads one slice
+    cuts = np.cumsum([0] + [m if name == "u" else N for name in order])
+    z = np.empty(cuts[-1], dtype=complex)
+    at = {name: z[i:j] for name, i, j in zip(order, cuts, cuts[1:])}
+    mats = []
+    for name, row in zip(tab.rows, tab.values(*np.eye(5)[:, :, None])):
+        w = dict(zip(("u", "n0", "na", "nb", "nc"), row))
+        read = [i for i, n in enumerate(order) if np.any(w[n])]
+        i, j = read[0], read[-1] + 1
+        mat = np.concatenate([np.diag(w[n]) if n == "u" else fwd * w[n] for n in order[i:j]])
+        mats.append((z[cuts[i]:cuts[j]], mat if name == "end" else mat @ inv))
+    powers = [at[name] for name in ("n0", "na", "nb", "nc")]
+
+    def step(u: np.ndarray, off=None, row=None) -> np.ndarray:
+        at["u"][...] = u
+        g = u @ inv
+        for s, (read, mat) in enumerate(mats):
+            _power_term(g, k, out=powers[s])
+            g = read @ mat
+            if off is not None:
+                g -= off[s]
+        if row is not None:
+            row[...] = powers[0]
+        return g
+
+    return step, lambda v: v @ inv, lambda p: p @ fwd
 
 
 def _forced_flow(u0: SpectralField, T: float, cfg: SolverConfig, forcing, blocks):
-    """The box march of evolve_nonlinear and forced_term_blocks: (c0, dt,
-    n_steps, term, advance), advance mapping a state to the next. blocks, if
-    a list, gets each block of steps' times t_0 ... t_B as the march asks
-    for its forcing, and B + 1 rows: the first stage of step i writes
-    |u|^{2k} u at t_i into row i before it subtracts h; row B stays open."""
+    """The march of evolve_nonlinear and forced_term_blocks: (c0, dt,
+    n_steps, term, advance, to_box), advance mapping a box array to the next
+    step. It runs the box stepper, whose stages call the term kernel, or
+    where grid_step_route says so the grid stepper, whose stages are
+    products with matrices composed once per run. A block of steps asks the
+    forcing once for its stage times not asked for before, and its offsets
+    are Etdrk4Tableau.values on those samples. blocks, if a list, gets each
+    block's times t_0 ... t_B and B + 1 rows: step i writes its first
+    stage's row at t_i into row i, which to_box maps to |u|^{2k} u on the
+    box, and row B stays open."""
     check_horizon(T)
     spec = u0.spec
     n_steps, dt = step_grid(T, cfg.dt)
     box = spec.box
     c0 = u0.coeffs[box].astype(complex)
     term = dealiased_term_kernel(spec, cfg.k_nl)
+    tab = Etdrk4Tableau(1j * spec.dispersion[box], dt)
+    step, to_grid, to_box = (_grid_stepper(spec, tab, cfg.k_nl) if grid_step_route(spec)
+                             else (tab.stepper(term), lambda v: v, lambda v: v))
 
-    def stage(cc: np.ndarray, g):
-        """i (|u|^{2k} u - h) over i, for g = (h, row); a row keeps |u|^{2k} u."""
-        h, row = g
-        out = term(cc)
-        if row is not None:
-            row[...] = out
-        if h is not None:
-            out -= h
-        return out
+    def offsets(ends, mid):
+        """Each step's offsets from its forcing at its ends and midpoint, a
+        chunk of steps at a time, so that they are in cache when read."""
+        chunk = max(1, _OFFSET_CHUNK_ENTRIES // c0.size)
+        for i in range(0, len(mid), chunk):
+            e, m = ends[i:i + chunk + 1], mid[i:i + chunk]
+            *grid, end = tab.values(0.0, e[:-1], m, m, e[1:])
+            yield from zip(*map(to_grid, grid), end)
 
     def stage_forcing():
-        """(h, row) at each step's start, midpoint and end, h on the box: a
-        block of steps asks once for its stage times not asked for before."""
-        block = max(1, (_FORCING_BLOCK_ENTRIES // c0.size - 1) // 2)
-        ends = []
+        """(offsets, row) of each step, a block of steps at a time."""
+        block, last = _forcing_block(c0.size), np.empty((0,) + c0.shape)
         for s0 in range(0, n_steps, block):
             t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
-            h = forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[min(s0, 1):]]))[box]
-            ends = ends[-1:] + list(h[len(t) - 1:])
-            rows = [None] * len(t)
+            h = forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[len(last):]]))[box]
+            ends = np.concatenate([last, h[len(t) - 1:]])
+            rows, last = itertools.repeat(None), ends[-1:].copy()
             if blocks is not None:
-                rows = np.empty((len(t),) + c0.shape, dtype=complex)
+                rows = np.empty((len(t),) + to_grid(c0).shape, dtype=complex)
                 blocks.append((t, rows))
-            for i in range(len(t) - 1):
-                yield (ends[i], rows[i]), (h[i], None), (ends[i + 1], None)
+            yield from zip(offsets(ends, h[:len(t) - 1]), rows)
+            del h, ends  # before the next block asks for its samples
 
-    step = Etdrk4Tableau(1j * spec.dispersion[box], dt).stepper(stage)
-    stages = itertools.repeat(((None, None),) * 3) if forcing is None else stage_forcing()
-    return c0, dt, n_steps, term, lambda cc: step(cc, next(stages))
+    stages = itertools.repeat((None, None)) if forcing is None else stage_forcing()
+    return c0, dt, n_steps, term, lambda cc: step(cc, *next(stages)), to_box
 
 
 def evolve_nonlinear(u0: SpectralField, T: float, cfg: SolverConfig,
@@ -295,8 +396,8 @@ def evolve_nonlinear(u0: SpectralField, T: float, cfg: SolverConfig,
     integrator error, which the ledger records. The march carries the box
     array of the state (spec.box); its records are lattice arrays.
     """
-    check_trace_size(u0.spec, T, cfg, None)
-    c0, dt, n_steps, _, advance = _forced_flow(u0, T, cfg, forcing, None)
+    check_trace_size(u0.spec, T, cfg, None, forcing is not None)
+    c0, dt, n_steps, _, advance, _ = _forced_flow(u0, T, cfg, forcing, None)
     return _march(u0.spec, c0, dt, n_steps, cfg, advance)
 
 
@@ -307,15 +408,14 @@ def forced_term_blocks(u0: SpectralField, T: float, cfg: SolverConfig, forcing):
     before, the terms of the march's first stages and the final state's.
     The blow-up guard runs at every step; nothing is kept but one block."""
     blocks = []
-    c0, dt, n_steps, term, advance = _forced_flow(u0, T, cfg, forcing, blocks)
+    c0, dt, n_steps, term, advance, to_box = _forced_flow(u0, T, cfg, forcing, blocks)
     for _, state, _ in _steps(u0.spec, c0, dt, n_steps, 1, advance, None):
         if len(blocks) == 2:  # the next block's first stage sampled this one's end
-            times, terms = blocks.pop(0)
-            terms[-1] = blocks[0][1][0]
-            yield times, terms
-    times, terms = blocks.pop()
-    terms[-1] = term(state)
-    yield times, terms
+            times, rows = blocks.pop(0)
+            rows[-1] = blocks[0][1][0]
+            yield times, to_box(rows)
+    times, rows = blocks.pop()
+    yield times, np.concatenate([to_box(rows[:-1]), term(state)[None]])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +454,7 @@ def evolve_damped(
         """w = J^{-1} v for a box array v."""
         return j.apply(j_inv, j.gather(v))
 
-    def stage(vv: np.ndarray, g) -> np.ndarray:
+    def stage(vv: np.ndarray) -> np.ndarray:
         # the v-equation's term -mult D w + i f(w) over i, with
         # D w = i (v - w): f(w) + mult (w - v)
         w = solve(vv)
@@ -372,7 +472,7 @@ def evolve_damped(
         w = solve(f)
         return u, float(np.real(np.vdot(w, 1j * (f - w))))
 
-    return _march(spec, v0, dt, n_steps, cfg, lambda vv: step(vv, (None,) * 3), recover)
+    return _march(spec, v0, dt, n_steps, cfg, step, recover)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +485,16 @@ def evolve_damped(
 _LEDGER_BLOCK_ENTRIES = 4096
 
 # bytes a trace may hold at its peak, in _march or in save_trace: the
-# (n_rec,) + lattice stack, 16 n_rec N^d B, plus the larger of the march's
-# working set (_MARCH_ARRAYS) and the save's extras, the ledger's block
-# temporaries, 16 (4 max(N^d, _LEDGER_BLOCK_ENTRIES)) B, and _RECORD_BYTES
-# per record; plus a damped march's J and J^{-1} blocks. That is 1.00-1.05
-# of the tracemalloc peak of a march of 7-19 MB, damped or not (d2N32,
-# d2N64, d2N96, d3N16). The cap admits the default stabilize horizon,
-# T = 20 at stride 1, up to d2N64 (1.32 GB).
+# (n_rec,) + lattice stack, 16 n_rec N^d B, plus the larger of the save's
+# _RECORD_BYTES per record and what a march holds until its ledger ends: J
+# and J^{-1}, the grid stepper's matrices and a forcing block's arrays,
+# beside the larger of its working set (_MARCH_ARRAYS) and the ledger's
+# block temporaries, 16 (4 max(N^d, _LEDGER_BLOCK_ENTRIES)) B. That is
+# 0.99-1.04 of the tracemalloc peak of a march of 7-19 MB, damped or not
+# (d2N32, d2N64, d2N96, d3N16), and 1.00-1.20 of the peak of march or save
+# under a HUM forcing or none, d1N32 to d3N16 over 301-5,001 records or
+# d1N8 over 20,001. The cap admits the default stabilize horizon, T = 20
+# at stride 1, up to d2N64.
 MAX_TRACE_BYTES = 2_000_000_000
 
 # box and lattice arrays a march holds beside its records and J's blocks:
@@ -412,20 +515,28 @@ def _record_count(n_steps: int, stride: int) -> int:
 
 
 def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig,
-                     profile: DampingProfile | None) -> None:
+                     profile: DampingProfile | None, forced: bool = False) -> None:
     """ValueError unless T is a horizon and the trace of a flow over T under
     cfg holds at most MAX_TRACE_BYTES at its peak; a damped flow passes its
-    profile, an undamped one None. The blocks of J are counted from their
-    shapes, and KernelBlocks refuses them above MAX_BLOCK_ENTRIES."""
+    profile, an undamped one None, a forced one forced=True. J's blocks
+    (KernelBlocks refuses them above MAX_BLOCK_ENTRIES) and the arrays of
+    the grid stepper and of a forcing block are counted from their shapes."""
     check_horizon(T)
     n_steps, _ = step_grid(T, cfg.dt)
     n_rec = _record_count(n_steps, cfg.record_stride)
-    box = int(np.count_nonzero(spec.dealias_mask))
-    march = 16 * (_MARCH_ARRAYS[0] * box + _MARCH_ARRAYS[1] * spec.n_modes)
-    save = 64 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES) + _RECORD_BYTES * n_rec
-    need = 16 * n_rec * spec.n_modes + max(march, save)
+    box, N = int(np.count_nonzero(spec.dealias_mask)), spec.N
+    held, grid = 0, profile is None and grid_step_route(spec)  # held until the ledger ends
+    if grid:  # the matrices read m + N, m + N, m + 2N and m + 4N entries of z
+        held += 16 * (N * (3 * box + 4 * N) + (box + 1) * (box + 4 * N))
+    if forced:  # a block's samples on the lattice and the box, or on the box and a chunk's offsets
+        block, chunk = min(_forcing_block(box), n_steps), max(1, _OFFSET_CHUNK_ENTRIES // box)
+        held += 16 * max(3 * block * (spec.n_modes + box),
+                         3 * block * box + chunk * (13 * box + (3 * N if grid else 0)))
     if profile is not None:
-        need += 32 * KernelBlocks(profile, box=True).entries  # J and its inverse
+        held += 32 * KernelBlocks(profile, box=True).entries  # J and its inverse
+    march = 16 * (_MARCH_ARRAYS[0] * box + _MARCH_ARRAYS[1] * spec.n_modes)
+    ledger = 64 * max(spec.n_modes, _LEDGER_BLOCK_ENTRIES)
+    need = 16 * n_rec * spec.n_modes + max(held + max(march, ledger), _RECORD_BYTES * n_rec)
     if need > MAX_TRACE_BYTES:
         raise ValueError(
             f"a trace of {n_rec} records at d = {spec.d}, N = {spec.N} needs about {need} "

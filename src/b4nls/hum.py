@@ -308,16 +308,17 @@ def control_forcing(op: HumOperator, v0: np.ndarray):
 
 
 def backward_forced_initial(
-    X: np.ndarray, times: np.ndarray, forcing_samples: np.ndarray
+    phases: np.ndarray, times: np.ndarray, forcing_samples: np.ndarray
 ) -> np.ndarray:
     """Initial value of the backward problem i u_t + L u = h, u(T) = 0.
 
     u(0) = i int_0^T e^{-isL} h(s) ds, by trapezoid over the given samples,
     shaped (len(times),) + X.shape for L's dispersion X on the modes they
-    hold: spec.dispersion for lattice arrays, its box for box arrays.
+    hold (spec.dispersion for lattice arrays, its box for box arrays), with
+    phases = free_phase(-times, X): a caller that integrates by blocks
+    computes each time's phase once.
     """
-    integrand = free_phase(-np.asarray(times), X) * forcing_samples
-    return 1j * np.trapezoid(integrand, np.asarray(times), axis=0)
+    return 1j * np.trapezoid(phases * forcing_samples, np.asarray(times), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +455,15 @@ def _nonlinear_correction(prob: ControlProblem, op: HumOperator, phi0: np.ndarra
         return out
     chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
     cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
-    blocks = forced_term_blocks(zero_field(spec), prob.T, cfg, control_forcing(op, chi0))
     # i J_w = i int_0^T e^{-irL} |w|^{2k} w dr, summed over the march's blocks,
-    # and v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w), on the box
-    i_j_w = sum(backward_forced_initial(X, times, terms) for times, terms in blocks)
+    # and v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w), on the box; a
+    # block's first time is the last of the block before, and keeps its phase
+    i_j_w, last = 0.0, np.empty((0,) + X.shape)
+    for times, terms in forced_term_blocks(zero_field(spec), prob.T, cfg,
+                                           control_forcing(op, chi0)):
+        phases = np.concatenate([last, free_phase(-times[len(last):], X)])
+        last = phases[-1:]
+        i_j_w = i_j_w + backward_forced_initial(phases, times, terms)
     out[spec.box] = np.conj(free_phase(prob.T, X) * i_j_w)
     return out
 

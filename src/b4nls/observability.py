@@ -95,7 +95,8 @@ class BandGramian:
         full[self.band_idx] = vec
         batch = (free_phase(self.times, self.X) * full).reshape((-1,) + spec.shape)
         samples = profile_product(spec, self.weight_values, batch)
-        return -1j * backward_forced_initial(spec.dispersion, self.times, samples).ravel()[self.band_idx]
+        phases = free_phase(-self.times, spec.dispersion)
+        return -1j * backward_forced_initial(phases, self.times, samples).ravel()[self.band_idx]
 
     def dense(self) -> np.ndarray:
         """Dense band matrix: the closed-form time kernel, multiplied in

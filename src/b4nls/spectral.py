@@ -275,10 +275,11 @@ def _grid_modulus(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
     return np.abs(_signed_grid(spec, coeffs)) * _grid_scale(spec)
 
 
-def _power_term(v: np.ndarray, k: int) -> np.ndarray:
-    """|v|^{2k} v pointwise for every term route; the cube (k = 1) as
-    v conj(v) v, with no modulus: no square root, at about half the cost."""
-    return v * v.conj() * v if k == 1 else np.abs(v) ** (2 * k) * v
+def _power_term(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """|v|^{2k} v pointwise for every term route, into out if given; the
+    cube (k = 1) as v conj(v) v, with no modulus: no square root, at about
+    half the cost."""
+    return np.multiply(v * v.conj() if k == 1 else np.abs(v) ** (2 * k), v, out=out)
 
 
 def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
@@ -557,7 +558,11 @@ class KernelBlocks:
     def apply(self, stack: np.ndarray, w: np.ndarray) -> np.ndarray:
         """stack (the kernel's blocks or any on its groups) applied to w,
         (..., groups, m^v), and scattered: one vector as (groups, n^v, m^v)
-        @ (groups, m^v, 1), a stack of L as (groups, L, m^v) @ stack^T."""
+        @ (groups, m^v, 1), a stack of L as (groups, L, m^v) @ stack^T.
+        Blocks of one mode (a constant profile) are an elementwise product,
+        by einsum, whose complex products round as matmul's do."""
+        if self.height == self.width == 1:
+            return self.scatter(np.einsum("gi,...gi->...gi", stack[..., 0], w))
         if w.ndim == 2:
             return self.scatter((stack @ w[..., None])[..., 0])
         lead = w.shape[:-2]

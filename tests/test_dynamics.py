@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from b4nls.dynamics import (
     mass,
     save_trace,
 )
-from b4nls.hum import multiplication_matrix
+from b4nls.cli import _build_spec, _load_config
+from b4nls.hum import HumOperator, control_forcing, multiplication_matrix
 from b4nls.linalg import cg_hermitian
 from b4nls.spectral import KernelBlocks, _mode_index, nonlinear_term, sandwich, sobolev_weights
 from oracles import coeffs_to_grid, grid_to_coeffs, propagate_free
@@ -200,6 +202,22 @@ def test_constant_damping_diagonal_fast_path():
     assert np.all(np.diff(trace.energies) <= 1e-12 * trace.energies[0])
 
 
+def test_a_constant_profile_applies_its_one_mode_blocks_as_the_batched_matmul(monkeypatch):
+    # a constant profile's blocks hold one mode each, and apply is an
+    # elementwise product: the trace is the batched matmul's bit for bit
+    spec = b.make_torus(2, 16, 1.0)
+    prof = b.DampingProfile(spec, np.full(spec.shape, 0.8))
+    assert KernelBlocks(prof, box=True).entries == np.count_nonzero(spec.dealias_mask)
+    u0 = smooth_datum(spec, 4, decay=2.0, h2=10.0)
+    cfg = b.SolverConfig(dt=1e-3, record_stride=10)
+    fast = b.evolve_damped(u0, prof, 0.1, cfg)
+    monkeypatch.setattr(KernelBlocks, "apply",
+                        lambda self, stack, w: self.scatter((stack @ w[..., None])[..., 0]))
+    batched = b.evolve_damped(u0, prof, 0.1, cfg)
+    for name in ("states", "masses", "energies", "fluxes"):
+        assert np.array_equal(getattr(fast, name), getattr(batched, name)), name
+
+
 def test_constant_damping_solve_matches_cg_route():
     # the block solve on a box array and a generic normal-equation CG
     # solve on the lattice agree
@@ -342,11 +360,11 @@ def test_the_flows_refuse_a_horizon_that_is_not_positive(T):
         dynamics.check_horizon(T)
 
 
-def _estimated_trace_bytes(monkeypatch, spec, T, cfg, profile, n_rec):
+def _estimated_trace_bytes(monkeypatch, spec, T, cfg, profile, n_rec, forced=False):
     """The bytes check_trace_size estimates for a trace of n_rec records."""
     monkeypatch.setattr(dynamics, "MAX_TRACE_BYTES", 0)
     with pytest.raises(ValueError, match=f"a trace of {n_rec} records") as exc:
-        dynamics.check_trace_size(spec, T, cfg, profile)
+        dynamics.check_trace_size(spec, T, cfg, profile, forced)
     return int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
 
 
@@ -411,6 +429,40 @@ def test_the_trace_size_bound_covers_the_march_and_the_save_of_a_small_lattice(
     finally:
         tracemalloc.stop()
     assert _estimated_trace_bytes(monkeypatch, spec, 20.0, cfg, None, 20001) >= max(march, saved)
+
+
+def _grid_break_even():
+    """The largest N whose d = 1 march steps on the grid."""
+    return max(N for N in range(8, 512, 2) if dynamics.grid_step_route(b.make_torus(1, N, 1.0)))
+
+
+@pytest.mark.parametrize("N", [32, _grid_break_even()])
+@pytest.mark.parametrize("forced", [False, True])
+def test_the_trace_size_bound_covers_the_grid_stepper(tmp_path, monkeypatch, N, forced):
+    # d = 1 over 500 steps at stride 1 on the grid route, whose composed
+    # matrices, and a forced run's block of samples and offsets, are held
+    # until the ledger ends: the estimate covers the traced peak of the
+    # march and of save_trace with the trace held
+    spec = b.make_torus(1, N, 1.0)
+    assert dynamics.grid_step_route(spec)
+    u0 = smooth_datum(spec, 7)
+    cfg = b.SolverConfig(dt=1e-3)
+    h = None
+    if forced:
+        op = HumOperator(spec, b.make_damping_profile(spec, b.Strip(1.0, 3.0), 0.4), 0.5, band=3)
+        h = control_forcing(op, smooth_datum(spec, 8, band=3).coeffs)
+    b.evolve_nonlinear(u0, 0.01, cfg, forcing=h)  # builds the kernel caches
+    tracemalloc.start()
+    try:
+        trace = b.evolve_nonlinear(u0, 0.5, cfg, forcing=h)
+        march = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        save_trace(trace, tmp_path, snapshot_stride=trace.n_records)
+        saved = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = _estimated_trace_bytes(monkeypatch, spec, 0.5, cfg, None, 501, forced)
+    assert max(march, saved) <= need <= 1.25 * max(march, saved)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
@@ -549,6 +601,61 @@ def test_the_nonlinear_box_march_is_the_lattice_march(d, N, forced):
     assert trace.states.shape == (2,) + spec.shape
     assert np.all(trace.states[:, ~mask] == 0.0)
     assert _rel(trace.states[-1], ref) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [8, 32, _grid_break_even()])
+@pytest.mark.parametrize("case", ["unforced", "hum", "k2"])
+def test_the_grid_march_is_the_box_march(monkeypatch, N, case):
+    # 250 steps at d = 1 on both evaluators of the scheme's rows: the grid
+    # stepper's composed matrices against the box stepper's stage calls,
+    # unforced, under a HUM control (its offsets, and the first stages'
+    # terms that forced_term_blocks streams) and for |u|^4 u; the datum's
+    # size moves the final state by 3e-2 to 1.6 relative to the free flow
+    spec = b.make_torus(1, N, 1.0)
+    assert dynamics.grid_step_route(spec)
+    k = 2 if case == "k2" else 1
+    u0 = smooth_datum(spec, 30, decay=2.0, h2=10.0)
+    cfg = b.SolverConfig(dt=1e-3, k_nl=k, record_stride=25)
+    h = None
+    if case == "hum":
+        op = HumOperator(spec, b.make_damping_profile(spec, b.Strip(1.0, 3.0), 0.4), 0.25, band=3)
+        h = control_forcing(op, smooth_datum(spec, 31, band=3, h2=1e3).coeffs)
+    runs = []
+    for grid in (True, False):
+        if not grid:
+            monkeypatch.setattr(dynamics, "grid_step_route", lambda spec: False)
+        blocks = [] if h is None else list(dynamics.forced_term_blocks(u0, 0.25, cfg, h))
+        runs.append((b.evolve_nonlinear(u0, 0.25, cfg, forcing=h).states, blocks))
+    (grid_states, grid_blocks), (box_states, box_blocks) = runs
+    assert _rel(grid_states, box_states) <= 1e-13
+    assert len(grid_blocks) == len(box_blocks)
+    for (t_grid, terms_grid), (t_box, terms_box) in zip(grid_blocks, box_blocks):
+        assert np.array_equal(t_grid, t_box)
+        assert _rel(terms_grid, terms_box) <= 1e-13
+
+
+def test_the_march_steps_on_the_grid_at_d1_up_to_the_break_even(monkeypatch):
+    # the bench's control-nonlinear lattice takes the grid route; d = 1
+    # above the break-even and every d >= 2 lattice take the box route, in
+    # evolve_nonlinear and forced_term_blocks alike
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "control-nonlinear.ini"
+    bench = _build_spec(_load_config(str(config)))
+    top = _grid_break_even()
+    cases = [(bench, True), (b.make_torus(1, top, 1.0), True), (b.make_torus(1, top + 2, 1.0), False),
+             (b.make_torus(1, 128, 1.0), False), (b.make_torus(2, 8, 1.0), False),
+             (b.make_torus(2, 32, 1.0), False), (b.make_torus(3, 8, 1.0), False)]
+    assert (bench.d, bench.N) == (1, 32)
+    built = []
+    stepper = dynamics._grid_stepper
+    monkeypatch.setattr(dynamics, "_grid_stepper", lambda *args: built.append(1) or stepper(*args))
+    cfg = b.SolverConfig(dt=1e-3)
+    for spec, grid in cases:
+        built.clear()
+        assert dynamics.grid_step_route(spec) == grid
+        h = lambda ts, spec=spec: np.ones((len(ts),) + spec.shape, dtype=complex)
+        b.evolve_nonlinear(smooth_datum(spec, 5), 0.003, cfg)
+        list(dynamics.forced_term_blocks(b.zero_field(spec), 0.003, cfg, h))
+        assert len(built) == (2 if grid else 0), (spec.d, spec.N)
 
 
 @pytest.mark.parametrize("d, N, region", [(1, 32, "strip"), (2, 16, "strip"), (2, 16, "ball")])

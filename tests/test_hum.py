@@ -205,7 +205,7 @@ def test_duality_identity_random_forcing():
     h = rng.standard_normal((len(times),) + spec.shape) + 1j * rng.standard_normal(
         (len(times),) + spec.shape
     )
-    u0 = backward_forced_initial(spec.dispersion, times, h)
+    u0 = backward_forced_initial(free_phase(-times, spec.dispersion), times, h)
     v0 = rand_field(spec, 4).coeffs
     phases = np.exp(1j * times[:, None] * spec.dispersion.ravel()[None, :])
     vt = phases * v0.ravel()[None, :]
@@ -322,9 +322,10 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     monkeypatch, d, N, region, width, band, target, verify_dt, T
 ):
     # the certificate sums the linear ETDRK4 march in closed form; the
-    # oracle steps the scheme's tableau, driven by -i h for the synthesized
-    # control h at the stage times evolve_nonlinear forms, with no
-    # nonlinear term and no mask; no src path runs that march
+    # oracle steps the scheme's tableau with no nonlinear term and no mask,
+    # the synthesized control h entering as the offsets of the table on h
+    # at the stage times evolve_nonlinear forms, which each step subtracts;
+    # no src path runs that march
     spec = b.make_torus(d, N, 1.0)
     phi = b.make_damping_profile(spec, region, width)
     rng = np.random.default_rng(30 + d)
@@ -340,12 +341,13 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     n, dt = dynamics.step_grid(T, verify_dt)
     t = np.arange(n + 1) * dt
     forcing = control_forcing(HumOperator(spec, phi, T, band), cert.dual_datum)
-    g = -forcing(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))  # the stages' -i h over i
-    ends, mids = g[:n + 1], g[n + 1:]
-    step = dynamics.Etdrk4Tableau(1j * spec.dispersion, dt).stepper(lambda c, g: g)
+    h = forcing(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+    ends, mids = h[:n + 1], h[n + 1:]
+    tab = dynamics.Etdrk4Tableau(1j * spec.dispersion, dt)
+    step = tab.stepper(np.zeros_like)
     uT = u0.coeffs.astype(complex)
-    for i in range(n):
-        uT = step(uT, (ends[i], mids[i], ends[i + 1]))
+    for off in np.stack(tab.values(0.0, ends[:-1], mids, mids, ends[1:]), axis=1):
+        uT = step(uT, off)
     miss = hs_norm(spec, uT - u1.coeffs if target else uT, 2.0)
     assert cert.integrator_residual == pytest.approx(miss, rel=1e-12, abs=0.0)
 
@@ -716,7 +718,8 @@ def _batched_correction(prob, op, phi0):
     terms = nonlinear_term(spec, trace.states, prob.k_nl)[box]
     out = np.zeros(spec.shape, dtype=complex)
     X = spec.dispersion[box]
-    out[box] = np.conj(free_phase(prob.T, X) * backward_forced_initial(X, trace.times, terms))
+    i_j_w = backward_forced_initial(free_phase(-trace.times, X), trace.times, terms)
+    out[box] = np.conj(free_phase(prob.T, X) * i_j_w)
     return out
 
 
@@ -753,8 +756,10 @@ def test_the_correction_holds_no_record_of_its_march():
 
 def test_a_forcing_block_at_d3n24_is_counted_in_box_entries(monkeypatch):
     # 17^3 = 4,913 box entries make blocks of 2 steps, where 24^3 lattice
-    # entries made blocks of 1; the regrouped trapezoid sums agree to
-    # roundoff with the one-step blocking
+    # entries made blocks of 1; a block's first time is the block before's
+    # last, whose phase e^{-itL} on the box is reused: 6 phase rows for the
+    # 6 times, where one per block and time made 8. The regrouped trapezoid
+    # sums agree to roundoff with the one-step blocking
     prob, op, phi0 = _correction_case(3, 24, 5)
     spec = prob.spec
     chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
@@ -762,7 +767,12 @@ def test_a_forcing_block_at_d3n24_is_counted_in_box_entries(monkeypatch):
     blocks = dynamics.forced_term_blocks(b.zero_field(spec), prob.T, cfg,
                                          control_forcing(op, chi0))
     assert [len(times) - 1 for times, _ in blocks] == [2, 2, 1]
+    rows = []
+    monkeypatch.setattr(hum, "free_phase", lambda t, X: (
+        rows.append(np.size(t)) if X.shape == (17,) * 3 and np.ndim(t) == 1 else None
+    ) or free_phase(t, X))
     got = hum._nonlinear_correction(prob, op, phi0)
+    assert rows == [3, 2, 1]
     monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", 1)
     one_step = hum._nonlinear_correction(prob, op, phi0)
     assert np.linalg.norm(one_step) > 0.0
