@@ -33,10 +33,10 @@ built on the box once, before the loop. The scheme is written once, as
 Etdrk4Tableau's stage rows, with two evaluators: the box stepper, whose
 stages call the term kernel, and for an undamped march at d = 1 up to a
 measured break-even N (grid_step_route) the grid stepper, whose stages
-are products with matrices composed once per run. A forcing enters both
-as per-block offsets, the rows on its samples. Every march steps in
-_steps; a trace writes each record into its lattice stack as it comes,
-and HUM's correction streams its first stages' terms (forced_term_blocks).
+are products with matrices composed once per run. A forcing is a free
+wave (FreeWave), advanced by fixed factors. Every march steps in _steps;
+a trace writes each record into its lattice stack as it comes, and HUM's
+correction streams its first stages' terms (forced_term_blocks).
 With that convention mass, energy and the damping-flux identity
 
     E(t) - E(0) = - int_0^t || (1-Lap)^{-1} ( a u_t ) ||_{L^2}^2
@@ -52,6 +52,7 @@ import csv
 import itertools
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,6 +70,7 @@ from .spectral import (
     _grid_modulus,
     _power_term,
     dealiased_term_kernel,
+    free_phase,
     load_field,
     sandwich,
     save_field,
@@ -202,7 +204,7 @@ class Etdrk4Tableau:
     and the terms given over i, whose factor rides on Q, f1, f2 and f3."""
 
     def __init__(self, lin: np.ndarray, dt: float):
-        z = dt * lin
+        z, self.dt = dt * lin, dt
         self.E = np.exp(z)
         self.E2 = np.exp(z / 2.0)
         self.Q = (dt / 2.0) * _phi(z / 2.0)[0]
@@ -222,26 +224,19 @@ class Etdrk4Tableau:
             "end": lambda x: E * x["u"] + f1 * x["n0"] + f2 * (x["na"] + x["nb"]) + f3 * x["nc"],
         }
 
-    def values(self, u, n0, na, nb, nc) -> list:
-        """[a, b, c, end] for stage terms given in advance, leading axes
-        broadcast. On u = 0 and a forcing h at a step's start, midpoint
-        (twice) and end they are the offsets its forced rows subtract."""
-        x = {"u": u, "n0": n0, "na": na, "nb": nb, "nc": nc}
-        return [x.setdefault(name, rule(x)) for name, rule in self.rows.items()]
-
     def stepper(self, stage):
-        """The box step (u, off, row) -> end, stage mapping a state to its
-        term over i; the rows subtract off if given, and row receives n0."""
+        """The box step (u, row, h) -> end, stage mapping a state to its term
+        over i: row receives n0, and n0, na, nb and nc subtract h's samples."""
         rows = self.rows.items()
 
-        def step(u: np.ndarray, off=None, row=None) -> np.ndarray:
+        def step(u: np.ndarray, row=None, h=None) -> np.ndarray:
             x = {"u": u, "n0": stage(u)}
             if row is not None:
                 row[...] = x["n0"]
             for s, (name, rule) in enumerate(rows):
+                if h is not None:
+                    x[("n0", "na", "nb", "nc")[s]] -= h[s]
                 x[name] = v = rule(x)
-                if off is not None:
-                    v = v - off[s]
                 if name != "end":
                     x["n" + name] = stage(v)
             return v
@@ -265,12 +260,14 @@ def step_grid(T: float, dt: float) -> tuple[int, float]:
 # undamped / forced flow
 # ---------------------------------------------------------------------------
 
-# Box entries per block of forcing samples: a forced run asks for the
-# forcing once per block of steps, in a block of this size however long;
-# and per chunk of a block's offsets, which stay in cache as the march
-# reads them.
+# A forcing that is a free wave, h(t) = weight(e^{itX} v): X, v at t = 0, and
+# weight mapping coefficients (...) + X.shape to h's box arrays; a march
+# advances e^{itX} v by fixed factors, with no exponential per step.
+FreeWave = namedtuple("FreeWave", "X v weight")
+
+# Box entries per block of the box route's forcing samples, and of the
+# terms forced_term_blocks streams, however long the run.
 _FORCING_BLOCK_ENTRIES = 32768
-_OFFSET_CHUNK_ENTRIES = 4096
 
 
 def _forcing_block(box: int) -> int:
@@ -280,137 +277,139 @@ def _forcing_block(box: int) -> int:
 
 def grid_step_route(spec: ManifoldSpec) -> bool:
     """Whether an undamped march steps on the grid (_grid_stepper): at d = 1
-    up to N = 86, past which the two steps tie forced and by N = 104 the
-    grid step is the slower; never at d >= 2, where its matrices would be
-    dense N^d x N^d. Microseconds per step (k = 1, HUM control of band 3;
+    up to N = 96, past which the two steps tie and by N = 102 the grid step
+    is the slower, forced or not; never at d >= 2, where its matrices would
+    be dense N^d x N^d. Microseconds per step (k = 1, HUM control of band 3;
     least of 3 interleaved sets of 5 runs of 2,000 steps; numpy 2.4,
     OpenBLAS on one thread of a shared 2-core x86-64 VM):
 
         lattice   unforced box / grid   forced box / grid
-        d1N8         22.5 / 10.2          24.6 / 12.5
-        d1N32        23.8 / 13.8          27.0 / 17.4
-        d1N64        29.7 / 20.7          35.5 / 28.1
-        d1N86        36.0 / 31.1          41.7 / 42.9
-        d1N96        38.7 / 37.9          48.1 / 48.5
-        d1N104       41.1 / 45.3          49.9 / 57.5
-        d1N128       48.0 / 86.3          59.0 / 96.8
+        d1N8         22.5 / 10.4          25.0 / 10.8
+        d1N32        24.1 / 13.7          26.8 / 14.7
+        d1N64        31.7 / 22.2          34.0 / 22.7
+        d1N86        37.2 / 32.0          39.6 / 33.4
+        d1N96        40.4 / 37.1          43.0 / 39.2
+        d1N102       42.7 / 43.8          45.7 / 47.2
+        d1N128       50.7 / 83.9          53.2 / 89.8
     """
-    return spec.N <= {1: 86}.get(spec.d, 0)
+    return spec.N <= {1: 96}.get(spec.d, 0)
 
 
-def _grid_stepper(spec: ManifoldSpec, tab: Etdrk4Tableau, k: int):
-    """tab's step on the grid at d = 1, off holding a, b and c's offsets on
-    the grid and row receiving p0, and the maps of offsets to the grid and
-    of powers to their terms on the box. On the dense term route's
-    one-axis matrices inv and fwd a stage term is p fwd, p = |v|^{2k} v for
-    v = x inv, so each row is linear in z = [pa, u, p0, pb, pc]. The rows on
-    one-hot inputs give their weights w, and so their matrices on the slice
-    of z they read: diag(w) for u and fwd diag(w) for a power, times inv
-    for a, b and c. A step is five products and four powers."""
+def _grid_stepper(spec: ManifoldSpec, tab: Etdrk4Tableau, k: int, wave: FreeWave | None):
+    """tab's step on the grid at d = 1 under a wave or none, row receiving
+    p0, and the map of powers to their terms on the box. On the dense term
+    route's one-axis matrices inv and fwd a stage term is p fwd - h, p =
+    |v|^{2k} v for v = x inv, and the wave's h is q W, (q e^{i dt/2 X}) W
+    twice and (q e^{i dt X}) W, for q its coefficients at the step's start
+    and W its weight's matrix. So each row is linear in z = [pa, q, u, p0,
+    pb, pc], and the rows on one-hot inputs give their matrices on the slice
+    of z they read: diag(w) for u, fwd diag(w) for a power and the wave's
+    block for q, times inv for a, b and c. A step is five products and four
+    powers, then q *= e^{i dt X}."""
     inv, fwd = _dense_term_axis(spec, k)
     m, N = inv.shape
-    order = ("na", "u", "n0", "nb", "nc")  # z's layout: every row reads one slice
-    cuts = np.cumsum([0] + [m if name == "u" else N for name in order])
+    wave = wave or FreeWave(np.zeros(0), np.zeros(0), lambda w: np.zeros((0, m)))
+    X, v = wave.X.ravel(), wave.v.ravel()
+    W = wave.weight(np.eye(X.size).reshape((X.size,) + wave.X.shape))
+    order = ("na", "q", "u", "n0", "nb", "nc")  # z's layout: every row reads one slice
+    cuts = np.cumsum([0] + [{"q": X.size, "u": m}.get(name, N) for name in order])
     z = np.empty(cuts[-1], dtype=complex)
     at = {name: z[i:j] for name, i, j in zip(order, cuts, cuts[1:])}
-    mats = []
-    for name, row in zip(tab.rows, tab.values(*np.eye(5)[:, :, None])):
-        w = dict(zip(("u", "n0", "na", "nb", "nc"), row))
+    at["q"][...] = v
+    hot = np.zeros((5, 5 + X.size, m), dtype=complex)  # u and the terms, then q's -h
+    hot[range(5), range(5)] = 1.0
+    hot[1:, 5:] = -free_phase(np.array([0.0, 0.5, 0.5, 1.0]) * tab.dt, X)[..., None] * W
+    names = ("u", "n0", "na", "nb", "nc")
+    x, mats = dict(zip(names, hot)), []
+    for name, rule in tab.rows.items():
+        row = x[name] = rule(x)
+        w = {n: fwd * r for n, r in zip(names, row)} | {"u": np.diag(row[0]), "q": row[5:]}
         read = [i for i, n in enumerate(order) if np.any(w[n])]
         i, j = read[0], read[-1] + 1
-        mat = np.concatenate([np.diag(w[n]) if n == "u" else fwd * w[n] for n in order[i:j]])
+        mat = np.concatenate([w[n] for n in order[i:j]])
         mats.append((z[cuts[i]:cuts[j]], mat if name == "end" else mat @ inv))
-    powers = [at[name] for name in ("n0", "na", "nb", "nc")]
+    powers, q, factor = [at[n] for n in names[1:]], at["q"], free_phase(tab.dt, X)
 
-    def step(u: np.ndarray, off=None, row=None) -> np.ndarray:
+    def step(u: np.ndarray, row=None, h=None) -> np.ndarray:  # h stays None: z holds the wave
         at["u"][...] = u
         g = u @ inv
         for s, (read, mat) in enumerate(mats):
             _power_term(g, k, out=powers[s])
             g = read @ mat
-            if off is not None:
-                g -= off[s]
         if row is not None:
             row[...] = powers[0]
+        if X.size:
+            np.multiply(q, factor, out=q)
         return g
 
-    return step, lambda v: v @ inv, lambda p: p @ fwd
+    return step, lambda p: p @ fwd
 
 
-def _forced_flow(u0: SpectralField, T: float, cfg: SolverConfig, forcing, blocks):
+def _forced_flow(u0: SpectralField, T: float, cfg: SolverConfig, wave, blocks):
     """The march of evolve_nonlinear and forced_term_blocks: (c0, dt,
     n_steps, term, advance, to_box), advance mapping a box array to the next
     step. It runs the box stepper, whose stages call the term kernel, or
-    where grid_step_route says so the grid stepper, whose stages are
-    products with matrices composed once per run. A block of steps asks the
-    forcing once for its stage times not asked for before, and its offsets
-    are Etdrk4Tableau.values on those samples. blocks, if a list, gets each
-    block's times t_0 ... t_B and B + 1 rows: step i writes its first
-    stage's row at t_i into row i, which to_box maps to |u|^{2k} u on the
-    box, and row B stays open."""
+    where grid_step_route says so the grid stepper, whose z carries the
+    wave. On the box route a block of B steps samples the wave's weight at
+    its 2B + 1 stage times, its first coefficients times e^{i j dt/2 X},
+    which each stage term subtracts. blocks, if a list, gets each block's
+    times t_0 ... t_B and B + 1 rows: step i writes its first stage's row at
+    t_i into row i, which to_box maps to |u|^{2k} u on the box."""
     check_horizon(T)
-    spec = u0.spec
-    n_steps, dt = step_grid(T, cfg.dt)
-    box = spec.box
-    c0 = u0.coeffs[box].astype(complex)
+    spec, (n_steps, dt) = u0.spec, step_grid(T, cfg.dt)
+    c0 = u0.coeffs[spec.box].astype(complex)
     term = dealiased_term_kernel(spec, cfg.k_nl)
-    tab = Etdrk4Tableau(1j * spec.dispersion[box], dt)
-    step, to_grid, to_box = (_grid_stepper(spec, tab, cfg.k_nl) if grid_step_route(spec)
-                             else (tab.stepper(term), lambda v: v, lambda v: v))
+    tab = Etdrk4Tableau(1j * spec.dispersion[spec.box], dt)
+    grid = grid_step_route(spec)
+    step, to_box = (_grid_stepper(spec, tab, cfg.k_nl, wave) if grid
+                    else (tab.stepper(term), lambda v: v))
+    sampled = wave is not None and not grid
 
-    def offsets(ends, mid):
-        """Each step's offsets from its forcing at its ends and midpoint, a
-        chunk of steps at a time, so that they are in cache when read."""
-        chunk = max(1, _OFFSET_CHUNK_ENTRIES // c0.size)
-        for i in range(0, len(mid), chunk):
-            e, m = ends[i:i + chunk + 1], mid[i:i + chunk]
-            *grid, end = tab.values(0.0, e[:-1], m, m, e[1:])
-            yield from zip(*map(to_grid, grid), end)
-
-    def stage_forcing():
-        """(offsets, row) of each step, a block of steps at a time."""
-        block, last = _forcing_block(c0.size), np.empty((0,) + c0.shape)
+    def stage_inputs():
+        """(row, h) of each step, a block of steps at a time."""
+        block = _forcing_block(c0.size)
+        if sampled:  # e^{i j dt/2 X}, j = 0 ... 2B, once a run
+            q, table = wave.v, free_phase(np.arange(2 * min(block, n_steps) + 1) * dt / 2, wave.X)
         for s0 in range(0, n_steps, block):
-            t = np.arange(s0, min(s0 + block, n_steps) + 1) * dt
-            h = forcing(np.concatenate([0.5 * (t[:-1] + t[1:]), t[len(last):]]))[box]
-            ends = np.concatenate([last, h[len(t) - 1:]])
-            rows, last = itertools.repeat(None), ends[-1:].copy()
+            n = min(block, n_steps - s0)
+            rows, h = [None] * n, [None] * n  # drops the block before's samples
             if blocks is not None:
-                rows = np.empty((len(t),) + to_grid(c0).shape, dtype=complex)
-                blocks.append((t, rows))
-            yield from zip(offsets(ends, h[:len(t) - 1]), rows)
-            del h, ends  # before the next block asks for its samples
+                rows = np.empty((n + 1,) + (spec.shape if grid else c0.shape), dtype=complex)
+                blocks.append((np.arange(s0, s0 + n + 1) * dt, rows))
+            if sampled:
+                phases = q * table[:2 * n + 1]
+                q, h = phases[-1], wave.weight(phases)  # at t_s0 + j dt/2, j = 0 ... 2n
+                h = zip(h[:-1:2], h[1::2], h[1::2], h[2::2])
+            yield from zip(rows, h)
 
-    stages = itertools.repeat((None, None)) if forcing is None else stage_forcing()
+    stages = stage_inputs() if sampled or blocks is not None else itertools.repeat(())
     return c0, dt, n_steps, term, lambda cc: step(cc, *next(stages)), to_box
 
 
 def evolve_nonlinear(u0: SpectralField, T: float, cfg: SolverConfig,
-                     forcing=None) -> EvolutionTrace:
+                     forcing: FreeWave | None = None) -> EvolutionTrace:
     """Integrate i u_t + (Lap^2 - beta Lap) u + |u|^{2k} u = h.
 
-    forcing, if given, maps an array of times to the stack of h's lattice
-    coefficients at those times; a run asks once per block of steps, for
-    each stage time of the block once, and keeps h on the dealiasing box.
-    Without forcing the flow conserves mass and energy up to the
-    integrator error, which the ledger records. The march carries the box
-    array of the state (spec.box); its records are lattice arrays.
+    forcing, if given, is h as a FreeWave (_forced_flow). Without forcing
+    the flow conserves mass and energy up to the integrator error, which the
+    ledger records. The march carries the box array of the state
+    (spec.box); its records are lattice arrays.
     """
-    check_trace_size(u0.spec, T, cfg, None, forcing is not None)
+    check_trace_size(u0.spec, T, cfg, None, forcing)
     c0, dt, n_steps, _, advance, _ = _forced_flow(u0, T, cfg, forcing, None)
     return _march(u0.spec, c0, dt, n_steps, cfg, advance)
 
 
-def forced_term_blocks(u0: SpectralField, T: float, cfg: SolverConfig, forcing):
+def forced_term_blocks(u0: SpectralField, T: float, cfg: SolverConfig, forcing: FreeWave):
     """|u|^{2k} u at every step time of evolve_nonlinear's march under a
-    forcing, by the blocks of steps it asks the forcing for: yields (times,
-    terms) on the box per block, each from the last time of the block
-    before, the terms of the march's first stages and the final state's.
-    The blow-up guard runs at every step; nothing is kept but one block."""
+    forcing, by blocks of _forcing_block steps: yields (times, terms) on
+    the box per block, each from the last time of the block before, the
+    terms of the march's first stages and the final state's. The blow-up
+    guard runs at every step; nothing is kept but one block."""
     blocks = []
     c0, dt, n_steps, term, advance, to_box = _forced_flow(u0, T, cfg, forcing, blocks)
     for _, state, _ in _steps(u0.spec, c0, dt, n_steps, 1, advance, None):
-        if len(blocks) == 2:  # the next block's first stage sampled this one's end
+        if len(blocks) == 2:  # the next block's first stage took this one's end
             times, rows = blocks.pop(0)
             rows[-1] = blocks[0][1][0]
             yield times, to_box(rows)
@@ -487,14 +486,14 @@ _LEDGER_BLOCK_ENTRIES = 4096
 # bytes a trace may hold at its peak, in _march or in save_trace: the
 # (n_rec,) + lattice stack, 16 n_rec N^d B, plus the larger of the save's
 # _RECORD_BYTES per record and what a march holds until its ledger ends: J
-# and J^{-1}, the grid stepper's matrices and a forcing block's arrays,
-# beside the larger of its working set (_MARCH_ARRAYS) and the ledger's
-# block temporaries, 16 (4 max(N^d, _LEDGER_BLOCK_ENTRIES)) B. That is
-# 0.99-1.04 of the tracemalloc peak of a march of 7-19 MB, damped or not
-# (d2N32, d2N64, d2N96, d3N16), and 1.00-1.20 of the peak of march or save
-# under a HUM forcing or none, d1N32 to d3N16 over 301-5,001 records or
-# d1N8 over 20,001. The cap admits the default stabilize horizon, T = 20
-# at stride 1, up to d2N64.
+# and J^{-1}, the grid stepper's matrices (the wave's rows among them) or
+# the box route's block of wave samples, beside the larger of its working
+# set (_MARCH_ARRAYS) and the ledger's block temporaries, 64 max(N^d,
+# _LEDGER_BLOCK_ENTRIES) B. That is 0.99-1.04 of the tracemalloc peak of a
+# march of 7-19 MB, damped or not (d2N32, d2N64, d2N96, d3N16), 1.00-1.19
+# of the peak of march or save under a HUM control or none, d1N32 to d3N16
+# over 301-501 records or d1N8 over 20,001, and 1.42 forced at d1N128. The
+# cap admits the default stabilize horizon, T = 20 at stride 1, up to d2N64.
 MAX_TRACE_BYTES = 2_000_000_000
 
 # box and lattice arrays a march holds beside its records and J's blocks:
@@ -515,23 +514,21 @@ def _record_count(n_steps: int, stride: int) -> int:
 
 
 def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig,
-                     profile: DampingProfile | None, forced: bool = False) -> None:
+                     profile: DampingProfile | None, wave: FreeWave | None = None) -> None:
     """ValueError unless T is a horizon and the trace of a flow over T under
     cfg holds at most MAX_TRACE_BYTES at its peak; a damped flow passes its
-    profile, an undamped one None, a forced one forced=True. J's blocks
-    (KernelBlocks refuses them above MAX_BLOCK_ENTRIES) and the arrays of
-    the grid stepper and of a forcing block are counted from their shapes."""
+    profile, an undamped one None, a forced one its wave. J's blocks (capped
+    by KernelBlocks), the grid stepper's matrices and a block of wave
+    samples are counted from their shapes."""
     check_horizon(T)
     n_steps, _ = step_grid(T, cfg.dt)
     n_rec = _record_count(n_steps, cfg.record_stride)
     box, N = int(np.count_nonzero(spec.dealias_mask)), spec.N
-    held, grid = 0, profile is None and grid_step_route(spec)  # held until the ledger ends
-    if grid:  # the matrices read m + N, m + N, m + 2N and m + 4N entries of z
-        held += 16 * (N * (3 * box + 4 * N) + (box + 1) * (box + 4 * N))
-    if forced:  # a block's samples on the lattice and the box, or on the box and a chunk's offsets
-        block, chunk = min(_forcing_block(box), n_steps), max(1, _OFFSET_CHUNK_ENTRIES // box)
-        held += 16 * max(3 * block * (spec.n_modes + box),
-                         3 * block * box + chunk * (13 * box + (3 * N if grid else 0)))
+    S, held = 0 if wave is None else wave.X.size, 0  # the wave's entries; held to the ledger's end
+    if profile is None and grid_step_route(spec):  # rows of z: S + m + N (twice), + 2N, + 4N
+        held += 16 * (N * (3 * (box + S) + 4 * N) + (box + 1) * (box + S + 4 * N))
+    elif wave is not None:  # a block's coefficients and samples, two of each while it samples
+        held += 32 * (2 * min(_forcing_block(box), n_steps) + 1) * (box + S)
     if profile is not None:
         held += 32 * KernelBlocks(profile, box=True).entries  # J and its inverse
     march = 16 * (_MARCH_ARRAYS[0] * box + _MARCH_ARRAYS[1] * spec.n_modes)

@@ -66,8 +66,8 @@ import numpy as np
 # Nothing here calls cg_hermitian; the name stays because the benchmark's
 # traced run wraps b4nls.hum.cg_hermitian (bench/layers.py).
 from .linalg import cg_hermitian  # noqa: F401
-from .dynamics import (Etdrk4Tableau, SolverConfig, check_horizon, evolve_nonlinear,
-                       forced_term_blocks, step_grid)
+from .dynamics import (Etdrk4Tableau, FreeWave, SolverConfig, check_horizon,
+                       evolve_nonlinear, forced_term_blocks, step_grid)
 from .spectral import (
     DampingProfile,
     KernelBlocks,
@@ -268,7 +268,7 @@ class HumOperator:
         T: float,
         band: int | None = None,
     ):
-        self.spec = spec
+        self.spec, self.profile, self.band = spec, phi, band
         self.blocks = KernelBlocks(phi, band, kernel=lambda f: sandwich(spec, phi.compact, f))
         self.A = self.blocks.stack  # phi (1-Lap)^{-2} phi
         X = spec.dispersion
@@ -296,15 +296,16 @@ class HumOperator:
         return self.blocks.apply(self.A, w)
 
 
-def control_forcing(op: HumOperator, v0: np.ndarray):
-    """Map ts -> coefficients of A e^{itL} v0 at each time of the array ts,
-    a (len(ts),) + lattice stack, exact at any stage time. Only v0 on S is
-    read: one phase stack on S's groups and one control_weight product per
-    group for all the times.
-    """
-    X = op.blocks.gather(op.spec.dispersion)
-    v = op.blocks.gather(v0)
-    return lambda ts: op.control_weight(free_phase(ts, X) * v)
+def control_forcing(op: HumOperator, v0: np.ndarray) -> FreeWave:
+    """The free wave A e^{itL} v0 on the dealiasing box: L's dispersion and
+    v0 on S by groups, and as its weight A's rows in the box, applied by the
+    box's layout, so that no lattice array is formed. Groups whose rows all
+    leave the box force nothing the march keeps, and are left out."""
+    rows = op.blocks.gather(op.spec.dealias_mask, rows=True)
+    keep, layout = rows.any(axis=-1), KernelBlocks(op.profile, op.band, box=True)
+    box_rows = op.A[keep][:, rows[keep][0]]
+    return FreeWave(op.blocks.gather(op.spec.dispersion)[keep], op.blocks.gather(v0)[keep],
+                    lambda w: layout.apply(box_rows, w))
 
 
 def backward_forced_initial(
@@ -315,8 +316,8 @@ def backward_forced_initial(
     u(0) = i int_0^T e^{-isL} h(s) ds, by trapezoid over the given samples,
     shaped (len(times),) + X.shape for L's dispersion X on the modes they
     hold (spec.dispersion for lattice arrays, its box for box arrays), with
-    phases = free_phase(-times, X): a caller that integrates by blocks
-    computes each time's phase once.
+    phases = e^{-i times X}, which a caller that integrates by blocks forms
+    from fixed factors.
     """
     return 1j * np.trapezoid(phases * forcing_samples, np.asarray(times), axis=0)
 
@@ -412,13 +413,14 @@ def _certificate(prob: ControlProblem, op: HumOperator, kind: str, dual: np.ndar
     """The certificate of a dual datum with its terminal miss, relative to
     ||u0||_{H^2}, and its control sampled at 101 times."""
     ts = np.linspace(0.0, prob.T, 101)
+    X, v = op.blocks.gather(prob.spec.dispersion), op.blocks.gather(dual)
     w = op.factors[0]
     lam = float(w.min())
     return ControlCertificate(
         kind=kind, dual_datum=dual, terminal_residual=residual,
         relative_residual=residual / max(sobolev_norm(prob.u0, 2.0), 1e-300),
         lambda_min=lam, condition=float(w.max()) / lam if lam > 0.0 else math.inf,
-        control_times=ts, control_samples=control_forcing(op, dual)(ts), **fields,
+        control_times=ts, control_samples=op.control_weight(free_phase(ts, X) * v), **fields,
     )
 
 
@@ -456,13 +458,14 @@ def _nonlinear_correction(prob: ControlProblem, op: HumOperator, phi0: np.ndarra
     chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
     cfg = SolverConfig(dt=prob.solve_dt, k_nl=prob.k_nl)
     # i J_w = i int_0^T e^{-irL} |w|^{2k} w dr, summed over the march's blocks,
-    # and v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w), on the box; a
-    # block's first time is the last of the block before, and keeps its phase
-    i_j_w, last = 0.0, np.empty((0,) + X.shape)
+    # and v(0) = -i conj(e^{iTL} J_w) = conj(e^{iTL} i J_w), on the box; each
+    # block's phases are its first one, the block before's last, times back's
+    i_j_w, last, back = 0.0, 1.0, None
     for times, terms in forced_term_blocks(zero_field(spec), prob.T, cfg,
                                            control_forcing(op, chi0)):
-        phases = np.concatenate([last, free_phase(-times[len(last):], X)])
-        last = phases[-1:]
+        back = free_phase(-times, X) if back is None else back  # e^{-i j dt L}, once
+        phases = last * back[:len(times)]
+        last = phases[-1]
         i_j_w = i_j_w + backward_forced_initial(phases, times, terms)
     out[spec.box] = np.conj(free_phase(prob.T, X) * i_j_w)
     return out

@@ -566,7 +566,7 @@ class KernelBlocks:
         if w.ndim == 2:
             return self.scatter((stack @ w[..., None])[..., 0])
         lead = w.shape[:-2]
-        y = np.moveaxis(w, -2, 0).reshape(self.groups, -1, self.width) @ np.swapaxes(stack, 1, 2)
+        y = np.moveaxis(w, -2, 0).reshape(self.groups, -1, w.shape[-1]) @ np.swapaxes(stack, 1, 2)
         return self.scatter(np.moveaxis(y.reshape((self.groups,) + lead + (-1,)), 0, -2))
 
     def own(self, stack: np.ndarray) -> np.ndarray:

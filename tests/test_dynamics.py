@@ -1,5 +1,6 @@
 import ctypes
 import glob
+import itertools
 import math
 import os
 import re
@@ -51,6 +52,11 @@ class Damping:
         """(w, D w) for J w = v, v a box array, D w = i (v - w)."""
         w = self.j.apply(self.j_inv, self.j.gather(v))
         return w, 1j * (v - w)
+
+
+def _identity_wave(X, v):
+    """The free wave e^{itX} v given on the box, its weight the identity."""
+    return dynamics.FreeWave(X, v, lambda w: w)
 
 
 def smooth_datum(spec, seed, decay=4.0, h2=1.0, band=None):
@@ -155,9 +161,9 @@ def test_blowup_guard_trips(monkeypatch):
     monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 2.0)
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.basis_field(spec, 0, 1e-3)
-    h = b.basis_field(spec, 0, 1.0).coeffs
+    h = b.basis_field(spec, 0, 1.0).coeffs[spec.box]
     cfg = b.SolverConfig(dt=1e-2)
-    forcing = lambda ts: np.broadcast_to(h, ts.shape + h.shape)  # h at every time
+    forcing = _identity_wave(np.zeros(h.shape), h)  # h at every time
     with pytest.raises(b.BlowUpError):
         b.evolve_nonlinear(u0, 5.0, cfg, forcing=forcing)
 
@@ -360,11 +366,11 @@ def test_the_flows_refuse_a_horizon_that_is_not_positive(T):
         dynamics.check_horizon(T)
 
 
-def _estimated_trace_bytes(monkeypatch, spec, T, cfg, profile, n_rec, forced=False):
+def _estimated_trace_bytes(monkeypatch, spec, T, cfg, profile, n_rec, wave=None):
     """The bytes check_trace_size estimates for a trace of n_rec records."""
     monkeypatch.setattr(dynamics, "MAX_TRACE_BYTES", 0)
     with pytest.raises(ValueError, match=f"a trace of {n_rec} records") as exc:
-        dynamics.check_trace_size(spec, T, cfg, profile, forced)
+        dynamics.check_trace_size(spec, T, cfg, profile, wave)
     return int(re.search(r"needs about (\d+) bytes", str(exc.value)).group(1))
 
 
@@ -440,11 +446,24 @@ def _grid_break_even():
 @pytest.mark.parametrize("forced", [False, True])
 def test_the_trace_size_bound_covers_the_grid_stepper(tmp_path, monkeypatch, N, forced):
     # d = 1 over 500 steps at stride 1 on the grid route, whose composed
-    # matrices, and a forced run's block of samples and offsets, are held
-    # until the ledger ends: the estimate covers the traced peak of the
-    # march and of save_trace with the trace held
+    # matrices, the wave's rows among them, are held until the ledger ends
     spec = b.make_torus(1, N, 1.0)
     assert dynamics.grid_step_route(spec)
+    _assert_the_trace_size_bound_covers_the_march(tmp_path, monkeypatch, spec, forced)
+
+
+def test_the_trace_size_bound_covers_a_forced_box_march(tmp_path, monkeypatch):
+    # d3N16 on the box route, whose blocks of 11 steps sample the wave's
+    # weight at 23 stage times on the 11^3 box
+    spec = b.make_torus(3, 16, 1.0)
+    assert not dynamics.grid_step_route(spec)
+    _assert_the_trace_size_bound_covers_the_march(tmp_path, monkeypatch, spec, True)
+
+
+def _assert_the_trace_size_bound_covers_the_march(tmp_path, monkeypatch, spec, forced):
+    """Over 500 steps at stride 1, under a HUM control of band 3 or none,
+    the estimate covers the traced peak of the march and of save_trace
+    with the trace held, and exceeds it by at most a quarter."""
     u0 = smooth_datum(spec, 7)
     cfg = b.SolverConfig(dt=1e-3)
     h = None
@@ -461,7 +480,7 @@ def test_the_trace_size_bound_covers_the_grid_stepper(tmp_path, monkeypatch, N, 
         saved = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    need = _estimated_trace_bytes(monkeypatch, spec, 0.5, cfg, None, 501, forced)
+    need = _estimated_trace_bytes(monkeypatch, spec, 0.5, cfg, None, 501, h)
     assert max(march, saved) <= need <= 1.25 * max(march, saved)
 
 
@@ -586,17 +605,14 @@ def test_the_nonlinear_box_march_is_the_lattice_march(d, N, forced):
     F = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
     omega = rng.uniform(-50.0, 50.0, spec.shape)
 
-    def forcing(ts):
-        return np.exp(1j * np.multiply.outer(ts, omega)) * F
-
     def nonlin(c, t):
         out = 1j * _masked_term(spec, c)
         if forced:
-            out -= 1j * np.where(mask, forcing(np.array([t]))[0], 0.0)
+            out -= 1j * np.where(mask, np.exp(1j * t * omega) * F, 0.0)
         return out
 
-    trace = b.evolve_nonlinear(u0, n * dt, b.SolverConfig(dt=dt, record_stride=n),
-                               forcing=forcing if forced else None)
+    wave = _identity_wave(omega[spec.box], F[spec.box]) if forced else None
+    trace = b.evolve_nonlinear(u0, n * dt, b.SolverConfig(dt=dt, record_stride=n), forcing=wave)
     ref = _lattice_march(np.where(mask, u0.coeffs, 0.0), 1j * spec.dispersion, dt, n, nonlin)
     assert trace.states.shape == (2,) + spec.shape
     assert np.all(trace.states[:, ~mask] == 0.0)
@@ -634,6 +650,74 @@ def test_the_grid_march_is_the_box_march(monkeypatch, N, case):
         assert _rel(terms_grid, terms_box) <= 1e-13
 
 
+def _hum_wave(spec, T, band=3):
+    """A HUM control's wave on the strip (1, 3) of width 0.4."""
+    op = HumOperator(spec, b.make_damping_profile(spec, b.Strip(1.0, 3.0), 0.4), T, band=band)
+    return control_forcing(op, smooth_datum(spec, 8, band=band, h2=10.0).coeffs)
+
+
+def test_the_grid_stepper_keeps_the_wave_phase_over_a_thousand_steps():
+    # d1N32, unbanded: after 1,000 steps of 1e-3 the grid stepper's wave
+    # has taken 1,000 products with e^{i dt X}; its next step from u = 0,
+    # a smooth map of the wave alone, is the step of a stepper whose wave
+    # starts at e^{iX} v, to 1e-12 relative
+    spec = b.make_torus(1, 32, 1.0)
+    wave = _hum_wave(spec, 1.0, None)
+    tab = dynamics.Etdrk4Tableau(1j * spec.dispersion[spec.box], 1e-3)
+    step = dynamics._grid_stepper(spec, tab, 1, wave)[0]
+    u = smooth_datum(spec, 7).coeffs[spec.box]
+    for _ in range(1000):
+        u = step(u)
+    late = dynamics.FreeWave(wave.X, b.spectral.free_phase(1.0, wave.X) * wave.v, wave.weight)
+    zero = np.zeros_like(u)
+    assert _rel(step(zero), dynamics._grid_stepper(spec, tab, 1, late)[0](zero)) <= 1e-12
+
+
+def test_the_box_route_keeps_the_wave_phase_over_a_thousand_steps():
+    # d3N16: 1,000 steps of 1e-3 sample the wave by blocks of 11, each
+    # block's coefficients the last block's end times the run's table of
+    # e^{i j dt/2 X}; the last sample's are free_phase(1.0, X) v to 1e-12
+    # relative
+    spec = b.make_torus(3, 16, 1.0)
+    assert not dynamics.grid_step_route(spec)
+    wave = _hum_wave(spec, 1.0)
+    last = []
+    seen = dynamics.FreeWave(wave.X, wave.v, lambda w: last.append(w[-1].copy()) or wave.weight(w))
+    b.evolve_nonlinear(b.zero_field(spec), 1.0, b.SolverConfig(record_stride=10**9), forcing=seen)
+    assert _rel(last[-1], b.spectral.free_phase(1.0, wave.X) * wave.v) <= 1e-12
+
+
+def test_a_forced_march_at_d3n16_holds_no_lattice_array_in_its_loop(monkeypatch):
+    # the wave is sampled on the box (blocks of 11 steps, 23 samples of
+    # 11^3 entries): at the first stage of each of 40 steps, the only live
+    # allocation of the march that holds a whole number of 16^3 lattice
+    # arrays is its two records (a forcing block on the lattice adds 23)
+    spec = b.make_torus(3, 16, 1.0)
+    wave = _hum_wave(spec, 0.04)
+    u0, cfg = smooth_datum(spec, 7), b.SolverConfig(record_stride=10**9)
+    lattice, kernel, sizes = 16 * spec.n_modes, dynamics.dealiased_term_kernel, []
+
+    def watched(spec, k):
+        term, calls = kernel(spec, k), itertools.count()
+
+        def call(v):
+            if next(calls) % 4 == 0:
+                traces = tracemalloc.take_snapshot().traces
+                sizes.append(sorted(t.size for t in traces if t.size and t.size % lattice == 0))
+            return term(v)
+
+        return call
+
+    b.evolve_nonlinear(u0, 0.04, cfg, forcing=wave)  # builds the kernel caches
+    monkeypatch.setattr(dynamics, "dealiased_term_kernel", watched)
+    tracemalloc.start()
+    try:
+        b.evolve_nonlinear(u0, 0.04, cfg, forcing=wave)
+    finally:
+        tracemalloc.stop()
+    assert sizes == [[2 * lattice]] * 40
+
+
 def test_the_march_steps_on_the_grid_at_d1_up_to_the_break_even(monkeypatch):
     # the bench's control-nonlinear lattice takes the grid route; d = 1
     # above the break-even and every d >= 2 lattice take the box route, in
@@ -652,7 +736,7 @@ def test_the_march_steps_on_the_grid_at_d1_up_to_the_break_even(monkeypatch):
     for spec, grid in cases:
         built.clear()
         assert dynamics.grid_step_route(spec) == grid
-        h = lambda ts, spec=spec: np.ones((len(ts),) + spec.shape, dtype=complex)
+        h = _identity_wave(np.zeros(spec.shape)[spec.box], np.ones(spec.shape)[spec.box])
         b.evolve_nonlinear(smooth_datum(spec, 5), 0.003, cfg)
         list(dynamics.forced_term_blocks(b.zero_field(spec), 0.003, cfg, h))
         assert len(built) == (2 if grid else 0), (spec.d, spec.N)

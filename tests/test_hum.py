@@ -323,9 +323,8 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
 ):
     # the certificate sums the linear ETDRK4 march in closed form; the
     # oracle steps the scheme's tableau with no nonlinear term and no mask,
-    # the synthesized control h entering as the offsets of the table on h
-    # at the stage times evolve_nonlinear forms, which each step subtracts;
-    # no src path runs that march
+    # each stage term subtracting the synthesized control h, sampled on the
+    # lattice at the stage times; no src path runs that march
     spec = b.make_torus(d, N, 1.0)
     phi = b.make_damping_profile(spec, region, width)
     rng = np.random.default_rng(30 + d)
@@ -340,14 +339,14 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     monkeypatch.undo()
     n, dt = dynamics.step_grid(T, verify_dt)
     t = np.arange(n + 1) * dt
-    forcing = control_forcing(HumOperator(spec, phi, T, band), cert.dual_datum)
-    h = forcing(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+    op = HumOperator(spec, phi, T, band)
+    X, v = op.blocks.gather(spec.dispersion), op.blocks.gather(cert.dual_datum)
+    h = op.control_weight(free_phase(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]), X) * v)
     ends, mids = h[:n + 1], h[n + 1:]
-    tab = dynamics.Etdrk4Tableau(1j * spec.dispersion, dt)
-    step = tab.stepper(np.zeros_like)
+    step = dynamics.Etdrk4Tableau(1j * spec.dispersion, dt).stepper(np.zeros_like)
     uT = u0.coeffs.astype(complex)
-    for off in np.stack(tab.values(0.0, ends[:-1], mids, mids, ends[1:]), axis=1):
-        uT = step(uT, off)
+    for samples in zip(ends[:-1], mids, mids, ends[1:]):
+        uT = step(uT, None, samples)
     miss = hs_norm(spec, uT - u1.coeffs if target else uT, 2.0)
     assert cert.integrator_residual == pytest.approx(miss, rel=1e-12, abs=0.0)
 
@@ -632,53 +631,63 @@ def test_backward_conjugate_trick_linear_oracle():
 
 
 def test_control_forcing_is_weight_of_free_flow():
-    spec = b.make_torus(1, 32, 1.0)
-    phi = strip_phi(spec)
+    # the wave's weight at e^{itX} v is A e^{itL} v0 on the box, for every
+    # mode, a band inside the box and one past it (N/3 < band < N/2), on a
+    # profile that varies along one axis, along every axis, or along none
     ts = np.array([0.0, 0.37, 0.81])
-    for band in (None, 5):  # every mode, and a banded support
-        op = HumOperator(spec, phi, 1.0, band=band)
-        v0 = rand_field(spec, 18, band=band).coeffs
-        h = control_forcing(op, v0)(ts)
-        assert h.shape == (len(ts),) + spec.shape
-        for t, ht in zip(ts, h):
-            vt = propagate_free(b.SpectralField(spec, v0), t)
-            expect = sobolev_weights(spec, -2) * profile_product(spec, phi.values, vt.coeffs)
-            expect = profile_product(spec, phi.values, expect)
-            assert np.abs(ht - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)
+    for d, N, region in [(1, 32, "strip"), (2, 16, "strip"), (2, 16, "ball"),
+                         (2, 8, "constant"), (3, 8, "strip")]:
+        spec = b.make_torus(d, N, 1.0)
+        shape = {"strip": b.Strip(PI / 2, 3 * PI / 2), "ball": b.Ball((PI,) * d, 2.0)}
+        phi = (b.DampingProfile(spec, np.full(spec.shape, 0.7)) if region == "constant"
+               else b.make_damping_profile(spec, shape[region], 0.4))
+        for band in (None, N // 3 - 1, N // 2 - 1):
+            op = HumOperator(spec, phi, 1.0, band=band)
+            v0 = rand_field(spec, 18, band=band).coeffs
+            wave = control_forcing(op, v0)
+            h = wave.weight(free_phase(ts, wave.X) * wave.v)
+            assert h.shape == (len(ts),) + (2 * (N // 3) + 1,) * d
+            for t, ht in zip(ts, h):
+                vt = propagate_free(b.SpectralField(spec, v0), t)
+                expect = sobolev_weights(spec, -2) * profile_product(spec, phi.values, vt.coeffs)
+                expect = profile_product(spec, phi.values, expect)[spec.box]
+                assert np.abs(ht - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)
 
 
-def test_certifying_run_evaluates_the_forcing_once_per_distinct_time(monkeypatch):
-    # a step's stages sit at t, t + dt/2 (twice) and t + dt, the next step's
-    # t: the march asks for each of the 2n + 1 distinct times once, in one
-    # forcing call per block of steps (default blocks, then blocks of 30)
+def test_a_forced_march_takes_no_complex_exponential_per_step(monkeypatch):
+    # the wave advances by fixed factors on the grid route and on the box
+    # route, and so does the correction's backward phase: a forced march,
+    # forced_term_blocks and the correction make as many complex np.exp
+    # calls over 200 steps as over 2,000 (d1N32, band 5)
     spec = b.make_torus(1, 32, 1.0)
     op = HumOperator(spec, strip_phi(spec), 1.0, band=5)
-    weight = HumOperator.control_weight
     u0 = rand_field(spec, 19, band=5)
     h = control_forcing(op, u0.coeffs)
-    cfg = b.SolverConfig(dt=1e-3, record_stride=10)
-    n_steps, box = 200, np.count_nonzero(spec.dealias_mask)  # blocks count box entries
-    ends = np.arange(n_steps + 1) * (0.2 / n_steps)
-    stage_times = np.sort(np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])]))
-    for steps in (None, 30):
-        if steps is not None:
-            monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * box)
-        calls, asked = [], []
-        monkeypatch.setattr(
-            HumOperator, "control_weight", lambda self, w: calls.append(len(w)) or weight(self, w)
-        )
-        trace = b.evolve_nonlinear(u0, 0.2, cfg, forcing=lambda ts: asked.append(ts) or h(ts))
-        block = max(1, (dynamics._FORCING_BLOCK_ENTRIES // box - 1) // 2)
-        assert trace.n_records == 21
-        assert len(calls) == len(asked) == math.ceil(n_steps / block)
-        asked = np.concatenate(asked)
-        assert len(asked) == sum(calls) == 2 * n_steps + 1
-        assert np.array_equal(np.sort(asked), stage_times)
+    exp, calls = np.exp, []
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kw: (
+        calls.append(1) if np.iscomplexobj(x) else None) or exp(x, *args, **kw))
+    counts = {}
+    for grid in (True, False):
+        monkeypatch.setattr(dynamics, "grid_step_route", lambda spec, grid=grid: grid)
+        for n in (200, 2000):
+            cfg = b.SolverConfig(dt=0.2 / n, record_stride=10)
+            prob, op2, phi0 = _correction_case(1, 32, n)
+            runs = {"march": lambda: b.evolve_nonlinear(u0, 0.2, cfg, forcing=h),
+                    "terms": lambda: list(dynamics.forced_term_blocks(u0, 0.2, cfg, h)),
+                    "correction": lambda: hum._nonlinear_correction(prob, op2, phi0)}
+            for name, run in runs.items():
+                calls.clear()
+                run()
+                counts.setdefault((grid, name), []).append(len(calls))
+    for key, (few, many) in counts.items():
+        assert few == many <= 16, key
 
 
 def test_forced_march_does_not_depend_on_the_forcing_block(monkeypatch):
-    # d2N32, band 3, 50 steps: blocks of 7 steps, which do not divide the
-    # run, and one block for the whole run against the default blocks
+    # d2N32, band 3, 50 steps on the box route, which samples the wave's
+    # weight once per block at its 2B + 1 stage times: blocks of 7 steps,
+    # which do not divide the run, and one block for the whole run against
+    # the default blocks
     spec = b.make_torus(2, 32, 1.0)
     op = HumOperator(spec, b.make_damping_profile(spec, b.Strip(1.0, 3.0)), 0.05, band=3)
     u0 = b.normalize_sobolev(rand_field(spec, 21, decay=4.0, band=3), 2.0, 1.0)
@@ -689,8 +698,10 @@ def test_forced_march_does_not_depend_on_the_forcing_block(monkeypatch):
     for steps, n_calls in ((7, 8), (50, 1)):
         monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", (2 * steps + 1) * box)
         calls = []
-        trace = b.evolve_nonlinear(u0, 0.05, cfg, forcing=lambda ts: calls.append(1) or h(ts))
+        wave = dynamics.FreeWave(h.X, h.v, lambda w: calls.append(len(w)) or h.weight(w))
+        trace = b.evolve_nonlinear(u0, 0.05, cfg, forcing=wave)
         assert len(calls) == n_calls
+        assert sum(calls) == 2 * 50 + n_calls
         err = np.linalg.norm(trace.states[-1] - default)
         assert err <= 1e-13 * np.linalg.norm(default)
 
@@ -757,9 +768,10 @@ def test_the_correction_holds_no_record_of_its_march():
 def test_a_forcing_block_at_d3n24_is_counted_in_box_entries(monkeypatch):
     # 17^3 = 4,913 box entries make blocks of 2 steps, where 24^3 lattice
     # entries made blocks of 1; a block's first time is the block before's
-    # last, whose phase e^{-itL} on the box is reused: 6 phase rows for the
-    # 6 times, where one per block and time made 8. The regrouped trapezoid
-    # sums agree to roundoff with the one-step blocking
+    # last, whose phase e^{-itL} on the box is reused and multiplied by the
+    # first block's phases e^{-i j dt L}: 3, 3 and 2 phase rows, within
+    # 1e-13 of free_phase. The regrouped trapezoid sums agree to roundoff with the
+    # one-step blocking
     prob, op, phi0 = _correction_case(3, 24, 5)
     spec = prob.spec
     chi0 = free_phase(-prob.T, spec.dispersion) * np.conj(phi0)
@@ -768,11 +780,13 @@ def test_a_forcing_block_at_d3n24_is_counted_in_box_entries(monkeypatch):
                                          control_forcing(op, chi0))
     assert [len(times) - 1 for times, _ in blocks] == [2, 2, 1]
     rows = []
-    monkeypatch.setattr(hum, "free_phase", lambda t, X: (
-        rows.append(np.size(t)) if X.shape == (17,) * 3 and np.ndim(t) == 1 else None
-    ) or free_phase(t, X))
+    monkeypatch.setattr(hum, "backward_forced_initial", lambda phases, times, terms: (
+        rows.append(phases.copy()) or backward_forced_initial(phases, times, terms)))
     got = hum._nonlinear_correction(prob, op, phi0)
-    assert rows == [3, 2, 1]
+    assert [len(r) for r in rows] == [3, 3, 2]
+    assert all(np.array_equal(after[0], before[-1]) for before, after in zip(rows, rows[1:]))
+    expect = free_phase(-np.arange(6) * 1e-3, spec.dispersion[spec.box])
+    assert np.abs(np.concatenate([rows[0], rows[1][1:], rows[2][1:]]) - expect).max() <= 1e-13
     monkeypatch.setattr(dynamics, "_FORCING_BLOCK_ENTRIES", 1)
     one_step = hum._nonlinear_correction(prob, op, phi0)
     assert np.linalg.norm(one_step) > 0.0
