@@ -245,7 +245,6 @@ def _control_problem(cfg, rng, nonlinear) -> ControlProblem:
     problem only; the linear synthesis never uses them."""
     spec = _build_spec(cfg)
     return ControlProblem(
-        spec=spec,
         u0=_build_datum(cfg, spec, rng),
         T=_get(cfg, "run", "T", float, 1.0),
         phi=_build_profile(cfg, spec),

@@ -492,8 +492,11 @@ _LEDGER_BLOCK_ENTRIES = 4096
 # _LEDGER_BLOCK_ENTRIES) B. That is 0.99-1.04 of the tracemalloc peak of a
 # march of 7-19 MB, damped or not (d2N32, d2N64, d2N96, d3N16), 1.00-1.19
 # of the peak of march or save under a HUM control or none, d1N32 to d3N16
-# over 301-501 records or d1N8 over 20,001, and 1.42 forced at d1N128. The
-# cap admits the default stabilize horizon, T = 20 at stride 1, up to d2N64.
+# over 301-501 records or d1N8 over 20,001, and 1.08-1.15 forced on the box
+# route at d1N102-d1N256. Not counted: the weight's product before its
+# scatter where the band cuts an axis along which the profile is constant
+# (0.99-1.01 forced at d2N24-d2N64 and d3N12, bands 2-5). The cap admits the
+# default stabilize horizon, T = 20 at stride 1, up to d2N64.
 MAX_TRACE_BYTES = 2_000_000_000
 
 # box and lattice arrays a march holds beside its records and J's blocks:
@@ -527,8 +530,9 @@ def check_trace_size(spec: ManifoldSpec, T: float, cfg: SolverConfig,
     S, held = 0 if wave is None else wave.X.size, 0  # the wave's entries; held to the ledger's end
     if profile is None and grid_step_route(spec):  # rows of z: S + m + N (twice), + 2N, + 4N
         held += 16 * (N * (3 * (box + S) + 4 * N) + (box + 1) * (box + S + 4 * N))
-    elif wave is not None:  # a block's coefficients and samples, two of each while it samples
-        held += 32 * (2 * min(_forcing_block(box), n_steps) + 1) * (box + S)
+    elif wave is not None:  # per stage time of a block: its samples, its phases, the phases of
+        # the block before (which its first coefficients view) and the run's phase table
+        held += 16 * (2 * min(_forcing_block(box), n_steps) + 1) * (box + 3 * S)
     if profile is not None:
         held += 32 * KernelBlocks(profile, box=True).entries  # J and its inverse
     march = 16 * (_MARCH_ARRAYS[0] * box + _MARCH_ARRAYS[1] * spec.n_modes)

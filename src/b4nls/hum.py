@@ -4,8 +4,12 @@ For the linear flow i u_t + (Lap^2 - beta Lap) u = h with controls of the
 form h(t) = A e^{itL} v0, A = phi (1-Lap)^{-2} (phi .), steering u0 to rest
 at time T reduces to the Hermitian positive system
 
-    Lambda v0 = -i (u0 - e^{-iTL} u_target),
+    Lambda v0 = -i u0,
     Lambda    = int_0^T e^{-itL} A e^{itL} dt.
+
+Steering u0 to a state u1 instead is steering the transported difference
+u0 - e^{-iTL} u1 to rest: the same control drives u0 to u1 by linearity, so
+a caller passes that difference as the datum.
 
 On the truncated lattice Lambda has a closed form
 
@@ -109,20 +113,21 @@ class ControlProblem:
     control's phases at a finite step size; the out-of-band leak of the
     control operator enters the certified residual honestly. Construction
     checks every input rule of the problem, so a problem that exists can be
-    solved: the transported datum -i (u0 - e^{-iTL} u_target) must lie in
-    the band, and a problem whose blocks of A would exceed
-    MAX_BLOCK_ENTRIES (|S| N^v for a profile that varies along v axes) is
-    refused by KernelBlocks before anything is assembled.
+    solved: the datum u0 must lie in the band, and a problem whose blocks of
+    A would exceed MAX_BLOCK_ENTRIES (|S| N^v for a profile that varies
+    along v axes) is refused by KernelBlocks before anything is assembled.
 
     A HUM solve whose true relative residual ||b - Lambda[S, S] x|| / ||b||
     is not at most 100 cg_tol raises ControlStagnationError.
+
+    The problem steers u0 to rest: Lambda v0 = -i u0. To steer the linear
+    flow to u1, pass u0 - e^{-iTL} u1 as the datum; relative_residual is
+    then relative to that datum.
     """
 
-    spec: ManifoldSpec
     u0: SpectralField
     T: float
     phi: DampingProfile
-    u_target: SpectralField | None = None
     k_nl: int = 1
     cg_tol: float = 1e-9
     fixedpoint_tol: float = 1e-8
@@ -130,12 +135,14 @@ class ControlProblem:
     verify_dt: float = 1e-4
     solve_dt: float = 1e-3
 
+    @property
+    def spec(self) -> ManifoldSpec:
+        return self.u0.spec
+
     def __post_init__(self):
         check_horizon(self.T)
-        if self.phi.spec != self.spec or self.u0.spec != self.spec:
+        if self.phi.spec != self.u0.spec:
             raise ValueError("problem pieces live on different specs")
-        if self.u_target is not None and self.u_target.spec != self.spec:
-            raise ValueError("target lives on a different spec")
         band = self.control_band
         if band is not None and band < 0:
             raise ValueError(f"control band must be >= 0, got control_band = {band}")
@@ -148,9 +155,9 @@ class ControlProblem:
         if not self.fixedpoint_tol > 0.0:
             raise ValueError("fixedpoint_tol must be positive")
         support = KernelBlocks(self.phi, band)  # the cap, with nothing built
-        rhs = _transported_rhs(self)
-        outside = rhs - support.scatter(support.gather(rhs))
-        if np.linalg.norm(outside) > 1e-12 * max(np.linalg.norm(rhs), 1.0):
+        u0 = self.u0.coeffs
+        outside = u0 - support.scatter(support.gather(u0))
+        if np.linalg.norm(outside) > 1e-12 * max(np.linalg.norm(u0), 1.0):
             raise ValueError(
                 f"the datum has content outside the control band (control_band = {band})"
             )
@@ -160,17 +167,21 @@ class ControlProblem:
 class ControlCertificate:
     """Outcome of a control synthesis.
 
-    terminal_residual is ||u(T) - u_target||_{H^2} of the controlled
-    trajectory: for the linear problem the flow integrates in closed form
-    (exponential Duhamel formula), so the value is exact for the lattice
-    system; for the nonlinear problem it comes from the certifying ETDRK4
-    solve. integrator_residual (linear only) reports the same miss for the
+    terminal_residual is ||u(T)||_{H^2} of the controlled trajectory: for
+    the linear problem the flow integrates in closed form (exponential
+    Duhamel formula), so the value is exact for the lattice system; for the
+    nonlinear problem it comes from the certifying ETDRK4 solve.
+    integrator_residual (linear only) reports the same miss for the
     terminal state of the ETDRK4 scheme at step verify_dt, summed in closed
     form over its steps; it carries that scheme's own quadrature error on
     the control's oscillations and is therefore pinned separately.
 
     lambda_min and condition are Lambda[S, S]'s smallest eigenvalue and its
     ratio to the largest; cg_residuals holds each HUM solve's true residual.
+
+    The late fixed-point updates in certificate.csv (about 1e-11 between
+    iterates of norm 0.2) resolve only to about 1e-11 relative, so the file
+    repeats byte for byte only when the forcing is bit for bit the same.
     """
 
     kind: str  # "linear" | "nonlinear"
@@ -326,15 +337,6 @@ def backward_forced_initial(
 # linear control
 # ---------------------------------------------------------------------------
 
-def _transported_rhs(prob: ControlProblem) -> np.ndarray:
-    """-i (u0 - e^{-iTL} u_target): steering to a state is steering the
-    transported difference to rest."""
-    rhs = prob.u0.coeffs.astype(complex)
-    if prob.u_target is not None:
-        rhs = rhs - free_phase(-prob.T, prob.spec.dispersion) * prob.u_target.coeffs
-    return -1j * rhs
-
-
 def _solve_hum_system(
     prob: ControlProblem, op: HumOperator, rhs: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -358,16 +360,12 @@ def _solve_hum_system(
     return op.blocks.scatter(x[..., 0]), relres
 
 
-def _h2_miss(prob: ControlProblem, uT: np.ndarray) -> float:
-    return hs_norm(prob.spec, uT if prob.u_target is None else uT - prob.u_target.coeffs, 2.0)
-
-
 def _verify_integrator(prob: ControlProblem, op: HumOperator, phi0: np.ndarray) -> float:
     """Terminal miss measured by a nonlinear ETDRK4 run driven by the control."""
     cfg = SolverConfig(dt=prob.verify_dt, k_nl=prob.k_nl,
                        record_stride=10**9)  # only endpoints matter here
     trace = evolve_nonlinear(prob.u0, prob.T, cfg, forcing=control_forcing(op, phi0))
-    return _h2_miss(prob, trace.states[-1])
+    return hs_norm(prob.spec, trace.states[-1], 2.0)
 
 
 def _verify_linear_march(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -> float:
@@ -398,14 +396,14 @@ def _verify_linear_march(prob: ControlProblem, op: HumOperator, v0: np.ndarray) 
     )
     K *= op.A
     uT = free_phase(T, prob.spec.dispersion) * prob.u0.coeffs
-    return _h2_miss(prob, uT - 1j * op.blocks.apply(K, op.blocks.gather(v0)))
+    return hs_norm(prob.spec, uT - 1j * op.blocks.apply(K, op.blocks.gather(v0)), 2.0)
 
 
 def _verify_closed_form(prob: ControlProblem, op: HumOperator, v0: np.ndarray) -> float:
     """Exact terminal state of the controlled linear lattice system,
     u(T) = e^{iTL} (u0 - i Lambda v0), assembled fresh from the operator."""
     uT = free_phase(prob.T, prob.spec.dispersion) * (prob.u0.coeffs - 1j * op.apply(v0))
-    return _h2_miss(prob, uT)
+    return hs_norm(prob.spec, uT, 2.0)
 
 
 def _certificate(prob: ControlProblem, op: HumOperator, kind: str, dual: np.ndarray,
@@ -429,7 +427,7 @@ def solve_linear_control(prob: ControlProblem) -> ControlCertificate:
     terminal state of the controlled equation, exact and by the ETDRK4
     scheme's closed-form step sum, to certify it."""
     op = HumOperator(prob.spec, prob.phi, prob.T, band=prob.control_band)
-    v0, relres = _solve_hum_system(prob, op, _transported_rhs(prob))
+    v0, relres = _solve_hum_system(prob, op, -1j * prob.u0.coeffs)
     return _certificate(
         prob, op, "linear", v0, _verify_closed_form(prob, op, v0), cg_residuals=(relres,),
         integrator_residual=_verify_linear_march(prob, op, v0),
@@ -480,8 +478,6 @@ def solve_nonlinear_control(prob: ControlProblem) -> ControlCertificate:
     within FIXEDPOINT_MAX_ITER updates raises ControlStagnationError, and a
     trajectory past the H^2 guard raises BlowUpError.
     """
-    if prob.u_target is not None and np.linalg.norm(prob.u_target.coeffs) > 0.0:
-        raise ValueError("nonlinear control steers to the zero state")
     spec = prob.spec
     op = HumOperator(spec, prob.phi, prob.T, band=prob.control_band)
     phi0 = np.zeros(spec.shape, dtype=complex)

@@ -258,21 +258,10 @@ def _fft_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return reduce(lambda x, axis: np.fft.fft(x, axis=axis), axes[::-1], x)
 
 
-def _signed_grid(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
-    """(-1)^{j_1+...+j_d} u(x_j) / scale: the inverse FFT of the lattice
-    array as it is stored, with neither the shift nor the scale."""
-    return _ifft_axes(coeffs, _axes(spec))
-
-
-def _signed_coeffs(spec: ManifoldSpec, values: np.ndarray) -> np.ndarray:
-    """Lattice coefficients, times the scale, of (-1)^{j_1+...+j_d} values."""
-    return _fft_axes(values, _axes(spec))
-
-
 def _grid_modulus(spec: ManifoldSpec, coeffs: np.ndarray) -> np.ndarray:
     """|u(x_j)| on the collocation grid, for quadratures that see only the
     modulus; the sign of the unshifted transform drops out."""
-    return np.abs(_signed_grid(spec, coeffs)) * _grid_scale(spec)
+    return np.abs(_ifft_axes(coeffs, _axes(spec))) * _grid_scale(spec)
 
 
 def _power_term(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -285,15 +274,17 @@ def _power_term(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndar
 def nonlinear_term(spec: ManifoldSpec, coeffs: np.ndarray, k: int) -> np.ndarray:
     """Coefficients of |u|^{2k} u, evaluated pointwise on the grid.
 
-    With v the signed, unscaled grid values and s the transform scale, the
-    result is s^{2k} times the lattice coefficients of |v|^{2k} v: the signs
-    cancel (|v| = |u| / s) and so do the scales.
+    With v = (-1)^{j_1+...+j_d} u(x_j) / s the signed, unscaled grid values,
+    the inverse FFT of the lattice array as it is stored, and s the
+    transform scale, the result is s^{2k} times the lattice coefficients of
+    |v|^{2k} v: the signs cancel (|v| = |u| / s) and so do the scales.
 
     No dealiasing mask is applied; the flows apply spec.dealias_mask
     themselves, while the space-time product probes need the full product.
     """
-    v = _signed_grid(spec, coeffs)
-    return _signed_coeffs(spec, _power_term(v, k)) * _grid_scale(spec) ** (2 * k)
+    axes = _axes(spec)
+    v = _ifft_axes(coeffs, axes)
+    return _fft_axes(_power_term(v, k), axes) * _grid_scale(spec) ** (2 * k)
 
 
 def dealias_box(spec: ManifoldSpec) -> slice:

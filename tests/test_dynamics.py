@@ -460,6 +460,15 @@ def test_the_trace_size_bound_covers_a_forced_box_march(tmp_path, monkeypatch):
     _assert_the_trace_size_bound_covers_the_march(tmp_path, monkeypatch, spec, True)
 
 
+def test_the_trace_size_bound_covers_a_forced_d1_box_march(tmp_path, monkeypatch):
+    # d1N128 on the box route, where A's rows cover the box: the weight's
+    # product is the block's samples, so the march holds one copy of them
+    # beside their phases (the estimate read 1.42 of the peak counting two)
+    spec = b.make_torus(1, 128, 1.0)
+    assert not dynamics.grid_step_route(spec)
+    _assert_the_trace_size_bound_covers_the_march(tmp_path, monkeypatch, spec, True)
+
+
 def _assert_the_trace_size_bound_covers_the_march(tmp_path, monkeypatch, spec, forced):
     """Over 500 steps at stride 1, under a HUM control of band 3 or none,
     the estimate covers the traced peak of the march and of save_trace

@@ -246,7 +246,7 @@ def test_control_cost_reciprocity():
 def test_linear_control_zero_problem():
     spec = b.make_torus(1, 32, 1.0)
     prob = b.ControlProblem(
-        spec=spec, u0=b.zero_field(spec), T=1.0, phi=strip_phi(spec)
+        u0=b.zero_field(spec), T=1.0, phi=strip_phi(spec)
     )
     cert = b.solve_linear_control(prob)
     assert cert.terminal_residual == 0.0
@@ -260,7 +260,7 @@ def test_linear_control_full_weight_closed_form_datum():
     u0 = b.normalize_sobolev(rand_field(spec, 6, decay=3.0, band=5), 2.0, 1.0)
     T = 1.0
     prob = b.ControlProblem(
-        spec=spec, u0=u0, T=T, phi=b.DampingProfile(spec, np.full(spec.shape, 1.0)), cg_tol=1e-12
+        u0=u0, T=T, phi=b.DampingProfile(spec, np.full(spec.shape, 1.0)), cg_tol=1e-12
     )
     cert = b.solve_linear_control(prob)
     expect = (-1j / T) * (1.0 + spec.k_sq) ** 2 * u0.coeffs
@@ -273,7 +273,7 @@ def test_linear_control_strip_small():
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 7, decay=2.0, band=5), 2.0, 1.0)
     prob = b.ControlProblem(
-        spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-10
+        u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-10
     )
     cert = b.solve_linear_control(prob)
     assert cert.relative_residual <= 1e-7
@@ -281,21 +281,25 @@ def test_linear_control_strip_small():
 
 
 def test_linear_control_nonzero_target():
+    # steering u0 to u1 is steering the transported difference u0 - e^{-iTL} u1
+    # to rest: the control synthesized for it brings u0 itself to u1
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 8, decay=2.0, band=4), 2.0, 1.0)
     u1 = b.normalize_sobolev(rand_field(spec, 9, decay=2.0, band=4), 2.0, 0.5)
-    prob = b.ControlProblem(
-        spec=spec, u0=u0, u_target=u1, T=1.0, phi=strip_phi(spec), cg_tol=1e-10
-    )
+    datum = b.SpectralField(spec, u0.coeffs - free_phase(-1.0, spec.dispersion) * u1.coeffs)
+    prob = b.ControlProblem(u0=datum, T=1.0, phi=strip_phi(spec), cg_tol=1e-10)
     cert = b.solve_linear_control(prob)
     assert cert.terminal_residual <= 1e-7
+    lam_v0 = HumOperator(spec, prob.phi, 1.0).apply(cert.dual_datum)
+    uT = free_phase(1.0, spec.dispersion) * (u0.coeffs - 1j * lam_v0)
+    assert hs_norm(spec, uT - u1.coeffs, 2.0) <= 1e-7
 
 
 def test_linear_control_band_restriction():
     spec = b.make_torus(1, 64, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 10, decay=2.0, band=8), 2.0, 1.0)
     prob = b.ControlProblem(
-        spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=16, cg_tol=1e-10
+        u0=u0, T=1.0, phi=strip_phi(spec), control_band=16, cg_tol=1e-10
     )
     cert = b.solve_linear_control(prob)
     keep = np.abs(spec.k1d) <= 16
@@ -331,8 +335,9 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     datum_band = min(3, band or 3)
     u0 = b.normalize_sobolev(b.random_field(spec, rng, decay=2.0, band=datum_band), 2.0, 1.0)
     u1 = b.normalize_sobolev(b.random_field(spec, rng, decay=2.0, band=datum_band), 2.0, 0.5)
-    prob = b.ControlProblem(spec=spec, u0=u0, u_target=u1 if target else None, T=T, phi=phi,
-                            control_band=band, verify_dt=verify_dt)
+    if target:  # steering to u1: the transported difference is the datum
+        u0 = b.SpectralField(spec, u0.coeffs - free_phase(-T, spec.dispersion) * u1.coeffs)
+    prob = b.ControlProblem(u0=u0, T=T, phi=phi, control_band=band, verify_dt=verify_dt)
     monkeypatch.setattr(hum, "evolve_nonlinear", None)
     cert = b.solve_linear_control(prob)
     assert verify_certificate(prob, cert) == cert.terminal_residual
@@ -347,7 +352,7 @@ def test_linear_integrator_residual_is_the_forced_linear_march(
     uT = u0.coeffs.astype(complex)
     for samples in zip(ends[:-1], mids, mids, ends[1:]):
         uT = step(uT, None, samples)
-    miss = hs_norm(spec, uT - u1.coeffs if target else uT, 2.0)
+    miss = hs_norm(spec, uT, 2.0)
     assert cert.integrator_residual == pytest.approx(miss, rel=1e-12, abs=0.0)
 
 
@@ -367,7 +372,7 @@ def test_singular_gramian_exits_1_as_unobservable(tmp_path, capsys, monkeypatch,
     # are parallel. The solve's true residual refuses both, with no warning.
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 11, decay=2.0), 2.0, 1.0)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=profile(spec))
+    prob = b.ControlProblem(u0=u0, T=1.0, phi=profile(spec))
     monkeypatch.setattr(cli, "_build_profile", lambda cfg, spec: profile(spec))
     path = tmp_path / "run.ini"
     path.write_text("[experiment]\nkind = control-linear\n[manifold]\nd = 1\nN = 32\n")
@@ -386,12 +391,12 @@ def test_certificate_residual_is_the_true_residual():
     # condition are the extreme eigenvalues of Lambda[S, S]
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 11, decay=2.0), 2.0, 1.0)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12)
+    prob = b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-12)
     cert = b.solve_linear_control(prob)
     op = HumOperator(spec, prob.phi, prob.T)
     layout = operator_layout(prob.phi, None)[0]
     S = layout.ravel()
-    bs = hum._transported_rhs(prob).ravel()[S]
+    bs = -1j * prob.u0.coeffs.ravel()[S]
     x = cert.dual_datum.ravel()[layout][..., None]
     true = np.linalg.norm(bs - (op.block @ x).ravel())
     assert cert.cg_residuals[0] == pytest.approx(true / np.linalg.norm(bs), rel=1e-12)
@@ -434,10 +439,9 @@ def test_strip_gramian_is_block_diagonal(d, N, width, band):
 def test_block_solve_matches_a_dense_solve(d, N, band):
     spec = b.make_torus(d, N, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 17, decay=2.0, band=3), 2.0, 1.0)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec, 0.6),
-                            control_band=band)
+    prob = b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec, 0.6), control_band=band)
     op = HumOperator(spec, prob.phi, prob.T, band=band)
-    rhs = hum._transported_rhs(prob)
+    rhs = -1j * prob.u0.coeffs
     v0, _ = hum._solve_hum_system(prob, op, rhs)
     S = operator_layout(prob.phi, band)[0].ravel()
     dense = np.linalg.solve(dense_of(prob.phi, band, op.matrix)[np.ix_(S, S)], rhs.ravel()[S])
@@ -450,9 +454,9 @@ def test_block_solve_matches_the_cg_oracle():
     # lands on the factored solve
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 18, decay=2.0, band=3), 2.0, 1.0)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
+    prob = b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
     op = HumOperator(spec, prob.phi, prob.T, band=3)
-    rhs = hum._transported_rhs(prob)
+    rhs = -1j * prob.u0.coeffs
     S = operator_layout(prob.phi, 3)[0].ravel()
     lam = dense_of(prob.phi, 3, op.matrix)[np.ix_(S, S)]
     x_cg, _, _ = cg_hermitian(lambda z: lam @ z, rhs.ravel()[S], tol=1e-13, max_iter=200)
@@ -464,7 +468,7 @@ def test_the_factors_are_built_once_per_operator(monkeypatch):
     # the fixed point reuses one factorization; re-verifying factors nothing
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 16, decay=2.0, band=5), 2.0, 1e-2)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), verify_dt=1e-3)
+    prob = b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec), verify_dt=1e-3)
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     cert = b.solve_nonlinear_control(prob)
@@ -480,7 +484,7 @@ def test_control_outputs_reproduce_under_a_roundoff_scaling(monkeypatch):
     # to 1e-13
     spec = b.make_torus(2, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 3, decay=2.0, band=3), 2.0, 1.0)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0,
+    prob = b.ControlProblem(u0=u0, T=1.0,
                             phi=b.make_damping_profile(spec, b.Strip(1.0, 3.0)),
                             control_band=3, verify_dt=1e-3)
     ref = b.solve_linear_control(prob)
@@ -503,7 +507,7 @@ def test_control_problem_refuses_an_infinite_horizon_or_step(field):
     spec = b.make_torus(1, 32, 1.0)
     kw = {"T": 1.0, field: math.inf}
     with pytest.raises(ValueError, match="finite"):
-        b.ControlProblem(spec=spec, u0=rand_field(spec, 19, band=3), phi=strip_phi(spec), **kw)
+        b.ControlProblem(u0=rand_field(spec, 19, band=3), phi=strip_phi(spec), **kw)
 
 
 def test_grid_refinement_stability():
@@ -524,7 +528,7 @@ def test_grid_refinement_stability():
             c[N // 2 + k] = raw[i]
         u0 = b.normalize_sobolev(b.SpectralField(spec, c), 2.0, 1.0)
         phi = strip_phi(spec, 0.5)
-        prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=phi, cg_tol=cg_tol)
+        prob = b.ControlProblem(u0=u0, T=1.0, phi=phi, cg_tol=cg_tol)
         cert = b.solve_linear_control(prob)
         op = HumOperator(spec, phi, 1.0)
         uT = u0.coeffs - 1j * op.apply(cert.dual_datum)
@@ -535,7 +539,7 @@ def test_grid_refinement_stability():
 def test_certificate_reverify():
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 13, decay=2.0, band=5), 2.0, 1.0)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec))
+    prob = b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec))
     cert = b.solve_linear_control(prob)
     again = verify_certificate(prob, cert)
     assert abs(again - cert.terminal_residual) <= 1e-10
@@ -548,7 +552,7 @@ def test_certificate_reverify():
 def test_nonlinear_control_zero_datum():
     spec = b.make_torus(1, 32, 1.0)
     prob = b.ControlProblem(
-        spec=spec, u0=b.zero_field(spec), T=1.0, phi=strip_phi(spec)
+        u0=b.zero_field(spec), T=1.0, phi=strip_phi(spec)
     )
     cert = b.solve_nonlinear_control(prob)
     assert len(cert.fixedpoint_diffs) == 1  # fixed point at the origin
@@ -560,7 +564,7 @@ def test_nonlinear_control_converges_at_h2_norm_one_on_the_default_strip():
     # contraction ratios stay well below 1
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 14, decay=2.0), 2.0, 1.0)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec))
+    prob = b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec))
     cert = b.solve_nonlinear_control(prob)
     assert cert.fixedpoint_diffs[-1] <= prob.fixedpoint_tol
     assert cert.contraction_ratios and all(r < 1.0 for r in cert.contraction_ratios)
@@ -574,7 +578,7 @@ def test_nonlinear_control_tiny_datum_matches_linear():
     u0 = b.normalize_sobolev(rand_field(spec, 15, decay=2.0, band=5), 2.0, 1e-6)
     phi = strip_phi(spec)
     prob = b.ControlProblem(
-        spec=spec, u0=u0, T=1.0, phi=phi, cg_tol=1e-12, fixedpoint_tol=1e-14,
+        u0=u0, T=1.0, phi=phi, cg_tol=1e-12, fixedpoint_tol=1e-14,
         verify_dt=1e-4,
     )
     nl = b.solve_nonlinear_control(prob)
@@ -587,7 +591,7 @@ def test_nonlinear_control_converges_small_datum():
     spec = b.make_torus(1, 32, 1.0)
     u0 = b.normalize_sobolev(rand_field(spec, 16, decay=2.0, band=5), 2.0, 1e-2)
     prob = b.ControlProblem(
-        spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-10,
+        u0=u0, T=1.0, phi=strip_phi(spec), cg_tol=1e-10,
         verify_dt=2e-5, fixedpoint_tol=1e-8,
     )
     cert = b.solve_nonlinear_control(prob)
@@ -712,7 +716,7 @@ def _correction_case(d, N, n_steps):
     spec = b.make_torus(d, N, 1.0)
     phi = b.make_damping_profile(spec, b.Strip(1.0, 3.0), 0.4)
     u0 = b.normalize_sobolev(rand_field(spec, 40 + d, decay=2.0, band=2), 2.0, 0.1)
-    prob = b.ControlProblem(spec=spec, u0=u0, T=n_steps * 1e-3, phi=phi, control_band=2)
+    prob = b.ControlProblem(u0=u0, T=n_steps * 1e-3, phi=phi, control_band=2)
     phi0 = b.normalize_sobolev(rand_field(spec, 50 + d, band=2), 0.0, 1.0).coeffs
     return prob, HumOperator(spec, phi, prob.T, band=2), phi0
 
@@ -816,7 +820,7 @@ def test_banded_control_certifies_at_d2n64():
     assert HumOperator(spec, phi, 1.0, band=3).matrix.shape == (7, 64, 7)
     u0 = b.normalize_sobolev(rand_field(spec, 20, decay=4.0, band=3), 2.0, 1.0)
     prob = b.ControlProblem(
-        spec=spec, u0=u0, T=1.0, phi=phi, control_band=3, verify_dt=1e-3
+        u0=u0, T=1.0, phi=phi, control_band=3, verify_dt=1e-3
     )
     cert = b.solve_linear_control(prob)
     assert cert.cg_residuals[0] <= prob.cg_tol
@@ -829,19 +833,24 @@ def test_control_band_must_hold_the_datum():
     spec = b.make_torus(1, 32, 1.0)
     u0 = rand_field(spec, 21, band=5)
     with pytest.raises(ValueError, match="control band"):
-        b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=-1)
+        b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec), control_band=-1)
     with pytest.raises(ValueError, match="outside the control band"):
-        b.ControlProblem(spec=spec, u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
+        b.ControlProblem(u0=u0, T=1.0, phi=strip_phi(spec), control_band=3)
 
 
 def test_control_band_must_hold_the_transported_target():
-    # the rule reads -i (u0 - e^{-iTL} u_target), so a target outside the
-    # band is refused like a datum outside it
+    # steering to a target passes the transported difference as the datum,
+    # so a target outside the band is refused like a datum outside it
     spec = b.make_torus(1, 32, 1.0)
-    kw = dict(spec=spec, u0=b.zero_field(spec), T=1.0, phi=strip_phi(spec), control_band=3)
-    b.ControlProblem(u_target=rand_field(spec, 22, band=3), **kw)
+    kw = dict(T=1.0, phi=strip_phi(spec), control_band=3)
+
+    def to(band):
+        u1 = rand_field(spec, 22, band=band)
+        return b.SpectralField(spec, -free_phase(-1.0, spec.dispersion) * u1.coeffs)
+
+    b.ControlProblem(u0=to(3), **kw)
     with pytest.raises(ValueError, match="outside the control band"):
-        b.ControlProblem(u_target=rand_field(spec, 22, band=4), **kw)
+        b.ControlProblem(u0=to(4), **kw)
 
 
 @pytest.mark.parametrize(
@@ -859,7 +868,7 @@ def test_control_problem_refuses_an_operator_above_the_cap(d, N, band, admitted)
     # assembled either way
     spec = b.make_torus(d, N, 1.0)
     phi = b.make_damping_profile(spec, b.Ball((PI,) * d, 2.0), 0.5)
-    kw = dict(spec=spec, u0=b.zero_field(spec), T=1.0, phi=phi, control_band=band)
+    kw = dict(u0=b.zero_field(spec), T=1.0, phi=phi, control_band=band)
     if admitted:
         b.ControlProblem(**kw)
         return

@@ -17,7 +17,6 @@ SRC = TESTS.parent / "src" / "b4nls"
 # "module.callable.parameter" -> "file::test" that sets it
 TEST_KNOBS = {
     "cli.main.argv": "test_cli.py::test_describe_lists_every_key_the_builder_reads",
-    "hum.ControlProblem.u_target": "test_hum.py::test_linear_control_nonzero_target",
 }
 
 
